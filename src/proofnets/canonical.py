@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 
 from .formulas import format_formula
-from .structure import AX, CUT, DOT, PAR, TENSOR, ProofStructure
+from .structure import (AX, CUT, DOT, PAR, TENSOR, ProofStructure,
+                        induced_components)
 
 CanonicalForm = bytes
 
@@ -40,11 +41,7 @@ def node_colors(ps: ProofStructure) -> dict[int, str]:
         jump_sources.setdefault(tgt, []).append(src)
 
     colors = {n: _digest(f"{lab}#{concl_pos.get(n, -1)}") for n, lab in ps.nodes.items()}
-    incoming = {n: [] for n in ps.nodes}
-    outgoing = {n: [] for n in ps.nodes}
-    for a, (t, h) in ps.arcs.items():
-        outgoing[t].append(a)
-        incoming[h].append(a)
+    incoming, outgoing = ps.incidence()
 
     def describe(n):
         lab = ps.nodes[n]
@@ -95,17 +92,12 @@ def _encode(ps: ProofStructure, colors, choices: _Choices) -> str:
     node_idx: dict[int, int] = {}
     arc_idx: dict[int, int] = {}
     tokens: list[str] = [f"g{len(ps.conclusions)}"]
-    incoming = {n: [] for n in ps.nodes}
-    outgoing = {n: [] for n in ps.nodes}
-    for a, (t, h) in ps.arcs.items():
-        outgoing[t].append(a)
-        incoming[h].append(a)
+    incoming, outgoing = ps.incidence()
 
     def local_order(n):
         lab = ps.nodes[n]
         if lab in (TENSOR, PAR):
-            prem = list(ps.premise_order.get(n, sorted(incoming[n])))
-            return prem + outgoing[n]
+            return ps.premises_of(n) + outgoing[n]
         if lab in (AX, CUT):
             twins = outgoing[n] if lab == AX else incoming[n]
             done = [a for a in twins if a in arc_idx]
@@ -117,7 +109,7 @@ def _encode(ps: ProofStructure, colors, choices: _Choices) -> str:
                 if choices.pick(2):
                     keyed.reverse()
             return keyed
-        return sorted(incoming[n]) + sorted(outgoing[n])
+        return incoming[n] + outgoing[n]
 
     def _arc_key(a, via):
         t, h = ps.arcs[a]
@@ -154,7 +146,7 @@ def _encode(ps: ProofStructure, colors, choices: _Choices) -> str:
 
     while len(node_idx) < len(ps.nodes):
         remaining = [n for n in ps.nodes if n not in node_idx]
-        comps = _components_of(ps, remaining)
+        comps = induced_components(ps, remaining)
         keyed = sorted(comps, key=lambda comp: sorted(colors[n] for n in comp))
         least = [comp for comp in keyed
                  if sorted(colors[n] for n in comp) == sorted(colors[n] for n in keyed[0])]
@@ -169,30 +161,6 @@ def _encode(ps: ProofStructure, colors, choices: _Choices) -> str:
         tokens.append(f"J{node_idx[n]}>{node_idx[ps.jumps[n]]}")
     tokens.append(f"z{len(ps.nodes)},{len(ps.arcs)}")
     return "|".join(tokens)
-
-
-def _components_of(ps, nodes):
-    nodes = set(nodes)
-    neighbours = {n: set() for n in nodes}
-    for t, h in ps.arcs.values():
-        if t in nodes and h in nodes:
-            neighbours[t].add(h)
-            neighbours[h].add(t)
-    comps, seen = [], set()
-    for n in sorted(nodes):
-        if n in seen:
-            continue
-        comp, stack = [], [n]
-        seen.add(n)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for m in neighbours[cur]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        comps.append(sorted(comp))
-    return comps
 
 
 def canonical_form(ps: ProofStructure) -> CanonicalForm:

@@ -8,6 +8,7 @@ Exit codes are stable: 0 for success (criterion holds, proofs equivalent),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -162,7 +163,9 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="proofnets",
         description="Check, rewrite and sequentialize proof-structures.")
@@ -240,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ProofNetError as exc:

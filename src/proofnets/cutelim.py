@@ -38,11 +38,9 @@ class Redex:
 
 def _unique_descent_path(ps: ProofStructure, ax: int, cut: int, shared: int) -> bool:
     """True when the shared arc is the only directed path from ax to cut."""
+    outgoing = ps.incidence()[1]
     seen = set()
-    stack = []
-    for a in ps.conclusions_of(ax):
-        if a != shared:
-            stack.append(ps.head(a))
+    stack = [ps.head(a) for a in outgoing[ax] if a != shared]
     while stack:
         n = stack.pop()
         if n == cut:
@@ -50,8 +48,7 @@ def _unique_descent_path(ps: ProofStructure, ax: int, cut: int, shared: int) -> 
         if n in seen:
             continue
         seen.add(n)
-        for a in ps.conclusions_of(n):
-            stack.append(ps.head(a))
+        stack.extend(ps.head(a) for a in outgoing[n])
     return True
 
 
@@ -87,55 +84,47 @@ def reduce_step(ps: ProofStructure, redex: Redex) -> ProofStructure:
     current, _ = find_redexes(ps)
     if redex not in current:
         raise RedexError(f"redex {redex} is not present")
-    out = ps.without_jumps()
+    nodes, arcs, premise_order = dict(ps.nodes), dict(ps.arcs), dict(ps.premise_order)
+    types = dict(ps.types) if ps.types is not None else None
     cut = redex.cut_node
-    prem = out.premises_of(cut)
+    prem = ps.premises_of(cut)
 
     if redex.kind == AXIOM_CUT:
         ax_node = redex.participants[0]
-        shared = next(a for a in prem if out.tail(a) == ax_node)
+        shared = next(a for a in prem if ps.tail(a) == ax_node)
         other_prem = next(a for a in prem if a != shared)
-        outer = next(a for a in out.conclusions_of(ax_node) if a != shared)
-        if out.types is not None and out.types[outer] != out.types[other_prem]:
+        outer = next(a for a in ps.conclusions_of(ax_node) if a != shared)
+        if types is not None and types[outer] != types[other_prem]:
             raise RedexError("axiom step would splice arcs of different types")
         # keep the outer arc (whose head survives); re-tail it
-        new_tail = out.tail(other_prem)
-        out.arcs[outer] = (new_tail, out.head(outer))
-        for a in (shared, other_prem):
-            del out.arcs[a]
-            if out.types is not None:
-                del out.types[a]
-        for n in (ax_node, cut):
-            del out.nodes[n]
+        arcs[outer] = (ps.tail(other_prem), ps.head(outer))
+        removed_arcs, removed_nodes = (shared, other_prem), (ax_node, cut)
     elif redex.kind == UNIT_CUT:
-        for a in prem:
-            del out.arcs[a]
-            if out.types is not None:
-                del out.types[a]
-        for n in (cut, *redex.participants):
-            del out.nodes[n]
+        removed_arcs, removed_nodes = prem, (cut, *redex.participants)
     else:
         tensor_node, par_node = redex.participants
-        t_left, t_right = out.premise_order[tensor_node]
-        p_left, p_right = out.premise_order[par_node]
-        if out.types is not None:
-            if out.types[p_left] != negate(out.types[t_left]):
+        t_left, t_right = premise_order[tensor_node]
+        p_left, p_right = premise_order[par_node]
+        if types is not None:
+            if types[p_left] != negate(types[t_left]):
                 raise RedexError("multiplicative step would cut non-dual premises")
-        cut_a = out.fresh_node_id()
+        cut_a = ps.fresh_node_id()
         cut_b = cut_a + 1
-        out.nodes[cut_a] = CUT
-        out.nodes[cut_b] = CUT
+        nodes[cut_a] = CUT
+        nodes[cut_b] = CUT
         for arc, new_cut in ((t_left, cut_a), (p_left, cut_a),
                              (t_right, cut_b), (p_right, cut_b)):
-            out.arcs[arc] = (out.tail(arc), new_cut)
-        for a in prem:
-            del out.arcs[a]
-            if out.types is not None:
-                del out.types[a]
-        for n in (cut, tensor_node, par_node):
-            del out.nodes[n]
-            out.premise_order.pop(n, None)
+            arcs[arc] = (ps.tail(arc), new_cut)
+        removed_arcs, removed_nodes = prem, (cut, tensor_node, par_node)
+    for a in removed_arcs:
+        del arcs[a]
+        if types is not None:
+            del types[a]
+    for n in removed_nodes:
+        del nodes[n]
+        premise_order.pop(n, None)
 
+    out = ProofStructure(nodes, arcs, premise_order, ps.conclusions, types)
     ensure_valid(out)
     return out
 

@@ -182,24 +182,22 @@ def random_ps(params: GenParams) -> ProofStructure:
     """
     rng = random.Random(params.seed)
     frag = params.fragment
-    ps = ProofStructure()
-    ps.types = {} if frag is not None else None
-    next_node = [0]
-    next_arc = [0]
+    nodes: dict[int, str] = {}
+    arcs: dict[int, tuple[int, int]] = {}
+    premise_order: dict[int, tuple[int, int]] = {}
+    types = {} if frag is not None else None
     open_arcs: list[int] = []  # conclusion arcs waiting for a head
 
     def new_node(label):
-        n = next_node[0]
-        next_node[0] += 1
-        ps.nodes[n] = label
+        n = len(nodes)
+        nodes[n] = label
         return n
 
     def new_arc(tail, f=None):
-        a = next_arc[0]
-        next_arc[0] += 1
-        ps.arcs[a] = (tail, -1)  # head patched later
-        if ps.types is not None:
-            ps.types[a] = f
+        a = len(arcs)
+        arcs[a] = (tail, -1)  # head patched later
+        if types is not None:
+            types[a] = f
         open_arcs.append(a)
         return a
 
@@ -222,7 +220,7 @@ def random_ps(params: GenParams) -> ProofStructure:
             new_arc(n, BOT_F)
 
     def close(arc, head):
-        ps.arcs[arc] = (ps.tail(arc), head)
+        arcs[arc] = (arcs[arc][0], head)
         open_arcs.remove(arc)
 
     def connective_ok(f):
@@ -233,33 +231,33 @@ def random_ps(params: GenParams) -> ProofStructure:
         leaf()
 
     spins = 0
-    while len(ps.nodes) < params.max_nodes:
+    while len(nodes) < params.max_nodes:
         spins += 1
         if spins > 100 * params.max_nodes:
             break
         roll = rng.random()
         if roll < 0.25 or len(open_arcs) < 2:
-            if len(ps.nodes) + 1 >= params.max_nodes:
+            if len(nodes) + 1 >= params.max_nodes:
                 break
             leaf()
             continue
         a, b = rng.sample(open_arcs, 2)
         if rng.random() < params.cut_probability:
-            if ps.types is None or ps.types[a] == negate(ps.types[b]):
+            if types is None or types[a] == negate(types[b]):
                 n = new_node(CUT)
                 close(a, n)
                 close(b, n)
                 continue
         label = TENSOR if rng.random() < 0.5 else PAR
-        if ps.types is not None:
+        if types is not None:
             build = tensor_f if label == TENSOR else par_f
-            f = build(ps.types[a], ps.types[b])
+            f = build(types[a], types[b])
             if not connective_ok(f):
                 continue
         else:
             f = None
         n = new_node(label)
-        ps.premise_order[n] = (a, b)
+        premise_order[n] = (a, b)
         close(a, n)
         close(b, n)
         new_arc(n, f)
@@ -268,9 +266,8 @@ def random_ps(params: GenParams) -> ProofStructure:
     rng.shuffle(conclusion_order)
     for a in conclusion_order:
         d = new_node(DOT)
-        ps.arcs[a] = (ps.tail(a), d)
-    open_arcs.clear()
-    ps.conclusions = tuple(conclusion_order)
+        arcs[a] = (arcs[a][0], d)
+    ps = ProofStructure(nodes, arcs, premise_order, conclusion_order, types)
     ensure_valid(ps)
     return ps
 
@@ -364,6 +361,7 @@ def permute_rules(p: SequentProof, seed: int, rounds: int = 4) -> SequentProof:
         candidate = _rebuild(current, path,
                              lambda sub: _apply_swap(sub, kind, rng))
         after = desequentialize(candidate, verify=False).ps
-        assert iso(before, after), f"swap {kind} changed the desequentialization"
+        if not iso(before, after):
+            raise AssertionError(f"swap {kind} changed the desequentialization")
         current = candidate
     return current

@@ -19,20 +19,18 @@ def export_dot(ps: ProofStructure, switching: Switching | None = None) -> str:
     arcs are dashed, and the conclusion dots share the lowest rank.  The
     output is byte-deterministic for a given input.
     """
-    graph = switching_graph(ps, switching) if switching is not None else ps
-    nodes = graph.nodes
-    arcs = graph.arcs
-    premise_order = ps.premise_order
-    jump_arc_ids = set(getattr(graph, "jump_arcs", ()))
-    if switching is None and ps.jumps:
+    if switching is not None:
+        graph = switching_graph(ps, switching)
+        nodes, arcs, jump_arc_ids = graph.nodes, graph.arcs, set(graph.jump_arcs)
+    else:
         # draw jumps even without a switching; they are not real arcs
-        extra = {}
+        nodes, arcs, jump_arc_ids = ps.nodes, dict(ps.arcs), set()
         next_arc = max(arcs, default=-1) + 1
         for src in sorted(ps.jumps):
-            extra[next_arc] = (src, ps.jumps[src])
+            arcs[next_arc] = (src, ps.jumps[src])
             jump_arc_ids.add(next_arc)
             next_arc += 1
-        arcs = {**arcs, **extra}
+    premise_order = ps.premise_order
 
     lines = ["digraph proofstructure {", "  rankdir=TB;",
              '  node [fontname="Helvetica"];']

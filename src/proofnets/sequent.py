@@ -45,12 +45,19 @@ class SequentProof:
     position: int | None = None
 
     def rule_count(self) -> int:
-        return 1 + sum(p.rule_count() for p in self.premises)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().premises)
+        return count
 
     def subproofs(self):
-        yield self
-        for p in self.premises:
-            yield from p.subproofs()
+        """Every subproof, this one first, in depth-first pre-order."""
+        stack = [self]
+        while stack:
+            p = stack.pop()
+            yield p
+            stack.extend(reversed(p.premises))
 
     def __repr__(self):
         return f"SequentProof({format_proof_expr(self)})"
@@ -297,7 +304,6 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
 @dataclass
 class DeseqResult:
     ps: ProofStructure
-    conclusion_map: tuple[int, ...]
     bot_scopes: dict[int, frozenset[int]] = field(default_factory=dict)
 
 
@@ -306,94 +312,91 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
     """Build the typed structure of a proof.
 
     With `verify`, the result is validated (inside `frag` when given) and
-    the acyclicity-plus-component-count criterion is asserted on it.
+    the acyclicity-plus-component-count criterion is checked on it.
     """
-    counter = iter(range(10 ** 9))
+    next_id = 0
+    nodes: dict[int, str] = {}
+    arcs: dict[int, tuple[int, int]] = {}
+    premise_order: dict[int, tuple[int, int]] = {}
+    types: dict[int, Formula] = {}
     bot_scopes: dict[int, frozenset[int]] = {}
 
     def fresh():
-        return next(counter)
+        nonlocal next_id
+        next_id += 1
+        return next_id - 1
 
-    def build(p: SequentProof) -> ProofStructure:
+    def conclude(node, dot_node, f) -> int:
+        a = fresh()
+        nodes[dot_node] = DOT
+        arcs[a] = (node, dot_node)
+        types[a] = f
+        return a
+
+    def plug(arc, node):
+        """Re-head a conclusion arc from its dot onto `node`."""
+        tail, dot = arcs[arc]
+        del nodes[dot]
+        arcs[arc] = (tail, node)
+
+    def build(p: SequentProof) -> tuple[int, ...]:
+        """Add the structure of p to the dicts; return its conclusions."""
         if p.rule == AX_RULE:
             ax, d1, d2 = fresh(), fresh(), fresh()
-            a1, a2 = fresh(), fresh()
-            return ProofStructure(
-                {ax: AX, d1: DOT, d2: DOT}, {a1: (ax, d1), a2: (ax, d2)}, {},
-                (a1, a2), {a1: p.conclusion[0], a2: p.conclusion[1]})
+            nodes[ax] = AX
+            return (conclude(ax, d1, p.conclusion[0]),
+                    conclude(ax, d2, p.conclusion[1]))
         if p.rule == ONE_RULE:
             one, d = fresh(), fresh()
-            a = fresh()
-            return ProofStructure({one: ONE, d: DOT}, {a: (one, d)}, {},
-                                  (a,), {a: ONE_F})
+            nodes[one] = ONE
+            return (conclude(one, d, ONE_F),)
         if p.rule == BOT_RULE:
-            r1 = build(p.premises[0])
-            scope = frozenset(r1.nodes)
-            b, d, a = fresh(), fresh(), fresh()
-            r1.nodes[b] = BOT
-            r1.nodes[d] = DOT
-            r1.arcs[a] = (b, d)
-            r1.types[a] = BOT_F
-            r1.conclusions = r1.conclusions + (a,)
+            start = next_id
+            c1 = build(p.premises[0])
+            scope = frozenset(n for n in range(start, next_id) if n in nodes)
+            b, d = fresh(), fresh()
+            nodes[b] = BOT
             bot_scopes[b] = scope
-            return r1
+            return c1 + (conclude(b, d, BOT_F),)
         if p.rule == EX_RULE:
-            r1 = build(p.premises[0])
-            c = list(r1.conclusions)
+            c = list(build(p.premises[0]))
             i = p.position
             c[i], c[i + 1] = c[i + 1], c[i]
-            r1.conclusions = tuple(c)
-            return r1
+            return tuple(c)
         if p.rule == PAR_RULE:
-            r1 = build(p.premises[0])
-            left, right = r1.conclusions[-2], r1.conclusions[-1]
-            node, d, a = fresh(), fresh(), fresh()
+            c1 = build(p.premises[0])
+            left, right = c1[-2], c1[-1]
+            node, d = fresh(), fresh()
             for arc in (left, right):
-                dot = r1.head(arc)
-                del r1.nodes[dot]
-                r1.arcs[arc] = (r1.tail(arc), node)
-            r1.nodes[node] = PAR
-            r1.nodes[d] = DOT
-            r1.premise_order[node] = (left, right)
-            r1.arcs[a] = (node, d)
-            r1.types[a] = par_f(r1.types[left], r1.types[right])
-            r1.conclusions = r1.conclusions[:-2] + (a,)
-            return r1
+                plug(arc, node)
+            nodes[node] = PAR
+            premise_order[node] = (left, right)
+            return c1[:-2] + (conclude(node, d, par_f(types[left], types[right])),)
         # binary rules joining two structures
-        r1, r2 = build(p.premises[0]), build(p.premises[1])
-        left, right = r1.conclusions[-1], r2.conclusions[0]
-        r1.nodes.update(r2.nodes)
-        r1.arcs.update(r2.arcs)
-        r1.premise_order.update(r2.premise_order)
-        r1.types.update(r2.types)
+        c1, c2 = build(p.premises[0]), build(p.premises[1])
+        left, right = c1[-1], c2[0]
         node = fresh()
         for arc in (left, right):
-            dot = r1.head(arc)
-            del r1.nodes[dot]
-            r1.arcs[arc] = (r1.tail(arc), node)
+            plug(arc, node)
         if p.rule == TENSOR_RULE:
-            d, a = fresh(), fresh()
-            r1.nodes[node] = TENSOR
-            r1.nodes[d] = DOT
-            r1.premise_order[node] = (left, right)
-            r1.arcs[a] = (node, d)
-            r1.types[a] = tensor_f(r1.types[left], r1.types[right])
-            r1.conclusions = r1.conclusions[:-1] + (a,) + r2.conclusions[1:]
-        else:
-            r1.nodes[node] = CUT
-            r1.conclusions = r1.conclusions[:-1] + r2.conclusions[1:]
-        return r1
+            d = fresh()
+            nodes[node] = TENSOR
+            premise_order[node] = (left, right)
+            a = conclude(node, d, tensor_f(types[left], types[right]))
+            return c1[:-1] + (a,) + c2[1:]
+        nodes[node] = CUT
+        return c1[:-1] + c2[1:]
 
-    ps = build(proof)
-    result = DeseqResult(ps, tuple(range(len(ps.conclusions))), bot_scopes)
+    conclusions = build(proof)
+    ps = ProofStructure(nodes, arcs, premise_order, conclusions, types)
     if verify:
         report = validate(ps, frag)
         if not report.ok:
             raise AssertionError(f"desequentialization failed validation: {report}")
         from .switching import check
-        assert check(ps, "accw").holds, \
-            "desequentialization violates the component-count criterion"
-    return result
+        if not check(ps, "accw").holds:
+            raise AssertionError("desequentialization violates the component-count criterion")
+    return DeseqResult(ps, bot_scopes)
 
 
 def deseq_relation_holds(proof: SequentProof, ps: ProofStructure) -> bool:

@@ -23,8 +23,9 @@ from .canonical import canonical_form, iso, isomorphisms
 from .errors import (FragmentError, SequentializationError, TypeInferenceError)
 from .formulas import ATOM, Formula, Fragment, atom, negate, polarity
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
-                        descent_chain, ensure_valid, erasing_nodes, is_wten,
-                        jump_free, jump_total, strip, validate)
+                        descent_chain, ensure_valid, erasing_nodes,
+                        induced_components, is_wten, jump_free, jump_total,
+                        strip, validate)
 from .sequent import (SequentProof, ax_rule, bot_rule, cut_rule, exchange_to,
                       one_rule, par_rule, tensor_rule)
 from .switching import DEFAULT_MAX_PAR, check
@@ -133,38 +134,13 @@ class SplitAssignment:
     right_nodes: frozenset[int]
 
 
-def _undirected_components(nodes, arcs) -> list[set[int]]:
-    neigh = {n: set() for n in nodes}
-    for t, h in arcs:
-        neigh[t].add(h)
-        neigh[h].add(t)
-    comps, seen = [], set()
-    for n in sorted(nodes):
-        if n in seen:
-            continue
-        comp, stack = set(), [n]
-        seen.add(n)
-        while stack:
-            cur = stack.pop()
-            comp.add(cur)
-            for m in neigh[cur]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        comps.append(comp)
-    return comps
-
-
 def _raw_split_assignments(ps: ProofStructure, n: int) -> list[SplitAssignment]:
     """Distributions of the components of ps minus n over the two sides."""
     prem = ps.premises_of(n)
     removed = {n}
     for c in ps.conclusions_of(n):
         removed.add(ps.head(c))
-    nodes = [m for m in ps.nodes if m not in removed]
-    arcs = [(t, h) for a, (t, h) in ps.arcs.items()
-            if t not in removed and h not in removed]
-    comps = _undirected_components(nodes, arcs)
+    comps = induced_components(ps, (m for m in ps.nodes if m not in removed))
     left_tail, right_tail = ps.tail(prem[0]), ps.tail(prem[1])
     base_left = next(c for c in comps if left_tail in c)
     base_right = next(c for c in comps if right_tail in c)
@@ -193,21 +169,19 @@ def split_parts(ps: ProofStructure, assignment: SplitAssignment
     prem = ps.premises_of(assignment.node)
 
     def extract(node_set, premise_arc, premise_last):
-        sub = ProofStructure()
-        sub.nodes = {m: ps.nodes[m] for m in node_set}
-        sub.arcs = {a: (t, h) for a, (t, h) in ps.arcs.items()
-                    if t in node_set and h in node_set}
+        nodes = {m: ps.nodes[m] for m in node_set}
+        arcs = {a: (t, h) for a, (t, h) in ps.arcs.items()
+                if t in node_set and h in node_set}
         dot = max(ps.nodes) + 1
-        sub.nodes[dot] = DOT
-        sub.arcs[premise_arc] = (ps.tail(premise_arc), dot)
-        sub.premise_order = {m: pair for m, pair in ps.premise_order.items()
-                             if m in node_set}
+        nodes[dot] = DOT
+        arcs[premise_arc] = (ps.tail(premise_arc), dot)
+        premise_order = {m: pair for m, pair in ps.premise_order.items()
+                         if m in node_set}
         inherited = tuple(c for c in ps.conclusions if ps.head(c) in node_set)
-        sub.conclusions = (inherited + (premise_arc,) if premise_last
-                           else (premise_arc,) + inherited)
-        if ps.types is not None:
-            sub.types = {a: ps.types[a] for a in sub.arcs}
-        return sub
+        conclusions = (inherited + (premise_arc,) if premise_last
+                       else (premise_arc,) + inherited)
+        types = None if ps.types is None else {a: ps.types[a] for a in arcs}
+        return ProofStructure(nodes, arcs, premise_order, conclusions, types)
 
     return (extract(assignment.left_nodes, prem[0], True),
             extract(assignment.right_nodes, prem[1], False))
@@ -240,37 +214,33 @@ def splitting_candidates(ps: ProofStructure) -> list[SplitAssignment]:
 # -- the brute-force sequentiality oracle -------------------------------------
 
 
-def _peel_terminal_bot(ps: ProofStructure, n: int) -> ProofStructure:
-    sub = ps.copy()
+def _without_terminal(ps: ProofStructure, n: int):
+    """Nodes, arcs, types and conclusions of ps less the terminal node n,
+    its conclusion arc and that arc's dot."""
     arc = ps.conclusions_of(n)[0]
-    dot = ps.head(arc)
-    del sub.nodes[n]
-    del sub.nodes[dot]
-    del sub.arcs[arc]
-    if sub.types is not None:
-        del sub.types[arc]
-    sub.jumps.pop(n, None)
-    sub.conclusions = tuple(c for c in ps.conclusions if c != arc)
-    return sub
+    dropped = (n, ps.head(arc))
+    nodes = {m: lab for m, lab in ps.nodes.items() if m not in dropped}
+    arcs = {a: ends for a, ends in ps.arcs.items() if a != arc}
+    types = None if ps.types is None else {a: f for a, f in ps.types.items() if a != arc}
+    return nodes, arcs, types, tuple(c for c in ps.conclusions if c != arc)
+
+
+def _peel_terminal_bot(ps: ProofStructure, n: int) -> ProofStructure:
+    nodes, arcs, types, conclusions = _without_terminal(ps, n)
+    jumps = {b: m for b, m in ps.jumps.items() if b != n}
+    return ProofStructure(nodes, arcs, ps.premise_order, conclusions, types, jumps)
 
 
 def _peel_terminal_par(ps: ProofStructure, n: int) -> ProofStructure:
-    sub = ps.copy()
-    arc = ps.conclusions_of(n)[0]
-    dot = ps.head(arc)
+    nodes, arcs, types, conclusions = _without_terminal(ps, n)
     left, right = ps.premise_order[n]
-    del sub.nodes[n]
-    del sub.nodes[dot]
-    del sub.arcs[arc]
-    del sub.premise_order[n]
-    if sub.types is not None:
-        del sub.types[arc]
+    premise_order = {m: pair for m, pair in ps.premise_order.items() if m != n}
     base = max(ps.nodes) + 1
     for offset, a in enumerate((left, right)):
-        sub.nodes[base + offset] = DOT
-        sub.arcs[a] = (ps.tail(a), base + offset)
-    sub.conclusions = tuple(c for c in ps.conclusions if c != arc) + (left, right)
-    return sub
+        nodes[base + offset] = DOT
+        arcs[a] = (ps.tail(a), base + offset)
+    return ProofStructure(nodes, arcs, premise_order, conclusions + (left, right),
+                          types, ps.jumps)
 
 
 _MISSING = object()
@@ -463,8 +433,9 @@ def canonical_jumps_btenll(ps: ProofStructure, m: int,
         else:
             sources = [ps.tail(a) for a in ps.premises_of(anchor_par)
                        if ps.tail(a) not in erasing]
-            assert len(sources) == 1, \
-                "a least non-erasing par must have exactly one non-erasing premise"
+            if len(sources) != 1:
+                raise SequentializationError(
+                    "a least non-erasing par must have exactly one non-erasing premise")
             jumps[n] = sources[0]
     jumped = ps.copy()
     jumped.jumps = jumps
@@ -486,7 +457,8 @@ def _output_anchor(ps: ProofStructure, node: int) -> int:
                 f"node {current} is not on an output spine")
         outputs = [a for a in ps.premise_order[current]
                    if polarity(ps.types[a]) == "O"]
-        assert len(outputs) == 1, "an output par has exactly one output premise"
+        if len(outputs) != 1:
+            raise SequentializationError("an output par has exactly one output premise")
         current = ps.tail(outputs[0])
 
 
@@ -596,12 +568,10 @@ def _seq_icomll(ps: ProofStructure) -> SequentProof:
         # input tensor: the output-premise side is one whole component
         prem = ps.premise_order[n]
         out_side = [a for a in prem if arc_pol(a) == "O"]
-        assert len(out_side) == 1, "an input tensor has exactly one output premise"
+        if len(out_side) != 1:
+            raise SequentializationError("an input tensor has exactly one output premise")
         removed = {n, ps.head(ps.conclusions_of(n)[0])}
-        nodes = [x for x in ps.nodes if x not in removed]
-        arcs = [(t, h) for a, (t, h) in ps.arcs.items()
-                if t not in removed and h not in removed]
-        comps = _undirected_components(nodes, arcs)
+        comps = induced_components(ps, (x for x in ps.nodes if x not in removed))
         out_comp = next(c for c in comps if ps.tail(out_side[0]) in c)
         in_side = next(a for a in prem if a not in out_side)
         if ps.tail(in_side) in out_comp:

@@ -8,8 +8,11 @@ totally ordered.  Tensor and par nodes order their two premises.  Arcs may
 carry formula types; bot nodes may carry a jump target used when building
 switching graphs.
 
-Values are treated as immutable once validated: every rewriting operation
-in the package returns a fresh structure.
+A structure owns its incidence index: the in- and out-arcs of every node,
+built on first use.  The dicts it holds are never changed in place once it
+exists: every rewriting operation assembles plain dicts and constructs a
+fresh structure.  Assigning `nodes` or `arcs` anew drops the index, so the
+next incidence query rebuilds it; premise orders are read live.
 """
 
 from __future__ import annotations
@@ -62,9 +65,14 @@ class ValidationReport:
         return f"ValidationReport({self.violations!r})"
 
 
+_INDEXED = ("nodes", "arcs")
+
+
 class ProofStructure:
     """Incidence graph with premise orders, ordered conclusions, optional
     arc types and an optional partial jump map on bot nodes."""
+
+    _index = None  # (in-arcs, out-arcs) per node; see incidence()
 
     def __init__(self, nodes=None, arcs=None, premise_order=None,
                  conclusions=(), types=None, jumps=None):
@@ -77,16 +85,38 @@ class ProofStructure:
         self.types: dict[int, Formula] | None = dict(types) if types is not None else None
         self.jumps: dict[int, int] = dict(jumps or {})
 
+    def __setattr__(self, name, value):
+        if name in _INDEXED:
+            self.__dict__.pop("_index", None)
+        object.__setattr__(self, name, value)
+
     # -- incidence ---------------------------------------------------------
+
+    def incidence(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """In-arcs and out-arcs of every node, each sorted by arc id.
+
+        Built once and shared with the jump- and type-free views; callers
+        must not change the lists.  An arc end missing from `nodes` still
+        gets an entry.
+        """
+        if self._index is None:
+            ins = {n: [] for n in self.nodes}
+            outs = {n: [] for n in self.nodes}
+            for a in sorted(self.arcs):
+                t, h = self.arcs[a]
+                outs.setdefault(t, []).append(a)
+                ins.setdefault(h, []).append(a)
+            self._index = (ins, outs)
+        return self._index
 
     def premises_of(self, node: int) -> list[int]:
         """Incoming arcs of a node, ordered for tensor/par nodes."""
         if node in self.premise_order:
             return list(self.premise_order[node])
-        return sorted(a for a, (_, h) in self.arcs.items() if h == node)
+        return list(self.incidence()[0].get(node, ()))
 
     def conclusions_of(self, node: int) -> list[int]:
-        return sorted(a for a, (t, _) in self.arcs.items() if t == node)
+        return list(self.incidence()[1].get(node, ()))
 
     def tail(self, arc: int) -> int:
         return self.arcs[arc][0]
@@ -131,13 +161,15 @@ class ProofStructure:
                               self.conclusions, self.types, self.jumps)
 
     def without_jumps(self) -> "ProofStructure":
-        ps = self.copy()
-        ps.jumps = {}
+        ps = ProofStructure(self.nodes, self.arcs, self.premise_order,
+                            self.conclusions, self.types)
+        ps._index = self._index
         return ps
 
     def without_types(self) -> "ProofStructure":
-        ps = self.copy()
-        ps.types = None
+        ps = ProofStructure(self.nodes, self.arcs, self.premise_order,
+                            self.conclusions, None, self.jumps)
+        ps._index = self._index
         return ps
 
     def __repr__(self):
@@ -168,12 +200,7 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
                 v.append(("arc-ends", a, f"arc {a} references missing node {end}"))
     if v:
         return ValidationReport(v)
-
-    incoming = {n: [] for n in ps.nodes}
-    outgoing = {n: [] for n in ps.nodes}
-    for a, (t, h) in ps.arcs.items():
-        outgoing[t].append(a)
-        incoming[h].append(a)
+    incoming, outgoing = ps.incidence()
 
     for n, lab in ps.nodes.items():
         lo, hi, out = _ARITY[lab][1], _ARITY[lab][0], _ARITY[lab][2]
@@ -309,21 +336,42 @@ def erasing_nodes(g) -> set[int]:
     """Bot, par and dot nodes all of whose premises come from erasing nodes.
 
     Works on structures and on switching graphs: only labels and incidence
-    are consulted.  Jump arcs never count as premises here.
+    are consulted.  The jump arcs of a switching graph cannot change the
+    result, since each starts at a bot node, and a bot is erasing.
     """
+    if isinstance(g, ProofStructure):
+        incoming = g.incidence()[0]
+    else:
+        incoming = ProofStructure(g.nodes, g.arcs).incidence()[0]
     erasing = set()
     for n in topological_order(g.nodes, g.arcs):
-        if g.nodes[n] not in (BOT, PAR, DOT):
-            continue
-        prem = [a for a, (_, h) in g.arcs.items() if h == n and not _is_jump_arc(g, a)]
-        if all(g.arcs[a][0] in erasing for a in prem):
+        if g.nodes[n] in (BOT, PAR, DOT) and all(
+                g.arcs[a][0] in erasing for a in incoming[n]):
             erasing.add(n)
     return erasing
 
 
-def _is_jump_arc(g, a) -> bool:
-    jump_arcs = getattr(g, "jump_arcs", None)
-    return jump_arcs is not None and a in jump_arcs
+def induced_components(ps: ProofStructure, nodes) -> list[set[int]]:
+    """Connected components of the undirected graph that `nodes` induce,
+    ordered by their least node."""
+    nodes = set(nodes)
+    incoming, outgoing = ps.incidence()
+    comps, seen = [], set()
+    for n in sorted(nodes):
+        if n in seen:
+            continue
+        comp, stack = {n}, [n]
+        seen.add(n)
+        while stack:
+            cur = stack.pop()
+            for m in ([ps.arcs[a][0] for a in incoming[cur]]
+                      + [ps.arcs[a][1] for a in outgoing[cur]]):
+                if m in nodes and m not in seen:
+                    seen.add(m)
+                    comp.add(m)
+                    stack.append(m)
+        comps.append(comp)
+    return comps
 
 
 def is_wten(ps: ProofStructure) -> tuple[bool, tuple[int, int] | None]:

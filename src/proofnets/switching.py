@@ -66,9 +66,6 @@ class SwitchingGraph:
             self.jump_arcs[next_arc] = src
             next_arc += 1
 
-    def premise_count(self, node: int) -> int:
-        return sum(1 for t, h in self.arcs.values() if h == node)
-
 
 @dataclass
 class Component:
@@ -121,13 +118,9 @@ def components_and_acyclicity(g) -> tuple[int, bool, list[frozenset[int]]]:
     for n in g.nodes:
         groups.setdefault(uf.find(n), set()).add(n)
     comps = [frozenset(v) for v in sorted(groups.values(), key=min)]
-    if acyclic:
-        assert uf.count == len(g.nodes) - len(g.arcs)
+    if acyclic and uf.count != len(g.nodes) - len(g.arcs):
+        raise AssertionError("an acyclic graph must have nodes minus arcs components")
     return uf.count, acyclic, comps
-
-
-def switch_count(ps: ProofStructure) -> int:
-    return 2 ** len(ps.par_nodes())
 
 
 def _premise_options(ps: ProofStructure, n: int, mode: str, erasing: set[int],
@@ -287,8 +280,8 @@ def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputSt
     """Bot count, output-conclusion count and per-switching components for
     a structure typed in the intuitionistic fragment.
 
-    When every switching graph is acyclic, the component count is asserted
-    to equal bots + outputs on each of them.
+    When every switching graph is acyclic, the component count is checked
+    to equal bots + outputs - jumps on each of them.
     """
     report = validate(ps, Fragment.IMLL)
     if not report.ok:
@@ -302,10 +295,8 @@ def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputSt
         cc, acyclic, _ = components_and_acyclicity(g)
         counts.append(cc)
         all_acyclic = all_acyclic and acyclic
-    if all_acyclic:
-        for cc in counts:
-            assert cc == bots + outputs - len(ps.jumps), \
-                "component count law violated on an acyclic switching graph"
+    if all_acyclic and any(cc != bots + outputs - len(ps.jumps) for cc in counts):
+        raise AssertionError("component count law violated on an acyclic switching graph")
     return OutputStats(bots, outputs, all_acyclic, counts)
 
 
@@ -348,11 +339,7 @@ def switching_paths(ps: ProofStructure, src: int, dst: int | None = None,
             if len(erasing_prem) == 1:
                 forbidden.add(erasing_prem[0])
 
-    incident: dict[int, list[int]] = {n: [] for n in ps.nodes}
-    for a, (t, h) in ps.arcs.items():
-        incident[t].append(a)
-        if flavor != DIRECTED_PATH:
-            incident[h].append(a)
+    incoming, outgoing = ps.incidence()
 
     results: list[Path] = []
     if dst is None or dst == src:
@@ -365,7 +352,8 @@ def switching_paths(ps: ProofStructure, src: int, dst: int | None = None,
         return not (twin and twin[0] in arcs_used)
 
     def walk(node, nodes_seen, arcs_used, path_nodes, path_arcs):
-        for a in sorted(incident[node]):
+        around = outgoing[node] if flavor == DIRECTED_PATH else outgoing[node] + incoming[node]
+        for a in sorted(around):
             if a in arcs_used or a in forbidden:
                 continue
             t, h = ps.arcs[a]

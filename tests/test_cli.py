@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import proofnets
 from proofnets import fixtures
 from proofnets.canonical import iso
-from proofnets.cli import main
+from proofnets.cli import build_parser, main
+from proofnets.formulas import Fragment
+from proofnets.generate import GenParams, random_proof
 from proofnets.sequent import parse_proof
 from proofnets.structure import from_dsl, from_json, to_json
 
@@ -186,3 +193,28 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/net.json",
                        "--criterion", "ac")
     assert code == 2 and "error" in err
+
+
+def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
+    # one process runs several commands; each must behave as in a fresh one
+    path = write_fixture(tmp_path, "wten-cut")
+    commands = [["check", path, "--criterion", "accw"],
+                ["normalize", path, "--trace", "-"],
+                ["gen", "--kind", "proof", "--fragment", "btenll", "--seed", "3"],
+                ["check", path, "--criterion", "cwforall"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(proofnets.__file__).parents[1]))
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "proofnets.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert build_parser() is build_parser()
+
+
+def test_gen_deep_proof_round_trips(capsys):
+    code, out, _ = run(capsys, "gen", "--kind", "proof", "--fragment", "mllu",
+                       "--max-rules", "700", "--seed", "0")
+    assert code == 0
+    _, proof = parse_proof(out)
+    expected = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=700, seed=0))
+    assert proof.rule_count() == expected.rule_count() == 720
