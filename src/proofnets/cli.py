@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import fixtures
-from .errors import ProofNetError, ValidationError
+from .errors import ParseError, ProofNetError, ValidationError
 from .formulas import Fragment, fragment_from_name
 from .generate import GenParams, random_proof, random_ps
 from .render import export_dot
@@ -153,12 +153,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _load_switching(path: str) -> dict[int, int]:
+    """A switching file: one JSON object from par node ids to arc ids."""
+    try:
+        raw = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError("malformed switching: expected a JSON object")
+    try:
+        return {int(n): int(a) for n, a in raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed switching: {exc}") from None
+
+
 def _cmd_dot(args) -> int:
     ps = _load_ps(args.file)
-    switching = None
-    if args.switching:
-        raw = json.loads(_read(args.switching))
-        switching = {int(n): int(a) for n, a in raw.items()}
+    switching = _load_switching(args.switching) if args.switching else None
     _write(args.out, export_dot(ps, switching))
     return 0
 

@@ -52,37 +52,43 @@ def _unique_descent_path(ps: ProofStructure, ax: int, cut: int, shared: int) -> 
     return True
 
 
+def _classify(ps: ProofStructure, cut: int) -> Redex | None:
+    """The redex at a cut node, or None when the cut is a clash."""
+    sources = [(ps.tail(a), a) for a in ps.premises_of(cut)]
+    labels = {ps.nodes[n] for n, _ in sources}
+    ax_sides = [(n, a) for n, a in sources
+                if ps.nodes[n] == AX and _unique_descent_path(ps, n, cut, a)]
+    if ax_sides:
+        ax_node, shared = min(ax_sides)
+        other = next(n for n, a in sources if a != shared)
+        return Redex(cut, AXIOM_CUT, (ax_node, other))
+    if labels == {ONE, BOT}:
+        one_node = next(n for n, _ in sources if ps.nodes[n] == ONE)
+        bot_node = next(n for n, _ in sources if ps.nodes[n] == BOT)
+        return Redex(cut, UNIT_CUT, (one_node, bot_node))
+    if labels == {TENSOR, PAR}:
+        tensor_node = next(n for n, _ in sources if ps.nodes[n] == TENSOR)
+        par_node = next(n for n, _ in sources if ps.nodes[n] == PAR)
+        return Redex(cut, MULTIPLICATIVE_CUT, (tensor_node, par_node))
+    return None
+
+
 def find_redexes(ps: ProofStructure) -> tuple[list[Redex], list[int]]:
     """Classify every cut node as one redex or a clash."""
     redexes: list[Redex] = []
     clashes: list[int] = []
     for cut in ps.nodes_with_label(CUT):
-        prem = ps.premises_of(cut)
-        sources = [(ps.tail(a), a) for a in prem]
-        labels = {ps.nodes[n] for n, _ in sources}
-        ax_sides = [(n, a) for n, a in sources
-                    if ps.nodes[n] == AX and _unique_descent_path(ps, n, cut, a)]
-        if ax_sides:
-            ax_node, shared = min(ax_sides)
-            other = next(n for n, a in sources if a != shared)
-            redexes.append(Redex(cut, AXIOM_CUT, (ax_node, other)))
-        elif labels == {ONE, BOT}:
-            one_node = next(n for n, _ in sources if ps.nodes[n] == ONE)
-            bot_node = next(n for n, _ in sources if ps.nodes[n] == BOT)
-            redexes.append(Redex(cut, UNIT_CUT, (one_node, bot_node)))
-        elif labels == {TENSOR, PAR}:
-            tensor_node = next(n for n, _ in sources if ps.nodes[n] == TENSOR)
-            par_node = next(n for n, _ in sources if ps.nodes[n] == PAR)
-            redexes.append(Redex(cut, MULTIPLICATIVE_CUT, (tensor_node, par_node)))
-        else:
+        redex = _classify(ps, cut)
+        if redex is None:
             clashes.append(cut)
+        else:
+            redexes.append(redex)
     return redexes, clashes
 
 
 def reduce_step(ps: ProofStructure, redex: Redex) -> ProofStructure:
     """Apply one step; raises RedexError when the redex is stale."""
-    current, _ = find_redexes(ps)
-    if redex not in current:
+    if ps.nodes.get(redex.cut_node) != CUT or _classify(ps, redex.cut_node) != redex:
         raise RedexError(f"redex {redex} is not present")
     nodes, arcs, premise_order = dict(ps.nodes), dict(ps.arcs), dict(ps.premise_order)
     types = dict(ps.types) if ps.types is not None else None

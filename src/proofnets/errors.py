@@ -33,6 +33,10 @@ class SwitchingLimitError(ProofNetError):
     """Exhaustive switching enumeration would exceed the configured cap."""
 
 
+class CanonicalLimitError(ProofNetError):
+    """The canonical-form search would run more traversals than its budget."""
+
+
 class SequentializationError(ProofNetError):
     """A sequentializer's precondition failed. Carries the offending verdict
     or witness when one exists."""

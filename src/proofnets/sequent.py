@@ -183,17 +183,31 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
 
 
 def format_proof_expr(p: SequentProof) -> str:
-    if p.rule == AX_RULE:
-        return f'(ax "{format_formula(p.conclusion[0])}")'
-    if p.rule == ONE_RULE:
-        return "(one)"
-    if p.rule == EX_RULE:
-        return f"(ex {p.position + 1} {format_proof_expr(p.premises[0])})"
-    if p.rule == CUT_RULE:
-        return (f'(cut "{format_formula(p.cut_formula)}" '
-                f"{format_proof_expr(p.premises[0])} {format_proof_expr(p.premises[1])})")
-    inner = " ".join(format_proof_expr(q) for q in p.premises)
-    return f"({p.rule} {inner})"
+    """The s-expression of a proof, built without recursion so that proofs
+    nested deeper than the interpreter's stack still print."""
+    out: list[str] = []
+    stack: list = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, str):
+            out.append(q)
+        elif q.rule == AX_RULE:
+            out.append(f'(ax "{format_formula(q.conclusion[0])}")')
+        elif q.rule == ONE_RULE:
+            out.append("(one)")
+        else:
+            if q.rule == EX_RULE:
+                out.append(f"(ex {q.position + 1} ")
+            elif q.rule == CUT_RULE:
+                out.append(f'(cut "{format_formula(q.cut_formula)}" ')
+            else:
+                out.append(f"({q.rule} ")
+            stack.append(")")
+            for i, sub in enumerate(reversed(q.premises)):
+                if i:
+                    stack.append(" ")
+                stack.append(sub)
+    return "".join(out)
 
 
 def format_proof(p: SequentProof, frag: Fragment = Fragment.MLLU) -> str:
@@ -410,7 +424,7 @@ def deseq_relation_holds(proof: SequentProof, ps: ProofStructure) -> bool:
         raise ProofNetError("relation requires a jump-total structure")
     d = desequentialize(proof, verify=False)
     stripped = ps.without_jumps()
-    for sigma in isomorphisms(d.ps, stripped, with_jumps=False):
+    for sigma in isomorphisms(d.ps, stripped):
         ok = True
         for b, scope in d.bot_scopes.items():
             image = {sigma[t] for t in scope if t in sigma}

@@ -639,7 +639,7 @@ def rewiring_reachable(r1: ProofStructure, r2: ProofStructure,
             raise SequentializationError("rewiring oracle needs jump-correct inputs")
     base1, base2 = r1.without_jumps(), r2.without_jumps()
     goals = set()
-    for sigma in isomorphisms(base2, base1, with_jumps=False):
+    for sigma in isomorphisms(base2, base1):
         goals.add(frozenset((sigma[s], sigma[t]) for s, t in r2.jumps.items()))
     if not goals:
         return False

@@ -9,10 +9,11 @@ carry formula types; bot nodes may carry a jump target used when building
 switching graphs.
 
 A structure owns its incidence index: the in- and out-arcs of every node,
-built on first use.  The dicts it holds are never changed in place once it
-exists: every rewriting operation assembles plain dicts and constructs a
-fresh structure.  Assigning `nodes` or `arcs` anew drops the index, so the
-next incidence query rebuilds it; premise orders are read live.
+built on first use, and likewise the sorted list of its par nodes.  The
+dicts it holds are never changed in place once it exists: every rewriting
+operation assembles plain dicts and constructs a fresh structure.
+Assigning `nodes` or `arcs` anew drops both, so the next query rebuilds
+them; premise orders are read live.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class ProofStructure:
     arc types and an optional partial jump map on bot nodes."""
 
     _index = None  # (in-arcs, out-arcs) per node; see incidence()
+    _pars = None  # sorted par nodes; see par_nodes()
 
     def __init__(self, nodes=None, arcs=None, premise_order=None,
                  conclusions=(), types=None, jumps=None):
@@ -88,6 +90,7 @@ class ProofStructure:
     def __setattr__(self, name, value):
         if name in _INDEXED:
             self.__dict__.pop("_index", None)
+            self.__dict__.pop("_pars", None)
         object.__setattr__(self, name, value)
 
     # -- incidence ---------------------------------------------------------
@@ -131,7 +134,9 @@ class ProofStructure:
         return self.nodes_with_label(BOT)
 
     def par_nodes(self) -> list[int]:
-        return self.nodes_with_label(PAR)
+        if self._pars is None:
+            self._pars = tuple(self.nodes_with_label(PAR))
+        return list(self._pars)
 
     def terminal_nodes(self) -> list[int]:
         """Non-dot nodes all of whose conclusions are conclusions of the

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import FragmentError, SwitchingLimitError
+from .errors import FragmentError, ProofNetError, SwitchingLimitError
 from .formulas import Fragment, polarity
 from .structure import (BOT, DOT, PAR, ProofStructure, erasing_nodes,
                         validate)
@@ -103,23 +103,29 @@ class UnionFind:
         return True
 
 
-def components_and_acyclicity(g) -> tuple[int, bool, list[frozenset[int]]]:
-    """Component count, acyclicity and the node partition of a graph.
+def _connect(g) -> tuple[UnionFind, bool]:
+    """Union-find over a graph's arcs, and whether the graph is acyclic.
 
     A repeated edge between two nodes counts as a cycle.  When acyclic, the
-    count is cross-checked against nodes minus arcs.
+    component count is cross-checked against nodes minus arcs.
     """
     uf = UnionFind(g.nodes)
     acyclic = True
     for t, h in g.arcs.values():
         if not uf.union(t, h):
             acyclic = False
+    if acyclic and uf.count != len(g.nodes) - len(g.arcs):
+        raise AssertionError("an acyclic graph must have nodes minus arcs components")
+    return uf, acyclic
+
+
+def components_and_acyclicity(g) -> tuple[int, bool, list[frozenset[int]]]:
+    """Component count, acyclicity and the node partition of a graph."""
+    uf, acyclic = _connect(g)
     groups: dict[int, set[int]] = {}
     for n in g.nodes:
         groups.setdefault(uf.find(n), set()).add(n)
     comps = [frozenset(v) for v in sorted(groups.values(), key=min)]
-    if acyclic and uf.count != len(g.nodes) - len(g.arcs):
-        raise AssertionError("an acyclic graph must have nodes minus arcs components")
     return uf.count, acyclic, comps
 
 
@@ -167,7 +173,7 @@ def switchings(ps: ProofStructure, mode: str = ALL,
 def switching_graph(ps: ProofStructure, switching: Switching) -> SwitchingGraph:
     for n in ps.par_nodes():
         if n not in switching or switching[n] not in ps.premises_of(n):
-            raise ValueError(f"switching does not pick a premise of par node {n}")
+            raise ProofNetError(f"switching does not pick a premise of par node {n}")
     return SwitchingGraph(ps, switching)
 
 
@@ -246,7 +252,8 @@ def check(ps: ProofStructure, criterion: str,
     first_census = None
     for sw in switchings(ps, ALL, max_par):
         g = switching_graph(ps, sw)
-        cc, acyclic, _ = components_and_acyclicity(g)
+        uf, acyclic = _connect(g)
+        cc = uf.count
         if need_ac and not acyclic:
             comps = graph_components(g, erasing)
             return CriterionVerdict(criterion, False, sw,
@@ -291,9 +298,8 @@ def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputSt
     counts = []
     all_acyclic = True
     for sw in switchings(ps, ALL, max_par):
-        g = switching_graph(ps, sw)
-        cc, acyclic, _ = components_and_acyclicity(g)
-        counts.append(cc)
+        uf, acyclic = _connect(switching_graph(ps, sw))
+        counts.append(uf.count)
         all_acyclic = all_acyclic and acyclic
     if all_acyclic and any(cc != bots + outputs - len(ps.jumps) for cc in counts):
         raise AssertionError("component count law violated on an acyclic switching graph")

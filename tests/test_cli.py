@@ -10,7 +10,7 @@ from proofnets.canonical import iso
 from proofnets.cli import build_parser, main
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof
-from proofnets.sequent import parse_proof
+from proofnets.sequent import format_proof, parse_proof
 from proofnets.structure import from_dsl, from_json, to_json
 
 
@@ -218,3 +218,42 @@ def test_gen_deep_proof_round_trips(capsys):
     _, proof = parse_proof(out)
     expected = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=700, seed=0))
     assert proof.rule_count() == expected.rule_count() == 720
+
+
+def test_canonical_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # three identical closed one/bot/cut components: 3! traversals
+    body = "(one)"
+    for _ in range(3):
+        body = f'(cut "bot" (bot {body}) (one))'
+    path = tmp_path / "closed.proof"
+    path.write_text(f"fragment: btenll\n{body}\n")
+    code, out, _ = run(capsys, "equiv", str(path), str(path))
+    assert (code, out) == (0, "true\n")
+    monkeypatch.setattr("proofnets.canonical._CHOICE_BUDGET", 5)
+    code, out, err = run(capsys, "equiv", str(path), str(path))
+    assert code == 2 and out == "" and "symmetric alternatives" in err
+
+
+def test_sequentialize_prints_deeply_nested_proofs(tmp_path, capsys):
+    # k nested bot rules come back with k(k-1)/2 nested exchanges
+    for k in (20, 45):
+        proof = tmp_path / f"bots{k}.proof"
+        proof.write_text("fragment: mllu\n" + "(bot " * k + "(one)" + ")" * k + "\n")
+        net = tmp_path / f"bots{k}.json"
+        assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+        code, out, _ = run(capsys, "sequentialize", str(net))
+        assert code == 0
+        assert out.count("(bot ") == k and out.count("(ex ") == k * (k - 1) // 2
+        if k == 20:
+            _, back = parse_proof(out)
+            assert format_proof(back) == out
+
+
+def test_dot_rejects_bad_switching_files(tmp_path, capsys):
+    path = write_fixture(tmp_path, "regnier")
+    switching = tmp_path / "sw.json"
+    for text in ("{}", '{"3": "x"}', "[1]", "{not json"):
+        switching.write_text(text)
+        code, out, err = run(capsys, "dot", path, "--switching", str(switching))
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: "), text

@@ -119,8 +119,11 @@ def test_mult_step_deltas():
 
 def test_stale_redex_rejected():
     ps = unit_cut_ps()
-    with pytest.raises(RedexError):
-        reduce_step(ps, Redex(2, AXIOM_CUT, (0, 1)))
+    for stale in (Redex(2, AXIOM_CUT, (0, 1)), Redex(2, UNIT_CUT, (3, 1)),
+                  Redex(0, UNIT_CUT, (0, 1)), Redex(9, UNIT_CUT, (0, 1))):
+        with pytest.raises(RedexError):
+            reduce_step(ps, stale)
+    assert len(reduce_step(ps, Redex(2, UNIT_CUT, (0, 1))).nodes) == 2
 
 
 def test_arc_count_strictly_decreases():

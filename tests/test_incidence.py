@@ -37,6 +37,7 @@ def assert_index_matches(ps):
     for n in list(ps.nodes) + [max(ps.nodes, default=0) + 1]:
         assert ps.premises_of(n) == scanned_premises(ps, n), n
         assert ps.conclusions_of(n) == scanned_conclusions(ps, n), n
+    assert ps.par_nodes() == sorted(n for n, lab in ps.nodes.items() if lab == "par")
 
 
 def desequentialized(frag, seeds, cut_probability=0.0, max_rules=14):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -257,16 +258,77 @@ def test_canonical_of_conclusion_free_components():
     assert not iso(closed, doubled)
 
 
-def test_iso_agrees_with_explicit_matcher():
+def brute_isomorphisms(a, b):
+    """Every label-preserving node bijection carrying a onto b: its arcs
+    with their types (when both sides are typed), premise slots and
+    conclusion positions, and its jumps."""
+    typed = a.types is not None and b.types is not None
+
+    def node_key(ps, n):
+        return ps.nodes[n], tuple(i for i, c in enumerate(ps.conclusions) if ps.head(c) == n)
+
+    def arc_roles(ps, sigma=None):
+        roles = []
+        for x, (t, h) in ps.arcs.items():
+            slot = ps.premise_order[h].index(x) if h in ps.premise_order else -1
+            concl = ps.conclusions.index(x) if x in ps.conclusions else -1
+            typ = str(ps.types[x]) if typed else ""
+            if sigma is not None:
+                t, h = sigma[t], sigma[h]
+            roles.append((t, h, slot, concl, typ))
+        return sorted(roles)
+
+    classes_a, classes_b = {}, {}
+    for ps, classes in ((a, classes_a), (b, classes_b)):
+        for n in sorted(ps.nodes):
+            classes.setdefault(node_key(ps, n), []).append(n)
+    if len(a.nodes) != len(b.nodes) or {k: len(v) for k, v in classes_a.items()} != \
+            {k: len(v) for k, v in classes_b.items()}:
+        return set()
+    keys = sorted(classes_a)
+    target_roles = arc_roles(b)
+    found = set()
+    for images in product(*(permutations(classes_b[k]) for k in keys)):
+        sigma = {x: y for k, ys in zip(keys, images) for x, y in zip(classes_a[k], ys)}
+        if (arc_roles(a, sigma) == target_roles
+                and {sigma[s]: sigma[t] for s, t in a.jumps.items()} == b.jumps):
+            found.add(frozenset(sigma.items()))
+    return found
+
+
+def test_isomorphisms_agree_with_brute_force():
     rng = random.Random(8)
-    structures = [strip(random_ps(GenParams(fragment=None, max_nodes=8, seed=s,
-                                            cut_probability=0.3)))
-                  for s in range(24)]
-    for i, a in enumerate(structures):
-        for b in structures[i:i + 6]:
-            by_canon = iso(a, b)
-            by_matcher = next(isomorphisms(a, b), None) is not None
-            assert by_canon == by_matcher
+    untyped = [strip(random_ps(GenParams(fragment=None, max_nodes=8, seed=s,
+                                         cut_probability=0.3)))
+               for s in range(24)]
+    typed = [random_ps(GenParams(fragment=Fragment.MLLU, max_nodes=8, seed=s,
+                                 cut_probability=0.3))
+             for s in range(24)]
+    pairs = [(a, b) for group in (untyped, typed)
+             for i, a in enumerate(group) for b in group[i:i + 6]]
+    pairs += [(a, relabel(a, rng)) for a in untyped + typed]
+    pairs += [(a, strip(b)) for a, b in zip(typed, typed[1:] + typed[:1])]
+    pairs += [(a, strip(relabel(a, rng))) for a in typed]
+    jumped = fixtures.load("jumps-units")
+    jumped.jumps = {4: 3, 5: 3}
+    pairs += [(jumped, relabel(jumped, rng)), (jumped, jumped.without_jumps())]
+    # closed components: the traversal must try every start node and both
+    # orders of tied ax twins
+    square = build_ps({0: "ax", 1: "ax", 2: "cut", 3: "cut"},
+                      {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3)}, concl=())
+    units = build_ps({0: "one", 1: "bot", 2: "cut", 3: "one", 4: "bot", 5: "cut"},
+                     {0: (0, 2), 1: (1, 2), 2: (3, 5), 3: (4, 5)}, concl=())
+    pairs += [(square, relabel(square, rng)), (units, relabel(units, rng))]
+    sizes = []
+    for a, b in pairs:
+        sigmas = list(isomorphisms(a, b))
+        found = {frozenset(sigma.items()) for sigma in sigmas}
+        assert len(found) == len(sigmas)
+        assert found == brute_isomorphisms(a, b)
+        if (a.types is None) == (b.types is None):
+            assert bool(found) == iso(a, b)
+        sizes.append(len(found))
+    assert 0 in sizes and max(sizes) > 1
 
 
 def test_validate_accepts_every_desequentialization():
