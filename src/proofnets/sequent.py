@@ -7,12 +7,14 @@ by construction; `check_proof` re-verifies whole trees read from files and
 adds the fragment discipline (all formulas inside the fragment, no axiom
 or cut rules in the constant-only intuitionistic fragment).
 
-Desequentialization turns a proof into a typed structure by structural
-recursion: axioms and units become single nodes, tensor and cut join the
-two sub-structures, par and bot extend one, and exchange only reorders the
-conclusions.  The result records, for every bot rule, the set of nodes
+Desequentialization turns a proof into a typed structure rule by rule,
+premises first: axioms and units become single nodes, tensor and cut join
+the two sub-structures, par and bot extend one, and exchange only reorders
+the conclusions.  The result records, for every bot rule, the set of nodes
 built from that rule's premise sub-proof; the jump-aware relation between
 proofs and jump-total structures checks jump targets against those scopes.
+Reading, checking, printing and desequentializing walk proofs on explicit
+stacks, so their depth is bounded by memory, not by the interpreter.
 """
 
 from __future__ import annotations
@@ -130,41 +132,55 @@ _ARITY = {AX_RULE: 0, ONE_RULE: 0, CUT_RULE: 2, TENSOR_RULE: 2,
           EX_RULE: 1, PAR_RULE: 1, BOT_RULE: 1}
 
 
+def _apply_rule(rule: str, arg, premises) -> SequentProof:
+    """Build one rule instance; `arg` is the axiom or cut formula or the
+    0-based exchange position, and is ignored by the other rules."""
+    if rule == AX_RULE:
+        return ax_rule(arg)
+    if rule == ONE_RULE:
+        return one_rule()
+    if rule == BOT_RULE:
+        return bot_rule(*premises)
+    if rule == PAR_RULE:
+        return par_rule(*premises)
+    if rule == TENSOR_RULE:
+        return tensor_rule(*premises)
+    if rule == CUT_RULE:
+        return cut_rule(arg, *premises)
+    return ex_rule(arg, *premises)
+
+
 def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
     """Verify every rule instance and the fragment discipline."""
+    # Rules are checked premises first, in the post-order of the tree pruned
+    # at malformed rules: the reverse of a pre-order pushing premises in order.
+    order, stack = [], [proof]
+    while stack:
+        p = stack.pop()
+        order.append(p)
+        if _ARITY.get(p.rule) == len(p.premises):
+            stack.extend(p.premises)
     v = []
-
-    def visit(p):
+    for p in reversed(order):
         if p.rule not in _ARITY:
             v.append(("rule", p.rule, f"unknown rule {p.rule!r}"))
-            return
+            continue
         if len(p.premises) != _ARITY[p.rule]:
             v.append(("arity", p.rule,
                       f"{p.rule} rule has {len(p.premises)} premise(s), "
                       f"expected {_ARITY[p.rule]}"))
-            return
-        for q in p.premises:
-            visit(q)
+            continue
         try:
             if p.rule == AX_RULE:
                 if len(p.conclusion) != 2 or p.conclusion[1] != negate(p.conclusion[0]):
                     raise ProofBuildError("axiom conclusion must be a dual pair")
                 rebuilt = p.conclusion
-            elif p.rule == ONE_RULE:
-                rebuilt = (ONE_F,)
-            elif p.rule == BOT_RULE:
-                rebuilt = bot_rule(p.premises[0]).conclusion
-            elif p.rule == PAR_RULE:
-                rebuilt = par_rule(p.premises[0]).conclusion
-            elif p.rule == TENSOR_RULE:
-                rebuilt = tensor_rule(*p.premises).conclusion
-            elif p.rule == CUT_RULE:
-                rebuilt = cut_rule(p.cut_formula, *p.premises).conclusion
             else:
-                rebuilt = ex_rule(p.position, p.premises[0]).conclusion
+                arg = p.cut_formula if p.rule == CUT_RULE else p.position
+                rebuilt = _apply_rule(p.rule, arg, p.premises).conclusion
         except ProofBuildError as exc:
             v.append(("rule", p.rule, str(exc)))
-            return
+            continue
         if rebuilt != p.conclusion:
             v.append(("conclusion", p.rule,
                       f"{p.rule} rule does not derive its recorded conclusion"))
@@ -174,8 +190,6 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
                           f"formula {format_formula(f)} outside {frag.value}"))
         if frag is Fragment.ICOMLL and p.rule in (AX_RULE, CUT_RULE):
             v.append(("fragment", p.rule, f"{p.rule} rule is not available in icomll"))
-
-    visit(proof)
     return ValidationReport(v)
 
 
@@ -269,47 +283,48 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
         if tok != symbol:
             raise ParseError(f"expected {symbol!r}", at)
 
-    def parse_node() -> SequentProof:
+    def open_rule():
+        """Read '(', a rule name and its argument."""
         expect("(")
         head, at = take()
+        arg = None
+        if head in (AX_RULE, CUT_RULE):
+            tok, at2 = take()
+            if not (isinstance(tok, tuple) and tok[0] == "str"):
+                raise ParseError(f"{head} takes a quoted formula", at2)
+            arg = parse_formula(tok[1])
+        elif head == EX_RULE:
+            tok, at2 = take()
+            try:
+                arg = int(tok) - 1
+            except (TypeError, ValueError):
+                raise ParseError("ex takes a 1-based position", at2) from None
+        elif head not in _ARITY:
+            raise ParseError(f"unknown rule {head!r}", at)
+        return head, at, arg
+
+    # The rules whose premises are still being read wait on an explicit
+    # stack, so nesting is bounded by memory only.
+    pending: list[tuple] = []
+    (head, at, arg), premises = open_rule(), []
+    while True:
+        if len(premises) < _ARITY[head]:
+            pending.append((head, at, arg, premises))
+            (head, at, arg), premises = open_rule(), []
+            continue
         try:
-            if head == "ax":
-                tok, at2 = take()
-                if not (isinstance(tok, tuple) and tok[0] == "str"):
-                    raise ParseError("ax takes a quoted formula", at2)
-                node = ax_rule(parse_formula(tok[1]))
-            elif head == "one":
-                node = one_rule()
-            elif head == "bot":
-                node = bot_rule(parse_node())
-            elif head == "par":
-                node = par_rule(parse_node())
-            elif head == "tensor":
-                node = tensor_rule(parse_node(), parse_node())
-            elif head == "cut":
-                tok, at2 = take()
-                if not (isinstance(tok, tuple) and tok[0] == "str"):
-                    raise ParseError("cut takes a quoted formula", at2)
-                node = cut_rule(parse_formula(tok[1]), parse_node(), parse_node())
-            elif head == "ex":
-                tok, at2 = take()
-                try:
-                    position = int(tok) - 1
-                except (TypeError, ValueError):
-                    raise ParseError("ex takes a 1-based position", at2) from None
-                node = ex_rule(position, parse_node())
-            else:
-                raise ParseError(f"unknown rule {head!r}", at)
+            node = _apply_rule(head, arg, premises)
         except ProofBuildError as exc:
             raise ParseError(str(exc), at) from None
         expect(")")
-        return node
-
-    proof = parse_node()
+        if not pending:
+            break
+        head, at, arg, premises = pending.pop()
+        premises.append(node)
     trailing, at = take()
     if trailing is not None:
         raise ParseError(f"unexpected {trailing!r}", at)
-    return frag, proof
+    return frag, node
 
 
 # -- desequentialization -----------------------------------------------------
@@ -353,55 +368,63 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
         del nodes[dot]
         arcs[arc] = (tail, node)
 
-    def build(p: SequentProof) -> tuple[int, ...]:
-        """Add the structure of p to the dicts; return its conclusions."""
+    # A rule with premises is visited twice on an explicit stack: before
+    # them, to note where a bot rule's scope starts, and after them, to add
+    # its own nodes.  Ids are thus allocated premises first.
+    built: list[tuple[int, ...]] = []  # conclusions of the finished subproofs
+    stack = [(proof, None)]  # (p, next_id when p's premises began or None)
+    while stack:
+        p, start = stack.pop()
+        if start is None and p.premises:
+            stack.append((p, next_id))
+            stack.extend([(q, None) for q in reversed(p.premises)])
+            continue
         if p.rule == AX_RULE:
             ax, d1, d2 = fresh(), fresh(), fresh()
             nodes[ax] = AX
-            return (conclude(ax, d1, p.conclusion[0]),
-                    conclude(ax, d2, p.conclusion[1]))
-        if p.rule == ONE_RULE:
+            built.append((conclude(ax, d1, p.conclusion[0]),
+                          conclude(ax, d2, p.conclusion[1])))
+        elif p.rule == ONE_RULE:
             one, d = fresh(), fresh()
             nodes[one] = ONE
-            return (conclude(one, d, ONE_F),)
-        if p.rule == BOT_RULE:
-            start = next_id
-            c1 = build(p.premises[0])
+            built.append((conclude(one, d, ONE_F),))
+        elif p.rule == BOT_RULE:
             scope = frozenset(n for n in range(start, next_id) if n in nodes)
             b, d = fresh(), fresh()
             nodes[b] = BOT
             bot_scopes[b] = scope
-            return c1 + (conclude(b, d, BOT_F),)
-        if p.rule == EX_RULE:
-            c = list(build(p.premises[0]))
+            built.append(built.pop() + (conclude(b, d, BOT_F),))
+        elif p.rule == EX_RULE:
+            c = list(built.pop())
             i = p.position
             c[i], c[i + 1] = c[i + 1], c[i]
-            return tuple(c)
-        if p.rule == PAR_RULE:
-            c1 = build(p.premises[0])
+            built.append(tuple(c))
+        elif p.rule == PAR_RULE:
+            c1 = built.pop()
             left, right = c1[-2], c1[-1]
             node, d = fresh(), fresh()
             for arc in (left, right):
                 plug(arc, node)
             nodes[node] = PAR
             premise_order[node] = (left, right)
-            return c1[:-2] + (conclude(node, d, par_f(types[left], types[right])),)
-        # binary rules joining two structures
-        c1, c2 = build(p.premises[0]), build(p.premises[1])
-        left, right = c1[-1], c2[0]
-        node = fresh()
-        for arc in (left, right):
-            plug(arc, node)
-        if p.rule == TENSOR_RULE:
-            d = fresh()
-            nodes[node] = TENSOR
-            premise_order[node] = (left, right)
-            a = conclude(node, d, tensor_f(types[left], types[right]))
-            return c1[:-1] + (a,) + c2[1:]
-        nodes[node] = CUT
-        return c1[:-1] + c2[1:]
+            built.append(c1[:-2] + (conclude(node, d, par_f(types[left], types[right])),))
+        else:  # binary rules joining two structures
+            c2, c1 = built.pop(), built.pop()
+            left, right = c1[-1], c2[0]
+            node = fresh()
+            for arc in (left, right):
+                plug(arc, node)
+            if p.rule == TENSOR_RULE:
+                d = fresh()
+                nodes[node] = TENSOR
+                premise_order[node] = (left, right)
+                a = conclude(node, d, tensor_f(types[left], types[right]))
+                built.append(c1[:-1] + (a,) + c2[1:])
+            else:
+                nodes[node] = CUT
+                built.append(c1[:-1] + c2[1:])
 
-    conclusions = build(proof)
+    conclusions = built.pop()
     ps = ProofStructure(nodes, arcs, premise_order, conclusions, types)
     if verify:
         report = validate(ps, frag)

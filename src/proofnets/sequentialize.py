@@ -1,17 +1,17 @@
 """Sequentialization: from structures back to sequent proofs.
 
-The pipeline has three entry points.  `sequentialize_wten` handles any
-structure (typed or not) in which no cut or tensor premise comes from an
-erasing node and which passes the acyclicity-plus-count criterion: it peels
-terminal bot/par nodes, splits at a terminal cut or tensor (unique once the
-structure is connected) and re-orders conclusions with exchange rules.
-`sequentialize_btenll` refines this for the bottom-restricted typed
-fragment, threading a designated non-erasing node so that the produced
-proof matches the canonical jump assignment; `sequentialize_icomll` does
-the same for the constant-only intuitionistic fragment, where splitting is
-driven by output polarity.  A brute-force decomposition oracle decides
-plain sequentiality exactly on small structures, and the desequalization
-comparisons decide proof equivalence and jump rewiring equivalence.
+One skeleton, `_sequentialize`, serves all three entry points.  It peels a
+terminal bot or par node or splits at a terminal cut or tensor node,
+composes the rule and restores the conclusion order with exchange rules;
+each entry point passes the policy that picks the node.
+`sequentialize_wten` takes any structure, typed or not, that is erasing-safe
+and passes the acyclicity-plus-count criterion.  `sequentialize_btenll`
+peels terminal erasing nodes first, so that the proof of a bottom-restricted
+structure realizes its canonical jumps; `sequentialize_icomll` lets polarity
+choose in the constant-only intuitionistic fragment.  A brute-force
+decomposition oracle decides plain sequentiality exactly on small
+structures, and the desequentialization comparisons decide proof
+equivalence and jump rewiring equivalence.
 """
 
 from __future__ import annotations
@@ -124,7 +124,29 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
     return typed
 
 
-# -- splitting ----------------------------------------------------------------
+# -- peeling and splitting ------------------------------------------------------
+
+
+def _peel(ps: ProofStructure, n: int) -> ProofStructure:
+    """ps less the terminal bot or par node n, its conclusion arc and that
+    arc's dot; a par's two premises become the last conclusions, each
+    capped by a fresh dot."""
+    arc = ps.conclusions_of(n)[0]
+    dropped = (n, ps.head(arc))
+    nodes = {m: lab for m, lab in ps.nodes.items() if m not in dropped}
+    arcs = {a: ends for a, ends in ps.arcs.items() if a != arc}
+    premise_order = {m: pair for m, pair in ps.premise_order.items() if m != n}
+    conclusions = tuple(c for c in ps.conclusions if c != arc)
+    types = None if ps.types is None else {a: f for a, f in ps.types.items() if a != arc}
+    jumps = {b: m for b, m in ps.jumps.items() if b != n}
+    if ps.nodes[n] == PAR:
+        left, right = ps.premise_order[n]
+        base = max(ps.nodes) + 1
+        for offset, a in enumerate((left, right)):
+            nodes[base + offset] = DOT
+            arcs[a] = (ps.tail(a), base + offset)
+        conclusions += (left, right)
+    return ProofStructure(nodes, arcs, premise_order, conclusions, types, jumps)
 
 
 @dataclass(frozen=True)
@@ -134,8 +156,9 @@ class SplitAssignment:
     right_nodes: frozenset[int]
 
 
-def _raw_split_assignments(ps: ProofStructure, n: int) -> list[SplitAssignment]:
-    """Distributions of the components of ps minus n over the two sides."""
+def _raw_split_assignments(ps: ProofStructure, n: int):
+    """Distributions of the components of ps minus n over the two sides,
+    generated one at a time: the first puts every free component right."""
     prem = ps.premises_of(n)
     removed = {n}
     for c in ps.conclusions_of(n):
@@ -145,17 +168,22 @@ def _raw_split_assignments(ps: ProofStructure, n: int) -> list[SplitAssignment]:
     base_left = next(c for c in comps if left_tail in c)
     base_right = next(c for c in comps if right_tail in c)
     if base_left is base_right:
-        return []
+        return
     free = [c for c in comps if c is not base_left and c is not base_right]
-    out = []
     for k in range(len(free) + 1):
         for chosen in combinations(range(len(free)), k):
             left = set(base_left)
             right = set(base_right)
             for i, c in enumerate(free):
                 (left if i in chosen else right).update(c)
-            out.append(SplitAssignment(n, frozenset(left), frozenset(right)))
-    return out
+            yield SplitAssignment(n, frozenset(left), frozenset(right))
+
+
+def _determined_split(ps: ProofStructure, n: int) -> SplitAssignment | None:
+    """The split at n when it is the only one (no free component), else None."""
+    assignments = _raw_split_assignments(ps, n)
+    first = next(assignments, None)
+    return first if next(assignments, None) is None else None
 
 
 def split_parts(ps: ProofStructure, assignment: SplitAssignment
@@ -214,35 +242,6 @@ def splitting_candidates(ps: ProofStructure) -> list[SplitAssignment]:
 # -- the brute-force sequentiality oracle -------------------------------------
 
 
-def _without_terminal(ps: ProofStructure, n: int):
-    """Nodes, arcs, types and conclusions of ps less the terminal node n,
-    its conclusion arc and that arc's dot."""
-    arc = ps.conclusions_of(n)[0]
-    dropped = (n, ps.head(arc))
-    nodes = {m: lab for m, lab in ps.nodes.items() if m not in dropped}
-    arcs = {a: ends for a, ends in ps.arcs.items() if a != arc}
-    types = None if ps.types is None else {a: f for a, f in ps.types.items() if a != arc}
-    return nodes, arcs, types, tuple(c for c in ps.conclusions if c != arc)
-
-
-def _peel_terminal_bot(ps: ProofStructure, n: int) -> ProofStructure:
-    nodes, arcs, types, conclusions = _without_terminal(ps, n)
-    jumps = {b: m for b, m in ps.jumps.items() if b != n}
-    return ProofStructure(nodes, arcs, ps.premise_order, conclusions, types, jumps)
-
-
-def _peel_terminal_par(ps: ProofStructure, n: int) -> ProofStructure:
-    nodes, arcs, types, conclusions = _without_terminal(ps, n)
-    left, right = ps.premise_order[n]
-    premise_order = {m: pair for m, pair in ps.premise_order.items() if m != n}
-    base = max(ps.nodes) + 1
-    for offset, a in enumerate((left, right)):
-        nodes[base + offset] = DOT
-        arcs[a] = (ps.tail(a), base + offset)
-    return ProofStructure(nodes, arcs, premise_order, conclusions + (left, right),
-                          types, ps.jumps)
-
-
 _MISSING = object()
 
 
@@ -268,12 +267,8 @@ def is_sequential_oracle(ps: ProofStructure) -> tuple[bool, dict | None]:
         if result is None:
             for n in s.terminal_nodes():
                 lab = s.nodes[n]
-                if lab == BOT:
-                    sub = seq(_peel_terminal_bot(s, n))
-                    if sub is not None:
-                        result = {"node": n, "kind": lab, "parts": [sub]}
-                elif lab == PAR:
-                    sub = seq(_peel_terminal_par(s, n))
+                if lab in (BOT, PAR):
+                    sub = seq(_peel(s, n))
                     if sub is not None:
                         result = {"node": n, "kind": lab, "parts": [sub]}
                 elif lab in (CUT, TENSOR):
@@ -299,41 +294,6 @@ def is_sequential_oracle(ps: ProofStructure) -> tuple[bool, dict | None]:
 # -- shared sequentialization plumbing ----------------------------------------
 
 
-def _reorder(proof: SequentProof, current_ids: list[int],
-             target_ids: tuple[int, ...]) -> SequentProof:
-    order = [current_ids.index(c) for c in target_ids]
-    return exchange_to(proof, order)
-
-
-def _move_last_to(proof: SequentProof, position: int) -> SequentProof:
-    last = len(proof.conclusion) - 1
-    order = list(range(position)) + [last] + list(range(position, last))
-    return exchange_to(proof, order)
-
-
-def _compose_peel(ps, n, recurse) -> SequentProof:
-    """Peel a terminal bot or par node and push its rule at the right slot."""
-    arc = ps.conclusions_of(n)[0]
-    position = ps.conclusion_position(arc)
-    if ps.nodes[n] == BOT:
-        sub_proof = recurse(_peel_terminal_bot(ps, n))
-        return _move_last_to(bot_rule(sub_proof), position)
-    sub_proof = recurse(_peel_terminal_par(ps, n))
-    return _move_last_to(par_rule(sub_proof), position)
-
-
-def _compose_split(ps, n, left, right, proof_left, proof_right) -> SequentProof:
-    if ps.nodes[n] == TENSOR:
-        joined = tensor_rule(proof_left, proof_right)
-        middle = ps.conclusions_of(n)
-    else:
-        cut_formula = ps.types[ps.premises_of(n)[0]]
-        joined = cut_rule(cut_formula, proof_left, proof_right)
-        middle = []
-    current = list(left.conclusions[:-1]) + list(middle) + list(right.conclusions[1:])
-    return _reorder(joined, current, ps.conclusions)
-
-
 def _base_case(ps) -> SequentProof:
     non_dots = [m for m, lab in ps.nodes.items() if lab != DOT]
     if len(non_dots) != 1 or ps.nodes[non_dots[0]] not in (AX, ONE):
@@ -344,12 +304,59 @@ def _base_case(ps) -> SequentProof:
     return ax_rule(ps.types[ps.conclusions[0]])
 
 
-def _unique_split(ps, n) -> SplitAssignment:
-    assignments = _raw_split_assignments(ps, n)
-    if len(assignments) != 1:
+def _split_move(ps, n):
+    """The move splitting at n, which must leave no free component."""
+    assignment = _determined_split(ps, n)
+    if assignment is None:
         raise SequentializationError(
             f"node {n} does not split the structure into two determined parts")
-    return assignments[0]
+    return n, assignment
+
+
+def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
+    """The peel/split skeleton shared by the three sequentializers.
+
+    `choose(s)` returns None when s must be a single ax or one node,
+    `(n, None)` to peel the terminal bot or par node n, or
+    `(n, assignment)` to split at the cut or tensor node n.  The parts are
+    sequentialized left first, and each rule is composed as soon as its
+    premises are, on an explicit stack, so the work happens in the order
+    of a recursive descent while the depth is bounded by memory only.
+    """
+    proofs: list[SequentProof] = []
+    stack: list = [ps]  # structures to expand, (s, n, parts) rules to compose
+    while stack:
+        top = stack.pop()
+        if isinstance(top, ProofStructure):
+            move = choose(top)
+            if move is None:
+                proofs.append(_base_case(top))
+                continue
+            n, assignment = move
+            if assignment is None:
+                stack += [(top, n, None), _peel(top, n)]
+            else:
+                left, right = split_parts(top, assignment)
+                stack += [(top, n, (left, right)), right, left]
+            continue
+        # compose the rule at n, then exchange its conclusions into s's order
+        s, n, parts = top
+        if parts is None:
+            arc = s.conclusions_of(n)[0]
+            joined = (bot_rule if s.nodes[n] == BOT else par_rule)(proofs.pop())
+            current = [c for c in s.conclusions if c != arc] + [arc]
+        else:
+            left, right = parts
+            proof_right, proof_left = proofs.pop(), proofs.pop()
+            if s.nodes[n] == TENSOR:
+                joined = tensor_rule(proof_left, proof_right)
+                middle = s.conclusions_of(n)
+            else:
+                joined = cut_rule(s.types[s.premises_of(n)[0]], proof_left, proof_right)
+                middle = []
+            current = list(left.conclusions[:-1]) + middle + list(right.conclusions[1:])
+        proofs.append(exchange_to(joined, [current.index(c) for c in s.conclusions]))
+    return proofs.pop()
 
 
 # -- untyped / general sequentialization ---------------------------------------
@@ -373,23 +380,23 @@ def sequentialize_wten(ps: ProofStructure,
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
     typed = ps if ps.types is not None else infer_types(ps)
-    return _seq_general(typed.without_jumps())
+    return _sequentialize(typed.without_jumps(), _general_move)
 
 
-def _seq_general(ps: ProofStructure) -> SequentProof:
+def _general_move(ps: ProofStructure):
+    """Peel the least terminal bot or par node, else split at the first
+    terminal cut or tensor node that leaves no free component."""
     terminal = ps.terminal_nodes()
     unary = [n for n in terminal if ps.nodes[n] in (BOT, PAR)]
     if unary:
-        return _compose_peel(ps, min(unary), _seq_general)
+        return min(unary), None
     splitters = [n for n in terminal if ps.nodes[n] in (CUT, TENSOR)]
     if not splitters:
-        return _base_case(ps)
+        return None
     for n in splitters:
-        assignments = _raw_split_assignments(ps, n)
-        if len(assignments) == 1:
-            left, right = split_parts(ps, assignments[0])
-            return _compose_split(ps, n, left, right,
-                                  _seq_general(left), _seq_general(right))
+        assignment = _determined_split(ps, n)
+        if assignment is not None:
+            return n, assignment
     raise SequentializationError("no splitting cut or tensor node found")
 
 
@@ -513,34 +520,21 @@ def sequentialize_btenll(ps: ProofStructure, m: int,
     verdict = check(ps, "accw", max_par)
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
-    proof = _seq_bten(ps, m)
+    proof = _sequentialize(ps, _bten_move)
     return proof, jumped
 
 
-def _seq_bten(ps: ProofStructure, m: int) -> SequentProof:
+def _bten_move(ps: ProofStructure):
+    """Peel the least terminal erasing node, else the least terminal par,
+    else split at the least terminal tensor."""
     erasing = erasing_nodes(ps)
     terminal = ps.terminal_nodes()
-    erasing_terminal = [n for n in terminal if n in erasing]
-    if erasing_terminal:
-        return _compose_peel(ps, min(erasing_terminal),
-                             lambda sub: _seq_bten(sub, m))
-    pars = [n for n in terminal if ps.nodes[n] == PAR]
-    if pars:
-        n = min(pars)
-        sources = [ps.tail(a) for a in ps.premises_of(n)
-                   if ps.tail(a) not in erasing]
-        m_next = min(sources)
-        return _compose_peel(ps, n, lambda sub: _seq_bten(sub, m_next))
+    unary = ([n for n in terminal if n in erasing]
+             or [n for n in terminal if ps.nodes[n] == PAR])
+    if unary:
+        return min(unary), None
     tensors = [n for n in terminal if ps.nodes[n] == TENSOR]
-    if not tensors:
-        return _base_case(ps)
-    n = min(tensors)
-    assignment = _unique_split(ps, n)
-    left, right = split_parts(ps, assignment)
-    prem = ps.premises_of(n)
-    proof_left = _seq_bten(left, ps.tail(prem[0]))
-    proof_right = _seq_bten(right, ps.tail(prem[1]))
-    return _compose_split(ps, n, left, right, proof_left, proof_right)
+    return _split_move(ps, min(tensors)) if tensors else None
 
 
 def sequentialize_icomll(ps: ProofStructure,
@@ -551,11 +545,13 @@ def sequentialize_icomll(ps: ProofStructure,
     if not jump_free(ps):
         raise SequentializationError("expected a jump-free structure")
     jumped = canonical_jumps_icomll(ps, max_par)
-    proof = _seq_icomll(ps)
+    proof = _sequentialize(ps, _icomll_move)
     return proof, jumped
 
 
-def _seq_icomll(ps: ProofStructure) -> SequentProof:
+def _icomll_move(ps: ProofStructure):
+    """Peel or split at the least terminal input node; with none left,
+    the one conclusion's node is a one, a par to peel or a tensor to split."""
     def arc_pol(a):
         return polarity(ps.types[a])
 
@@ -564,7 +560,7 @@ def _seq_icomll(ps: ProofStructure) -> SequentProof:
     if inputs:
         n = min(inputs)
         if ps.nodes[n] in (BOT, PAR):
-            return _compose_peel(ps, n, _seq_icomll)
+            return n, None
         # input tensor: the output-premise side is one whole component
         prem = ps.premise_order[n]
         out_side = [a for a in prem if arc_pol(a) == "O"]
@@ -577,27 +573,20 @@ def _seq_icomll(ps: ProofStructure) -> SequentProof:
         if ps.tail(in_side) in out_comp:
             raise SequentializationError(
                 f"input tensor {n} does not split the structure")
-        rest = set().union(*(c for c in comps if c is not out_comp)) if len(comps) > 1 else set()
+        rest = set().union(*(c for c in comps if c is not out_comp))
         if ps.tail(prem[0]) in out_comp:
-            assignment = SplitAssignment(n, frozenset(out_comp), frozenset(rest))
-        else:
-            assignment = SplitAssignment(n, frozenset(rest), frozenset(out_comp))
-        left, right = split_parts(ps, assignment)
-        return _compose_split(ps, n, left, right,
-                              _seq_icomll(left), _seq_icomll(right))
+            return n, SplitAssignment(n, frozenset(out_comp), frozenset(rest))
+        return n, SplitAssignment(n, frozenset(rest), frozenset(out_comp))
     # all terminal nodes output: there is exactly one conclusion
     if len(ps.conclusions) != 1:
         raise SequentializationError(
             "every terminal node is an output but several conclusions remain")
     n = ps.tail(ps.conclusions[0])
     if ps.nodes[n] == ONE:
-        return _base_case(ps)
+        return None
     if ps.nodes[n] == PAR:
-        return _compose_peel(ps, n, _seq_icomll)
-    assignment = _unique_split(ps, n)
-    left, right = split_parts(ps, assignment)
-    return _compose_split(ps, n, left, right,
-                          _seq_icomll(left), _seq_icomll(right))
+        return n, None
+    return _split_move(ps, n)
 
 
 # -- equivalence decisions --------------------------------------------------------

@@ -150,9 +150,6 @@ class ProofStructure:
                 out.append(n)
         return out
 
-    def conclusion_position(self, arc: int) -> int:
-        return self.conclusions.index(arc)
-
     def fresh_node_id(self) -> int:
         return max(self.nodes, default=-1) + 1
 

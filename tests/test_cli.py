@@ -257,3 +257,32 @@ def test_dot_rejects_bad_switching_files(tmp_path, capsys):
         code, out, err = run(capsys, "dot", path, "--switching", str(switching))
         assert (code, out) == (2, ""), text
         assert err.startswith("error: "), text
+
+
+def test_equiv_reads_back_the_sequentializer_output(tmp_path, capsys):
+    # 45 nested bot rules come back under 990 nested exchanges
+    k = 45
+    proof = tmp_path / "bots.proof"
+    proof.write_text("fragment: mllu\n" + "(bot " * k + "(one)" + ")" * k + "\n")
+    net, back = tmp_path / "bots.json", tmp_path / "back.proof"
+    assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+    assert run(capsys, "sequentialize", str(net), "--out", str(back))[0] == 0
+    assert run(capsys, "equiv", str(proof), str(back)) == (0, "true\n", "")
+
+
+def test_deep_proofs_parse_check_and_desequentialize(tmp_path, capsys):
+    k = 1200
+    proof = tmp_path / "bots.proof"
+    proof.write_text("fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k + "\n")
+    code, out, _ = run(capsys, "deseq", str(proof))
+    assert code == 0
+    assert [n["label"] for n in json.loads(out)["nodes"]].count("bot") == k
+    # proof nesting depth 1250; its 54 par rules exceed the switching cap
+    code, out, _ = run(capsys, "gen", "--kind", "proof", "--fragment", "mllu",
+                       "--max-rules", "1500", "--seed", "0")
+    assert code == 0
+    generated = tmp_path / "gen.proof"
+    generated.write_text(out)
+    code, out, err = run(capsys, "deseq", str(generated))
+    assert (code, out) == (2, "")
+    assert err == "error: 54 par nodes exceed the enumeration cap 20\n"

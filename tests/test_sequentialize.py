@@ -1,3 +1,7 @@
+import hashlib
+import inspect
+import sys
+
 import pytest
 
 from conftest import build_ps
@@ -5,10 +9,11 @@ from proofnets import fixtures
 from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import (FragmentError, SequentializationError,
                               TypeInferenceError)
-from proofnets.formulas import Fragment
+from proofnets.formulas import Fragment, atom
 from proofnets.generate import GenParams, permute_rules, random_proof, random_ps
-from proofnets.sequent import (bot_rule, check_proof, deseq_relation_holds,
-                               desequentialize, ex_rule, one_rule, tensor_rule)
+from proofnets.sequent import (ax_rule, bot_rule, check_proof, deseq_relation_holds,
+                               desequentialize, ex_rule, format_proof, one_rule,
+                               tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                                      classify_jumps, infer_types,
                                      is_sequential_oracle, proofs_equivalent,
@@ -462,3 +467,91 @@ def test_canonical_jumps_depend_on_anchor_with_terminal_bot():
     for m in (1, 2, 3):
         jumped = canonical_jumps_btenll(ps, m)
         assert jumped.jump_correct
+
+
+# -- the peel/split skeleton ---------------------------------------------------------------
+
+
+def _texts(mode):
+    """format_proof of every sequentialization in a seeded corpus."""
+    def net(frag, seed, rules, cuts=0.0):
+        p = random_proof(GenParams(fragment=frag, max_rules=rules, seed=seed,
+                                   cut_probability=cuts))
+        return desequentialize(p, verify=False).ps
+
+    if mode == "wten":
+        for frag in (Fragment.MLL, Fragment.MLLU, Fragment.BTENLL, Fragment.IMLL):
+            for seed in range(40):
+                ps = net(frag, seed, 16, cuts=0.3)
+                if is_wten(ps)[0]:
+                    yield format_proof(sequentialize_wten(ps), frag)
+                    yield format_proof(sequentialize_wten(ps.without_types()), frag)
+    elif mode == "btenll":
+        for seed in range(80):
+            ps = net(Fragment.BTENLL, seed, 14)
+            for m in non_erasing_nodes(ps):
+                yield format_proof(sequentialize_btenll(ps, m)[0], Fragment.BTENLL)
+    else:
+        for seed in range(80):
+            ps = net(Fragment.ICOMLL, seed, 16)
+            yield format_proof(sequentialize_icomll(ps)[0], Fragment.ICOMLL)
+
+
+@pytest.mark.parametrize("mode, count, digest", [
+    ("wten", 242, "cae166dc4ba4cabd6bf482a4fe536aad03f53b57759edab320b1a7e304e56410"),
+    ("btenll", 259, "4adba6c9c8071febc1af8e6f51b69ffe26293d66c27b30a861cf4b4c424882e7"),
+    ("icomll", 80, "fbb971c1d1679aa444a7f638043a13ecc14b0619fe38cc35867dd426b856f91d"),
+], ids=["wten", "btenll", "icomll"])
+def test_sequentializer_output_is_pinned(mode, count, digest):
+    # the rule order is CLI output: these digests were taken from the three
+    # recursive sequentializers the skeleton replaced
+    h, seen = hashlib.sha256(), 0
+    for text in _texts(mode):
+        h.update(text.encode())
+        seen += 1
+    assert (seen, h.hexdigest()) == (count, digest)
+
+
+def test_btenll_proof_does_not_depend_on_the_anchor():
+    # the anchor only roots the canonical jumps of terminal bots
+    nets = [fixtures.load("jumps-units")]
+    for seed in range(60):
+        p = random_proof(GenParams(fragment=Fragment.BTENLL, max_rules=12, seed=seed))
+        nets.append(desequentialize(p, verify=False).ps)
+    for ps in nets:
+        proofs = {sequentialize_btenll(ps, m)[0] for m in non_erasing_nodes(ps)}
+        assert len(proofs) == 1
+
+
+def _bot_chain(k):
+    """A one node and k terminal bots, the least bot last: k nested bot
+    rules, each peeled without an exchange."""
+    nodes = {0: "one", **{b: "bot" for b in range(1, k + 1)}}
+    arcs = {n: (n, k + 1 + n) for n in nodes}
+    nodes.update({k + 1 + n: "dot" for n in range(k + 1)})
+    return build_ps(nodes, arcs, concl=(0, *range(k, 0, -1)),
+                    types={0: "one", **{b: "bot" for b in range(1, k + 1)}})
+
+
+def _tensor_chain(k):
+    """k tensors, each joining the last axiom to a new one: k nested splits."""
+    p = ax_rule(atom("X"))
+    for _ in range(k):
+        p = tensor_rule(p, ax_rule(atom("X", dual=True)))
+    return desequentialize(p, verify=False).ps
+
+
+def test_sequentializers_do_not_recurse_per_step():
+    limit = len(inspect.stack(0)) + 100
+    k = limit + 20
+    bots, tensors = _bot_chain(k), _tensor_chain(k)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        results = [sequentialize_wten(bots), sequentialize_btenll(bots, 0)[0],
+                   sequentialize_icomll(bots)[0], sequentialize_wten(tensors),
+                   sequentialize_btenll(tensors, 0)[0]]
+    finally:
+        sys.setrecursionlimit(old)
+    assert [p.rule_count() for p in results] == [k + 1] * 3 + [2 * k + 1] * 2
+    assert iso(desequentialize(results[3], verify=False).ps, tensors)

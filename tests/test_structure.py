@@ -102,20 +102,15 @@ def test_erasing_par_one_bot():
 
 
 def test_erasing_monotone_under_peeling():
-    from proofnets.sequentialize import _peel_terminal_bot, _peel_terminal_par
+    from proofnets.sequentialize import _peel
     checked = 0
     for seed in range(250):
         ps = random_ps(GenParams(fragment=None, max_nodes=10, seed=seed))
         erasing = erasing_nodes(ps)
         for n in ps.terminal_nodes():
-            if n not in erasing:
+            if n not in erasing or ps.nodes[n] not in ("bot", "par"):
                 continue
-            if ps.nodes[n] == "bot":
-                sub = _peel_terminal_bot(ps, n)
-            elif ps.nodes[n] == "par":
-                sub = _peel_terminal_par(ps, n)
-            else:
-                continue
+            sub = _peel(ps, n)
             after = erasing_nodes(sub)
             kept = {m for m in after if m in ps.nodes}
             assert kept <= erasing
