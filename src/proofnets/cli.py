@@ -28,10 +28,15 @@ from .cutelim import normalize
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise ParseError(f"{name} is not UTF-8 text: {exc.reason}",
+                         exc.start + 1) from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -185,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, fmt=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--max-parr", type=int, default=DEFAULT_MAX_PAR,
-                       help="cap on par nodes for exhaustive enumeration")
+                       help="cap on par nodes for the criteria that enumerate "
+                            "switchings (check --criterion cw|cwforall); ac and "
+                            "accw, and so every other command, run uncapped")
         if fmt:
             p.add_argument("--format", choices=("json", "dsl", "dot"),
                            default="json")

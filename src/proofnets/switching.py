@@ -14,10 +14,14 @@ graphs:
             contains no erasing node of the base structure or is a thread
             (one bot node, every other node with a single premise).
 
-Enumeration is exponential in the number of par nodes by design; checks
-refuse to run past a configurable cap.  Once acyclicity is established the
-component count is switching-independent, so the conjunctive criteria
-inspect a single switching graph for the counting half.
+Only the acyclicity half of ac/acc/accw quantifies over switchings, and
+it is decided without enumerating them, by contraction in polynomial time
+(`_has_switching_cycle`); once acyclicity is established the component
+count is switching-independent, so the conjunctive criteria inspect a
+single switching graph for the counting half.  c, cw and cwforall really
+quantify over switchings: they enumerate them, exponentially in the number
+of par nodes, and refuse to run past a configurable cap.  The enumeration
+also stays the reference the tests compare the contraction against.
 """
 
 from __future__ import annotations
@@ -220,17 +224,136 @@ def expected_components(ps: ProofStructure) -> int:
     return len(ps.bottom_nodes()) - len(ps.jumps) + 1
 
 
+def _has_switching_cycle(ps: ProofStructure,
+                         forced: Switching | None = None) -> bool:
+    """Whether some switching graph has a cycle; a par node in `forced`
+    keeps only the premise given there.
+
+    Decided by Danos contraction extended with mix (Fleury & Retoré).  The
+    graph is the structure plus its jump edges; the two premises of a par
+    form a pair and every other arc is free.  A switching graph has a cycle
+    iff this graph has an elementary cycle through at most one edge of each
+    pair, and each rule below keeps that property:
+
+      a loop is such a cycle;
+      a dead vertex, of degree <= 1 or of degree 2 whose two edges are one
+        pair centred on it, lies on none, so it goes with its edges, and the
+        partner of a deleted paired edge becomes free;
+      a free edge is contracted;
+      a pair whose two edges join the same two vertices is contracted.
+
+    When no rule applies, any edge left lies on such a cycle.  Contraction
+    merges the smaller incidence set into the larger, so the decision takes
+    O(arcs log arcs) set operations.
+    """
+    forced = forced or {}
+    ends = dict(ps.arcs)  # the live edges; a premise's head is its par node
+    for e, src in enumerate(sorted(ps.jumps), ps.fresh_arc_id()):
+        ends[e] = (src, ps.jumps[src])
+    partner: dict[int, int] = {}
+    for n in ps.par_nodes():
+        prem = ps.premises_of(n)
+        if n in forced:
+            for a in prem:
+                if a != forced[n]:
+                    del ends[a]
+        elif len(prem) == 2:
+            partner[prem[0]], partner[prem[1]] = prem[1], prem[0]
+    uf = UnionFind(ps.nodes)
+    incident: dict[int, set[int]] = {n: set() for n in ps.nodes}
+    for e, (t, h) in ends.items():
+        if t == h:
+            return True
+        incident[t].add(e)
+        incident[h].add(e)
+
+    edges = list(ends)  # free edges to contract, pairs to test for parallel
+    vertices = list(ps.nodes)  # vertices to test for dead
+    while edges or vertices:
+        if edges:
+            e = edges.pop()
+            if e not in ends:
+                continue
+            u, v = uf.find(ends[e][0]), uf.find(ends[e][1])
+            f = partner.get(e)
+            if f is None:
+                gone = (e,)
+            elif {uf.find(ends[f][0]), uf.find(ends[f][1])} == {u, v}:
+                gone = (e, f)
+            else:
+                continue
+            for g in gone:
+                del ends[g]
+                incident[u].discard(g)
+                incident[v].discard(g)
+            if len(incident[u]) < len(incident[v]):
+                u, v = v, u
+            moved = incident.pop(v)
+            for g in moved:
+                if u in (uf.find(ends[g][0]), uf.find(ends[g][1])):
+                    return True
+            uf.union(u, v)
+            incident[u] |= moved
+            edges.extend(moved)
+            vertices.append(u)
+            continue
+        v = vertices.pop()
+        if v not in incident:
+            continue
+        around = incident[v]
+        if len(around) == 1:
+            gone = tuple(around)
+        elif len(around) == 2:
+            e, f = around
+            if partner.get(e) != f or uf.find(ends[e][1]) != v:
+                continue
+            gone = (e, f)
+        else:
+            continue
+        for g in gone:
+            for end in ends.pop(g):
+                r = uf.find(end)
+                incident[r].discard(g)
+                vertices.append(r)
+        for g in gone:
+            f = partner.pop(g, None)
+            if f in ends:
+                del partner[f]
+                edges.append(f)
+    return bool(ends)
+
+
+def _first_cyclic_switching(ps: ProofStructure) -> Switching:
+    """The first switching in enumeration order whose graph has a cycle,
+    fixing one par at a time; some switching graph must have one."""
+    forced: Switching = {}
+    for n in ps.par_nodes():
+        first, *rest = ps.premises_of(n)
+        forced[n] = first
+        if rest and not _has_switching_cycle(ps, forced):
+            forced[n] = rest[0]
+    return forced
+
+
 def check(ps: ProofStructure, criterion: str,
           max_par: int = DEFAULT_MAX_PAR) -> CriterionVerdict:
-    """Decide a correctness criterion by switching enumeration.
+    """Decide a correctness criterion.
 
-    For the conjunctions acc/accw, acyclicity is established first over all
-    switchings and the component count is then read off a single one.
+    ac, acc and accw are decided by contraction, with no cap: a failing
+    verdict names the first cyclic switching in enumeration order, and the
+    component count is read off the first switching.  c, cw and cwforall
+    enumerate switchings and raise `SwitchingLimitError` past `max_par` par
+    nodes.  A refuted verdict carries the census of the counterexample's
+    switching graph.
     """
     criterion = criterion.lower()
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     erasing = erasing_nodes(ps)
+
+    def verdict(holds: bool, sw: Switching | None, g: SwitchingGraph | None):
+        comps = [] if g is None else graph_components(g, erasing)
+        return CriterionVerdict(criterion, holds, sw, [c.census() for c in comps])
 
     if criterion == "cwforall":
         for sw in switchings(ps, W_COMPATIBLE, max_par):
@@ -241,38 +364,23 @@ def check(ps: ProofStructure, criterion: str,
                                         [c.census() for c in comps])
         return CriterionVerdict(criterion, True)
 
-    need_ac = criterion in ("ac", "acc", "accw")
-    count_target = None
-    if criterion in ("c", "acc"):
-        count_target = 1
-    elif criterion in ("cw", "accw"):
-        count_target = expected_components(ps)
+    count_target = 1 if criterion in ("c", "acc") else expected_components(ps)
+    if criterion in ("c", "cw"):
+        for sw in switchings(ps, ALL, max_par):
+            g = switching_graph(ps, sw)
+            if _connect(g)[0].count != count_target:
+                return verdict(False, sw, g)
+        return verdict(True, None, None)
 
-    conjunctive = criterion in ("acc", "accw")
-    first_census = None
-    for sw in switchings(ps, ALL, max_par):
-        g = switching_graph(ps, sw)
-        uf, acyclic = _connect(g)
-        cc = uf.count
-        if need_ac and not acyclic:
-            comps = graph_components(g, erasing)
-            return CriterionVerdict(criterion, False, sw,
-                                    [c.census() for c in comps])
-        if count_target is not None and not conjunctive and cc != count_target:
-            comps = graph_components(g, erasing)
-            return CriterionVerdict(criterion, False, sw,
-                                    [c.census() for c in comps])
-        if conjunctive and first_census is None:
-            first_census = (sw, cc, g)
-    if conjunctive:
-        sw, cc, g = first_census
-        comps = graph_components(g, erasing)
-        if cc != count_target:
-            return CriterionVerdict(criterion, False, sw,
-                                    [c.census() for c in comps])
-        return CriterionVerdict(criterion, True, None,
-                                [c.census() for c in comps])
-    return CriterionVerdict(criterion, True)
+    if _has_switching_cycle(ps):
+        sw = _first_cyclic_switching(ps)
+        return verdict(False, sw, switching_graph(ps, sw))
+    if criterion == "ac":
+        return verdict(True, None, None)
+    sw = {n: ps.premises_of(n)[0] for n in ps.par_nodes()}
+    g = switching_graph(ps, sw)
+    holds = _connect(g)[0].count == count_target
+    return verdict(holds, None if holds else sw, g)
 
 
 @dataclass

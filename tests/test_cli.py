@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import proofnets
@@ -277,12 +278,101 @@ def test_deep_proofs_parse_check_and_desequentialize(tmp_path, capsys):
     code, out, _ = run(capsys, "deseq", str(proof))
     assert code == 0
     assert [n["label"] for n in json.loads(out)["nodes"]].count("bot") == k
-    # proof nesting depth 1250; its 54 par rules exceed the switching cap
+    # proof nesting depth 1250, with 54 par rules
     code, out, _ = run(capsys, "gen", "--kind", "proof", "--fragment", "mllu",
                        "--max-rules", "1500", "--seed", "0")
     assert code == 0
     generated = tmp_path / "gen.proof"
     generated.write_text(out)
     code, out, err = run(capsys, "deseq", str(generated))
+    assert (code, err) == (0, "")
+    assert [n["label"] for n in json.loads(out)["nodes"]].count("par") == 54
+
+
+def _chain_proof(k, leaf="(one)"):
+    """The proof text of k times bot then par over a leaf rule."""
+    return "fragment: mllu\n" + "(par (bot " * k + leaf + "))" * k + "\n"
+
+
+def _deseq_doc(tmp_path, capsys, text):
+    proof = tmp_path / "in.proof"
+    proof.write_text(text)
+    code, out, err = run(capsys, "deseq", str(proof))
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_deseq_has_no_par_cap(tmp_path, capsys):
+    doc = _deseq_doc(tmp_path, capsys, _chain_proof(22))
+    assert [n["label"] for n in doc["nodes"]].count("par") == 22
+
+
+def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):
+    net = tmp_path / "chain.json"
+    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(200))))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(net), "--criterion", "accw")
+    took = time.perf_counter() - start
+    assert (code, json.loads(out)["holds"]) == (0, True)
+    assert took < 1.0, took
+
+
+def test_accw_counterexample_on_200_pars_takes_under_a_second(tmp_path, capsys):
+    # The two conclusions of a 200-par chain over an axiom, joined under a
+    # tensor: each switching graph has one arc more than the chain's, on as
+    # many nodes, so it has a cycle or too few components.
+    doc = _deseq_doc(tmp_path, capsys, _chain_proof(200, '(ax "A")'))
+    del doc["types"]
+    a, b = doc["conclusions"]
+    dots = {arc["head"] for arc in doc["arcs"] if arc["id"] in (a, b)}
+    tensor = max(node["id"] for node in doc["nodes"]) + 1
+    joined = max(arc["id"] for arc in doc["arcs"]) + 1
+    doc["nodes"] = [node for node in doc["nodes"] if node["id"] not in dots]
+    doc["nodes"] += [{"id": tensor, "label": "tensor"},
+                     {"id": tensor + 1, "label": "dot"}]
+    for arc in doc["arcs"]:
+        if arc["id"] in (a, b):
+            arc["head"] = tensor
+    doc["arcs"].append({"id": joined, "tail": tensor, "head": tensor + 1})
+    doc["premises"][str(tensor)] = [a, b]
+    doc["conclusions"] = [joined]
+    net = tmp_path / "joined.json"
+    net.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(net), "--criterion", "accw")
+    took = time.perf_counter() - start
+    verdict = json.loads(out)
+    assert (code, verdict["holds"]) == (1, False)
+    assert took < 1.0, took
+
+    labels = {node["id"]: node["label"] for node in doc["nodes"]}
+    pars = {int(n) for n, lab in labels.items() if lab == "par"}
+    chosen = {int(n): a for n, a in verdict["counterexample"].items()}
+    assert set(chosen) == pars and len(pars) == 200
+    parent = {n: n for n in labels}
+
+    def root(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    cyclic, components = False, len(labels)
+    for arc in doc["arcs"]:
+        if arc["head"] in pars and chosen[arc["head"]] != arc["id"]:
+            continue  # re-headed to a fresh dot: a pendant arc
+        rt, rh = root(arc["tail"]), root(arc["head"])
+        if rt == rh:
+            cyclic = True
+        else:
+            parent[rh] = rt
+            components -= 1
+    bots = sum(1 for lab in labels.values() if lab == "bot")
+    assert cyclic or components != bots + 1
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"nodes": [], "comment": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run(capsys, "check", str(path), "--criterion", "ac")
     assert (code, out) == (2, "")
-    assert err == "error: 54 par nodes exceed the enumeration cap 20\n"
+    assert err.startswith("error: ") and "UTF-8" in err

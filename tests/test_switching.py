@@ -1,15 +1,20 @@
+import random
+
 import pytest
 
 from conftest import build_ps
 from proofnets import fixtures
 from proofnets.errors import FragmentError, SwitchingLimitError
 from proofnets.formulas import Fragment, polarity
-from proofnets.generate import GenParams, random_ps
-from proofnets.structure import erasing_nodes, is_wten
-from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE, check,
-                                 components_and_acyclicity, graph_components,
-                                 output_stats, switching_graph, switching_paths,
-                                 switchings)
+from proofnets.generate import GenParams, random_proof, random_ps
+from proofnets.sequent import desequentialize
+from proofnets.sequentialize import canonical_jumps_btenll
+from proofnets.structure import ProofStructure, erasing_nodes, is_wten
+from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE,
+                                 CriterionVerdict, _connect, check,
+                                 components_and_acyclicity, expected_components,
+                                 graph_components, output_stats, switching_graph,
+                                 switching_paths, switchings)
 
 
 def two_par_ps():
@@ -165,6 +170,81 @@ def test_jump_adjusted_count():
     ps_jumped.jumps = {4: 3, 5: 3}
     assert check(ps_jumped, "accw").holds  # target drops to 1
     assert check(ps_jumped, "acc").holds
+
+
+def _enumerated_verdict(ps, criterion):
+    """The ac/acc/accw verdict by switching enumeration: the first cyclic
+    switching refutes; otherwise the first switching gives the count."""
+    erasing = erasing_nodes(ps)
+    first = None
+    for sw in switchings(ps, ALL):
+        g = switching_graph(ps, sw)
+        uf, acyclic = _connect(g)
+        census = [c.census() for c in graph_components(g, erasing)]
+        if not acyclic:
+            return CriterionVerdict(criterion, False, sw, census)
+        first = first or (sw, uf.count, census)
+    if criterion == "ac":
+        return CriterionVerdict(criterion, True)
+    sw, count, census = first
+    holds = count == (1 if criterion == "acc" else expected_components(ps))
+    return CriterionVerdict(criterion, holds, None if holds else sw, census)
+
+
+def _swap_heads(ps, rng):
+    """A copy with the heads of two arcs exchanged, premise orders and
+    conclusions following the arcs."""
+    a, b = rng.sample(sorted(ps.arcs), 2)
+    swap = {a: b, b: a}
+    arcs = dict(ps.arcs)
+    arcs[a], arcs[b] = (ps.tail(a), ps.head(b)), (ps.tail(b), ps.head(a))
+    order = {n: tuple(swap.get(x, x) for x in pair)
+             for n, pair in ps.premise_order.items()}
+    return ProofStructure(ps.nodes, arcs, order,
+                          [swap.get(x, x) for x in ps.conclusions])
+
+
+def _oracle_corpus():
+    """Fixtures, random structures (untyped and mllu, with and without
+    cuts), desequentialized proofs and btenll ones with canonical jumps;
+    then one copy of each with two arc heads swapped and one with random
+    jumps from its bots."""
+    corpus = [fixtures.load(name) for name in fixtures.NAMES]
+    for seed in range(60):
+        for frag in (None, Fragment.MLLU):
+            corpus.append(random_ps(GenParams(fragment=frag, max_nodes=8 + seed % 12, seed=seed,
+                                              cut_probability=0.4 * (seed % 2))))
+        p = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=18, seed=seed))
+        corpus.append(desequentialize(p, verify=False).ps)
+        p = random_proof(GenParams(fragment=Fragment.BTENLL, max_rules=10, seed=seed))
+        ps = desequentialize(p, verify=False).ps
+        erasing = erasing_nodes(ps)
+        anchor = min(n for n, lab in ps.nodes.items() if n not in erasing and lab != "dot")
+        corpus.append(canonical_jumps_btenll(ps, anchor).ps)
+    rng = random.Random(0)
+    variants = []
+    for ps in corpus:
+        if len(ps.arcs) >= 2:
+            variants.append(_swap_heads(ps, rng))
+        if ps.bottom_nodes():
+            jumped = ps.copy()
+            jumped.jumps = {b: rng.choice([n for n in ps.nodes if n != b])
+                            for b in ps.bottom_nodes()}
+            variants.append(jumped)
+    return corpus + variants
+
+
+def test_contraction_agrees_with_the_enumeration():
+    corpus = _oracle_corpus()
+    refuted = 0
+    for i, ps in enumerate(corpus):
+        assert len(ps.par_nodes()) <= 10, i
+        for criterion in ("ac", "acc", "accw"):
+            verdict = check(ps, criterion)
+            assert verdict.to_json() == _enumerated_verdict(ps, criterion).to_json(), \
+                (i, criterion)
+        refuted += verdict.counterexample is not None
+    assert len(corpus) > 500 and len(corpus) // 4 < refuted < 3 * len(corpus) // 4
 
 
 def test_ac_structures_have_switching_independent_counts():
