@@ -100,7 +100,7 @@ def reduce_step(ps: ProofStructure, redex: Redex) -> ProofStructure:
         shared = next(a for a in prem if ps.tail(a) == ax_node)
         other_prem = next(a for a in prem if a != shared)
         outer = next(a for a in ps.conclusions_of(ax_node) if a != shared)
-        if types is not None and types[outer] != types[other_prem]:
+        if types is not None and types[outer] is not types[other_prem]:
             raise RedexError("axiom step would splice arcs of different types")
         # keep the outer arc (whose head survives); re-tail it
         arcs[outer] = (ps.tail(other_prem), ps.head(outer))
@@ -111,9 +111,8 @@ def reduce_step(ps: ProofStructure, redex: Redex) -> ProofStructure:
         tensor_node, par_node = redex.participants
         t_left, t_right = premise_order[tensor_node]
         p_left, p_right = premise_order[par_node]
-        if types is not None:
-            if types[p_left] != negate(types[t_left]):
-                raise RedexError("multiplicative step would cut non-dual premises")
+        if types is not None and types[p_left] is not negate(types[t_left]):
+            raise RedexError("multiplicative step would cut non-dual premises")
         cut_a = ps.fresh_node_id()
         cut_b = cut_a + 1
         nodes[cut_a] = CUT

@@ -1,12 +1,17 @@
 """Formulas of multiplicative linear logic with units, and fragment grammars.
 
-A formula is an immutable tree over atoms, the two units and the two binary
-connectives.  Linear negation is structural: it flips the dual flag on atoms,
-swaps the units and exchanges tensor with par under De Morgan.  Fragments are
-subsets of the formula language closed under subformulas; membership is
-decided by a single recursive kind inference that also returns the derived
-kind (A/E for the bottom-tensor-restricted grammars, O/I polarity for the
-intuitionistic ones).
+A formula is an interned, immutable tree over atoms, the two units and the
+two binary connectives: equality is identity, so build formulas only through
+`Formula`, `atom`, `tensor`, `par` and `parse_formula`, which return the one
+object for each tree.  The intern table holds its formulas weakly, so a
+formula lives only as long as something else holds it.  Linear negation is
+structural: it flips the dual flag on atoms, swaps the units and exchanges
+tensor with par under De Morgan; each formula remembers its negation weakly,
+so a duality test is one lookup and an identity test.  Fragments are subsets
+of the formula language closed under subformulas; membership is decided by a
+single recursive kind inference that also returns the derived kind (A/E for
+the bottom-tensor-restricted grammars, O/I polarity for the intuitionistic
+ones).
 
 Surface syntax: atoms are identifiers (`X`), duals carry a trailing caret
 (`X^`), units are written `one` (or `1`) and `bot`, the connectives are the
@@ -17,7 +22,7 @@ printer always emits the fully parenthesized form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import weakref
 
 from .errors import ParseError
 
@@ -28,24 +33,77 @@ TENSOR = "tensor"
 PAR = "par"
 
 
-@dataclass(frozen=True)
+class _Entry(weakref.ref):
+    """A weak reference to an interned formula that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    # a newer formula may already sit under the key of a dead one
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+# (kind, name, dual, left, right) -> weak reference to the one formula
+_TABLE: dict[tuple, _Entry] = {}
+
+
 class Formula:
-    kind: str
-    name: str = ""
-    dual: bool = False
-    left: Formula | None = None
-    right: Formula | None = None
+    """One node of a formula tree; equal trees are the same object."""
+
+    __slots__ = ("kind", "name", "dual", "left", "right", "_neg", "__weakref__")
+
+    def __new__(cls, kind: str, name: str = "", dual: bool = False,
+                left: Formula | None = None, right: Formula | None = None):
+        key = (kind, name, dual, left, right)
+        entry = _TABLE.get(key)
+        if entry is not None:
+            f = entry()
+            if f is not None:
+                return f
+        f = object.__new__(cls)
+        _set_kind(f, kind)
+        _set_name(f, name)
+        _set_dual(f, dual)
+        _set_left(f, left)
+        _set_right(f, right)
+        _set_neg(f, None)
+        entry = _Entry(f, _drop)
+        entry.key = key
+        _TABLE[key] = entry
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Formula is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Formula is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Formula, (self.kind, self.name, self.dual, self.left, self.right)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):
         return f"Formula({format_formula(self)!r})"
 
+
+# the slot setters, which bypass the immutable __setattr__
+_set_kind, _set_name, _set_dual, _set_left, _set_right, _set_neg = (
+    Formula.__dict__[slot].__set__
+    for slot in ("kind", "name", "dual", "left", "right", "_neg"))
 
 ONE = Formula(ONE_KIND)
 BOT = Formula(BOT_KIND)
 
 
 def atom(name: str, dual: bool = False) -> Formula:
-    return Formula(ATOM, name=name, dual=dual)
+    return Formula(ATOM, name, dual)
 
 
 def tensor(left: Formula, right: Formula) -> Formula:
@@ -56,24 +114,60 @@ def par(left: Formula, right: Formula) -> Formula:
     return Formula(PAR, left=left, right=right)
 
 
+def _known_negation(f: Formula) -> Formula | None:
+    ref = f._neg
+    return None if ref is None else ref()
+
+
 def negate(f: Formula) -> Formula:
-    """Linear negation: an involution without fixed points."""
-    if f.kind == ATOM:
-        return Formula(ATOM, name=f.name, dual=not f.dual)
-    if f.kind == ONE_KIND:
-        return BOT
-    if f.kind == BOT_KIND:
-        return ONE
-    if f.kind == TENSOR:
-        return Formula(PAR, left=negate(f.left), right=negate(f.right))
-    return Formula(TENSOR, left=negate(f.left), right=negate(f.right))
+    """Linear negation: an involution without fixed points.
+
+    Each formula keeps a weak link to its negation and the negation one back,
+    so a formula and its dual never keep each other alive; the subformulas
+    whose negation is not known are negated bottom-up on an explicit stack.
+    """
+    known = _known_negation(f)
+    if known is not None:
+        return known
+    made: dict[Formula, Formula] = {}  # holds the new negations until the end
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in made:
+            stack.pop()
+            continue
+        if g.kind == ATOM:
+            neg = Formula(ATOM, g.name, not g.dual)
+        elif g.kind == ONE_KIND:
+            neg = BOT
+        elif g.kind == BOT_KIND:
+            neg = ONE
+        else:
+            left = made.get(g.left) or _known_negation(g.left)
+            right = made.get(g.right) or _known_negation(g.right)
+            if left is None or right is None:
+                if left is None:
+                    stack.append(g.left)
+                if right is None:
+                    stack.append(g.right)
+                continue
+            neg = Formula(PAR if g.kind == TENSOR else TENSOR, left=left, right=right)
+        stack.pop()
+        made[g] = neg
+        _set_neg(g, weakref.ref(neg))
+        _set_neg(neg, weakref.ref(g))
+    return made[f]
 
 
 def subformulas(f: Formula):
-    yield f
-    if f.left is not None:
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    """Every subformula occurrence, in prefix order."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if g.left is not None:
+            stack.append(g.right)
+            stack.append(g.left)
 
 
 class Fragment(enum.Enum):
@@ -187,15 +281,40 @@ def in_fragment(f: Formula, frag: Fragment) -> tuple[bool, str | None]:
     return True, pol
 
 
-def format_formula(f: Formula) -> str:
+_SEPARATORS = {TENSOR: " tensor ", PAR: " par "}
+
+
+def _leaf_text(f: Formula) -> str:
     if f.kind == ATOM:
-        return f.name + ("^" if f.dual else "")
-    if f.kind == ONE_KIND:
-        return "one"
-    if f.kind == BOT_KIND:
-        return "bot"
-    op = "tensor" if f.kind == TENSOR else "par"
-    return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
+        return f.name + "^" if f.dual else f.name
+    return f.kind
+
+
+def format_formula(f: Formula) -> str:
+    if f.left is None:  # most arc types are leaves: skip the buffers
+        return _leaf_text(f)
+    out = []
+    emit = out.append
+    # connectives whose right side is still to print, and None for each
+    # closing parenthesis still owed
+    stack: list[Formula | None] = []
+    while True:
+        while f.left is not None:
+            emit("(")
+            stack.append(f)
+            f = f.left
+        emit(_leaf_text(f))
+        while stack:
+            top = stack.pop()
+            if top is None:
+                emit(")")
+            else:
+                emit(_SEPARATORS[top.kind])
+                stack.append(None)
+                f = top.right
+                break
+        else:
+            return "".join(out)
 
 
 def _tokenize(text: str):
@@ -226,55 +345,49 @@ def _tokenize(text: str):
     return tokens
 
 
-_KEYWORDS = {"one", "1", "bot", "tensor", "par"}
-
-
 def parse_formula(text: str) -> Formula:
-    """Parse the surface syntax; raises ParseError with a 1-based offset."""
+    """Parse the surface syntax; raises ParseError with a 1-based offset.
+
+    One frame per open parenthesis, on an explicit stack, holds the formula
+    read so far at that level and its connective, so nesting depth costs no
+    Python recursion.
+    """
     tokens = _tokenize(text)
     pos = 0
-
-    def peek():
-        return tokens[pos][0]
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
+    frames: list[list] = [[None, None]]  # [formula so far, connective]
+    while True:
+        tok, at = tokens[pos]
         pos += 1
-        return tok
-
-    def parse_term() -> Formula:
-        tok, at = take()
-        if tok == "(":
-            inner = parse_expr()
-            closing, at2 = take()
-            if closing != ")":
-                raise ParseError("expected ')'", at2)
-            return inner
+        while tok == "(":
+            frames.append([None, None])
+            tok, at = tokens[pos]
+            pos += 1
         if tok in ("one", "1"):
-            return ONE
-        if tok == "bot":
-            return BOT
-        if tok is None or tok in ("tensor", "par", ")"):
+            value = ONE
+        elif tok == "bot":
+            value = BOT
+        elif tok is None or tok in ("tensor", "par", ")"):
             raise ParseError("expected a formula", at)
-        if tok.endswith("^"):
-            return atom(tok[:-1], dual=True)
-        return atom(tok)
-
-    def parse_expr() -> Formula:
-        left = parse_term()
-        op = None
-        while peek() in ("tensor", "par"):
-            word, at = take()
-            if op is not None and word != op:
-                raise ParseError("mixed connectives need parentheses", at)
-            op = word
-            right = parse_term()
-            left = tensor(left, right) if op == "tensor" else par(left, right)
-        return left
-
-    result = parse_expr()
-    trailing, at = take()
-    if trailing is not None:
-        raise ParseError(f"unexpected {trailing!r}", at)
-    return result
+        elif tok.endswith("^"):
+            value = atom(tok[:-1], dual=True)
+        else:
+            value = atom(tok)
+        while True:
+            frame = frames[-1]
+            left, op = frame
+            frame[0] = value if left is None else Formula(op, left=left, right=value)
+            word, at = tokens[pos]
+            pos += 1
+            if word in ("tensor", "par"):
+                if op is not None and word != op:
+                    raise ParseError("mixed connectives need parentheses", at)
+                frame[1] = word
+                break
+            if len(frames) == 1:
+                if word is not None:
+                    raise ParseError(f"unexpected {word!r}", at)
+                return frame[0]
+            if word != ")":
+                raise ParseError("expected ')'", at)
+            frames.pop()
+            value = frame[0]

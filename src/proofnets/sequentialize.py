@@ -21,7 +21,8 @@ from itertools import combinations
 
 from .canonical import canonical_form, iso, isomorphisms
 from .errors import (FragmentError, SequentializationError, TypeInferenceError)
-from .formulas import ATOM, Formula, Fragment, atom, negate, polarity
+from .formulas import (ATOM, BOT as BOT_F, Formula, Fragment, ONE as ONE_F, atom,
+                       negate, polarity)
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         descent_chain, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
@@ -62,10 +63,10 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
 
     def unify(f: Formula, g: Formula) -> None:
         f, g = resolve(f), resolve(g)
+        if f is g:  # formulas are interned: the same tree is the same object
+            return
         if f.kind == ATOM and f.name.startswith("?"):
-            if g.kind == ATOM and g.name == f.name:
-                if g.dual == f.dual:
-                    return
+            if g is negate(f):
                 raise TypeInferenceError("a type would have to equal its own dual")
             target = negate(g) if f.dual else g
             if occurs(f.name, target):
@@ -77,7 +78,7 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
             return
         if f.kind != g.kind:
             raise TypeInferenceError("incompatible connectives at a cut")
-        if f.kind == ATOM and (f.name != g.name or f.dual != g.dual):
+        if f.kind == ATOM:
             raise TypeInferenceError("mismatched atoms at a cut")
         if f.left is not None:
             unify(f.left, g.left)
@@ -93,9 +94,9 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
             ty[first] = atom(f"?{var_count}")
             ty[second] = atom(f"?{var_count}", dual=True)
         elif lab == ONE:
-            ty[ps.conclusions_of(n)[0]] = Formula("one")
+            ty[ps.conclusions_of(n)[0]] = ONE_F
         elif lab == BOT:
-            ty[ps.conclusions_of(n)[0]] = Formula("bot")
+            ty[ps.conclusions_of(n)[0]] = BOT_F
         elif lab in (TENSOR, PAR):
             left, right = ps.premise_order[n]
             ty[ps.conclusions_of(n)[0]] = Formula(

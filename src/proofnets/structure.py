@@ -285,28 +285,30 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
 
 
 def _check_types(ps, incoming, outgoing):
+    # formulas are interned: equal types are the same object
     v = []
     ty = ps.types
     for n, lab in ps.nodes.items():
         if lab == AX and len(outgoing[n]) == 2:
             a, b = outgoing[n]
-            if ty[a] != negate(ty[b]):
+            if ty[a] is not negate(ty[b]):
                 v.append(("dual ax types", n, f"ax node {n} conclusions are not dual"))
         elif lab == CUT and len(incoming[n]) == 2:
             a, b = incoming[n]
-            if ty[a] != negate(ty[b]):
+            if ty[a] is not negate(ty[b]):
                 v.append(("dual cut types", n, f"cut node {n} premises are not dual"))
         elif lab == ONE and outgoing[n]:
-            if ty[outgoing[n][0]] != formulas.ONE:
+            if ty[outgoing[n][0]] is not formulas.ONE:
                 v.append(("unit type", n, f"one node {n} conclusion is not typed one"))
         elif lab == BOT and outgoing[n]:
-            if ty[outgoing[n][0]] != formulas.BOT:
+            if ty[outgoing[n][0]] is not formulas.BOT:
                 v.append(("unit type", n, f"bot node {n} conclusion is not typed bot"))
         elif lab in (TENSOR, PAR) and n in ps.premise_order and outgoing[n]:
             left, right = ps.premise_order[n]
-            want = Formula(formulas.TENSOR if lab == TENSOR else formulas.PAR,
-                           left=ty[left], right=ty[right])
-            if ty[outgoing[n][0]] != want:
+            if left not in ty or right not in ty:
+                continue  # not arcs: a premise-order violation already
+            out = ty[outgoing[n][0]]
+            if out.kind != lab or out.left is not ty[left] or out.right is not ty[right]:
                 v.append(("connective type", n,
                           f"{lab} node {n} conclusion type does not compose its premises"))
     return v
@@ -455,19 +457,37 @@ def to_json(ps: ProofStructure) -> str:
 
 
 def from_json_dict(doc: dict) -> ProofStructure:
+    if not isinstance(doc, dict):
+        raise ParseError("malformed structure document: expected a JSON object")
     try:
         nodes = {int(rec["id"]): rec["label"] for rec in doc["nodes"]}
         arcs = {int(rec["id"]): (int(rec["tail"]), int(rec["head"])) for rec in doc["arcs"]}
-        premise_order = {int(n): tuple(int(a) for a in pair)
-                         for n, pair in doc.get("premises", {}).items()}
+        premise_order = {}
+        for n, pair in _json_object(doc, "premises").items():
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"malformed structure document: premises of node {n}"
+                                 " are not a pair of arc ids")
+            premise_order[int(n)] = (int(pair[0]), int(pair[1]))
         conclusions = tuple(int(a) for a in doc.get("conclusions", []))
         types = None
         if "types" in doc:
-            types = {int(a): parse_formula(s) for a, s in doc["types"].items()}
-        jumps = {int(n): int(m) for n, m in doc.get("jumps", {}).items()}
+            types = {}
+            for a, text in _json_object(doc, "types").items():
+                if not isinstance(text, str):
+                    raise ParseError(f"malformed structure document: type of arc {a}"
+                                     " is not a string")
+                types[int(a)] = parse_formula(text)
+        jumps = {int(n): int(m) for n, m in _json_object(doc, "jumps").items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed structure document: {exc}") from None
     return ProofStructure(nodes, arcs, premise_order, conclusions, types, jumps)
+
+
+def _json_object(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ParseError(f"malformed structure document: {key!r} is not an object")
+    return value
 
 
 def from_json(text: str) -> ProofStructure:

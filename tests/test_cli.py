@@ -289,6 +289,23 @@ def test_deep_proofs_parse_check_and_desequentialize(tmp_path, capsys):
     assert [n["label"] for n in json.loads(out)["nodes"]].count("par") == 54
 
 
+def test_deep_formulas_normalize(tmp_path, capsys):
+    # an ax typed by a 1200-deep tensor chain and its dual: parsing,
+    # duality and printing all run without recursion
+    k = 1200
+    chain = "(" * k + "X" + " tensor X)" * k
+    dual = "(" * k + "X^" + " par X^)" * k
+    doc = {"nodes": [{"id": 0, "label": "ax"}, {"id": 1, "label": "dot"},
+                     {"id": 2, "label": "dot"}],
+           "arcs": [{"id": 0, "tail": 0, "head": 1}, {"id": 1, "tail": 0, "head": 2}],
+           "conclusions": [0, 1], "types": {"0": chain, "1": dual}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "normalize", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["types"] == {"0": chain, "1": dual}
+
+
 def _chain_proof(k, leaf="(one)"):
     """The proof text of k times bot then par over a leaf rule."""
     return "fragment: mllu\n" + "(par (bot " * k + leaf + "))" * k + "\n"
@@ -376,3 +393,38 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path), "--criterion", "ac")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "UTF-8" in err
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def test_mutated_documents_exit_cleanly(tmp_path, capsys):
+    # one field of a fixture replaced by a value of the wrong shape: every
+    # subcommand reports it, as a verdict or an error, never a traceback
+    path = tmp_path / "mutant.json"
+    codes = {}
+    for name in fixtures.NAMES:
+        doc = json.loads(to_json(fixtures.load(name)))
+        for where in _paths(doc):
+            for value in (5, "x", None, [1], [1, 2, 3]):
+                mutant = json.loads(json.dumps(doc))
+                parent = mutant
+                for key in where[:-1]:
+                    parent = parent[key]
+                parent[where[-1]] = value
+                path.write_text(json.dumps(mutant))
+                for cmd in ("normalize", "sequentialize", "dot"):
+                    try:
+                        code = main([cmd, str(path)])
+                    except Exception as exc:
+                        raise AssertionError(f"{cmd} {name} {where}={value!r}") from exc
+                    capsys.readouterr()
+                    assert code in (0, 1, 2), (cmd, name, where, value)
+                    codes[code] = codes.get(code, 0) + 1
+    assert codes[2] > codes.get(0, 0) > 0

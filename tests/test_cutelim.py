@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import build_ps
@@ -251,3 +253,32 @@ def test_sequentiality_stability():
             assert after, seed
             stepped += 1
     assert stepped > 5
+
+
+def _normalize_outputs(tmp_path, capsys):
+    """stdout and --trace text of `normalize` on a seeded corpus of cut nets."""
+    from proofnets.cli import main
+    from proofnets.structure import to_json
+
+    src, trace = tmp_path / "net.json", tmp_path / "trace.jsonl"
+    for frag in (Fragment.MLL, Fragment.MLLU):
+        for seed in range(40):
+            p = random_proof(GenParams(fragment=frag, max_rules=60, seed=seed,
+                                       cut_probability=0.6))
+            src.write_text(to_json(desequentialize(p, verify=False).ps))
+            for strategy in ([], ["--seed", str(seed)]):
+                code = main(["normalize", str(src), "--trace", str(trace), *strategy])
+                out, err = capsys.readouterr()
+                assert (code, err) == (0, "")
+                yield out + trace.read_text()
+
+
+def test_normalize_output_is_pinned(tmp_path, capsys):
+    # the trace and the normal form are CLI output: this digest was taken
+    # before formulas were interned
+    h, seen = hashlib.sha256(), 0
+    for text in _normalize_outputs(tmp_path, capsys):
+        h.update(text.encode())
+        seen += 1
+    assert (seen, h.hexdigest()) == (
+        160, "c2c2894ed27a2d6ed82097ca66852cf92c51bde1e7aff542a2bea578a3582da2")

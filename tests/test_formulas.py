@@ -1,9 +1,13 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 
 from proofnets.errors import ParseError
-from proofnets.formulas import (BOT, Fragment, ONE, atom,
+from proofnets import formulas
+from proofnets.formulas import (BOT, Formula, Fragment, ONE, atom,
                                 format_formula, in_fragment, negate, par,
                                 parse_formula, polarity, tensor)
 from proofnets.generate import random_formula
@@ -128,3 +132,97 @@ def test_print_parse_round_trip():
     for _ in range(2000):
         f = random_formula(rng, depth=3)
         assert parse_formula(format_formula(f)) == f
+
+
+# -- interning, against a structural oracle ------------------------------------
+
+
+def encode(f):
+    """The formula as nested tuples: what equality meant before interning."""
+    if f.kind == "atom":
+        return ("atom", f.name, f.dual)
+    if f.left is None:
+        return (f.kind,)
+    return (f.kind, encode(f.left), encode(f.right))
+
+
+def encoded_negation(e):
+    if e[0] == "atom":
+        return ("atom", e[1], not e[2])
+    if len(e) == 1:
+        return ("bot",) if e[0] == "one" else ("one",)
+    kind = "par" if e[0] == "tensor" else "tensor"
+    return (kind, encoded_negation(e[1]), encoded_negation(e[2]))
+
+
+def rebuild(e):
+    if e[0] == "atom":
+        return Formula("atom", e[1], e[2])
+    if len(e) == 1:
+        return Formula(e[0])
+    return Formula(e[0], left=rebuild(e[1]), right=rebuild(e[2]))
+
+
+def seeded_formulas(n=3000, seed=11):
+    rng = random.Random(seed)
+    return [random_formula(rng, depth=rng.randint(0, 4)) for _ in range(n)]
+
+
+def test_same_object_exactly_when_same_tree():
+    fs = seeded_formulas()
+    first = {}
+    for f in fs:
+        assert first.setdefault(encode(f), f) is f
+        assert rebuild(encode(f)) is f
+    # distinct trees are distinct objects
+    assert len({id(f) for f in fs}) == len(first) > 300
+    assert all((f == g) is (f is g) for f, g in zip(fs, fs[1:]))
+
+
+def test_negation_is_the_interned_dual():
+    for f in seeded_formulas():
+        g = negate(f)
+        assert encode(g) == encoded_negation(encode(f))
+        assert negate(g) is f
+        assert g is not f
+
+
+def test_text_round_trip_returns_the_same_object():
+    for f in seeded_formulas():
+        assert parse_formula(format_formula(f)) is f
+
+
+def test_copies_and_pickles_return_the_same_object():
+    for f in seeded_formulas(300):
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_formulas_are_immutable():
+    f = tensor(X, BOT)
+    for name, value in (("kind", "par"), ("name", "Y"), ("left", ONE), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    with pytest.raises(AttributeError):
+        del f.left
+    assert f is tensor(X, BOT) and format_formula(f) == "(X tensor bot)"
+
+
+def test_dropped_formulas_leave_the_intern_table():
+    # without the cycle collector: a formula and its memoized negation must
+    # free each other by reference counting alone
+    rng = random.Random(12)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = len(formulas._TABLE)
+        for i in range(10_000):
+            f = random_formula(rng, depth=4)
+            g = negate(tensor(f, atom(f"L{i}")))
+            assert negate(g).right is atom(f"L{i}")
+        del f, g
+        assert len(formulas._TABLE) == start
+    finally:
+        if enabled:
+            gc.enable()
