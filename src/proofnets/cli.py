@@ -90,17 +90,17 @@ def _cmd_normalize(args) -> int:
 def _cmd_sequentialize(args) -> int:
     ps = _load_ps(args.file)
     if args.mode == "wten":
-        proof = sequentialize_wten(ps, args.max_parr)
+        proof = sequentialize_wten(ps)
         jumps = {}
         frag = Fragment.MLLU
     elif args.mode == "btenll":
         if args.m is None:
             raise ProofNetError("--m NODE is required in btenll mode")
-        proof, jumped = sequentialize_btenll(ps, args.m, args.max_parr)
+        proof, jumped = sequentialize_btenll(ps, args.m)
         jumps = jumped.ps.jumps
         frag = Fragment.BTENLL
     else:
-        proof, jumped = sequentialize_icomll(ps, args.max_parr)
+        proof, jumped = sequentialize_icomll(ps)
         jumps = jumped.ps.jumps
         frag = Fragment.ICOMLL
     _write(args.out, format_proof(proof, frag))
@@ -114,9 +114,9 @@ def _cmd_jumps(args) -> int:
     if args.mode == "btenll":
         if args.m is None:
             raise ProofNetError("--m NODE is required in btenll mode")
-        jumped = canonical_jumps_btenll(ps, args.m, args.max_parr)
+        jumped = canonical_jumps_btenll(ps, args.m)
     else:
-        jumped = canonical_jumps_icomll(ps, args.max_parr)
+        jumped = canonical_jumps_icomll(ps)
     _emit_ps(jumped.ps, args.format, args.out)
     return 0
 
@@ -162,7 +162,7 @@ def _load_switching(path: str) -> dict[int, int]:
     """A switching file: one JSON object from par node ids to arc ids."""
     try:
         raw = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("malformed switching: expected a JSON object")
@@ -189,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, fmt=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--max-parr", type=int, default=DEFAULT_MAX_PAR,
-                       help="cap on par nodes for the criteria that enumerate "
-                            "switchings (check --criterion cw|cwforall); ac and "
-                            "accw, and so every other command, run uncapped")
         if fmt:
             p.add_argument("--format", choices=("json", "dsl", "dot"),
                            default="json")
@@ -201,6 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--criterion", required=True,
                    choices=("accw", "ac", "cw", "cwforall", "wten"))
+    p.add_argument("--max-parr", type=int, default=DEFAULT_MAX_PAR,
+                   help="cap on par nodes for cw and cwforall, which enumerate "
+                        "switchings; ac, accw and wten run uncapped")
     add_common(p, fmt=False)
     p.set_defaults(func=_cmd_check)
 

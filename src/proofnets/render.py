@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .formulas import format_formula
-from .structure import AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure
+from .structure import AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure, jump_arcs
 from .switching import Switching, switching_graph
 
 _SHAPE = {AX: "triangle", CUT: "invtriangle", ONE: "circle", BOT: "circle",
@@ -19,17 +19,13 @@ def export_dot(ps: ProofStructure, switching: Switching | None = None) -> str:
     arcs are dashed, and the conclusion dots share the lowest rank.  The
     output is byte-deterministic for a given input.
     """
+    jumps = jump_arcs(ps)
     if switching is not None:
         graph = switching_graph(ps, switching)
-        nodes, arcs, jump_arc_ids = graph.nodes, graph.arcs, set(graph.jump_arcs)
+        nodes, arcs = graph.nodes, graph.arcs
     else:
         # draw jumps even without a switching; they are not real arcs
-        nodes, arcs, jump_arc_ids = ps.nodes, dict(ps.arcs), set()
-        next_arc = max(arcs, default=-1) + 1
-        for src in sorted(ps.jumps):
-            arcs[next_arc] = (src, ps.jumps[src])
-            jump_arc_ids.add(next_arc)
-            next_arc += 1
+        nodes, arcs = ps.nodes, {**ps.arcs, **jumps}
     premise_order = ps.premise_order
 
     lines = ["digraph proofstructure {", "  rankdir=TB;",
@@ -48,7 +44,7 @@ def export_dot(ps: ProofStructure, switching: Switching | None = None) -> str:
         attrs = []
         if (a, h) in port_of:
             attrs.append(f'headport={port_of[(a, h)]}')
-        if a in jump_arc_ids:
+        if a in jumps:
             attrs.append("style=dashed")
         if ps.types is not None and a in ps.types:
             attrs.append(f'label="{format_formula(ps.types[a])}"')

@@ -29,7 +29,7 @@ from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         strip, validate)
 from .sequent import (SequentProof, ax_rule, bot_rule, cut_rule, exchange_to,
                       one_rule, par_rule, tensor_rule)
-from .switching import DEFAULT_MAX_PAR, check
+from .switching import check
 
 
 # -- type inference for untyped structures -----------------------------------
@@ -363,8 +363,7 @@ def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
 # -- untyped / general sequentialization ---------------------------------------
 
 
-def sequentialize_wten(ps: ProofStructure,
-                       max_par: int = DEFAULT_MAX_PAR) -> SequentProof:
+def sequentialize_wten(ps: ProofStructure) -> SequentProof:
     """Sequentialize an erasing-safe structure passing the count criterion.
 
     Untyped structures are typed first by inference.  The round trip
@@ -377,7 +376,7 @@ def sequentialize_wten(ps: ProofStructure,
         raise SequentializationError(
             f"premise {witness[1]} of node {witness[0]} comes from an erasing node",
             witness)
-    verdict = check(ps, "accw", max_par)
+    verdict = check(ps, "accw")
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
     typed = ps if ps.types is not None else infer_types(ps)
@@ -412,15 +411,13 @@ class JumpedStructure:
     jump_correct: bool
 
 
-def classify_jumps(ps: ProofStructure,
-                   max_par: int = DEFAULT_MAX_PAR) -> JumpedStructure:
+def classify_jumps(ps: ProofStructure) -> JumpedStructure:
     total = jump_total(ps)
-    correct = total and check(ps, "acc", max_par).holds
+    correct = total and check(ps, "acc").holds
     return JumpedStructure(ps, jump_free(ps), total, correct)
 
 
-def canonical_jumps_btenll(ps: ProofStructure, m: int,
-                           max_par: int = DEFAULT_MAX_PAR) -> JumpedStructure:
+def canonical_jumps_btenll(ps: ProofStructure, m: int) -> JumpedStructure:
     """Jump every bot node under the least non-erasing par above it to that
     par's non-erasing premise source; jump the others to the given node."""
     report = validate(ps, Fragment.BTENLL)
@@ -447,7 +444,7 @@ def canonical_jumps_btenll(ps: ProofStructure, m: int,
             jumps[n] = sources[0]
     jumped = ps.copy()
     jumped.jumps = jumps
-    return classify_jumps(jumped, max_par)
+    return classify_jumps(jumped)
 
 
 def _output_anchor(ps: ProofStructure, node: int) -> int:
@@ -470,8 +467,7 @@ def _output_anchor(ps: ProofStructure, node: int) -> int:
         current = ps.tail(outputs[0])
 
 
-def canonical_jumps_icomll(ps: ProofStructure,
-                           max_par: int = DEFAULT_MAX_PAR) -> JumpedStructure:
+def canonical_jumps_icomll(ps: ProofStructure) -> JumpedStructure:
     """Jump every bot node to the anchor of the least output par above it,
     or to the anchor of the unique output conclusion when none exists."""
     _require_icomll(ps)
@@ -493,7 +489,7 @@ def canonical_jumps_icomll(ps: ProofStructure,
         jumps[n] = _output_anchor(ps, target_node)
     jumped = ps.copy()
     jumped.jumps = jumps
-    return classify_jumps(jumped, max_par)
+    return classify_jumps(jumped)
 
 
 def _require_icomll(ps: ProofStructure) -> None:
@@ -508,17 +504,16 @@ def _require_icomll(ps: ProofStructure) -> None:
 # -- refined sequentializers -----------------------------------------------------
 
 
-def sequentialize_btenll(ps: ProofStructure, m: int,
-                         max_par: int = DEFAULT_MAX_PAR
-                         ) -> tuple[SequentProof, JumpedStructure]:
+def sequentialize_btenll(ps: ProofStructure,
+                         m: int) -> tuple[SequentProof, JumpedStructure]:
     """Sequentialize a jump-free cut-free structure of the bottom-restricted
     fragment; the proof realizes the canonical jump assignment rooted at m."""
     if not jump_free(ps):
         raise SequentializationError("expected a jump-free structure")
     if ps.nodes_with_label(CUT):
         raise SequentializationError("cut-free structure expected")
-    jumped = canonical_jumps_btenll(ps, m, max_par)
-    verdict = check(ps, "accw", max_par)
+    jumped = canonical_jumps_btenll(ps, m)
+    verdict = check(ps, "accw")
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
     proof = _sequentialize(ps, _bten_move)
@@ -538,14 +533,12 @@ def _bten_move(ps: ProofStructure):
     return _split_move(ps, min(tensors)) if tensors else None
 
 
-def sequentialize_icomll(ps: ProofStructure,
-                         max_par: int = DEFAULT_MAX_PAR
-                         ) -> tuple[SequentProof, JumpedStructure]:
+def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStructure]:
     """Sequentialize a jump-free structure of the constant-only
     intuitionistic fragment; requires exactly one output conclusion."""
     if not jump_free(ps):
         raise SequentializationError("expected a jump-free structure")
-    jumped = canonical_jumps_icomll(ps, max_par)
+    jumped = canonical_jumps_icomll(ps)
     proof = _sequentialize(ps, _icomll_move)
     return proof, jumped
 
@@ -606,25 +599,23 @@ def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
     return iso(a, b)
 
 
-def rewiring_equivalent(r1: ProofStructure, r2: ProofStructure,
-                        max_par: int = DEFAULT_MAX_PAR) -> bool:
+def rewiring_equivalent(r1: ProofStructure, r2: ProofStructure) -> bool:
     """Equivalence of jump-correct structures under single-jump redirection,
     decided by comparing jump-stripped structures."""
     for r in (r1, r2):
-        status = classify_jumps(r, max_par)
+        status = classify_jumps(r)
         if not status.jump_correct:
             raise SequentializationError("rewiring equivalence needs jump-correct inputs")
     return iso(r1.without_jumps(), r2.without_jumps())
 
 
-def rewiring_reachable(r1: ProofStructure, r2: ProofStructure,
-                       max_par: int = DEFAULT_MAX_PAR,
+def rewiring_reachable(r1: ProofStructure, r2: ProofStructure, *,
                        max_states: int = 50_000) -> bool:
     """Breadth-first oracle over single-jump redirections, each intermediate
     structure re-checked jump-correct.  Exact but exponential; meant for
     small instances."""
     for r in (r1, r2):
-        status = classify_jumps(r, max_par)
+        status = classify_jumps(r)
         if not status.jump_correct:
             raise SequentializationError("rewiring oracle needs jump-correct inputs")
     base1, base2 = r1.without_jumps(), r2.without_jumps()
@@ -637,7 +628,7 @@ def rewiring_reachable(r1: ProofStructure, r2: ProofStructure,
     def jump_correct_map(jump_map):
         candidate = r1.copy()
         candidate.jumps = dict(jump_map)
-        return check(candidate, "acc", max_par).holds
+        return check(candidate, "acc").holds
 
     start = frozenset(r1.jumps.items())
     if start in goals:

@@ -435,6 +435,13 @@ def jump_total(ps: ProofStructure) -> bool:
     return set(ps.jumps) == set(ps.bottom_nodes())
 
 
+def jump_arcs(ps: ProofStructure) -> dict[int, tuple[int, int]]:
+    """One (bot, target) edge per jump, as arcs numbered upward from
+    `fresh_arc_id` in order of bot node."""
+    return {a: (src, ps.jumps[src])
+            for a, src in enumerate(sorted(ps.jumps), ps.fresh_arc_id())}
+
+
 # -- serialization ---------------------------------------------------------
 
 
@@ -493,7 +500,7 @@ def _json_object(doc: dict, key: str) -> dict:
 def from_json(text: str) -> ProofStructure:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return from_json_dict(doc)
 

@@ -20,8 +20,10 @@ it is decided without enumerating them, by contraction in polynomial time
 count is switching-independent, so the conjunctive criteria inspect a
 single switching graph for the counting half.  c, cw and cwforall really
 quantify over switchings: they enumerate them, exponentially in the number
-of par nodes, and refuse to run past a configurable cap.  The enumeration
-also stays the reference the tests compare the contraction against.
+of par nodes, and refuse to run past a cap.  That cap, `max_par`, is a
+parameter of the enumerating functions (`switchings`, `check`,
+`output_stats`) and of nothing else.  The enumeration also stays the
+reference the tests compare the contraction against.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import product
 from .errors import FragmentError, ProofNetError, SwitchingLimitError
 from .formulas import Fragment, polarity
 from .structure import (BOT, DOT, PAR, ProofStructure, erasing_nodes,
-                        validate)
+                        jump_arcs, validate)
 
 DEFAULT_MAX_PAR = 20
 
@@ -53,9 +55,7 @@ class SwitchingGraph:
         self.nodes = dict(ps.nodes)
         self.arcs = dict(ps.arcs)
         self.fresh_dot_of: dict[int, int] = {}
-        self.jump_arcs: dict[int, int] = {}
         next_node = ps.fresh_node_id()
-        next_arc = ps.fresh_arc_id()
         for n in ps.par_nodes():
             chosen = switching[n]
             self.nodes[next_node] = DOT
@@ -65,10 +65,8 @@ class SwitchingGraph:
                     tail, _ = self.arcs[a]
                     self.arcs[a] = (tail, next_node)
             next_node += 1
-        for src in sorted(ps.jumps):
-            self.arcs[next_arc] = (src, ps.jumps[src])
-            self.jump_arcs[next_arc] = src
-            next_arc += 1
+        self.jump_arcs = jump_arcs(ps)
+        self.arcs.update(self.jump_arcs)
 
 
 @dataclass
@@ -157,7 +155,8 @@ def switchings(ps: ProofStructure, mode: str = ALL,
 
     `w-compatible` forces the unique non-erasing premise where one exists;
     `intuitionistic` (typed structures only) forces the output premise of
-    every output par node.
+    every output par node.  Raises `SwitchingLimitError` when the structure
+    has more than `max_par` par nodes.
     """
     pars = ps.par_nodes()
     if len(pars) > max_par:
@@ -247,9 +246,8 @@ def _has_switching_cycle(ps: ProofStructure,
     O(arcs log arcs) set operations.
     """
     forced = forced or {}
-    ends = dict(ps.arcs)  # the live edges; a premise's head is its par node
-    for e, src in enumerate(sorted(ps.jumps), ps.fresh_arc_id()):
-        ends[e] = (src, ps.jumps[src])
+    # the live edges; a premise's head is its par node
+    ends = {**ps.arcs, **jump_arcs(ps)}
     partner: dict[int, int] = {}
     for n in ps.par_nodes():
         prem = ps.premises_of(n)
@@ -395,8 +393,9 @@ def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputSt
     """Bot count, output-conclusion count and per-switching components for
     a structure typed in the intuitionistic fragment.
 
-    When every switching graph is acyclic, the component count is checked
-    to equal bots + outputs - jumps on each of them.
+    Every switching is enumerated, so past `max_par` par nodes this raises
+    `SwitchingLimitError`.  When every switching graph is acyclic, the
+    component count is checked to equal bots + outputs - jumps on each.
     """
     report = validate(ps, Fragment.IMLL)
     if not report.ok:

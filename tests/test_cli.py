@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -5,8 +6,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import proofnets
-from proofnets import fixtures
+from proofnets import fixtures, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import build_parser, main
 from proofnets.formulas import Fragment
@@ -52,9 +55,10 @@ def test_check_counterexample_serialized(tmp_path, capsys):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    code, _, err = run(capsys, "check", str(bad), "--criterion", "ac")
-    assert code == 2 and "error" in err
+    for text in ("{ not json", '{"nodes": ' + "[" * 3000 + "]" * 3000 + "}"):
+        bad.write_text(text)
+        code, out, err = run(capsys, "check", str(bad), "--criterion", "accw")
+        assert (code, out) == (2, "") and err.startswith("error: "), text[:20]
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -253,7 +257,7 @@ def test_sequentialize_prints_deeply_nested_proofs(tmp_path, capsys):
 def test_dot_rejects_bad_switching_files(tmp_path, capsys):
     path = write_fixture(tmp_path, "regnier")
     switching = tmp_path / "sw.json"
-    for text in ("{}", '{"3": "x"}', "[1]", "{not json"):
+    for text in ("{}", '{"3": "x"}', "[1]", "{not json", "[" * 3000 + "]" * 3000):
         switching.write_text(text)
         code, out, err = run(capsys, "dot", path, "--switching", str(switching))
         assert (code, out) == (2, ""), text
@@ -322,6 +326,32 @@ def _deseq_doc(tmp_path, capsys, text):
 def test_deseq_has_no_par_cap(tmp_path, capsys):
     doc = _deseq_doc(tmp_path, capsys, _chain_proof(22))
     assert [n["label"] for n in doc["nodes"]].count("par") == 22
+
+
+def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
+    for name in ("sequentialize_wten", "sequentialize_btenll", "sequentialize_icomll",
+                 "canonical_jumps_btenll", "canonical_jumps_icomll", "classify_jumps",
+                 "rewiring_equivalent", "rewiring_reachable"):
+        assert "max_par" not in inspect.signature(getattr(sequentialize, name)).parameters
+    budget = inspect.signature(sequentialize.rewiring_reachable).parameters["max_states"]
+    assert budget.kind is inspect.Parameter.KEYWORD_ONLY
+
+    net = tmp_path / "two-par.json"
+    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(2))))
+    proof = tmp_path / "in.proof"  # the 2-par proof, written by _deseq_doc
+    for argv in (["normalize", str(net)], ["sequentialize", str(net)],
+                 ["jumps", str(net), "--mode", "icomll"], ["deseq", str(proof)],
+                 ["gen"], ["dot", str(net)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-parr", "5"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --max-parr 5" in capsys.readouterr().err
+
+    code, out, err = run(capsys, "check", str(net), "--criterion", "cw", "--max-parr", "0")
+    assert (code, out) == (2, "")
+    assert "2 par nodes exceed the enumeration cap 0" in err
+    code, out, _ = run(capsys, "check", str(net), "--criterion", "accw", "--max-parr", "0")
+    assert (code, json.loads(out)["holds"]) == (0, True)
 
 
 def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):

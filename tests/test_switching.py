@@ -83,7 +83,8 @@ def test_jump_arcs_added():
     ps.jumps = {4: 3, 5: 3}
     sw = next(switchings(ps, ALL))
     g = switching_graph(ps, sw)
-    assert len(g.jump_arcs) == 2
+    fresh = max(ps.arcs) + 1
+    assert g.jump_arcs == {fresh: (4, 3), fresh + 1: (5, 3)}
     assert len(g.arcs) == len(ps.arcs) + 2
 
 
