@@ -79,7 +79,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    ps = _load_ps(args.file)
+    # normalize validates its input itself
+    ps = load_structure(_read(args.file))
     trace = normalize(ps, seed=args.seed)
     if args.trace:
         _write(args.trace, trace.to_json_lines() + "\n")

@@ -161,6 +161,7 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
         if _ARITY.get(p.rule) == len(p.premises):
             stack.extend(p.premises)
     v = []
+    in_frag: dict[Formula, bool] = {}  # formulas are interned; contexts repeat
     for p in reversed(order):
         if p.rule not in _ARITY:
             v.append(("rule", p.rule, f"unknown rule {p.rule!r}"))
@@ -185,7 +186,10 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
             v.append(("conclusion", p.rule,
                       f"{p.rule} rule does not derive its recorded conclusion"))
         for f in p.conclusion:
-            if not in_fragment(f, frag)[0]:
+            ok = in_frag.get(f)
+            if ok is None:
+                ok = in_frag[f] = in_fragment(f, frag)[0]
+            if not ok:
                 v.append(("fragment", p.rule,
                           f"formula {format_formula(f)} outside {frag.value}"))
         if frag is Fragment.ICOMLL and p.rule in (AX_RULE, CUT_RULE):

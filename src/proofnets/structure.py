@@ -479,11 +479,15 @@ def from_json_dict(doc: dict) -> ProofStructure:
         types = None
         if "types" in doc:
             types = {}
+            parsed: dict[str, Formula] = {}  # each distinct text is parsed once
             for a, text in _json_object(doc, "types").items():
                 if not isinstance(text, str):
                     raise ParseError(f"malformed structure document: type of arc {a}"
                                      " is not a string")
-                types[int(a)] = parse_formula(text)
+                f = parsed.get(text)
+                if f is None:
+                    f = parsed[text] = parse_formula(text)
+                types[int(a)] = f
         jumps = {int(n): int(m) for n, m in _json_object(doc, "jumps").items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed structure document: {exc}") from None

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
 from proofnets.sequentialize import is_sequential_oracle
-from proofnets.structure import strip, validate
+from proofnets.structure import ensure_valid, strip, to_json, validate
 from proofnets.switching import check
 
 
@@ -282,3 +283,102 @@ def test_normalize_output_is_pinned(tmp_path, capsys):
         seen += 1
     assert (seen, h.hexdigest()) == (
         160, "c2c2894ed27a2d6ed82097ca66852cf92c51bde1e7aff542a2bea578a3582da2")
+
+
+# -- the worklist reducer against the full scan -------------------------------
+
+
+def oracle_normalize(ps, seed=None):
+    """`normalize` as a full scan, one step and one validation per step."""
+    ensure_valid(ps)
+    rng = random.Random(seed) if seed is not None else None
+    current, steps = ps.without_jumps(), []
+    while True:
+        redexes, _ = find_redexes(current)
+        if not redexes:
+            return steps, current
+        chosen = redexes[0] if rng is None else rng.choice(redexes)
+        steps.append((chosen.kind, chosen.cut_node))
+        current = reduce_step(current, chosen)
+        ensure_valid(current)
+
+
+def assert_matches_oracle(ps, seed):
+    trace = normalize(ps, seed=seed)
+    steps, normal_form = oracle_normalize(ps, seed)
+    assert trace.steps == steps
+    assert to_json(trace.normal_form) == to_json(normal_form)
+    return len(steps)
+
+
+def test_normalize_matches_the_full_scan():
+    stepped = 0
+    for frag in (Fragment.MLL, Fragment.MLLU):
+        for seed in range(50):
+            p = random_proof(GenParams(fragment=frag, max_rules=10 + 2 * seed, seed=seed,
+                                       cut_probability=0.6))
+            ps = desequentialize(p, verify=False).ps
+            for strategy in (None, seed):
+                stepped += assert_matches_oracle(ps, strategy)
+    for seed in range(300):
+        ps = random_ps(GenParams(fragment=None if seed % 3 else Fragment.MLLU,
+                                 max_nodes=5 + seed % 30, seed=seed,
+                                 cut_probability=0.5))
+        for strategy in (None, seed):
+            stepped += assert_matches_oracle(ps, strategy)
+    assert stepped > 2000
+
+
+def spliced_chain_ps():
+    # Cuts 6 and 7 are both axiom cuts: 6 of ax 0 against par 5, 7 of ax 3
+    # against tensor 2.  Reducing 6 re-tails arc 0 (ax 0 -> tensor 2) to
+    # par 5, so ax 3 also reaches cut 7 down par 5 and tensor 2: cut 7, which
+    # ends the chain below tensor 2, becomes a clash.  Reducing 7 first
+    # makes cut 6 a clash the same way.
+    return build_ps(
+        {0: "ax", 1: "one", 2: "tensor", 3: "ax", 4: "bot", 5: "par",
+         6: "cut", 7: "cut"},
+        {0: (0, 2), 1: (0, 6), 2: (1, 2), 3: (2, 7), 4: (3, 7), 5: (3, 5),
+         6: (4, 5), 7: (5, 6)},
+        prem={2: (0, 2), 5: (5, 6)}, concl=())
+
+
+def test_axiom_splice_reclassifies_the_cut_ending_the_chain():
+    ps = spliced_chain_ps()
+    redexes, _ = find_redexes(ps)
+    assert [(r.kind, r.cut_node) for r in redexes] == [(AXIOM_CUT, 6), (AXIOM_CUT, 7)]
+    firsts = set()
+    for seed in (None, *range(8)):
+        assert assert_matches_oracle(ps, seed) == 1
+        trace = normalize(ps, seed=seed)
+        (_, first), = trace.steps
+        assert find_redexes(trace.normal_form) == ([], [13 - first])
+        firsts.add(first)
+    assert firsts == {6, 7}
+
+
+def test_normalize_validates_twice_and_never_scans(monkeypatch):
+    import proofnets.cutelim as cutelim
+    import proofnets.structure as structure
+
+    calls = {"validate": 0, "find_redexes": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(structure, "validate", counting("validate", structure.validate))
+    monkeypatch.setattr(cutelim, "find_redexes",
+                        counting("find_redexes", cutelim.find_redexes))
+    most = 0
+    for max_rules in (8, 60, 800):
+        p = random_proof(GenParams(fragment=Fragment.MLL, max_rules=max_rules, seed=1,
+                                   cut_probability=0.6))
+        ps = desequentialize(p, verify=False).ps
+        calls.update(validate=0, find_redexes=0)
+        trace = normalize(ps)
+        assert calls == {"validate": 2, "find_redexes": 0}
+        most = max(most, len(trace.steps))
+    assert most > 80

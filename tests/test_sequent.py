@@ -52,6 +52,18 @@ def test_fragment_discipline():
     assert not check_proof(p, Fragment.ICOMLL).ok  # shape fine, but has tensor of bots
 
 
+def test_fragment_violations_repeat_per_rule():
+    # a formula outside the fragment is reported at every rule whose
+    # conclusion holds it, however often it recurs
+    one, bot = "formula one outside mll", "formula bot outside mll"
+    assert check_proof(split_choice_proof(), Fragment.MLL).violations == [
+        ("fragment", rule, msg) for rule, msg in (
+            ("one", one), ("bot", one), ("bot", bot),
+            ("one", one), ("bot", one), ("bot", bot), ("ex", bot), ("ex", one),
+            ("tensor", one), ("tensor", "formula (bot tensor bot) outside mll"),
+            ("tensor", one))]
+
+
 def test_icomll_rejects_axiom_and_cut():
     report = check_proof(ax_rule(ONE), Fragment.ICOMLL)
     assert any("icomll" in msg for _, _, msg in report.violations)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations, product
 
@@ -6,7 +7,8 @@ import pytest
 from conftest import build_ps
 from proofnets import fixtures
 from proofnets.canonical import canonical_form, iso, isomorphisms
-from proofnets.formulas import Fragment
+from proofnets.errors import ParseError
+from proofnets.formulas import Fragment, parse_formula
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
 from proofnets.structure import (ProofStructure, descent_chain, erasing_nodes,
@@ -195,6 +197,23 @@ def test_round_trip_preserves_conclusion_order():
     again = from_json(to_json(ps))
     assert [ps.types[a] for a in ps.conclusions] == \
         [again.types[a] for a in again.conclusions]
+
+
+def test_repeated_type_text_parses_once_and_fails_alike():
+    def doc(types):
+        return json.dumps({"nodes": [{"id": 0, "label": "ax"}], "arcs": [],
+                           "types": types})
+
+    bad = "(X tensor Y^) par"
+    with pytest.raises(ParseError) as alone:
+        parse_formula(bad)
+    for types in ({"0": bad, "1": bad}, {"0": "X", "1": bad, "2": "X", "3": bad}):
+        with pytest.raises(ParseError) as exc:
+            from_json(doc(types))
+        assert (str(exc.value), exc.value.position) == \
+            (str(alone.value), alone.value.position)
+    ps = from_json(doc({"0": "(X par X^)", "1": "(X par X^)"}))
+    assert ps.types[0] is ps.types[1] is parse_formula("(X par X^)")
 
 
 # -- canonical forms and isomorphism ------------------------------------------------
