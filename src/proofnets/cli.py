@@ -89,19 +89,20 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_sequentialize(args) -> int:
-    ps = _load_ps(args.file)
     if args.mode == "wten":
-        proof = sequentialize_wten(ps)
+        # sequentialize_wten validates its input itself, with the same error
+        proof = sequentialize_wten(load_structure(_read(args.file)))
         jumps = {}
         frag = Fragment.MLLU
     elif args.mode == "btenll":
+        ps = _load_ps(args.file)
         if args.m is None:
             raise ProofNetError("--m NODE is required in btenll mode")
         proof, jumped = sequentialize_btenll(ps, args.m)
         jumps = jumped.ps.jumps
         frag = Fragment.BTENLL
     else:
-        proof, jumped = sequentialize_icomll(ps)
+        proof, jumped = sequentialize_icomll(_load_ps(args.file))
         jumps = jumped.ps.jumps
         frag = Fragment.ICOMLL
     _write(args.out, format_proof(proof, frag))

@@ -12,7 +12,8 @@ clashes and simply stay.
 All steps run on one `_Net`: a private mutable copy of a structure with
 in- and out-arc lists kept sorted by arc id.  `normalize` validates its
 input, reduces on one net, and builds and validates one `ProofStructure`
-at the end; `reduce_step` and `replay` run on the same reducer.
+at the end; `reduce_step` and `replay` run on the same reducer, and
+`reduce_step` and `find_redexes` validate their input too.
 
 `normalize` keeps a worklist: the redex (or None, for a clash) of every
 cut, and the sorted list of cuts that are redexes.  After a step only the
@@ -174,7 +175,9 @@ def _classify(ps, cut: int) -> Redex | None:
 
 
 def find_redexes(ps: ProofStructure) -> tuple[list[Redex], list[int]]:
-    """Classify every cut node as one redex or a clash."""
+    """Classify every cut node of a valid structure as one redex or a clash;
+    raises ValidationError on an invalid one."""
+    ensure_valid(ps)
     redexes: list[Redex] = []
     clashes: list[int] = []
     for cut in ps.nodes_with_label(CUT):
@@ -233,7 +236,9 @@ def _apply(net: _Net, redex: Redex) -> list[int]:
 
 
 def reduce_step(ps: ProofStructure, redex: Redex) -> ProofStructure:
-    """Apply one step; raises RedexError when the redex is stale."""
+    """Apply one step to a valid structure; raises ValidationError on an
+    invalid one and RedexError when the redex is stale."""
+    ensure_valid(ps)
     if ps.nodes.get(redex.cut_node) != CUT or _classify(ps, redex.cut_node) != redex:
         raise RedexError(f"redex {redex} is not present")
     net = _Net(ps)

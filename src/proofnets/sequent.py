@@ -119,11 +119,14 @@ def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     if sorted(order) != list(range(len(p.conclusion))):
         raise ProofBuildError("exchange target is not a permutation")
     current = list(range(len(p.conclusion)))
+    position = list(current)  # position[x] is the index of x in current
     for i, want in enumerate(order):
-        j = current.index(want)
+        j = position[want]
         while j > i:
             p = ex_rule(j - 1, p)
-            current[j - 1], current[j] = current[j], current[j - 1]
+            moved = current[j - 1]
+            current[j - 1], current[j] = want, moved
+            position[want], position[moved] = j - 1, j
             j -= 1
     return p
 

@@ -12,10 +12,28 @@ choose in the constant-only intuitionistic fragment.  A brute-force
 decomposition oracle decides plain sequentiality exactly on small
 structures, and the desequentialization comparisons decide proof
 equivalence and jump rewiring equivalence.
+
+The skeleton only reads the structure it is given, through its one
+incidence index.  A part of the recursion is a `_Part`: a set of non-dot
+nodes, a tuple of conclusion arcs and the set of terminal nodes.  Parts
+are closed: every premise of a node in a part comes from the part, and
+the conclusions of a part are exactly the arcs leaving it, since a peel
+removes one terminal node and a split keeps whole components of the
+part less the split node.  So a node is terminal exactly when no
+conclusion arc of it ends in the part, and a move changes that only for
+the tails of the arcs it turns into conclusions: a peeled par's two
+premises, a split node's premise on each side.  Every other node keeps
+its status.  For the same reason a part keeps every node above each of
+its nodes, so a node's erasing status, which depends only on the nodes
+above it, is the same in every part as in the whole structure, and the
+bottom-restricted policy computes the erasing set once.  `_peel` and
+`split_parts` still build the parts as structures for the oracle and
+`splitting_candidates`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -180,13 +198,6 @@ def _raw_split_assignments(ps: ProofStructure, n: int):
             yield SplitAssignment(n, frozenset(left), frozenset(right))
 
 
-def _determined_split(ps: ProofStructure, n: int) -> SplitAssignment | None:
-    """The split at n when it is the only one (no free component), else None."""
-    assignments = _raw_split_assignments(ps, n)
-    first = next(assignments, None)
-    return first if next(assignments, None) is None else None
-
-
 def split_parts(ps: ProofStructure, assignment: SplitAssignment
                 ) -> tuple[ProofStructure, ProofStructure]:
     """Extract the two sub-structures of a split.
@@ -292,71 +303,162 @@ def is_sequential_oracle(ps: ProofStructure) -> tuple[bool, dict | None]:
     return decomposition is not None, decomposition
 
 
-# -- shared sequentialization plumbing ----------------------------------------
+# -- the in-place peel/split skeleton -------------------------------------------
 
 
-def _base_case(ps) -> SequentProof:
-    non_dots = [m for m, lab in ps.nodes.items() if lab != DOT]
-    if len(non_dots) != 1 or ps.nodes[non_dots[0]] not in (AX, ONE):
+@dataclass(slots=True)
+class _Part:
+    """One part of the recursion, over the structure being sequentialized:
+    its non-dot nodes, its ordered conclusion arcs and its terminal nodes."""
+
+    nodes: set[int]
+    conclusions: tuple[int, ...]
+    terminal: set[int]
+
+
+def _leaves_part(ps: ProofStructure, nodes: set[int], m: int) -> bool:
+    """True when every conclusion arc of m leaves `nodes`, that is, when m
+    is terminal in the part with that node set."""
+    arcs = ps.arcs
+    return all(arcs[a][1] not in nodes for a in ps.incidence()[1][m])
+
+
+def _peel_part(ps: ProofStructure, part: _Part, n: int) -> None:
+    """Peel the terminal bot or par node n off the part, in place; a par's
+    two premises become the last conclusions."""
+    part.nodes.discard(n)
+    part.terminal.discard(n)
+    arc = ps.incidence()[1][n][0]
+    conclusions = tuple(c for c in part.conclusions if c != arc)
+    if ps.nodes[n] == PAR:
+        premises = ps.premise_order[n]
+        conclusions += premises
+        for a in premises:
+            tail = ps.arcs[a][0]
+            if _leaves_part(ps, part.nodes, tail):
+                part.terminal.add(tail)
+    part.conclusions = conclusions
+
+
+def _side(ps: ProofStructure, part: _Part, start: int, n: int) -> set[int]:
+    """The nodes of the part connected to start by paths avoiding n."""
+    ins, outs = ps.incidence()
+    arcs, nodes = ps.arcs, part.nodes
+    side, stack = {start}, [start]
+    while stack:
+        cur = stack.pop()
+        for m in ([arcs[a][0] for a in ins[cur]] + [arcs[a][1] for a in outs[cur]]):
+            if m in nodes and m != n and m not in side:
+                side.add(m)
+                stack.append(m)
+    return side
+
+
+def _determined_sides(ps: ProofStructure, part: _Part, n: int):
+    """The node sets (left, right) of the split at the cut or tensor node
+    n, when the sides of its two premises are disjoint and cover the part
+    less n; else None."""
+    first, second = ps.premises_of(n)
+    left = _side(ps, part, ps.arcs[first][0], n)
+    right_tail = ps.arcs[second][0]
+    if right_tail in left:
+        return None
+    right = _side(ps, part, right_tail, n)
+    if len(left) + len(right) != len(part.nodes) - 1:
+        return None
+    return left, right
+
+
+def _split_part(ps: ProofStructure, part: _Part, n: int,
+                left: set[int], right: set[int]) -> tuple[_Part, _Part]:
+    """The two parts of the split at n: the left one receives the first
+    premise as its last conclusion, the right one the second premise as its
+    first; the inherited conclusions keep their relative order."""
+    first, second = ps.premises_of(n)
+    parts = []
+    for side, arc, last in ((left, first, True), (right, second, False)):
+        inherited = tuple(c for c in part.conclusions if ps.arcs[c][0] in side)
+        terminal = {m for m in part.terminal if m in side}
+        tail = ps.arcs[arc][0]
+        if _leaves_part(ps, side, tail):
+            terminal.add(tail)
+        conclusions = inherited + (arc,) if last else (arc,) + inherited
+        parts.append(_Part(side, conclusions, terminal))
+    return parts[0], parts[1]
+
+
+def _base_case(ps: ProofStructure, part: _Part) -> SequentProof:
+    labels = [ps.nodes[n] for n in part.nodes]
+    if labels not in ([AX], [ONE]):
         raise SequentializationError(
             "structure is neither splittable nor a single axiom or one node")
-    if ps.nodes[non_dots[0]] == ONE:
+    if labels == [ONE]:
         return one_rule()
-    return ax_rule(ps.types[ps.conclusions[0]])
+    return ax_rule(ps.types[part.conclusions[0]])
 
 
-def _split_move(ps, n):
+def _split_move(ps: ProofStructure, part: _Part, n: int):
     """The move splitting at n, which must leave no free component."""
-    assignment = _determined_split(ps, n)
-    if assignment is None:
+    sides = _determined_sides(ps, part, n)
+    if sides is None:
         raise SequentializationError(
             f"node {n} does not split the structure into two determined parts")
-    return n, assignment
+    return n, sides
 
 
 def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
     """The peel/split skeleton shared by the three sequentializers.
 
-    `choose(s)` returns None when s must be a single ax or one node,
+    `ps` is typed and jump-free, and is only read.  `choose(ps, part)`
+    returns None when the part must be a single ax or one node,
     `(n, None)` to peel the terminal bot or par node n, or
-    `(n, assignment)` to split at the cut or tensor node n.  The parts are
-    sequentialized left first, and each rule is composed as soon as its
-    premises are, on an explicit stack, so the work happens in the order
-    of a recursive descent while the depth is bounded by memory only.
+    `(n, (left, right))` to split at the cut or tensor node n into those
+    node sets.  The parts are sequentialized left first, and each rule is
+    composed as soon as its premises are, on an explicit stack, so the work
+    happens in the order of a recursive descent while the depth is bounded
+    by memory only.
     """
+    outs = ps.incidence()[1]
+    root = _Part({m for m, lab in ps.nodes.items() if lab != DOT},
+                 ps.conclusions, set(ps.terminal_nodes()))
     proofs: list[SequentProof] = []
-    stack: list = [ps]  # structures to expand, (s, n, parts) rules to compose
+    stack: list = [root]  # parts to expand, (conclusions, n, sides) rules to compose
     while stack:
         top = stack.pop()
-        if isinstance(top, ProofStructure):
-            move = choose(top)
+        if isinstance(top, _Part):
+            move = choose(ps, top)
             if move is None:
-                proofs.append(_base_case(top))
+                proofs.append(_base_case(ps, top))
                 continue
-            n, assignment = move
-            if assignment is None:
-                stack += [(top, n, None), _peel(top, n)]
+            n, sides = move
+            conclusions = top.conclusions
+            if sides is None:
+                _peel_part(ps, top, n)
+                stack += [(conclusions, n, None), top]
             else:
-                left, right = split_parts(top, assignment)
-                stack += [(top, n, (left, right)), right, left]
+                left, right = _split_part(ps, top, n, *sides)
+                stack += [(conclusions, n, (left.conclusions, right.conclusions)),
+                          right, left]
             continue
-        # compose the rule at n, then exchange its conclusions into s's order
-        s, n, parts = top
-        if parts is None:
-            arc = s.conclusions_of(n)[0]
-            joined = (bot_rule if s.nodes[n] == BOT else par_rule)(proofs.pop())
-            current = [c for c in s.conclusions if c != arc] + [arc]
+        # compose the rule at n, then exchange its conclusions into the
+        # order of the part it was chosen in
+        conclusions, n, sides = top
+        if sides is None:
+            arc = outs[n][0]
+            joined = (bot_rule if ps.nodes[n] == BOT else par_rule)(proofs.pop())
+            current = [c for c in conclusions if c != arc] + [arc]
         else:
-            left, right = parts
+            left, right = sides
             proof_right, proof_left = proofs.pop(), proofs.pop()
-            if s.nodes[n] == TENSOR:
+            if ps.nodes[n] == TENSOR:
                 joined = tensor_rule(proof_left, proof_right)
-                middle = s.conclusions_of(n)
+                middle = list(outs[n])
             else:
-                joined = cut_rule(s.types[s.premises_of(n)[0]], proof_left, proof_right)
+                joined = cut_rule(ps.types[ps.premises_of(n)[0]], proof_left, proof_right)
                 middle = []
-            current = list(left.conclusions[:-1]) + middle + list(right.conclusions[1:])
-        proofs.append(exchange_to(joined, [current.index(c) for c in s.conclusions]))
+            current = list(left[:-1]) + middle + list(right[1:])
+        position = {c: i for i, c in enumerate(current)}
+        proofs.append(exchange_to(joined, [position[c] for c in conclusions]))
     return proofs.pop()
 
 
@@ -383,20 +485,19 @@ def sequentialize_wten(ps: ProofStructure) -> SequentProof:
     return _sequentialize(typed.without_jumps(), _general_move)
 
 
-def _general_move(ps: ProofStructure):
+def _general_move(ps: ProofStructure, part: _Part):
     """Peel the least terminal bot or par node, else split at the first
     terminal cut or tensor node that leaves no free component."""
-    terminal = ps.terminal_nodes()
-    unary = [n for n in terminal if ps.nodes[n] in (BOT, PAR)]
+    unary = [n for n in part.terminal if ps.nodes[n] in (BOT, PAR)]
     if unary:
         return min(unary), None
-    splitters = [n for n in terminal if ps.nodes[n] in (CUT, TENSOR)]
+    splitters = sorted(n for n in part.terminal if ps.nodes[n] in (CUT, TENSOR))
     if not splitters:
         return None
     for n in splitters:
-        assignment = _determined_split(ps, n)
-        if assignment is not None:
-            return n, assignment
+        sides = _determined_sides(ps, part, n)
+        if sides is not None:
+            return n, sides
     raise SequentializationError("no splitting cut or tensor node found")
 
 
@@ -516,21 +617,21 @@ def sequentialize_btenll(ps: ProofStructure,
     verdict = check(ps, "accw")
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
-    proof = _sequentialize(ps, _bten_move)
+    # a part's erasing nodes are the structure's (see the module docstring)
+    proof = _sequentialize(ps, functools.partial(_bten_move, erasing=erasing_nodes(ps)))
     return proof, jumped
 
 
-def _bten_move(ps: ProofStructure):
+def _bten_move(ps: ProofStructure, part: _Part, erasing: set[int]):
     """Peel the least terminal erasing node, else the least terminal par,
     else split at the least terminal tensor."""
-    erasing = erasing_nodes(ps)
-    terminal = ps.terminal_nodes()
+    terminal = part.terminal
     unary = ([n for n in terminal if n in erasing]
              or [n for n in terminal if ps.nodes[n] == PAR])
     if unary:
         return min(unary), None
     tensors = [n for n in terminal if ps.nodes[n] == TENSOR]
-    return _split_move(ps, min(tensors)) if tensors else None
+    return _split_move(ps, part, min(tensors)) if tensors else None
 
 
 def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStructure]:
@@ -543,14 +644,14 @@ def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStruct
     return proof, jumped
 
 
-def _icomll_move(ps: ProofStructure):
+def _icomll_move(ps: ProofStructure, part: _Part):
     """Peel or split at the least terminal input node; with none left,
     the one conclusion's node is a one, a par to peel or a tensor to split."""
     def arc_pol(a):
         return polarity(ps.types[a])
 
-    terminal = ps.terminal_nodes()
-    inputs = [n for n in terminal if arc_pol(ps.conclusions_of(n)[0]) == "I"]
+    outs = ps.incidence()[1]
+    inputs = [n for n in part.terminal if arc_pol(outs[n][0]) == "I"]
     if inputs:
         n = min(inputs)
         if ps.nodes[n] in (BOT, PAR):
@@ -560,27 +661,25 @@ def _icomll_move(ps: ProofStructure):
         out_side = [a for a in prem if arc_pol(a) == "O"]
         if len(out_side) != 1:
             raise SequentializationError("an input tensor has exactly one output premise")
-        removed = {n, ps.head(ps.conclusions_of(n)[0])}
-        comps = induced_components(ps, (x for x in ps.nodes if x not in removed))
-        out_comp = next(c for c in comps if ps.tail(out_side[0]) in c)
+        out_comp = _side(ps, part, ps.tail(out_side[0]), n)
         in_side = next(a for a in prem if a not in out_side)
         if ps.tail(in_side) in out_comp:
             raise SequentializationError(
                 f"input tensor {n} does not split the structure")
-        rest = set().union(*(c for c in comps if c is not out_comp))
+        rest = part.nodes - out_comp - {n}
         if ps.tail(prem[0]) in out_comp:
-            return n, SplitAssignment(n, frozenset(out_comp), frozenset(rest))
-        return n, SplitAssignment(n, frozenset(rest), frozenset(out_comp))
+            return n, (out_comp, rest)
+        return n, (rest, out_comp)
     # all terminal nodes output: there is exactly one conclusion
-    if len(ps.conclusions) != 1:
+    if len(part.conclusions) != 1:
         raise SequentializationError(
             "every terminal node is an output but several conclusions remain")
-    n = ps.tail(ps.conclusions[0])
+    n = ps.tail(part.conclusions[0])
     if ps.nodes[n] == ONE:
         return None
     if ps.nodes[n] == PAR:
         return n, None
-    return _split_move(ps, n)
+    return _split_move(ps, part, n)
 
 
 # -- equivalence decisions --------------------------------------------------------

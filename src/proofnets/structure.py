@@ -19,6 +19,7 @@ them; premise orders are read live.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from . import formulas
 from .errors import ParseError, ValidationError
@@ -460,7 +461,43 @@ def to_json_dict(ps: ProofStructure) -> dict:
 
 
 def to_json(ps: ProofStructure) -> str:
-    return json.dumps(to_json_dict(ps), indent=2)
+    """The text of `json.dumps(to_json_dict(ps), indent=2)`, written for the
+    fixed shape of that document: with an indent, `json` would encode it
+    with its pure-Python encoder."""
+    fields = []
+    for key, value in to_json_dict(ps).items():
+        if key in ("nodes", "arcs"):
+            items = [_json_block("{}", [f"{_json_scalar(k)}: {_json_scalar(v)}"
+                                        for k, v in record.items()], 2)
+                     for record in value]
+        elif key == "premises":
+            items = [f"{_json_scalar(n)}: "
+                     + _json_block("[]", [_json_scalar(a) for a in pair], 2)
+                     for n, pair in value.items()]
+        elif key == "conclusions":
+            items = [_json_scalar(a) for a in value]
+        else:  # types and jumps
+            items = [f"{_json_scalar(k)}: {_json_scalar(v)}" for k, v in value.items()]
+        brackets = "[]" if isinstance(value, list) else "{}"
+        fields.append(f"{_json_scalar(key)}: {_json_block(brackets, items, 1)}")
+    return _json_block("{}", fields, 0)
+
+
+def _json_block(brackets: str, items: list[str], depth: int) -> str:
+    """An array or object of encoded items, laid out as `json.dumps` with
+    indent=2 lays it out at that nesting depth."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _json_scalar(value) -> str:
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
 
 
 def from_json_dict(doc: dict) -> ProofStructure:

@@ -109,6 +109,31 @@ def test_sequentialize_rejects_regnier(tmp_path, capsys):
     assert code == 2 and "erasing" in err
 
 
+def test_sequentialize_validates_once(tmp_path, capsys, monkeypatch):
+    import proofnets.structure as structure
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return validate(*args, **kwargs)
+
+    validate = structure.validate
+    monkeypatch.setattr(structure, "validate", counting)
+    path = write_fixture(tmp_path, "wten-cut")
+    assert run(capsys, "sequentialize", path)[0] == 0
+    assert len(calls) == 1
+    # a tensor without a premise order: the same report in every mode
+    bad = tmp_path / "bad.dsl"
+    bad.write_text("node 0 ax\nnode 1 ax\nnode 2 tensor\nnode 3 dot\nnode 4 dot\n"
+                   "node 5 dot\narc 0 0 2\narc 1 0 3\narc 2 1 2\narc 3 1 4\n"
+                   "arc 4 2 5\nconclusions 1 3 4\n")
+    results = {run(capsys, "sequentialize", str(bad), "--mode", mode, "--m", "0")
+               for mode in ("wten", "btenll", "icomll")}
+    assert results == {(2, "", "error: 1 violation(s): tensor node 2 lacks a premise order\n"
+                               "  [premise-order] tensor node 2 lacks a premise order\n")}
+
+
 def test_jumps_subcommand_round_trips(tmp_path, capsys):
     path = write_fixture(tmp_path, "jumps-constants")
     code, out, _ = run(capsys, "jumps", path, "--mode", "icomll")

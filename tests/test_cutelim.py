@@ -7,7 +7,7 @@ from conftest import build_ps
 from proofnets.canonical import canonical_form, iso
 from proofnets.cutelim import (AXIOM_CUT, MULTIPLICATIVE_CUT, Redex, UNIT_CUT,
                                find_redexes, normalize, reduce_step, replay)
-from proofnets.errors import RedexError
+from proofnets.errors import RedexError, ValidationError
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
@@ -382,3 +382,14 @@ def test_normalize_validates_twice_and_never_scans(monkeypatch):
         assert calls == {"validate": 2, "find_redexes": 0}
         most = max(most, len(trace.steps))
     assert most > 80
+
+
+def test_step_functions_reject_invalid_structures():
+    # a tensor/par cut whose tensor lacks a premise order
+    ps = build_ps({0: "ax", 1: "ax", 2: "tensor", 3: "par", 4: "cut"},
+                  {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3), 4: (2, 4), 5: (3, 4)},
+                  prem={3: (1, 3)}, expect_valid=False)
+    redex = Redex(4, MULTIPLICATIVE_CUT, (2, 3))
+    for call in (lambda: find_redexes(ps), lambda: reduce_step(ps, redex)):
+        with pytest.raises(ValidationError, match="tensor node 2 lacks a premise order"):
+            call()

@@ -11,16 +11,15 @@ from pathlib import Path
 
 import pytest
 
+import copying_skeleton as reference
 import proofnets
 from proofnets import fixtures, sequentialize
 from proofnets.cutelim import find_redexes, reduce_step
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
-from proofnets.sequentialize import (sequentialize_btenll, sequentialize_icomll,
-                                     sequentialize_wten, split_parts,
-                                     splitting_candidates)
-from proofnets.structure import ProofStructure, is_wten, strip, validate
+from proofnets.sequentialize import split_parts, splitting_candidates
+from proofnets.structure import ProofStructure, strip, validate
 
 
 def scanned_premises(ps, n):
@@ -84,26 +83,34 @@ def test_index_on_split_parts():
     assert seen > 30
 
 
-def test_index_on_peel_steps(monkeypatch):
-    peeled = []
+@pytest.mark.parametrize("mode", reference.MODES)
+def test_parts_match_peeled_and_split_copies(mode, monkeypatch):
+    # each part the in-place skeleton moves on, against the structure the
+    # copying skeleton builds with _peel or split_parts at the same move
+    parts, copies = [], []
 
-    def recording(peel):
-        def wrapper(ps, n):
-            peeled.append(peel(ps, n))
-            return peeled[-1]
+    def recording(move):
+        def wrapper(ps, part, *args, **kwargs):
+            parts.append((part.nodes.copy(), part.conclusions, part.terminal.copy()))
+            return move(ps, part, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sequentialize, "_peel", recording(sequentialize._peel))
-    for ps in desequentialized(Fragment.MLLU, range(40)):
-        if is_wten(ps)[0]:
-            sequentialize_wten(ps)
-    count_wten = len(peeled)
-    sequentialize_btenll(fixtures.load("jumps-units"), 0)
-    count_btenll = len(peeled)
-    sequentialize_icomll(fixtures.load("jumps-constants"))
-    assert 0 < count_wten < count_btenll < len(peeled)
-    for ps in peeled:
-        assert_index_matches(ps)
+    def observe(s):
+        assert_index_matches(s)
+        copies.append(({n for n, lab in s.nodes.items() if lab != "dot"},
+                       s.conclusions, set(s.terminal_nodes())))
+
+    for name in ("_general_move", "_bten_move", "_icomll_move"):
+        monkeypatch.setattr(sequentialize, name, recording(getattr(sequentialize, name)))
+    moves = 0
+    for ps, m in reference.corpus(mode):
+        reference.outcome(lambda: reference.run(mode, ps, m))
+        reference.outcome(lambda: reference.run_reference(mode, ps, m, observe))
+        assert parts == copies, m
+        moves += len(parts)
+        parts.clear()
+        copies.clear()
+    assert moves > 1000
 
 
 def test_reassigning_indexed_attributes_rebuilds_the_index():

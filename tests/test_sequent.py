@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from proofnets import fixtures
@@ -74,6 +76,24 @@ def test_exchange_to_realizes_permutations():
     q = exchange_to(p, [3, 1, 0, 2])
     assert q.conclusion == tuple(p.conclusion[i] for i in [3, 1, 0, 2])
     assert check_proof(q).ok
+
+
+def test_exchange_to_emits_the_exchanges_of_the_list_search():
+    def by_list_search(p, order):
+        current = list(range(len(p.conclusion)))
+        for i, want in enumerate(order):
+            j = current.index(want)
+            while j > i:
+                p = ex_rule(j - 1, p)
+                current[j - 1], current[j] = current[j], current[j - 1]
+                j -= 1
+        return p
+
+    p = ax_rule(X)
+    for k in range(2, 6):
+        p = bot_rule(p)
+        for order in permutations(range(k + 1)):
+            assert exchange_to(p, list(order)) == by_list_search(p, order)
 
 
 # -- the text format -----------------------------------------------------------------

@@ -11,9 +11,10 @@ from proofnets.errors import ParseError
 from proofnets.formulas import Fragment, parse_formula
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
+from proofnets.sequentialize import canonical_jumps_btenll
 from proofnets.structure import (ProofStructure, descent_chain, erasing_nodes,
                                  from_dsl, from_json, is_wten, precedes,
-                                 strip, to_dsl, to_json, validate)
+                                 strip, to_dsl, to_json, to_json_dict, validate)
 
 
 def relabel(ps, rng):
@@ -197,6 +198,24 @@ def test_round_trip_preserves_conclusion_order():
     again = from_json(to_json(ps))
     assert [ps.types[a] for a in ps.conclusions] == \
         [again.types[a] for a in again.conclusions]
+
+
+def test_to_json_writes_the_text_of_json_dumps():
+    structures = [fixtures.load(name) for name in fixtures.NAMES]
+    structures.append(canonical_jumps_btenll(fixtures.load("jumps-units"), 0).ps)
+    for seed in range(40):
+        for frag in (Fragment.MLLU, Fragment.BTENLL):
+            p = random_proof(GenParams(fragment=frag, max_rules=14, seed=seed,
+                                       cut_probability=0.3))
+            structures.append(desequentialize(p, verify=False).ps)
+        structures.append(random_ps(GenParams(fragment=None, seed=seed)))
+    # empty fields, and a type text that json escapes
+    structures += [ProofStructure(), ProofStructure(types={}),
+                   build_ps({0: "ax", 1: "dot", 2: "dot"}, {0: (0, 1), 1: (0, 2)},
+                            concl=(1, 0), types={0: "Xé", 1: "Xé^"})]
+    for ps in structures:
+        assert to_json(ps) == json.dumps(to_json_dict(ps), indent=2)
+    assert "\\u00e9" in to_json(structures[-1])
 
 
 def test_repeated_type_text_parses_once_and_fails_alike():
