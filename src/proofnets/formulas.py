@@ -9,7 +9,7 @@ structural: it flips the dual flag on atoms, swaps the units and exchanges
 tensor with par under De Morgan; each formula remembers its negation weakly,
 so a duality test is one lookup and an identity test.  Fragments are subsets
 of the formula language closed under subformulas; membership is decided by a
-single recursive kind inference that also returns the derived kind (A/E for
+single bottom-up kind inference that also returns the derived kind (A/E for
 the bottom-tensor-restricted grammars, O/I polarity for the intuitionistic
 ones).
 
@@ -191,30 +191,35 @@ def fragment_from_name(name: str) -> Fragment:
 _A, _AD, _E, _ED = "A", "A*", "E", "E*"
 
 
+def _fold(f: Formula, leaf, join):
+    """Fold f bottom-up without recursion: `leaf(g)` at each leaf and
+    `join(g, left value, right value)` at each connective."""
+    values = {}
+    for g in reversed(list(subformulas(f))):  # each subformula after its sides
+        values[g] = leaf(g) if g.left is None else join(g, values[g.left], values[g.right])
+    return values[f]
+
+
+_BTEN_LEAF_KIND = {ATOM: _A, ONE_KIND: _A, BOT_KIND: _E}
+# the kind of a connective from the kinds of its sides, here and in
+# _POLARITY_JOIN below; a triple not listed is outside the grammar
+_BTEN_JOIN = {(TENSOR, _A, _A): _A, (PAR, _A, _A): _A, (PAR, _A, _E): _A,
+              (PAR, _E, _A): _A, (PAR, _E, _E): _E}
+
+
 def _bten_kind(f: Formula) -> str | None:
     """Kind A or E in the bottom-tensor-restricted grammar, None if outside."""
-    if f.kind == ATOM or f.kind == ONE_KIND:
-        return _A
-    if f.kind == BOT_KIND:
-        return _E
-    kl, kr = _bten_kind(f.left), _bten_kind(f.right)
-    if kl is None or kr is None:
-        return None
-    if f.kind == TENSOR:
-        return _A if (kl, kr) == (_A, _A) else None
-    if (kl, kr) == (_E, _E):
-        return _E
-    return _A
+    if f.left is None:  # most arc types are leaves: skip the walk
+        return _BTEN_LEAF_KIND[f.kind]
+    return _fold(f, lambda g: _BTEN_LEAF_KIND[g.kind],
+                 lambda g, kl, kr: _BTEN_JOIN.get((g.kind, kl, kr)))
 
 
-def _bten_star_kinds(f: Formula) -> frozenset:
-    if f.kind == ATOM:
-        return frozenset({_A, _AD})
-    if f.kind == BOT_KIND:
-        return frozenset({_E})
-    if f.kind == ONE_KIND:
-        return frozenset({_ED})
-    kl, kr = _bten_star_kinds(f.left), _bten_star_kinds(f.right)
+_STAR_LEAF_KINDS = {ATOM: frozenset({_A, _AD}), BOT_KIND: frozenset({_E}),
+                    ONE_KIND: frozenset({_ED})}
+
+
+def _bten_star_join(f: Formula, kl: frozenset, kr: frozenset) -> frozenset:
     out = set()
     a_l, a_r = kl & {_A, _AD}, kr & {_A, _AD}
     if f.kind == PAR:
@@ -230,28 +235,27 @@ def _bten_star_kinds(f: Formula) -> frozenset:
     return frozenset(out)
 
 
-def polarity(f: Formula) -> str | None:
-    """Output/input polarity in the intuitionistic grammar, None if outside."""
+def _bten_star_kinds(f: Formula) -> frozenset:
+    return _fold(f, lambda g: _STAR_LEAF_KINDS[g.kind], _bten_star_join)
+
+
+def _polarity_leaf(f: Formula) -> str:
     if f.kind == ATOM:
         return "I" if f.dual else "O"
-    if f.kind == ONE_KIND:
-        return "O"
-    if f.kind == BOT_KIND:
-        return "I"
-    pl, pr = polarity(f.left), polarity(f.right)
-    if pl is None or pr is None:
-        return None
-    if f.kind == TENSOR:
-        if (pl, pr) == ("O", "O"):
-            return "O"
-        if "O" in (pl, pr):
-            return "I"
-        return None
-    if (pl, pr) == ("I", "I"):
-        return "I"
-    if "O" in (pl, pr) and "I" in (pl, pr):
-        return "O"
-    return None
+    return "O" if f.kind == ONE_KIND else "I"
+
+
+_POLARITY_JOIN = {(TENSOR, "O", "O"): "O", (TENSOR, "O", "I"): "I",
+                  (TENSOR, "I", "O"): "I", (PAR, "I", "I"): "I",
+                  (PAR, "O", "I"): "O", (PAR, "I", "O"): "O"}
+
+
+def polarity(f: Formula) -> str | None:
+    """Output/input polarity in the intuitionistic grammar, None if outside."""
+    if f.left is None:  # most arc types are leaves: skip the walk
+        return _polarity_leaf(f)
+    return _fold(f, _polarity_leaf,
+                 lambda g, pl, pr: _POLARITY_JOIN.get((g.kind, pl, pr)))
 
 
 def in_fragment(f: Formula, frag: Fragment) -> tuple[bool, str | None]:

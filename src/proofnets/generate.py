@@ -282,9 +282,7 @@ def _rebuild(p: SequentProof, path: tuple[int, ...], replacement) -> SequentProo
     i = path[0]
     premises = list(p.premises)
     premises[i] = _rebuild(premises[i], path[1:], replacement)
-    rebuilt = SequentProof(p.rule, tuple(premises), p.conclusion,
-                           p.cut_formula, p.position)
-    return rebuilt
+    return SequentProof(p.rule, premises, p.arg)
 
 
 def _swap_sites(p: SequentProof, path=()):

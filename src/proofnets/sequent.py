@@ -1,11 +1,12 @@
 """Sequent-calculus proof trees, rule checking and desequentialization.
 
-Proofs are immutable trees; each node records its rule, its premises and
-the conclusion sequent the rule derives.  Builders compute conclusions and
-reject ill-formed instances, so a proof assembled through them is correct
-by construction; `check_proof` re-verifies whole trees read from files and
-adds the fragment discipline (all formulas inside the fragment, no axiom
-or cut rules in the constant-only intuitionistic fragment).
+Proofs are immutable trees; each node records its rule, its premises, the
+rule's argument and the conclusion sequent the rule derives.  The
+constructor derives that conclusion itself and rejects ill-formed
+instances, so every proof, built by hand or read from a file, is correct by
+construction.  `check_proof` adds only the fragment discipline: all
+formulas inside the fragment, and no axiom or cut rules in the
+constant-only intuitionistic fragment.
 
 Desequentialization turns a proof into a typed structure rule by rule,
 premises first: axioms and units become single nodes, tensor and cut join
@@ -37,14 +38,67 @@ ONE_RULE = "one"
 PAR_RULE = "par"
 BOT_RULE = "bot"
 
+_ARITY = {AX_RULE: 0, ONE_RULE: 0, CUT_RULE: 2, TENSOR_RULE: 2,
+          EX_RULE: 1, PAR_RULE: 1, BOT_RULE: 1}
 
-@dataclass(frozen=True)
+
+class ProofBuildError(ProofNetError):
+    """A rule was applied to premises of the wrong shape."""
+
+
+@dataclass(frozen=True, init=False)
 class SequentProof:
+    """A rule instance over the sub-proofs of its premises.
+
+    `arg` is the axiom or cut formula or the 0-based exchange position, and
+    None for the other rules.  The constructor derives the conclusion (so it
+    takes no part in equality) and raises ProofBuildError on an unknown
+    rule, a wrong premise count or an ill-formed instance.
+    """
+
     rule: str
-    premises: tuple["SequentProof", ...]
-    conclusion: tuple[Formula, ...]
-    cut_formula: Formula | None = None
-    position: int | None = None
+    premises: tuple[SequentProof, ...]
+    arg: Formula | int | None
+    conclusion: tuple[Formula, ...] = field(compare=False)
+    cut_formula = property(lambda p: p.arg if p.rule == CUT_RULE else None)
+    position = property(lambda p: p.arg if p.rule == EX_RULE else None)
+
+    def __init__(self, rule: str, premises=(), arg=None):
+        premises = tuple(premises)
+        if rule not in _ARITY:
+            raise ProofBuildError(f"unknown rule {rule!r}")
+        if len(premises) != _ARITY[rule]:
+            raise ProofBuildError(f"{rule} rule has {len(premises)} premise(s), "
+                                  f"expected {_ARITY[rule]}")
+        c = premises[0].conclusion if premises else ()
+        if rule == AX_RULE:
+            conclusion = (arg, negate(arg))
+        elif rule == ONE_RULE:
+            conclusion = (ONE_F,)
+        elif rule == BOT_RULE:
+            conclusion = c + (BOT_F,)
+        elif rule == PAR_RULE:
+            if len(c) < 2:
+                raise ProofBuildError("par rule needs two formulas to combine")
+            conclusion = c[:-2] + (par_f(c[-2], c[-1]),)
+        elif rule == EX_RULE:
+            if not 0 <= arg <= len(c) - 2:
+                raise ProofBuildError(f"exchange position {arg} out of range")
+            conclusion = c[:arg] + (c[arg + 1], c[arg]) + c[arg + 2:]
+        elif rule == TENSOR_RULE:
+            c2 = premises[1].conclusion
+            if not c or not c2:
+                raise ProofBuildError("tensor rule needs a formula on each side")
+            conclusion = c[:-1] + (tensor_f(c[-1], c2[0]),) + c2[1:]
+        else:
+            c2 = premises[1].conclusion
+            if not c or c[-1] is not arg:
+                raise ProofBuildError("cut formula must close the first premise")
+            if not c2 or c2[0] is not negate(arg):
+                raise ProofBuildError("dual of the cut formula must open the second premise")
+            conclusion = c[:-1] + c2[1:]
+        # the dataclass is frozen: fill its fields past its __setattr__
+        vars(self).update(rule=rule, premises=premises, arg=arg, conclusion=conclusion)
 
     def rule_count(self) -> int:
         count, stack = 0, [self]
@@ -65,52 +119,32 @@ class SequentProof:
         return f"SequentProof({format_proof_expr(self)})"
 
 
-class ProofBuildError(ProofNetError):
-    """A rule builder was applied to premises of the wrong shape."""
-
-
 def ax_rule(a: Formula) -> SequentProof:
-    return SequentProof(AX_RULE, (), (a, negate(a)))
+    return SequentProof(AX_RULE, (), a)
 
 
 def one_rule() -> SequentProof:
-    return SequentProof(ONE_RULE, (), (ONE_F,))
+    return SequentProof(ONE_RULE)
 
 
 def bot_rule(p: SequentProof) -> SequentProof:
-    return SequentProof(BOT_RULE, (p,), p.conclusion + (BOT_F,))
+    return SequentProof(BOT_RULE, (p,))
 
 
 def par_rule(p: SequentProof) -> SequentProof:
-    if len(p.conclusion) < 2:
-        raise ProofBuildError("par rule needs two formulas to combine")
-    a, b = p.conclusion[-2], p.conclusion[-1]
-    return SequentProof(PAR_RULE, (p,), p.conclusion[:-2] + (par_f(a, b),))
+    return SequentProof(PAR_RULE, (p,))
 
 
 def tensor_rule(p1: SequentProof, p2: SequentProof) -> SequentProof:
-    if not p1.conclusion or not p2.conclusion:
-        raise ProofBuildError("tensor rule needs a formula on each side")
-    a, b = p1.conclusion[-1], p2.conclusion[0]
-    return SequentProof(TENSOR_RULE, (p1, p2),
-                        p1.conclusion[:-1] + (tensor_f(a, b),) + p2.conclusion[1:])
+    return SequentProof(TENSOR_RULE, (p1, p2))
 
 
 def cut_rule(a: Formula, p1: SequentProof, p2: SequentProof) -> SequentProof:
-    if not p1.conclusion or p1.conclusion[-1] != a:
-        raise ProofBuildError("cut formula must close the first premise")
-    if not p2.conclusion or p2.conclusion[0] != negate(a):
-        raise ProofBuildError("dual of the cut formula must open the second premise")
-    return SequentProof(CUT_RULE, (p1, p2),
-                        p1.conclusion[:-1] + p2.conclusion[1:], cut_formula=a)
+    return SequentProof(CUT_RULE, (p1, p2), a)
 
 
 def ex_rule(position: int, p: SequentProof) -> SequentProof:
-    if not 0 <= position <= len(p.conclusion) - 2:
-        raise ProofBuildError(f"exchange position {position} out of range")
-    c = list(p.conclusion)
-    c[position], c[position + 1] = c[position + 1], c[position]
-    return SequentProof(EX_RULE, (p,), tuple(c), position=position)
+    return SequentProof(EX_RULE, (p,), position)
 
 
 def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
@@ -131,63 +165,18 @@ def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     return p
 
 
-_ARITY = {AX_RULE: 0, ONE_RULE: 0, CUT_RULE: 2, TENSOR_RULE: 2,
-          EX_RULE: 1, PAR_RULE: 1, BOT_RULE: 1}
-
-
-def _apply_rule(rule: str, arg, premises) -> SequentProof:
-    """Build one rule instance; `arg` is the axiom or cut formula or the
-    0-based exchange position, and is ignored by the other rules."""
-    if rule == AX_RULE:
-        return ax_rule(arg)
-    if rule == ONE_RULE:
-        return one_rule()
-    if rule == BOT_RULE:
-        return bot_rule(*premises)
-    if rule == PAR_RULE:
-        return par_rule(*premises)
-    if rule == TENSOR_RULE:
-        return tensor_rule(*premises)
-    if rule == CUT_RULE:
-        return cut_rule(arg, *premises)
-    return ex_rule(arg, *premises)
-
-
 def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
-    """Verify every rule instance and the fragment discipline."""
-    # Rules are checked premises first, in the post-order of the tree pruned
-    # at malformed rules: the reverse of a pre-order pushing premises in order.
+    """The fragment discipline: every conclusion formula inside `frag`, and
+    no axiom or cut rule in icomll.  Rules are reported premises first."""
+    # the reverse of a pre-order pushing premises in order is a post-order
     order, stack = [], [proof]
     while stack:
         p = stack.pop()
         order.append(p)
-        if _ARITY.get(p.rule) == len(p.premises):
-            stack.extend(p.premises)
+        stack.extend(p.premises)
     v = []
     in_frag: dict[Formula, bool] = {}  # formulas are interned; contexts repeat
     for p in reversed(order):
-        if p.rule not in _ARITY:
-            v.append(("rule", p.rule, f"unknown rule {p.rule!r}"))
-            continue
-        if len(p.premises) != _ARITY[p.rule]:
-            v.append(("arity", p.rule,
-                      f"{p.rule} rule has {len(p.premises)} premise(s), "
-                      f"expected {_ARITY[p.rule]}"))
-            continue
-        try:
-            if p.rule == AX_RULE:
-                if len(p.conclusion) != 2 or p.conclusion[1] != negate(p.conclusion[0]):
-                    raise ProofBuildError("axiom conclusion must be a dual pair")
-                rebuilt = p.conclusion
-            else:
-                arg = p.cut_formula if p.rule == CUT_RULE else p.position
-                rebuilt = _apply_rule(p.rule, arg, p.premises).conclusion
-        except ProofBuildError as exc:
-            v.append(("rule", p.rule, str(exc)))
-            continue
-        if rebuilt != p.conclusion:
-            v.append(("conclusion", p.rule,
-                      f"{p.rule} rule does not derive its recorded conclusion"))
         for f in p.conclusion:
             ok = in_frag.get(f)
             if ok is None:
@@ -320,7 +309,7 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
             (head, at, arg), premises = open_rule(), []
             continue
         try:
-            node = _apply_rule(head, arg, premises)
+            node = SequentProof(head, premises, arg)
         except ProofBuildError as exc:
             raise ParseError(str(exc), at) from None
         expect(")")

@@ -72,35 +72,38 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
         return f
 
     def occurs(name: str, f: Formula) -> bool:
-        f = resolve(f)
-        if f.kind == ATOM:
-            return f.name == name
-        if f.left is None:
-            return False
-        return occurs(name, f.left) or occurs(name, f.right)
+        stack = [f]
+        while stack:
+            g = resolve(stack.pop())
+            if g.kind == ATOM and g.name == name:
+                return True
+            if g.left is not None:
+                stack += (g.right, g.left)
+        return False
 
     def unify(f: Formula, g: Formula) -> None:
-        f, g = resolve(f), resolve(g)
-        if f is g:  # formulas are interned: the same tree is the same object
-            return
-        if f.kind == ATOM and f.name.startswith("?"):
-            if g is negate(f):
-                raise TypeInferenceError("a type would have to equal its own dual")
-            target = negate(g) if f.dual else g
-            if occurs(f.name, target):
-                raise TypeInferenceError("cyclic type constraint")
-            subst[f.name] = target
-            return
-        if g.kind == ATOM and g.name.startswith("?"):
-            unify(g, f)
-            return
-        if f.kind != g.kind:
-            raise TypeInferenceError("incompatible connectives at a cut")
-        if f.kind == ATOM:
-            raise TypeInferenceError("mismatched atoms at a cut")
-        if f.left is not None:
-            unify(f.left, g.left)
-            unify(f.right, g.right)
+        # pairs wait on an explicit stack, left sides above right sides, so
+        # they are solved in the order of a recursive descent
+        pairs = [(f, g)]
+        while pairs:
+            f, g = map(resolve, pairs.pop())
+            if f is g:  # formulas are interned: the same tree is the same object
+                continue
+            if f.kind == ATOM and f.name.startswith("?"):
+                if g is negate(f):
+                    raise TypeInferenceError("a type would have to equal its own dual")
+                target = negate(g) if f.dual else g
+                if occurs(f.name, target):
+                    raise TypeInferenceError("cyclic type constraint")
+                subst[f.name] = target
+            elif g.kind == ATOM and g.name.startswith("?"):
+                pairs.append((g, f))
+            elif f.kind != g.kind:
+                raise TypeInferenceError("incompatible connectives at a cut")
+            elif f.kind == ATOM:
+                raise TypeInferenceError("mismatched atoms at a cut")
+            elif f.left is not None:
+                pairs += ((f.right, g.right), (f.left, g.left))
 
     ty: dict[int, Formula] = {}
     var_count = 0
@@ -124,19 +127,29 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
         unify(ty[a], negate(ty[b]))
 
     fresh_names: dict[str, Formula] = {}
+    concrete: dict[Formula, Formula] = {}  # every formula concretized so far
 
     def concretize(f: Formula) -> Formula:
-        f = resolve(f)
-        if f.kind == ATOM:
-            if not f.name.startswith("?"):
-                return f
-            if f.name not in fresh_names:
-                fresh_names[f.name] = atom(f"X{len(fresh_names) + 1}")
-            base = fresh_names[f.name]
-            return negate(base) if f.dual else base
-        if f.left is None:
-            return f
-        return Formula(f.kind, left=concretize(f.left), right=concretize(f.right))
+        # left sides are finished before right sides, so variables are named
+        # in the order of a recursive descent
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g in concrete:
+                continue
+            r = resolve(g)
+            if r.kind == ATOM and r.name.startswith("?"):
+                if r.name not in fresh_names:
+                    fresh_names[r.name] = atom(f"X{len(fresh_names) + 1}")
+                base = fresh_names[r.name]
+                concrete[g] = negate(base) if r.dual else base
+            elif r.left is None:
+                concrete[g] = r
+            elif r.left in concrete and r.right in concrete:
+                concrete[g] = Formula(r.kind, left=concrete[r.left], right=concrete[r.right])
+            else:
+                stack += (g, r.right, r.left)
+        return concrete[f]
 
     typed = ps.copy()
     typed.types = {a: concretize(f) for a, f in ty.items()}

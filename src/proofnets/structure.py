@@ -230,7 +230,6 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
 
     # dag check
     state = {n: 0 for n in ps.nodes}
-    order = []
 
     def visit(start):
         stack = [(start, iter(outgoing[start]))]
@@ -250,7 +249,6 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
                     return False
             if not advanced:
                 state[n] = 2
-                order.append(n)
                 stack.pop()
         return True
 
@@ -571,7 +569,6 @@ def from_dsl(text: str) -> ProofStructure:
     nodes, arcs, premise_order, jumps = {}, {}, {}, {}
     conclusions = ()
     types = None
-    saw_conclusions = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -590,7 +587,6 @@ def from_dsl(text: str) -> ProofStructure:
                 arcs[int(parts[1])] = (int(parts[2]), int(parts[3]))
             elif kind == "conclusions":
                 conclusions = tuple(int(a) for a in parts[1:])
-                saw_conclusions = True
             elif kind == "type":
                 if types is None:
                     types = {}
@@ -601,8 +597,6 @@ def from_dsl(text: str) -> ProofStructure:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    if not saw_conclusions and nodes:
-        conclusions = ()
     return ProofStructure(nodes, arcs, premise_order, conclusions, types, jumps)
 
 

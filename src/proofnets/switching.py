@@ -430,8 +430,7 @@ class Path:
 
 
 def switching_paths(ps: ProofStructure, src: int, dst: int | None = None,
-                    flavor: str = SWITCHING_PATH,
-                    first_arc: int | None = None) -> list[Path]:
+                    flavor: str = SWITCHING_PATH) -> list[Path]:
     """Enumerate simple paths from src (to dst, or to anywhere when dst is
     None) under a path discipline.
 

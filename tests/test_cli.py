@@ -483,3 +483,46 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
                     assert code in (0, 1, 2), (cmd, name, where, value)
                     codes[code] = codes.get(code, 0) + 1
     assert codes[2] > codes.get(0, 0) > 0
+
+
+def test_deep_formulas_get_fragment_kinds(tmp_path, capsys):
+    # an ax typed by a 1200-deep par chain: the btenll and polarity kinds
+    # are inferred without recursion, in every command that needs them
+    k = 1200
+    formula = "(" * k + "X" + " par X)" * k
+    proofs = {}
+    for frag in ("btenll", "imll"):
+        proofs[frag] = tmp_path / f"{frag}.proof"
+        proofs[frag].write_text(f'fragment: {frag}\n(ax "{formula}")\n')
+        assert run(capsys, "equiv", str(proofs[frag]), str(proofs[frag])) == (0, "true\n", "")
+    net = tmp_path / "net.json"
+    assert run(capsys, "deseq", str(proofs["btenll"]), "--out", str(net)) == (0, "", "")
+    code, out, err = run(capsys, "deseq", str(proofs["imll"]))
+    assert (code, out) == (2, "") and err.endswith("outside imll\n")
+    for cmd in ("jumps", "sequentialize"):
+        code, _, err = run(capsys, cmd, str(net), "--mode", "btenll", "--m", "0")
+        assert (code, err) == (0, ""), cmd
+        code, out, err = run(capsys, cmd, str(net), "--mode", "icomll")
+        assert (code, out) == (2, "") and "not a valid icomll structure" in err, cmd
+
+
+def test_deep_untyped_nets_get_types(tmp_path, capsys):
+    # unification and the naming of type variables run without recursion:
+    # with the interpreter's stack cut to 200 frames above this test, an
+    # untyped 300-deep par/bot chain still sequentializes
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    for leaf in ('(ax "X")', "(one)"):
+        doc = _deseq_doc(tmp_path, capsys, _chain_proof(300, leaf))
+        del doc["types"]
+        net = tmp_path / "untyped.json"
+        net.write_text(json.dumps(doc))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            code, out, err = run(capsys, "sequentialize", str(net))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, err) == (0, ""), leaf
+        assert out.count("(par ") == out.count("(bot ") == 300, leaf

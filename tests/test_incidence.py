@@ -145,31 +145,112 @@ def test_no_assert_statements_in_the_package():
 # converted to an explicit stack leaves this list; a new recursive one
 # fails the test below until it is converted or listed here.
 RECURSIVE_WALKERS = [
-    "formulas._bten_kind", "formulas._bten_star_kinds", "formulas.polarity",
     "generate._rebuild", "generate._swap_sites", "generate.random_formula",
-    "sequentialize.infer_types.concretize", "sequentialize.infer_types.occurs",
-    "sequentialize.infer_types.unify", "sequentialize.is_sequential_oracle.seq",
-    "switching.switching_paths.walk",
+    "sequentialize.is_sequential_oracle.seq", "switching.switching_paths.walk",
 ]
 
 
+def _functions(tree, module):
+    """(qualified name, binding, enclosing, node) for every function of a
+    module.  The binding is the scope whose bare name reaches the function:
+    None for the module, else the qualified name of the enclosing function
+    or class.  The enclosing function (None at the module) is the next scope
+    a name loaded in the body is looked up in; class bodies are skipped."""
+    found, stack = [], [(module, None, None, tree)]
+    while stack:
+        prefix, binding, enclosing, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            name, inner, outer = prefix, binding, enclosing
+            if isinstance(child, ast.ClassDef):
+                name = inner = f"{prefix}.{child.name}"
+            elif isinstance(child, ast.FunctionDef):
+                name = inner = outer = f"{prefix}.{child.name}"
+                found.append((name, binding, enclosing, child))
+            stack.append((name, inner, outer, child))
+    return found
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, outside the functions it defines."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _cyclic_functions(tree, module):
+    """The functions on a cycle of a module's call graph.
+
+    A call is a load of a function's bare name where that name reaches it:
+    the innermost enclosing function (or the module) that defines it, unless
+    a parameter or assignment of a scope on the way shadows it.  Calls
+    through an attribute (self.method) are not seen."""
+    functions = _functions(tree, module)
+    parent = {name: enclosing for name, _, enclosing, _ in functions}
+    defined = {(binding, fn.name): name for name, binding, _, fn in functions}
+    local = {}
+    for name, _, _, fn in functions:
+        args = fn.args
+        local[name] = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                       + [args.vararg, args.kwarg] if a is not None}
+        local[name] |= {n.id for n in _own_nodes(fn)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    calls = {}
+    for name, _, _, fn in functions:
+        calls[name] = set()
+        for n in _own_nodes(fn):
+            if not (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)):
+                continue
+            scope = name
+            while scope is not None:
+                if (scope, n.id) in defined or n.id in local[scope]:
+                    break
+                scope = parent[scope]
+            if (scope, n.id) in defined:
+                calls[name].add(defined[scope, n.id])
+    cyclic = []
+    for start in calls:
+        seen, stack = set(), list(calls[start])
+        while stack:
+            f = stack.pop()
+            if f == start:
+                cyclic.append(start)
+                break
+            if f not in seen:
+                seen.add(f)
+                stack.extend(calls[f])
+    return cyclic
+
+
 def test_recursive_functions_are_listed():
-    # A function counts as recursive when its body loads its own name.
-    # Mutual recursion (parse_term calling parse_expr calling parse_term)
-    # and recursion through an attribute (self.method) are not detected.
     root = Path(proofnets.__file__).parent
     found = []
     for path in sorted(root.glob("*.py")):
-        stack = [(path.stem, ast.parse(path.read_text()))]
-        while stack:
-            prefix, node = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                name = prefix
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    name = f"{prefix}.{child.name}"
-                if isinstance(child, ast.FunctionDef) and any(
-                        isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                        and n.id == child.name for n in ast.walk(child)):
-                    found.append(name)
-                stack.append((name, child))
+        found += _cyclic_functions(ast.parse(path.read_text()), path.stem)
     assert sorted(found) == RECURSIVE_WALKERS
+
+
+def test_the_recursion_scan_sees_mutual_and_nested_calls():
+    tree = ast.parse("""
+def parse_term(s):
+    return parse_expr(s)
+
+def parse_expr(s):
+    return parse_term(s)
+
+def outer(xs):
+    def walk(x):
+        return walk(x)
+    return walk(xs)
+
+def shadowed(parse_term):
+    return parse_term
+
+class Box:
+    def outer(self):
+        return outer(self)
+""")
+    assert sorted(_cyclic_functions(tree, "m")) == [
+        "m.outer.walk", "m.parse_expr", "m.parse_term"]

@@ -1,4 +1,5 @@
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,10 +8,10 @@ from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import ParseError, ProofNetError
 from proofnets.formulas import BOT, Fragment, ONE, atom, tensor
 from proofnets.generate import GenParams, random_proof
-from proofnets.sequent import (SequentProof, ax_rule, bot_rule, check_proof,
-                               cut_rule, deseq_relation_holds, desequentialize,
-                               ex_rule, exchange_to, format_proof, one_rule,
-                               parse_proof, tensor_rule)
+from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
+                               check_proof, cut_rule, deseq_relation_holds,
+                               desequentialize, ex_rule, exchange_to,
+                               format_proof, one_rule, parse_proof, tensor_rule)
 from proofnets.sequentialize import is_sequential_oracle
 from proofnets.structure import validate
 from proofnets.switching import check
@@ -34,11 +35,27 @@ def test_axiom_instance():
     assert check_proof(p).ok
 
 
-def test_bot_arity_violation():
-    broken = SequentProof("bot", (), (BOT,))
-    report = check_proof(broken)
-    assert not report.ok
-    assert any(rule == "arity" for rule, _, _ in report.violations)
+def test_construction_rejects_ill_formed_rules():
+    # no rule derives the empty sequent, so a stand-in premise supplies it
+    empty = SimpleNamespace(conclusion=())
+    one, ax = one_rule(), ax_rule(X)
+    cases = [
+        (("contraction", (one,)), "unknown rule 'contraction'"),
+        (("bot", ()), "bot rule has 0 premise(s), expected 1"),
+        (("tensor", (one,)), "tensor rule has 1 premise(s), expected 2"),
+        (("ex", (ax,), 1), "exchange position 1 out of range"),
+        (("ex", (ax,), -1), "exchange position -1 out of range"),
+        (("par", (one,)), "par rule needs two formulas to combine"),
+        (("tensor", (empty, one)), "tensor rule needs a formula on each side"),
+        (("tensor", (one, empty)), "tensor rule needs a formula on each side"),
+        (("cut", (ax, one), ONE), "cut formula must close the first premise"),
+        (("cut", (one, one), ONE),
+         "dual of the cut formula must open the second premise"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ProofBuildError) as err:
+            SequentProof(*args)
+        assert str(err.value) == message, args
 
 
 def test_tensor_instance():
