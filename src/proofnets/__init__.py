@@ -7,8 +7,9 @@ bottom-restricted fragment, and for the constant-only intuitionistic
 fragment), and the induced equivalence decisions.
 """
 
-from .formulas import (Formula, Fragment, atom, format_formula, in_fragment,
-                       negate, par, parse_formula, polarity, tensor)
+from .formulas import (Formula, Fragment, atom, format_formula, format_formulas,
+                       in_fragment, in_fragments, negate, par, parse_formula,
+                       parse_formulas, polarity, tensor)
 from .structure import (ProofStructure, ValidationReport, erasing_nodes,
                         from_dsl, from_json, is_wten, jump_free, jump_total,
                         load_structure, precedes, strip, to_dsl, to_json,

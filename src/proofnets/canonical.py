@@ -19,7 +19,7 @@ leaves (k identical closed components give k!), up to `_CHOICE_BUDGET`.
 from __future__ import annotations
 
 from .errors import CanonicalLimitError
-from .formulas import format_formula
+from .formulas import format_formulas
 from .structure import (AX, CUT, PAR, TENSOR, ProofStructure,
                         induced_components, strip)
 
@@ -159,8 +159,11 @@ def _traverse(ps: ProofStructure, type_of, colors, choices: _Choices):
 
 def _leaves(ps: ProofStructure):
     """Yield the encoding and visit order of every complete traversal."""
-    type_of = (dict.fromkeys(ps.arcs, "") if ps.types is None
-               else {a: format_formula(ps.types[a]) for a in ps.arcs})
+    if ps.types is None:
+        type_of = dict.fromkeys(ps.arcs, "")
+    else:
+        texts = format_formulas(ps.types[a] for a in ps.arcs)
+        type_of = {a: texts[ps.types[a]] for a in ps.arcs}
     colors = node_colors(ps, type_of)
     stack = [()]
     explored = 0

@@ -2,16 +2,26 @@
 
 A formula is an interned, immutable tree over atoms, the two units and the
 two binary connectives: equality is identity, so build formulas only through
-`Formula`, `atom`, `tensor`, `par` and `parse_formula`, which return the one
-object for each tree.  The intern table holds its formulas weakly, so a
-formula lives only as long as something else holds it.  Linear negation is
-structural: it flips the dual flag on atoms, swaps the units and exchanges
-tensor with par under De Morgan; each formula remembers its negation weakly,
-so a duality test is one lookup and an identity test.  Fragments are subsets
-of the formula language closed under subformulas; membership is decided by a
-single bottom-up kind inference that also returns the derived kind (A/E for
-the bottom-tensor-restricted grammars, O/I polarity for the intuitionistic
-ones).
+`Formula`, `atom`, `tensor`, `par`, `parse_formula` and `parse_formulas`,
+which return the one object for each tree.  The intern table holds its
+formulas weakly, so a formula lives only as long as something else holds
+it.  Linear negation is structural: it flips the dual flag on atoms, swaps
+the units and exchanges tensor with par under De Morgan; each formula
+remembers its negation weakly, so a duality test is one lookup and an
+identity test.  Fragments are subsets of the formula language closed under
+subformulas; membership is decided by a single bottom-up kind inference that
+also returns the derived kind (A/E for the bottom-tensor-restricted
+grammars, O/I polarity for the intuitionistic ones).
+
+The type of a connective's conclusion contains its premises' types, so the
+types of one structure share most of their subformulas.  Reading, printing
+and fragment membership therefore come in batches that do the work once per
+distinct subformula: `parse_formulas` reads a document's type texts longest
+first and takes a shorter text from the group of a longer one that spells
+it, `format_formulas` copies the text of a wanted subformula it has already
+printed, and `in_fragments` folds each distinct subformula once.
+`parse_formula` and `format_formula` are the one-item cases of the first
+two, and `in_fragment` runs the same fold on one formula.
 
 Surface syntax: atoms are identifiers (`X`), duals carry a trailing caret
 (`X^`), units are written `one` (or `1`) and `bot`, the connectives are the
@@ -22,6 +32,7 @@ printer always emits the fully parenthesized form.
 from __future__ import annotations
 
 import enum
+import re
 import weakref
 
 from .errors import ParseError
@@ -191,13 +202,25 @@ def fragment_from_name(name: str) -> Fragment:
 _A, _AD, _E, _ED = "A", "A*", "E", "E*"
 
 
-def _fold(f: Formula, leaf, join):
-    """Fold f bottom-up without recursion: `leaf(g)` at each leaf and
-    `join(g, left value, right value)` at each connective."""
+def _fold(fs, leaf, join) -> dict:
+    """Fold formulas bottom-up without recursion: `leaf(g)` at each leaf and
+    `join(g, left value, right value)` at each connective.  The formulas
+    share one table of values, so each distinct subformula is folded once,
+    however many of them contain it; the table is returned."""
     values = {}
-    for g in reversed(list(subformulas(f))):  # each subformula after its sides
-        values[g] = leaf(g) if g.left is None else join(g, values[g.left], values[g.right])
-    return values[f]
+    for f in fs:
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g in values:
+                continue
+            if g.left is None:
+                values[g] = leaf(g)
+            elif g.left in values and g.right in values:
+                values[g] = join(g, values[g.left], values[g.right])
+            else:  # both sides first, then g again
+                stack += (g, g.right, g.left)
+    return values
 
 
 _BTEN_LEAF_KIND = {ATOM: _A, ONE_KIND: _A, BOT_KIND: _E}
@@ -205,15 +228,6 @@ _BTEN_LEAF_KIND = {ATOM: _A, ONE_KIND: _A, BOT_KIND: _E}
 # _POLARITY_JOIN below; a triple not listed is outside the grammar
 _BTEN_JOIN = {(TENSOR, _A, _A): _A, (PAR, _A, _A): _A, (PAR, _A, _E): _A,
               (PAR, _E, _A): _A, (PAR, _E, _E): _E}
-
-
-def _bten_kind(f: Formula) -> str | None:
-    """Kind A or E in the bottom-tensor-restricted grammar, None if outside."""
-    if f.left is None:  # most arc types are leaves: skip the walk
-        return _BTEN_LEAF_KIND[f.kind]
-    return _fold(f, lambda g: _BTEN_LEAF_KIND[g.kind],
-                 lambda g, kl, kr: _BTEN_JOIN.get((g.kind, kl, kr)))
-
 
 _STAR_LEAF_KINDS = {ATOM: frozenset({_A, _AD}), BOT_KIND: frozenset({_E}),
                     ONE_KIND: frozenset({_ED})}
@@ -235,10 +249,6 @@ def _bten_star_join(f: Formula, kl: frozenset, kr: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def _bten_star_kinds(f: Formula) -> frozenset:
-    return _fold(f, lambda g: _STAR_LEAF_KINDS[g.kind], _bten_star_join)
-
-
 def _polarity_leaf(f: Formula) -> str:
     if f.kind == ATOM:
         return "I" if f.dual else "O"
@@ -250,12 +260,40 @@ _POLARITY_JOIN = {(TENSOR, "O", "O"): "O", (TENSOR, "O", "I"): "I",
                   (PAR, "O", "I"): "O", (PAR, "I", "O"): "O"}
 
 
+def _polarity_join(f: Formula, pl, pr):
+    return _POLARITY_JOIN.get((f.kind, pl, pr))
+
+
 def polarity(f: Formula) -> str | None:
     """Output/input polarity in the intuitionistic grammar, None if outside."""
     if f.left is None:  # most arc types are leaves: skip the walk
         return _polarity_leaf(f)
-    return _fold(f, _polarity_leaf,
-                 lambda g, pl, pr: _POLARITY_JOIN.get((g.kind, pl, pr)))
+    return _fold((f,), _polarity_leaf, _polarity_join)[f]
+
+
+# Per fragment, the leaf and join of the fold that decides it: whether no
+# unit occurs (mll), the kind A or E (btenll; None outside), the set of
+# starred kinds (btenll-star; empty outside), and the polarity (imll and
+# icomll, where an atom is outside icomll; None outside).
+_KIND_FOLDS = {
+    Fragment.MLL: (lambda g: g.kind == ATOM, lambda g, ok_l, ok_r: ok_l and ok_r),
+    Fragment.BTENLL: (lambda g: _BTEN_LEAF_KIND[g.kind],
+                      lambda g, kl, kr: _BTEN_JOIN.get((g.kind, kl, kr))),
+    Fragment.BTENLL_STAR: (lambda g: _STAR_LEAF_KINDS[g.kind], _bten_star_join),
+    Fragment.IMLL: (_polarity_leaf, _polarity_join),
+    Fragment.ICOMLL: (lambda g: None if g.kind == ATOM else _polarity_leaf(g),
+                      _polarity_join),
+}
+
+
+def _verdict(frag: Fragment, value) -> tuple[bool, str | None]:
+    if frag is Fragment.MLL:
+        return value, None
+    if frag is Fragment.BTENLL_STAR:
+        if not value:
+            return False, None
+        return True, _A if value & {_A, _AD} else _E
+    return value is not None, value
 
 
 def in_fragment(f: Formula, frag: Fragment) -> tuple[bool, str | None]:
@@ -266,23 +304,19 @@ def in_fragment(f: Formula, frag: Fragment) -> tuple[bool, str | None]:
     """
     if frag is Fragment.MLLU:
         return True, None
-    if frag is Fragment.MLL:
-        ok = all(g.kind in (ATOM, TENSOR, PAR) for g in subformulas(f))
-        return ok, None
-    if frag is Fragment.BTENLL:
-        kind = _bten_kind(f)
-        return kind is not None, kind
-    if frag is Fragment.BTENLL_STAR:
-        kinds = _bten_star_kinds(f)
-        if not kinds:
-            return False, None
-        return True, _A if kinds & {_A, _AD} else _E
-    pol = polarity(f)
-    if pol is None:
-        return False, None
-    if frag is Fragment.ICOMLL and any(g.kind == ATOM for g in subformulas(f)):
-        return False, None
-    return True, pol
+    leaf, join = _KIND_FOLDS[frag]
+    # most types are leaves: skip the walk
+    return _verdict(frag, leaf(f) if f.left is None else _fold((f,), leaf, join)[f])
+
+
+def in_fragments(formulas, frag: Fragment) -> dict[Formula, tuple[bool, str | None]]:
+    """`in_fragment` of each distinct formula given, from one fold that
+    visits each distinct subformula once across all of them."""
+    formulas = dict.fromkeys(formulas)
+    if frag is Fragment.MLLU:
+        return dict.fromkeys(formulas, (True, None))
+    values = _fold(formulas, *_KIND_FOLDS[frag])
+    return {f: _verdict(frag, values[f]) for f in formulas}
 
 
 _SEPARATORS = {TENSOR: " tensor ", PAR: " par "}
@@ -295,103 +329,153 @@ def _leaf_text(f: Formula) -> str:
 
 
 def format_formula(f: Formula) -> str:
-    if f.left is None:  # most arc types are leaves: skip the buffers
-        return _leaf_text(f)
-    out = []
-    emit = out.append
-    # connectives whose right side is still to print, and None for each
-    # closing parenthesis still owed
-    stack: list[Formula | None] = []
-    while True:
-        while f.left is not None:
-            emit("(")
-            stack.append(f)
-            f = f.left
-        emit(_leaf_text(f))
-        while stack:
-            top = stack.pop()
-            if top is None:
-                emit(")")
+    return format_formulas((f,))[f]
+
+
+def format_formulas(formulas) -> dict[Formula, str]:
+    """The fully parenthesized text of each distinct formula given.
+
+    One walk prints each formula not yet printed.  It copies the text of a
+    formula printed before, and records the text of each given formula it
+    passes through, so a subformula that is also given is printed once.
+    Only the given formulas' texts are kept: the memory stays within the
+    output's size.
+    """
+    wanted = dict.fromkeys(formulas)
+    texts: dict[Formula, str] = {}
+    for f in wanted:
+        if f in texts:
+            continue
+        if f.left is None:  # most arc types are leaves: skip the buffers
+            texts[f] = _leaf_text(f)
+            continue
+        out = []
+        emit = out.append
+        # connectives whose right side is still to print, None for each
+        # closing parenthesis still owed, and (formula, start in out) for
+        # each given formula whose text ends with the next ')'
+        stack: list = []
+        while True:
+            while True:
+                text = texts.get(f)
+                if text is not None:
+                    emit(text)
+                    break
+                if f.left is None:
+                    emit(_leaf_text(f))
+                    break
+                if f in wanted:
+                    stack.append((f, len(out)))
+                emit("(")
+                stack.append(f)
+                f = f.left
+            while stack:
+                top = stack.pop()
+                if top is None:
+                    emit(")")
+                elif type(top) is tuple:
+                    texts[top[0]] = "".join(out[top[1]:])
+                else:
+                    emit(_SEPARATORS[top.kind])
+                    stack.append(None)
+                    f = top.right
+                    break
             else:
-                emit(_SEPARATORS[top.kind])
-                stack.append(None)
-                f = top.right
                 break
-        else:
-            return "".join(out)
+    return texts
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, i + 1))
-            i += 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if j < n and text[j] == "^":
-                j += 1
-                word += "^"
-            tokens.append((word, i + 1))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i + 1)
-    tokens.append((None, n + 1))
-    return tokens
+_TOKEN = re.compile(r"[()]|\w+\^?")
+# a character no token starts with: \w and \s are str.isalnum() plus "_" and
+# str.isspace(), and a caret belongs to the word before it
+_UNEXPECTED = re.compile(r"[^\w\s()^]|(?<!\w)\^")
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the surface syntax; raises ParseError with a 1-based offset.
+    """Parse the surface syntax; raises ParseError with a 1-based offset."""
+    f = parse_formulas((text,))[text]
+    if isinstance(f, ParseError):
+        raise f
+    return f
 
-    One frame per open parenthesis, on an explicit stack, holds the formula
-    read so far at that level and its connective, so nesting depth costs no
-    Python recursion.
+
+def parse_formulas(texts) -> dict[str, Formula | ParseError]:
+    """The formula of each distinct text, or the ParseError that parsing
+    that text alone raises.
+
+    Texts are parsed longest first.  A parenthesized group that closes is
+    recorded when its exact text is one of the texts, so a text already
+    read as a group of a longer one costs a lookup; lengths are compared
+    before any slice is taken, and only the given texts are recorded.
     """
-    tokens = _tokenize(text)
-    pos = 0
-    frames: list[list] = [[None, None]]  # [formula so far, connective]
+    wanted = set(texts)
+    lengths = {len(text) for text in wanted}
+    found: dict[str, Formula | ParseError] = {}
+    for text in sorted(wanted, key=len, reverse=True):
+        if text not in found:
+            try:
+                found[text] = _parse(text, wanted, lengths, found)
+            except ParseError as exc:
+                found[text] = exc
+    return found
+
+
+def _parse(text: str, wanted, lengths, found) -> Formula:
+    """Parse one text, recording its wanted groups in `found`.
+
+    An unexpected character anywhere is reported before any other error.
+    One frame per open parenthesis, on an explicit stack, holds the formula
+    read so far at that level, its connective and the offset of its '(',
+    so nesting depth costs no Python recursion.  A token is a match, and
+    None past the end.
+    """
+    bad = _UNEXPECTED.search(text)
+    if bad is not None:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start() + 1)
+    tokens = _TOKEN.finditer(text)
+
+    def offset(m) -> int:
+        return len(text) + 1 if m is None else m.start() + 1
+
+    frames: list[list] = [[None, None, 0]]  # [formula so far, connective, start]
     while True:
-        tok, at = tokens[pos]
-        pos += 1
+        m = next(tokens, None)
+        tok = None if m is None else m[0]
         while tok == "(":
-            frames.append([None, None])
-            tok, at = tokens[pos]
-            pos += 1
+            frames.append([None, None, m.start()])
+            m = next(tokens, None)
+            tok = None if m is None else m[0]
         if tok in ("one", "1"):
             value = ONE
         elif tok == "bot":
             value = BOT
         elif tok is None or tok in ("tensor", "par", ")"):
-            raise ParseError("expected a formula", at)
+            raise ParseError("expected a formula", offset(m))
         elif tok.endswith("^"):
             value = atom(tok[:-1], dual=True)
         else:
             value = atom(tok)
         while True:
             frame = frames[-1]
-            left, op = frame
+            left, op, start = frame
             frame[0] = value if left is None else Formula(op, left=left, right=value)
-            word, at = tokens[pos]
-            pos += 1
+            m = next(tokens, None)
+            word = None if m is None else m[0]
             if word in ("tensor", "par"):
                 if op is not None and word != op:
-                    raise ParseError("mixed connectives need parentheses", at)
+                    raise ParseError("mixed connectives need parentheses", offset(m))
                 frame[1] = word
                 break
             if len(frames) == 1:
                 if word is not None:
-                    raise ParseError(f"unexpected {word!r}", at)
+                    raise ParseError(f"unexpected {word!r}", offset(m))
                 return frame[0]
             if word != ")":
-                raise ParseError("expected ')'", at)
+                raise ParseError("expected ')'", offset(m))
             frames.pop()
             value = frame[0]
+            end = m.end()
+            if end - start in lengths:  # the group is text[start:end]
+                group = text[start:end]
+                if group in wanted:
+                    found[group] = value

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .formulas import format_formula
+from .formulas import format_formulas
 from .structure import AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure, jump_arcs
 from .switching import Switching, switching_graph
 
@@ -35,6 +35,8 @@ def export_dot(ps: ProofStructure, switching: Switching | None = None) -> str:
         text = _TEXT[lab]
         shape = _SHAPE[lab]
         lines.append(f'  n{n} [label="{text}" shape={shape}];')
+    types = ps.types or {}
+    labels = format_formulas(types[a] for a in arcs if a in types)
     port_of = {}
     for n, (left, right) in sorted(premise_order.items()):
         port_of[(left, n)] = "nw"
@@ -46,8 +48,8 @@ def export_dot(ps: ProofStructure, switching: Switching | None = None) -> str:
             attrs.append(f'headport={port_of[(a, h)]}')
         if a in jumps:
             attrs.append("style=dashed")
-        if ps.types is not None and a in ps.types:
-            attrs.append(f'label="{format_formula(ps.types[a])}"')
+        if a in types:
+            attrs.append(f'label="{labels[types[a]]}"')
         suffix = f' [{" ".join(attrs)}]' if attrs else ""
         lines.append(f"  n{t} -> n{h}{suffix};")
     conclusion_dots = sorted({arcs[a][1] for a in ps.conclusions if a in arcs})

@@ -46,14 +46,18 @@ class ProofBuildError(ProofNetError):
     """A rule was applied to premises of the wrong shape."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SequentProof:
     """A rule instance over the sub-proofs of its premises.
 
     `arg` is the axiom or cut formula or the 0-based exchange position, and
     None for the other rules.  The constructor derives the conclusion (so it
     takes no part in equality) and raises ProofBuildError on an unknown
-    rule, a wrong premise count or an ill-formed instance.
+    rule, a wrong premise count or an ill-formed instance.  Two proofs are
+    equal when their rules, arguments and premises are; the hash is
+    computed once, from the stored hashes of the premises, and equality
+    walks an explicit stack, so neither recurses with the depth of the
+    proof.
     """
 
     rule: str
@@ -98,7 +102,29 @@ class SequentProof:
                 raise ProofBuildError("dual of the cut formula must open the second premise")
             conclusion = c[:-1] + c2[1:]
         # the dataclass is frozen: fill its fields past its __setattr__
-        vars(self).update(rule=rule, premises=premises, arg=arg, conclusion=conclusion)
+        vars(self).update(rule=rule, premises=premises, arg=arg, conclusion=conclusion,
+                          _hash=hash((rule, arg, premises)))
+
+    def __eq__(self, other):
+        if not isinstance(other, SequentProof):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            p, q = stack.pop()
+            if p is q:
+                continue
+            if (p._hash != q._hash or p.rule != q.rule or p.arg != q.arg
+                    or len(p.premises) != len(q.premises)):
+                return False
+            stack.extend(zip(p.premises, q.premises))
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the hash is this process's
+        return SequentProof, (self.rule, self.premises, self.arg)
 
     def rule_count(self) -> int:
         count, stack = 0, [self]

@@ -23,7 +23,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import formulas
 from .errors import ParseError, ValidationError
-from .formulas import Formula, Fragment, format_formula, in_fragment, negate, parse_formula
+from .formulas import (Formula, Fragment, format_formula, format_formulas, in_fragments,
+                       negate, parse_formula, parse_formulas)
 
 AX = "ax"
 CUT = "cut"
@@ -274,9 +275,12 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
         if ps.types is None:
             v.append(("fragment", None, "fragment check requires a typed structure"))
         else:
-            for a in sorted(ps.arcs):
-                f = ps.types.get(a)
-                if f is not None and not in_fragment(f, frag)[0]:
+            typed = [(a, ps.types[a]) for a in sorted(ps.arcs)
+                     if ps.types.get(a) is not None]
+            # one fold decides every distinct type, sharing the subformulas
+            verdicts = in_fragments((f for _, f in typed), frag)
+            for a, f in typed:
+                if not verdicts[f][0]:
                     v.append(("fragment", a,
                               f"type {format_formula(f)} of arc {a} outside {frag.value}"))
 
@@ -452,7 +456,8 @@ def to_json_dict(ps: ProofStructure) -> dict:
         "conclusions": list(ps.conclusions),
     }
     if ps.types is not None:
-        doc["types"] = {str(a): format_formula(f) for a, f in sorted(ps.types.items())}
+        texts = format_formulas(ps.types.values())
+        doc["types"] = {str(a): texts[f] for a, f in sorted(ps.types.items())}
     if ps.jumps:
         doc["jumps"] = {str(n): m for n, m in sorted(ps.jumps.items())}
     return doc
@@ -514,14 +519,16 @@ def from_json_dict(doc: dict) -> ProofStructure:
         types = None
         if "types" in doc:
             types = {}
-            parsed: dict[str, Formula] = {}  # each distinct text is parsed once
-            for a, text in _json_object(doc, "types").items():
+            texts = _json_object(doc, "types")
+            parsed = parse_formulas(t for t in texts.values() if isinstance(t, str))
+            # the first offending arc in document order raises
+            for a, text in texts.items():
                 if not isinstance(text, str):
                     raise ParseError(f"malformed structure document: type of arc {a}"
                                      " is not a string")
-                f = parsed.get(text)
-                if f is None:
-                    f = parsed[text] = parse_formula(text)
+                f = parsed[text]
+                if isinstance(f, ParseError):
+                    raise f
                 types[int(a)] = f
         jumps = {int(n): int(m) for n, m in _json_object(doc, "jumps").items()}
     except (KeyError, TypeError, ValueError) as exc:
@@ -558,8 +565,9 @@ def to_dsl(ps: ProofStructure) -> str:
     if ps.conclusions:
         lines.append("conclusions " + " ".join(str(a) for a in ps.conclusions))
     if ps.types is not None:
+        texts = format_formulas(ps.types.values())
         for a, f in sorted(ps.types.items()):
-            lines.append(f"type {a} {format_formula(f)}")
+            lines.append(f"type {a} {texts[f]}")
     for n, m in sorted(ps.jumps.items()):
         lines.append(f"jump {n} {m}")
     return "\n".join(lines) + "\n"

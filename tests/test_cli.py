@@ -333,6 +333,9 @@ def test_deep_formulas_normalize(tmp_path, capsys):
     code, out, err = run(capsys, "normalize", str(path))
     assert (code, err) == (0, "")
     assert json.loads(out)["types"] == {"0": chain, "1": dual}
+    code, out, err = run(capsys, "check", str(path), "--criterion", "accw")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["holds"] is True
 
 
 def _chain_proof(k, leaf="(one)"):

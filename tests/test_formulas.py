@@ -2,14 +2,17 @@ import copy
 import gc
 import pickle
 import random
+import re
+import sys
 
 import pytest
 
 from proofnets.errors import ParseError
 from proofnets import formulas
 from proofnets.formulas import (BOT, Formula, Fragment, ONE, atom,
-                                format_formula, in_fragment, negate, par,
-                                parse_formula, polarity, tensor)
+                                format_formula, format_formulas, in_fragment,
+                                in_fragments, negate, par, parse_formula,
+                                parse_formulas, polarity, subformulas, tensor)
 from proofnets.generate import random_formula
 
 X = atom("X")
@@ -226,3 +229,100 @@ def test_dropped_formulas_leave_the_intern_table():
     finally:
         if enabled:
             gc.enable()
+
+
+# -- batch reading, printing and fragment kinds, against one-at-a-time oracles ---
+
+
+def reference_text(f):
+    """The printer's output, written the obvious recursive way."""
+    if f.left is None:
+        return format_formula(f)
+    sep = " tensor " if f.kind == "tensor" else " par "
+    return "(" + reference_text(f.left) + sep + reference_text(f.right) + ")"
+
+
+def outcome(text):
+    try:
+        return parse_formula(text)
+    except ParseError as exc:
+        return (str(exc), exc.position)
+
+
+def mutated(text, rng):
+    i = rng.randrange(len(text) + 1)
+    junk = rng.choice(["(", ")", "^", "$", " ", "X", "tensor", "par", "é", ""])
+    return text[:i] + junk + text[i + rng.randrange(2):]
+
+
+def test_tokens_split_words_and_spaces_as_str_methods_do():
+    # the tokenizer's \w and \s stand for str.isalnum() plus "_" and for
+    # str.isspace(), over every code point
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\w", chars) == [c for c in chars if c.isalnum() or c == "_"]
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
+
+def test_parse_formulas_agrees_with_one_text_at_a_time():
+    rng = random.Random(21)
+    for _ in range(300):
+        fs = [random_formula(rng, depth=rng.randint(0, 5)) for _ in range(rng.randint(1, 6))]
+        # whole texts, the texts of their subformulas (which a longer text
+        # holds as a group), spacing and parenthesis variants, and mutations
+        texts = [format_formula(g) for f in fs for g in subformulas(f)]
+        texts += [f"({t})" for t in rng.choices(texts, k=2)] + [" " + texts[0], texts[-1] + " "]
+        texts += [mutated(rng.choice(texts), rng) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(texts)
+        found = parse_formulas(texts)
+        assert set(found) == set(texts)
+        for text in texts:
+            got = found[text]
+            if isinstance(got, ParseError):
+                got = (str(got), got.position)
+            assert got == outcome(text), text
+
+
+def test_parse_errors_keep_their_offsets():
+    cases = {"(X par": ("expected a formula", 7), "(X par Y": ("expected ')'", 9), "X par Y tensor Z": ("mixed connectives "
+             "need parentheses", 9), "(X par Y) $": ("unexpected character '$'", 11),
+             "X ^": ("unexpected character '^'", 3), "X^^": ("unexpected character '^'", 3),
+             "": ("expected a formula", 1), "(X par Y) Z": ("unexpected 'Z'", 11),
+             "(X par ) tensor $": ("unexpected character '$'", 17)}
+    found = parse_formulas(cases)
+    for text, (message, position) in cases.items():
+        assert (str(found[text]), found[text].position) == \
+            (f"{message} (at offset {position})", position)
+    # a group of a longer text that fails later is still read correctly
+    assert parse_formulas(["((X par Y) tensor", "(X par Y)"])["(X par Y)"] is par(X, atom("Y"))
+
+
+def test_format_formulas_agrees_with_a_recursive_printer():
+    rng = random.Random(22)
+    for _ in range(300):
+        fs = [random_formula(rng, depth=rng.randint(0, 5)) for _ in range(rng.randint(1, 6))]
+        wanted = [g for f in fs for g in subformulas(f) if rng.random() < 0.3] + fs
+        rng.shuffle(wanted)
+        texts = format_formulas(wanted)
+        assert texts == {f: reference_text(f) for f in wanted}
+
+
+def test_in_fragments_agrees_with_a_recursive_fold():
+    leaf_join = formulas._KIND_FOLDS
+
+    def kind(f, frag):
+        leaf, join = leaf_join[frag]
+        if f.left is None:
+            return leaf(f)
+        return join(f, kind(f.left, frag), kind(f.right, frag))
+
+    rng = random.Random(23)
+    for _ in range(200):
+        fs = [random_formula(rng, depth=rng.randint(0, 5)) for _ in range(rng.randint(1, 6))]
+        given = [g for f in fs for g in subformulas(f)]
+        for frag in Fragment:
+            verdicts = in_fragments(given, frag)
+            assert set(verdicts) == set(given)
+            for f in given:
+                expected = (True, None) if frag is Fragment.MLLU else \
+                    formulas._verdict(frag, kind(f, frag))
+                assert verdicts[f] == in_fragment(f, frag) == expected

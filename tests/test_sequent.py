@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -122,6 +124,24 @@ def test_format_parse_round_trip():
     frag, again = parse_proof(text)
     assert frag is Fragment.MLLU
     assert again == p
+
+
+def test_deep_proofs_compare_and_hash_without_recursion():
+    # two parsed copies of 1 200 nested bot rules: the generated dataclass
+    # methods recursed once per premise level
+    k = 1200
+    text = "fragment: mllu\n" + "(bot " * k + "(one)" + ")" * k + "\n"
+    p, q = parse_proof(text)[1], parse_proof(text)[1]
+    assert p is not q
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    other = parse_proof(text.replace("(one)", '(ax "X")'))[1]
+    assert p != other and not p == other
+    assert other != parse_proof(text.replace("(one)", '(ax "Y")'))[1]
+    assert (p == "p") is False and p != "p"
+    # the stored hash is rebuilt in a copy or an unpickled proof
+    small = parse_proof("fragment: mllu\n(tensor (one) (ex 1 (bot (one))))")[1]
+    for copied in (copy.deepcopy(small), pickle.loads(pickle.dumps(small))):
+        assert copied == small and hash(copied) == hash(small)
 
 
 def test_parse_example_from_docs():

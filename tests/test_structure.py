@@ -1,20 +1,22 @@
 import json
 import random
-from itertools import permutations, product
+import tracemalloc
+from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import build_ps
-from proofnets import fixtures
+from proofnets import fixtures, formulas
 from proofnets.canonical import canonical_form, iso, isomorphisms
 from proofnets.errors import ParseError
-from proofnets.formulas import Fragment, parse_formula
+from proofnets.formulas import Fragment, format_formula, parse_formula
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
 from proofnets.sequentialize import canonical_jumps_btenll
 from proofnets.structure import (ProofStructure, descent_chain, erasing_nodes,
-                                 from_dsl, from_json, is_wten, precedes,
-                                 strip, to_dsl, to_json, to_json_dict, validate)
+                                 from_dsl, from_json, from_json_dict, is_wten,
+                                 precedes, strip, to_dsl, to_json, to_json_dict,
+                                 validate)
 
 
 def relabel(ps, rng):
@@ -218,6 +220,24 @@ def test_to_json_writes_the_text_of_json_dumps():
     assert "\\u00e9" in to_json(structures[-1])
 
 
+def first_failure(types: list) -> tuple:
+    """What the one-arc-at-a-time reader raised first, in document order: a
+    type that is not a string, a text that does not parse, or a key that is
+    not an arc id."""
+    for a, text in types:
+        if not isinstance(text, str):
+            return f"malformed structure document: type of arc {a} is not a string", None
+        try:
+            parse_formula(text)
+        except ParseError as exc:
+            return str(exc), exc.position
+        try:
+            int(a)
+        except ValueError as exc:
+            return f"malformed structure document: {exc}", None
+    return None
+
+
 def test_repeated_type_text_parses_once_and_fails_alike():
     def doc(types):
         return json.dumps({"nodes": [{"id": 0, "label": "ax"}], "arcs": [],
@@ -233,6 +253,91 @@ def test_repeated_type_text_parses_once_and_fails_alike():
             (str(alone.value), alone.value.position)
     ps = from_json(doc({"0": "(X par X^)", "1": "(X par X^)"}))
     assert ps.types[0] is ps.types[1] is parse_formula("(X par X^)")
+    # several bad texts, types that are not strings and a key that is not
+    # an arc id, mixed with good texts in every order: the first offending
+    # arc in document order raises
+    bads = [("t", bad), ("t", "X $"), ("t", "(X par Y"), ("t", 7), ("t", None),
+            ("t", ["X"]), ("x", "X")]
+    goods = [("t", "X"), ("t", "(X par X^)"), ("t", "(X par Y)")]
+    checked = 0
+    for chosen in combinations(bads, 3):
+        for good in goods:
+            for order in permutations(chosen + (good,)):
+                types = [(str(i) if key == "t" else key, text)
+                         for i, (key, text) in enumerate(order)]
+                with pytest.raises(ParseError) as exc:
+                    from_json(doc(dict(types)))
+                assert (str(exc.value), exc.value.position) == first_failure(types)
+                checked += 1
+    assert checked == 35 * 3 * 24
+
+
+def test_a_type_read_as_a_group_of_a_longer_one_is_not_parsed_again(monkeypatch):
+    parsed = []
+    parse = formulas._parse
+
+    def counted(text, *rest):
+        parsed.append(text)
+        return parse(text, *rest)
+
+    monkeypatch.setattr(formulas, "_parse", counted)
+    types = {"0": "(X par Y)", "1": "((X par Y) tensor Z)", "2": "Z",
+             "3": "(X par Y)", "4": " (X par Y)"}
+    ps = from_json(json.dumps({"nodes": [], "arcs": [], "types": types}))
+    assert sorted(parsed) == [" (X par Y)", "((X par Y) tensor Z)", "Z"]
+    assert ps.types[1].left is ps.types[0] is ps.types[3] is ps.types[4]
+
+
+def typed_structures():
+    """Seeded typed structures, with normalize-like mll nets with cuts."""
+    for seed in range(30):
+        for frag in (Fragment.MLLU, Fragment.BTENLL, Fragment.IMLL):
+            p = random_proof(GenParams(fragment=frag, max_rules=20, seed=seed,
+                                       cut_probability=0.3))
+            yield desequentialize(p, verify=False).ps
+        yield random_ps(GenParams(fragment=Fragment.MLLU, max_nodes=16, seed=seed,
+                                  cut_probability=0.3))
+    for seed in range(8):
+        p = random_proof(GenParams(fragment=Fragment.MLL, max_rules=100 + 25 * seed,
+                                   seed=seed, cut_probability=0.6))
+        yield desequentialize(p, verify=False).ps
+
+
+def test_batch_type_io_matches_one_arc_at_a_time():
+    cut_nets = 0
+    for ps in typed_structures():
+        cut_nets += "cut" in ps.nodes.values()
+        per_arc = {str(a): format_formula(f) for a, f in sorted(ps.types.items())}
+        text = to_json(ps)
+        assert text == json.dumps({**to_json_dict(ps), "types": per_arc}, indent=2)
+        assert to_dsl(ps).endswith("".join(f"type {a} {t}\n" for a, t in per_arc.items()))
+        again = from_json_dict(json.loads(text))
+        for a, type_text in per_arc.items():
+            assert again.types[int(a)] is parse_formula(type_text) is ps.types[int(a)]
+    assert cut_nets > 40
+
+
+def test_deep_type_io_memory_stays_within_the_text_size():
+    # one ax typed by a 20 000-deep tensor chain and its dual: reading and
+    # writing keep only the formulas and the wanted texts, where a table of
+    # every subformula's text would grow with the square of the depth
+    k = 20_000
+    doc = {"nodes": [{"id": 0, "label": "ax"}, {"id": 1, "label": "dot"},
+                     {"id": 2, "label": "dot"}],
+           "arcs": [{"id": 0, "tail": 0, "head": 1}, {"id": 1, "tail": 0, "head": 2}],
+           "conclusions": [0, 1],
+           "types": {"0": "(" * k + "X" + " tensor X)" * k,
+                     "1": "(" * k + "X^" + " par X^)" * k}}
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        out = to_json(from_json(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out)["types"] == doc["types"]
+    # the 40 000 interned formulas alone take about 34 times the text
+    assert peak < 50 * len(text), (peak, len(text))
 
 
 # -- canonical forms and isomorphism ------------------------------------------------
