@@ -17,7 +17,7 @@ from .errors import ParseError, ProofNetError, ValidationError
 from .formulas import Fragment, fragment_from_name
 from .generate import GenParams, random_proof, random_ps
 from .render import export_dot
-from .sequent import (desequentialize, format_proof, parse_proof)
+from .sequent import check_proof, desequentialize, format_proof, parse_proof
 from .sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                             proofs_equivalent, sequentialize_btenll,
                             sequentialize_icomll, sequentialize_wten)
@@ -133,7 +133,6 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_deseq(args) -> int:
     frag, proof = parse_proof(_read(args.proof))
-    from .sequent import check_proof
     report = check_proof(proof, frag)
     if not report.ok:
         raise ValidationError(report)

@@ -2,12 +2,13 @@
 
 Three step shapes exist.  An axiom step erases an ax/cut pair and splices
 the two outer arcs into one; it requires the shared arc to be the only
-directed path between the two nodes, which rules out the closed loop where
-both ax conclusions feed the same cut.  A unit step erases a one/bot/cut
-triple.  A multiplicative step replaces a tensor/par/cut triple by two cuts
-pairing the premises sidewise.  Every step removes exactly two arcs, which
-makes the rewriting terminating; cut nodes matching none of the shapes are
-clashes and simply stay.
+directed path between the two nodes: the ax's other conclusion may neither
+feed the cut nor reach it (`structure.precedes`), which rules out the
+closed loop where both ax conclusions feed the same cut.  A unit step
+erases a one/bot/cut triple.  A multiplicative step replaces a
+tensor/par/cut triple by two cuts pairing the premises sidewise.  Every
+step removes exactly two arcs, which makes the rewriting terminating; cut
+nodes matching none of the shapes are clashes and simply stay.
 
 All steps run on one `_Net`: a private mutable copy of a structure with
 in- and out-arc lists kept sorted by arc id.  `normalize` validates its
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from .errors import RedexError
 from .formulas import negate
 from .structure import (AX, BOT, CUT, ONE, PAR, TENSOR, ProofStructure,
-                        descent_chain, ensure_valid)
+                        descent_chain, ensure_valid, precedes)
 
 AXIOM_CUT = "axiom"
 UNIT_CUT = "unit"
@@ -66,7 +67,8 @@ class Redex:
 
 class _Net:
     """A mutable, jump-free copy of a structure that reduction rewrites in
-    place.  It answers the queries `_classify` makes of a structure."""
+    place.  It answers the queries `_classify` and `precedes` make of a
+    structure."""
 
     def __init__(self, ps: ProofStructure):
         self.nodes = dict(ps.nodes)
@@ -137,28 +139,18 @@ class _Net:
         return out
 
 
-def _unique_descent_path(ps, ax: int, cut: int, shared: int) -> bool:
-    """True when the shared arc is the only directed path from ax to cut."""
-    outgoing = ps.incidence()[1]
-    seen = set()
-    stack = [ps.head(a) for a in outgoing[ax] if a != shared]
-    while stack:
-        n = stack.pop()
-        if n == cut:
-            return False
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(ps.head(a) for a in outgoing[n])
-    return True
-
-
 def _classify(ps, cut: int) -> Redex | None:
     """The redex at a cut node, or None when the cut is a clash."""
     sources = [(ps.tail(a), a) for a in ps.premises_of(cut)]
     labels = {ps.nodes[n] for n, _ in sources}
-    ax_sides = [(n, a) for n, a in sources
-                if ps.nodes[n] == AX and _unique_descent_path(ps, n, cut, a)]
+    outgoing = ps.incidence()[1]
+    ax_sides = []
+    for n, a in sources:
+        if ps.nodes[n] == AX:
+            # the ax's other conclusion may neither feed the cut nor reach it
+            below = next(ps.arcs[b][1] for b in outgoing[n] if b != a)
+            if below != cut and not precedes(ps, below, cut):
+                ax_sides.append((n, a))
     if ax_sides:
         ax_node, shared = min(ax_sides)
         other = next(n for n, a in sources if a != shared)

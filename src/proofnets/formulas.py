@@ -264,13 +264,6 @@ def _polarity_join(f: Formula, pl, pr):
     return _POLARITY_JOIN.get((f.kind, pl, pr))
 
 
-def polarity(f: Formula) -> str | None:
-    """Output/input polarity in the intuitionistic grammar, None if outside."""
-    if f.left is None:  # most arc types are leaves: skip the walk
-        return _polarity_leaf(f)
-    return _fold((f,), _polarity_leaf, _polarity_join)[f]
-
-
 # Per fragment, the leaf and join of the fold that decides it: whether no
 # unit occurs (mll), the kind A or E (btenll; None outside), the set of
 # starred kinds (btenll-star; empty outside), and the polarity (imll and
@@ -307,6 +300,11 @@ def in_fragment(f: Formula, frag: Fragment) -> tuple[bool, str | None]:
     leaf, join = _KIND_FOLDS[frag]
     # most types are leaves: skip the walk
     return _verdict(frag, leaf(f) if f.left is None else _fold((f,), leaf, join)[f])
+
+
+def polarity(f: Formula) -> str | None:
+    """Output/input polarity in the intuitionistic grammar, None if outside."""
+    return in_fragment(f, Fragment.IMLL)[1]
 
 
 def in_fragments(formulas, frag: Fragment) -> dict[Formula, tuple[bool, str | None]]:

@@ -5,15 +5,18 @@ rule's argument and the conclusion sequent the rule derives.  The
 constructor derives that conclusion itself and rejects ill-formed
 instances, so every proof, built by hand or read from a file, is correct by
 construction.  `check_proof` adds only the fragment discipline: all
-formulas inside the fragment, and no axiom or cut rules in the
-constant-only intuitionistic fragment.
+formulas inside the fragment, decided by one fold over every conclusion
+formula, and no axiom or cut rules in the constant-only intuitionistic
+fragment.
 
 Desequentialization turns a proof into a typed structure rule by rule,
 premises first: axioms and units become single nodes, tensor and cut join
 the two sub-structures, par and bot extend one, and exchange only reorders
-the conclusions.  The result records, for every bot rule, the set of nodes
-built from that rule's premise sub-proof; the jump-aware relation between
-proofs and jump-total structures checks jump targets against those scopes.
+the conclusions.  Each new arc's type is read from the rule's conclusion,
+so no formula is built.  The result records, for every bot rule, the set
+of nodes built from that rule's premise sub-proof; the jump-aware relation
+between proofs and jump-total structures checks jump targets against those
+scopes.
 Reading, checking, printing and desequentializing walk proofs on explicit
 stacks, so their depth is bounded by memory, not by the interpreter.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from .canonical import isomorphisms
 from .errors import ParseError, ProofNetError
 from .formulas import (BOT as BOT_F, Formula, Fragment, format_formula,
-                       in_fragment, negate, parse_formula)
+                       in_fragments, negate, parse_formula)
 from .formulas import ONE as ONE_F, par as par_f, tensor as tensor_f
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         ValidationReport, jump_total, validate)
@@ -200,14 +203,13 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
         p = stack.pop()
         order.append(p)
         stack.extend(p.premises)
+    order.reverse()
+    # one fold decides every distinct formula, sharing the subformulas
+    verdicts = in_fragments((f for p in order for f in p.conclusion), frag)
     v = []
-    in_frag: dict[Formula, bool] = {}  # formulas are interned; contexts repeat
-    for p in reversed(order):
+    for p in order:
         for f in p.conclusion:
-            ok = in_frag.get(f)
-            if ok is None:
-                ok = in_frag[f] = in_fragment(f, frag)[0]
-            if not ok:
+            if not verdicts[f][0]:
                 v.append(("fragment", p.rule,
                           f"formula {format_formula(f)} outside {frag.value}"))
         if frag is Fragment.ICOMLL and p.rule in (AX_RULE, CUT_RULE):
@@ -429,7 +431,7 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
                 plug(arc, node)
             nodes[node] = PAR
             premise_order[node] = (left, right)
-            built.append(c1[:-2] + (conclude(node, d, par_f(types[left], types[right])),))
+            built.append(c1[:-2] + (conclude(node, d, p.conclusion[-1]),))
         else:  # binary rules joining two structures
             c2, c1 = built.pop(), built.pop()
             left, right = c1[-1], c2[0]
@@ -440,7 +442,7 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
                 d = fresh()
                 nodes[node] = TENSOR
                 premise_order[node] = (left, right)
-                a = conclude(node, d, tensor_f(types[left], types[right]))
+                a = conclude(node, d, p.conclusion[len(c1) - 1])
                 built.append(c1[:-1] + (a,) + c2[1:])
             else:
                 nodes[node] = CUT

@@ -36,16 +36,15 @@ DOT = "dot"
 
 LABELS = (AX, CUT, ONE, BOT, TENSOR, PAR, DOT)
 
-# (max premises, min premises, conclusions) per label; par is binary in a
-# proof-structure but may become unary in a switching graph.
+# (premises, conclusions) per label
 _ARITY = {
-    AX: (0, 0, 2),
-    CUT: (2, 2, 0),
-    ONE: (0, 0, 1),
-    BOT: (0, 0, 1),
-    TENSOR: (2, 2, 1),
-    PAR: (2, 2, 1),
-    DOT: (1, 1, 0),
+    AX: (0, 2),
+    CUT: (2, 0),
+    ONE: (0, 1),
+    BOT: (0, 1),
+    TENSOR: (2, 1),
+    PAR: (2, 1),
+    DOT: (1, 0),
 }
 
 
@@ -207,13 +206,14 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
     incoming, outgoing = ps.incidence()
 
     for n, lab in ps.nodes.items():
-        lo, hi, out = _ARITY[lab][1], _ARITY[lab][0], _ARITY[lab][2]
+        want_in, want_out = _ARITY[lab]
         n_in, n_out = len(incoming[n]), len(outgoing[n])
-        if not (lo <= n_in <= hi):
+        if n_in != want_in:
             kind = "binary par" if lab == PAR else f"{lab} arity"
-            v.append((kind, n, f"{lab} node {n} has {n_in} premise(s), expected {hi}"))
-        if n_out != out:
-            v.append((f"{lab} arity", n, f"{lab} node {n} has {n_out} conclusion(s), expected {out}"))
+            v.append((kind, n, f"{lab} node {n} has {n_in} premise(s), expected {want_in}"))
+        if n_out != want_out:
+            v.append((f"{lab} arity", n,
+                      f"{lab} node {n} has {n_out} conclusion(s), expected {want_out}"))
 
     for n, pair in ps.premise_order.items():
         if ps.nodes.get(n) not in (TENSOR, PAR):
@@ -395,13 +395,16 @@ def is_wten(ps: ProofStructure) -> tuple[bool, tuple[int, int] | None]:
 
 
 def precedes(ps: ProofStructure, n: int, m: int) -> bool:
-    """True iff a non-empty directed path runs from n down to m."""
+    """True iff a non-empty directed path runs from n down to m.  Only
+    `arcs` and the out-arcs of `incidence()` are read, so cut elimination's
+    private net answers it too."""
+    outgoing, arcs = ps.incidence()[1], ps.arcs
     seen = set()
     stack = [n]
     while stack:
         cur = stack.pop()
-        for a in ps.conclusions_of(cur):
-            h = ps.head(a)
+        for a in outgoing.get(cur, ()):
+            h = arcs[a][1]
             if h == m:
                 return True
             if h not in seen:
@@ -467,40 +470,28 @@ def to_json(ps: ProofStructure) -> str:
     """The text of `json.dumps(to_json_dict(ps), indent=2)`, written for the
     fixed shape of that document: with an indent, `json` would encode it
     with its pure-Python encoder."""
-    fields = []
-    for key, value in to_json_dict(ps).items():
-        if key in ("nodes", "arcs"):
-            items = [_json_block("{}", [f"{_json_scalar(k)}: {_json_scalar(v)}"
-                                        for k, v in record.items()], 2)
-                     for record in value]
-        elif key == "premises":
-            items = [f"{_json_scalar(n)}: "
-                     + _json_block("[]", [_json_scalar(a) for a in pair], 2)
-                     for n, pair in value.items()]
-        elif key == "conclusions":
-            items = [_json_scalar(a) for a in value]
-        else:  # types and jumps
-            items = [f"{_json_scalar(k)}: {_json_scalar(v)}" for k, v in value.items()]
-        brackets = "[]" if isinstance(value, list) else "{}"
-        fields.append(f"{_json_scalar(key)}: {_json_block(brackets, items, 1)}")
-    return _json_block("{}", fields, 0)
-
-
-def _json_block(brackets: str, items: list[str], depth: int) -> str:
-    """An array or object of encoded items, laid out as `json.dumps` with
-    indent=2 lays it out at that nesting depth."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
-
-
-def _json_scalar(value) -> str:
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
+    fields = [
+        ("nodes", "[]", [f'{{\n      "id": {n},\n      "label": '
+                         f'{encode_basestring_ascii(lab)}\n    }}'
+                         for n, lab in sorted(ps.nodes.items())]),
+        ("arcs", "[]", [f'{{\n      "id": {a},\n      "tail": {t},\n      "head": {h}\n    }}'
+                        for a, (t, h) in sorted(ps.arcs.items())]),
+        ("premises", "{}", [f'"{n}": [\n      {left},\n      {right}\n    ]'
+                            for n, (left, right) in sorted(ps.premise_order.items())]),
+        ("conclusions", "[]", [str(a) for a in ps.conclusions]),
+    ]
+    if ps.types is not None:
+        texts = format_formulas(ps.types.values())
+        fields.append(("types", "{}", [f'"{a}": {encode_basestring_ascii(texts[f])}'
+                                       for a, f in sorted(ps.types.items())]))
+    if ps.jumps:
+        fields.append(("jumps", "{}", [f'"{n}": {m}' for n, m in sorted(ps.jumps.items())]))
+    blocks = []
+    for key, (start, end), items in fields:
+        # one item a line, two levels deep; an empty field is [] or {}
+        inner = "\n    " + ",\n    ".join(items) + "\n  " if items else ""
+        blocks.append(f'"{key}": {start}{inner}{end}')
+    return "{\n  " + ",\n  ".join(blocks) + "\n}"
 
 
 def from_json_dict(doc: dict) -> ProofStructure:

@@ -349,36 +349,33 @@ def check(ps: ProofStructure, criterion: str,
         raise ValueError(f"unknown criterion {criterion!r}")
     erasing = erasing_nodes(ps)
 
-    def verdict(holds: bool, sw: Switching | None, g: SwitchingGraph | None):
-        comps = [] if g is None else graph_components(g, erasing)
+    def verdict(holds: bool, sw: Switching | None = None, comps=()):
         return CriterionVerdict(criterion, holds, sw, [c.census() for c in comps])
 
     if criterion == "cwforall":
         for sw in switchings(ps, W_COMPATIBLE, max_par):
-            g = switching_graph(ps, sw)
-            comps = graph_components(g, erasing)
+            comps = graph_components(switching_graph(ps, sw), erasing)
             if not all(c.erasing_of_base == 0 or c.thread for c in comps):
-                return CriterionVerdict(criterion, False, sw,
-                                        [c.census() for c in comps])
-        return CriterionVerdict(criterion, True)
+                return verdict(False, sw, comps)
+        return verdict(True)
 
     count_target = 1 if criterion in ("c", "acc") else expected_components(ps)
     if criterion in ("c", "cw"):
         for sw in switchings(ps, ALL, max_par):
             g = switching_graph(ps, sw)
             if _connect(g)[0].count != count_target:
-                return verdict(False, sw, g)
-        return verdict(True, None, None)
+                return verdict(False, sw, graph_components(g, erasing))
+        return verdict(True)
 
     if _has_switching_cycle(ps):
         sw = _first_cyclic_switching(ps)
-        return verdict(False, sw, switching_graph(ps, sw))
+        return verdict(False, sw, graph_components(switching_graph(ps, sw), erasing))
     if criterion == "ac":
-        return verdict(True, None, None)
+        return verdict(True)
     sw = {n: ps.premises_of(n)[0] for n in ps.par_nodes()}
-    g = switching_graph(ps, sw)
-    holds = _connect(g)[0].count == count_target
-    return verdict(holds, None if holds else sw, g)
+    comps = graph_components(switching_graph(ps, sw), erasing)
+    holds = len(comps) == count_target
+    return verdict(holds, None if holds else sw, comps)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -354,6 +355,16 @@ def _deseq_doc(tmp_path, capsys, text):
 def test_deseq_has_no_par_cap(tmp_path, capsys):
     doc = _deseq_doc(tmp_path, capsys, _chain_proof(22))
     assert [n["label"] for n in doc["nodes"]].count("par") == 22
+
+
+def test_deseq_of_1200_nested_pars_is_pinned(tmp_path, capsys):
+    # the text printed when each par type was built anew from its premises
+    proof = tmp_path / "chain.proof"
+    proof.write_text(_chain_proof(1200).replace("mllu", "btenll"))
+    code, out, err = run(capsys, "deseq", str(proof))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ffc742e7206c31b9d48a4a003e86567f06b334b698da628991d6d5bc1d9f1eab")
 
 
 def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import build_ps
 from proofnets.canonical import canonical_form, iso
-from proofnets.cutelim import (AXIOM_CUT, MULTIPLICATIVE_CUT, Redex, UNIT_CUT,
-                               find_redexes, normalize, reduce_step, replay)
+from proofnets.cutelim import (AXIOM_CUT, MULTIPLICATIVE_CUT, Redex, UNIT_CUT, _Net,
+                               _apply, _classify, find_redexes, normalize, reduce_step,
+                               replay)
 from proofnets.errors import RedexError, ValidationError
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
@@ -355,6 +356,65 @@ def test_axiom_splice_reclassifies_the_cut_ending_the_chain():
         assert find_redexes(trace.normal_form) == ([], [13 - first])
         firsts.add(first)
     assert firsts == {6, 7}
+
+
+def descent_search(ps, ax, cut, shared):
+    """Whether the shared arc is the only directed path from ax to cut, by a
+    search of its own down from the ax's other conclusions."""
+    outgoing = ps.incidence()[1]
+    seen = set()
+    stack = [ps.head(a) for a in outgoing[ax] if a != shared]
+    while stack:
+        n = stack.pop()
+        if n == cut:
+            return False
+        if n in seen:
+            continue
+        seen.add(n)
+        stack.extend(ps.head(a) for a in outgoing[n])
+    return True
+
+
+def assert_classify_matches_descent_search(g, counts):
+    for cut in sorted(n for n, lab in g.nodes.items() if lab == "cut"):
+        sources = [(g.tail(a), a) for a in g.premises_of(cut)]
+        ax_sides = []
+        for n, a in sources:
+            if g.nodes[n] == "ax":
+                unique = descent_search(g, n, cut, a)
+                counts[unique] += 1
+                if unique:
+                    ax_sides.append((n, a))
+        redex = _classify(g, cut)
+        if ax_sides:
+            ax_node, shared = min(ax_sides)
+            other = next(n for n, a in sources if a != shared)
+            assert redex == Redex(cut, AXIOM_CUT, (ax_node, other))
+        else:
+            assert redex is None or redex.kind != AXIOM_CUT
+
+
+def test_classify_matches_the_descent_search():
+    # on structures, and on the reducer's net before and after every step
+    counts = {True: 0, False: 0}
+    corpus = [closed_ax_loop_ps(), spliced_chain_ps()]
+    for seed in range(40):
+        p = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=30, seed=seed,
+                                   cut_probability=0.6))
+        corpus.append(desequentialize(p, verify=False).ps)
+        corpus.append(random_ps(GenParams(fragment=None, max_nodes=5 + seed % 20, seed=seed,
+                                          cut_probability=0.6)))
+    for ps in corpus:
+        assert_classify_matches_descent_search(ps, counts)
+        net = _Net(ps)
+        while True:
+            assert_classify_matches_descent_search(net, counts)
+            cuts = sorted(n for n, lab in net.nodes.items() if lab == "cut")
+            redexes = [r for r in (_classify(net, c) for c in cuts) if r is not None]
+            if not redexes:
+                break
+            _apply(net, redexes[0])
+    assert counts[True] > 500 and counts[False] > 100
 
 
 def test_normalize_validates_twice_and_never_scans(monkeypatch):

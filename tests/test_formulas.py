@@ -326,3 +326,5 @@ def test_in_fragments_agrees_with_a_recursive_fold():
                 expected = (True, None) if frag is Fragment.MLLU else \
                     formulas._verdict(frag, kind(f, frag))
                 assert verdicts[f] == in_fragment(f, frag) == expected
+        for f in given:
+            assert polarity(f) == kind(f, Fragment.IMLL)

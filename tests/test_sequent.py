@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from proofnets import fixtures
+from proofnets import fixtures, formulas
 from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import ParseError, ProofNetError
-from proofnets.formulas import BOT, Fragment, ONE, atom, tensor
+from proofnets.formulas import (BOT, Fragment, ONE, atom, format_formula, in_fragment,
+                                tensor)
 from proofnets.generate import GenParams, random_proof
 from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
                                check_proof, cut_rule, deseq_relation_holds,
@@ -83,6 +84,47 @@ def test_fragment_violations_repeat_per_rule():
             ("one", one), ("bot", one), ("bot", bot), ("ex", bot), ("ex", one),
             ("tensor", one), ("tensor", "formula (bot tensor bot) outside mll"),
             ("tensor", one))]
+
+
+def per_formula_report(p, frag):
+    """check_proof's violations from one `in_fragment` call per formula
+    occurrence, premises first."""
+    v = [x for q in p.premises for x in per_formula_report(q, frag)]
+    v += [("fragment", p.rule, f"formula {format_formula(f)} outside {frag.value}")
+          for f in p.conclusion if not in_fragment(f, frag)[0]]
+    if frag is Fragment.ICOMLL and p.rule in ("ax", "cut"):
+        v.append(("fragment", p.rule, f"{p.rule} rule is not available in icomll"))
+    return v
+
+
+def test_check_proof_matches_a_per_formula_oracle():
+    # proofs of each fragment, checked against every fragment
+    rule_violations = formula_violations = 0
+    for made_in in Fragment:
+        for seed in range(30):
+            p = random_proof(GenParams(fragment=made_in, max_rules=14, seed=seed,
+                                       cut_probability=0.3))
+            for frag in Fragment:
+                report = check_proof(p, frag).violations
+                assert report == per_formula_report(p, frag), (made_in, seed, frag)
+                rule_violations += sum("rule is not available" in m for _, _, m in report)
+                formula_violations += sum("outside" in m for _, _, m in report)
+    assert rule_violations > 300 and formula_violations > 3000
+
+
+def test_check_proof_and_validate_fold_once(monkeypatch):
+    calls = []
+    fold = formulas._fold
+    monkeypatch.setattr(formulas, "_fold", lambda *args: calls.append(1) or fold(*args))
+    for seed in range(10):
+        p = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=40, seed=seed,
+                                   cut_probability=0.3))
+        ps = desequentialize(p, verify=False).ps
+        for frag in Fragment:
+            for run in (lambda: check_proof(p, frag), lambda: validate(ps, frag)):
+                calls.clear()
+                run()
+                assert len(calls) == (frag is not Fragment.MLLU), (seed, frag)
 
 
 def test_icomll_rejects_axiom_and_cut():
