@@ -2,21 +2,44 @@
 
 Structure identity ignores node and arc ids and respects labels, premise
 orders, the conclusion order, arc types and jump maps.  One engine decides
-it.  Colour refinement first gives each node an integer colour: the rank of
-its signature (its colour and those of its arc and jump neighbours, with the
-arc types) among the sorted distinct signatures, so colours never depend on
-ids.  A depth-first traversal seeded by the conclusion list then encodes the
-structure.  Its only free choices are the twin arcs of an ax or cut node
-that colours cannot tell apart and the start of each conclusion-free
-component; every choice sequence is run, and each complete traversal (a
-leaf) gives an encoding and a node visit order.  The canonical form is the
-least encoding.  The choices are iso-invariant, so an isomorphism a -> b
-carries a's least leaf onto an equally encoded leaf of b: pairing their
-visit orders yields every isomorphism.  The symmetry refinement leaves costs
-leaves (k identical closed components give k!), up to `_CHOICE_BUDGET`.
+it.  A structure first falls into parts.  Each component of its arcs plus
+its jump arcs (so a jump keeps components together) that holds no
+conclusion is closed; the main part is the rest.  Each part is
+canonicalized on its own, and the canonical form is the main part's form
+followed by the sorted list of the closed components' forms.  When no
+component is closed, the main part is the whole structure.
+
+A depth-first traversal seeded by the part's conclusion list encodes the
+part.  The traversal enters every node through an arc, which fixes its
+next steps, except the start of each component of the arcs that the
+conclusions do not reach: all of a closed component, and the components
+that jumps hold together.  Only there does it read node colours, computed
+on first need; so nets whose every node is reached from the conclusions,
+as those of proofs are unless a cut closes a component, never refine
+colours.  Colour refinement gives each node an integer colour: the rank of
+its signature (its colour and those of its arc and jump neighbours, with
+the arc types) among the sorted distinct signatures, so colours never
+depend on ids.  The starts of least colour, and the two arcs of an ax or
+cut start whose types and far colours are equal, are the choices; every
+choice sequence is run, and each complete traversal (a leaf) gives an
+encoding and a node visit order.  A part's form is its least encoding.
+
+The choices are iso-invariant, so an isomorphism a -> b carries the least
+leaf of each part of a onto an equally encoded leaf of the matching part of
+b: pairing their visit orders yields every isomorphism of a part.
+`isomorphisms` yields the product of the main part's bijections, each
+closed component's own bijections and the permutations among closed
+components of equal form.  What still branches is thus: the equal-type
+twins of an ax or cut start (in untyped structures, its twins always have
+equal types), equal-colour starts inside one closed component, and
+identical components held together by jumps.  Each part may explore at
+most `_CHOICE_BUDGET` choice sequences.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import permutations, product
 
 from .errors import CanonicalLimitError
 from .formulas import format_formulas
@@ -34,14 +57,20 @@ def _ranks(signatures: dict) -> tuple[dict[int, int], int]:
     return {n: rank[s] for n, s in signatures.items()}, len(rank)
 
 
+def _jump_sources(ps: ProofStructure) -> dict[int, list[int]]:
+    """The bots jumping to each jump target."""
+    sources: dict[int, list[int]] = {}
+    for src, tgt in ps.jumps.items():
+        sources.setdefault(tgt, []).append(src)
+    return sources
+
+
 def node_colors(ps: ProofStructure, type_of: dict[int, str]) -> dict[int, int]:
     """Iterated refinement of an id-independent node invariant."""
     arcs = ps.arcs
     incoming, outgoing = ps.incidence()
     concl_pos = {arcs[a][1]: i for i, a in enumerate(ps.conclusions)}
-    jump_sources: dict[int, list[int]] = {}
-    for src, tgt in ps.jumps.items():
-        jump_sources.setdefault(tgt, []).append(src)
+    jump_sources = _jump_sources(ps)
 
     def signature(n):
         if ps.nodes[n] in (TENSOR, PAR) and n in ps.premise_order:
@@ -64,6 +93,52 @@ def node_colors(ps: ProofStructure, type_of: dict[int, str]) -> dict[int, int]:
     return colors
 
 
+def _parts(ps: ProofStructure) -> tuple[ProofStructure, list[ProofStructure]]:
+    """The main part and the closed components, each as a structure.  The
+    main part is `ps` itself when no component is closed."""
+    arcs, jumps = ps.arcs, ps.jumps
+    incoming, outgoing = ps.incidence()
+    jump_sources = _jump_sources(ps)
+
+    def component(starts):
+        seen = set(starts)
+        stack = list(seen)
+        while stack:
+            n = stack.pop()
+            near = [arcs[a][0] for a in incoming[n]] + [arcs[a][1] for a in outgoing[n]]
+            near += jump_sources.get(n, ())
+            if n in jumps:
+                near.append(jumps[n])
+            for m in near:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        return seen
+
+    main = component({arcs[c][1] for c in ps.conclusions})
+    if len(main) == len(ps.nodes):
+        return ps, []
+    closed, done = [], set(main)
+    for n in ps.nodes:
+        if n not in done:
+            comp = component({n})
+            done |= comp
+            closed.append(_restrict(ps, comp, ()))
+    return _restrict(ps, main, ps.conclusions), closed
+
+
+def _restrict(ps: ProofStructure, keep: set[int], conclusions) -> ProofStructure:
+    """The sub-structure on the nodes `keep`, closed under arcs and jumps."""
+    incoming, outgoing = ps.incidence()
+    nodes = sorted(n for n in keep if n in ps.nodes)
+    arcs = {a: ps.arcs[a] for a in sorted({a for n in keep for a in incoming[n] + outgoing[n]})}
+    return ProofStructure(
+        {n: ps.nodes[n] for n in nodes}, arcs,
+        {n: ps.premise_order[n] for n in nodes if n in ps.premise_order}, conclusions,
+        None if ps.types is None else {a: ps.types[a] for a in arcs},
+        {n: ps.jumps[n] for n in nodes if n in ps.jumps})
+
+
 class _Choices:
     """Variable-radix decision sequence discovered during a traversal."""
 
@@ -80,7 +155,8 @@ class _Choices:
 
 
 def _traverse(ps: ProofStructure, type_of, colors, choices: _Choices):
-    """One depth-first traversal: its encoding and its node visit order."""
+    """One depth-first traversal: its encoding and its node visit order.
+    `colors()` gives the node colours; it is called only to break a tie."""
     arcs = ps.arcs
     incoming, outgoing = ps.incidence()
     node_idx: dict[int, int] = {}
@@ -90,7 +166,7 @@ def _traverse(ps: ProofStructure, type_of, colors, choices: _Choices):
 
     def far_key(a, via):
         t, h = arcs[a]
-        return (type_of[a], colors[h if t == via else t])
+        return (type_of[a], colors()[h if t == via else t])
 
     def local_order(n):
         lab = ps.nodes[n]
@@ -142,12 +218,12 @@ def _traverse(ps: ProofStructure, type_of, colors, choices: _Choices):
 
     while len(node_idx) < len(ps.nodes):
         comps = induced_components(ps, [n for n in ps.nodes if n not in node_idx])
-        keys = [sorted(colors[n] for n in comp) for comp in comps]
+        keys = [sorted(colors()[n] for n in comp) for comp in comps]
         lowest = min(keys)
         least = [comp for comp, key in zip(comps, keys) if key == lowest]
         comp = least[choices.pick(len(least))]
-        low = min(colors[n] for n in comp)
-        starts = sorted(n for n in comp if colors[n] == low)
+        low = min(colors()[n] for n in comp)
+        starts = sorted(n for n in comp if colors()[n] == low)
         tokens.append("k")
         visit(starts[choices.pick(len(starts))])
 
@@ -164,7 +240,7 @@ def _leaves(ps: ProofStructure):
     else:
         texts = format_formulas(ps.types[a] for a in ps.arcs)
         type_of = {a: texts[ps.types[a]] for a in ps.arcs}
-    colors = node_colors(ps, type_of)
+    colors = cache(lambda: node_colors(ps, type_of))
     stack = [()]
     explored = 0
     while stack:
@@ -181,9 +257,15 @@ def _leaves(ps: ProofStructure):
             yield leaf
 
 
+def _least_leaf(ps: ProofStructure) -> tuple[str, tuple[int, ...]]:
+    return min(_leaves(ps), key=lambda leaf: leaf[0])
+
+
 def canonical_form(ps: ProofStructure) -> CanonicalForm:
     """Byte encoding equal for two structures iff they are isomorphic."""
-    return min(enc for enc, _ in _leaves(ps)).encode()
+    main, closed = _parts(ps)
+    forms = sorted(_least_leaf(c)[0] for c in closed)
+    return "|K|".join([_least_leaf(main)[0]] + forms).encode()
 
 
 def iso(a: ProofStructure, b: ProofStructure) -> bool:
@@ -200,6 +282,42 @@ def iso_untyped(a: ProofStructure, b: ProofStructure) -> bool:
     return iso(strip(a), strip(b))
 
 
+def _images(ps: ProofStructure, form: str):
+    """The distinct visit orders of the leaves of `ps` encoded as `form`."""
+    seen = set()
+    for enc, image in _leaves(ps):
+        if enc == form and image not in seen:
+            seen.add(image)
+            yield image
+
+
+def _matchings(orders, images):
+    """Node maps from components with the least visit orders `orders` onto
+    components of the same form with the visit-order lists `images`: a
+    permutation of the components, then one image per component."""
+    for perm in permutations(images):
+        for chosen in product(*perm):
+            yield {x: y for order, image in zip(orders, chosen) for x, y in zip(order, image)}
+
+
+def _unions(makers):
+    """Every union of one map from each maker's iterator, the first maker
+    outermost; a maker is called anew for each union of the ones before."""
+    if not makers:
+        yield {}
+        return
+    stack = [({}, makers[0]())]
+    while stack:
+        base, it = stack[-1]
+        m = next(it, None)
+        if m is None:
+            stack.pop()
+        elif len(stack) == len(makers):
+            yield base | m
+        else:
+            stack.append((base | m, makers[len(stack)]()))
+
+
 def isomorphisms(a: ProofStructure, b: ProofStructure):
     """Yield every node bijection witnessing a ≅ b, each once.
 
@@ -210,9 +328,19 @@ def isomorphisms(a: ProofStructure, b: ProofStructure):
         a, b = a.without_types(), b.without_types()
     if len(a.nodes) != len(b.nodes) or len(a.arcs) != len(b.arcs):
         return
-    best, order = min(_leaves(a), key=lambda leaf: leaf[0])
-    seen = set()
-    for enc, image in _leaves(b):
-        if enc == best and image not in seen:
-            seen.add(image)
-            yield dict(zip(order, image))
+    main_a, closed_a = _parts(a)
+    main_b, closed_b = _parts(b)
+    orders: dict[str, list] = {}
+    for comp in closed_a:
+        form, order = _least_leaf(comp)
+        orders.setdefault(form, []).append(order)
+    images: dict[str, list] = {}
+    for comp in closed_b:
+        form = _least_leaf(comp)[0]
+        images.setdefault(form, []).append(list(_images(comp, form)))
+    if {f: len(v) for f, v in orders.items()} != {f: len(v) for f, v in images.items()}:
+        return
+    main_form, main_order = _least_leaf(main_a)
+    makers = [lambda: (dict(zip(main_order, image)) for image in _images(main_b, main_form))]
+    makers += [lambda f=f: _matchings(orders[f], images[f]) for f in orders]
+    yield from _unions(makers)

@@ -13,10 +13,12 @@ Desequentialization turns a proof into a typed structure rule by rule,
 premises first: axioms and units become single nodes, tensor and cut join
 the two sub-structures, par and bot extend one, and exchange only reorders
 the conclusions.  Each new arc's type is read from the rule's conclusion,
-so no formula is built.  The result records, for every bot rule, the set
-of nodes built from that rule's premise sub-proof; the jump-aware relation
-between proofs and jump-total structures checks jump targets against those
-scopes.
+so no formula is built.  Node and arc ids are allocated premises first, so
+the ids allocated while a bot rule's premise sub-proof was built form a
+range that ends at the bot node.  The result records that range as the bot
+rule's scope: its ids that are still nodes are the nodes built from the
+premise sub-proof.  The jump-aware relation between proofs and jump-total
+structures checks jump targets against those scopes.
 Reading, checking, printing and desequentializing walk proofs on explicit
 stacks, so their depth is bounded by memory, not by the interpreter.
 """
@@ -357,7 +359,7 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
 @dataclass
 class DeseqResult:
     ps: ProofStructure
-    bot_scopes: dict[int, frozenset[int]] = field(default_factory=dict)
+    bot_scopes: dict[int, range] = field(default_factory=dict)
 
 
 def desequentialize(proof: SequentProof, frag: Fragment | None = None,
@@ -372,7 +374,7 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
     arcs: dict[int, tuple[int, int]] = {}
     premise_order: dict[int, tuple[int, int]] = {}
     types: dict[int, Formula] = {}
-    bot_scopes: dict[int, frozenset[int]] = {}
+    bot_scopes: dict[int, range] = {}
 
     def fresh():
         nonlocal next_id
@@ -413,10 +415,9 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
             nodes[one] = ONE
             built.append((conclude(one, d, ONE_F),))
         elif p.rule == BOT_RULE:
-            scope = frozenset(n for n in range(start, next_id) if n in nodes)
             b, d = fresh(), fresh()
             nodes[b] = BOT
-            bot_scopes[b] = scope
+            bot_scopes[b] = range(start, b)
             built.append(built.pop() + (conclude(b, d, BOT_F),))
         elif p.rule == EX_RULE:
             c = list(built.pop())

@@ -460,29 +460,39 @@ def switching_paths(ps: ProofStructure, src: int, dst: int | None = None,
         twin = [a for a in ps.premises_of(ps.head(candidate)) if a != candidate]
         return not (twin and twin[0] in arcs_used)
 
-    def walk(node, nodes_seen, arcs_used, path_nodes, path_arcs):
-        around = outgoing[node] if flavor == DIRECTED_PATH else outgoing[node] + incoming[node]
-        for a in sorted(around):
-            if a in arcs_used or a in forbidden:
-                continue
-            t, h = ps.arcs[a]
-            nxt = h if node == t else t
-            if nxt in nodes_seen:
-                continue
-            if flavor != DIRECTED_PATH and not premises_used_ok(arcs_used, a):
-                continue
-            path_nodes.append(nxt)
-            path_arcs.append(a)
-            nodes_seen.add(nxt)
-            arcs_used.add(a)
-            if dst is None or nxt == dst:
-                results.append(Path(tuple(path_nodes), tuple(path_arcs)))
-            if dst is None or nxt != dst:
-                walk(nxt, nodes_seen, arcs_used, path_nodes, path_arcs)
-            nodes_seen.remove(nxt)
-            arcs_used.remove(a)
-            path_nodes.pop()
-            path_arcs.pop()
+    def around(node):
+        return iter(sorted(outgoing[node] if flavor == DIRECTED_PATH
+                           else outgoing[node] + incoming[node]))
 
-    walk(src, {src}, set(), [src], [])
+    # a depth-first walk with one arc iterator per node of the current path
+    path_nodes, path_arcs = [src], []
+    nodes_seen, arcs_used = {src}, set()
+    walking = [around(src)]
+    while walking:
+        a = next(walking[-1], None)
+        if a is None:
+            walking.pop()
+            if path_arcs:
+                nodes_seen.remove(path_nodes.pop())
+                arcs_used.remove(path_arcs.pop())
+            continue
+        if a in arcs_used or a in forbidden:
+            continue
+        t, h = ps.arcs[a]
+        nxt = h if path_nodes[-1] == t else t
+        if nxt in nodes_seen:
+            continue
+        if flavor != DIRECTED_PATH and not premises_used_ok(arcs_used, a):
+            continue
+        path_nodes.append(nxt)
+        path_arcs.append(a)
+        nodes_seen.add(nxt)
+        arcs_used.add(a)
+        if dst is None or nxt == dst:
+            results.append(Path(tuple(path_nodes), tuple(path_arcs)))
+        if dst is None or nxt != dst:
+            walking.append(around(nxt))
+        else:
+            nodes_seen.remove(path_nodes.pop())
+            arcs_used.remove(path_arcs.pop())
     return results

@@ -15,6 +15,22 @@ def build_ps(nodes, arcs, prem=None, concl=(), types=None, jumps=None,
     return ps
 
 
+def relabel(ps, rng):
+    """Random node/arc id permutation."""
+    node_map = dict(zip(sorted(ps.nodes), rng.sample(range(1000, 2000), len(ps.nodes))))
+    arc_map = dict(zip(sorted(ps.arcs), rng.sample(range(5000, 6000), len(ps.arcs))))
+    out = ProofStructure()
+    out.nodes = {node_map[n]: lab for n, lab in ps.nodes.items()}
+    out.arcs = {arc_map[a]: (node_map[t], node_map[h]) for a, (t, h) in ps.arcs.items()}
+    out.premise_order = {node_map[n]: (arc_map[x], arc_map[y])
+                         for n, (x, y) in ps.premise_order.items()}
+    out.conclusions = tuple(arc_map[a] for a in ps.conclusions)
+    if ps.types is not None:
+        out.types = {arc_map[a]: f for a, f in ps.types.items()}
+    out.jumps = {node_map[n]: node_map[m] for n, m in ps.jumps.items()}
+    return out
+
+
 @pytest.fixture
 def single_ax():
     return build_ps({0: "ax", 1: "dot", 2: "dot"},

@@ -15,7 +15,8 @@ from proofnets.canonical import iso
 from proofnets.cli import build_parser, main
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof
-from proofnets.sequent import format_proof, parse_proof
+from proofnets.sequent import (bot_rule, cut_rule, exchange_to, format_proof, one_rule,
+                               par_rule, parse_proof, tensor_rule)
 from proofnets.structure import from_dsl, from_json, to_json
 
 
@@ -251,18 +252,47 @@ def test_gen_deep_proof_round_trips(capsys):
     assert proof.rule_count() == expected.rule_count() == 720
 
 
+def _balanced(proofs, rule):
+    while len(proofs) > 1:
+        proofs = [rule(proofs[i], proofs[i + 1]) for i in range(0, len(proofs), 2)]
+    return proofs[0]
+
+
 def test_canonical_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # three identical closed one/bot/cut components: 3! traversals
-    body = "(one)"
-    for _ in range(3):
-        body = f'(cut "bot" (bot {body}) (one))'
+    # one closed component: a cut between a balanced par tree of 8 bots and
+    # the dual tensor tree of ones.  Colours cannot tell the 8 bots apart,
+    # so the traversal tries each as its start.
+    p = one_rule()
+    for _ in range(8):
+        p = bot_rule(p)
+    while len(p.conclusion) > 2:
+        # pair the last two conclusions and move their par next to the one
+        p = par_rule(p)
+        last = len(p.conclusion) - 1
+        p = exchange_to(p, [0, last] + list(range(1, last)))
+    proof = cut_rule(p.conclusion[-1], p, _balanced([one_rule()] * 8, tensor_rule))
     path = tmp_path / "closed.proof"
-    path.write_text(f"fragment: btenll\n{body}\n")
+    path.write_text(format_proof(proof, Fragment.BTENLL))
     code, out, _ = run(capsys, "equiv", str(path), str(path))
     assert (code, out) == (0, "true\n")
     monkeypatch.setattr("proofnets.canonical._CHOICE_BUDGET", 5)
     code, out, err = run(capsys, "equiv", str(path), str(path))
     assert code == 2 and out == "" and "symmetric alternatives" in err
+
+
+def test_equiv_of_identical_closed_components(tmp_path, capsys):
+    # k nested cuts of a bot against a one leave k identical closed
+    # components, canonicalized apart instead of permuted
+    for k in (9, 200):
+        body = "(one)"
+        for _ in range(k):
+            body = f'(cut "bot" (bot {body}) (one))'
+        path = tmp_path / f"closed{k}.proof"
+        path.write_text(f"fragment: btenll\n{body}\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "equiv", str(path), str(path))
+        assert (code, out) == (0, "true\n")
+        assert time.perf_counter() - start < 1.0, k
 
 
 def test_sequentialize_prints_deeply_nested_proofs(tmp_path, capsys):

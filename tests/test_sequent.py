@@ -1,5 +1,7 @@
 import copy
 import pickle
+import time
+import tracemalloc
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -303,6 +305,25 @@ def test_relation_needs_matching_structure():
     one_node = other.nodes_with_label("one")[0]
     jumped.jumps = {n: one_node for n in other.bottom_nodes()}
     assert not deseq_relation_holds(p, jumped)
+
+
+def test_bot_scopes_of_deep_nests_stay_linear():
+    # each scope is an id range, not a set of up to k nodes per bot
+    proof = one_rule()
+    for _ in range(1200):
+        proof = bot_rule(proof)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        d = desequentialize(proof, verify=False)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert took < 0.5 and peak < 10_000_000, (took, peak)
+    outer = max(d.bot_scopes)
+    dot = d.ps.head(d.ps.conclusions_of(outer)[0])
+    assert {n for n in d.bot_scopes[outer] if n in d.ps.nodes} == set(d.ps.nodes) - {outer, dot}
 
 
 def test_validate_accepts_deseq(single_one):

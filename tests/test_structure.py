@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import build_ps
+from conftest import build_ps, relabel
 from proofnets import fixtures, formulas
 from proofnets.canonical import canonical_form, iso, isomorphisms
 from proofnets.errors import ParseError
@@ -17,22 +17,6 @@ from proofnets.structure import (ProofStructure, descent_chain, erasing_nodes,
                                  from_dsl, from_json, from_json_dict, is_wten,
                                  precedes, strip, to_dsl, to_json, to_json_dict,
                                  validate)
-
-
-def relabel(ps, rng):
-    """Random node/arc id permutation."""
-    node_map = dict(zip(sorted(ps.nodes), rng.sample(range(1000, 2000), len(ps.nodes))))
-    arc_map = dict(zip(sorted(ps.arcs), rng.sample(range(5000, 6000), len(ps.arcs))))
-    out = ProofStructure()
-    out.nodes = {node_map[n]: lab for n, lab in ps.nodes.items()}
-    out.arcs = {arc_map[a]: (node_map[t], node_map[h]) for a, (t, h) in ps.arcs.items()}
-    out.premise_order = {node_map[n]: (arc_map[x], arc_map[y])
-                         for n, (x, y) in ps.premise_order.items()}
-    out.conclusions = tuple(arc_map[a] for a in ps.conclusions)
-    if ps.types is not None:
-        out.types = {arc_map[a]: f for a, f in ps.types.items()}
-    out.jumps = {node_map[n]: node_map[m] for n, m in ps.jumps.items()}
-    return out
 
 
 # -- validation ---------------------------------------------------------------

@@ -7,11 +7,11 @@ from proofnets import fixtures
 from proofnets.errors import FragmentError, SwitchingLimitError
 from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import desequentialize
+from proofnets.sequent import bot_rule, desequentialize, one_rule, par_rule
 from proofnets.sequentialize import canonical_jumps_btenll
 from proofnets.structure import ProofStructure, erasing_nodes, is_wten
 from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE,
-                                 CriterionVerdict, _connect, check,
+                                 CriterionVerdict, Path, _connect, check,
                                  components_and_acyclicity, expected_components,
                                  graph_components, output_stats, switching_graph,
                                  switching_paths, switchings)
@@ -429,6 +429,77 @@ def test_directed_paths():
     ps = one_bot_par_ps()
     assert len(switching_paths(ps, 1, 3, "directed")) == 1
     assert switching_paths(ps, 3, 1, "directed") == []
+
+
+def recursive_switching_paths(ps, src, dst, flavor):
+    """The recursive walk switching_paths used to make, one call per path step."""
+    erasing = erasing_nodes(ps)
+    forbidden = set()
+    if flavor == "w-switching":
+        for n in ps.par_nodes():
+            erasing_prem = [a for a in ps.premises_of(n) if ps.tail(a) in erasing]
+            if len(erasing_prem) == 1:
+                forbidden.add(erasing_prem[0])
+    incoming, outgoing = ps.incidence()
+    results = [Path((src,), ())] if dst is None or dst == src else []
+
+    def walk(node, nodes_seen, arcs_used, path_nodes, path_arcs):
+        around = outgoing[node] if flavor == "directed" else outgoing[node] + incoming[node]
+        for a in sorted(around):
+            if a in arcs_used or a in forbidden:
+                continue
+            t, h = ps.arcs[a]
+            nxt = h if node == t else t
+            if nxt in nodes_seen:
+                continue
+            if flavor != "directed" and ps.nodes[h] == "par":
+                twin = [x for x in ps.premises_of(h) if x != a]
+                if twin and twin[0] in arcs_used:
+                    continue
+            path_nodes.append(nxt)
+            path_arcs.append(a)
+            nodes_seen.add(nxt)
+            arcs_used.add(a)
+            if dst is None or nxt == dst:
+                results.append(Path(tuple(path_nodes), tuple(path_arcs)))
+            if dst is None or nxt != dst:
+                walk(nxt, nodes_seen, arcs_used, path_nodes, path_arcs)
+            nodes_seen.remove(nxt)
+            arcs_used.remove(a)
+            path_nodes.pop()
+            path_arcs.pop()
+
+    walk(src, {src}, set(), [src], [])
+    return results
+
+
+def test_switching_paths_keep_the_recursive_order():
+    rng = random.Random(12)
+    compared = 0
+    for seed in range(40):
+        ps = random_ps(GenParams(fragment=None, max_nodes=7 + seed % 5, seed=seed,
+                                 cut_probability=0.3 * (seed % 2)))
+        nodes = sorted(ps.nodes)
+        for flavor in ("switching", "w-switching", "directed"):
+            for src in rng.sample(nodes, 3):
+                for dst in (None, rng.choice(nodes), src):
+                    expected = recursive_switching_paths(ps, src, dst, flavor)
+                    assert switching_paths(ps, src, dst, flavor) == expected, (seed, flavor)
+                    compared += len(expected)
+    assert compared > 1000
+
+
+def test_switching_paths_on_deep_nets():
+    # 1 200 nested par(bot) rules over a one: one switching path of 1 201 arcs
+    proof = one_rule()
+    for _ in range(1200):
+        proof = par_rule(bot_rule(proof))
+    ps = desequentialize(proof, verify=False).ps
+    one = ps.nodes_with_label("one")[0]
+    dot = ps.head(ps.conclusions[0])
+    paths = switching_paths(ps, one, dot, "switching")
+    assert [len(p) for p in paths] == [1201]
+    assert len(switching_paths(ps, one, None, "directed")) == 1202
 
 
 # -- narrative checks on the wten-cut fixture ----------------------------------------
