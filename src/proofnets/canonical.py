@@ -44,7 +44,7 @@ from itertools import permutations, product
 from .errors import CanonicalLimitError
 from .formulas import format_formulas
 from .structure import (AX, CUT, PAR, TENSOR, ProofStructure,
-                        induced_components, strip)
+                        induced_components, restrict, strip)
 
 CanonicalForm = bytes
 
@@ -123,20 +123,8 @@ def _parts(ps: ProofStructure) -> tuple[ProofStructure, list[ProofStructure]]:
         if n not in done:
             comp = component({n})
             done |= comp
-            closed.append(_restrict(ps, comp, ()))
-    return _restrict(ps, main, ps.conclusions), closed
-
-
-def _restrict(ps: ProofStructure, keep: set[int], conclusions) -> ProofStructure:
-    """The sub-structure on the nodes `keep`, closed under arcs and jumps."""
-    incoming, outgoing = ps.incidence()
-    nodes = sorted(n for n in keep if n in ps.nodes)
-    arcs = {a: ps.arcs[a] for a in sorted({a for n in keep for a in incoming[n] + outgoing[n]})}
-    return ProofStructure(
-        {n: ps.nodes[n] for n in nodes}, arcs,
-        {n: ps.premise_order[n] for n in nodes if n in ps.premise_order}, conclusions,
-        None if ps.types is None else {a: ps.types[a] for a in arcs},
-        {n: ps.jumps[n] for n in nodes if n in ps.jumps})
+            closed.append(restrict(ps, comp, ()))
+    return restrict(ps, main, ps.conclusions), closed
 
 
 class _Choices:

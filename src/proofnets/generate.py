@@ -277,34 +277,40 @@ def random_ps(params: GenParams) -> ProofStructure:
 
 def _rebuild(p: SequentProof, path: tuple[int, ...], replacement) -> SequentProof:
     """Replace the subproof at `path` (child indices from the root)."""
-    if not path:
-        return replacement(p)
-    i = path[0]
-    premises = list(p.premises)
-    premises[i] = _rebuild(premises[i], path[1:], replacement)
-    return SequentProof(p.rule, premises, p.arg)
+    spine = [p]
+    for i in path:
+        spine.append(spine[-1].premises[i])
+    q = replacement(spine.pop())
+    for i, parent in zip(reversed(path), reversed(spine)):
+        premises = list(parent.premises)
+        premises[i] = q
+        q = SequentProof(parent.rule, premises, parent.arg)
+    return q
 
 
-def _swap_sites(p: SequentProof, path=()):
-    """Sites where one of the documented rule swaps applies."""
+def _swap_sites(p: SequentProof):
+    """Sites where one of the documented rule swaps applies, in pre-order."""
     sites = []
-    if p.rule in (TENSOR_RULE, CUT_RULE) and p.premises[1].rule == BOT_RULE \
-            and len(p.premises[1].conclusion) >= 2:
-        sites.append((path, "sink-bot"))
-    if p.rule == BOT_RULE and p.premises[0].rule in (TENSOR_RULE, CUT_RULE):
-        sites.append((path, "lift-bot"))
-    if p.rule == BOT_RULE and p.premises[0].rule == PAR_RULE:
-        sites.append((path, "bot-under-par"))
-    if p.rule == EX_RULE and p.premises[0].rule == EX_RULE \
-            and abs(p.position - p.premises[0].position) >= 2:
-        sites.append((path, "ex-commute"))
-    if p.rule == EX_RULE and p.premises[0].rule == EX_RULE \
-            and p.position == p.premises[0].position:
-        sites.append((path, "ex-cancel"))
-    if len(p.conclusion) >= 2:
-        sites.append((path, "ex-insert"))
-    for i, q in enumerate(p.premises):
-        sites.extend(_swap_sites(q, path + (i,)))
+    stack = [((), p)]
+    while stack:
+        path, p = stack.pop()
+        if p.rule in (TENSOR_RULE, CUT_RULE) and p.premises[1].rule == BOT_RULE \
+                and len(p.premises[1].conclusion) >= 2:
+            sites.append((path, "sink-bot"))
+        if p.rule == BOT_RULE and p.premises[0].rule in (TENSOR_RULE, CUT_RULE):
+            sites.append((path, "lift-bot"))
+        if p.rule == BOT_RULE and p.premises[0].rule == PAR_RULE:
+            sites.append((path, "bot-under-par"))
+        if p.rule == EX_RULE and p.premises[0].rule == EX_RULE \
+                and abs(p.position - p.premises[0].position) >= 2:
+            sites.append((path, "ex-commute"))
+        if p.rule == EX_RULE and p.premises[0].rule == EX_RULE \
+                and p.position == p.premises[0].position:
+            sites.append((path, "ex-cancel"))
+        if len(p.conclusion) >= 2:
+            sites.append((path, "ex-insert"))
+        # children pushed last first, so they are visited in order
+        stack += [(path + (i,), q) for i, q in reversed(list(enumerate(p.premises)))]
     return sites
 
 

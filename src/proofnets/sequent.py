@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 from .canonical import isomorphisms
 from .errors import ParseError, ProofNetError
 from .formulas import (BOT as BOT_F, Formula, Fragment, format_formula,
-                       in_fragments, negate, parse_formula)
+                       fragment_from_name, in_fragments, negate, parse_formula)
 from .formulas import ONE as ONE_F, par as par_f, tensor as tensor_f
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         ValidationReport, jump_total, validate)
+from .switching import check
 
 AX_RULE = "ax"
 CUT_RULE = "cut"
@@ -290,7 +291,6 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.lower().startswith("fragment:"):
-            from .formulas import fragment_from_name
             frag = fragment_from_name(stripped.split(":", 1)[1])
             body_start = idx + 1
         break
@@ -455,7 +455,6 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
         report = validate(ps, frag)
         if not report.ok:
             raise AssertionError(f"desequentialization failed validation: {report}")
-        from .switching import check
         if not check(ps, "accw").holds:
             raise AssertionError("desequentialization violates the component-count criterion")
     return DeseqResult(ps, bot_scopes)

@@ -26,9 +26,7 @@ premises, a split node's premise on each side.  Every other node keeps
 its status.  For the same reason a part keeps every node above each of
 its nodes, so a node's erasing status, which depends only on the nodes
 above it, is the same in every part as in the whole structure, and the
-bottom-restricted policy computes the erasing set once.  `_peel` and
-`split_parts` still build the parts as structures for the oracle and
-`splitting_candidates`.
+bottom-restricted policy computes the erasing set once.
 """
 
 from __future__ import annotations
@@ -44,9 +42,9 @@ from .formulas import (ATOM, BOT as BOT_F, Formula, Fragment, ONE as ONE_F, atom
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         descent_chain, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
-                        strip, validate)
-from .sequent import (SequentProof, ax_rule, bot_rule, cut_rule, exchange_to,
-                      one_rule, par_rule, tensor_rule)
+                        restrict, strip, topological_order, validate)
+from .sequent import (SequentProof, ax_rule, bot_rule, check_proof, cut_rule,
+                      desequentialize, exchange_to, one_rule, par_rule, tensor_rule)
 from .switching import check
 
 
@@ -61,8 +59,6 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
     by unification.  Left-over variables become fresh atoms.  Raises
     TypeInferenceError when no typing exists (clashing cuts, ax loops).
     """
-    from .structure import topological_order
-
     subst: dict[str, Formula] = {}
 
     def resolve(f: Formula) -> Formula:
@@ -164,21 +160,9 @@ def _peel(ps: ProofStructure, n: int) -> ProofStructure:
     arc's dot; a par's two premises become the last conclusions, each
     capped by a fresh dot."""
     arc = ps.conclusions_of(n)[0]
-    dropped = (n, ps.head(arc))
-    nodes = {m: lab for m, lab in ps.nodes.items() if m not in dropped}
-    arcs = {a: ends for a, ends in ps.arcs.items() if a != arc}
-    premise_order = {m: pair for m, pair in ps.premise_order.items() if m != n}
     conclusions = tuple(c for c in ps.conclusions if c != arc)
-    types = None if ps.types is None else {a: f for a, f in ps.types.items() if a != arc}
-    jumps = {b: m for b, m in ps.jumps.items() if b != n}
-    if ps.nodes[n] == PAR:
-        left, right = ps.premise_order[n]
-        base = max(ps.nodes) + 1
-        for offset, a in enumerate((left, right)):
-            nodes[base + offset] = DOT
-            arcs[a] = (ps.tail(a), base + offset)
-        conclusions += (left, right)
-    return ProofStructure(nodes, arcs, premise_order, conclusions, types, jumps)
+    return restrict(ps, set(ps.nodes) - {n, ps.head(arc)},
+                    conclusions + ps.premise_order.get(n, ()))
 
 
 @dataclass(frozen=True)
@@ -219,25 +203,13 @@ def split_parts(ps: ProofStructure, assignment: SplitAssignment
     right part receives the second premise as its first conclusion; the
     remaining conclusions keep their relative order.  Jumps are dropped.
     """
-    prem = ps.premises_of(assignment.node)
-
-    def extract(node_set, premise_arc, premise_last):
-        nodes = {m: ps.nodes[m] for m in node_set}
-        arcs = {a: (t, h) for a, (t, h) in ps.arcs.items()
-                if t in node_set and h in node_set}
-        dot = max(ps.nodes) + 1
-        nodes[dot] = DOT
-        arcs[premise_arc] = (ps.tail(premise_arc), dot)
-        premise_order = {m: pair for m, pair in ps.premise_order.items()
-                         if m in node_set}
-        inherited = tuple(c for c in ps.conclusions if ps.head(c) in node_set)
-        conclusions = (inherited + (premise_arc,) if premise_last
-                       else (premise_arc,) + inherited)
-        types = None if ps.types is None else {a: ps.types[a] for a in arcs}
-        return ProofStructure(nodes, arcs, premise_order, conclusions, types)
-
-    return (extract(assignment.left_nodes, prem[0], True),
-            extract(assignment.right_nodes, prem[1], False))
+    first, second = ps.premises_of(assignment.node)
+    left, right = assignment.left_nodes, assignment.right_nodes
+    inherited = [tuple(c for c in ps.conclusions if ps.head(c) in side)
+                 for side in (left, right)]
+    base = ps.without_jumps()
+    return (restrict(base, left, inherited[0] + (first,)),
+            restrict(base, right, (second,) + inherited[1]))
 
 
 def splitting_candidates(ps: ProofStructure) -> list[SplitAssignment]:
@@ -353,33 +325,17 @@ def _peel_part(ps: ProofStructure, part: _Part, n: int) -> None:
     part.conclusions = conclusions
 
 
-def _side(ps: ProofStructure, part: _Part, start: int, n: int) -> set[int]:
-    """The nodes of the part connected to start by paths avoiding n."""
-    ins, outs = ps.incidence()
-    arcs, nodes = ps.arcs, part.nodes
-    side, stack = {start}, [start]
-    while stack:
-        cur = stack.pop()
-        for m in ([arcs[a][0] for a in ins[cur]] + [arcs[a][1] for a in outs[cur]]):
-            if m in nodes and m != n and m not in side:
-                side.add(m)
-                stack.append(m)
-    return side
-
-
 def _determined_sides(ps: ProofStructure, part: _Part, n: int):
     """The node sets (left, right) of the split at the cut or tensor node
-    n, when the sides of its two premises are disjoint and cover the part
-    less n; else None."""
+    n, when the part less n has exactly two components and the premises of
+    n come from different ones; else None."""
     first, second = ps.premises_of(n)
-    left = _side(ps, part, ps.arcs[first][0], n)
-    right_tail = ps.arcs[second][0]
-    if right_tail in left:
+    comps = induced_components(ps, part.nodes - {n})
+    if len(comps) != 2:
         return None
-    right = _side(ps, part, right_tail, n)
-    if len(left) + len(right) != len(part.nodes) - 1:
-        return None
-    return left, right
+    left = next(c for c in comps if ps.arcs[first][0] in c)
+    right = next(c for c in comps if ps.arcs[second][0] in c)
+    return None if left is right else (left, right)
 
 
 def _split_part(ps: ProofStructure, part: _Part, n: int,
@@ -674,7 +630,8 @@ def _icomll_move(ps: ProofStructure, part: _Part):
         out_side = [a for a in prem if arc_pol(a) == "O"]
         if len(out_side) != 1:
             raise SequentializationError("an input tensor has exactly one output premise")
-        out_comp = _side(ps, part, ps.tail(out_side[0]), n)
+        out_tail = ps.tail(out_side[0])
+        out_comp = next(c for c in induced_components(ps, part.nodes - {n}) if out_tail in c)
         in_side = next(a for a in prem if a not in out_side)
         if ps.tail(in_side) in out_comp:
             raise SequentializationError(
@@ -701,7 +658,6 @@ def _icomll_move(ps: ProofStructure, part: _Part):
 def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
     """Permutation equivalence of two proofs in the bottom-restricted
     fragment, decided as equality of desequentializations."""
-    from .sequent import check_proof, desequentialize
     for p in (p1, p2):
         report = check_proof(p, Fragment.BTENLL)
         if not report.ok:

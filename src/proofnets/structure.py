@@ -339,21 +339,14 @@ def topological_order(nodes, arcs) -> list[int]:
     return out
 
 
-def erasing_nodes(g) -> set[int]:
-    """Bot, par and dot nodes all of whose premises come from erasing nodes.
-
-    Works on structures and on switching graphs: only labels and incidence
-    are consulted.  The jump arcs of a switching graph cannot change the
-    result, since each starts at a bot node, and a bot is erasing.
-    """
-    if isinstance(g, ProofStructure):
-        incoming = g.incidence()[0]
-    else:
-        incoming = ProofStructure(g.nodes, g.arcs).incidence()[0]
+def erasing_nodes(ps: ProofStructure) -> set[int]:
+    """Bot, par and dot nodes of a structure all of whose premises come
+    from erasing nodes."""
+    incoming = ps.incidence()[0]
     erasing = set()
-    for n in topological_order(g.nodes, g.arcs):
-        if g.nodes[n] in (BOT, PAR, DOT) and all(
-                g.arcs[a][0] in erasing for a in incoming[n]):
+    for n in topological_order(ps.nodes, ps.arcs):
+        if ps.nodes[n] in (BOT, PAR, DOT) and all(
+                ps.arcs[a][0] in erasing for a in incoming[n]):
             erasing.add(n)
     return erasing
 
@@ -379,6 +372,30 @@ def induced_components(ps: ProofStructure, nodes) -> list[set[int]]:
                     stack.append(m)
         comps.append(comp)
     return comps
+
+
+def restrict(ps: ProofStructure, nodes, conclusions) -> ProofStructure:
+    """The sub-structure on `nodes` with the conclusion arcs `conclusions`.
+
+    Arcs and jumps survive when both their ends are kept; premise orders
+    and types follow the kept nodes and arcs.  Each conclusion arc leaving
+    `nodes` is capped by a fresh dot, numbered upward from `fresh_node_id`
+    in the order of `conclusions`.
+    """
+    outgoing = ps.incidence()[1]
+    kept = {n: ps.nodes[n] for n in sorted(nodes)}
+    arcs = {a: ps.arcs[a] for a in sorted(a for n in kept for a in outgoing[n])
+            if ps.arcs[a][1] in kept}
+    premise_order = {n: ps.premise_order[n] for n in kept if n in ps.premise_order}
+    jumps = {n: ps.jumps[n] for n in kept if ps.jumps.get(n) in kept}
+    dot = ps.fresh_node_id()
+    for c in conclusions:
+        if c not in arcs:
+            kept[dot] = DOT
+            arcs[c] = (ps.arcs[c][0], dot)
+            dot += 1
+    types = None if ps.types is None else {a: ps.types[a] for a in arcs}
+    return ProofStructure(kept, arcs, premise_order, conclusions, types, jumps)
 
 
 def is_wten(ps: ProofStructure) -> tuple[bool, tuple[int, int] | None]:

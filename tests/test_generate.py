@@ -117,3 +117,14 @@ def test_permute_actually_changes_proofs():
         if permute_rules(p, seed=seed) != p:
             changed += 1
     assert changed > 10
+
+
+def test_permute_rules_on_deep_proofs():
+    # 1 200 nested bot rules over a one: the first round inserts a
+    # cancelling pair of exchanges, the second cancels it again
+    from proofnets.sequent import bot_rule, one_rule
+    p = one_rule()
+    for _ in range(1200):
+        p = bot_rule(p)
+    assert permute_rules(p, seed=0, rounds=1) != p
+    assert permute_rules(p, seed=0, rounds=2) == p

@@ -532,7 +532,8 @@ def test_erasing_nodes_persist_in_switching_graphs():
         base_erasing = erasing_nodes(ps)
         for sw in switchings(ps, ALL):
             g = switching_graph(ps, sw)
-            assert base_erasing <= erasing_nodes(g), seed
+            view = ProofStructure(g.nodes, g.arcs)
+            assert base_erasing <= erasing_nodes(view), seed
 
 
 def test_erasing_safe_counted_structures_more_facts():
