@@ -88,23 +88,24 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+def _anchor(args) -> int:
+    """The anchor node of btenll mode, which `--m` must give."""
+    if args.m is None:
+        raise ProofNetError("--m NODE is required in btenll mode")
+    return args.m
+
+
 def _cmd_sequentialize(args) -> int:
     if args.mode == "wten":
         # sequentialize_wten validates its input itself, with the same error
-        proof = sequentialize_wten(load_structure(_read(args.file)))
-        jumps = {}
+        proof, jumps = sequentialize_wten(load_structure(_read(args.file))), {}
         frag = Fragment.MLLU
-    elif args.mode == "btenll":
-        ps = _load_ps(args.file)
-        if args.m is None:
-            raise ProofNetError("--m NODE is required in btenll mode")
-        proof, jumped = sequentialize_btenll(ps, args.m)
-        jumps = jumped.ps.jumps
-        frag = Fragment.BTENLL
     else:
-        proof, jumped = sequentialize_icomll(_load_ps(args.file))
+        ps = _load_ps(args.file)
+        proof, jumped = (sequentialize_btenll(ps, _anchor(args)) if args.mode == "btenll"
+                         else sequentialize_icomll(ps))
         jumps = jumped.ps.jumps
-        frag = Fragment.ICOMLL
+        frag = fragment_from_name(args.mode)
     _write(args.out, format_proof(proof, frag))
     if args.jumps_out:
         _write(args.jumps_out, json.dumps({str(n): m for n, m in sorted(jumps.items())}) + "\n")
@@ -113,12 +114,8 @@ def _cmd_sequentialize(args) -> int:
 
 def _cmd_jumps(args) -> int:
     ps = _load_ps(args.file)
-    if args.mode == "btenll":
-        if args.m is None:
-            raise ProofNetError("--m NODE is required in btenll mode")
-        jumped = canonical_jumps_btenll(ps, args.m)
-    else:
-        jumped = canonical_jumps_icomll(ps)
+    jumped = (canonical_jumps_btenll(ps, _anchor(args)) if args.mode == "btenll"
+              else canonical_jumps_icomll(ps))
     _emit_ps(jumped.ps, args.format, args.out)
     return 0
 

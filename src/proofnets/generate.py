@@ -38,14 +38,22 @@ class GenParams:
 
 
 def random_formula(rng: random.Random, depth: int = 2) -> Formula:
-    """Small random formula of the unrestricted language."""
-    if depth == 0 or rng.random() < 0.4:
-        choice = rng.randrange(3)
-        if choice == 0:
-            return atom(rng.choice(_ATOM_NAMES), dual=rng.random() < 0.5)
-        return ONE_F if choice == 1 else BOT_F
-    build = tensor_f if rng.random() < 0.5 else par_f
-    return build(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+    """Small random formula of the unrestricted language.  The draws wait
+    on an explicit stack and come as in a recursive descent: above depth 0
+    the leaf test, then the connective, then the left side before the right."""
+    stack, values = [depth], []  # depths to draw at, connectives to apply
+    while stack:
+        top = stack.pop()
+        if not isinstance(top, int):
+            right = values.pop()
+            values.append(top(values.pop(), right))
+        elif top == 0 or rng.random() < 0.4:
+            choice = rng.randrange(3)
+            values.append(atom(rng.choice(_ATOM_NAMES), dual=rng.random() < 0.5)
+                          if choice == 0 else ONE_F if choice == 1 else BOT_F)
+        else:
+            stack += (tensor_f if rng.random() < 0.5 else par_f, top - 1, top - 1)
+    return values[0]
 
 
 def _leaf(rng: random.Random, frag: Fragment) -> SequentProof:

@@ -470,14 +470,6 @@ def deseq_relation_holds(proof: SequentProof, ps: ProofStructure) -> bool:
     if not jump_total(ps):
         raise ProofNetError("relation requires a jump-total structure")
     d = desequentialize(proof, verify=False)
-    stripped = ps.without_jumps()
-    for sigma in isomorphisms(d.ps, stripped):
-        ok = True
-        for b, scope in d.bot_scopes.items():
-            image = {sigma[t] for t in scope if t in sigma}
-            if ps.jumps[sigma[b]] not in image:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(all(ps.jumps[sigma[b]] in {sigma[t] for t in scope if t in sigma}
+                   for b, scope in d.bot_scopes.items())
+               for sigma in isomorphisms(d.ps, ps.without_jumps()))

@@ -8,7 +8,9 @@ each entry point passes the policy that picks the node.
 and passes the acyclicity-plus-count criterion.  `sequentialize_btenll`
 peels terminal erasing nodes first, so that the proof of a bottom-restricted
 structure realizes its canonical jumps; `sequentialize_icomll` lets polarity
-choose in the constant-only intuitionistic fragment.  A brute-force
+(one `arc_polarities` map) choose in the constant-only intuitionistic
+fragment.  Both canonical jump assignments come from one bottom-up pass,
+`_jump_bots`, so their cost is linear in the nesting depth.  A brute-force
 decomposition oracle decides plain sequentiality exactly on small
 structures, and the desequentialization comparisons decide proof
 equivalence and jump rewiring equivalence.
@@ -32,15 +34,16 @@ bottom-restricted policy computes the erasing set once.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .canonical import canonical_form, iso, isomorphisms
 from .errors import (FragmentError, SequentializationError, TypeInferenceError)
 from .formulas import (ATOM, BOT as BOT_F, Formula, Fragment, ONE as ONE_F, atom,
-                       negate, polarity)
+                       negate)
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
-                        descent_chain, ensure_valid, erasing_nodes,
+                        arc_polarities, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
                         restrict, strip, topological_order, validate)
 from .sequent import (SequentProof, ax_rule, bot_rule, check_proof, cut_rule,
@@ -487,85 +490,87 @@ def classify_jumps(ps: ProofStructure) -> JumpedStructure:
     return JumpedStructure(ps, jump_free(ps), total, correct)
 
 
+def _require(ps: ProofStructure, frag: Fragment) -> None:
+    report = validate(ps, frag)
+    if not report.ok:
+        raise FragmentError(f"not a valid {frag.value} structure: {report}")
+
+
+def _jump_bots(ps: ProofStructure, qualifies, target) -> JumpedStructure:
+    """Jump every bot node, in `bottom_nodes()` order, to `target(q)`, where
+    q is the first node below it that `qualifies`, or None.  One bottom-up
+    pass finds q for every node with one conclusion arc."""
+    outs = ps.incidence()[1]
+    first: dict[int, int | None] = {}
+    for n in reversed(topological_order(ps.nodes, ps.arcs)):
+        if len(outs[n]) == 1:
+            below = ps.arcs[outs[n][0]][1]
+            first[n] = below if qualifies(below) else first.get(below)
+    return classify_jumps(ps.with_jumps({n: target(first[n]) for n in ps.bottom_nodes()}))
+
+
 def canonical_jumps_btenll(ps: ProofStructure, m: int) -> JumpedStructure:
     """Jump every bot node under the least non-erasing par above it to that
     par's non-erasing premise source; jump the others to the given node."""
-    report = validate(ps, Fragment.BTENLL)
-    if not report.ok:
-        raise FragmentError(f"not a valid btenll structure: {report}")
+    _require(ps, Fragment.BTENLL)
     erasing = erasing_nodes(ps)
     if m not in ps.nodes or m in erasing or ps.nodes[m] == DOT:
         raise SequentializationError(f"node {m} is not a non-erasing node")
-    jumps = {}
-    for n in ps.bottom_nodes():
-        anchor_par = None
-        for below in descent_chain(ps, n):
-            if ps.nodes[below] == PAR and below not in erasing:
-                anchor_par = below
-                break
-        if anchor_par is None:
-            jumps[n] = m
-        else:
-            sources = [ps.tail(a) for a in ps.premises_of(anchor_par)
-                       if ps.tail(a) not in erasing]
-            if len(sources) != 1:
-                raise SequentializationError(
-                    "a least non-erasing par must have exactly one non-erasing premise")
-            jumps[n] = sources[0]
-    jumped = ps.copy()
-    jumped.jumps = jumps
-    return classify_jumps(jumped)
 
-
-def _output_anchor(ps: ProofStructure, node: int) -> int:
-    """Climb through output premises of output par nodes up to the unique
-    one node or output tensor node that starts the output spine."""
-    current = node
-    while True:
-        lab = ps.nodes[current]
-        concl = ps.conclusions_of(current)
-        out_node = concl and polarity(ps.types[concl[0]]) == "O"
-        if lab == ONE or (lab == TENSOR and out_node):
-            return current
-        if lab != PAR or not out_node:
+    def source(par):
+        if par is None:
+            return m
+        sources = [ps.tail(a) for a in ps.premises_of(par) if ps.tail(a) not in erasing]
+        if len(sources) != 1:
             raise SequentializationError(
-                f"node {current} is not on an output spine")
-        outputs = [a for a in ps.premise_order[current]
-                   if polarity(ps.types[a]) == "O"]
-        if len(outputs) != 1:
-            raise SequentializationError("an output par has exactly one output premise")
-        current = ps.tail(outputs[0])
+                "a least non-erasing par must have exactly one non-erasing premise")
+        return sources[0]
+
+    return _jump_bots(ps, lambda n: ps.nodes[n] == PAR and n not in erasing, source)
+
+
+def _output_anchor(ps: ProofStructure, node: int, polarities, anchors) -> int:
+    """Climb through output premises of output par nodes up to the unique
+    one node or output tensor node that starts the output spine.  Every
+    node climbed through is recorded in `anchors` with its anchor, so a
+    later climb stops where an earlier one passed."""
+    path = []
+    while node not in anchors:
+        lab, concl = ps.nodes[node], ps.conclusions_of(node)
+        out_node = concl and polarities[concl[0]] == "O"
+        if lab == ONE or (lab == TENSOR and out_node):
+            anchors[node] = node
+        elif lab != PAR or not out_node:
+            raise SequentializationError(f"node {node} is not on an output spine")
+        else:
+            outputs = [a for a in ps.premise_order[node] if polarities[a] == "O"]
+            if len(outputs) != 1:
+                raise SequentializationError("an output par has exactly one output premise")
+            path.append(node)
+            node = ps.tail(outputs[0])
+    anchors.update(dict.fromkeys(path, anchors[node]))
+    return anchors[node]
 
 
 def canonical_jumps_icomll(ps: ProofStructure) -> JumpedStructure:
     """Jump every bot node to the anchor of the least output par above it,
     or to the anchor of the unique output conclusion when none exists."""
     _require_icomll(ps)
-    out_arcs = [a for a in ps.conclusions if polarity(ps.types[a]) == "O"]
+    polarities = arc_polarities(ps)
+    out_arcs = [a for a in ps.conclusions if polarities[a] == "O"]
     if len(out_arcs) != 1:
         raise SequentializationError(
             f"structure has {len(out_arcs)} output conclusions, expected 1")
     output_owner = ps.tail(out_arcs[0])
-    jumps = {}
-    for n in ps.bottom_nodes():
-        anchor_par = None
-        for below in descent_chain(ps, n):
-            concl = ps.conclusions_of(below)
-            if (ps.nodes[below] == PAR and concl
-                    and polarity(ps.types[concl[0]]) == "O"):
-                anchor_par = below
-                break
-        target_node = anchor_par if anchor_par is not None else output_owner
-        jumps[n] = _output_anchor(ps, target_node)
-    jumped = ps.copy()
-    jumped.jumps = jumps
-    return classify_jumps(jumped)
+    anchors: dict[int, int] = {}
+    return _jump_bots(
+        ps, lambda n: ps.nodes[n] == PAR and polarities[ps.conclusions_of(n)[0]] == "O",
+        lambda par: _output_anchor(ps, output_owner if par is None else par,
+                                   polarities, anchors))
 
 
 def _require_icomll(ps: ProofStructure) -> None:
-    report = validate(ps, Fragment.ICOMLL)
-    if not report.ok:
-        raise FragmentError(f"not a valid icomll structure: {report}")
+    _require(ps, Fragment.ICOMLL)
     for lab in (AX, CUT):
         if ps.nodes_with_label(lab):
             raise FragmentError(f"{lab} nodes are not available in icomll")
@@ -609,25 +614,22 @@ def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStruct
     if not jump_free(ps):
         raise SequentializationError("expected a jump-free structure")
     jumped = canonical_jumps_icomll(ps)
-    proof = _sequentialize(ps, _icomll_move)
-    return proof, jumped
+    move = functools.partial(_icomll_move, polarities=arc_polarities(ps))
+    return _sequentialize(ps, move), jumped
 
 
-def _icomll_move(ps: ProofStructure, part: _Part):
+def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | None]):
     """Peel or split at the least terminal input node; with none left,
     the one conclusion's node is a one, a par to peel or a tensor to split."""
-    def arc_pol(a):
-        return polarity(ps.types[a])
-
     outs = ps.incidence()[1]
-    inputs = [n for n in part.terminal if arc_pol(outs[n][0]) == "I"]
+    inputs = [n for n in part.terminal if polarities[outs[n][0]] == "I"]
     if inputs:
         n = min(inputs)
         if ps.nodes[n] in (BOT, PAR):
             return n, None
         # input tensor: the output-premise side is one whole component
         prem = ps.premise_order[n]
-        out_side = [a for a in prem if arc_pol(a) == "O"]
+        out_side = [a for a in prem if polarities[a] == "O"]
         if len(out_side) != 1:
             raise SequentializationError("an input tensor has exactly one output premise")
         out_tail = ps.tail(out_side[0])
@@ -670,10 +672,8 @@ def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
 def rewiring_equivalent(r1: ProofStructure, r2: ProofStructure) -> bool:
     """Equivalence of jump-correct structures under single-jump redirection,
     decided by comparing jump-stripped structures."""
-    for r in (r1, r2):
-        status = classify_jumps(r)
-        if not status.jump_correct:
-            raise SequentializationError("rewiring equivalence needs jump-correct inputs")
+    if not all(classify_jumps(r).jump_correct for r in (r1, r2)):
+        raise SequentializationError("rewiring equivalence needs jump-correct inputs")
     return iso(r1.without_jumps(), r2.without_jumps())
 
 
@@ -682,10 +682,8 @@ def rewiring_reachable(r1: ProofStructure, r2: ProofStructure, *,
     """Breadth-first oracle over single-jump redirections, each intermediate
     structure re-checked jump-correct.  Exact but exponential; meant for
     small instances."""
-    for r in (r1, r2):
-        status = classify_jumps(r)
-        if not status.jump_correct:
-            raise SequentializationError("rewiring oracle needs jump-correct inputs")
+    if not all(classify_jumps(r).jump_correct for r in (r1, r2)):
+        raise SequentializationError("rewiring oracle needs jump-correct inputs")
     base1, base2 = r1.without_jumps(), r2.without_jumps()
     goals = set()
     for sigma in isomorphisms(base2, base1):
@@ -693,18 +691,13 @@ def rewiring_reachable(r1: ProofStructure, r2: ProofStructure, *,
     if not goals:
         return False
 
-    def jump_correct_map(jump_map):
-        candidate = r1.copy()
-        candidate.jumps = dict(jump_map)
-        return check(candidate, "acc").holds
-
     start = frozenset(r1.jumps.items())
     if start in goals:
         return True
-    frontier = [start]
+    frontier = deque([start])
     seen = {start}
     while frontier:
-        state = frontier.pop(0)
+        state = frontier.popleft()
         current = dict(state)
         for src in current:
             for tgt in r1.nodes:
@@ -718,7 +711,7 @@ def rewiring_reachable(r1: ProofStructure, r2: ProofStructure, *,
                 seen.add(key)
                 if len(seen) > max_states:
                     raise SequentializationError("rewiring search exceeded its budget")
-                if not jump_correct_map(new_map):
+                if not check(r1.with_jumps(new_map), "acc").holds:
                     continue
                 if key in goals:
                     return True

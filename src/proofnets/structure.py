@@ -163,11 +163,16 @@ class ProofStructure:
         return ProofStructure(self.nodes, self.arcs, self.premise_order,
                               self.conclusions, self.types, self.jumps)
 
-    def without_jumps(self) -> "ProofStructure":
+    def with_jumps(self, jumps) -> "ProofStructure":
+        """The structure with another jump map; it shares the incidence
+        index, which jumps take no part in."""
         ps = ProofStructure(self.nodes, self.arcs, self.premise_order,
-                            self.conclusions, self.types)
+                            self.conclusions, self.types, jumps)
         ps._index = self._index
         return ps
+
+    def without_jumps(self) -> "ProofStructure":
+        return self.with_jumps(None)
 
     def without_types(self) -> "ProofStructure":
         ps = ProofStructure(self.nodes, self.arcs, self.premise_order,
@@ -349,6 +354,13 @@ def erasing_nodes(ps: ProofStructure) -> set[int]:
                 ps.arcs[a][0] in erasing for a in incoming[n]):
             erasing.add(n)
     return erasing
+
+
+def arc_polarities(ps: ProofStructure) -> dict[int, str | None]:
+    """The polarity of every typed arc: "O" or "I" in the intuitionistic
+    grammar, None outside it; one fold over the distinct types."""
+    verdicts = in_fragments(ps.types.values(), Fragment.IMLL)
+    return {a: verdicts[f][1] for a, f in ps.types.items()}
 
 
 def induced_components(ps: ProofStructure, nodes) -> list[set[int]]:

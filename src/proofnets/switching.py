@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import FragmentError, ProofNetError, SwitchingLimitError
-from .formulas import Fragment, polarity
-from .structure import (BOT, DOT, PAR, ProofStructure, erasing_nodes,
+from .formulas import Fragment
+from .structure import (BOT, DOT, PAR, ProofStructure, arc_polarities, erasing_nodes,
                         jump_arcs, validate)
 
 DEFAULT_MAX_PAR = 20
@@ -132,20 +132,18 @@ def components_and_acyclicity(g) -> tuple[int, bool, list[frozenset[int]]]:
 
 
 def _premise_options(ps: ProofStructure, n: int, mode: str, erasing: set[int],
-                     pol_of_arc=None) -> list[int]:
+                     polarities=None) -> list[int]:
     prem = ps.premises_of(n)
     if mode == W_COMPATIBLE:
         non_erasing = [a for a in prem if ps.tail(a) not in erasing]
         if len(non_erasing) == 1:
             return non_erasing
-    elif mode == INTUITIONISTIC:
-        concl = ps.conclusions_of(n)[0]
-        if pol_of_arc(concl) == "O":
-            outputs = [a for a in prem if pol_of_arc(a) == "O"]
-            if len(outputs) != 1:
-                raise FragmentError(
-                    f"output par node {n} does not have exactly one output premise")
-            return outputs
+    elif mode == INTUITIONISTIC and polarities[ps.conclusions_of(n)[0]] == "O":
+        outputs = [a for a in prem if polarities[a] == "O"]
+        if len(outputs) != 1:
+            raise FragmentError(
+                f"output par node {n} does not have exactly one output premise")
+        return outputs
     return prem
 
 
@@ -162,13 +160,11 @@ def switchings(ps: ProofStructure, mode: str = ALL,
     if len(pars) > max_par:
         raise SwitchingLimitError(
             f"{len(pars)} par nodes exceed the enumeration cap {max_par}")
+    if mode == INTUITIONISTIC and ps.types is None:
+        raise FragmentError("polarity typing required")
     erasing = erasing_nodes(ps) if mode == W_COMPATIBLE else set()
-    pol_of_arc = None
-    if mode == INTUITIONISTIC:
-        if ps.types is None:
-            raise FragmentError("polarity typing required")
-        pol_of_arc = lambda a: polarity(ps.types[a])
-    options = [_premise_options(ps, n, mode, erasing, pol_of_arc) for n in pars]
+    polarities = arc_polarities(ps) if mode == INTUITIONISTIC else None
+    options = [_premise_options(ps, n, mode, erasing, polarities) for n in pars]
     for combo in product(*options):
         yield dict(zip(pars, combo))
 
@@ -398,7 +394,8 @@ def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputSt
     if not report.ok:
         raise FragmentError("output statistics require a valid imll typing")
     bots = len(ps.bottom_nodes())
-    outputs = sum(1 for a in ps.conclusions if polarity(ps.types[a]) == "O")
+    polarities = arc_polarities(ps)
+    outputs = sum(1 for a in ps.conclusions if polarities[a] == "O")
     counts = []
     all_acyclic = True
     for sw in switchings(ps, ALL, max_par):

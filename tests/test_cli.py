@@ -397,6 +397,44 @@ def test_deseq_of_1200_nested_pars_is_pinned(tmp_path, capsys):
         "ffc742e7206c31b9d48a4a003e86567f06b334b698da628991d6d5bc1d9f1eab")
 
 
+# stdout digests of `jumps` and `sequentialize` on k nested (par (bot …))
+# rules over (one), taken from the per-bot descent walks that one bottom-up
+# pass replaced; at icomll k = 1 200 those walks ran with `polarity`
+# memoized, as they fold every arc's type anew and take minutes there
+@pytest.mark.parametrize("frag, k, digests", [
+    ("icomll", 100, ("97322f6790a29dde340e48b8feda46c48b22340bc228f940e10bb4400367f00c",
+                     "e12398ef2a6546809b9873f41c05d4eba51d71032bb188596296d9515677381a")),
+    ("btenll", 100, ("89fc7a46f11cf59a8f3b7648451fc14a3f39eaa497579fca88f9cba190b6966c",
+                     "58d035377c7c8bd1f18c4c0e9dca5e6b62de4559bdd4afc4adff9dee45c8b5f5")),
+    ("icomll", 1200, ("a9759e4044c68eb4283d12006c3b8e292794d6b2ad11e79ccc128531921670ec",
+                      "688c7d369413671d185a6cefb4902cd76b2931b36dff572702b59876e11ca974")),
+    ("btenll", 2400, ("1761961d66b7771abd008487b307ece04ce145324d1342b05b068e67fc9fdbdb",
+                      "d2377e08fa79083db28b461502f271396c8993b02eee89c9257cef1cda64d9f6")),
+])
+def test_jumps_and_refined_sequentializers_are_linear_in_depth(tmp_path, capsys,
+                                                               frag, k, digests):
+    proof, net = tmp_path / "chain.proof", tmp_path / "chain.json"
+    proof.write_text(_chain_proof(k).replace("mllu", frag))
+    assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+    anchor = []
+    if frag == "btenll":  # anchored at the one node
+        anchor = ["--m", str(from_json(net.read_text()).nodes_with_label("one")[0])]
+    for command, digest in zip(("jumps", "sequentialize"), digests):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(net), "--mode", frag, *anchor)
+        took = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+        assert took < 1.0, (command, took)
+
+
+def test_btenll_mode_requires_an_anchor(tmp_path, capsys):
+    path = write_fixture(tmp_path, "jumps-units")
+    for command in ("jumps", "sequentialize"):
+        assert run(capsys, command, path, "--mode", "btenll") == (
+            2, "", "error: --m NODE is required in btenll mode\n")
+
+
 def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
     for name in ("sequentialize_wten", "sequentialize_btenll", "sequentialize_icomll",
                  "canonical_jumps_btenll", "canonical_jumps_icomll", "classify_jumps",

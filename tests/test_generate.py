@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from proofnets.canonical import canonical_form, iso
-from proofnets.formulas import Fragment, polarity
-from proofnets.generate import GenParams, permute_rules, random_proof, random_ps
+from proofnets.formulas import BOT, ONE, Fragment, atom, par, polarity, tensor
+from proofnets.generate import (GenParams, permute_rules, random_formula, random_proof,
+                                random_ps)
 from proofnets.sequent import check_proof, desequentialize
 from proofnets.sequentialize import is_sequential_oracle, proofs_equivalent
 from proofnets.structure import is_wten, validate
@@ -22,6 +25,49 @@ def test_random_proofs_check(frag):
         p = random_proof(GenParams(fragment=frag, max_rules=12, seed=seed,
                                    cut_probability=0.3))
         assert check_proof(p, frag).ok, (frag, seed)
+
+
+def recursive_random_formula(rng, depth=2):
+    """The recursive generator `random_formula` replaced."""
+    if depth == 0 or rng.random() < 0.4:
+        choice = rng.randrange(3)
+        if choice == 0:
+            return atom(rng.choice(("X", "Y", "Z")), dual=rng.random() < 0.5)
+        return ONE if choice == 1 else BOT
+    build = tensor if rng.random() < 0.5 else par
+    return build(recursive_random_formula(rng, depth - 1),
+                 recursive_random_formula(rng, depth - 1))
+
+
+def test_random_formula_draws_as_the_recursive_generator():
+    # the same formula and the same generator state after the call
+    for seed in range(400):
+        for depth in range(6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_formula(rng, depth) is recursive_random_formula(ref, depth)
+            assert rng.getstate() == ref.getstate(), (seed, depth)
+
+
+class _LeftSpine:
+    """Draws that make every formula above depth 0 a par on the leftmost
+    path, and every other one a one."""
+
+    def __init__(self, depth):
+        self.spine = 2 * depth  # a leaf test and a connective per level
+
+    def random(self):
+        self.spine -= 1
+        return 0.5 if self.spine >= 0 else 0.0
+
+    def randrange(self, n):
+        return 1
+
+
+def test_random_formula_draws_1200_deep_formulas():
+    expected = ONE
+    for _ in range(1200):
+        expected = par(expected, ONE)
+    assert random_formula(_LeftSpine(1200), 1200) is expected
 
 
 def test_btenll_proofs_desequentialize_correctly():

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import build_ps
-from proofnets import fixtures
+from proofnets import fixtures, formulas
 from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import (FragmentError, SequentializationError,
                               TypeInferenceError)
@@ -13,7 +13,7 @@ from proofnets.formulas import Fragment, atom
 from proofnets.generate import GenParams, permute_rules, random_proof, random_ps
 from proofnets.sequent import (ax_rule, bot_rule, check_proof, deseq_relation_holds,
                                desequentialize, ex_rule, format_proof, one_rule,
-                               tensor_rule)
+                               par_rule, tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                                      classify_jumps, infer_types,
                                      is_sequential_oracle, proofs_equivalent,
@@ -555,3 +555,23 @@ def test_sequentializers_do_not_recurse_per_step():
         sys.setrecursionlimit(old)
     assert [p.rule_count() for p in results] == [k + 1] * 3 + [2 * k + 1] * 2
     assert iso(desequentialize(results[3], verify=False).ps, tensors)
+
+
+def test_icomll_jump_layer_folds_a_fixed_number_of_times(monkeypatch):
+    # types are read through `arc_polarities`, one fold over the distinct
+    # types per call, never one fold per arc: the count does not grow with
+    # the depth of k nested (par (bot …)) rules over (one)
+    calls = []
+    fold = formulas._fold
+    monkeypatch.setattr(formulas, "_fold", lambda *args: calls.append(1) or fold(*args))
+    counts = []
+    for k in (10, 1200):
+        p = one_rule()
+        for _ in range(k):
+            p = par_rule(bot_rule(p))
+        ps = desequentialize(p, verify=False).ps
+        for run in (canonical_jumps_icomll, sequentialize_icomll):
+            calls.clear()
+            run(ps)
+            counts.append(len(calls))
+    assert counts == [2, 3, 2, 3]

@@ -13,7 +13,7 @@ import copying_skeleton as reference
 from proofnets import sequentialize
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_ps
-from proofnets.structure import DOT, erasing_nodes
+from proofnets.structure import DOT, arc_polarities, erasing_nodes
 
 
 @pytest.mark.parametrize("mode", reference.MODES)
@@ -34,7 +34,8 @@ def _policies(ps):
     return [(sequentialize._general_move, reference.general_move),
             (functools.partial(sequentialize._bten_move, erasing=erasing_nodes(ps)),
              reference.bten_move),
-            (sequentialize._icomll_move, reference.icomll_move)]
+            (functools.partial(sequentialize._icomll_move, polarities=arc_polarities(ps)),
+             reference.icomll_move)]
 
 
 def test_bare_skeletons_fail_alike():
