@@ -196,8 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", required=True,
                    choices=("accw", "ac", "cw", "cwforall", "wten"))
     p.add_argument("--max-parr", type=int, default=DEFAULT_MAX_PAR,
-                   help="cap on par nodes for cw and cwforall, which enumerate "
-                        "switchings; ac, accw and wten run uncapped")
+                   help="cap on the par nodes that cw and cwforall enumerate: for cw, "
+                        "the pars with a premise on a cycle, and only when some "
+                        "switching graph is cyclic; for cwforall, every par. "
+                        "ac, accw and wten run uncapped")
     add_common(p, fmt=False)
     p.set_defaults(func=_cmd_check)
 

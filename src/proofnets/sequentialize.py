@@ -481,13 +481,16 @@ class JumpedStructure:
     ps: ProofStructure
     jump_free: bool
     jump_total: bool
-    jump_correct: bool
+
+    @functools.cached_property
+    def jump_correct(self) -> bool:
+        """Jump-total and passing acc; decided on first read, since the
+        commands that attach jumps print only the jumps."""
+        return self.jump_total and check(self.ps, "acc").holds
 
 
 def classify_jumps(ps: ProofStructure) -> JumpedStructure:
-    total = jump_total(ps)
-    correct = total and check(ps, "acc").holds
-    return JumpedStructure(ps, jump_free(ps), total, correct)
+    return JumpedStructure(ps, jump_free(ps), jump_total(ps))
 
 
 def _require(ps: ProofStructure, frag: Fragment) -> None:

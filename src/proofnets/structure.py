@@ -346,14 +346,29 @@ def topological_order(nodes, arcs) -> list[int]:
 
 def erasing_nodes(ps: ProofStructure) -> set[int]:
     """Bot, par and dot nodes of a structure all of whose premises come
-    from erasing nodes."""
-    incoming = ps.incidence()[0]
-    erasing = set()
-    for n in topological_order(ps.nodes, ps.arcs):
-        if ps.nodes[n] in (BOT, PAR, DOT) and all(
-                ps.arcs[a][0] in erasing for a in incoming[n]):
-            erasing.add(n)
-    return erasing
+    from erasing nodes.
+
+    Propagated down the arcs from the premise-free ones (the bot nodes of a
+    valid structure): a node joins once its last premise has, so no
+    topological order is needed, and a node on a directed cycle never does.
+    """
+    incoming, outgoing = ps.incidence()
+    waiting = {}  # bot, par or dot node -> premises not yet known erasing
+    erasing = []
+    for n, lab in ps.nodes.items():
+        if lab in (BOT, PAR, DOT):
+            if incoming[n]:
+                waiting[n] = len(incoming[n])
+            else:
+                erasing.append(n)
+    for n in erasing:  # the list grows as the propagation goes
+        for a in outgoing[n]:
+            h = ps.arcs[a][1]
+            if h in waiting:
+                waiting[h] -= 1
+                if not waiting[h]:
+                    erasing.append(h)
+    return set(erasing)
 
 
 def arc_polarities(ps: ProofStructure) -> dict[int, str | None]:

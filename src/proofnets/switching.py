@@ -14,22 +14,31 @@ graphs:
             contains no erasing node of the base structure or is a thread
             (one bot node, every other node with a single premise).
 
-Only the acyclicity half of ac/acc/accw quantifies over switchings, and
-it is decided without enumerating them, by contraction in polynomial time
-(`_has_switching_cycle`); once acyclicity is established the component
-count is switching-independent, so the conjunctive criteria inspect a
-single switching graph for the counting half.  c, cw and cwforall really
-quantify over switchings: they enumerate them, exponentially in the number
-of par nodes, and refuse to run past a cap.  That cap, `max_par`, is a
-parameter of the enumerating functions (`switchings`, `check`,
-`output_stats`) and of nothing else.  The enumeration also stays the
-reference the tests compare the contraction against.
+`check` decides ac, c, cw, acc and accw with one kernel and builds no
+switching graph.  Danos contraction extended with mix
+(`_has_switching_cycle`) decides in polynomial time whether some switching
+graph has a cycle.  When none has, every switching graph has as many
+components as it has nodes minus arcs, which is the same number for all of
+them: #nodes + #pars - #arcs - #jumps.  So the count law settles c, cw,
+acc and accw.  When some switching graph has a cycle, only the pars with a
+premise on a cycle of the structure plus its jumps (one that is no bridge
+of it) can change a component count, so c and cw enumerate those pars
+alone, the others on their first premise.  `max_par` caps the pars they
+enumerate.  cwforall still enumerates every erasing-compatible switching.
+
+A census lists the components of one switching graph.  `_components`
+computes it with one union-find over the structure, re-heading each
+unchosen premise as it goes.  It serves every caller: the census a verdict
+prints, read only on demand, the counting in cwforall and
+`output_stats`, and `graph_components`.  `SwitchingGraph` is built only for
+`switching_graph`, which `dot --switching` and the tests' enumerated
+reference use.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import FragmentError, ProofNetError, SwitchingLimitError
@@ -88,12 +97,10 @@ class UnionFind:
         self.count = len(self.parent)
 
     def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while (up := parent[x]) != x:
+            parent[x] = x = parent[up]  # path halving
+        return x
 
     def union(self, x, y) -> bool:
         """Merge; return False when x and y were already connected."""
@@ -105,8 +112,8 @@ class UnionFind:
         return True
 
 
-def _connect(g) -> tuple[UnionFind, bool]:
-    """Union-find over a graph's arcs, and whether the graph is acyclic.
+def components_and_acyclicity(g) -> tuple[int, bool, list[frozenset[int]]]:
+    """Component count, acyclicity and the node partition of a graph.
 
     A repeated edge between two nodes counts as a cycle.  When acyclic, the
     component count is cross-checked against nodes minus arcs.
@@ -118,12 +125,6 @@ def _connect(g) -> tuple[UnionFind, bool]:
             acyclic = False
     if acyclic and uf.count != len(g.nodes) - len(g.arcs):
         raise AssertionError("an acyclic graph must have nodes minus arcs components")
-    return uf, acyclic
-
-
-def components_and_acyclicity(g) -> tuple[int, bool, list[frozenset[int]]]:
-    """Component count, acyclicity and the node partition of a graph."""
-    uf, acyclic = _connect(g)
     groups: dict[int, set[int]] = {}
     for n in g.nodes:
         groups.setdefault(uf.find(n), set()).add(n)
@@ -176,29 +177,71 @@ def switching_graph(ps: ProofStructure, switching: Switching) -> SwitchingGraph:
     return SwitchingGraph(ps, switching)
 
 
-def graph_components(g: SwitchingGraph, erasing_of_base=None) -> list[Component]:
-    if erasing_of_base is None:
-        erasing_of_base = erasing_nodes(g.base)
-    _, _, comps = components_and_acyclicity(g)
-    premise_count = {n: 0 for n in g.nodes}
-    for _, h in g.arcs.values():
-        premise_count[h] += 1
+def _components(ps: ProofStructure, switching: Switching,
+               erasing: set[int]) -> list[Component]:
+    """The components of a switching graph, ordered by least node, from one
+    union-find over the structure and its jumps.
+
+    Each unchosen premise is re-headed to its par's fresh dot as the arcs
+    are read, so no graph is built.  Fresh dots are numbered as in
+    `SwitchingGraph`, upward from `fresh_node_id` in par order.
+    """
+    fresh = ps.fresh_node_id()
+    pars = ps.par_nodes()
+    dot_of = {}  # unchosen premise -> the fresh dot it is re-headed to
+    for dot, n in enumerate(pars, fresh):
+        for a in ps.premises_of(n):
+            if a != switching[n]:
+                dot_of[a] = dot
+    order = sorted(ps.nodes)
+    order += range(fresh, fresh + len(pars))
+    uf = UnionFind(order)
+    premises = dict.fromkeys(order, 0)
+    for a, (t, h) in ps.arcs.items():
+        h = dot_of.get(a, h)
+        premises[h] += 1
+        uf.union(t, h)
+    for t, h in ps.jumps.items():
+        premises[h] += 1
+        uf.union(t, h)
+    groups: dict[int, list[int]] = {}
+    for n in order:  # each group is keyed in the order of its least node
+        groups.setdefault(uf.find(n), []).append(n)
+    labels = ps.nodes
     out = []
-    for comp in comps:
-        bots = sum(1 for n in comp if g.nodes[n] == BOT)
-        erasing = sum(1 for n in comp if n in erasing_of_base)
+    for comp in groups.values():
+        bots = sum(1 for n in comp if labels.get(n) == BOT)
         thread = bots == 1 and all(
-            premise_count[n] == 1 for n in comp if g.nodes[n] != BOT)
-        out.append(Component(comp, len(comp), erasing, bots, thread))
+            premises[n] == 1 for n in comp if labels.get(n) != BOT)
+        out.append(Component(frozenset(comp), len(comp),
+                             sum(1 for n in comp if n in erasing), bots, thread))
     return out
 
 
-@dataclass
+def graph_components(g: SwitchingGraph, erasing_of_base=None) -> list[Component]:
+    if erasing_of_base is None:
+        erasing_of_base = erasing_nodes(g.base)
+    return _components(g.base, g.switching, erasing_of_base)
+
+
 class CriterionVerdict:
-    criterion: str
-    holds: bool
-    counterexample: Switching | None = None
-    census: list[dict] = field(default_factory=list)
+    """A criterion's verdict, its counterexample switching and the census of
+    a switching graph.  The census may be given as a function of no
+    arguments, called when `census` is first read: most callers read only
+    `holds`."""
+
+    def __init__(self, criterion: str, holds: bool,
+                 counterexample: Switching | None = None, census=()):
+        self.criterion = criterion
+        self.holds = holds
+        self.counterexample = counterexample
+        self._census = census if callable(census) else list(census)
+
+    @property
+    def census(self) -> list[dict]:
+        if callable(self._census):
+            self._census = self._census()
+        return self._census
 
     def to_json_dict(self) -> dict:
         doc = {"criterion": self.criterion, "holds": self.holds}
@@ -210,6 +253,10 @@ class CriterionVerdict:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
+    def __repr__(self):
+        return (f"CriterionVerdict({self.criterion!r}, holds={self.holds}, "
+                f"counterexample={self.counterexample!r})")
+
 
 CRITERIA = ("ac", "c", "cw", "acc", "accw", "cwforall")
 
@@ -219,10 +266,12 @@ def expected_components(ps: ProofStructure) -> int:
     return len(ps.bottom_nodes()) - len(ps.jumps) + 1
 
 
-def _has_switching_cycle(ps: ProofStructure,
-                         forced: Switching | None = None) -> bool:
+def _has_switching_cycle(ps: ProofStructure, forced: Switching | None = None,
+                         bridges=frozenset()) -> bool:
     """Whether some switching graph has a cycle; a par node in `forced`
-    keeps only the premise given there.
+    keeps only the premise given there, and the arcs and jump edges
+    numbered in `bridges`, bridges of the structure plus its jumps, which
+    lie on no cycle, are left out.
 
     Decided by Danos contraction extended with mix (Fleury & Retoré).  The
     graph is the structure plus its jump edges; the two premises of a par
@@ -237,32 +286,47 @@ def _has_switching_cycle(ps: ProofStructure,
       a free edge is contracted;
       a pair whose two edges join the same two vertices is contracted.
 
-    When no rule applies, any edge left lies on such a cycle.  Contraction
-    merges the smaller incidence set into the larger, so the decision takes
-    O(arcs log arcs) set operations.
+    When no rule applies, any edge left lies on such a cycle.  The free
+    edges are contracted first, in one union-find pass; after that,
+    contraction merges the smaller incidence set into the larger, so the
+    decision takes O(arcs log arcs) set operations.
     """
     forced = forced or {}
-    # the live edges; a premise's head is its par node
-    ends = {**ps.arcs, **jump_arcs(ps)}
-    partner: dict[int, int] = {}
+    free = {a: e for a, e in ps.arcs.items() if a not in bridges}
+    pairs = []
     for n in ps.par_nodes():
         prem = ps.premises_of(n)
+        kept = [a for a in prem if a in free]  # ends up the premises left free
         if n in forced:
-            for a in prem:
-                if a != forced[n]:
-                    del ends[a]
-        elif len(prem) == 2:
-            partner[prem[0]], partner[prem[1]] = prem[1], prem[0]
+            kept = [a for a in kept if a == forced[n]]
+        elif len(kept) == 2:
+            pairs.append(kept)
+            kept = []
+        for a in prem:
+            if a not in kept:
+                free.pop(a, None)
     uf = UnionFind(ps.nodes)
-    incident: dict[int, set[int]] = {n: set() for n in ps.nodes}
-    for e, (t, h) in ends.items():
-        if t == h:
+    for t, h in [*free.values(), *(e for a, e in jump_arcs(ps).items() if a not in bridges)]:
+        if not uf.union(t, h):
             return True
-        incident[t].add(e)
-        incident[h].add(e)
-
-    edges = list(ends)  # free edges to contract, pairs to test for parallel
-    vertices = list(ps.nodes)  # vertices to test for dead
+    ends: dict[int, tuple[int, int]] = {}  # the paired edges
+    partner: dict[int, int] = {}
+    incident: dict[int, set[int]] = {}
+    edges = []  # free edges to contract, pairs to test for parallel
+    for e, f in pairs:
+        partner[e], partner[f] = f, e
+        sides = []
+        for g in (e, f):
+            ends[g] = t, h = ps.arcs[g]
+            u, v = uf.find(t), uf.find(h)
+            if u == v:
+                return True
+            incident.setdefault(u, set()).add(g)
+            incident.setdefault(v, set()).add(g)
+            sides.append({u, v})
+        if sides[0] == sides[1]:
+            edges.append(e)
+    vertices = list(incident)  # vertices to test for dead
     while edges or vertices:
         if edges:
             e = edges.pop()
@@ -317,61 +381,161 @@ def _has_switching_cycle(ps: ProofStructure,
     return bool(ends)
 
 
-def _first_cyclic_switching(ps: ProofStructure) -> Switching:
-    """The first switching in enumeration order whose graph has a cycle,
-    fixing one par at a time; some switching graph must have one."""
-    forced: Switching = {}
-    for n in ps.par_nodes():
-        first, *rest = ps.premises_of(n)
-        forced[n] = first
-        if rest and not _has_switching_cycle(ps, forced):
-            forced[n] = rest[0]
-    return forced
+def _bridges(ps: ProofStructure) -> set[int]:
+    """The arcs and jump edges (numbered as by `jump_arcs`) that are bridges
+    of the structure plus its jumps, by one depth-first search that keeps
+    the least discovery index each subtree reaches."""
+    around: dict[int, list[tuple[int, int]]] = {n: [] for n in ps.nodes}
+    for e, (t, h) in {**ps.arcs, **jump_arcs(ps)}.items():
+        around[t].append((e, h))
+        around[h].append((e, t))
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    bridges = set()
+    for root in ps.nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack = [(root, None, iter(around[root]))]
+        while stack:
+            v, via, it = stack[-1]
+            for e, w in it:
+                if e == via:
+                    continue
+                if w in index:
+                    low[v] = min(low[v], index[w])
+                else:
+                    index[w] = low[w] = len(index)
+                    stack.append((w, e, iter(around[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > index[u]:
+                        bridges.add(via)
+    return bridges
+
+
+def _open_pars(ps: ProofStructure, bridges: set[int]) -> list[int]:
+    """The par nodes, in order, with a premise that is no bridge: the only
+    pars whose choice can close a cycle or change a component count."""
+    return [n for n in ps.par_nodes()
+            if len(prem := ps.premises_of(n)) == 2 and not bridges.issuperset(prem)]
+
+
+def _first_cyclic_switching(ps: ProofStructure, first: Switching) -> Switching:
+    """The first switching in enumeration order whose graph has a cycle;
+    some switching graph must have one.
+
+    That is the first switching when its graph is cyclic.  Otherwise the
+    pars whose premises are both bridges keep their first premise, and the
+    others are fixed in runs: whether some cyclic switching keeps the
+    premises fixed so far and the first premise of each next par can only
+    turn from true to false as the run grows, so a galloping search finds
+    the longest run, and the par after it takes its second premise.  That
+    takes O((s + 1) log P) contractions, where s pars take their second
+    premise.
+    """
+    if _has_switching_cycle(ps, first):
+        return first
+    bridges = _bridges(ps)
+    pars = _open_pars(ps, bridges)
+    sw = dict(first)
+
+    def extends(j: int) -> bool:  # some cyclic switching keeps sw on pars[:j]
+        return _has_switching_cycle(ps, {n: sw[n] for n in pars[:j]}, bridges)
+
+    done = 0  # extends(done) holds
+    while not extends(len(pars)):
+        lo, hi, step = done, len(pars), 1  # extends(lo) holds, extends(hi) fails
+        while lo + step < hi and extends(lo + step):
+            lo += step
+            step *= 2
+        hi = min(hi, lo + step)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if extends(mid):
+                lo = mid
+            else:
+                hi = mid
+        sw[pars[lo]] = ps.premises_of(pars[lo])[1]
+        done = lo + 1
+    return sw
 
 
 def check(ps: ProofStructure, criterion: str,
           max_par: int = DEFAULT_MAX_PAR) -> CriterionVerdict:
     """Decide a correctness criterion.
 
-    ac, acc and accw are decided by contraction, with no cap: a failing
-    verdict names the first cyclic switching in enumeration order, and the
-    component count is read off the first switching.  c, cw and cwforall
-    enumerate switchings and raise `SwitchingLimitError` past `max_par` par
-    nodes.  A refuted verdict carries the census of the counterexample's
-    switching graph.
+    ac, c, cw, acc and accw start from one contraction.  When some
+    switching graph has a cycle, ac, acc and accw fail on the first cyclic
+    switching in enumeration order, and c and cw enumerate only the pars
+    with a premise on a cycle, in enumeration order, and raise
+    `SwitchingLimitError` past `max_par` of them.  When none has, the
+    component count is #nodes + #pars - #arcs - #jumps on every switching
+    graph, and a failing count names the first switching.  cwforall
+    enumerates erasing-compatible switchings and raises past `max_par` par
+    nodes.  A verdict carries the census of the counterexample's switching
+    graph, or for a holding acc or accw that of the first switching; it is
+    computed when first read.
     """
     criterion = criterion.lower()
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    erasing = erasing_nodes(ps)
 
-    def verdict(holds: bool, sw: Switching | None = None, comps=()):
-        return CriterionVerdict(criterion, holds, sw, [c.census() for c in comps])
+    def census(sw: Switching):
+        return lambda: [c.census() for c in _components(ps, sw, erasing_nodes(ps))]
 
     if criterion == "cwforall":
+        erasing = erasing_nodes(ps)
         for sw in switchings(ps, W_COMPATIBLE, max_par):
-            comps = graph_components(switching_graph(ps, sw), erasing)
+            comps = _components(ps, sw, erasing)
             if not all(c.erasing_of_base == 0 or c.thread for c in comps):
-                return verdict(False, sw, comps)
-        return verdict(True)
+                return CriterionVerdict(criterion, False, sw, [c.census() for c in comps])
+        return CriterionVerdict(criterion, True)
 
-    count_target = 1 if criterion in ("c", "acc") else expected_components(ps)
-    if criterion in ("c", "cw"):
-        for sw in switchings(ps, ALL, max_par):
-            g = switching_graph(ps, sw)
-            if _connect(g)[0].count != count_target:
-                return verdict(False, sw, graph_components(g, erasing))
-        return verdict(True)
-
+    pars = ps.par_nodes()
+    first = {n: ps.premises_of(n)[0] for n in pars}
+    target = 1 if criterion in ("c", "acc") else expected_components(ps)
     if _has_switching_cycle(ps):
-        sw = _first_cyclic_switching(ps)
-        return verdict(False, sw, graph_components(switching_graph(ps, sw), erasing))
+        if criterion in ("c", "cw"):
+            return _cyclic_count_verdict(ps, criterion, first, target, max_par)
+        sw = _first_cyclic_switching(ps, first)
+        return CriterionVerdict(criterion, False, sw, census(sw))
     if criterion == "ac":
-        return verdict(True)
-    sw = {n: ps.premises_of(n)[0] for n in ps.par_nodes()}
-    comps = graph_components(switching_graph(ps, sw), erasing)
-    holds = len(comps) == count_target
-    return verdict(holds, None if holds else sw, comps)
+        return CriterionVerdict(criterion, True)
+    # acyclic: nodes minus arcs components, fresh dots and jump edges included
+    holds = len(ps.nodes) + len(pars) - len(ps.arcs) - len(ps.jumps) == target
+    if holds and criterion in ("c", "cw"):
+        return CriterionVerdict(criterion, True)
+    return CriterionVerdict(criterion, holds, None if holds else first, census(first))
+
+
+def _cyclic_count_verdict(ps: ProofStructure, criterion: str, first: Switching,
+                          target: int, max_par: int) -> CriterionVerdict:
+    """The c or cw verdict of a structure with a cyclic switching graph.
+
+    The component count of a switching graph is its node count minus its
+    arc count plus its cycle rank, which sums over the blocks of the
+    structure plus its jumps.  A premise that is a bridge is a block of no
+    cycle, so a par whose premises are both bridges never changes the
+    count.  Only the other pars are enumerated, in enumeration order, with
+    the rest on their first premise: the first switching that misses the
+    target is then the first one of the full enumeration.
+    """
+    pars = _open_pars(ps, _bridges(ps))
+    if len(pars) > max_par:
+        raise SwitchingLimitError(f"{len(pars)} par nodes with a premise on a cycle "
+                                  f"exceed the enumeration cap {max_par}")
+    erasing = erasing_nodes(ps)
+    for combo in product(*(ps.premises_of(n) for n in pars)):
+        sw = {**first, **dict(zip(pars, combo))}
+        comps = _components(ps, sw, erasing)
+        if len(comps) != target:
+            return CriterionVerdict(criterion, False, sw, [c.census() for c in comps])
+    return CriterionVerdict(criterion, True)
 
 
 @dataclass
@@ -387,8 +551,9 @@ def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputSt
     a structure typed in the intuitionistic fragment.
 
     Every switching is enumerated, so past `max_par` par nodes this raises
-    `SwitchingLimitError`.  When every switching graph is acyclic, the
-    component count is checked to equal bots + outputs - jumps on each.
+    `SwitchingLimitError`.  Acyclicity comes from the contraction; when
+    every switching graph is acyclic, the component count is checked to
+    equal bots + outputs - jumps on each.
     """
     report = validate(ps, Fragment.IMLL)
     if not report.ok:
@@ -396,15 +561,12 @@ def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputSt
     bots = len(ps.bottom_nodes())
     polarities = arc_polarities(ps)
     outputs = sum(1 for a in ps.conclusions if polarities[a] == "O")
-    counts = []
-    all_acyclic = True
-    for sw in switchings(ps, ALL, max_par):
-        uf, acyclic = _connect(switching_graph(ps, sw))
-        counts.append(uf.count)
-        all_acyclic = all_acyclic and acyclic
-    if all_acyclic and any(cc != bots + outputs - len(ps.jumps) for cc in counts):
+    erasing = erasing_nodes(ps)
+    counts = [len(_components(ps, sw, erasing)) for sw in switchings(ps, ALL, max_par)]
+    acyclic = not _has_switching_cycle(ps)
+    if acyclic and any(cc != bots + outputs - len(ps.jumps) for cc in counts):
         raise AssertionError("component count law violated on an acyclic switching graph")
-    return OutputStats(bots, outputs, all_acyclic, counts)
+    return OutputStats(bots, outputs, acyclic, counts)
 
 
 # -- path enumeration --------------------------------------------------------

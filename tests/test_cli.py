@@ -454,11 +454,18 @@ def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
         assert exc.value.code == 2, argv
         assert "unrecognized arguments: --max-parr 5" in capsys.readouterr().err
 
-    code, out, err = run(capsys, "check", str(net), "--criterion", "cw", "--max-parr", "0")
+    # an acyclic structure: cw needs no enumeration, so the cap never bites
+    for criterion in ("cw", "accw"):
+        code, out, _ = run(capsys, "check", str(net), "--criterion", criterion,
+                           "--max-parr", "0")
+        assert (code, json.loads(out)["holds"]) == (0, True), criterion
+    # both pars of the joined 2-par chain have a premise on its cycle
+    _, joined = _joined_chain(tmp_path, capsys, 2)
+    code, out, err = run(capsys, "check", joined, "--criterion", "cw", "--max-parr", "1")
     assert (code, out) == (2, "")
-    assert "2 par nodes exceed the enumeration cap 0" in err
-    code, out, _ = run(capsys, "check", str(net), "--criterion", "accw", "--max-parr", "0")
-    assert (code, json.loads(out)["holds"]) == (0, True)
+    assert "2 par nodes with a premise on a cycle exceed the enumeration cap 1" in err
+    code, out, _ = run(capsys, "check", joined, "--criterion", "cw", "--max-parr", "2")
+    assert (code, json.loads(out)["holds"]) == (1, False)
 
 
 def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):
@@ -471,16 +478,20 @@ def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):
     assert took < 1.0, took
 
 
-def test_accw_counterexample_on_200_pars_takes_under_a_second(tmp_path, capsys):
-    # The two conclusions of a 200-par chain over an axiom, joined under a
-    # tensor: each switching graph has one arc more than the chain's, on as
-    # many nodes, so it has a cycle or too few components.
-    doc = _deseq_doc(tmp_path, capsys, _chain_proof(200, '(ax "A")'))
+def _joined_chain(tmp_path, capsys, k, deepest_second=False):
+    """The two conclusions of a k-par chain over an axiom, joined under a
+    tensor: each switching graph has one arc more than the chain's, on as
+    many nodes, so it has a cycle or too few components.  With
+    `deepest_second`, the deepest par lists its premises the other way
+    round, so the only cycle takes that par's second premise."""
+    doc = _deseq_doc(tmp_path, capsys, _chain_proof(k, '(ax "A")'))
     del doc["types"]
     a, b = doc["conclusions"]
     dots = {arc["head"] for arc in doc["arcs"] if arc["id"] in (a, b)}
     tensor = max(node["id"] for node in doc["nodes"]) + 1
     joined = max(arc["id"] for arc in doc["arcs"]) + 1
+    if deepest_second:
+        doc["premises"][min(doc["premises"], key=int)].reverse()
     doc["nodes"] = [node for node in doc["nodes"] if node["id"] not in dots]
     doc["nodes"] += [{"id": tensor, "label": "tensor"},
                      {"id": tensor + 1, "label": "dot"}]
@@ -490,11 +501,20 @@ def test_accw_counterexample_on_200_pars_takes_under_a_second(tmp_path, capsys):
     doc["arcs"].append({"id": joined, "tail": tensor, "head": tensor + 1})
     doc["premises"][str(tensor)] = [a, b]
     doc["conclusions"] = [joined]
-    net = tmp_path / "joined.json"
+    net = tmp_path / f"joined-{k}.json"
     net.write_text(json.dumps(doc))
+    return doc, str(net)
+
+
+def _timed_run(capsys, *argv):
     start = time.perf_counter()
-    code, out, _ = run(capsys, "check", str(net), "--criterion", "accw")
-    took = time.perf_counter() - start
+    code, out, err = run(capsys, *argv)
+    return code, out, err, time.perf_counter() - start
+
+
+def test_accw_counterexample_on_200_pars_takes_under_a_second(tmp_path, capsys):
+    doc, net = _joined_chain(tmp_path, capsys, 200)
+    code, out, _, took = _timed_run(capsys, "check", net, "--criterion", "accw")
     verdict = json.loads(out)
     assert (code, verdict["holds"]) == (1, False)
     assert took < 1.0, took
@@ -522,6 +542,36 @@ def test_accw_counterexample_on_200_pars_takes_under_a_second(tmp_path, capsys):
             components -= 1
     bots = sum(1 for lab in labels.values() if lab == "bot")
     assert cyclic or components != bots + 1
+
+
+# sha256 of the parent's `check` output on the 1 000-par joined chains,
+# which took it about 9 s each
+JOINED_1000_ACCW = "4e5dd5f6e7b6389abb113f88d99b98f6792235b90596214aaa71d1872fb3d83e"
+
+
+@pytest.mark.parametrize("deepest_second", [False, True])
+def test_accw_refutes_1000_par_chains_within_a_tenth_of_a_second(tmp_path, capsys,
+                                                                deepest_second):
+    # the first switching is cyclic, or else one cycle needs the second
+    # premise of the deepest par: either way a handful of contractions
+    doc, net = _joined_chain(tmp_path, capsys, 1000, deepest_second)
+    code, out, err, took = _timed_run(capsys, "check", net, "--criterion", "accw")
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == JOINED_1000_ACCW
+    assert took < 0.1, took
+    chosen = json.loads(out)["counterexample"]
+    second = [n for n, a in chosen.items() if a != doc["premises"][n][0]]
+    assert second == ([min(chosen, key=int)] if deepest_second else [])
+
+
+def test_cw_on_a_16_par_chain_within_a_tenth_of_a_second(tmp_path, capsys):
+    # an acyclic structure: the count law decides it, with no enumeration
+    # and no cap (the enumeration took 3.5 s here)
+    net = tmp_path / "chain.json"
+    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(16))))
+    code, out, err, took = _timed_run(capsys, "check", str(net), "--criterion", "cw")
+    assert (code, out, err) == (0, '{"criterion": "cw", "holds": true, "census": []}\n', "")
+    assert took < 0.1, took
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

@@ -206,6 +206,21 @@ def test_jumps_units_targets():
     assert jumped.jump_total and jumped.jump_correct
 
 
+def test_jump_correctness_is_decided_on_first_read(monkeypatch):
+    from proofnets import sequentialize
+    calls = []
+
+    def counted(ps, criterion):
+        calls.append(criterion)
+        return check(ps, criterion)
+
+    monkeypatch.setattr(sequentialize, "check", counted)
+    jumped = canonical_jumps_btenll(fixtures.load("jumps-units"), m=0)
+    assert calls == []
+    assert jumped.jump_correct and jumped.jump_correct
+    assert calls == ["acc"]
+
+
 def test_jumps_no_bots_is_identity(single_ax):
     jumped = canonical_jumps_btenll(single_ax, m=0)
     assert jumped.ps.jumps == {}

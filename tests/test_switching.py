@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,12 +10,12 @@ from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import bot_rule, desequentialize, one_rule, par_rule
 from proofnets.sequentialize import canonical_jumps_btenll
-from proofnets.structure import ProofStructure, erasing_nodes, is_wten
+from proofnets.structure import ProofStructure, erasing_nodes, is_wten, topological_order
 from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE,
-                                 CriterionVerdict, Path, _connect, check,
-                                 components_and_acyclicity, expected_components,
-                                 graph_components, output_stats, switching_graph,
-                                 switching_paths, switchings)
+                                 CriterionVerdict, Path, _first_cyclic_switching,
+                                 _has_switching_cycle, check, components_and_acyclicity,
+                                 expected_components, graph_components, output_stats,
+                                 switching_graph, switching_paths, switchings)
 
 
 def two_par_ps():
@@ -173,23 +174,53 @@ def test_jump_adjusted_count():
     assert check(ps_jumped, "acc").holds
 
 
-def _enumerated_verdict(ps, criterion):
-    """The ac/acc/accw verdict by switching enumeration: the first cyclic
-    switching refutes; otherwise the first switching gives the count."""
+def _reference_census(g, erasing):
+    """The census of a switching graph, read off its node partition."""
+    _, _, comps = components_and_acyclicity(g)
+    premises = Counter(h for _, h in g.arcs.values())
+    census = []
+    for comp in comps:
+        bots = sum(1 for n in comp if g.nodes[n] == "bot")
+        thread = bots == 1 and all(premises[n] == 1 for n in comp if g.nodes[n] != "bot")
+        census.append({"nodes": len(comp), "erasing": len(comp & erasing),
+                       "bots": bots, "thread": thread})
+    return census
+
+
+def _enumerated_verdicts(ps):
+    """Every criterion but cwforall, decided on the switching graphs of one
+    enumeration: c and cw fail on the first switching whose component count
+    misses the target, ac, acc and accw on the first cyclic one, and
+    otherwise acc and accw read the count off the first switching."""
     erasing = erasing_nodes(ps)
-    first = None
+    targets = {"c": 1, "acc": 1, "cw": expected_components(ps),
+               "accw": expected_components(ps)}
+    refuting, first, first_count = {}, None, None
     for sw in switchings(ps, ALL):
         g = switching_graph(ps, sw)
-        uf, acyclic = _connect(g)
-        census = [c.census() for c in graph_components(g, erasing)]
+        count, acyclic, _ = components_and_acyclicity(g)
+        if first is None:
+            first, first_count = g, count
+        for criterion in ("c", "cw"):
+            if count != targets[criterion]:
+                refuting.setdefault(criterion, g)
         if not acyclic:
-            return CriterionVerdict(criterion, False, sw, census)
-        first = first or (sw, uf.count, census)
-    if criterion == "ac":
-        return CriterionVerdict(criterion, True)
-    sw, count, census = first
-    holds = count == (1 if criterion == "acc" else expected_components(ps))
-    return CriterionVerdict(criterion, holds, None if holds else sw, census)
+            for criterion in ("ac", "acc", "accw"):
+                refuting.setdefault(criterion, g)
+    verdicts = {}
+    for criterion in ("ac", "c", "cw", "acc", "accw"):
+        g = refuting.get(criterion)
+        if g is not None:
+            verdict = CriterionVerdict(criterion, False, g.switching,
+                                       _reference_census(g, erasing))
+        elif criterion in ("ac", "c", "cw"):
+            verdict = CriterionVerdict(criterion, True)
+        else:
+            holds = first_count == targets[criterion]
+            verdict = CriterionVerdict(criterion, holds, None if holds else first.switching,
+                                       _reference_census(first, erasing))
+        verdicts[criterion] = verdict
+    return verdicts
 
 
 def _swap_heads(ps, rng):
@@ -237,15 +268,76 @@ def _oracle_corpus():
 
 def test_contraction_agrees_with_the_enumeration():
     corpus = _oracle_corpus()
-    refuted = 0
+    refuted = Counter()
     for i, ps in enumerate(corpus):
         assert len(ps.par_nodes()) <= 10, i
-        for criterion in ("ac", "acc", "accw"):
+        expected = _enumerated_verdicts(ps)
+        for criterion in ("ac", "c", "cw", "acc", "accw"):
             verdict = check(ps, criterion)
-            assert verdict.to_json() == _enumerated_verdict(ps, criterion).to_json(), \
-                (i, criterion)
-        refuted += verdict.counterexample is not None
-    assert len(corpus) > 500 and len(corpus) // 4 < refuted < 3 * len(corpus) // 4
+            assert verdict.to_json() == expected[criterion].to_json(), (i, criterion)
+            refuted[criterion] += not verdict.holds
+    assert len(corpus) > 500
+    for criterion in ("ac", "c", "cw", "acc", "accw"):
+        assert len(corpus) // 10 < refuted[criterion] < 9 * len(corpus) // 10, criterion
+    assert len(corpus) // 4 < refuted["accw"] < 3 * len(corpus) // 4
+
+
+def _per_par_first_cyclic_switching(ps):
+    """The first cyclic switching in enumeration order, one par at a time:
+    a par keeps its first premise when some cyclic switching still does."""
+    forced = {}
+    for n in ps.par_nodes():
+        first, *rest = ps.premises_of(n)
+        forced[n] = first
+        if rest and not _has_switching_cycle(ps, forced):
+            forced[n] = rest[0]
+    return forced
+
+
+def _joined_chain(flips):
+    """An axiom whose two conclusions meet under a tensor, one of them
+    through a chain of pars, each over a bot; par i lists its chain premise
+    second when flips[i], so the one cycle takes that premise."""
+    nodes = {0: "ax", 1: "tensor", 2: "dot"}
+    arcs = {0: (0, 1), 1: (1, 2)}
+    order = {}
+    above = 0  # the node whose conclusion the next par takes
+    for flip in flips:
+        bot, par = len(nodes), len(nodes) + 1
+        nodes[bot], nodes[par] = "bot", "par"
+        chain, side = len(arcs), len(arcs) + 1
+        arcs[chain], arcs[side] = (above, par), (bot, par)
+        order[par] = (side, chain) if flip else (chain, side)
+        above = par
+    arcs[len(arcs)] = (above, 1)
+    order[1] = (0, len(arcs) - 1)
+    return ProofStructure(nodes, arcs, order, (1,))
+
+
+def test_galloping_finds_the_first_cyclic_switching():
+    rng = random.Random(3)
+    corpus = []
+    for seed in range(400):
+        ps = random_ps(GenParams(fragment=None, max_nodes=10 + seed % 40, seed=seed,
+                                 cut_probability=0.3 * (seed % 2)))
+        jumped = ps.copy()
+        jumped.jumps = {b: rng.choice([n for n in ps.nodes if n != b])
+                        for b in ps.bottom_nodes()}
+        corpus += [ps, _swap_heads(ps, rng), _swap_heads(ps, rng), jumped]
+    for _ in range(150):
+        chain = _joined_chain([rng.random() < 0.5 for _ in range(rng.randint(1, 24))])
+        corpus += [chain, _swap_heads(chain, rng)]
+    checked, seconds = 0, Counter()
+    for i, ps in enumerate(corpus):
+        verdict = check(ps, "ac")
+        if verdict.holds:
+            continue
+        expected = _per_par_first_cyclic_switching(ps)
+        assert verdict.counterexample == expected, i
+        checked += 1
+        second = sum(a != ps.premises_of(n)[0] for n, a in expected.items())
+        seconds[min(second, 2)] += 1
+    assert checked >= 1500 and seconds[1] >= 100 and seconds[2] >= 200, (checked, seconds)
 
 
 def test_ac_structures_have_switching_independent_counts():
@@ -534,6 +626,34 @@ def test_erasing_nodes_persist_in_switching_graphs():
             g = switching_graph(ps, sw)
             view = ProofStructure(g.nodes, g.arcs)
             assert base_erasing <= erasing_nodes(view), seed
+
+
+def _topological_erasing_nodes(ps):
+    """Erasing nodes decided in a topological order of the arcs."""
+    incoming = ps.incidence()[0]
+    erasing = set()
+    for n in topological_order(ps.nodes, ps.arcs):
+        if ps.nodes[n] in ("bot", "par", "dot") and all(
+                ps.arcs[a][0] in erasing for a in incoming[n]):
+            erasing.add(n)
+    return erasing
+
+
+def test_erasing_nodes_match_a_topological_pass():
+    # random structures, their switching graphs, and copies with two arc
+    # heads swapped, which may hold directed cycles
+    rng = random.Random(4)
+    compared = nonempty = 0
+    for seed in range(300):
+        ps = random_ps(GenParams(fragment=None, max_nodes=8 + seed % 30, seed=seed,
+                                 cut_probability=0.3 * (seed % 2)))
+        g = switching_graph(ps, next(switchings(ps, ALL, max_par=100)))
+        for cand in (ps, _swap_heads(ps, rng), ProofStructure(g.nodes, g.arcs)):
+            expected = _topological_erasing_nodes(cand)
+            assert erasing_nodes(cand) == expected, seed
+            compared += 1
+            nonempty += bool(expected)
+    assert compared == 900 and nonempty > 300
 
 
 def test_erasing_safe_counted_structures_more_facts():
