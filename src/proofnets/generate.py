@@ -92,7 +92,7 @@ def random_proof(params: GenParams) -> SequentProof:
         elif action < 0.60:
             target = rng.randrange(len(pool))
             p = pool[target]
-            if len(p.conclusion) >= 2:
+            if p.length >= 2:
                 grown = _try_par(rng, p, fragment_ok)
                 if grown is not None:
                     pool[target] = grown
@@ -114,9 +114,9 @@ def random_proof(params: GenParams) -> SequentProof:
                 pool[i] = grown
                 if consumed:
                     pool.pop(j)
-        elif len(pool) and len(pool[-1].conclusion) >= 2:
+        elif len(pool) and pool[-1].length >= 2:
             p = pool[-1]
-            position = rng.randrange(len(p.conclusion) - 1)
+            position = rng.randrange(p.length - 1)
             grown = ex_rule(position, p)
             pool[-1] = grown
         if grown is None:
@@ -127,7 +127,7 @@ def random_proof(params: GenParams) -> SequentProof:
 
 
 def _bring_last(p: SequentProof, index: int) -> SequentProof:
-    for i in range(index, len(p.conclusion) - 1):
+    for i in range(index, p.length - 1):
         p = ex_rule(i, p)
     return p
 
@@ -139,7 +139,7 @@ def _bring_first(p: SequentProof, index: int) -> SequentProof:
 
 
 def _try_par(rng, p, fragment_ok):
-    k = len(p.conclusion)
+    k = p.length
     i, j = rng.randrange(k), rng.randrange(k)
     if i == j:
         return None
@@ -152,8 +152,8 @@ def _try_par(rng, p, fragment_ok):
 
 
 def _try_tensor(rng, p1, p2, fragment_ok):
-    i = rng.randrange(len(p1.conclusion))
-    j = rng.randrange(len(p2.conclusion))
+    i = rng.randrange(p1.length)
+    j = rng.randrange(p2.length)
     a, b = p1.conclusion[i], p2.conclusion[j]
     if not fragment_ok(tensor_f(a, b)):
         return None
@@ -303,7 +303,7 @@ def _swap_sites(p: SequentProof):
     while stack:
         path, p = stack.pop()
         if p.rule in (TENSOR_RULE, CUT_RULE) and p.premises[1].rule == BOT_RULE \
-                and len(p.premises[1].conclusion) >= 2:
+                and p.premises[1].length >= 2:
             sites.append((path, "sink-bot"))
         if p.rule == BOT_RULE and p.premises[0].rule in (TENSOR_RULE, CUT_RULE):
             sites.append((path, "lift-bot"))
@@ -315,7 +315,7 @@ def _swap_sites(p: SequentProof):
         if p.rule == EX_RULE and p.premises[0].rule == EX_RULE \
                 and p.position == p.premises[0].position:
             sites.append((path, "ex-cancel"))
-        if len(p.conclusion) >= 2:
+        if p.length >= 2:
             sites.append((path, "ex-insert"))
         # children pushed last first, so they are visited in order
         stack += [(path + (i,), q) for i, q in reversed(list(enumerate(p.premises)))]
@@ -337,7 +337,7 @@ def _apply_swap(p: SequentProof, kind: str, rng) -> SequentProof:
     if kind == "bot-under-par":
         # bot(par(P))  ->  ex(par(ex(ex(bot(P)))))
         inner = p.premises[0].premises[0]
-        k = len(inner.conclusion) - 2
+        k = inner.length - 2
         q = bot_rule(inner)
         q = ex_rule(k + 1, q)
         q = ex_rule(k, q)
@@ -349,7 +349,7 @@ def _apply_swap(p: SequentProof, kind: str, rng) -> SequentProof:
     if kind == "ex-cancel":
         return p.premises[0].premises[0]
     # ex-insert
-    position = rng.randrange(len(p.conclusion) - 1)
+    position = rng.randrange(p.length - 1)
     return ex_rule(position, ex_rule(position, p))
 
 

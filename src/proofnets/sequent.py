@@ -1,36 +1,42 @@
 """Sequent-calculus proof trees, rule checking and desequentialization.
 
 Proofs are immutable trees; each node records its rule, its premises, the
-rule's argument and the conclusion sequent the rule derives.  The
-constructor derives that conclusion itself and rejects ill-formed
+rule's argument, the length of its conclusion sequent and its rule count.
+The constructor derives that conclusion itself and rejects ill-formed
 instances, so every proof, built by hand or read from a file, is correct by
-construction.  `check_proof` adds only the fragment discipline: all
-formulas inside the fragment, decided by one fold over every conclusion
-formula, and no axiom or cut rules in the constant-only intuitionistic
-fragment.
+construction.  An exchange only checks its position against the length:
+its conclusion is derived on first read, by applying the swaps of the
+exchanges below it to the nearest conclusion already known, so a run of k
+exchanges costs O(k) to build.  `check_proof` adds only the fragment
+discipline: all formulas inside the fragment, decided by one fold over the
+formulas the rules introduce (every formula of a sequent is introduced at
+or above it), and no axiom or cut rules in the constant-only
+intuitionistic fragment.
 
 Desequentialization turns a proof into a typed structure rule by rule,
 premises first: axioms and units become single nodes, tensor and cut join
-the two sub-structures, par and bot extend one, and exchange only reorders
-the conclusions.  Each new arc's type is read from the rule's conclusion,
-so no formula is built.  Node and arc ids are allocated premises first, so
-the ids allocated while a bot rule's premise sub-proof was built form a
-range that ends at the bot node.  The result records that range as the bot
-rule's scope: its ids that are still nodes are the nodes built from the
-premise sub-proof.  The jump-aware relation between proofs and jump-total
-structures checks jump targets against those scopes.
+the two sub-structures, par and bot extend one, and a run of exchanges only
+reorders the conclusions, as one list of swaps applied in place.  Each new
+arc's type is read from the rule's conclusion, so no formula is built.
+Node and arc ids are allocated premises first, so the ids allocated while
+a bot rule's premise sub-proof was built form a range that ends at the bot
+node.  The result records that range as the bot rule's scope: its ids that
+are still nodes are the nodes built from the premise sub-proof.  The
+jump-aware relation between proofs and jump-total structures checks jump
+targets against those scopes.
 Reading, checking, printing and desequentializing walk proofs on explicit
 stacks, so their depth is bounded by memory, not by the interpreter.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .canonical import isomorphisms
 from .errors import ParseError, ProofNetError
 from .formulas import (BOT as BOT_F, Formula, Fragment, format_formula,
-                       fragment_from_name, in_fragments, negate, parse_formula)
+                       fragment_from_name, in_fragments, negate, parse_formulas)
 from .formulas import ONE as ONE_F, par as par_f, tensor as tensor_f
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         ValidationReport, jump_total, validate)
@@ -48,6 +54,9 @@ _ARITY = {AX_RULE: 0, ONE_RULE: 0, CUT_RULE: 2, TENSOR_RULE: 2,
           EX_RULE: 1, PAR_RULE: 1, BOT_RULE: 1}
 
 
+_fill = object.__setattr__  # sets a field of a frozen proof
+
+
 class ProofBuildError(ProofNetError):
     """A rule was applied to premises of the wrong shape."""
 
@@ -59,17 +68,19 @@ class SequentProof:
     `arg` is the axiom or cut formula or the 0-based exchange position, and
     None for the other rules.  The constructor derives the conclusion (so it
     takes no part in equality) and raises ProofBuildError on an unknown
-    rule, a wrong premise count or an ill-formed instance.  Two proofs are
-    equal when their rules, arguments and premises are; the hash is
-    computed once, from the stored hashes of the premises, and equality
-    walks an explicit stack, so neither recurses with the depth of the
-    proof.
+    rule, a wrong premise count or an ill-formed instance.  Every node
+    stores `length`, the size of its conclusion, and its rule count.  An
+    exchange stores no conclusion: it is derived on first read and cached.
+    Two proofs are equal when their rules, arguments and premises are; the
+    hash is computed once, from the stored hashes of the premises, and
+    equality walks an explicit stack, so neither recurses with the depth of
+    the proof.
     """
 
     rule: str
     premises: tuple[SequentProof, ...]
     arg: Formula | int | None
-    conclusion: tuple[Formula, ...] = field(compare=False)
+    _conclusion = None  # until an exchange derives its conclusion
     cut_formula = property(lambda p: p.arg if p.rule == CUT_RULE else None)
     position = property(lambda p: p.arg if p.rule == EX_RULE else None)
 
@@ -80,6 +91,18 @@ class SequentProof:
         if len(premises) != _ARITY[rule]:
             raise ProofBuildError(f"{rule} rule has {len(premises)} premise(s), "
                                   f"expected {_ARITY[rule]}")
+        # the dataclass is frozen: fill its fields past its __setattr__
+        _fill(self, "rule", rule)
+        _fill(self, "premises", premises)
+        _fill(self, "arg", arg)
+        if rule == EX_RULE:
+            p = premises[0]
+            if not 0 <= arg <= p.length - 2:
+                raise ProofBuildError(f"exchange position {arg} out of range")
+            _fill(self, "length", p.length)
+            _fill(self, "_rule_count", p._rule_count + 1)
+            _fill(self, "_hash", hash((rule, arg, p._hash)))
+            return
         c = premises[0].conclusion if premises else ()
         if rule == AX_RULE:
             conclusion = (arg, negate(arg))
@@ -91,10 +114,6 @@ class SequentProof:
             if len(c) < 2:
                 raise ProofBuildError("par rule needs two formulas to combine")
             conclusion = c[:-2] + (par_f(c[-2], c[-1]),)
-        elif rule == EX_RULE:
-            if not 0 <= arg <= len(c) - 2:
-                raise ProofBuildError(f"exchange position {arg} out of range")
-            conclusion = c[:arg] + (c[arg + 1], c[arg]) + c[arg + 2:]
         elif rule == TENSOR_RULE:
             c2 = premises[1].conclusion
             if not c or not c2:
@@ -107,9 +126,32 @@ class SequentProof:
             if not c2 or c2[0] is not negate(arg):
                 raise ProofBuildError("dual of the cut formula must open the second premise")
             conclusion = c[:-1] + c2[1:]
-        # the dataclass is frozen: fill its fields past its __setattr__
-        vars(self).update(rule=rule, premises=premises, arg=arg, conclusion=conclusion,
-                          _hash=hash((rule, arg, premises)))
+        count, key = 1, (rule, arg)
+        for q in premises:
+            count += q._rule_count
+            key += (q._hash,)
+        _fill(self, "length", len(conclusion))
+        _fill(self, "_rule_count", count)
+        _fill(self, "_hash", hash(key))
+        _fill(self, "_conclusion", conclusion)
+
+    @property
+    def conclusion(self) -> tuple[Formula, ...]:
+        """The sequent the rule derives.  An exchange derives it on first
+        read, applying the swaps of the exchanges down to the nearest
+        conclusion known to one list, and keeps it."""
+        c = self._conclusion
+        if c is None:
+            swaps, p = [], self
+            while p._conclusion is None:
+                swaps.append(p.arg)
+                p = p.premises[0]
+            c = list(p._conclusion)
+            for i in reversed(swaps):
+                c[i], c[i + 1] = c[i + 1], c[i]
+            c = tuple(c)
+            _fill(self, "_conclusion", c)
+        return c
 
     def __eq__(self, other):
         if not isinstance(other, SequentProof):
@@ -133,11 +175,7 @@ class SequentProof:
         return SequentProof, (self.rule, self.premises, self.arg)
 
     def rule_count(self) -> int:
-        count, stack = 0, [self]
-        while stack:
-            count += 1
-            stack.extend(stack.pop().premises)
-        return count
+        return self._rule_count
 
     def subproofs(self):
         """Every subproof, this one first, in depth-first pre-order."""
@@ -182,9 +220,9 @@ def ex_rule(position: int, p: SequentProof) -> SequentProof:
 def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     """Compose adjacent exchanges so the i-th formula of the result is the
     order[i]-th formula of p's conclusion."""
-    if sorted(order) != list(range(len(p.conclusion))):
+    if sorted(order) != list(range(p.length)):
         raise ProofBuildError("exchange target is not a permutation")
-    current = list(range(len(p.conclusion)))
+    current = list(range(p.length))
     position = list(current)  # position[x] is the index of x in current
     for i, want in enumerate(order):
         j = position[want]
@@ -197,9 +235,22 @@ def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     return p
 
 
+def _introduced(order):
+    """The formulas each rule adds to its sequent: every formula of a
+    conclusion is introduced at or above it, so these are all of them."""
+    for p in order:
+        if p.rule == AX_RULE:
+            yield from p.conclusion
+        elif p.rule == TENSOR_RULE:
+            yield p.conclusion[p.premises[0].length - 1]
+        elif p.rule != EX_RULE and p.rule != CUT_RULE:
+            yield p.conclusion[-1]
+
+
 def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
     """The fragment discipline: every conclusion formula inside `frag`, and
-    no axiom or cut rule in icomll.  Rules are reported premises first."""
+    no axiom or cut rule in icomll.  Rules are reported premises first, a
+    formula at every rule whose conclusion holds it."""
     # the reverse of a pre-order pushing premises in order is a post-order
     order, stack = [], [proof]
     while stack:
@@ -208,13 +259,16 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
         stack.extend(p.premises)
     order.reverse()
     # one fold decides every distinct formula, sharing the subformulas
-    verdicts = in_fragments((f for p in order for f in p.conclusion), frag)
+    verdicts = in_fragments(_introduced(order), frag)
+    # the occurrences of each formula are listed only when one fails
+    outside = not all(ok for ok, _ in verdicts.values())
     v = []
     for p in order:
-        for f in p.conclusion:
-            if not verdicts[f][0]:
-                v.append(("fragment", p.rule,
-                          f"formula {format_formula(f)} outside {frag.value}"))
+        if outside:
+            for f in p.conclusion:
+                if not verdicts[f][0]:
+                    v.append(("fragment", p.rule,
+                              f"formula {format_formula(f)} outside {frag.value}"))
         if frag is Fragment.ICOMLL and p.rule in (AX_RULE, CUT_RULE):
             v.append(("fragment", p.rule, f"{p.rule} rule is not available in icomll"))
     return ValidationReport(v)
@@ -227,18 +281,22 @@ def format_proof_expr(p: SequentProof) -> str:
     """The s-expression of a proof, built without recursion so that proofs
     nested deeper than the interpreter's stack still print."""
     out: list[str] = []
+    ex_heads: dict[int, str] = {}  # one "(ex N " text per position
     stack: list = [p]
     while stack:
         q = stack.pop()
         if isinstance(q, str):
             out.append(q)
         elif q.rule == AX_RULE:
-            out.append(f'(ax "{format_formula(q.conclusion[0])}")')
+            out.append(f'(ax "{format_formula(q.arg)}")')
         elif q.rule == ONE_RULE:
             out.append("(one)")
         else:
             if q.rule == EX_RULE:
-                out.append(f"(ex {q.position + 1} ")
+                head = ex_heads.get(q.arg)
+                if head is None:
+                    head = ex_heads[q.arg] = f"(ex {q.arg + 1} "
+                out.append(head)
             elif q.rule == CUT_RULE:
                 out.append(f'(cut "{format_formula(q.cut_formula)}" ')
             else:
@@ -255,30 +313,14 @@ def format_proof(p: SequentProof, frag: Fragment = Fragment.MLLU) -> str:
     return f"fragment: {frag.value}\n{format_proof_expr(p)}\n"
 
 
-def _tokenize_expr(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i + 1))
-            i += 1
-        elif c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", i + 1)
-            tokens.append((("str", text[i + 1:j]), i + 1))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i + 1))
-            i = j
-    tokens.append((None, n + 1))
-    return tokens
+# a parenthesis, a quoted string, a quote never closed, or a word; \s is
+# exactly str.isspace, so only whitespace falls between the tokens
+_PROOF_TOKEN = re.compile(r'[()]|"[^"]*"|"|[^\s()]+')
+
+
+def _token_text(tok) -> str:
+    """A token as errors name it: a quoted string as ('str', its text)."""
+    return repr(("str", tok[1:-1]) if tok and tok[0] == '"' else tok)
 
 
 def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
@@ -295,61 +337,67 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
             body_start = idx + 1
         break
     body = "\n".join(lines[body_start:])
-    tokens = _tokenize_expr(body)
-    pos = 0
 
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def error(message: str, i: int) -> ParseError:
+        """The error at the i-th token, or just past the text; the offsets
+        are found only here."""
+        starts = [m.start() for m in _PROOF_TOKEN.finditer(body)] + [len(body)]
+        return ParseError(message, starts[i] + 1)
 
-    def expect(symbol):
-        tok, at = take()
-        if tok != symbol:
-            raise ParseError(f"expected {symbol!r}", at)
-
-    def open_rule():
-        """Read '(', a rule name and its argument."""
-        expect("(")
-        head, at = take()
-        arg = None
-        if head in (AX_RULE, CUT_RULE):
-            tok, at2 = take()
-            if not (isinstance(tok, tuple) and tok[0] == "str"):
-                raise ParseError(f"{head} takes a quoted formula", at2)
-            arg = parse_formula(tok[1])
-        elif head == EX_RULE:
-            tok, at2 = take()
-            try:
-                arg = int(tok) - 1
-            except (TypeError, ValueError):
-                raise ParseError("ex takes a 1-based position", at2) from None
-        elif head not in _ARITY:
-            raise ParseError(f"unknown rule {head!r}", at)
-        return head, at, arg
+    tokens: list = _PROOF_TOKEN.findall(body)
+    if '"' in tokens:
+        raise error("unterminated string", tokens.index('"'))
+    # every quoted string of a proof is an ax or cut formula
+    formulas = parse_formulas([tok[1:-1] for tok in tokens if tok[0] == '"'])
+    tokens.append(None)
 
     # The rules whose premises are still being read wait on an explicit
     # stack, so nesting is bounded by memory only.
     pending: list[tuple] = []
-    (head, at, arg), premises = open_rule(), []
+    i = 0  # the next token
     while True:
-        if len(premises) < _ARITY[head]:
+        # '(', a rule name and its argument
+        if tokens[i] != "(":
+            raise error("expected '('", i)
+        head, at = tokens[i + 1], i + 1
+        i += 2
+        arg = None
+        if head in (AX_RULE, CUT_RULE, EX_RULE):
+            tok = tokens[i]
+            i += 1
+            if head == EX_RULE:
+                try:
+                    arg = int(tok) - 1
+                except (TypeError, ValueError):
+                    raise error("ex takes a 1-based position", i - 1) from None
+            elif tok is None or tok[0] != '"':
+                raise error(f"{head} takes a quoted formula", i - 1)
+            else:
+                arg = formulas[tok[1:-1]]
+                if isinstance(arg, ParseError):
+                    raise arg
+        elif head not in _ARITY:
+            raise error(f"unknown rule {_token_text(head)}", at)
+        premises = []
+        # compose each rule whose premises are all read, innermost first
+        while len(premises) == _ARITY[head]:
+            try:
+                node = SequentProof(head, premises, arg)
+            except ProofBuildError as exc:
+                raise error(str(exc), at) from None
+            if tokens[i] != ")":
+                raise error("expected ')'", i)
+            i += 1
+            if not pending:
+                break
+            head, at, arg, premises = pending.pop()
+            premises.append(node)
+        else:  # the rule waits for its next premise
             pending.append((head, at, arg, premises))
-            (head, at, arg), premises = open_rule(), []
             continue
-        try:
-            node = SequentProof(head, premises, arg)
-        except ProofBuildError as exc:
-            raise ParseError(str(exc), at) from None
-        expect(")")
-        if not pending:
-            break
-        head, at, arg, premises = pending.pop()
-        premises.append(node)
-    trailing, at = take()
-    if trailing is not None:
-        raise ParseError(f"unexpected {trailing!r}", at)
+        break  # the root rule is composed
+    if tokens[i] is not None:
+        raise error(f"unexpected {_token_text(tokens[i])}", i)
     return frag, node
 
 
@@ -396,11 +444,26 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
 
     # A rule with premises is visited twice on an explicit stack: before
     # them, to note where a bot rule's scope starts, and after them, to add
-    # its own nodes.  Ids are thus allocated premises first.
-    built: list[tuple[int, ...]] = []  # conclusions of the finished subproofs
-    stack = [(proof, None)]  # (p, next_id when p's premises began or None)
+    # its own nodes.  Ids are thus allocated premises first.  A run of
+    # exchanges is one list of swaps, applied in place once the premise of
+    # the run is built.
+    built: list[list[int]] = []  # conclusions of the finished subproofs
+    stack: list = [(proof, None)]  # (p, next_id when p's premises began or None)
     while stack:
-        p, start = stack.pop()
+        top = stack.pop()
+        if type(top) is list:  # the swaps of a run, the innermost last
+            c = built[-1]
+            for i in reversed(top):
+                c[i], c[i + 1] = c[i + 1], c[i]
+            continue
+        p, start = top
+        if p.rule == EX_RULE:
+            swaps = []
+            while p.rule == EX_RULE:
+                swaps.append(p.arg)
+                p = p.premises[0]
+            stack += (swaps, (p, None))
+            continue
         if start is None and p.premises:
             stack.append((p, next_id))
             stack.extend([(q, None) for q in reversed(p.premises)])
@@ -408,34 +471,30 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
         if p.rule == AX_RULE:
             ax, d1, d2 = fresh(), fresh(), fresh()
             nodes[ax] = AX
-            built.append((conclude(ax, d1, p.conclusion[0]),
-                          conclude(ax, d2, p.conclusion[1])))
+            built.append([conclude(ax, d1, p.conclusion[0]),
+                          conclude(ax, d2, p.conclusion[1])])
         elif p.rule == ONE_RULE:
             one, d = fresh(), fresh()
             nodes[one] = ONE
-            built.append((conclude(one, d, ONE_F),))
+            built.append([conclude(one, d, ONE_F)])
         elif p.rule == BOT_RULE:
             b, d = fresh(), fresh()
             nodes[b] = BOT
             bot_scopes[b] = range(start, b)
-            built.append(built.pop() + (conclude(b, d, BOT_F),))
-        elif p.rule == EX_RULE:
-            c = list(built.pop())
-            i = p.position
-            c[i], c[i + 1] = c[i + 1], c[i]
-            built.append(tuple(c))
+            built[-1].append(conclude(b, d, BOT_F))
         elif p.rule == PAR_RULE:
-            c1 = built.pop()
-            left, right = c1[-2], c1[-1]
+            c1 = built[-1]
+            right, left = c1.pop(), c1.pop()
             node, d = fresh(), fresh()
             for arc in (left, right):
                 plug(arc, node)
             nodes[node] = PAR
             premise_order[node] = (left, right)
-            built.append(c1[:-2] + (conclude(node, d, p.conclusion[-1]),))
+            c1.append(conclude(node, d, p.conclusion[-1]))
         else:  # binary rules joining two structures
-            c2, c1 = built.pop(), built.pop()
-            left, right = c1[-1], c2[0]
+            c2 = built.pop()
+            c1 = built[-1]
+            left, right = c1.pop(), c2[0]
             node = fresh()
             for arc in (left, right):
                 plug(arc, node)
@@ -443,13 +502,12 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
                 d = fresh()
                 nodes[node] = TENSOR
                 premise_order[node] = (left, right)
-                a = conclude(node, d, p.conclusion[len(c1) - 1])
-                built.append(c1[:-1] + (a,) + c2[1:])
+                c1.append(conclude(node, d, p.conclusion[p.premises[0].length - 1]))
             else:
                 nodes[node] = CUT
-                built.append(c1[:-1] + c2[1:])
+            c1 += c2[1:]
 
-    conclusions = built.pop()
+    conclusions = tuple(built.pop())
     ps = ProofStructure(nodes, arcs, premise_order, conclusions, types)
     if verify:
         report = validate(ps, frag)

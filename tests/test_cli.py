@@ -15,8 +15,8 @@ from proofnets.canonical import iso
 from proofnets.cli import build_parser, main
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof
-from proofnets.sequent import (bot_rule, cut_rule, exchange_to, format_proof, one_rule,
-                               par_rule, parse_proof, tensor_rule)
+from proofnets.sequent import (bot_rule, cut_rule, desequentialize, exchange_to, format_proof,
+                               one_rule, par_rule, parse_proof, tensor_rule)
 from proofnets.structure import from_dsl, from_json, to_json
 
 
@@ -308,6 +308,33 @@ def test_sequentialize_prints_deeply_nested_proofs(tmp_path, capsys):
         if k == 20:
             _, back = parse_proof(out)
             assert format_proof(back) == out
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
+def test_sequentialize_of_400_nested_bots_stays_small(tmp_path):
+    # 400 nested bot rules come back under 79 800 exchanges, which store no
+    # conclusion.  The command runs in a fresh process and reads the peak
+    # resident size of its own memory map: ru_maxrss would also count the
+    # parent's, which a vfork child holds until its exec.
+    k = 400
+    text = "fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k + "\n"
+    net = tmp_path / "bots.json"
+    net.write_text(to_json(desequentialize(parse_proof(text)[1]).ps))
+    child = ("import contextlib, hashlib, io, re, sys\n"
+             "from pathlib import Path\n"
+             "from proofnets.cli import main\n"
+             "out = io.StringIO()\n"
+             "with contextlib.redirect_stdout(out):\n"
+             "    code = main(['sequentialize', sys.argv[1]])\n"
+             "peak = re.search(r'VmHWM:\\s*(\\d+) kB', Path('/proc/self/status').read_text())[1]\n"
+             "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), peak)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(proofnets.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", child, str(net)], capture_output=True,
+                          text=True, env=env, check=True)
+    code, digest, peak_kb = done.stdout.split()
+    assert (code, digest) == (
+        "0", "3dce79dd6b0871962fff7098401554760bec5286987c41933748dab99c294475")
+    assert int(peak_kb) < 100 * 1024
 
 
 def test_dot_rejects_bad_switching_files(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import copy
 import pickle
+import random
+import re
+import sys
 import time
 import tracemalloc
 from itertools import permutations
@@ -11,15 +14,17 @@ from proofnets import fixtures, formulas
 from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import ParseError, ProofNetError
 from proofnets.formulas import (BOT, Fragment, ONE, atom, format_formula, in_fragment,
-                                tensor)
+                                negate, par, tensor)
 from proofnets.generate import GenParams, random_proof
 from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
                                check_proof, cut_rule, deseq_relation_holds,
                                desequentialize, ex_rule, exchange_to,
                                format_proof, one_rule, parse_proof, tensor_rule)
-from proofnets.sequentialize import is_sequential_oracle
+from proofnets.sequentialize import is_sequential_oracle, sequentialize_wten
 from proofnets.structure import validate
 from proofnets.switching import check
+
+import reference_proof_parser as reference
 
 X = atom("X")
 
@@ -61,6 +66,49 @@ def test_construction_rejects_ill_formed_rules():
         with pytest.raises(ProofBuildError) as err:
             SequentProof(*args)
         assert str(err.value) == message, args
+
+
+def eager_conclusion(p):
+    """The conclusion of p, derived rule by rule from its premises'."""
+    cs = [eager_conclusion(q) for q in p.premises]
+    if p.rule == "ax":
+        return (p.arg, negate(p.arg))
+    if p.rule == "one":
+        return (ONE,)
+    if p.rule == "bot":
+        return cs[0] + (BOT,)
+    if p.rule == "par":
+        return cs[0][:-2] + (par(*cs[0][-2:]),)
+    if p.rule == "ex":
+        c, i = list(cs[0]), p.arg
+        c[i], c[i + 1] = c[i + 1], c[i]
+        return tuple(c)
+    if p.rule == "tensor":
+        return cs[0][:-1] + (tensor(cs[0][-1], cs[1][0]),) + cs[1][1:]
+    return cs[0][:-1] + cs[1][1:]
+
+
+def test_lazy_conclusions_match_an_eager_derivation():
+    # exchanges derive their conclusion on first read and cache it; reading
+    # in shuffled order reaches runs whose lower part is cached already
+    rng = random.Random(7)
+    reversal = exchange_to(bot_rule(bot_rule(bot_rule(ax_rule(X)))), [4, 3, 2, 1, 0])
+    proofs = [reversal, ex_rule(0, reversal)]
+    for frag in Fragment:
+        for seed in range(25):
+            proofs.append(random_proof(GenParams(fragment=frag, max_rules=40, seed=seed,
+                                                 cut_probability=0.3)))
+    exchanges = 0
+    for proof in proofs:
+        subs = list({id(q): q for q in proof.subproofs()}.values())
+        rng.shuffle(subs)
+        for q in subs:
+            assert q.conclusion == eager_conclusion(q)
+            assert q.conclusion is q.conclusion  # read once, then cached
+            assert q.length == len(q.conclusion)
+            assert q.rule_count() == sum(1 for _ in q.subproofs())
+            exchanges += q.rule == "ex"
+    assert exchanges > 1000
 
 
 def test_tensor_instance():
@@ -195,8 +243,81 @@ def test_parse_example_from_docs():
 
 
 def test_parse_rejects_bad_rule():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_proof("fragment: mllu\n(par (one))")
+    assert str(err.value) == "par rule needs two formulas to combine (at offset 2)"
+    assert err.value.position == 2
+
+
+def read(parse, text):
+    """The fragment and proof a reader returns, or its error's type, message
+    and offset."""
+    try:
+        return parse(text)
+    except ProofNetError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+def proof_texts():
+    """Printed proofs: the sequentialized fixtures, and seeded random
+    proofs of every fragment with cuts."""
+    for name in fixtures.NAMES:
+        ps = fixtures.load(name)
+        try:
+            yield format_proof(sequentialize_wten(ps))
+        except ProofNetError:
+            pass
+    for frag in Fragment:
+        for seed in range(30):
+            p = random_proof(GenParams(fragment=frag, max_rules=24, seed=seed,
+                                       cut_probability=0.3))
+            yield format_proof(p, frag)
+
+
+_WORD = re.compile(r'"[^"]*"|[^\s()"]+|[()]')
+_NOISE = ['(', ')', '"', ' ', '\t', '\n', 'x', '1', '^', '\u00a0', '\u2028', '\x1c',
+          '\u3000', 'é', 'ex', 'ax', 'cut', 'par', '"X"', '"X tensor"']
+_BAD_POSITIONS = ["0", "-1", "99", "x", "1_0", "\u0663", "", '"1"', "(", ")"]
+_TRAILING = ["(one)", ")", '"X"', "foo", "(", '"', "ex 1"]
+
+
+def mutations(text, rng):
+    """Seeded damage to one proof text, one change at a time."""
+    for _ in range(3):
+        i = rng.randrange(len(text))
+        yield text[:i] + text[i + 1:]
+        yield text[:i] + rng.choice(_NOISE) + text[i:]
+    words = list(_WORD.finditer(text))
+    for _ in range(3):
+        w = rng.choice(words)
+        yield text[:w.start()] + text[w.end():]
+        at = rng.choice(words).start()
+        yield text[:at] + w[0] + " " + text[at:]
+    quotes = [m.start() for m in re.finditer('"', text)]
+    if quotes:
+        i = rng.choice(quotes)
+        yield text[:i] + text[i + 1:]
+    for m in list(re.finditer(r"\(ex (\d+)", text))[:3]:
+        yield text[:m.start(1)] + rng.choice(_BAD_POSITIONS) + text[m.end(1):]
+        yield text[:m.start(1)] + str(int(m[1]) + rng.randrange(1, 4)) + text[m.end(1):]
+    yield text + rng.choice(_TRAILING)
+    yield text.replace("fragment: ", rng.choice(["fragment: bogus", "", "# c\nfragment: "]), 1)
+
+
+def test_the_reader_agrees_with_the_reference_reader():
+    rng = random.Random(11)
+    outcomes = {"ok": 0, "error": 0}
+    for text in proof_texts():
+        for variant in [text, *mutations(text, rng)]:
+            got, want = read(parse_proof, variant), read(reference.parse_proof, variant)
+            assert got == want, variant
+            outcomes["error" if isinstance(want[0], str) else "ok"] += 1
+    assert outcomes["ok"] > 400 and outcomes["error"] > 3000, outcomes
+
+
+def test_proof_tokens_are_split_at_exactly_the_isspace_characters():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
 
 
 def test_random_round_trip():
