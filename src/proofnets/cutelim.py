@@ -44,7 +44,6 @@ works on the jump-stripped structure and normal forms come back jump-free.
 from __future__ import annotations
 
 import bisect
-import json
 import random
 from dataclasses import dataclass
 
@@ -132,9 +131,10 @@ class _Net:
         self.premise_order.pop(n, None)
 
     def freeze(self) -> ProofStructure:
-        """The structure the net now holds, validated."""
-        out = ProofStructure(self.nodes, self.arcs, self.premise_order,
-                             self.conclusions, self.types)
+        """The structure the net now holds, validated.  The net hands its
+        dicts over, so it must not be rewritten afterwards."""
+        out = ProofStructure._adopt(self.nodes, self.arcs, self.premise_order,
+                                    self.conclusions, self.types, {})
         ensure_valid(out)
         return out
 
@@ -244,7 +244,10 @@ class ReductionTrace:
     normal_form: ProofStructure
 
     def to_json_lines(self) -> str:
-        return "\n".join(json.dumps({"kind": k, "cutNode": n}) for k, n in self.steps)
+        """One `json.dumps({"kind": ..., "cutNode": ...})` text per step;
+        kinds are plain ASCII and cut nodes are ints, so a template gives
+        the same bytes."""
+        return "\n".join([f'{{"kind": "{k}", "cutNode": {n}}}' for k, n in self.steps])
 
 
 def normalize(ps: ProofStructure, seed: int | None = None) -> ReductionTrace:

@@ -54,14 +54,10 @@ _ARITY = {AX_RULE: 0, ONE_RULE: 0, CUT_RULE: 2, TENSOR_RULE: 2,
           EX_RULE: 1, PAR_RULE: 1, BOT_RULE: 1}
 
 
-_fill = object.__setattr__  # sets a field of a frozen proof
-
-
 class ProofBuildError(ProofNetError):
     """A rule was applied to premises of the wrong shape."""
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class SequentProof:
     """A rule instance over the sub-proofs of its premises.
 
@@ -77,10 +73,12 @@ class SequentProof:
     the proof.
     """
 
+    __slots__ = ("rule", "premises", "arg", "length", "_rule_count", "_hash",
+                 "_conclusion")
+
     rule: str
     premises: tuple[SequentProof, ...]
     arg: Formula | int | None
-    _conclusion = None  # until an exchange derives its conclusion
     cut_formula = property(lambda p: p.arg if p.rule == CUT_RULE else None)
     position = property(lambda p: p.arg if p.rule == EX_RULE else None)
 
@@ -91,17 +89,17 @@ class SequentProof:
         if len(premises) != _ARITY[rule]:
             raise ProofBuildError(f"{rule} rule has {len(premises)} premise(s), "
                                   f"expected {_ARITY[rule]}")
-        # the dataclass is frozen: fill its fields past its __setattr__
-        _fill(self, "rule", rule)
-        _fill(self, "premises", premises)
-        _fill(self, "arg", arg)
+        _set_rule(self, rule)
+        _set_premises(self, premises)
+        _set_arg(self, arg)
         if rule == EX_RULE:
             p = premises[0]
             if not 0 <= arg <= p.length - 2:
                 raise ProofBuildError(f"exchange position {arg} out of range")
-            _fill(self, "length", p.length)
-            _fill(self, "_rule_count", p._rule_count + 1)
-            _fill(self, "_hash", hash((rule, arg, p._hash)))
+            _set_length(self, p.length)
+            _set_rule_count(self, p._rule_count + 1)
+            _set_hash(self, hash((rule, arg, p._hash)))
+            _set_conclusion(self, None)  # until it is first read
             return
         c = premises[0].conclusion if premises else ()
         if rule == AX_RULE:
@@ -130,10 +128,16 @@ class SequentProof:
         for q in premises:
             count += q._rule_count
             key += (q._hash,)
-        _fill(self, "length", len(conclusion))
-        _fill(self, "_rule_count", count)
-        _fill(self, "_hash", hash(key))
-        _fill(self, "_conclusion", conclusion)
+        _set_length(self, len(conclusion))
+        _set_rule_count(self, count)
+        _set_hash(self, hash(key))
+        _set_conclusion(self, conclusion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SequentProof is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SequentProof is immutable: cannot delete {name!r}")
 
     @property
     def conclusion(self) -> tuple[Formula, ...]:
@@ -150,7 +154,7 @@ class SequentProof:
             for i in reversed(swaps):
                 c[i], c[i + 1] = c[i + 1], c[i]
             c = tuple(c)
-            _fill(self, "_conclusion", c)
+            _set_conclusion(self, c)
         return c
 
     def __eq__(self, other):
@@ -187,6 +191,11 @@ class SequentProof:
 
     def __repr__(self):
         return f"SequentProof({format_proof_expr(self)})"
+
+
+# the slot setters, which bypass the immutable __setattr__
+(_set_rule, _set_premises, _set_arg, _set_length, _set_rule_count, _set_hash,
+ _set_conclusion) = (SequentProof.__dict__[slot].__set__ for slot in SequentProof.__slots__)
 
 
 def ax_rule(a: Formula) -> SequentProof:
@@ -508,7 +517,7 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
             c1 += c2[1:]
 
     conclusions = tuple(built.pop())
-    ps = ProofStructure(nodes, arcs, premise_order, conclusions, types)
+    ps = ProofStructure._adopt(nodes, arcs, premise_order, conclusions, types, {})
     if verify:
         report = validate(ps, frag)
         if not report.ok:

@@ -14,6 +14,14 @@ dicts it holds are never changed in place once it exists: every rewriting
 operation assembles plain dicts and constructs a fresh structure.
 Assigning `nodes` or `arcs` anew drops both, so the next query rebuilds
 them; premise orders are read live.
+
+Ownership follows from that rule.  The public constructor and `copy` copy
+the dicts they are given.  Builders that assemble fresh dicts (the JSON
+and DSL readers, `restrict`, desequentialization and cut elimination's
+net) hand them over to the structure uncopied, and must not touch them
+afterwards.  Views (`with_jumps`, `without_jumps`, `without_types`) share
+their owner's dicts and incidence index; only the part they replace is
+new.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ class ValidationReport:
 
 
 _INDEXED = ("nodes", "arcs")
+_fill = object.__setattr__  # sets a field past ProofStructure.__setattr__
 
 
 class ProofStructure:
@@ -88,6 +97,20 @@ class ProofStructure:
         self.types: dict[int, Formula] | None = dict(types) if types is not None else None
         self.jumps: dict[int, int] = dict(jumps or {})
 
+    @classmethod
+    def _adopt(cls, nodes, arcs, premise_order, conclusions, types, jumps):
+        """A structure that takes fresh dicts over as they are: `arcs` and
+        `premise_order` must map to tuples, `conclusions` must be a tuple,
+        and the caller must not change any of them afterwards."""
+        ps = object.__new__(cls)
+        _fill(ps, "nodes", nodes)
+        _fill(ps, "arcs", arcs)
+        _fill(ps, "premise_order", premise_order)
+        _fill(ps, "conclusions", conclusions)
+        _fill(ps, "types", types)
+        _fill(ps, "jumps", jumps)
+        return ps
+
     def __setattr__(self, name, value):
         if name in _INDEXED:
             self.__dict__.pop("_index", None)
@@ -106,10 +129,15 @@ class ProofStructure:
         if self._index is None:
             ins = {n: [] for n in self.nodes}
             outs = {n: [] for n in self.nodes}
-            for a in sorted(self.arcs):
-                t, h = self.arcs[a]
-                outs.setdefault(t, []).append(a)
-                ins.setdefault(h, []).append(a)
+            arcs = self.arcs
+            for a in sorted(arcs):
+                t, h = arcs[a]
+                if t in outs and h in ins:
+                    outs[t].append(a)
+                    ins[h].append(a)
+                else:
+                    outs.setdefault(t, []).append(a)
+                    ins.setdefault(h, []).append(a)
             self._index = (ins, outs)
         return self._index
 
@@ -163,22 +191,23 @@ class ProofStructure:
         return ProofStructure(self.nodes, self.arcs, self.premise_order,
                               self.conclusions, self.types, self.jumps)
 
-    def with_jumps(self, jumps) -> "ProofStructure":
-        """The structure with another jump map; it shares the incidence
-        index, which jumps take no part in."""
-        ps = ProofStructure(self.nodes, self.arcs, self.premise_order,
-                            self.conclusions, self.types, jumps)
-        ps._index = self._index
+    def _view(self, types, jumps) -> "ProofStructure":
+        # shares every dict but the replaced ones, and the index and pars,
+        # which neither types nor jumps take part in
+        ps = ProofStructure._adopt(self.nodes, self.arcs, self.premise_order,
+                                   self.conclusions, types, jumps)
+        ps._index, ps._pars = self._index, self._pars
         return ps
+
+    def with_jumps(self, jumps) -> "ProofStructure":
+        """The structure with a copy of another jump map, sharing the rest."""
+        return self._view(self.types, dict(jumps) if jumps else {})
 
     def without_jumps(self) -> "ProofStructure":
         return self.with_jumps(None)
 
     def without_types(self) -> "ProofStructure":
-        ps = ProofStructure(self.nodes, self.arcs, self.premise_order,
-                            self.conclusions, None, self.jumps)
-        ps._index = self._index
-        return ps
+        return self._view(None, self.jumps)
 
     def __repr__(self):
         return (f"ProofStructure(nodes={len(self.nodes)}, arcs={len(self.arcs)}, "
@@ -193,25 +222,35 @@ def ensure_valid(ps: ProofStructure, frag: Fragment | None = None) -> None:
 
 def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationReport:
     """Check every structural invariant; with `frag`, also require a typing
-    whose formulas all live in that fragment."""
-    v = []
+    whose formulas all live in that fragment.
 
-    for n, lab in ps.nodes.items():
-        if lab not in LABELS:
-            v.append(("label", n, f"unknown label {lab!r} on node {n}"))
+    Violations come in a fixed order: unknown labels and bad arc ends, and
+    nothing else when there is one of those; then arities, premise orders,
+    the conclusion list, one directed cycle, jumps, types and the fragment.
 
-    for a, (t, h) in ps.arcs.items():
-        if t == h:
-            v.append(("arc-ends", a, f"arc {a} has identical ends"))
-        for end in (t, h):
-            if end not in ps.nodes:
-                v.append(("arc-ends", a, f"arc {a} references missing node {end}"))
-    if v:
-        return ValidationReport(v)
+    One sweep over the nodes reads their labels and the incidence index:
+    it checks labels and arities, finds connectives lacking a premise
+    order, counts the dot premises and notes in-degrees.  Arc ends are not
+    scanned on their own: an end missing from `nodes` gets a key of its own
+    in the index, and an arc with identical ends closes a cycle, so only a
+    larger index or a cycle calls for the scan.  Acyclicity is Kahn's
+    count: a node is counted once every premise arc comes from a counted
+    node, and the structure is a dag iff every node gets counted.  When one
+    is left, a depth-first search from each node in ascending order names
+    the node through which it first meets a directed cycle.
+    """
+    nodes, arcs, order = ps.nodes, ps.arcs, ps.premise_order
     incoming, outgoing = ps.incidence()
-
-    for n, lab in ps.nodes.items():
-        want_in, want_out = _ARITY[lab]
+    labels, v, unordered = [], [], []
+    dot_premises = 0
+    indeg = {}  # nodes with premises -> premise arcs from nodes not yet counted
+    counted = []  # Kahn's count; starts with the premise-free nodes
+    for n, lab in nodes.items():
+        try:
+            want_in, want_out = _ARITY[lab]
+        except (KeyError, TypeError):  # an unhashable label is unknown too
+            labels.append(("label", n, f"unknown label {lab!r} on node {n}"))
+            continue
         n_in, n_out = len(incoming[n]), len(outgoing[n])
         if n_in != want_in:
             kind = "binary par" if lab == PAR else f"{lab} arity"
@@ -219,69 +258,69 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
         if n_out != want_out:
             v.append((f"{lab} arity", n,
                       f"{lab} node {n} has {n_out} conclusion(s), expected {want_out}"))
+        if not n_in:
+            counted.append(n)
+            continue
+        indeg[n] = n_in
+        if lab == DOT:
+            dot_premises += n_in
+        elif n_in == 2 and lab in (TENSOR, PAR) and n not in order:
+            unordered.append(("premise-order", n, f"{lab} node {n} lacks a premise order"))
+    if labels or len(incoming) != len(nodes) or len(outgoing) != len(nodes):
+        return ValidationReport(labels + _arc_end_violations(ps))
 
-    for n, pair in ps.premise_order.items():
-        if ps.nodes.get(n) not in (TENSOR, PAR):
+    for n in counted:  # the list grows as the count goes
+        for a in outgoing[n]:
+            h = arcs[a][1]
+            left = indeg[h] - 1
+            if left:
+                indeg[h] = left
+            else:
+                counted.append(h)
+    cyclic = len(counted) != len(nodes)
+    if cyclic:
+        ends = _arc_end_violations(ps)
+        if ends:
+            return ValidationReport(ends)
+
+    for n, pair in order.items():
+        if nodes.get(n) not in (TENSOR, PAR):
             v.append(("premise-order", n, f"premise order given for non-connective node {n}"))
-        elif sorted(pair) != sorted(incoming[n]):
+        elif sorted(pair) != incoming[n]:  # in-arcs are sorted already
             v.append(("premise-order", n, f"premise order of node {n} does not list its premises"))
-    for n, lab in ps.nodes.items():
-        if lab in (TENSOR, PAR) and n not in ps.premise_order and len(incoming[n]) == 2:
-            v.append(("premise-order", n, f"{lab} node {n} lacks a premise order"))
+    v += unordered
 
-    dot_premises = [a for a, (_, h) in ps.arcs.items() if ps.nodes[h] == DOT]
-    if sorted(ps.conclusions) != sorted(dot_premises):
+    # the conclusions list every dot premise exactly once
+    conclusions = ps.conclusions
+    if (len(conclusions) != dot_premises or len(set(conclusions)) != dot_premises
+            or not all(c in arcs and nodes[arcs[c][1]] == DOT for c in conclusions)):
         v.append(("conclusions", None,
                   "conclusion list does not enumerate the dot premises exactly once"))
 
-    # dag check
-    state = {n: 0 for n in ps.nodes}
-
-    def visit(start):
-        stack = [(start, iter(outgoing[start]))]
-        state[start] = 1
-        while stack:
-            n, it = stack[-1]
-            advanced = False
-            for a in it:
-                m = ps.arcs[a][1]
-                if state[m] == 0:
-                    state[m] = 1
-                    stack.append((m, iter(outgoing[m])))
-                    advanced = True
-                    break
-                if state[m] == 1:
-                    v.append(("dag", m, f"directed cycle through node {m}"))
-                    return False
-            if not advanced:
-                state[n] = 2
-                stack.pop()
-        return True
-
-    for n in sorted(ps.nodes):
-        if state[n] == 0 and not visit(n):
-            break
+    if cyclic:
+        m = _cycle_node(ps, outgoing)
+        v.append(("dag", m, f"directed cycle through node {m}"))
 
     for src, tgt in ps.jumps.items():
-        if ps.nodes.get(src) != BOT:
+        if nodes.get(src) != BOT:
             v.append(("jump", src, f"jump source {src} is not a bot node"))
-        if tgt not in ps.nodes:
+        if tgt not in nodes:
             v.append(("jump", src, f"jump target {tgt} does not exist"))
         elif tgt == src:
             v.append(("jump", src, f"jump from node {src} to itself"))
 
-    if ps.types is not None:
-        missing = [a for a in ps.arcs if a not in ps.types]
-        if missing:
-            v.append(("typing", missing[0], f"arc {missing[0]} lacks a type"))
+    ty = ps.types
+    if ty is not None:
+        if ty.keys() >= arcs.keys():
+            v += _check_types(ps, incoming, outgoing)
         else:
-            v.extend(_check_types(ps, incoming, outgoing))
+            missing = next(a for a in arcs if a not in ty)
+            v.append(("typing", missing, f"arc {missing} lacks a type"))
     if frag is not None:
-        if ps.types is None:
+        if ty is None:
             v.append(("fragment", None, "fragment check requires a typed structure"))
         else:
-            typed = [(a, ps.types[a]) for a in sorted(ps.arcs)
-                     if ps.types.get(a) is not None]
+            typed = [(a, ty[a]) for a in sorted(arcs) if ty.get(a) is not None]
             # one fold decides every distinct type, sharing the subformulas
             verdicts = in_fragments((f for _, f in typed), frag)
             for a, f in typed:
@@ -290,6 +329,42 @@ def validate(ps: ProofStructure, frag: Fragment | None = None) -> ValidationRepo
                               f"type {format_formula(f)} of arc {a} outside {frag.value}"))
 
     return ValidationReport(v)
+
+
+def _arc_end_violations(ps: ProofStructure) -> list[tuple]:
+    v = []
+    for a, (t, h) in ps.arcs.items():
+        if t == h:
+            v.append(("arc-ends", a, f"arc {a} has identical ends"))
+        for end in (t, h):
+            if end not in ps.nodes:
+                v.append(("arc-ends", a, f"arc {a} references missing node {end}"))
+    return v
+
+
+def _cycle_node(ps: ProofStructure, outgoing) -> int:
+    """The node through which a depth-first search, started from each node
+    in ascending order, first closes a directed cycle; ps must have one."""
+    state = {n: 0 for n in ps.nodes}  # 0 unseen, 1 on the path, 2 done
+    for start in sorted(ps.nodes):
+        if state[start]:
+            continue
+        stack = [(start, iter(outgoing[start]))]
+        state[start] = 1
+        while stack:
+            n, it = stack[-1]
+            for a in it:
+                m = ps.arcs[a][1]
+                if state[m] == 1:
+                    return m
+                if state[m] == 0:
+                    state[m] = 1
+                    stack.append((m, iter(outgoing[m])))
+                    break
+            else:
+                state[n] = 2
+                stack.pop()
+    raise ValueError("the structure has no directed cycle")
 
 
 def _check_types(ps, incoming, outgoing):
@@ -312,9 +387,10 @@ def _check_types(ps, incoming, outgoing):
             if ty[outgoing[n][0]] is not formulas.BOT:
                 v.append(("unit type", n, f"bot node {n} conclusion is not typed bot"))
         elif lab in (TENSOR, PAR) and n in ps.premise_order and outgoing[n]:
-            left, right = ps.premise_order[n]
-            if left not in ty or right not in ty:
-                continue  # not arcs: a premise-order violation already
+            pair = ps.premise_order[n]
+            if len(pair) != 2 or pair[0] not in ty or pair[1] not in ty:
+                continue  # not two arcs: a premise-order violation already
+            left, right = pair
             out = ty[outgoing[n][0]]
             if out.kind != lab or out.left is not ty[left] or out.right is not ty[right]:
                 v.append(("connective type", n,
@@ -422,7 +498,7 @@ def restrict(ps: ProofStructure, nodes, conclusions) -> ProofStructure:
             arcs[c] = (ps.arcs[c][0], dot)
             dot += 1
     types = None if ps.types is None else {a: ps.types[a] for a in arcs}
-    return ProofStructure(kept, arcs, premise_order, conclusions, types, jumps)
+    return ProofStructure._adopt(kept, arcs, premise_order, tuple(conclusions), types, jumps)
 
 
 def is_wten(ps: ProofStructure) -> tuple[bool, tuple[int, int] | None]:
@@ -542,8 +618,16 @@ def from_json_dict(doc: dict) -> ProofStructure:
     if not isinstance(doc, dict):
         raise ParseError("malformed structure document: expected a JSON object")
     try:
-        nodes = {int(rec["id"]): rec["label"] for rec in doc["nodes"]}
-        arcs = {int(rec["id"]): (int(rec["tail"]), int(rec["head"])) for rec in doc["arcs"]}
+        records = doc["nodes"]
+        nodes = {int(rec["id"]): rec["label"] for rec in records}
+        if len(nodes) != len(records):
+            raise ParseError("malformed structure document: node id "
+                             f"{_first_repeat(rec['id'] for rec in records)} is repeated")
+        records = doc["arcs"]
+        arcs = {int(rec["id"]): (int(rec["tail"]), int(rec["head"])) for rec in records}
+        if len(arcs) != len(records):
+            raise ParseError("malformed structure document: arc id "
+                             f"{_first_repeat(rec['id'] for rec in records)} is repeated")
         premise_order = {}
         for n, pair in _json_object(doc, "premises").items():
             if not isinstance(pair, list) or len(pair) != 2:
@@ -568,7 +652,16 @@ def from_json_dict(doc: dict) -> ProofStructure:
         jumps = {int(n): int(m) for n, m in _json_object(doc, "jumps").items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed structure document: {exc}") from None
-    return ProofStructure(nodes, arcs, premise_order, conclusions, types, jumps)
+    return ProofStructure._adopt(nodes, arcs, premise_order, conclusions, types, jumps)
+
+
+def _first_repeat(ids) -> int | None:
+    """The first id, read as an int, that repeats an earlier one."""
+    seen = set()
+    for i in map(int, ids):
+        if i in seen:
+            return i
+        seen.add(i)
 
 
 def _json_object(doc: dict, key: str) -> dict:
@@ -621,13 +714,18 @@ def from_dsl(text: str) -> ProofStructure:
         try:
             if kind == "node":
                 nid, lab = int(parts[1]), parts[2]
+                if nid in nodes:
+                    raise ValueError(f"node id {nid} is repeated")
                 nodes[nid] = lab
                 if len(parts) == 5:
                     premise_order[nid] = (int(parts[3]), int(parts[4]))
                 elif len(parts) != 3:
                     raise ValueError("node takes an id, a label and optionally two premise arcs")
             elif kind == "arc":
-                arcs[int(parts[1])] = (int(parts[2]), int(parts[3]))
+                aid = int(parts[1])
+                if aid in arcs:
+                    raise ValueError(f"arc id {aid} is repeated")
+                arcs[aid] = (int(parts[2]), int(parts[3]))
             elif kind == "conclusions":
                 conclusions = tuple(int(a) for a in parts[1:])
             elif kind == "type":
@@ -640,7 +738,7 @@ def from_dsl(text: str) -> ProofStructure:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    return ProofStructure(nodes, arcs, premise_order, conclusions, types, jumps)
+    return ProofStructure._adopt(nodes, arcs, premise_order, conclusions, types, jumps)
 
 
 def load_structure(text: str) -> ProofStructure:

@@ -70,6 +70,28 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert code == 2 and "binary par" in err
 
 
+def test_repeated_ids_exit_2(tmp_path, capsys):
+    # a second record under an id used to replace the first one silently
+    doc = json.loads(to_json(fixtures.load("split-choice")))
+    twice_node = {**doc, "nodes": doc["nodes"] + [dict(doc["nodes"][1]), doc["nodes"][0]]}
+    twice_arc = {**doc, "arcs": doc["arcs"][:3] + [{**doc["arcs"][2], "id": "2"}]
+                 + doc["arcs"][3:]}
+    path = tmp_path / "twice.json"
+    for bad, message in ((twice_node, "node id 1 is repeated"),
+                         (twice_arc, "arc id 2 is repeated")):
+        path.write_text(json.dumps(bad))
+        for argv in (["check", str(path), "--criterion", "accw"], ["normalize", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: malformed structure document: {message}\n"
+    dsl = tmp_path / "twice.psl"
+    for text, message in (("node 0 one\nnode 1 dot\nnode 0 bot\n", "line 3: node id 0"),
+                          ("node 0 one\nnode 1 dot\narc 0 0 1\narc 0 0 1\n", "line 4: arc id 0")):
+        dsl.write_text(text)
+        code, out, err = run(capsys, "check", str(dsl), "--criterion", "ac")
+        assert (code, out, err) == (2, "", f"error: {message} is repeated\n")
+
+
 def test_normalize_writes_trace_and_normal_form(tmp_path, capsys):
     path = write_fixture(tmp_path, "wten-cut")
     trace_path = tmp_path / "trace.jsonl"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -309,6 +310,8 @@ def assert_matches_oracle(ps, seed):
     steps, normal_form = oracle_normalize(ps, seed)
     assert trace.steps == steps
     assert to_json(trace.normal_form) == to_json(normal_form)
+    assert trace.to_json_lines() == "\n".join(json.dumps({"kind": k, "cutNode": n})
+                                               for k, n in steps)
     return len(steps)
 
 

@@ -236,6 +236,24 @@ def test_deep_proofs_compare_and_hash_without_recursion():
         assert copied == small and hash(copied) == hash(small)
 
 
+def test_proofs_are_immutable():
+    p = parse_proof("fragment: mllu\n(tensor (one) (ex 2 (bot (ax \"X\"))))")[1]
+    ex = p.premises[1]
+    assert not hasattr(p, "__dict__")
+    for node in (p, ex):
+        for name, value in (("rule", "par"), ("arg", 1), ("length", 0),
+                            ("_conclusion", ()), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(node, name, value)
+        with pytest.raises(AttributeError):
+            del node.premises
+    # an exchange derives its conclusion on first read, past __setattr__
+    ex = ex_rule(1, bot_rule(ax_rule(X)))
+    assert ex._conclusion is None
+    assert ex.conclusion == (atom("X"), BOT, atom("X", dual=True))
+    assert ex._conclusion is ex.conclusion
+
+
 def test_parse_example_from_docs():
     frag, p = parse_proof('fragment: mllu\n(tensor (one) (ex 1 (bot (one))))')
     assert p == tensor_rule(one_rule(), ex_rule(0, bot_rule(one_rule())))
