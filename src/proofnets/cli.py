@@ -177,6 +177,28 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """An argparse type: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value <= 1:  # rejects nan too
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser; built once, as parsing leaves it unchanged."""
@@ -195,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--criterion", required=True,
                    choices=("accw", "ac", "cw", "cwforall", "wten"))
-    p.add_argument("--max-parr", type=int, default=DEFAULT_MAX_PAR,
+    p.add_argument("--max-parr", type=_count, default=DEFAULT_MAX_PAR,
                    help="cap on the par nodes that cw and cwforall enumerate: for cw, "
                         "the pars with a premise on a cycle, and only when some "
                         "switching graph is cyclic; for cwforall, every par. "
@@ -241,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("ps", "proof"), default="ps")
     p.add_argument("--fragment", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rules", type=int, default=12)
-    p.add_argument("--max-nodes", type=int, default=12)
-    p.add_argument("--cut-probability", type=float, default=0.0)
+    p.add_argument("--max-rules", type=_count, default=12)
+    p.add_argument("--max-nodes", type=_count, default=12)
+    p.add_argument("--cut-probability", type=_probability, default=0.0)
     p.add_argument("--fixture", choices=fixtures.NAMES, default=None,
                    help="emit a named fixture instead of a random object")
     add_common(p)

@@ -3,18 +3,28 @@
 Three step shapes exist.  An axiom step erases an ax/cut pair and splices
 the two outer arcs into one; it requires the shared arc to be the only
 directed path between the two nodes: the ax's other conclusion may neither
-feed the cut nor reach it (`structure.precedes`), which rules out the
-closed loop where both ax conclusions feed the same cut.  A unit step
-erases a one/bot/cut triple.  A multiplicative step replaces a
-tensor/par/cut triple by two cuts pairing the premises sidewise.  Every
-step removes exactly two arcs, which makes the rewriting terminating; cut
-nodes matching none of the shapes are clashes and simply stay.
+feed the cut nor reach it, which rules out the closed loop where both ax
+conclusions feed the same cut.  A unit step erases a one/bot/cut triple.
+A multiplicative step replaces a tensor/par/cut triple by two cuts pairing
+the premises sidewise.  Every step removes exactly two arcs, which makes
+the rewriting terminating; cut nodes matching none of the shapes are
+clashes and simply stay.
 
 All steps run on one `_Net`: a private mutable copy of a structure with
 in- and out-arc lists kept sorted by arc id.  `normalize` validates its
 input, reduces on one net, and builds and validates one `ProofStructure`
-at the end; `reduce_step` and `replay` run on the same reducer, and
-`reduce_step` and `find_redexes` validate their input too.
+at the end; that structure adopts the net's lists as its incidence index,
+so the final validation reads the reducer's own bookkeeping.
+`reduce_step` and `replay` run on the same reducer, and `reduce_step` and
+`find_redexes` validate their input too.
+
+Every query reads `arcs`, `nodes` and the incidence index directly, on a
+net as on a structure.  In a valid structure every non-ax node has at most
+one conclusion, so the nodes below a non-ax node form one chain, and a
+directed path runs from it to a node m exactly when m lies on that chain
+(`structure.precedes` is the general search).  The axiom test walks the
+chain below the ax's other conclusion: a cut has no conclusion, so the
+walk ends at the cut exactly when that conclusion feeds or reaches it.
 
 `normalize` keeps a worklist: the redex (or None, for a clash) of every
 cut, and the sorted list of cuts that are redexes.  After a step only the
@@ -49,25 +59,62 @@ from dataclasses import dataclass
 
 from .errors import RedexError
 from .formulas import negate
-from .structure import (AX, BOT, CUT, ONE, PAR, TENSOR, ProofStructure,
-                        descent_chain, ensure_valid, precedes)
+from .structure import AX, BOT, CUT, ONE, PAR, TENSOR, ProofStructure, ensure_valid
 
 AXIOM_CUT = "axiom"
 UNIT_CUT = "unit"
 MULTIPLICATIVE_CUT = "multiplicative"
 
 
-@dataclass(frozen=True)
 class Redex:
+    """A cut one step can reduce: its node, the step kind, and the
+    premise-source nodes, displayed one first.  An immutable value: equal
+    fields give equal redexes and equal hashes."""
+
+    __slots__ = ("cut_node", "kind", "participants")
+
     cut_node: int
     kind: str
-    participants: tuple[int, ...]  # premise-source nodes, displayed one first
+    participants: tuple[int, ...]
+
+    def __init__(self, cut_node: int, kind: str, participants: tuple[int, ...]):
+        _set_cut_node(self, cut_node)
+        _set_kind(self, kind)
+        _set_participants(self, participants)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Redex is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Redex is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Redex:
+            return NotImplemented
+        return (self.cut_node == other.cut_node and self.kind == other.kind
+                and self.participants == other.participants)
+
+    def __hash__(self):
+        return hash((self.cut_node, self.kind, self.participants))
+
+    def __reduce__(self):
+        return Redex, (self.cut_node, self.kind, self.participants)
+
+    def __repr__(self):
+        return (f"Redex(cut_node={self.cut_node!r}, kind={self.kind!r}, "
+                f"participants={self.participants!r})")
+
+
+# the slot setters, which bypass the immutable __setattr__
+_set_cut_node, _set_kind, _set_participants = (
+    Redex.__dict__[slot].__set__ for slot in Redex.__slots__)
 
 
 class _Net:
     """A mutable, jump-free copy of a structure that reduction rewrites in
-    place.  It answers the queries `_classify` and `precedes` make of a
-    structure."""
+    place.  Like a structure, it has `nodes`, `arcs`, `incidence()`,
+    `premises_of`, `tail` and `head`, so `_classify`, `precedes` and the
+    other structure queries read it as they read a structure."""
 
     def __init__(self, ps: ProofStructure):
         self.nodes = dict(ps.nodes)
@@ -87,9 +134,6 @@ class _Net:
         if node in self.premise_order:
             return list(self.premise_order[node])
         return list(self._ins[node])
-
-    def conclusions_of(self, node: int) -> list[int]:
-        return list(self._outs[node])
 
     def tail(self, arc: int) -> int:
         return self.arcs[arc][0]
@@ -132,37 +176,55 @@ class _Net:
 
     def freeze(self) -> ProofStructure:
         """The structure the net now holds, validated.  The net hands its
-        dicts over, so it must not be rewritten afterwards."""
+        dicts and its in- and out-lists over, the lists as the structure's
+        incidence index: they hold exactly the live nodes, each list sorted
+        by arc id.  So the net must not be rewritten afterwards."""
         out = ProofStructure._adopt(self.nodes, self.arcs, self.premise_order,
                                     self.conclusions, self.types, {})
+        out._index = (self._ins, self._outs)
         ensure_valid(out)
         return out
 
 
+def _chain_end(arcs, outgoing, n: int) -> int:
+    """The last node of the descent chain from a non-ax node n of a valid
+    structure: n itself when it has no conclusion."""
+    out = outgoing[n]
+    while out:
+        n = arcs[out[0]][1]
+        out = outgoing[n]
+    return n
+
+
 def _classify(ps, cut: int) -> Redex | None:
-    """The redex at a cut node, or None when the cut is a clash."""
-    sources = [(ps.tail(a), a) for a in ps.premises_of(cut)]
-    labels = {ps.nodes[n] for n, _ in sources}
-    outgoing = ps.incidence()[1]
-    ax_sides = []
-    for n, a in sources:
-        if ps.nodes[n] == AX:
-            # the ax's other conclusion may neither feed the cut nor reach it
-            below = next(ps.arcs[b][1] for b in outgoing[n] if b != a)
-            if below != cut and not precedes(ps, below, cut):
-                ax_sides.append((n, a))
-    if ax_sides:
-        ax_node, shared = min(ax_sides)
-        other = next(n for n, a in sources if a != shared)
-        return Redex(cut, AXIOM_CUT, (ax_node, other))
-    if labels == {ONE, BOT}:
-        one_node = next(n for n, _ in sources if ps.nodes[n] == ONE)
-        bot_node = next(n for n, _ in sources if ps.nodes[n] == BOT)
-        return Redex(cut, UNIT_CUT, (one_node, bot_node))
-    if labels == {TENSOR, PAR}:
-        tensor_node = next(n for n, _ in sources if ps.nodes[n] == TENSOR)
-        par_node = next(n for n, _ in sources if ps.nodes[n] == PAR)
-        return Redex(cut, MULTIPLICATIVE_CUT, (tensor_node, par_node))
+    """The redex at a cut node of a valid structure or net, or None when
+    the cut is a clash.
+
+    An ax side qualifies when the chain below the ax's other conclusion
+    does not end at the cut (see the module docstring); of two qualifying
+    sides, the one with the smaller (node, arc) pair is taken.
+    """
+    arcs, nodes = ps.arcs, ps.nodes
+    ins, outs = ps.incidence()
+    a, b = ins[cut]
+    m, n = arcs[a][0], arcs[b][0]
+    if n < m:  # sides in (node, arc) order; equal nodes come in arc order
+        m, n, a, b = n, m, b, a
+    lm, ln = nodes[m], nodes[n]
+    for side, shared, other in ((m, a, n), (n, b, m)):
+        if nodes[side] == AX:
+            c, d = outs[side]
+            below = arcs[d if c == shared else c][1]
+            if _chain_end(arcs, outs, below) != cut:
+                return Redex(cut, AXIOM_CUT, (side, other))
+    if lm == ONE and ln == BOT:
+        return Redex(cut, UNIT_CUT, (m, n))
+    if lm == BOT and ln == ONE:
+        return Redex(cut, UNIT_CUT, (n, m))
+    if lm == TENSOR and ln == PAR:
+        return Redex(cut, MULTIPLICATIVE_CUT, (m, n))
+    if lm == PAR and ln == TENSOR:
+        return Redex(cut, MULTIPLICATIVE_CUT, (n, m))
     return None
 
 
@@ -185,22 +247,24 @@ def _apply(net: _Net, redex: Redex) -> list[int]:
     """Rewrite one current redex in place and return the other cuts whose
     class the step may have changed (see the module docstring).  Raises
     RedexError, leaving the net as it was, when types forbid the step."""
-    types = net.types
+    types, arcs = net.types, net.arcs
     cut = redex.cut_node
-    prem = net.premises_of(cut)
+    prem = list(net._ins[cut])  # a copy: removing the arcs changes the cut's list
 
     if redex.kind == AXIOM_CUT:
         ax_node = redex.participants[0]
-        shared = next(a for a in prem if net.tail(a) == ax_node)
-        other_prem = next(a for a in prem if a != shared)
-        outer = next(a for a in net.conclusions_of(ax_node) if a != shared)
+        # the other premise comes from another node: an ax whose conclusions
+        # both feed the cut is a clash
+        shared, other_prem = prem if arcs[prem[0]][0] == ax_node else reversed(prem)
+        c, d = net._outs[ax_node]
+        outer = d if c == shared else c
         if types is not None and types[outer] is not types[other_prem]:
             raise RedexError("axiom step would splice arcs of different types")
         # keep the outer arc (whose head survives); re-tail it
-        net.move_arc(outer, net.tail(other_prem), net.head(outer))
+        head = arcs[outer][1]
+        net.move_arc(outer, arcs[other_prem][0], head)
         removed_arcs, removed_nodes = (shared, other_prem), (ax_node, cut)
-        head = net.head(outer)
-        end = ([head] + descent_chain(net, head))[-1]
+        end = _chain_end(arcs, net._outs, head)
         touched = [end] if net.nodes[end] == CUT else []
     elif redex.kind == UNIT_CUT:
         removed_arcs, removed_nodes = prem, (cut, *redex.participants)

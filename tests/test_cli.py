@@ -517,6 +517,32 @@ def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
     assert (code, json.loads(out)["holds"]) == (1, False)
 
 
+def test_out_of_range_options_are_usage_errors(tmp_path, capsys):
+    net = write_fixture(tmp_path, "regnier")
+    for argv, message in (
+            (["gen", "--cut-probability", "2"], "--cut-probability: must lie in [0, 1], got 2"),
+            (["gen", "--cut-probability", "-1"], "--cut-probability: must lie in [0, 1], got -1"),
+            (["gen", "--cut-probability", "nan"], "--cut-probability: must lie in [0, 1]"),
+            (["gen", "--cut-probability", "x"], "--cut-probability: invalid float value: 'x'"),
+            (["gen", "--max-rules", "-3"], "--max-rules: must be at least 0, got -3"),
+            (["gen", "--max-nodes", "-1"], "--max-nodes: must be at least 0, got -1"),
+            (["gen", "--max-nodes", "1.5"], "--max-nodes: invalid int value: '1.5'"),
+            (["check", net, "--criterion", "cwforall", "--max-parr", "-1"],
+             "--max-parr: must be at least 0, got -1")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert f"error: argument {message}" in err, argv
+    # the bounds themselves are in range
+    for argv in (["gen", "--cut-probability", "0", "--max-nodes", "0"],
+                 ["gen", "--cut-probability", "1", "--max-nodes", "4"],
+                 ["gen", "--kind", "proof", "--fragment", "mll", "--max-rules", "0"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert run(capsys, "check", net, "--criterion", "accw", "--max-parr", "0")[:2] == run(
+        capsys, "check", net, "--criterion", "accw")[:2]
+
+
 def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):
     net = tmp_path / "chain.json"
     net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(200))))

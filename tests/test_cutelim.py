@@ -1,20 +1,26 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
 
+import reference_cutelim
 from conftest import build_ps
+from proofnets import fixtures
 from proofnets.canonical import canonical_form, iso
 from proofnets.cutelim import (AXIOM_CUT, MULTIPLICATIVE_CUT, Redex, UNIT_CUT, _Net,
                                _apply, _classify, find_redexes, normalize, reduce_step,
                                replay)
 from proofnets.errors import RedexError, ValidationError
-from proofnets.formulas import Fragment
+from proofnets.formulas import ATOM, BOT, ONE, PAR, Fragment, atom, negate, par, tensor
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import desequentialize
+from proofnets.sequent import (ax_rule, bot_rule, cut_rule, desequentialize, exchange_to,
+                               one_rule, par_rule, tensor_rule)
 from proofnets.sequentialize import is_sequential_oracle
-from proofnets.structure import ensure_valid, strip, to_json, validate
+from proofnets.structure import (descent_chain, ensure_valid, precedes, strip, to_json,
+                                 validate)
 from proofnets.switching import check
 
 
@@ -54,11 +60,15 @@ def test_clash_classified():
     assert redexes == [] and clashes == [2]
 
 
-def test_one_against_tensor_is_a_clash():
-    ps = build_ps(
+def one_against_tensor_ps():
+    return build_ps(
         {0: "one", 1: "one", 2: "one", 3: "tensor", 4: "cut"},
         {0: (0, 4), 1: (1, 3), 2: (2, 3), 3: (3, 4)},
         prem={3: (1, 2)}, concl=())
+
+
+def test_one_against_tensor_is_a_clash():
+    ps = one_against_tensor_ps()
     redexes, clashes = find_redexes(ps)
     assert redexes == [] and clashes == [4]
 
@@ -418,6 +428,145 @@ def test_classify_matches_the_descent_search():
                 break
             _apply(net, redexes[0])
     assert counts[True] > 500 and counts[False] > 100
+
+
+def random_formula(rng, connectives):
+    if not connectives:
+        return rng.choice((atom("X"), atom("X", True), atom("Y"), atom("Y", True), ONE, BOT))
+    k = rng.randrange(connectives)
+    join = rng.choice((tensor, par))
+    return join(random_formula(rng, k), random_formula(rng, connectives - 1 - k))
+
+
+def eta(f):
+    """A cut-free proof of the sequent f^, f whose axioms are all on atoms."""
+    if f.kind == ATOM:
+        return ax_rule(negate(f))
+    if f is BOT:
+        return bot_rule(one_rule())
+    if f is ONE:
+        return exchange_to(eta(BOT), [1, 0])
+    if f.kind == PAR:
+        return exchange_to(eta(negate(f)), [1, 0])
+    # the sequent A^, A (x) B, B^, and then A^ par B^, the negation of f
+    p = tensor_rule(eta(f.left), exchange_to(eta(f.right), [1, 0]))
+    return exchange_to(par_rule(exchange_to(p, [1, 0, 2])), [1, 0])
+
+
+def eta_cut_ps(f):
+    """The desequentialized cut of two eta-expansions of f: each of its
+    connectives makes one multiplicative step."""
+    dual = negate(f)
+    return desequentialize(cut_rule(f, eta(f), exchange_to(eta(dual), [1, 0])),
+                           verify=False).ps
+
+
+def classify_corpus():
+    """Fixtures, hand-built nets, seeded MLL/MLLU desequentializations, cuts
+    of eta-expansions and random structures: every one valid."""
+    corpus = [fixtures.load(name) for name in fixtures.NAMES]
+    corpus += [closed_ax_loop_ps(), spliced_chain_ps(), one_against_tensor_ps(),
+               clash_ps(), unit_cut_ps(), axiom_cut_ps()]
+    rng = random.Random(5)
+    corpus += [eta_cut_ps(random_formula(rng, 1 + k % 12)) for k in range(24)]
+    for seed in range(40):
+        frag = Fragment.MLL if seed % 2 else Fragment.MLLU
+        p = random_proof(GenParams(fragment=frag, max_rules=20 + seed, seed=seed,
+                                   cut_probability=0.6))
+        corpus.append(desequentialize(p, verify=False).ps)
+        corpus.append(random_ps(GenParams(fragment=None if seed % 3 else Fragment.MLLU,
+                                          max_nodes=5 + seed % 25, seed=seed,
+                                          cut_probability=0.6)))
+    return corpus
+
+
+def assert_classify_matches_the_reference(g, kinds):
+    for cut in sorted(n for n, lab in g.nodes.items() if lab == "cut"):
+        redex = _classify(g, cut)
+        assert redex == reference_cutelim.classify(g, cut), cut
+        kinds[None if redex is None else redex.kind] += 1
+
+
+def test_classify_matches_the_reference():
+    # the whole result on every cut: None, or the kind and the participants
+    # in display order; on structures, and on the reducer's net before and
+    # after every step
+    kinds = dict.fromkeys((None, AXIOM_CUT, UNIT_CUT, MULTIPLICATIVE_CUT), 0)
+    for ps in classify_corpus():
+        ensure_valid(ps)
+        assert_classify_matches_the_reference(ps, kinds)
+        net = _Net(ps)
+        while True:
+            assert_classify_matches_the_reference(net, kinds)
+            cuts = sorted(n for n, lab in net.nodes.items() if lab == "cut")
+            redexes = [r for r in (_classify(net, c) for c in cuts) if r is not None]
+            if not redexes:
+                break
+            _apply(net, redexes[len(redexes) // 2])
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_below_a_non_ax_node_descent_is_the_chain():
+    # the fact the axiom test leans on: in a valid structure, a path runs
+    # from a non-ax node n to m exactly when m lies on n's descent chain
+    checked = 0
+    for ps in classify_corpus()[:60]:
+        for n, lab in ps.nodes.items():
+            if lab == "ax":
+                continue
+            chain = set(descent_chain(ps, n))
+            for m in ps.nodes:
+                assert precedes(ps, n, m) == (m in chain), (n, m)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_the_normal_form_adopts_a_true_index():
+    # the net's lists, handed over as the normal form's index, are the
+    # index a fresh copy builds
+    for ps in classify_corpus():
+        for seed in (None, 7):
+            normal_form = normalize(ps, seed=seed).normal_form
+            ins, outs = normal_form.incidence()
+            assert normal_form.copy().incidence() == (ins, outs)
+            assert ins.keys() == outs.keys() == normal_form.nodes.keys()
+
+
+def test_normalizing_twice_shares_nothing():
+    for ps in classify_corpus():
+        ps.incidence()
+        before = copy.deepcopy((ps.nodes, ps.arcs, ps.premise_order, ps.conclusions,
+                                ps.types, ps.jumps, ps.incidence()))
+        first, second = normalize(ps), normalize(ps)
+        assert first.steps == second.steps
+        assert to_json(first.normal_form) == to_json(second.normal_form)
+        assert (ps.nodes, ps.arcs, ps.premise_order, ps.conclusions, ps.types, ps.jumps,
+                ps.incidence()) == before
+        lists = [id(arcs) for index in (ps.incidence(), first.normal_form.incidence(),
+                                        second.normal_form.incidence())
+                 for side in index for arcs in side.values()]
+        assert len(set(lists)) == len(lists)
+        assert first.normal_form.nodes is not second.normal_form.nodes
+
+
+def test_redex_is_a_value():
+    r = Redex(4, MULTIPLICATIVE_CUT, (2, 3))
+    same = Redex(cut_node=4, kind=MULTIPLICATIVE_CUT, participants=(2, 3))
+    assert r == same and hash(r) == hash(same) and not r != same
+    assert len({r, same}) == 1
+    for other in (Redex(5, MULTIPLICATIVE_CUT, (2, 3)), Redex(4, UNIT_CUT, (2, 3)),
+                  Redex(4, MULTIPLICATIVE_CUT, (3, 2))):
+        assert r != other
+    assert r != (4, MULTIPLICATIVE_CUT, (2, 3))
+    assert repr(r) == "Redex(cut_node=4, kind='multiplicative', participants=(2, 3))"
+    for name in ("cut_node", "kind", "participants", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert (r.cut_node, r.kind, r.participants) == (4, MULTIPLICATIVE_CUT, (2, 3))
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is Redex and twin == r and hash(twin) == hash(r)
 
 
 def test_normalize_validates_twice_and_never_scans(monkeypatch):
