@@ -3,6 +3,10 @@ deseq, gen, dot.
 
 Exit codes are stable: 0 for success (criterion holds, proofs equivalent),
 1 when a decided property fails, 2 for malformed or invalid input.
+
+`main` hands a command line that starts with a command's exact name
+straight to that command's parser (see `_parse`), with the same result as
+the top-level parser gives, in half the time.
 """
 
 from __future__ import annotations
@@ -201,7 +205,8 @@ def _probability(text: str) -> float:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; built once, as parsing leaves it unchanged."""
+    """The command-line parser; built once, as parsing leaves it unchanged.
+    Its `commands` maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="proofnets",
         description="Check, rewrite and sequentialize proof-structures.")
@@ -278,11 +283,32 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, fmt=False)
     p.set_defaults(func=_cmd_dot)
 
+    parser.commands = sub.choices  # command name -> its parser; see _parse
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The parsed command line.
+
+    A line that starts with a command's exact name goes straight to that
+    command's parser, which is what the top-level parser would hand it, so
+    argparse runs once; leftover arguments get the top-level parser's
+    error.  Any other line (none, an option, an unknown or abbreviated
+    command) goes through the top-level parser.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except ProofNetError as exc:

@@ -704,6 +704,7 @@ def to_dsl(ps: ProofStructure) -> str:
 def from_dsl(text: str) -> ProofStructure:
     nodes, arcs, premise_order, jumps = {}, {}, {}, {}
     conclusions = ()
+    conclusions_line = None
     types = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -727,13 +728,22 @@ def from_dsl(text: str) -> ProofStructure:
                     raise ValueError(f"arc id {aid} is repeated")
                 arcs[aid] = (int(parts[2]), int(parts[3]))
             elif kind == "conclusions":
+                if conclusions_line is not None:
+                    raise ValueError(f"conclusions are repeated from line {conclusions_line}")
+                conclusions_line = lineno
                 conclusions = tuple(int(a) for a in parts[1:])
             elif kind == "type":
                 if types is None:
                     types = {}
-                types[int(parts[1])] = parse_formula(" ".join(parts[2:]))
+                aid = int(parts[1])
+                if aid in types:
+                    raise ValueError(f"type of arc {aid} is repeated")
+                types[aid] = parse_formula(" ".join(parts[2:]))
             elif kind == "jump":
-                jumps[int(parts[1])] = int(parts[2])
+                nid = int(parts[1])
+                if nid in jumps:
+                    raise ValueError(f"jump of node {nid} is repeated")
+                jumps[nid] = int(parts[2])
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:

@@ -25,11 +25,13 @@ premise on a cycle of the structure plus its jumps (one that is no bridge
 of it) can change a component count, so c and cw enumerate those pars
 alone, the others on their first premise.  `max_par` caps the pars they
 enumerate.  cwforall still enumerates every erasing-compatible switching.
+Before the contraction pairs a par's premises, it drops each premise that
+hangs from a bot or a one with no jump: such a premise lies on no cycle.
 
 A census lists the components of one switching graph.  `_components`
-computes it with one union-find over the structure, re-heading each
-unchosen premise as it goes.  It serves every caller: the census a verdict
-prints, read only on demand, the counting in cwforall and
+computes it with one walk of the incidence index, which leads each
+unchosen premise to its par's fresh dot.  It serves every caller: the
+census a verdict prints, read only on demand, the counting in cwforall and
 `output_stats`, and `graph_components`.  `SwitchingGraph` is built only for
 `switching_graph`, which `dot --switching` and the tests' enumerated
 reference use.
@@ -180,41 +182,75 @@ def switching_graph(ps: ProofStructure, switching: Switching) -> SwitchingGraph:
 def _components(ps: ProofStructure, switching: Switching,
                erasing: set[int]) -> list[Component]:
     """The components of a switching graph, ordered by least node, from one
-    union-find over the structure and its jumps.
+    walk of the incidence index and the jumps.
 
-    Each unchosen premise is re-headed to its par's fresh dot as the arcs
-    are read, so no graph is built.  Fresh dots are numbered as in
-    `SwitchingGraph`, upward from `fresh_node_id` in par order.
+    The walk starts from each node not yet reached, in ascending order, and
+    crosses arcs and jumps both ways.  An unchosen premise leads from its
+    tail to its par's fresh dot and never to the par, so no graph is built.
+    Fresh dots are numbered as in `SwitchingGraph`, upward from
+    `fresh_node_id` in par order.  Bots, erasing nodes and the nodes with
+    other than one premise in the switching graph are counted as the walk
+    reaches them.
     """
+    ins, outs = ps.incidence()
+    arcs, labels, jumps = ps.arcs, ps.nodes, ps.jumps
     fresh = ps.fresh_node_id()
-    pars = ps.par_nodes()
     dot_of = {}  # unchosen premise -> the fresh dot it is re-headed to
-    for dot, n in enumerate(pars, fresh):
+    reheaded = {}  # fresh dot -> the tails of its premises
+    for dot, n in enumerate(ps.par_nodes(), fresh):
+        chosen = switching[n]
+        reheaded[dot] = tails = []
         for a in ps.premises_of(n):
-            if a != switching[n]:
+            if a != chosen:
                 dot_of[a] = dot
-    order = sorted(ps.nodes)
-    order += range(fresh, fresh + len(pars))
-    uf = UnionFind(order)
-    premises = dict.fromkeys(order, 0)
-    for a, (t, h) in ps.arcs.items():
-        h = dot_of.get(a, h)
-        premises[h] += 1
-        uf.union(t, h)
-    for t, h in ps.jumps.items():
-        premises[h] += 1
-        uf.union(t, h)
-    groups: dict[int, list[int]] = {}
-    for n in order:  # each group is keyed in the order of its least node
-        groups.setdefault(uf.find(n), []).append(n)
-    labels = ps.nodes
+                tails.append(arcs[a][0])
+    jumped: dict[int, list[int]] = {}  # node -> the nodes its jumps join it to
+    into: dict[int, int] = {}  # jump target -> its jumps, each a premise
+    for b, m in jumps.items():
+        jumped.setdefault(b, []).append(m)
+        jumped.setdefault(m, []).append(b)
+        into[m] = into.get(m, 0) + 1
+    seen = set()
     out = []
-    for comp in groups.values():
-        bots = sum(1 for n in comp if labels.get(n) == BOT)
-        thread = bots == 1 and all(
-            premises[n] == 1 for n in comp if labels.get(n) != BOT)
-        out.append(Component(frozenset(comp), len(comp),
-                             sum(1 for n in comp if n in erasing), bots, thread))
+    for start in [*sorted(labels), *reheaded]:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        bots = erased = 0
+        thread = True  # so far every node but the bots has one premise
+        for n in comp:  # the list grows as the walk goes
+            if n in reheaded:
+                near = reheaded[n]
+                if len(near) != 1:
+                    thread = False
+            else:
+                premises = 0
+                for a in ins[n]:
+                    if a not in dot_of:  # an unchosen premise ends at a fresh dot
+                        premises += 1
+                        if (m := arcs[a][0]) not in seen:
+                            seen.add(m)
+                            comp.append(m)
+                for a in outs[n]:
+                    if (m := dot_of[a] if a in dot_of else arcs[a][1]) not in seen:
+                        seen.add(m)
+                        comp.append(m)
+                near = jumped.get(n, ())
+                if n in into:
+                    premises += into[n]
+                if labels[n] == BOT:
+                    bots += 1
+                elif premises != 1:
+                    thread = False
+                if n in erasing:
+                    erased += 1
+            for m in near:
+                if m not in seen:
+                    seen.add(m)
+                    comp.append(m)
+        out.append(Component(frozenset(comp), len(comp), erased, bots,
+                             thread and bots == 1))
     return out
 
 
@@ -286,13 +322,21 @@ def _has_switching_cycle(ps: ProofStructure, forced: Switching | None = None,
       a free edge is contracted;
       a pair whose two edges join the same two vertices is contracted.
 
-    When no rule applies, any edge left lies on such a cycle.  The free
-    edges are contracted first, in one union-find pass; after that,
-    contraction merges the smaller incidence set into the larger, so the
-    decision takes O(arcs log arcs) set operations.
+    When no rule applies, any edge left lies on such a cycle.
+
+    The dead-vertex rule is applied first where the structure shows it: a
+    premise whose tail has no other arc and no jump (a bot or a one) hangs
+    from a vertex of degree 1, so it goes, and when the par's other premise
+    is free it stays free instead of being paired.  A bot;par chain so
+    never reaches the set phase.  The free edges are then contracted in one
+    union-find pass; after that, contraction merges the smaller incidence
+    set into the larger, so the decision takes O(arcs log arcs) set
+    operations.
     """
     forced = forced or {}
     free = {a: e for a, e in ps.arcs.items() if a not in bridges}
+    ins, outs = ps.incidence()
+    jumped = {*ps.jumps, *ps.jumps.values()}
     pairs = []
     for n in ps.par_nodes():
         prem = ps.premises_of(n)
@@ -300,8 +344,11 @@ def _has_switching_cycle(ps: ProofStructure, forced: Switching | None = None,
         if n in forced:
             kept = [a for a in kept if a == forced[n]]
         elif len(kept) == 2:
-            pairs.append(kept)
-            kept = []
+            # the premises whose tail has another arc or a jump stay
+            kept = [a for a in kept if ins[t := free[a][0]] or len(outs[t]) > 1 or t in jumped]
+            if len(kept) == 2:
+                pairs.append(kept)
+                kept = []
         for a in prem:
             if a not in kept:
                 free.pop(a, None)

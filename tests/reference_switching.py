@@ -1,0 +1,141 @@
+"""The census and the contraction as they were before the census became one
+walk of the incidence index and dead par premises left the contraction
+before its set phase, kept as the references of `switching._components`
+and `switching._has_switching_cycle`: both must give the same components,
+in the same order, and the same decision.
+
+`components` re-heads each unchosen premise while one union-find reads the
+arcs and jumps; `has_switching_cycle` pairs the two premises of every par
+whose premises are both free and leaves dead vertices to the set phase.
+"""
+
+from proofnets.structure import BOT, jump_arcs
+from proofnets.switching import Component, UnionFind
+
+
+def components(ps, switching, erasing):
+    """The components of a switching graph, ordered by least node."""
+    fresh = ps.fresh_node_id()
+    pars = ps.par_nodes()
+    dot_of = {}  # unchosen premise -> the fresh dot it is re-headed to
+    for dot, n in enumerate(pars, fresh):
+        for a in ps.premises_of(n):
+            if a != switching[n]:
+                dot_of[a] = dot
+    order = sorted(ps.nodes)
+    order += range(fresh, fresh + len(pars))
+    uf = UnionFind(order)
+    premises = dict.fromkeys(order, 0)
+    for a, (t, h) in ps.arcs.items():
+        h = dot_of.get(a, h)
+        premises[h] += 1
+        uf.union(t, h)
+    for t, h in ps.jumps.items():
+        premises[h] += 1
+        uf.union(t, h)
+    groups = {}
+    for n in order:  # each group is keyed in the order of its least node
+        groups.setdefault(uf.find(n), []).append(n)
+    labels = ps.nodes
+    out = []
+    for comp in groups.values():
+        bots = sum(1 for n in comp if labels.get(n) == BOT)
+        thread = bots == 1 and all(
+            premises[n] == 1 for n in comp if labels.get(n) != BOT)
+        out.append(Component(frozenset(comp), len(comp),
+                             sum(1 for n in comp if n in erasing), bots, thread))
+    return out
+
+
+def has_switching_cycle(ps, forced=None, bridges=frozenset()):
+    """Whether some switching graph has a cycle, by Danos contraction
+    extended with mix; a par in `forced` keeps only the premise given there,
+    and the arcs and jump edges in `bridges` are left out."""
+    forced = forced or {}
+    free = {a: e for a, e in ps.arcs.items() if a not in bridges}
+    pairs = []
+    for n in ps.par_nodes():
+        prem = ps.premises_of(n)
+        kept = [a for a in prem if a in free]  # ends up the premises left free
+        if n in forced:
+            kept = [a for a in kept if a == forced[n]]
+        elif len(kept) == 2:
+            pairs.append(kept)
+            kept = []
+        for a in prem:
+            if a not in kept:
+                free.pop(a, None)
+    uf = UnionFind(ps.nodes)
+    for t, h in [*free.values(), *(e for a, e in jump_arcs(ps).items() if a not in bridges)]:
+        if not uf.union(t, h):
+            return True
+    ends = {}  # the paired edges
+    partner = {}
+    incident = {}
+    edges = []  # free edges to contract, pairs to test for parallel
+    for e, f in pairs:
+        partner[e], partner[f] = f, e
+        sides = []
+        for g in (e, f):
+            ends[g] = t, h = ps.arcs[g]
+            u, v = uf.find(t), uf.find(h)
+            if u == v:
+                return True
+            incident.setdefault(u, set()).add(g)
+            incident.setdefault(v, set()).add(g)
+            sides.append({u, v})
+        if sides[0] == sides[1]:
+            edges.append(e)
+    vertices = list(incident)  # vertices to test for dead
+    while edges or vertices:
+        if edges:
+            e = edges.pop()
+            if e not in ends:
+                continue
+            u, v = uf.find(ends[e][0]), uf.find(ends[e][1])
+            f = partner.get(e)
+            if f is None:
+                gone = (e,)
+            elif {uf.find(ends[f][0]), uf.find(ends[f][1])} == {u, v}:
+                gone = (e, f)
+            else:
+                continue
+            for g in gone:
+                del ends[g]
+                incident[u].discard(g)
+                incident[v].discard(g)
+            if len(incident[u]) < len(incident[v]):
+                u, v = v, u
+            moved = incident.pop(v)
+            for g in moved:
+                if u in (uf.find(ends[g][0]), uf.find(ends[g][1])):
+                    return True
+            uf.union(u, v)
+            incident[u] |= moved
+            edges.extend(moved)
+            vertices.append(u)
+            continue
+        v = vertices.pop()
+        if v not in incident:
+            continue
+        around = incident[v]
+        if len(around) == 1:
+            gone = tuple(around)
+        elif len(around) == 2:
+            e, f = around
+            if partner.get(e) != f or uf.find(ends[e][1]) != v:
+                continue
+            gone = (e, f)
+        else:
+            continue
+        for g in gone:
+            for end in ends.pop(g):
+                r = uf.find(end)
+                incident[r].discard(g)
+                vertices.append(r)
+        for g in gone:
+            f = partner.pop(g, None)
+            if f in ends:
+                del partner[f]
+                edges.append(f)
+    return bool(ends)

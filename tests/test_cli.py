@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -12,12 +14,12 @@ import pytest
 import proofnets
 from proofnets import fixtures, sequentialize
 from proofnets.canonical import iso
-from proofnets.cli import build_parser, main
+from proofnets.cli import _parse, build_parser, main
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof
 from proofnets.sequent import (bot_rule, cut_rule, desequentialize, exchange_to, format_proof,
                                one_rule, par_rule, parse_proof, tensor_rule)
-from proofnets.structure import from_dsl, from_json, to_json
+from proofnets.structure import from_dsl, from_json, to_dsl, to_json
 
 
 def run(capsys, *argv):
@@ -85,11 +87,22 @@ def test_repeated_ids_exit_2(tmp_path, capsys):
             assert (code, out) == (2, "")
             assert err == f"error: malformed structure document: {message}\n"
     dsl = tmp_path / "twice.psl"
-    for text, message in (("node 0 one\nnode 1 dot\nnode 0 bot\n", "line 3: node id 0"),
-                          ("node 0 one\nnode 1 dot\narc 0 0 1\narc 0 0 1\n", "line 4: arc id 0")):
+    ax = "node 0 ax\nnode 1 dot\nnode 2 dot\narc 0 0 1\narc 1 0 2\n"
+    for text, message in (("node 0 one\nnode 1 dot\nnode 0 bot\n", "line 3: node id 0 is repeated"),
+                          ("node 0 one\nnode 1 dot\narc 0 0 1\narc 0 0 1\n",
+                           "line 4: arc id 0 is repeated"),
+                          # the second line used to replace the first: this ax
+                          # was read as typed X, X^ and passed accw
+                          (ax + "conclusions 0 1\ntype 0 Y\ntype 1 X^\ntype 0 X\n",
+                           "line 9: type of arc 0 is repeated"),
+                          (ax + "conclusions 0 1\nconclusions 0\n",
+                           "line 7: conclusions are repeated from line 6"),
+                          ("node 0 bot\nnode 1 dot\narc 0 0 1\njump 0 1\njump 0 0\n",
+                           "line 5: jump of node 0 is repeated")):
         dsl.write_text(text)
-        code, out, err = run(capsys, "check", str(dsl), "--criterion", "ac")
-        assert (code, out, err) == (2, "", f"error: {message} is repeated\n")
+        for criterion in ("ac", "accw"):
+            code, out, err = run(capsys, "check", str(dsl), "--criterion", criterion)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_normalize_writes_trace_and_normal_form(tmp_path, capsys):
@@ -263,6 +276,84 @@ def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
                                capture_output=True, text=True, env=env)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
     assert build_parser() is build_parser()
+
+
+def _parser_argvs():
+    """Command lines for the parser's fast path and the top-level one."""
+    argvs = [[name, "-h"] for name in build_parser().commands]
+    argvs += [
+        [], ["-h"], ["--help"], ["--he"], ["-h", "check"], ["nope"], ["chec"], ["CHECK"],
+        ["--", "check", "f", "--criterion", "ac"], ["--version"],
+        # missing required arguments
+        ["check"], ["check", "f"], ["check", "--criterion", "ac"], ["equiv", "a"],
+        ["jumps", "f"], ["deseq"], ["normalize"], ["dot"],
+        # bad choices and bad values
+        ["check", "f", "--criterion", "nope"], ["gen", "--fixture", "nope"],
+        ["sequentialize", "f", "--mode", "x"], ["normalize", "f", "--format", "svg"],
+        ["gen", "--max-rules", "-1"], ["gen", "--cut-probability", "2"],
+        ["check", "f", "--criterion", "ac", "--max-parr", "x"], ["normalize", "f", "--seed", "1.5"],
+        # abbreviations and = forms
+        ["check", "f", "--crit", "accw"], ["check", "f", "--criterion=accw"],
+        ["check", "f", "--cri=ac", "--max", "3"], ["check", "--c", "cw", "f"],
+        ["gen", "--max", "3"], ["jumps", "f", "--mode", "btenll", "--m", "4"],
+        # --
+        ["check", "--", "f", "--criterion", "ac"], ["check", "--criterion", "ac", "--", "-f"],
+        ["check", "--criterion", "ac", "--", "f"], ["equiv", "--", "a", "b"],
+        # extra positionals and unknown options
+        ["check", "a", "b", "--criterion", "ac"], ["equiv", "a", "b", "c"],
+        ["check", "f", "--criterion", "ac", "--bogus"],
+        ["check", "f", "--bogus=1", "--criterion", "ac"],
+        ["gen", "-x"], ["gen", "stray", "--seed", "2", "-q"], ["check", "f", "-h", "--bogus"],
+        # well-formed lines of every command
+        ["check", "f", "--criterion", "wten", "--max-parr", "0", "--out", "o"],
+        ["normalize", "f", "--seed", "4", "--trace", "t", "--format", "dsl"],
+        ["sequentialize", "f", "--mode", "btenll", "--m", "2", "--jumps-out", "j"],
+        ["jumps", "f", "--mode", "icomll", "--format", "dot"], ["equiv", "a", "b"],
+        ["deseq", "p", "--out", "o"], ["dot", "f", "--switching", "s"], ["gen"],
+        ["gen", "--kind", "proof", "--fragment", "mll", "--seed", "-3", "--cut-probability", "0.5"],
+    ]
+    return argvs
+
+
+def _parsed(parse, argv):
+    """What parsing a command line gives: the namespace without its handler
+    or the exit code, and the text written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+            args.pop("func", None)
+            result = ("args", args)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_commands_parse_as_through_the_top_level_parser():
+    exits = 0
+    for argv in _parser_argvs():
+        expected = _parsed(build_parser().parse_args, argv)
+        assert _parsed(_parse, argv) == expected, argv
+        exits += expected[0][0] == "exit"
+    assert 30 < exits < len(_parser_argvs()) - 10
+
+
+def test_console_entry_reads_sys_argv(tmp_path, capsys):
+    # `python -m proofnets.cli` calls main() with no argv: the fast path
+    # then reads sys.argv, and its errors match the in-process ones
+    path = write_fixture(tmp_path, "regnier")
+    env = dict(os.environ, PYTHONPATH=str(Path(proofnets.__file__).parents[1]))
+    for argv in (["check", path, "--criterion", "accw"], ["check"],
+                 ["check", path, "extra", "--criterion", "accw"]):
+        fresh = subprocess.run([sys.executable, "-m", "proofnets.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            code, out, err = exc.code, captured.out, captured.err
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err), argv
+        assert code == (0 if argv[1:] == [path, "--criterion", "accw"] else 2), argv
 
 
 def test_gen_deep_proof_round_trips(capsys):
@@ -690,6 +781,31 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
                     assert code in (0, 1, 2), (cmd, name, where, value)
                     codes[code] = codes.get(code, 0) + 1
     assert codes[2] > codes.get(0, 0) > 0
+    # a type, jump or conclusions line of the line DSL given twice, the
+    # second time with its own value or that of the next line of its kind:
+    # every subcommand names the second line
+    path = tmp_path / "mutant.psl"
+    repeats = 0
+    for name in fixtures.NAMES:
+        lines = to_dsl(fixtures.load(name)).splitlines()
+        for i, line in enumerate(lines):
+            kind, *fields = line.split()
+            if kind not in ("type", "jump", "conclusions"):
+                continue
+            keyed = kind != "conclusions"  # a type or jump line names an id
+            values = [other.split()[1 + keyed:] for other in lines[i:]
+                      if other.split()[0] == kind][:2]
+            for value in values:
+                second = " ".join([kind, *fields[:keyed], *value])
+                path.write_text("\n".join([*lines[:i + 1], second, *lines[i + 1:]]) + "\n")
+                for cmd in ("check", "normalize", "sequentialize", "dot"):
+                    argv = [cmd, str(path), *(["--criterion", "accw"] if cmd == "check" else [])]
+                    code = main(argv)
+                    err = capsys.readouterr().err
+                    assert code == 2 and err.startswith(f"error: line {i + 2}: "), (name, second)
+                    assert err.endswith(" repeated\n") or "repeated from" in err, err
+                    repeats += 1
+    assert repeats > 100, repeats
 
 
 def test_deep_formulas_get_fragment_kinds(tmp_path, capsys):

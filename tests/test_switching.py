@@ -3,18 +3,20 @@ from collections import Counter
 
 import pytest
 
+import reference_switching as reference
 from conftest import build_ps
 from proofnets import fixtures
 from proofnets.errors import FragmentError, SwitchingLimitError
 from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import bot_rule, desequentialize, one_rule, par_rule
-from proofnets.sequentialize import canonical_jumps_btenll
+from proofnets.sequentialize import canonical_jumps_btenll, canonical_jumps_icomll
 from proofnets.structure import ProofStructure, erasing_nodes, is_wten, topological_order
 from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE,
-                                 CriterionVerdict, Path, _first_cyclic_switching,
-                                 _has_switching_cycle, check, components_and_acyclicity,
-                                 expected_components, graph_components, output_stats,
+                                 CriterionVerdict, Path, _bridges, _components,
+                                 _first_cyclic_switching, _has_switching_cycle, check,
+                                 components_and_acyclicity, expected_components,
+                                 graph_components, output_stats,
                                  switching_graph, switching_paths, switchings)
 
 
@@ -338,6 +340,106 @@ def test_galloping_finds_the_first_cyclic_switching():
         second = sum(a != ps.premises_of(n)[0] for n, a in expected.items())
         seconds[min(second, 2)] += 1
     assert checked >= 1500 and seconds[1] >= 100 and seconds[2] >= 200, (checked, seconds)
+
+
+def _btenll_anchor(ps):
+    erasing = erasing_nodes(ps)
+    return min(n for n, lab in ps.nodes.items() if n not in erasing and lab != "dot")
+
+
+def _reference_corpus():
+    """Fixtures, seeded random structures, desequentialized mll, mllu and
+    btenll proofs, canonical btenll and icomll jumps, tensor-joined chains
+    and 21-30-par bot;par chains; then one copy of each with two arc heads
+    swapped and one with random jumps from its bots."""
+    corpus = [fixtures.load(name) for name in fixtures.NAMES]
+    for seed in range(40):
+        corpus.append(random_ps(GenParams(fragment=None, max_nodes=8 + seed % 30, seed=seed,
+                                          cut_probability=0.3 * (seed % 2))))
+        for frag in (Fragment.MLL, Fragment.MLLU, Fragment.BTENLL):
+            p = random_proof(GenParams(fragment=frag, max_rules=8 + seed % 12, seed=seed))
+            corpus.append(desequentialize(p, verify=False).ps)
+        corpus.append(canonical_jumps_btenll(corpus[-1], _btenll_anchor(corpus[-1])).ps)
+        p = random_proof(GenParams(fragment=Fragment.ICOMLL, max_rules=12, seed=seed))
+        corpus.append(canonical_jumps_icomll(desequentialize(p, verify=False).ps).ps)
+    rng = random.Random(5)
+    for k in range(21, 31):
+        corpus.append(_joined_chain([rng.random() < 0.5 for _ in range(k)]))
+        proof = one_rule()
+        for _ in range(k):
+            proof = par_rule(bot_rule(proof))
+        corpus.append(desequentialize(proof).ps)
+    variants = []
+    for ps in corpus:
+        if len(ps.arcs) >= 2:
+            variants.append(_swap_heads(ps, rng))
+        if ps.bottom_nodes():
+            jumped = ps.copy()
+            jumped.jumps = {b: rng.choice([n for n in ps.nodes if n != b])
+                            for b in ps.bottom_nodes()}
+            variants.append(jumped)
+    return corpus + variants
+
+
+def test_census_walk_matches_the_union_find():
+    rng = random.Random(11)
+    corpus = _reference_corpus()
+    jumped = threads = 0
+    for i, ps in enumerate(corpus):
+        pars = ps.par_nodes()
+        erasing = erasing_nodes(ps)
+        chosen = [{n: ps.premises_of(n)[0] for n in pars},
+                  {n: ps.premises_of(n)[-1] for n in pars}]
+        chosen += [{n: rng.choice(ps.premises_of(n)) for n in pars} for _ in range(3)]
+        for sw in chosen:
+            comps = _components(ps, sw, erasing)
+            assert comps == reference.components(ps, sw, erasing), (i, sw)
+            threads += sum(c.thread for c in comps)
+        jumped += bool(ps.jumps)
+    assert len(corpus) > 500 and jumped > 200 and threads > 200, (len(corpus), jumped, threads)
+
+
+def test_pruned_contraction_matches_the_unpruned_one():
+    rng = random.Random(12)
+    decided = Counter()
+    for i, ps in enumerate(_reference_corpus()):
+        bridges = _bridges(ps)
+        pars = ps.par_nodes()
+        for _ in range(3):
+            forced = {n: rng.choice(ps.premises_of(n)) for n in pars if rng.random() < 0.5}
+            for args in ((), (forced,), (None, bridges), (forced, bridges)):
+                cyclic = _has_switching_cycle(ps, *args)
+                assert cyclic == reference.has_switching_cycle(ps, *args), (i, args)
+                decided[cyclic] += 1
+    assert min(decided.values()) > 1000, decided
+
+
+def test_dead_premises_are_pruned_only_without_a_jump():
+    # a par over two bots: both premises go, and no switching graph is cyclic
+    two_bots = build_ps({0: "bot", 1: "bot", 2: "par", 3: "dot"},
+                        {0: (0, 2), 1: (1, 2), 2: (2, 3)}, prem={2: (0, 1)}, concl=(2,))
+    # par 3 over bots 0 and 1 under tensor 4 with bot 2: a jump between bots
+    # 0 and 2 closes a cycle through the first premise, so bot 0 stays
+    # whether it is the jump's source or its target
+    tensor = ({0: "bot", 1: "bot", 2: "bot", 3: "par", 4: "tensor", 5: "dot"},
+              {0: (0, 3), 1: (1, 3), 2: (3, 4), 3: (2, 4), 4: (4, 5)})
+    source = ProofStructure(*tensor, {3: (0, 1), 4: (2, 3)}, (4,), jumps={0: 2})
+    target = ProofStructure(*tensor, {3: (0, 1), 4: (2, 3)}, (4,), jumps={2: 0})
+    # an ax whose conclusions meet under a tensor, one through a par with a
+    # one as its other premise: the one goes, the ax's premise stays free
+    one = build_ps({0: "ax", 1: "one", 2: "par", 3: "tensor", 4: "dot"},
+                   {0: (0, 2), 1: (1, 2), 2: (2, 3), 3: (0, 3), 4: (3, 4)},
+                   prem={2: (1, 0), 3: (2, 3)}, concl=(4,))
+    cases = [(two_bots, {}, False), (source, {}, True), (target, {}, True),
+             (source, {3: 1}, False), (one, {}, True),
+             # a forced par with a dead premise keeps the forced one alone
+             (one, {2: 1}, False), (one, {2: 0}, True)]
+    for i, (ps, forced, cyclic) in enumerate(cases):
+        for bridges in (frozenset(), _bridges(ps)):
+            assert _has_switching_cycle(ps, forced, bridges) is cyclic, i
+            assert reference.has_switching_cycle(ps, forced, bridges) is cyclic, i
+    assert check(two_bots, "ac").holds and not check(one, "ac").holds
+    assert [check(ps, "ac").counterexample for ps in (source, target)] == [{3: 0}, {3: 0}]
 
 
 def test_ac_structures_have_switching_independent_counts():
