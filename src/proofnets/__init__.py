@@ -12,12 +12,10 @@ from .formulas import (Formula, Fragment, atom, format_formula, format_formulas,
                        parse_formulas, polarity, tensor)
 from .structure import (ProofStructure, ValidationReport, erasing_nodes,
                         from_dsl, from_json, is_wten, jump_free, jump_total,
-                        load_structure, precedes, strip, to_dsl, to_json,
-                        validate)
+                        load_structure, strip, to_dsl, to_json, validate)
 from .canonical import CanonicalForm, canonical_form, iso, iso_untyped, isomorphisms
-from .switching import (CriterionVerdict, OutputStats, SwitchingGraph, check,
-                        components_and_acyclicity, output_stats, switching_graph,
-                        switching_paths, switchings)
+from .switching import (CriterionVerdict, OutputStats, check, output_stats,
+                        switching_graph, switching_paths, switchings)
 from .cutelim import (Redex, ReductionTrace, find_redexes, normalize,
                       reduce_step, replay)
 from .sequent import (DeseqResult, SequentProof, ax_rule, bot_rule, check_proof,

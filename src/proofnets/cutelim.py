@@ -21,10 +21,10 @@ so the final validation reads the reducer's own bookkeeping.
 Every query reads `arcs`, `nodes` and the incidence index directly, on a
 net as on a structure.  In a valid structure every non-ax node has at most
 one conclusion, so the nodes below a non-ax node form one chain, and a
-directed path runs from it to a node m exactly when m lies on that chain
-(`structure.precedes` is the general search).  The axiom test walks the
-chain below the ax's other conclusion: a cut has no conclusion, so the
-walk ends at the cut exactly when that conclusion feeds or reaches it.
+directed path runs from it to a node m exactly when m lies on that chain,
+so no general path search is needed.  The axiom test walks the chain
+below the ax's other conclusion: a cut has no conclusion, so the walk ends
+at the cut exactly when that conclusion feeds or reaches it.
 
 `normalize` keeps a worklist: the redex (or None, for a clash) of every
 cut, and the sorted list of cuts that are redexes.  After a step only the
@@ -113,8 +113,8 @@ _set_cut_node, _set_kind, _set_participants = (
 class _Net:
     """A mutable, jump-free copy of a structure that reduction rewrites in
     place.  Like a structure, it has `nodes`, `arcs`, `incidence()`,
-    `premises_of`, `tail` and `head`, so `_classify`, `precedes` and the
-    other structure queries read it as they read a structure."""
+    `premises_of`, `tail` and `head`, so `_classify` and the other
+    structure queries read it as they read a structure."""
 
     def __init__(self, ps: ProofStructure):
         self.nodes = dict(ps.nodes)

@@ -21,8 +21,7 @@ def export_dot(ps: ProofStructure, switching: Switching | None = None) -> str:
     """
     jumps = jump_arcs(ps)
     if switching is not None:
-        graph = switching_graph(ps, switching)
-        nodes, arcs = graph.nodes, graph.arcs
+        nodes, arcs = switching_graph(ps, switching)
     else:
         # draw jumps even without a switching; they are not real arcs
         nodes, arcs = ps.nodes, {**ps.arcs, **jumps}

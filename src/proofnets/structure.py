@@ -514,40 +514,6 @@ def is_wten(ps: ProofStructure) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def precedes(ps: ProofStructure, n: int, m: int) -> bool:
-    """True iff a non-empty directed path runs from n down to m.  Only
-    `arcs` and the out-arcs of `incidence()` are read, so cut elimination's
-    private net answers it too."""
-    outgoing, arcs = ps.incidence()[1], ps.arcs
-    seen = set()
-    stack = [n]
-    while stack:
-        cur = stack.pop()
-        for a in outgoing.get(cur, ()):
-            h = arcs[a][1]
-            if h == m:
-                return True
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return False
-
-
-def descent_chain(ps: ProofStructure, n: int) -> list[int]:
-    """Nodes strictly below n, in order, for nodes with at most one
-    conclusion arc all the way down (holds below any non-ax node)."""
-    chain = []
-    cur = n
-    while True:
-        out = ps.conclusions_of(cur)
-        if not out:
-            return chain
-        if len(out) > 1:
-            raise ValueError(f"node {cur} has several conclusions; descent is not a chain")
-        cur = ps.head(out[0])
-        chain.append(cur)
-
-
 def strip(ps: ProofStructure) -> ProofStructure:
     """Forget types and jumps (the purely geometric structure)."""
     return ps.without_types().without_jumps()
@@ -671,9 +637,25 @@ def _json_object(doc: dict, key: str) -> dict:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not the last
+    value winning."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"malformed structure document: key {key!r} is repeated")
+            seen.add(key)
+    return obj
+
+
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def from_json(text: str) -> ProofStructure:
     try:
-        doc = json.loads(text)
+        doc = _JSON_DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return from_json_dict(doc)

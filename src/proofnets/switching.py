@@ -31,10 +31,10 @@ hangs from a bot or a one with no jump: such a premise lies on no cycle.
 A census lists the components of one switching graph.  `_components`
 computes it with one walk of the incidence index, which leads each
 unchosen premise to its par's fresh dot.  It serves every caller: the
-census a verdict prints, read only on demand, the counting in cwforall and
-`output_stats`, and `graph_components`.  `SwitchingGraph` is built only for
-`switching_graph`, which `dot --switching` and the tests' enumerated
-reference use.
+census a verdict prints, read only on demand, and the counting in cwforall
+and `output_stats`.  `_reheading` alone numbers the fresh dots, for the
+walk and for `switching_graph`, which lists the nodes and arcs of one
+switching graph for `dot --switching`.
 """
 
 from __future__ import annotations
@@ -55,29 +55,6 @@ W_COMPATIBLE = "w-compatible"
 INTUITIONISTIC = "intuitionistic"
 
 Switching = dict[int, int]  # par node -> chosen premise arc
-
-
-class SwitchingGraph:
-    """The graph induced by a switching, plus one arc per jump."""
-
-    def __init__(self, ps: ProofStructure, switching: Switching):
-        self.base = ps
-        self.switching = dict(switching)
-        self.nodes = dict(ps.nodes)
-        self.arcs = dict(ps.arcs)
-        self.fresh_dot_of: dict[int, int] = {}
-        next_node = ps.fresh_node_id()
-        for n in ps.par_nodes():
-            chosen = switching[n]
-            self.nodes[next_node] = DOT
-            self.fresh_dot_of[n] = next_node
-            for a in ps.premises_of(n):
-                if a != chosen:
-                    tail, _ = self.arcs[a]
-                    self.arcs[a] = (tail, next_node)
-            next_node += 1
-        self.jump_arcs = jump_arcs(ps)
-        self.arcs.update(self.jump_arcs)
 
 
 @dataclass
@@ -112,26 +89,6 @@ class UnionFind:
         self.parent[ry] = rx
         self.count -= 1
         return True
-
-
-def components_and_acyclicity(g) -> tuple[int, bool, list[frozenset[int]]]:
-    """Component count, acyclicity and the node partition of a graph.
-
-    A repeated edge between two nodes counts as a cycle.  When acyclic, the
-    component count is cross-checked against nodes minus arcs.
-    """
-    uf = UnionFind(g.nodes)
-    acyclic = True
-    for t, h in g.arcs.values():
-        if not uf.union(t, h):
-            acyclic = False
-    if acyclic and uf.count != len(g.nodes) - len(g.arcs):
-        raise AssertionError("an acyclic graph must have nodes minus arcs components")
-    groups: dict[int, set[int]] = {}
-    for n in g.nodes:
-        groups.setdefault(uf.find(n), set()).add(n)
-    comps = [frozenset(v) for v in sorted(groups.values(), key=min)]
-    return uf.count, acyclic, comps
 
 
 def _premise_options(ps: ProofStructure, n: int, mode: str, erasing: set[int],
@@ -172,11 +129,37 @@ def switchings(ps: ProofStructure, mode: str = ALL,
         yield dict(zip(pars, combo))
 
 
-def switching_graph(ps: ProofStructure, switching: Switching) -> SwitchingGraph:
+def _reheading(ps: ProofStructure, switching: Switching
+               ) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Where a switching re-heads the unchosen premises: each goes to its
+    par's fresh dot, numbered upward from `fresh_node_id` in par order.
+    Returns the fresh dot of each unchosen premise, and the tails of the
+    premises of each fresh dot."""
+    arcs = ps.arcs
+    dot_of = {}
+    reheaded = {}
+    for dot, n in enumerate(ps.par_nodes(), ps.fresh_node_id()):
+        chosen = switching[n]
+        reheaded[dot] = tails = []
+        for a in ps.premises_of(n):
+            if a != chosen:
+                dot_of[a] = dot
+                tails.append(arcs[a][0])
+    return dot_of, reheaded
+
+
+def switching_graph(ps: ProofStructure, switching: Switching
+                    ) -> tuple[dict[int, str], dict[int, tuple[int, int]]]:
+    """The nodes and arcs of the graph a switching induces: the fresh dots
+    follow the structure's nodes, and the jump arcs, numbered by
+    `jump_arcs`, follow its arcs."""
     for n in ps.par_nodes():
         if n not in switching or switching[n] not in ps.premises_of(n):
             raise ProofNetError(f"switching does not pick a premise of par node {n}")
-    return SwitchingGraph(ps, switching)
+    dot_of, reheaded = _reheading(ps, switching)
+    nodes = {**ps.nodes, **dict.fromkeys(reheaded, DOT)}
+    arcs = {a: (t, dot_of.get(a, h)) for a, (t, h) in ps.arcs.items()}
+    return nodes, {**arcs, **jump_arcs(ps)}
 
 
 def _components(ps: ProofStructure, switching: Switching,
@@ -186,24 +169,14 @@ def _components(ps: ProofStructure, switching: Switching,
 
     The walk starts from each node not yet reached, in ascending order, and
     crosses arcs and jumps both ways.  An unchosen premise leads from its
-    tail to its par's fresh dot and never to the par, so no graph is built.
-    Fresh dots are numbered as in `SwitchingGraph`, upward from
-    `fresh_node_id` in par order.  Bots, erasing nodes and the nodes with
+    tail to its par's fresh dot, as `_reheading` numbers them, and never to
+    the par, so no graph is built.  Bots, erasing nodes and the nodes with
     other than one premise in the switching graph are counted as the walk
     reaches them.
     """
     ins, outs = ps.incidence()
     arcs, labels, jumps = ps.arcs, ps.nodes, ps.jumps
-    fresh = ps.fresh_node_id()
-    dot_of = {}  # unchosen premise -> the fresh dot it is re-headed to
-    reheaded = {}  # fresh dot -> the tails of its premises
-    for dot, n in enumerate(ps.par_nodes(), fresh):
-        chosen = switching[n]
-        reheaded[dot] = tails = []
-        for a in ps.premises_of(n):
-            if a != chosen:
-                dot_of[a] = dot
-                tails.append(arcs[a][0])
+    dot_of, reheaded = _reheading(ps, switching)
     jumped: dict[int, list[int]] = {}  # node -> the nodes its jumps join it to
     into: dict[int, int] = {}  # jump target -> its jumps, each a premise
     for b, m in jumps.items():
@@ -252,12 +225,6 @@ def _components(ps: ProofStructure, switching: Switching,
         out.append(Component(frozenset(comp), len(comp), erased, bots,
                              thread and bots == 1))
     return out
-
-
-def graph_components(g: SwitchingGraph, erasing_of_base=None) -> list[Component]:
-    if erasing_of_base is None:
-        erasing_of_base = erasing_nodes(g.base)
-    return _components(g.base, g.switching, erasing_of_base)
 
 
 class CriterionVerdict:

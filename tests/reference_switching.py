@@ -1,16 +1,70 @@
-"""The census and the contraction as they were before the census became one
-walk of the incidence index and dead par premises left the contraction
-before its set phase, kept as the references of `switching._components`
-and `switching._has_switching_cycle`: both must give the same components,
-in the same order, and the same decision.
+"""The census, the contraction and the switching-graph builder as they
+were before the census became one walk of the incidence index, dead par
+premises left the contraction before its set phase and the builder shared
+the census's re-heading, kept as the references of
+`switching._components`, `switching._has_switching_cycle` and
+`switching.switching_graph`: each pair must give the same components, in
+the same order, the same decision and the same nodes and arcs.
 
 `components` re-heads each unchosen premise while one union-find reads the
 arcs and jumps; `has_switching_cycle` pairs the two premises of every par
 whose premises are both free and leaves dead vertices to the set phase.
+`SwitchingGraph` copies the structure and re-heads its arcs in place;
+`components_and_acyclicity` reads any graph's node partition off one
+union-find, and `graph_components` takes the census of a `SwitchingGraph`.
 """
 
-from proofnets.structure import BOT, jump_arcs
-from proofnets.switching import Component, UnionFind
+from proofnets.structure import BOT, DOT, erasing_nodes, jump_arcs
+from proofnets.switching import Component, UnionFind, _components
+
+
+class SwitchingGraph:
+    """The graph induced by a switching, plus one arc per jump."""
+
+    def __init__(self, ps, switching):
+        self.base = ps
+        self.switching = dict(switching)
+        self.nodes = dict(ps.nodes)
+        self.arcs = dict(ps.arcs)
+        self.fresh_dot_of = {}
+        next_node = ps.fresh_node_id()
+        for n in ps.par_nodes():
+            chosen = switching[n]
+            self.nodes[next_node] = DOT
+            self.fresh_dot_of[n] = next_node
+            for a in ps.premises_of(n):
+                if a != chosen:
+                    tail, _ = self.arcs[a]
+                    self.arcs[a] = (tail, next_node)
+            next_node += 1
+        self.jump_arcs = jump_arcs(ps)
+        self.arcs.update(self.jump_arcs)
+
+
+def components_and_acyclicity(g):
+    """Component count, acyclicity and the node partition of a graph.
+
+    A repeated edge between two nodes counts as a cycle.  When acyclic, the
+    component count is cross-checked against nodes minus arcs.
+    """
+    uf = UnionFind(g.nodes)
+    acyclic = True
+    for t, h in g.arcs.values():
+        if not uf.union(t, h):
+            acyclic = False
+    if acyclic and uf.count != len(g.nodes) - len(g.arcs):
+        raise AssertionError("an acyclic graph must have nodes minus arcs components")
+    groups = {}
+    for n in g.nodes:
+        groups.setdefault(uf.find(n), set()).add(n)
+    comps = [frozenset(v) for v in sorted(groups.values(), key=min)]
+    return uf.count, acyclic, comps
+
+
+def graph_components(g, erasing_of_base=None):
+    if erasing_of_base is None:
+        erasing_of_base = erasing_nodes(g.base)
+    return _components(g.base, g.switching, erasing_of_base)
 
 
 def components(ps, switching, erasing):

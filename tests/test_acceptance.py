@@ -20,8 +20,9 @@ from proofnets.sequentialize import (canonical_jumps_btenll, classify_jumps,
                                      sequentialize_wten, split_parts,
                                      splitting_candidates)
 from proofnets.structure import erasing_nodes, is_wten, validate
-from proofnets.switching import (ALL, W_COMPATIBLE, check, graph_components,
-                                 output_stats, switching_graph, switchings)
+from proofnets.switching import (ALL, W_COMPATIBLE, check, output_stats, switching_graph,
+                                 switchings)
+from reference_switching import SwitchingGraph, graph_components
 
 
 def _report(criterion, detail):
@@ -72,12 +73,12 @@ def test_criterion_1_component_count_law():
     graphs = acyclic_graphs = 0
     for ps in structures:
         for sw in switchings(ps, ALL):
-            g = switching_graph(ps, sw)
-            cc, acyclic = _bfs_components_and_acyclicity(g.nodes, g.arcs)
+            nodes, arcs = switching_graph(ps, sw)
+            cc, acyclic = _bfs_components_and_acyclicity(nodes, arcs)
             graphs += 1
             if acyclic:
                 acyclic_graphs += 1
-                assert cc == len(g.nodes) - len(g.arcs)
+                assert cc == len(nodes) - len(arcs)
     assert acyclic_graphs > 500
     _report("criterion 1",
             f"{len(structures)} structures, {graphs} switching graphs, "
@@ -173,7 +174,7 @@ def test_criterion_4_criterion_equivalences():
         universal = check(ps, "cwforall").holds
         witnessed = any(
             all(c.erasing_of_base == 0 or c.thread
-                for c in graph_components(switching_graph(ps, sw), erasing))
+                for c in graph_components(SwitchingGraph(ps, sw), erasing))
             for sw in switchings(ps, W_COMPATIBLE))
         assert wten_ok == universal == witnessed
         safe += wten_ok

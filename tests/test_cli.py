@@ -4,9 +4,11 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,11 @@ from proofnets import fixtures, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
 from proofnets.formulas import Fragment
-from proofnets.generate import GenParams, random_proof
+from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import (bot_rule, cut_rule, desequentialize, exchange_to, format_proof,
                                one_rule, par_rule, parse_proof, tensor_rule)
 from proofnets.structure import from_dsl, from_json, to_dsl, to_json
+from proofnets.switching import switchings
 
 
 def run(capsys, *argv):
@@ -86,6 +89,15 @@ def test_repeated_ids_exit_2(tmp_path, capsys):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err == f"error: malformed structure document: {message}\n"
+    # the last of two keys used to win: this ax was read as typed X, X^
+    # and passed accw
+    path.write_text('{"nodes": [{"id": 0, "label": "ax"}, {"id": 1, "label": "dot"},'
+                    ' {"id": 2, "label": "dot"}], "arcs": [{"id": 0, "tail": 0, "head": 1},'
+                    ' {"id": 1, "tail": 0, "head": 2}], "conclusions": [0, 1],'
+                    ' "types": {"0": "X", "1": "Y", "1": "X^"}}')
+    for criterion in ("ac", "accw"):
+        assert run(capsys, "check", str(path), "--criterion", criterion) == (
+            2, "", "error: malformed structure document: key '1' is repeated\n")
     dsl = tmp_path / "twice.psl"
     ax = "node 0 ax\nnode 1 dot\nnode 2 dot\narc 0 0 1\narc 1 0 2\n"
     for text, message in (("node 0 one\nnode 1 dot\nnode 0 bot\n", "line 3: node id 0 is repeated"),
@@ -242,6 +254,44 @@ def test_dot_renders_jumps_dashed(tmp_path, capsys):
     path.write_text(to_json(ps))
     code, out, _ = run(capsys, "dot", str(path))
     assert code == 0 and out.count("style=dashed") == 2
+
+
+# sha256 of every `dot` output below, taken before `switching_graph` shared
+# the census's re-heading
+DOT_SWITCHED_CORPUS = "1ff8632644abb108ba7f5d4544f0965ee2b320fbffd78bcfcffe5297872aa4d8"
+
+
+def _dot_corpus():
+    """The fixtures and 60 seeded `random_ps` structures, each also with a
+    seeded jump from every bot."""
+    rng = random.Random(0)
+    bases = [fixtures.load(name) for name in fixtures.NAMES]
+    bases += [random_ps(GenParams(fragment=frag, seed=seed))
+              for seed in range(30) for frag in (None, Fragment.MLLU)]
+    for ps in bases:
+        yield ps
+        if bots := ps.bottom_nodes():
+            yield ps.with_jumps({b: rng.choice([n for n in sorted(ps.nodes) if n != b])
+                                 for b in bots})
+
+
+def test_dot_switched_output_is_pinned(tmp_path, capsys):
+    # each structure drawn plainly and under its first 6 switchings
+    net, sw = tmp_path / "net.json", tmp_path / "sw.json"
+    digest, renders = hashlib.sha256(), 0
+    for ps in _dot_corpus():
+        net.write_text(to_json(ps))
+        for switching in [None, *islice(switchings(ps, max_par=100), 6)]:
+            argv = ["dot", str(net)]
+            if switching is not None:
+                sw.write_text(json.dumps({str(n): a for n, a in switching.items()}))
+                argv += ["--switching", str(sw)]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+            renders += 1
+    assert renders > 300, renders
+    assert digest.hexdigest() == DOT_SWITCHED_CORPUS
 
 
 def test_out_flag_writes_files(tmp_path, capsys):
@@ -730,6 +780,28 @@ def test_accw_refutes_1000_par_chains_within_a_tenth_of_a_second(tmp_path, capsy
     assert second == ([min(chosen, key=int)] if deepest_second else [])
 
 
+@pytest.mark.parametrize("k", [250, 1000])
+@pytest.mark.parametrize("deepest_second", [False, True])
+def test_accw_refutes_joined_chains_in_at_most_5_contractions(tmp_path, capsys, monkeypatch,
+                                                              k, deepest_second):
+    # the clock gate above, counted: 2 contractions when the first switching
+    # is cyclic and 5 when the deepest par takes its second premise, at
+    # every k; a linear search would make one per par
+    from proofnets import switching
+
+    contract, calls = switching._has_switching_cycle, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return contract(*args, **kwargs)
+
+    _, net = _joined_chain(tmp_path, capsys, k, deepest_second)
+    monkeypatch.setattr(switching, "_has_switching_cycle", counting)
+    code, _, err = run(capsys, "check", net, "--criterion", "accw")
+    assert (code, err) == (1, "")
+    assert len(calls) <= 5, len(calls)
+
+
 def test_cw_on_a_16_par_chain_within_a_tenth_of_a_second(tmp_path, capsys):
     # an acyclic structure: the count law decides it, with no enumeration
     # and no cap (the enumeration took 3.5 s here)
@@ -755,6 +827,21 @@ def _paths(doc, prefix=()):
         yield prefix + (key,)
         if isinstance(value, (dict, list)):
             yield from _paths(value, prefix + (key,))
+
+
+def _repeating(doc, where, key, value):
+    """The JSON text of `doc` with `key` given again, with `value`, at the
+    end of the object that the path `where` leads to."""
+    if not where:
+        pairs = [*doc.items(), (key, value)]
+        return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    step, *rest = where
+    if isinstance(doc, list):
+        return "[" + ", ".join(_repeating(v, rest, key, value) if i == step else json.dumps(v)
+                               for i, v in enumerate(doc)) + "]"
+    return "{" + ", ".join(f"{json.dumps(k)}: " + (_repeating(v, rest, key, value) if k == step
+                                                  else json.dumps(v))
+                           for k, v in doc.items()) + "}"
 
 
 def test_mutated_documents_exit_cleanly(tmp_path, capsys):
@@ -806,6 +893,31 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
                     assert err.endswith(" repeated\n") or "repeated from" in err, err
                     repeats += 1
     assert repeats > 100, repeats
+    # a key of a JSON object given twice, at the top level, in a node or
+    # arc record or in the premises, types or jumps, the second time with
+    # its own value or that of the object's next key: every subcommand
+    # names the key
+    path = tmp_path / "mutant.json"
+    repeats = 0
+    for name in fixtures.NAMES:
+        ps = fixtures.load(name)
+        doc = json.loads(to_json(ps.with_jumps({4: 3, 5: 3}) if name == "jumps-units" else ps))
+        objects = [(), *[(key,) for key in ("premises", "types", "jumps") if key in doc]]
+        objects += [(key, i) for key in ("nodes", "arcs") for i in range(len(doc[key]))]
+        for where in objects:
+            obj = doc
+            for step in where:
+                obj = obj[step]
+            keys = list(obj)
+            for i, key in enumerate(keys):
+                for value in (obj[key], obj[keys[(i + 1) % len(keys)]]):
+                    path.write_text(_repeating(doc, where, key, value))
+                    for cmd in ("check", "normalize", "sequentialize", "dot"):
+                        argv = [cmd, str(path), *(["--criterion", "accw"] if cmd == "check" else [])]
+                        assert run(capsys, *argv) == (2, "", "error: malformed structure document: "
+                                                      f"key {key!r} is repeated\n"), (name, where, key)
+                        repeats += 1
+    assert repeats > 1000, repeats
 
 
 def test_deep_formulas_get_fragment_kinds(tmp_path, capsys):

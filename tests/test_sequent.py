@@ -363,8 +363,8 @@ def test_deseq_axiom(single_ax):
 def test_deseq_one_then_bot_disconnected():
     d = desequentialize(bot_rule(one_rule()))
     assert len(d.ps.conclusions) == 2
-    from proofnets.switching import components_and_acyclicity, switching_graph
-    cc, acyclic, _ = components_and_acyclicity(switching_graph(d.ps, {}))
+    from reference_switching import SwitchingGraph, components_and_acyclicity
+    cc, acyclic, _ = components_and_acyclicity(SwitchingGraph(d.ps, {}))
     assert cc == 2 and acyclic
 
 

@@ -13,10 +13,10 @@ from proofnets.formulas import Fragment, format_formula, parse_formula
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
 from proofnets.sequentialize import canonical_jumps_btenll
-from proofnets.structure import (ProofStructure, descent_chain, erasing_nodes,
-                                 from_dsl, from_json, from_json_dict, is_wten,
-                                 precedes, strip, to_dsl, to_json, to_json_dict,
-                                 validate)
+from proofnets.structure import (ProofStructure, erasing_nodes, from_dsl, from_json,
+                                 from_json_dict, is_wten, strip, to_dsl, to_json,
+                                 to_json_dict, validate)
+from reference_cutelim import descent_chain, precedes
 
 
 # -- validation ---------------------------------------------------------------

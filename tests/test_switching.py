@@ -15,9 +15,8 @@ from proofnets.structure import ProofStructure, erasing_nodes, is_wten, topologi
 from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE,
                                  CriterionVerdict, Path, _bridges, _components,
                                  _first_cyclic_switching, _has_switching_cycle, check,
-                                 components_and_acyclicity, expected_components,
-                                 graph_components, output_stats,
-                                 switching_graph, switching_paths, switchings)
+                                 expected_components, output_stats, switching_graph,
+                                 switching_paths, switchings)
 
 
 def two_par_ps():
@@ -75,33 +74,52 @@ def test_intuitionistic_forces_output_premise():
 
 def test_one_fresh_dot_per_par():
     ps = one_bot_par_ps()
-    g = switching_graph(ps, {2: 0})
-    assert len(g.nodes) == len(ps.nodes) + 1
-    assert len(g.arcs) == len(ps.arcs)
-    assert g.arcs[1][1] == g.fresh_dot_of[2]
+    nodes, arcs = switching_graph(ps, {2: 0})
+    fresh = ps.fresh_node_id()
+    assert nodes == {**ps.nodes, fresh: "dot"}
+    assert len(arcs) == len(ps.arcs)
+    assert arcs[1] == (ps.tail(1), fresh)
 
 
 def test_jump_arcs_added():
     ps = fixtures.load("jumps-units")
     ps.jumps = {4: 3, 5: 3}
     sw = next(switchings(ps, ALL))
-    g = switching_graph(ps, sw)
+    _, arcs = switching_graph(ps, sw)
     fresh = max(ps.arcs) + 1
-    assert g.jump_arcs == {fresh: (4, 3), fresh + 1: (5, 3)}
-    assert len(g.arcs) == len(ps.arcs) + 2
+    assert {a: e for a, e in arcs.items() if a not in ps.arcs} == {fresh: (4, 3),
+                                                                   fresh + 1: (5, 3)}
+    assert len(arcs) == len(ps.arcs) + 2
 
 
 def test_counts_independent_of_switching():
     ps = two_par_ps()
-    sizes = {(len(switching_graph(ps, sw).nodes), len(switching_graph(ps, sw).arcs))
-             for sw in switchings(ps, ALL)}
+    sizes = {tuple(map(len, switching_graph(ps, sw))) for sw in switchings(ps, ALL)}
     assert len(sizes) == 1
 
 
 def test_no_par_graph_equals_structure():
     ps = fixtures.load("split-choice")
-    g = switching_graph(ps, {})
-    assert g.nodes == ps.nodes and g.arcs == ps.arcs
+    assert switching_graph(ps, {}) == (ps.nodes, ps.arcs)
+
+
+def test_switching_graph_matches_the_reference_builder():
+    # nodes and arcs in the reference's dict order, fresh dots and jump
+    # arcs included, over the corpus of the census walk
+    rng = random.Random(13)
+    graphs = 0
+    for i, ps in enumerate(_reference_corpus()):
+        pars = ps.par_nodes()
+        chosen = [{n: ps.premises_of(n)[0] for n in pars},
+                  {n: ps.premises_of(n)[-1] for n in pars},
+                  {n: rng.choice(ps.premises_of(n)) for n in pars}]
+        for sw in chosen:
+            nodes, arcs = switching_graph(ps, sw)
+            g = reference.SwitchingGraph(ps, sw)
+            assert list(nodes.items()) == list(g.nodes.items()), (i, sw)
+            assert list(arcs.items()) == list(g.arcs.items()), (i, sw)
+            graphs += 1
+    assert graphs > 2000, graphs
 
 
 # -- components -----------------------------------------------------------------------
@@ -109,13 +127,13 @@ def test_no_par_graph_equals_structure():
 
 def test_split_choice_components():
     ps = fixtures.load("split-choice")
-    cc, acyclic, comps = components_and_acyclicity(switching_graph(ps, {}))
+    cc, acyclic, comps = reference.components_and_acyclicity(reference.SwitchingGraph(ps, {}))
     assert cc == 3 and acyclic
     assert sorted(len(c) for c in comps) == [2, 2, 4]
 
 
 def test_single_ax_connected(single_ax):
-    cc, acyclic, _ = components_and_acyclicity(switching_graph(single_ax, {}))
+    cc, acyclic, _ = reference.components_and_acyclicity(reference.SwitchingGraph(single_ax, {}))
     assert cc == 1 and acyclic
 
 
@@ -123,7 +141,7 @@ def test_ax_reconvergence_is_a_cycle():
     ps = build_ps({0: "ax", 1: "tensor", 2: "dot"},
                   {0: (0, 1), 1: (0, 1), 2: (1, 2)},
                   prem={1: (0, 1)}, concl=(2,))
-    cc, acyclic, _ = components_and_acyclicity(switching_graph(ps, {}))
+    cc, acyclic, _ = reference.components_and_acyclicity(reference.SwitchingGraph(ps, {}))
     assert not acyclic and cc == 1
 
 
@@ -154,8 +172,8 @@ def test_cwforall_counterexample_replayable():
     ps = fixtures.load("split-choice")
     verdict = check(ps, "cwforall")
     assert not verdict.holds
-    g = switching_graph(ps, verdict.counterexample)
-    comps = graph_components(g)
+    g = reference.SwitchingGraph(ps, verdict.counterexample)
+    comps = reference.graph_components(g)
     assert any(c.erasing_of_base > 0 and not c.thread for c in comps)
 
 
@@ -178,7 +196,7 @@ def test_jump_adjusted_count():
 
 def _reference_census(g, erasing):
     """The census of a switching graph, read off its node partition."""
-    _, _, comps = components_and_acyclicity(g)
+    _, _, comps = reference.components_and_acyclicity(g)
     premises = Counter(h for _, h in g.arcs.values())
     census = []
     for comp in comps:
@@ -199,8 +217,8 @@ def _enumerated_verdicts(ps):
                "accw": expected_components(ps)}
     refuting, first, first_count = {}, None, None
     for sw in switchings(ps, ALL):
-        g = switching_graph(ps, sw)
-        count, acyclic, _ = components_and_acyclicity(g)
+        g = reference.SwitchingGraph(ps, sw)
+        count, acyclic, _ = reference.components_and_acyclicity(g)
         if first is None:
             first, first_count = g, count
         for criterion in ("c", "cw"):
@@ -448,7 +466,7 @@ def test_ac_structures_have_switching_independent_counts():
                                  cut_probability=0.2))
         if not check(ps, "ac").holds:
             continue
-        counts = {components_and_acyclicity(switching_graph(ps, sw))[0]
+        counts = {reference.components_and_acyclicity(reference.SwitchingGraph(ps, sw))[0]
                   for sw in switchings(ps, ALL)}
         assert len(counts) == 1
 
@@ -463,7 +481,7 @@ def test_wten_iff_cwforall_iff_witnessed():
         erasing = erasing_nodes(ps)
         witnessed = any(
             all(c.erasing_of_base == 0 or c.thread
-                for c in graph_components(switching_graph(ps, sw), erasing))
+                for c in reference.graph_components(reference.SwitchingGraph(ps, sw), erasing))
             for sw in switchings(ps, W_COMPATIBLE))
         assert wten == universal == witnessed, seed
         hit_true += wten
@@ -496,7 +514,7 @@ def test_erasing_safe_counted_structures_are_connected():
     ps = build_ps({0: "ax", 1: "ax", 2: "cut", 3: "dot", 4: "dot"},
                   {0: (0, 3), 1: (0, 2), 2: (1, 2), 3: (1, 4)}, concl=(0, 3))
     assert is_wten(ps)[0] and check(ps, "cw").holds
-    assert components_and_acyclicity(switching_graph(ps, {}))[0] == 1
+    assert reference.components_and_acyclicity(reference.SwitchingGraph(ps, {}))[0] == 1
     checked = 0
     for seed in range(200):
         cand = random_ps(GenParams(fragment=None, max_nodes=10, seed=seed,
@@ -506,7 +524,7 @@ def test_erasing_safe_counted_structures_are_connected():
             continue
         if any(n in erasing for n in cand.terminal_nodes()):
             continue
-        cc = len(set(components_and_acyclicity(switching_graph(
+        cc = len(set(reference.components_and_acyclicity(reference.SwitchingGraph(
             cand, next(switchings(cand, ALL))))[2]))
         base_cc = len(_base_components(cand))
         assert base_cc == 1, seed
@@ -578,8 +596,8 @@ def test_per_component_polarity_census():
         if not check(ps, "ac").holds:
             continue
         for sw in switchings(ps, INTUITIONISTIC):
-            g = switching_graph(ps, sw)
-            _, _, comps = components_and_acyclicity(g)
+            g = reference.SwitchingGraph(ps, sw)
+            _, _, comps = reference.components_and_acyclicity(g)
             concl_of = {}
             for a, (t, h) in g.arcs.items():
                 if g.nodes[h] == "dot":
@@ -708,13 +726,13 @@ def test_wten_cut_switching_narratives():
     erasing = erasing_nodes(ps)
     compatible = list(switchings(ps, W_COMPATIBLE))
     assert len(compatible) == 1
-    good = graph_components(switching_graph(ps, compatible[0]), erasing)
+    good = reference.graph_components(reference.SwitchingGraph(ps, compatible[0]), erasing)
     cut_comp = next(c for c in good if 4 in c.nodes)
     assert cut_comp.erasing_of_base == 0
     assert sorted(c.thread for c in good) == [False, True, True]
 
     other = next(sw for sw in switchings(ps, ALL) if sw != compatible[0])
-    bad = graph_components(switching_graph(ps, other), erasing)
+    bad = reference.graph_components(reference.SwitchingGraph(ps, other), erasing)
     cut_comp = next(c for c in bad if 4 in c.nodes)
     assert cut_comp.erasing_of_base > 0 and not cut_comp.thread
     assert check(ps, "cwforall").holds
@@ -725,8 +743,7 @@ def test_erasing_nodes_persist_in_switching_graphs():
         ps = random_ps(GenParams(fragment=None, max_nodes=10, seed=seed))
         base_erasing = erasing_nodes(ps)
         for sw in switchings(ps, ALL):
-            g = switching_graph(ps, sw)
-            view = ProofStructure(g.nodes, g.arcs)
+            view = ProofStructure(*switching_graph(ps, sw))
             assert base_erasing <= erasing_nodes(view), seed
 
 
@@ -749,8 +766,8 @@ def test_erasing_nodes_match_a_topological_pass():
     for seed in range(300):
         ps = random_ps(GenParams(fragment=None, max_nodes=8 + seed % 30, seed=seed,
                                  cut_probability=0.3 * (seed % 2)))
-        g = switching_graph(ps, next(switchings(ps, ALL, max_par=100)))
-        for cand in (ps, _swap_heads(ps, rng), ProofStructure(g.nodes, g.arcs)):
+        g = ProofStructure(*switching_graph(ps, next(switchings(ps, ALL, max_par=100))))
+        for cand in (ps, _swap_heads(ps, rng), g):
             expected = _topological_erasing_nodes(cand)
             assert erasing_nodes(cand) == expected, seed
             compared += 1
