@@ -25,7 +25,7 @@ from .sequent import check_proof, desequentialize, format_proof, parse_proof
 from .sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                             proofs_equivalent, sequentialize_btenll,
                             sequentialize_icomll, sequentialize_wten)
-from .structure import (ProofStructure, ensure_valid, is_wten,
+from .structure import (ProofStructure, decode_json, ensure_valid, is_wten,
                         load_structure, to_dsl, to_json)
 from .switching import DEFAULT_MAX_PAR, check
 from .cutelim import normalize
@@ -137,7 +137,7 @@ def _cmd_deseq(args) -> int:
     report = check_proof(proof, frag)
     if not report.ok:
         raise ValidationError(report)
-    result = desequentialize(proof, frag)
+    result = desequentialize(proof)
     _emit_ps(result.ps, args.format, args.out)
     return 0
 
@@ -162,10 +162,7 @@ def _cmd_gen(args) -> int:
 
 def _load_switching(path: str) -> dict[int, int]:
     """A switching file: one JSON object from par node ids to arc ids."""
-    try:
-        raw = json.loads(_read(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    raw = decode_json(_read(path), "switching")
     if not isinstance(raw, dict):
         raise ParseError("malformed switching: expected a JSON object")
     try:

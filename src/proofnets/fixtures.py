@@ -18,10 +18,9 @@ the brute-force oracle live alongside them in `expected_verdicts.json`.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from .structure import ProofStructure, from_json_dict
+from .structure import ProofStructure, decode_json, from_json
 
 NAMES = ("split-choice", "regnier", "counterexample-io",
          "jumps-units", "jumps-constants", "wten-cut")
@@ -34,8 +33,8 @@ def _data(filename: str) -> str:
 def load(name: str) -> ProofStructure:
     if name not in NAMES:
         raise KeyError(f"unknown fixture {name!r}; known: {', '.join(NAMES)}")
-    return from_json_dict(json.loads(_data(name + ".json")))
+    return from_json(_data(name + ".json"))
 
 
 def expected_verdicts() -> dict:
-    return json.loads(_data("expected_verdicts.json"))
+    return decode_json(_data("expected_verdicts.json"), "verdicts file")

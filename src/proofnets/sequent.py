@@ -419,12 +419,11 @@ class DeseqResult:
     bot_scopes: dict[int, range] = field(default_factory=dict)
 
 
-def desequentialize(proof: SequentProof, frag: Fragment | None = None,
-                    verify: bool = True) -> DeseqResult:
+def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
     """Build the typed structure of a proof.
 
-    With `verify`, the result is validated (inside `frag` when given) and
-    the acyclicity-plus-component-count criterion is checked on it.
+    With `verify`, the result is validated and must pass the acyclicity-
+    plus-component-count criterion; `check_proof` decides its fragment.
     """
     next_id = 0
     nodes: dict[int, str] = {}
@@ -519,7 +518,7 @@ def desequentialize(proof: SequentProof, frag: Fragment | None = None,
     conclusions = tuple(built.pop())
     ps = ProofStructure._adopt(nodes, arcs, premise_order, conclusions, types, {})
     if verify:
-        report = validate(ps, frag)
+        report = validate(ps)
         if not report.ok:
             raise AssertionError(f"desequentialization failed validation: {report}")
         if not check(ps, "accw").holds:

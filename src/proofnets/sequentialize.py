@@ -106,7 +106,7 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
 
     ty: dict[int, Formula] = {}
     var_count = 0
-    for n in topological_order(ps.nodes, ps.arcs):
+    for n in topological_order(ps):
         lab = ps.nodes[n]
         if lab == AX:
             first, second = sorted(ps.conclusions_of(n))
@@ -505,7 +505,7 @@ def _jump_bots(ps: ProofStructure, qualifies, target) -> JumpedStructure:
     pass finds q for every node with one conclusion arc."""
     outs = ps.incidence()[1]
     first: dict[int, int | None] = {}
-    for n in reversed(topological_order(ps.nodes, ps.arcs)):
+    for n in reversed(topological_order(ps)):
         if len(outs[n]) == 1:
             below = ps.arcs[outs[n][0]][1]
             first[n] = below if qualifies(below) else first.get(below)

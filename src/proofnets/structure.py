@@ -214,8 +214,8 @@ class ProofStructure:
                 f"conclusions={len(self.conclusions)})")
 
 
-def ensure_valid(ps: ProofStructure, frag: Fragment | None = None) -> None:
-    report = validate(ps, frag)
+def ensure_valid(ps: ProofStructure) -> None:
+    report = validate(ps)
     if not report.ok:
         raise ValidationError(report)
 
@@ -401,19 +401,16 @@ def _check_types(ps, incoming, outgoing):
 # -- derived notions -------------------------------------------------------
 
 
-def topological_order(nodes, arcs) -> list[int]:
+def topological_order(ps: ProofStructure) -> list[int]:
     """Nodes ordered so every arc's tail precedes its head."""
-    indeg = {n: 0 for n in nodes}
-    succs = {n: [] for n in nodes}
-    for t, h in arcs.values():
-        indeg[h] += 1
-        succs[t].append(h)
+    incoming, outgoing = ps.incidence()
+    indeg = {n: len(incoming[n]) for n in ps.nodes}
     ready = sorted(n for n, d in indeg.items() if d == 0)
     out = []
     while ready:
         n = ready.pop()
         out.append(n)
-        for m in sorted(succs[n], reverse=True):
+        for m in sorted((ps.arcs[a][1] for a in outgoing[n]), reverse=True):
             indeg[m] -= 1
             if indeg[m] == 0:
                 ready.append(m)
@@ -645,7 +642,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(f"malformed structure document: key {key!r} is repeated")
+                raise ParseError(f"key {key!r} is repeated")
             seen.add(key)
     return obj
 
@@ -653,12 +650,19 @@ def _unique_keys(pairs: list) -> dict:
 _JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def from_json(text: str) -> ProofStructure:
+def decode_json(text: str, what: str):
+    """The value of a JSON text, read by the package's one decoder: a key
+    repeated in any object is a `ParseError` of a malformed `what`."""
     try:
-        doc = _JSON_DECODER.decode(text)
+        return _JSON_DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    return from_json_dict(doc)
+    except ParseError as exc:
+        raise ParseError(f"malformed {what}: {exc}") from None
+
+
+def from_json(text: str) -> ProofStructure:
+    return from_json_dict(decode_json(text, "structure document"))
 
 
 def to_dsl(ps: ProofStructure) -> str:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from proofnets.formulas import parse_formula
@@ -29,6 +31,28 @@ def relabel(ps, rng):
         out.types = {arc_map[a]: f for a, f in ps.types.items()}
     out.jumps = {node_map[n]: node_map[m] for n, m in ps.jumps.items()}
     return out
+
+
+def _json_paths(doc, prefix=()):
+    """Every position in a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, prefix + (key,))
+
+
+def mutated_documents(doc):
+    """Copies of a JSON document with one position replaced by a value of
+    the wrong shape, each with its path and value."""
+    for where in _json_paths(doc):
+        for value in (5, "x", None, [1], [1, 2, 3]):
+            mutant = json.loads(json.dumps(doc))
+            parent = mutant
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = value
+            yield where, value, mutant
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import proofnets
+from conftest import mutated_documents
 from proofnets import fixtures, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
@@ -443,19 +444,54 @@ def test_canonical_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == "" and "symmetric alternatives" in err
 
 
+def _closed_cuts(tmp_path, k):
+    """A proof file of k nested cuts of a bot against a one, which leave k
+    identical closed components."""
+    body = "(one)"
+    for _ in range(k):
+        body = f'(cut "bot" (bot {body}) (one))'
+    path = tmp_path / f"closed{k}.proof"
+    path.write_text(f"fragment: btenll\n{body}\n")
+    return str(path)
+
+
+def _counted(monkeypatch, module, name, most):
+    """The calls of `module.name` from now on, in a list.  A call past the
+    first `most` fails at once, so a run that has lost its bound ends."""
+    target, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > most:
+            raise AssertionError(f"{name} ran more than {most} times")
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_equiv_of_identical_closed_components(tmp_path, capsys):
-    # k nested cuts of a bot against a one leave k identical closed
-    # components, canonicalized apart instead of permuted
+    # the closed components are canonicalized apart instead of permuted
     for k in (9, 200):
-        body = "(one)"
-        for _ in range(k):
-            body = f'(cut "bot" (bot {body}) (one))'
-        path = tmp_path / f"closed{k}.proof"
-        path.write_text(f"fragment: btenll\n{body}\n")
+        path = _closed_cuts(tmp_path, k)
         start = time.perf_counter()
-        code, out, _ = run(capsys, "equiv", str(path), str(path))
+        code, out, _ = run(capsys, "equiv", path, path)
         assert (code, out) == (0, "true\n")
         assert time.perf_counter() - start < 1.0, k
+
+
+@pytest.mark.parametrize("k", [9, 200])
+def test_equiv_of_identical_closed_components_traverses_each_once(tmp_path, capsys,
+                                                                 monkeypatch, k):
+    # the clock gate above, counted: each proof's net is traversed once for
+    # its main part and once per closed component; permuting the k equal
+    # components would take k! traversals
+    from proofnets import canonical
+
+    path = _closed_cuts(tmp_path, k)
+    calls = _counted(monkeypatch, canonical, "_traverse", 2 * k + 2)
+    assert run(capsys, "equiv", path, path) == (0, "true\n", "")
+    assert len(calls) == 2 * k + 2, len(calls)
 
 
 def test_sequentialize_prints_deeply_nested_proofs(tmp_path, capsys):
@@ -694,6 +730,20 @@ def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):
     assert took < 1.0, took
 
 
+def test_accw_on_200_pars_contracts_once_and_walks_one_census(tmp_path, capsys, monkeypatch):
+    # the clock gate above, counted: one contraction finds no cycle, the
+    # count law decides, and the printed census walks the first switching
+    from proofnets import switching
+
+    net = tmp_path / "chain.json"
+    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(200))))
+    contractions = _counted(monkeypatch, switching, "_has_switching_cycle", 1)
+    walks = _counted(monkeypatch, switching, "_components", 1)
+    code, out, err = run(capsys, "check", str(net), "--criterion", "accw")
+    assert (code, json.loads(out)["holds"], err) == (0, True, "")
+    assert (len(contractions), len(walks)) == (1, 1)
+
+
 def _joined_chain(tmp_path, capsys, k, deepest_second=False):
     """The two conclusions of a k-par chain over an axiom, joined under a
     tensor: each switching graph has one arc more than the chain's, on as
@@ -789,14 +839,8 @@ def test_accw_refutes_joined_chains_in_at_most_5_contractions(tmp_path, capsys, 
     # every k; a linear search would make one per par
     from proofnets import switching
 
-    contract, calls = switching._has_switching_cycle, []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return contract(*args, **kwargs)
-
     _, net = _joined_chain(tmp_path, capsys, k, deepest_second)
-    monkeypatch.setattr(switching, "_has_switching_cycle", counting)
+    calls = _counted(monkeypatch, switching, "_has_switching_cycle", 5)
     code, _, err = run(capsys, "check", net, "--criterion", "accw")
     assert (code, err) == (1, "")
     assert len(calls) <= 5, len(calls)
@@ -812,21 +856,28 @@ def test_cw_on_a_16_par_chain_within_a_tenth_of_a_second(tmp_path, capsys):
     assert took < 0.1, took
 
 
+@pytest.mark.parametrize("k", [16, 200])
+def test_cw_on_par_chains_contracts_once_and_walks_no_switching(tmp_path, capsys,
+                                                                monkeypatch, k):
+    # the clock gate above, counted: one contraction and the count law, with
+    # no switching enumerated and no census taken
+    from proofnets import switching
+
+    net = tmp_path / "chain.json"
+    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(k))))
+    contractions = _counted(monkeypatch, switching, "_has_switching_cycle", 1)
+    walks = _counted(monkeypatch, switching, "_components", 0)
+    assert run(capsys, "check", str(net), "--criterion", "cw") == (
+        0, '{"criterion": "cw", "holds": true, "census": []}\n', "")
+    assert (len(contractions), len(walks)) == (1, 0)
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"nodes": [], "comment": "caf\u00e9"}'.encode("latin-1"))
     code, out, err = run(capsys, "check", str(path), "--criterion", "ac")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "UTF-8" in err
-
-
-def _paths(doc, prefix=()):
-    """Every position in a JSON document, containers included."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-    for key, value in items:
-        yield prefix + (key,)
-        if isinstance(value, (dict, list)):
-            yield from _paths(value, prefix + (key,))
 
 
 def _repeating(doc, where, key, value):
@@ -850,23 +901,16 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
     path = tmp_path / "mutant.json"
     codes = {}
     for name in fixtures.NAMES:
-        doc = json.loads(to_json(fixtures.load(name)))
-        for where in _paths(doc):
-            for value in (5, "x", None, [1], [1, 2, 3]):
-                mutant = json.loads(json.dumps(doc))
-                parent = mutant
-                for key in where[:-1]:
-                    parent = parent[key]
-                parent[where[-1]] = value
-                path.write_text(json.dumps(mutant))
-                for cmd in ("normalize", "sequentialize", "dot"):
-                    try:
-                        code = main([cmd, str(path)])
-                    except Exception as exc:
-                        raise AssertionError(f"{cmd} {name} {where}={value!r}") from exc
-                    capsys.readouterr()
-                    assert code in (0, 1, 2), (cmd, name, where, value)
-                    codes[code] = codes.get(code, 0) + 1
+        for where, value, mutant in mutated_documents(json.loads(to_json(fixtures.load(name)))):
+            path.write_text(json.dumps(mutant))
+            for cmd in ("normalize", "sequentialize", "dot"):
+                try:
+                    code = main([cmd, str(path)])
+                except Exception as exc:
+                    raise AssertionError(f"{cmd} {name} {where}={value!r}") from exc
+                capsys.readouterr()
+                assert code in (0, 1, 2), (cmd, name, where, value)
+                codes[code] = codes.get(code, 0) + 1
     assert codes[2] > codes.get(0, 0) > 0
     # a type, jump or conclusions line of the line DSL given twice, the
     # second time with its own value or that of the next line of its kind:
@@ -918,6 +962,37 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
                                                       f"key {key!r} is repeated\n"), (name, where, key)
                         repeats += 1
     assert repeats > 1000, repeats
+
+
+# sha256 of `dot` under the first-premise switching of each fixture with a
+# par, taken while switching files were still read with plain json.loads
+DOT_FIRST_PREMISES = "0ad9c9cbf1134d902edd2657b8885ef7b840fa30d376629d7749aace675694b3"
+
+
+def test_repeated_switching_keys_exit_2(tmp_path, capsys):
+    # a par of a fixture's first-premise switching given twice, the second
+    # time with the same premise or the other one: dot names the key; the
+    # file without the repeat draws the graph it drew before
+    net, sw = tmp_path / "net.json", tmp_path / "sw.json"
+    digest, repeats = hashlib.sha256(), 0
+    for name in fixtures.NAMES:
+        ps = fixtures.load(name)
+        first = {str(n): ps.premises_of(n)[0] for n in ps.par_nodes()}
+        if not first:
+            continue
+        net.write_text(to_json(ps))
+        sw.write_text(json.dumps(first))
+        code, out, err = run(capsys, "dot", str(net), "--switching", str(sw))
+        assert (code, err) == (0, ""), name
+        digest.update(out.encode())
+        for key in first:
+            for value in ps.premises_of(int(key)):
+                sw.write_text(_repeating(first, (), key, value))
+                assert run(capsys, "dot", str(net), "--switching", str(sw)) == (
+                    2, "", f"error: malformed switching: key {key!r} is repeated\n"), (name, key)
+                repeats += 1
+    assert digest.hexdigest() == DOT_FIRST_PREMISES
+    assert repeats == 16, repeats
 
 
 def test_deep_formulas_get_fragment_kinds(tmp_path, capsys):

@@ -5,14 +5,14 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import build_ps, relabel
+from conftest import build_ps, mutated_documents, relabel
 from proofnets import fixtures, formulas
 from proofnets.canonical import canonical_form, iso, isomorphisms
 from proofnets.errors import ParseError
 from proofnets.formulas import Fragment, format_formula, parse_formula
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
-from proofnets.sequentialize import canonical_jumps_btenll
+from proofnets.sequentialize import canonical_jumps_btenll, canonical_jumps_icomll
 from proofnets.structure import (ProofStructure, erasing_nodes, from_dsl, from_json,
                                  from_json_dict, is_wten, strip, to_dsl, to_json,
                                  to_json_dict, validate)
@@ -202,6 +202,69 @@ def test_to_json_writes_the_text_of_json_dumps():
     for ps in structures:
         assert to_json(ps) == json.dumps(to_json_dict(ps), indent=2)
     assert "\\u00e9" in to_json(structures[-1])
+
+
+def _fields(ps):
+    return ps.nodes, ps.arcs, ps.premise_order, ps.conclusions, ps.types, ps.jumps
+
+
+def _read_back_corpus():
+    """The fixtures; seeded random structures, untyped and typed, each also
+    with a random jump from every bot; desequentialized proofs of every
+    fragment; and the canonical jumps of the btenll and icomll ones."""
+    rng = random.Random(5)
+    yield from (fixtures.load(name) for name in fixtures.NAMES)
+    for seed in range(30):
+        for frag in (None, Fragment.MLLU, Fragment.BTENLL):
+            ps = random_ps(GenParams(fragment=frag, max_nodes=16, seed=seed,
+                                     cut_probability=0.3 * (seed % 2)))
+            yield ps
+            if bots := ps.bottom_nodes():
+                yield ps.with_jumps({b: rng.choice(sorted(ps.nodes)) for b in bots})
+    for frag in Fragment:
+        for seed in range(12):
+            p = random_proof(GenParams(fragment=frag, max_rules=16, seed=seed,
+                                       cut_probability=0.3 * (seed % 2)))
+            ps = desequentialize(p, verify=False).ps
+            yield ps
+            if frag is Fragment.BTENLL:
+                anchors = [n for n in sorted(ps.nodes)
+                           if n not in erasing_nodes(ps) and ps.nodes[n] != "dot"]
+                yield canonical_jumps_btenll(ps, anchors[0]).ps
+            elif frag is Fragment.ICOMLL:
+                yield canonical_jumps_icomll(ps).ps
+
+
+def test_accepted_documents_read_back_unchanged():
+    # every document either reader accepts comes back with the same nodes,
+    # arcs, premise orders, conclusions, types and jumps from the other
+    # writer, and JSON -> DSL -> JSON gives the JSON text again
+    documents = [to_json(ps) for ps in _read_back_corpus()]
+    jumped = sum('"jumps"' in text for text in documents)
+    # the mutants of the fixtures that the JSON reader accepts; it reads a
+    # node label of any JSON type, which validation rejects and neither
+    # writer can write, so those stay out
+    mutants = 0
+    for name in fixtures.NAMES:
+        for _, _, doc in mutated_documents(json.loads(to_json(fixtures.load(name)))):
+            text = json.dumps(doc)
+            try:
+                ps = from_json(text)
+            except ParseError:
+                continue
+            if all(isinstance(lab, str) for lab in ps.nodes.values()):
+                documents.append(text)
+                mutants += 1
+            else:
+                assert not validate(ps).ok
+    assert len(documents) > 500 and jumped > 100 and mutants > 200, (len(documents), jumped)
+    for text in documents:
+        ps = from_json(text)
+        assert _fields(from_json(to_json(ps))) == _fields(ps), text
+        again = from_dsl(to_dsl(ps))
+        assert _fields(again) == _fields(ps), text
+        assert _fields(from_dsl(to_dsl(again))) == _fields(ps), text
+        assert to_json(again) == to_json(ps)
 
 
 def first_failure(types: list) -> tuple:

@@ -751,7 +751,7 @@ def _topological_erasing_nodes(ps):
     """Erasing nodes decided in a topological order of the arcs."""
     incoming = ps.incidence()[0]
     erasing = set()
-    for n in topological_order(ps.nodes, ps.arcs):
+    for n in topological_order(ps):
         if ps.nodes[n] in ("bot", "par", "dot") and all(
                 ps.arcs[a][0] in erasing for a in incoming[n]):
             erasing.add(n)
