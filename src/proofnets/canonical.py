@@ -3,26 +3,27 @@
 Structure identity ignores node and arc ids and respects labels, premise
 orders, the conclusion order, arc types and jump maps.  One engine decides
 it.  A structure first falls into parts.  Each component of its arcs plus
-its jump arcs (so a jump keeps components together) that holds no
-conclusion is closed; the main part is the rest.  Each part is
-canonicalized on its own, and the canonical form is the main part's form
-followed by the sorted list of the closed components' forms.  When no
-component is closed, the main part is the whole structure.
+its jumps (`induced_components` with jumps, so a jump keeps components
+together) that holds no conclusion is closed; the main part is the rest.
+Each part is canonicalized on its own, and the canonical form is the main
+part's form followed by the sorted list of the closed components' forms.
+When no component is closed, the main part is the whole structure.
 
 A depth-first traversal seeded by the part's conclusion list encodes the
-part.  The traversal enters every node through an arc, which fixes its
-next steps, except the start of each component of the arcs that the
-conclusions do not reach: all of a closed component, and the components
-that jumps hold together.  Only there does it read node colours, computed
-on first need; so nets whose every node is reached from the conclusions,
-as those of proofs are unless a cut closes a component, never refine
-colours.  Colour refinement gives each node an integer colour: the rank of
-its signature (its colour and those of its arc and jump neighbours, with
-the arc types) among the sorted distinct signatures, so colours never
-depend on ids.  The starts of least colour, and the two arcs of an ax or
-cut start whose types and far colours are equal, are the choices; every
-choice sequence is run, and each complete traversal (a leaf) gives an
-encoding and a node visit order.  A part's form is its least encoding.
+part.  The traversal enters every node through an arc, which fixes its next
+steps, except the start of each component of the arcs that the conclusions
+do not reach: all of a closed component, and the components that jumps hold
+together.  It searches for these leftover components once, since a visit
+numbers a whole component.  Only there does it read node colours, computed
+on first need; so nets whose every node is reached from the conclusions, as
+those of proofs are unless a cut closes a component, never refine colours.
+Colour refinement gives each node an integer colour: the rank of its
+signature (its colour and those of its arc and jump neighbours, with the
+arc types) among the sorted distinct signatures, so colours never depend on
+ids.  The starts of least colour, and the two arcs of an ax or cut start
+whose types and far colours are equal, are the choices; every choice
+sequence is run, and each complete traversal (a leaf) gives an encoding and
+a node visit order.  A part's form is its least encoding.
 
 The choices are iso-invariant, so an isomorphism a -> b carries the least
 leaf of each part of a onto an equally encoded leaf of the matching part of
@@ -44,7 +45,7 @@ from itertools import permutations, product
 from .errors import CanonicalLimitError
 from .formulas import format_formulas
 from .structure import (AX, CUT, PAR, TENSOR, ProofStructure,
-                        induced_components, restrict, strip)
+                        induced_components, jump_sources, restrict, strip)
 
 CanonicalForm = bytes
 
@@ -57,20 +58,12 @@ def _ranks(signatures: dict) -> tuple[dict[int, int], int]:
     return {n: rank[s] for n, s in signatures.items()}, len(rank)
 
 
-def _jump_sources(ps: ProofStructure) -> dict[int, list[int]]:
-    """The bots jumping to each jump target."""
-    sources: dict[int, list[int]] = {}
-    for src, tgt in ps.jumps.items():
-        sources.setdefault(tgt, []).append(src)
-    return sources
-
-
 def node_colors(ps: ProofStructure, type_of: dict[int, str]) -> dict[int, int]:
     """Iterated refinement of an id-independent node invariant."""
     arcs = ps.arcs
     incoming, outgoing = ps.incidence()
     concl_pos = {arcs[a][1]: i for i, a in enumerate(ps.conclusions)}
-    jump_sources = _jump_sources(ps)
+    sources = jump_sources(ps)
 
     def signature(n):
         if ps.nodes[n] in (TENSOR, PAR) and n in ps.premise_order:
@@ -80,7 +73,7 @@ def node_colors(ps: ProofStructure, type_of: dict[int, str]) -> dict[int, int]:
         outs = tuple(sorted((colors[arcs[a][1]], type_of[a]) for a in outgoing[n]))
         tgt = ps.jumps.get(n)
         return (colors[n], ins, outs, -1 if tgt is None else colors[tgt],
-                tuple(sorted(colors[s] for s in jump_sources.get(n, ()))))
+                tuple(sorted(colors[s] for s in sources.get(n, ()))))
 
     colors, count = _ranks({n: (lab, concl_pos.get(n, -1)) for n, lab in ps.nodes.items()})
     for _ in range(len(ps.nodes)):
@@ -96,35 +89,12 @@ def node_colors(ps: ProofStructure, type_of: dict[int, str]) -> dict[int, int]:
 def _parts(ps: ProofStructure) -> tuple[ProofStructure, list[ProofStructure]]:
     """The main part and the closed components, each as a structure.  The
     main part is `ps` itself when no component is closed."""
-    arcs, jumps = ps.arcs, ps.jumps
-    incoming, outgoing = ps.incidence()
-    jump_sources = _jump_sources(ps)
-
-    def component(starts):
-        seen = set(starts)
-        stack = list(seen)
-        while stack:
-            n = stack.pop()
-            near = [arcs[a][0] for a in incoming[n]] + [arcs[a][1] for a in outgoing[n]]
-            near += jump_sources.get(n, ())
-            if n in jumps:
-                near.append(jumps[n])
-            for m in near:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
-    main = component({arcs[c][1] for c in ps.conclusions})
-    if len(main) == len(ps.nodes):
+    dots = {ps.arcs[c][1] for c in ps.conclusions}
+    closed = [c for c in induced_components(ps, ps.nodes, jumps=True) if dots.isdisjoint(c)]
+    if not closed:
         return ps, []
-    closed, done = [], set(main)
-    for n in ps.nodes:
-        if n not in done:
-            comp = component({n})
-            done |= comp
-            closed.append(restrict(ps, comp, ()))
-    return restrict(ps, main, ps.conclusions), closed
+    main = set(ps.nodes).difference(*closed)
+    return restrict(ps, main, ps.conclusions), [restrict(ps, c, ()) for c in closed]
 
 
 class _Choices:
@@ -204,8 +174,9 @@ def _traverse(ps: ProofStructure, type_of, colors, choices: _Choices):
         else:
             visit(dot)
 
-    while len(node_idx) < len(ps.nodes):
-        comps = induced_components(ps, [n for n in ps.nodes if n not in node_idx])
+    comps = (induced_components(ps, [n for n in ps.nodes if n not in node_idx])
+             if len(node_idx) < len(ps.nodes) else [])
+    while comps:
         keys = [sorted(colors()[n] for n in comp) for comp in comps]
         lowest = min(keys)
         least = [comp for comp, key in zip(comps, keys) if key == lowest]
@@ -214,6 +185,7 @@ def _traverse(ps: ProofStructure, type_of, colors, choices: _Choices):
         starts = sorted(n for n in comp if colors()[n] == low)
         tokens.append("k")
         visit(starts[choices.pick(len(starts))])
+        comps.remove(comp)
 
     for n in sorted(ps.jumps, key=node_idx.get):
         tokens.append(f"J{node_idx[n]}>{node_idx[ps.jumps[n]]}")

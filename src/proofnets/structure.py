@@ -451,23 +451,36 @@ def arc_polarities(ps: ProofStructure) -> dict[int, str | None]:
     return {a: verdicts[f][1] for a, f in ps.types.items()}
 
 
-def induced_components(ps: ProofStructure, nodes) -> list[set[int]]:
+def jump_sources(ps: ProofStructure) -> dict[int, list[int]]:
+    """The bots jumping to each jump target."""
+    sources: dict[int, list[int]] = {}
+    for src, tgt in ps.jumps.items():
+        sources.setdefault(tgt, []).append(src)
+    return sources
+
+
+def induced_components(ps: ProofStructure, nodes, jumps: bool = False) -> list[set[int]]:
     """Connected components of the undirected graph that `nodes` induce,
-    ordered by their least node."""
-    nodes = set(nodes)
+    ordered by their least node; with `jumps`, each jump also joins its bot
+    to its target."""
+    left = set(nodes)  # the nodes no component holds yet
     incoming, outgoing = ps.incidence()
-    comps, seen = [], set()
-    for n in sorted(nodes):
-        if n in seen:
+    targets, sources = (ps.jumps, jump_sources(ps)) if jumps else ({}, {})
+    comps = []
+    for n in sorted(left):
+        if n not in left:
             continue
+        left.remove(n)
         comp, stack = {n}, [n]
-        seen.add(n)
         while stack:
             cur = stack.pop()
-            for m in ([ps.arcs[a][0] for a in incoming[cur]]
-                      + [ps.arcs[a][1] for a in outgoing[cur]]):
-                if m in nodes and m not in seen:
-                    seen.add(m)
+            near = [ps.arcs[a][0] for a in incoming[cur]] + [ps.arcs[a][1] for a in outgoing[cur]]
+            near += sources.get(cur, ())
+            if cur in targets:
+                near.append(targets[cur])
+            for m in near:
+                if m in left:
+                    left.remove(m)
                     comp.add(m)
                     stack.append(m)
         comps.append(comp)
@@ -586,6 +599,10 @@ def from_json_dict(doc: dict) -> ProofStructure:
         if len(nodes) != len(records):
             raise ParseError("malformed structure document: node id "
                              f"{_first_repeat(rec['id'] for rec in records)} is repeated")
+        for n, lab in nodes.items():
+            if not isinstance(lab, str):
+                raise ParseError(f"malformed structure document: label of node {n}"
+                                 " is not a string")
         records = doc["arcs"]
         arcs = {int(rec["id"]): (int(rec["tail"]), int(rec["head"])) for rec in records}
         if len(arcs) != len(records):

@@ -24,17 +24,18 @@ acc and accw.  When some switching graph has a cycle, only the pars with a
 premise on a cycle of the structure plus its jumps (one that is no bridge
 of it) can change a component count, so c and cw enumerate those pars
 alone, the others on their first premise.  `max_par` caps the pars they
-enumerate.  cwforall still enumerates every erasing-compatible switching.
-Before the contraction pairs a par's premises, it drops each premise that
-hangs from a bot or a one with no jump: such a premise lies on no cycle.
+enumerate.  cwforall enumerates erasing-compatible switchings, and on a
+jump-free structure the first one decides (see `check`).  Before the
+contraction pairs a par's premises, it drops each premise that hangs from
+a bot or a one with no jump: such a premise lies on no cycle.
 
 A census lists the components of one switching graph.  `_components`
-computes it with one walk of the incidence index, which leads each
-unchosen premise to its par's fresh dot.  It serves every caller: the
-census a verdict prints, read only on demand, and the counting in cwforall
-and `output_stats`.  `_reheading` alone numbers the fresh dots, for the
-walk and for `switching_graph`, which lists the nodes and arcs of one
-switching graph for `dot --switching`.
+computes it with one walk of the incidence index and of `jump_sources`,
+which leads each unchosen premise to its par's fresh dot.  It serves every
+caller: the census a verdict prints, read only on demand, and the counting
+in cwforall and `output_stats`.  `_reheading` alone numbers the fresh dots,
+for the walk and for `switching_graph`, which lists the nodes and arcs of
+one switching graph for `dot --switching`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import product
 from .errors import FragmentError, ProofNetError, SwitchingLimitError
 from .formulas import Fragment
 from .structure import (BOT, DOT, PAR, ProofStructure, arc_polarities, erasing_nodes,
-                        jump_arcs, validate)
+                        jump_arcs, jump_sources, validate)
 
 DEFAULT_MAX_PAR = 20
 
@@ -177,12 +178,7 @@ def _components(ps: ProofStructure, switching: Switching,
     ins, outs = ps.incidence()
     arcs, labels, jumps = ps.arcs, ps.nodes, ps.jumps
     dot_of, reheaded = _reheading(ps, switching)
-    jumped: dict[int, list[int]] = {}  # node -> the nodes its jumps join it to
-    into: dict[int, int] = {}  # jump target -> its jumps, each a premise
-    for b, m in jumps.items():
-        jumped.setdefault(b, []).append(m)
-        jumped.setdefault(m, []).append(b)
-        into[m] = into.get(m, 0) + 1
+    sources = jump_sources(ps)
     seen = set()
     out = []
     for start in [*sorted(labels), *reheaded]:
@@ -209,9 +205,10 @@ def _components(ps: ProofStructure, switching: Switching,
                     if (m := dot_of[a] if a in dot_of else arcs[a][1]) not in seen:
                         seen.add(m)
                         comp.append(m)
-                near = jumped.get(n, ())
-                if n in into:
-                    premises += into[n]
+                near = sources.get(n, ())  # each jump into n is a premise
+                premises += len(near)
+                if n in jumps:
+                    near = [*near, jumps[n]]
                 if labels[n] == BOT:
                     bots += 1
                 elif premises != 1:
@@ -491,9 +488,19 @@ def check(ps: ProofStructure, criterion: str,
     component count is #nodes + #pars - #arcs - #jumps on every switching
     graph, and a failing count names the first switching.  cwforall
     enumerates erasing-compatible switchings and raises past `max_par` par
-    nodes.  A verdict carries the census of the counterexample's switching
-    graph, or for a holding acc or accw that of the first switching; it is
-    computed when first read.
+    nodes, before the first one.  On a valid jump-free structure the first
+    switching decides.  Without wten, a cut or tensor has a premise from an
+    erasing node; that arc is in every switching graph, so its component
+    holds an erasing node and a node with two premises, and every switching
+    fails.  With wten, each neighbour of an erasing node in an
+    erasing-compatible switching graph is an erasing node or a fresh dot,
+    so a component with an erasing node holds only those; each non-bot
+    there has one premise, so the connected component has exactly one bot:
+    it is a thread, and every switching holds.  A jump joins its bot's
+    component to any node, so with jumps every switching is tried.  A
+    verdict carries the census of the counterexample's switching graph, or
+    for a holding acc or accw that of the first switching; it is computed
+    when first read.
     """
     criterion = criterion.lower()
     if criterion not in CRITERIA:
@@ -508,6 +515,8 @@ def check(ps: ProofStructure, criterion: str,
             comps = _components(ps, sw, erasing)
             if not all(c.erasing_of_base == 0 or c.thread for c in comps):
                 return CriterionVerdict(criterion, False, sw, [c.census() for c in comps])
+            if not ps.jumps:  # the first switching decides
+                break
         return CriterionVerdict(criterion, True)
 
     pars = ps.par_nodes()

@@ -4,7 +4,9 @@ premises left the contraction before its set phase and the builder shared
 the census's re-heading, kept as the references of
 `switching._components`, `switching._has_switching_cycle` and
 `switching.switching_graph`: each pair must give the same components, in
-the same order, the same decision and the same nodes and arcs.
+the same order, the same decision and the same nodes and arcs.  It also
+keeps the cwforall loop from before `check` stopped after the first
+erasing-compatible switching of a jump-free structure, as `cwforall`.
 
 `components` re-heads each unchosen premise while one union-find reads the
 arcs and jumps; `has_switching_cycle` pairs the two premises of every par
@@ -15,7 +17,8 @@ union-find, and `graph_components` takes the census of a `SwitchingGraph`.
 """
 
 from proofnets.structure import BOT, DOT, erasing_nodes, jump_arcs
-from proofnets.switching import Component, UnionFind, _components
+from proofnets.switching import (DEFAULT_MAX_PAR, W_COMPATIBLE, Component, CriterionVerdict,
+                                 UnionFind, _components, switchings)
 
 
 class SwitchingGraph:
@@ -99,6 +102,18 @@ def components(ps, switching, erasing):
         out.append(Component(frozenset(comp), len(comp),
                              sum(1 for n in comp if n in erasing), bots, thread))
     return out
+
+
+def cwforall(ps, max_par=DEFAULT_MAX_PAR):
+    """The cwforall verdict by enumeration: the first erasing-compatible
+    switching graph with a component that holds an erasing node of the
+    structure and is no thread refutes it."""
+    erasing = erasing_nodes(ps)
+    for sw in switchings(ps, W_COMPATIBLE, max_par):
+        comps = _components(ps, sw, erasing)
+        if not all(c.erasing_of_base == 0 or c.thread for c in comps):
+            return CriterionVerdict("cwforall", False, sw, [c.census() for c in comps])
+    return CriterionVerdict("cwforall", True)
 
 
 def has_switching_cycle(ps, forced=None, bridges=frozenset()):

@@ -22,7 +22,7 @@ from proofnets.sequentialize import (canonical_jumps_btenll, classify_jumps,
 from proofnets.structure import erasing_nodes, is_wten, validate
 from proofnets.switching import (ALL, W_COMPATIBLE, check, output_stats, switching_graph,
                                  switchings)
-from reference_switching import SwitchingGraph, graph_components
+from reference_switching import SwitchingGraph, cwforall, graph_components
 
 
 def _report(criterion, detail):
@@ -171,7 +171,7 @@ def test_criterion_4_criterion_equivalences():
     for ps in structures:
         erasing = erasing_nodes(ps)
         wten_ok = is_wten(ps)[0]
-        universal = check(ps, "cwforall").holds
+        universal = cwforall(ps).holds
         witnessed = any(
             all(c.erasing_of_base == 0 or c.thread
                 for c in graph_components(SwitchingGraph(ps, sw), erasing))

@@ -11,7 +11,7 @@ from proofnets.cli import main
 from proofnets.canonical import canonical_form, iso, isomorphisms
 from proofnets.formulas import ONE, Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import desequentialize, format_proof
+from proofnets.sequent import desequentialize, format_proof, parse_proof
 from proofnets.sequentialize import canonical_jumps_btenll
 from proofnets.structure import CUT, DOT, ONE as ONE_NODE, ProofStructure, erasing_nodes, strip
 
@@ -180,3 +180,29 @@ def test_proof_nets_never_refine_colours(tmp_path, capsys, monkeypatch):
         assert main(["equiv", q, p]) == 0
     assert capsys.readouterr().out == "true\n" * 24
 
+
+def test_a_traversal_searches_the_leftover_components_once(monkeypatch):
+    # k nested closed cuts under canonical jumps: jumps tie each closed cut
+    # to the main part, so every traversal meets the cuts as leftover arc
+    # components; one search finds them all, plus the one that finds the parts
+    from proofnets import canonical
+
+    def counted(name):
+        target, calls = getattr(canonical, name), []
+        monkeypatch.setattr(canonical, name,
+                            lambda *args, **kwargs: calls.append(args) or target(*args, **kwargs))
+        return calls
+
+    searches, traversals = counted("induced_components"), counted("_traverse")
+    for k, leaves in ((4, 41), (5, 206)):
+        body = '(ax "A")'
+        for _ in range(k):
+            body = f'(cut "bot" (bot {body}) (one))'
+        ps = desequentialize(parse_proof(f"fragment: btenll\n{body}\n")[1], verify=False).ps
+        erasing = erasing_nodes(ps)
+        anchor = min(n for n, lab in ps.nodes.items() if n not in erasing and lab != DOT)
+        jumped = canonical_jumps_btenll(ps, anchor).ps
+        del searches[:], traversals[:]
+        canonical_form(jumped)
+        assert len(traversals) == leaves
+        assert len(searches) <= len(traversals) + 1

@@ -118,6 +118,21 @@ def test_repeated_ids_exit_2(tmp_path, capsys):
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_a_label_that_is_no_string_is_a_parse_error(tmp_path, capsys):
+    # such a label used to be read, then rejected as an unknown label, and
+    # neither writer could give it back
+    doc = json.loads(to_json(fixtures.load("split-choice")))
+    path = tmp_path / "label.json"
+    for label in (5, None, [1], {"ax": 0}):
+        bad = {**doc, "nodes": [doc["nodes"][0], {**doc["nodes"][1], "label": label},
+                                *doc["nodes"][2:]]}
+        path.write_text(json.dumps(bad))
+        for cmd in ("check", "normalize", "sequentialize", "dot"):
+            argv = [cmd, str(path), *(["--criterion", "accw"] if cmd == "check" else [])]
+            assert run(capsys, *argv) == (2, "", "error: malformed structure document: "
+                                          "label of node 1 is not a string\n"), (label, cmd)
+
+
 def test_normalize_writes_trace_and_normal_form(tmp_path, capsys):
     path = write_fixture(tmp_path, "wten-cut")
     trace_path = tmp_path / "trace.jsonl"
@@ -468,6 +483,24 @@ def _counted(monkeypatch, module, name, most):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def test_cwforall_of_a_jump_free_chain_takes_one_census(tmp_path, capsys, monkeypatch):
+    # a jump-free structure is decided by its first erasing-compatible
+    # switching, so one census is taken, not one for each of the 2^k
+    from proofnets import switching
+    for k in (14, 20):
+        body = '(ax "A")'
+        for i in range(k):
+            body = f'(par (tensor {body} (ax "B{i}")))'
+        proof, net = tmp_path / f"chain{k}.proof", tmp_path / f"chain{k}.json"
+        proof.write_text(f"fragment: mllu\n(bot {body})\n")
+        assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+        calls = _counted(monkeypatch, switching, "_components", 1)
+        assert run(capsys, "check", str(net), "--criterion", "cwforall") == (
+            0, '{"criterion": "cwforall", "holds": true, "census": []}\n', "")
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_equiv_of_identical_closed_components(tmp_path, capsys):

@@ -124,6 +124,43 @@ def test_type_inference_rejects_clash():
         infer_types(ps)
 
 
+def _composite_cut():
+    """A cut of X tensor Y against X^ par Y^ whose par lists its premises
+    in the other order, so that inference unifies two connectives."""
+    return build_ps({0: "ax", 1: "ax", 2: "ax", 3: "ax", 4: "tensor", 5: "par",
+                     6: "tensor", 7: "cut", 8: "dot", 9: "dot", 10: "dot"},
+                    {0: (0, 4), 1: (0, 8), 2: (1, 4), 3: (1, 9), 4: (2, 5), 5: (2, 6),
+                     6: (3, 5), 7: (3, 6), 8: (4, 7), 9: (5, 7), 10: (6, 10)},
+                    prem={4: (0, 2), 5: (6, 4), 6: (5, 7)}, concl=(1, 3, 10))
+
+
+def test_type_inference_on_nets_with_cuts():
+    # untyped nets of proofs with cuts are typed validly and sequentialize
+    # back to themselves
+    nets = [_composite_cut()]
+    for seed in range(60):
+        for frag in (Fragment.MLL, Fragment.MLLU):
+            p = random_proof(GenParams(fragment=frag, cut_probability=0.6, seed=seed))
+            u = strip(desequentialize(p, verify=False).ps)
+            if is_wten(u)[0]:
+                nets.append(u)
+    assert len(nets) > 60
+    for u in nets:
+        assert validate(infer_types(u)).ok
+        assert iso_untyped(desequentialize(sequentialize_wten(u), verify=False).ps, u)
+    typed = infer_types(nets[0]).types
+    assert typed[8] is formulas.negate(typed[9])
+
+
+def test_type_inference_rejects_a_type_inside_its_dual():
+    # the tensor's type X^ tensor Y would have to be the dual of X
+    ps = build_ps({0: "ax", 1: "ax", 2: "cut", 3: "tensor", 4: "dot"},
+                  {0: (0, 2), 1: (0, 3), 2: (1, 3), 3: (1, 4), 4: (3, 2)},
+                  prem={3: (1, 2)}, concl=(3,))
+    with pytest.raises(TypeInferenceError, match="cyclic type constraint"):
+        infer_types(ps)
+
+
 def test_round_trip_random_btenll():
     for seed in range(80):
         p = random_proof(GenParams(fragment=Fragment.BTENLL, max_rules=14,

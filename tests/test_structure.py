@@ -241,22 +241,17 @@ def test_accepted_documents_read_back_unchanged():
     # writer, and JSON -> DSL -> JSON gives the JSON text again
     documents = [to_json(ps) for ps in _read_back_corpus()]
     jumped = sum('"jumps"' in text for text in documents)
-    # the mutants of the fixtures that the JSON reader accepts; it reads a
-    # node label of any JSON type, which validation rejects and neither
-    # writer can write, so those stay out
+    # the mutants of the fixtures that the JSON reader accepts
     mutants = 0
     for name in fixtures.NAMES:
         for _, _, doc in mutated_documents(json.loads(to_json(fixtures.load(name)))):
             text = json.dumps(doc)
             try:
-                ps = from_json(text)
+                from_json(text)
             except ParseError:
                 continue
-            if all(isinstance(lab, str) for lab in ps.nodes.values()):
-                documents.append(text)
-                mutants += 1
-            else:
-                assert not validate(ps).ok
+            documents.append(text)
+            mutants += 1
     assert len(documents) > 500 and jumped > 100 and mutants > 200, (len(documents), jumped)
     for text in documents:
         ps = from_json(text)

@@ -302,6 +302,35 @@ def test_contraction_agrees_with_the_enumeration():
     assert len(corpus) // 4 < refuted["accw"] < 3 * len(corpus) // 4
 
 
+def test_cwforall_agrees_with_the_enumeration():
+    # a jump-free structure stops after its first erasing-compatible
+    # switching, a jumped one enumerates them all
+    seen = Counter()
+    for i, ps in enumerate(_oracle_corpus()):
+        expected = reference.cwforall(ps)
+        assert check(ps, "cwforall").to_json() == expected.to_json(), i
+        seen[bool(ps.jumps), expected.holds] += 1
+    assert min(seen[jumped, holds] for jumped in (False, True) for holds in (False, True)) > 10
+
+
+def test_cwforall_on_a_jumped_wten_structure_tries_every_switching():
+    # a jump from the bot to ax 2 holds under the par's first switching;
+    # its second puts the tensor in the bot's component, which is then no
+    # thread: with jumps, wten does not imply cwforall
+    ps = build_ps({0: "bot", 1: "dot", 2: "ax", 3: "ax", 4: "par", 5: "ax", 6: "tensor",
+                   7: "dot", 8: "dot", 9: "dot", 10: "dot"},
+                  {0: (0, 1), 1: (2, 4), 2: (3, 4), 3: (4, 6), 4: (5, 6), 5: (2, 7),
+                   6: (3, 8), 7: (5, 9), 8: (6, 10)},
+                  prem={4: (2, 1), 6: (3, 4)}, concl=(0, 5, 6, 7, 8), jumps={0: 2})
+    assert is_wten(ps)[0]
+    assert list(switchings(ps, W_COMPATIBLE)) == [{4: 2}, {4: 1}]
+    verdict = check(ps, "cwforall")
+    assert verdict.to_json() == reference.cwforall(ps).to_json()
+    assert verdict.to_json_dict()["counterexample"] == {"4": 1}
+    assert not verdict.holds
+    assert check(ps.without_jumps(), "cwforall").holds
+
+
 def _per_par_first_cyclic_switching(ps):
     """The first cyclic switching in enumeration order, one par at a time:
     a par keeps its first premise when some cyclic switching still does."""
@@ -477,7 +506,7 @@ def test_wten_iff_cwforall_iff_witnessed():
         ps = random_ps(GenParams(fragment=None, max_nodes=10, seed=seed,
                                  cut_probability=0.2))
         wten = is_wten(ps)[0]
-        universal = check(ps, "cwforall").holds
+        universal = reference.cwforall(ps).holds
         erasing = erasing_nodes(ps)
         witnessed = any(
             all(c.erasing_of_base == 0 or c.thread
@@ -506,7 +535,7 @@ def test_erasing_path_characterization():
                 if path.arcs and path.arcs[0] == concl[0]:
                     if not all(m in erasing for m in path.nodes):
                         paths_ok = False
-        assert paths_ok == check(ps, "cwforall").holds, seed
+        assert paths_ok == reference.cwforall(ps).holds, seed
 
 
 def test_erasing_safe_counted_structures_are_connected():
