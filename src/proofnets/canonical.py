@@ -7,7 +7,11 @@ its jumps (`induced_components` with jumps, so a jump keeps components
 together) that holds no conclusion is closed; the main part is the rest.
 Each part is canonicalized on its own, and the canonical form is the main
 part's form followed by the sorted list of the closed components' forms.
-When no component is closed, the main part is the whole structure.
+When no component is closed, the main part is the whole structure.  A walk
+of the arcs from the conclusions' dots decides that case first: when it
+reaches every node, no component is closed, as for every proof net
+without a closed cut, and the component search over arcs and jumps runs
+only when some node is left unreached.
 
 A depth-first traversal seeded by the part's conclusion list encodes the
 part.  The traversal enters every node through an arc, which fixes its next
@@ -86,9 +90,33 @@ def node_colors(ps: ProofStructure, type_of: dict[int, str]) -> dict[int, int]:
     return colors
 
 
+def _reaches_every_node(ps: ProofStructure) -> bool:
+    """True when a walk of the arcs from the conclusions' dots reaches every
+    node, so that no component is closed."""
+    arcs = ps.arcs
+    incoming, outgoing = ps.incidence()
+    seen = {arcs[c][1] for c in ps.conclusions}
+    stack = list(seen)
+    while stack:
+        n = stack.pop()
+        for a in incoming[n]:
+            m = arcs[a][0]
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+        for a in outgoing[n]:
+            m = arcs[a][1]
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return len(seen) == len(ps.nodes)
+
+
 def _parts(ps: ProofStructure) -> tuple[ProofStructure, list[ProofStructure]]:
     """The main part and the closed components, each as a structure.  The
     main part is `ps` itself when no component is closed."""
+    if _reaches_every_node(ps):
+        return ps, []
     dots = {ps.arcs[c][1] for c in ps.conclusions}
     closed = [c for c in induced_components(ps, ps.nodes, jumps=True) if dots.isdisjoint(c)]
     if not closed:

@@ -11,10 +11,12 @@ the rewriting terminating; cut nodes matching none of the shapes are
 clashes and simply stay.
 
 All steps run on one `_Net`: a private mutable copy of a structure with
-in- and out-arc lists kept sorted by arc id.  `normalize` validates its
-input, reduces on one net, and builds and validates one `ProofStructure`
-at the end; that structure adopts the net's lists as its incidence index,
-so the final validation reads the reducer's own bookkeeping.
+in- and out-arc lists kept sorted by arc id, which starts from the input's
+own lists and replaces, never writes into, the lists a step changes.
+`normalize` validates its input, reduces on one net, and builds and
+validates one `ProofStructure` at the end; that structure adopts the net's
+lists as its incidence index, so the final validation reads the reducer's
+own bookkeeping.
 `reduce_step` and `replay` run on the same reducer, and `reduce_step` and
 `find_redexes` validate their input too.
 
@@ -114,7 +116,11 @@ class _Net:
     """A mutable, jump-free copy of a structure that reduction rewrites in
     place.  Like a structure, it has `nodes`, `arcs`, `incidence()`,
     `premises_of`, `tail` and `head`, so `_classify` and the other
-    structure queries read it as they read a structure."""
+    structure queries read it as they read a structure.
+
+    The in- and out-lists start as the input's own lists, which callers
+    keep.  A rewrite never writes into a list: it replaces each list it
+    changes by a new one, so only the lists of touched nodes are copied."""
 
     def __init__(self, ps: ProofStructure):
         self.nodes = dict(ps.nodes)
@@ -123,8 +129,7 @@ class _Net:
         self.conclusions = ps.conclusions
         self.types = dict(ps.types) if ps.types is not None else None
         ins, outs = ps.incidence()
-        self._ins = {n: list(arcs) for n, arcs in ins.items()}
-        self._outs = {n: list(arcs) for n, arcs in outs.items()}
+        self._ins, self._outs = dict(ins), dict(outs)
         self._ids = sorted(self.nodes)  # ascending; dead ids leave lazily
 
     def incidence(self):
@@ -157,16 +162,16 @@ class _Net:
         old_tail, old_head = self.arcs[arc]
         self.arcs[arc] = (tail, head)
         if tail != old_tail:
-            self._outs[old_tail].remove(arc)
-            bisect.insort(self._outs[tail], arc)
+            _replace(self._outs, old_tail, arc, None)
+            _replace(self._outs, tail, None, arc)
         if head != old_head:
-            self._ins[old_head].remove(arc)
-            bisect.insort(self._ins[head], arc)
+            _replace(self._ins, old_head, arc, None)
+            _replace(self._ins, head, None, arc)
 
     def remove_arc(self, arc: int) -> None:
         tail, head = self.arcs.pop(arc)
-        self._outs[tail].remove(arc)
-        self._ins[head].remove(arc)
+        _replace(self._outs, tail, arc, None)
+        _replace(self._ins, head, arc, None)
         if self.types is not None:
             del self.types[arc]
 
@@ -184,6 +189,17 @@ class _Net:
         out._index = (self._ins, self._outs)
         ensure_valid(out)
         return out
+
+
+def _replace(lists: dict[int, list[int]], n: int, old: int | None, new: int | None) -> None:
+    """Give node n, unless it is erased, a new arc list: its old one less
+    `old`, plus `new` in arc order, where None stands for no arc."""
+    if n not in lists:
+        return
+    arcs = [a for a in lists[n] if a != old]
+    if new is not None:
+        bisect.insort(arcs, new)
+    lists[n] = arcs
 
 
 def _chain_end(arcs, outgoing, n: int) -> int:
@@ -249,7 +265,8 @@ def _apply(net: _Net, redex: Redex) -> list[int]:
     RedexError, leaving the net as it was, when types forbid the step."""
     types, arcs = net.types, net.arcs
     cut = redex.cut_node
-    prem = list(net._ins[cut])  # a copy: removing the arcs changes the cut's list
+    prem = net._ins[cut]
+    moves = []  # (arc, new tail, new head)
 
     if redex.kind == AXIOM_CUT:
         ax_node = redex.participants[0]
@@ -262,10 +279,8 @@ def _apply(net: _Net, redex: Redex) -> list[int]:
             raise RedexError("axiom step would splice arcs of different types")
         # keep the outer arc (whose head survives); re-tail it
         head = arcs[outer][1]
-        net.move_arc(outer, arcs[other_prem][0], head)
+        moves.append((outer, arcs[other_prem][0], head))
         removed_arcs, removed_nodes = (shared, other_prem), (ax_node, cut)
-        end = _chain_end(arcs, net._outs, head)
-        touched = [end] if net.nodes[end] == CUT else []
     elif redex.kind == UNIT_CUT:
         removed_arcs, removed_nodes = prem, (cut, *redex.participants)
         touched = []
@@ -281,13 +296,20 @@ def _apply(net: _Net, redex: Redex) -> list[int]:
         net.add_node(cut_b, CUT)
         for arc, new_cut in ((t_left, cut_a), (p_left, cut_a),
                              (t_right, cut_b), (p_right, cut_b)):
-            net.move_arc(arc, net.tail(arc), new_cut)
+            moves.append((arc, arcs[arc][0], new_cut))
         removed_arcs, removed_nodes = prem, (cut, tensor_node, par_node)
         touched = [cut_a, cut_b]
-    for a in removed_arcs:
-        net.remove_arc(a)
+    # the erased nodes go first, so that only the lists of surviving nodes
+    # are rewritten
     for n in removed_nodes:
         net.remove_node(n)
+    for move in moves:
+        net.move_arc(*move)
+    for a in removed_arcs:
+        net.remove_arc(a)
+    if redex.kind == AXIOM_CUT:
+        end = _chain_end(arcs, net._outs, head)
+        touched = [end] if net.nodes[end] == CUT else []
     return touched
 
 

@@ -29,13 +29,36 @@ its status.  For the same reason a part keeps every node above each of
 its nodes, so a node's erasing status, which depends only on the nodes
 above it, is the same in every part as in the whole structure, and the
 bottom-restricted policy computes the erasing set once.
+
+No move searches a whole part.  The nodes next to a terminal cut, tensor
+or par node n in its part are the tails of its two premises, so the
+component of n less n falls into one or two components, each holding a
+tail.  `_lockstep` searches from both tails, one node each in turn (the
+decremental connectivity search of S. Even and Y. Shiloach, JACM 28(1),
+1981): when the two searches meet, n's component stays whole; when one
+closes first, it has found a whole component, and the rest of n's
+component is the other one.  The closed side has at most one node more
+than the other, so along any sequence of splits a node is searched
+O(log n) times (compare S. Guerrini's linear-time MLL sequentialization,
+TCS 412(20), 2011).  Each part counts its components: a terminal bot is a component of
+its own, so its peel lowers the count by one; a par's peel raises it by
+one when the search from its premise tails closes a side; a split keeps
+the count of the rest and gives the closed side one.  A split is
+determined only when the part less n has exactly two components holding
+one tail each, so in a part of several components no split is determined
+and none is searched for; there, an icomll input tensor whose input side
+closes first searches its output side alone, as it is only one component
+of the rest.  The closed side leaves the part as a new part; the rest of
+the part is trimmed in place and keeps its terminal heaps, one per policy
+class, where the nodes that left the part are dropped as they surface.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .canonical import canonical_form, iso, isomorphisms
@@ -297,11 +320,18 @@ def is_sequential_oracle(ps: ProofStructure) -> tuple[bool, dict | None]:
 @dataclass(slots=True)
 class _Part:
     """One part of the recursion, over the structure being sequentialized:
-    its non-dot nodes, its ordered conclusion arcs and its terminal nodes."""
+    its non-dot nodes, its ordered conclusion arcs and its terminal nodes.
+    `pieces` counts the connected components of its nodes; `fresh` lists
+    the terminal nodes that no policy has sorted into `heaps` yet, and
+    `heaps` holds a policy's min-heaps of terminal nodes, one per class,
+    where a node that has left `terminal` is dropped when it surfaces."""
 
     nodes: set[int]
     conclusions: tuple[int, ...]
     terminal: set[int]
+    pieces: int
+    fresh: list[int] = field(default_factory=list)
+    heaps: dict = field(default_factory=dict)
 
 
 def _leaves_part(ps: ProofStructure, nodes: set[int], m: int) -> bool:
@@ -311,52 +341,132 @@ def _leaves_part(ps: ProofStructure, nodes: set[int], m: int) -> bool:
     return all(arcs[a][1] not in nodes for a in ps.incidence()[1][m])
 
 
+def _lockstep(ps: ProofStructure, nodes: set[int], n: int, *starts: int):
+    """Breadth-first searches of `nodes` less n, one from each start, one
+    node each in turn.  Returns the node sets the searches reached and the
+    index of the one that closed first, or None when two of them met; a
+    single search runs to its end."""
+    arcs = ps.arcs
+    incoming, outgoing = ps.incidence()
+    found = tuple({s} for s in starts)
+    if len(found) == 2 and starts[0] == starts[1]:
+        return found, None
+    others = found[::-1] if len(found) == 2 else (set(),)
+    queues = [deque([s]) for s in starts]
+    while True:
+        for i, queue in enumerate(queues):
+            if not queue:
+                return found, i
+            own, other, m = found[i], others[i], queue.popleft()
+            for a in incoming[m] + outgoing[m]:
+                t, h = arcs[a]
+                x = h if t == m else t
+                if x in own or x == n or x not in nodes:
+                    continue
+                if x in other:
+                    return found, None
+                own.add(x)
+                queue.append(x)
+
+
+def _add_terminal(ps: ProofStructure, part: _Part, m: int) -> None:
+    """Record m as terminal in the part when its conclusions now leave it."""
+    if m not in part.terminal and _leaves_part(ps, part.nodes, m):
+        part.terminal.add(m)
+        part.fresh.append(m)
+
+
 def _peel_part(ps: ProofStructure, part: _Part, n: int) -> None:
     """Peel the terminal bot or par node n off the part, in place; a par's
-    two premises become the last conclusions."""
+    two premises become the last conclusions.
+
+    A terminal bot is a component of its own, so its peel lowers the
+    component count by one.  A par's component less the par falls into
+    the components of its two premise tails, one or two, and the lockstep
+    search from both tails tells which."""
     part.nodes.discard(n)
     part.terminal.discard(n)
-    arc = ps.incidence()[1][n][0]
-    conclusions = tuple(c for c in part.conclusions if c != arc)
+    conclusions = part.conclusions
+    i = conclusions.index(ps.incidence()[1][n][0])
+    conclusions = conclusions[:i] + conclusions[i + 1:]
     if ps.nodes[n] == PAR:
         premises = ps.premise_order[n]
         conclusions += premises
-        for a in premises:
-            tail = ps.arcs[a][0]
-            if _leaves_part(ps, part.nodes, tail):
-                part.terminal.add(tail)
+        tails = [ps.arcs[a][0] for a in premises]
+        if _lockstep(ps, part.nodes, n, *tails)[1] is not None:
+            part.pieces += 1
+        for tail in tails:
+            _add_terminal(ps, part, tail)
+    else:
+        part.pieces -= 1
     part.conclusions = conclusions
 
 
 def _determined_sides(ps: ProofStructure, part: _Part, n: int):
-    """The node sets (left, right) of the split at the cut or tensor node
-    n, when the part less n has exactly two components and the premises of
-    n come from different ones; else None."""
+    """The node set of one side of the split at the cut or tensor node n,
+    when the part less n has exactly two components and the premises of n
+    come from different ones; else None.
+
+    In a connected part that is the side the lockstep search from the two
+    premise tails closes before they meet.  A part of several components
+    less n has another component besides the one or two that hold the
+    tails, so no split of it is determined, and none is searched for."""
     first, second = ps.premises_of(n)
-    comps = induced_components(ps, part.nodes - {n})
-    if len(comps) != 2:
+    if part.pieces != 1:
         return None
-    left = next(c for c in comps if ps.arcs[first][0] in c)
-    right = next(c for c in comps if ps.arcs[second][0] in c)
-    return None if left is right else (left, right)
+    found, side = _lockstep(ps, part.nodes, n, ps.arcs[first][0], ps.arcs[second][0])
+    return None if side is None else found[side]
 
 
 def _split_part(ps: ProofStructure, part: _Part, n: int,
-                left: set[int], right: set[int]) -> tuple[_Part, _Part]:
-    """The two parts of the split at n: the left one receives the first
-    premise as its last conclusion, the right one the second premise as its
-    first; the inherited conclusions keep their relative order."""
+                closed: set[int]) -> tuple[_Part, _Part]:
+    """The two parts of the split at n, one with the node set `closed`,
+    which is a component of the part less n, the other the rest of the
+    part, trimmed in place.  The left one receives the first premise as its
+    last conclusion, the right one the second premise as its first; the
+    inherited conclusions keep their relative order."""
+    arcs, outgoing = ps.arcs, ps.incidence()[1]
     first, second = ps.premises_of(n)
-    parts = []
-    for side, arc, last in ((left, first, True), (right, second, False)):
-        inherited = tuple(c for c in part.conclusions if ps.arcs[c][0] in side)
-        terminal = {m for m in part.terminal if m in side}
-        tail = ps.arcs[arc][0]
-        if _leaves_part(ps, side, tail):
-            terminal.add(tail)
-        conclusions = inherited + (arc,) if last else (arc,) + inherited
-        parts.append(_Part(side, conclusions, terminal))
-    return parts[0], parts[1]
+    closed_left = arcs[first][0] in closed
+    closed_arc, rest_arc = (first, second) if closed_left else (second, first)
+    # the closed side's conclusions are its arcs that leave it, but for the
+    # one into n; they leave the part too
+    index = part.conclusions.index
+    inherited = sorted((a for m in closed for a in outgoing[m]
+                        if a != closed_arc and arcs[a][1] not in closed), key=index)
+    rest = list(part.conclusions)
+    for i in sorted(map(index, inherited + outgoing[n]), reverse=True):
+        del rest[i]
+    terminal = {m for m in closed if m in part.terminal}
+    side = _Part(closed, tuple(inherited), terminal, 1, list(terminal))
+    part.nodes -= closed
+    part.nodes.discard(n)
+    part.terminal -= terminal
+    part.terminal.discard(n)
+    part.conclusions = tuple(rest)
+    for p, arc, last in ((side, closed_arc, closed_left), (part, rest_arc, not closed_left)):
+        p.conclusions = p.conclusions + (arc,) if last else (arc,) + p.conclusions
+        _add_terminal(ps, p, arcs[arc][0])
+    return (side, part) if closed_left else (part, side)
+
+
+def _sorted_terminals(part: _Part, classify) -> dict:
+    """The part's heaps, after sorting each fresh terminal node into the
+    heap of its class `classify(m)`, unless that is None."""
+    heaps = part.heaps
+    for m in part.fresh:
+        c = classify(m)
+        if c is not None:
+            heapq.heappush(heaps.setdefault(c, []), m)
+    part.fresh.clear()
+    return heaps
+
+
+def _least(part: _Part, heap) -> int | None:
+    """The least node of a heap that is still terminal in the part."""
+    while heap and heap[0] not in part.terminal:
+        heapq.heappop(heap)
+    return heap[0] if heap else None
 
 
 def _base_case(ps: ProofStructure, part: _Part) -> SequentProof:
@@ -371,11 +481,11 @@ def _base_case(ps: ProofStructure, part: _Part) -> SequentProof:
 
 def _split_move(ps: ProofStructure, part: _Part, n: int):
     """The move splitting at n, which must leave no free component."""
-    sides = _determined_sides(ps, part, n)
-    if sides is None:
+    side = _determined_sides(ps, part, n)
+    if side is None:
         raise SequentializationError(
             f"node {n} does not split the structure into two determined parts")
-    return n, sides
+    return n, side
 
 
 def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
@@ -383,16 +493,18 @@ def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
 
     `ps` is typed and jump-free, and is only read.  `choose(ps, part)`
     returns None when the part must be a single ax or one node,
-    `(n, None)` to peel the terminal bot or par node n, or
-    `(n, (left, right))` to split at the cut or tensor node n into those
-    node sets.  The parts are sequentialized left first, and each rule is
-    composed as soon as its premises are, on an explicit stack, so the work
-    happens in the order of a recursive descent while the depth is bounded
-    by memory only.
+    `(n, None)` to peel the terminal bot or par node n, or `(n, side)` to
+    split at the cut or tensor node n into the node set `side`, a component
+    of the part less n, and the rest of the part.  The parts are
+    sequentialized left first, and each rule is composed as soon as its
+    premises are, on an explicit stack, so the work happens in the order of
+    a recursive descent while the depth is bounded by memory only.
     """
     outs = ps.incidence()[1]
-    root = _Part({m for m, lab in ps.nodes.items() if lab != DOT},
-                 ps.conclusions, set(ps.terminal_nodes()))
+    nodes = {m for m, lab in ps.nodes.items() if lab != DOT}
+    terminal = set(ps.terminal_nodes())
+    root = _Part(nodes, ps.conclusions, terminal, len(induced_components(ps, nodes)),
+                 sorted(terminal))
     proofs: list[SequentProof] = []
     stack: list = [root]  # parts to expand, (conclusions, n, sides) rules to compose
     while stack:
@@ -402,13 +514,13 @@ def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
             if move is None:
                 proofs.append(_base_case(ps, top))
                 continue
-            n, sides = move
+            n, side = move
             conclusions = top.conclusions
-            if sides is None:
+            if side is None:
                 _peel_part(ps, top, n)
                 stack += [(conclusions, n, None), top]
             else:
-                left, right = _split_part(ps, top, n, *sides)
+                left, right = _split_part(ps, top, n, side)
                 stack += [(conclusions, n, (left.conclusions, right.conclusions)),
                           right, left]
             continue
@@ -416,21 +528,23 @@ def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
         # order of the part it was chosen in
         conclusions, n, sides = top
         if sides is None:
-            arc = outs[n][0]
             joined = (bot_rule if ps.nodes[n] == BOT else par_rule)(proofs.pop())
-            current = [c for c in conclusions if c != arc] + [arc]
+            i, last = conclusions.index(outs[n][0]), len(conclusions) - 1
+            if i < last:  # the rule's conclusion moves from the end to i
+                joined = exchange_to(joined, [*range(i), last, *range(i, last)])
         else:
             left, right = sides
             proof_right, proof_left = proofs.pop(), proofs.pop()
             if ps.nodes[n] == TENSOR:
                 joined = tensor_rule(proof_left, proof_right)
-                middle = list(outs[n])
+                current = left[:-1] + tuple(outs[n]) + right[1:]
             else:
                 joined = cut_rule(ps.types[ps.premises_of(n)[0]], proof_left, proof_right)
-                middle = []
-            current = list(left[:-1]) + middle + list(right[1:])
-        position = {c: i for i, c in enumerate(current)}
-        proofs.append(exchange_to(joined, [position[c] for c in conclusions]))
+                current = left[:-1] + right[1:]
+            if current != conclusions:
+                position = {c: i for i, c in enumerate(current)}
+                joined = exchange_to(joined, [position[c] for c in conclusions])
+        proofs.append(joined)
     return proofs.pop()
 
 
@@ -457,19 +571,29 @@ def sequentialize_wten(ps: ProofStructure) -> SequentProof:
     return _sequentialize(typed.without_jumps(), _general_move)
 
 
+_GENERAL_CLASSES = {BOT: 0, PAR: 0, CUT: 1, TENSOR: 1}
+
+
 def _general_move(ps: ProofStructure, part: _Part):
     """Peel the least terminal bot or par node, else split at the first
     terminal cut or tensor node that leaves no free component."""
-    unary = [n for n in part.terminal if ps.nodes[n] in (BOT, PAR)]
-    if unary:
-        return min(unary), None
-    splitters = sorted(n for n in part.terminal if ps.nodes[n] in (CUT, TENSOR))
-    if not splitters:
+    heaps = _sorted_terminals(part, lambda m: _GENERAL_CLASSES.get(ps.nodes[m]))
+    n = _least(part, heaps.get(0))
+    if n is not None:
+        return n, None
+    splitters = heaps.get(1)
+    if _least(part, splitters) is None:
         return None
-    for n in splitters:
-        sides = _determined_sides(ps, part, n)
-        if sides is not None:
-            return n, sides
+    tried = []  # the splitters tried so far, in order, popped off their heap
+    try:
+        while (n := _least(part, splitters)) is not None:
+            side = _determined_sides(ps, part, n)
+            if side is not None:
+                return n, side
+            tried.append(heapq.heappop(splitters))
+    finally:
+        for m in tried:
+            heapq.heappush(splitters, m)
     raise SequentializationError("no splitting cut or tensor node found")
 
 
@@ -599,16 +723,20 @@ def sequentialize_btenll(ps: ProofStructure,
     return proof, jumped
 
 
+_BTEN_CLASSES = {PAR: 1, TENSOR: 2}
+
+
 def _bten_move(ps: ProofStructure, part: _Part, erasing: set[int]):
     """Peel the least terminal erasing node, else the least terminal par,
     else split at the least terminal tensor."""
-    terminal = part.terminal
-    unary = ([n for n in terminal if n in erasing]
-             or [n for n in terminal if ps.nodes[n] == PAR])
-    if unary:
-        return min(unary), None
-    tensors = [n for n in terminal if ps.nodes[n] == TENSOR]
-    return _split_move(ps, part, min(tensors)) if tensors else None
+    heaps = _sorted_terminals(
+        part, lambda m: 0 if m in erasing else _BTEN_CLASSES.get(ps.nodes[m]))
+    for c in (0, 1):
+        n = _least(part, heaps.get(c))
+        if n is not None:
+            return n, None
+    n = _least(part, heaps.get(2))
+    return None if n is None else _split_move(ps, part, n)
 
 
 def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStructure]:
@@ -625,9 +753,9 @@ def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | No
     """Peel or split at the least terminal input node; with none left,
     the one conclusion's node is a one, a par to peel or a tensor to split."""
     outs = ps.incidence()[1]
-    inputs = [n for n in part.terminal if polarities[outs[n][0]] == "I"]
-    if inputs:
-        n = min(inputs)
+    heaps = _sorted_terminals(part, lambda m: 0 if polarities[outs[m][0]] == "I" else None)
+    n = _least(part, heaps.get(0))
+    if n is not None:
         if ps.nodes[n] in (BOT, PAR):
             return n, None
         # input tensor: the output-premise side is one whole component
@@ -636,15 +764,16 @@ def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | No
         if len(out_side) != 1:
             raise SequentializationError("an input tensor has exactly one output premise")
         out_tail = ps.tail(out_side[0])
-        out_comp = next(c for c in induced_components(ps, part.nodes - {n}) if out_tail in c)
-        in_side = next(a for a in prem if a not in out_side)
-        if ps.tail(in_side) in out_comp:
+        in_tail = ps.tail(next(a for a in prem if a not in out_side))
+        found, side = _lockstep(ps, part.nodes, n, out_tail, in_tail)
+        if side is None:
             raise SequentializationError(
                 f"input tensor {n} does not split the structure")
-        rest = part.nodes - out_comp - {n}
-        if ps.tail(prem[0]) in out_comp:
-            return n, (out_comp, rest)
-        return n, (rest, out_comp)
+        if side == 1 and part.pieces > 1:
+            # the input side closed first, and the rest holds other
+            # components besides the output side: search that side alone
+            found, side = _lockstep(ps, part.nodes, n, out_tail)
+        return n, found[side]
     # all terminal nodes output: there is exactly one conclusion
     if len(part.conclusions) != 1:
         raise SequentializationError(

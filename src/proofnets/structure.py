@@ -464,6 +464,7 @@ def induced_components(ps: ProofStructure, nodes, jumps: bool = False) -> list[s
     ordered by their least node; with `jumps`, each jump also joins its bot
     to its target."""
     left = set(nodes)  # the nodes no component holds yet
+    arcs = ps.arcs
     incoming, outgoing = ps.incidence()
     targets, sources = (ps.jumps, jump_sources(ps)) if jumps else ({}, {})
     comps = []
@@ -474,10 +475,12 @@ def induced_components(ps: ProofStructure, nodes, jumps: bool = False) -> list[s
         comp, stack = {n}, [n]
         while stack:
             cur = stack.pop()
-            near = [ps.arcs[a][0] for a in incoming[cur]] + [ps.arcs[a][1] for a in outgoing[cur]]
-            near += sources.get(cur, ())
-            if cur in targets:
-                near.append(targets[cur])
+            near = [h if t == cur else t for t, h in map(arcs.__getitem__,
+                                                          incoming[cur] + outgoing[cur])]
+            if jumps:
+                near += sources.get(cur, ())
+                if cur in targets:
+                    near.append(targets[cur])
             for m in near:
                 if m in left:
                     left.remove(m)

@@ -33,6 +33,29 @@ def relabel(ps, rng):
     return out
 
 
+def count_search_visits(monkeypatch):
+    """From now on, the nodes each component search of the sequentializers
+    reaches, one count per search, in a list: the lockstep searches and
+    the whole-part searches of `induced_components`."""
+    from proofnets import sequentialize
+    visits = []
+    lockstep, components = sequentialize._lockstep, sequentialize.induced_components
+
+    def counted_lockstep(*args):
+        found, side = lockstep(*args)
+        visits.append(sum(map(len, found)))
+        return found, side
+
+    def counted_components(*args, **kwargs):
+        comps = components(*args, **kwargs)
+        visits.append(sum(map(len, comps)))
+        return comps
+
+    monkeypatch.setattr(sequentialize, "_lockstep", counted_lockstep)
+    monkeypatch.setattr(sequentialize, "induced_components", counted_components)
+    return visits
+
+
 def _json_paths(doc, prefix=()):
     """Every position in a JSON document, containers included."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)

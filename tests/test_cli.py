@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import proofnets
-from conftest import mutated_documents
+from conftest import count_search_visits, mutated_documents
 from proofnets import fixtures, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
@@ -685,6 +685,29 @@ def test_jumps_and_refined_sequentializers_are_linear_in_depth(tmp_path, capsys,
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
         assert took < 1.0, (command, took)
+
+
+@pytest.mark.parametrize("frag, k", [("icomll", 100), ("btenll", 100),
+                                     ("icomll", 1200), ("btenll", 2400)])
+def test_refined_sequentializers_move_and_search_linearly_in_depth(tmp_path, capsys,
+                                                                    monkeypatch, frag, k):
+    # the clock gate above, counted: each of the 2k rules is one peel, and
+    # the one node is the base case; the searches reach the 2k + 1 nodes
+    # once, to count the components, and then each par's bot side and the
+    # par below it, so they reach 8k - 5 nodes, where one whole-part search
+    # per par would reach k^2
+    proof, net = tmp_path / "chain.proof", tmp_path / "chain.json"
+    proof.write_text(_chain_proof(k).replace("mllu", frag))
+    assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+    anchor = []
+    if frag == "btenll":
+        anchor = ["--m", str(from_json(net.read_text()).nodes_with_label("one")[0])]
+    move = "_bten_move" if frag == "btenll" else "_icomll_move"
+    moves = _counted(monkeypatch, sequentialize, move, 2 * k + 1)
+    visits = count_search_visits(monkeypatch)
+    code, _, err = run(capsys, "sequentialize", str(net), "--mode", frag, *anchor)
+    assert (code, err) == (0, "")
+    assert (len(moves), sum(visits)) == (2 * k + 1, 8 * k - 5)
 
 
 def test_btenll_mode_requires_an_anchor(tmp_path, capsys):

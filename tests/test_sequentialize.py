@@ -1,10 +1,11 @@
 import hashlib
 import inspect
+import math
 import sys
 
 import pytest
 
-from conftest import build_ps
+from conftest import build_ps, count_search_visits
 from proofnets import fixtures, formulas
 from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import (FragmentError, SequentializationError,
@@ -591,6 +592,36 @@ def _tensor_chain(k):
     for _ in range(k):
         p = tensor_rule(p, ax_rule(atom("X", dual=True)))
     return desequentialize(p, verify=False).ps
+
+
+def _one_chain(k):
+    """k nested tensors over one nodes, the icomll form of `_tensor_chain`."""
+    p = one_rule()
+    for _ in range(k):
+        p = tensor_rule(p, one_rule())
+    return desequentialize(p, verify=False).ps
+
+
+@pytest.mark.parametrize("mode", ["wten", "btenll", "icomll"])
+def test_split_searches_visit_n_log_n_nodes(mode, monkeypatch):
+    # a lockstep search pays for the side that closes first, never the
+    # larger one, so along a chain of k splits the searches reach O(k log k)
+    # nodes in all; searching the whole part at every split reaches O(k^2)
+    visits = count_search_visits(monkeypatch)
+    totals = []
+    for k in (200, 800, 3200):
+        ps = _one_chain(k) if mode == "icomll" else _tensor_chain(k)
+        visits.clear()
+        if mode == "wten":
+            sequentialize_wten(ps)
+        elif mode == "btenll":
+            sequentialize_btenll(ps, 0)
+        else:
+            sequentialize_icomll(ps)
+        n = len(ps.nodes)
+        assert sum(visits) <= 2 * n * math.ceil(math.log2(n)), (k, sum(visits))
+        totals.append(sum(visits))
+    assert all(b < 5 * a for a, b in zip(totals, totals[1:])), totals
 
 
 def test_sequentializers_do_not_recurse_per_step():

@@ -10,6 +10,7 @@ import functools
 import pytest
 
 import copying_skeleton as reference
+from conftest import build_ps
 from proofnets import sequentialize
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_ps
@@ -66,3 +67,53 @@ def test_parts_keep_the_erasing_nodes_of_the_structure(mode):
         erasing = erasing_nodes(ps)
         reference.outcome(lambda: reference.run_reference(mode, ps, m, observe))
     assert len(seen) > 1000
+
+
+def _tensor_beside_an_axiom():
+    """A tensor of two axioms beside a third axiom: the part less the
+    tensor has three components, so the tensor splits nothing, though a
+    search from its two premises closes a side before they meet."""
+    nodes = {0: "ax", 1: "ax", 2: "tensor", 3: "ax", **{d: "dot" for d in range(4, 9)}}
+    arcs = {0: (0, 2), 1: (0, 4), 2: (1, 2), 3: (1, 5), 4: (2, 6), 5: (3, 7), 6: (3, 8)}
+    return build_ps(nodes, arcs, prem={2: (0, 2)}, concl=(1, 3, 4, 5, 6),
+                    types={0: "X", 1: "X^", 2: "Y", 3: "Y^", 4: "(X tensor Y)",
+                           5: "Z", 6: "Z^"})
+
+
+def test_splits_in_parts_of_several_components_fail_alike(monkeypatch):
+    # the lockstep answer holds only in a connected part; elsewhere the
+    # component count decides, and an icomll input tensor whose input side
+    # closes first searches its output side alone
+    several, fallbacks = [], []
+    determined = sequentialize._determined_sides
+    lockstep = sequentialize._lockstep
+
+    def counting_sides(ps, part, n):
+        if part.pieces > 1:
+            first, second = (ps.arcs[a][0] for a in ps.premises_of(n))
+            if lockstep(ps, part.nodes, n, first, second)[1] is not None:
+                several.append(n)
+        return determined(ps, part, n)
+
+    def counting_lockstep(ps, nodes, n, *starts):
+        if len(starts) == 1:
+            fallbacks.append(n)
+        return lockstep(ps, nodes, n, *starts)
+
+    monkeypatch.setattr(sequentialize, "_determined_sides", counting_sides)
+    monkeypatch.setattr(sequentialize, "_lockstep", counting_lockstep)
+    lone = _tensor_beside_an_axiom()
+    assert reference.outcome(lambda: sequentialize._sequentialize(
+        lone, sequentialize._general_move)) == (
+            "SequentializationError", "no splitting cut or tensor node found")
+    assert several == [2]
+    for frag, policy in ((Fragment.MLLU, 0), (Fragment.ICOMLL, 2)):
+        for seed in range(150):
+            ps = random_ps(GenParams(fragment=frag, seed=seed, cut_probability=0.3))
+            new, old = _policies(ps)[policy]
+            got = reference.outcome(lambda: sequentialize._sequentialize(ps, new))
+            assert got == reference.outcome(lambda: reference.skeleton(ps, old)), seed
+    for ps, m in reference.corpus("icomll"):
+        assert reference.outcome(lambda: reference.run("icomll", ps, m)) == (
+            reference.outcome(lambda: reference.run_reference("icomll", ps, m)))
+    assert len(several) > 100 and len(fallbacks) > 50, (len(several), len(fallbacks))
