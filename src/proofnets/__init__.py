@@ -14,8 +14,7 @@ from .structure import (ProofStructure, ValidationReport, erasing_nodes,
                         from_dsl, from_json, is_wten, jump_free, jump_total,
                         load_structure, strip, to_dsl, to_json, validate)
 from .canonical import CanonicalForm, canonical_form, iso, iso_untyped, isomorphisms
-from .switching import (CriterionVerdict, OutputStats, check, output_stats,
-                        switching_graph, switching_paths, switchings)
+from .switching import CriterionVerdict, check, switching_graph, switchings
 from .cutelim import (Redex, ReductionTrace, find_redexes, normalize,
                       reduce_step, replay)
 from .sequent import (DeseqResult, SequentProof, ax_rule, bot_rule, check_proof,
@@ -24,10 +23,9 @@ from .sequent import (DeseqResult, SequentProof, ax_rule, bot_rule, check_proof,
                       tensor_rule)
 from .sequentialize import (JumpedStructure, SplitAssignment, canonical_jumps_btenll,
                             canonical_jumps_icomll, classify_jumps, infer_types,
-                            is_sequential_oracle, proofs_equivalent,
-                            rewiring_equivalent, rewiring_reachable,
+                            proofs_equivalent, rewiring_equivalent,
                             sequentialize_btenll, sequentialize_icomll,
-                            sequentialize_wten, split_parts, splitting_candidates)
+                            sequentialize_wten, split_parts)
 from .generate import GenParams, permute_rules, random_formula, random_proof, random_ps
 from .render import export_dot
 

@@ -1,7 +1,9 @@
 """The checked-in structure corpus used by tests, docs and the CLI.
 
-Each fixture is a JSON file under `data/`; expected verdicts certified by
-the brute-force oracle live alongside them in `expected_verdicts.json`.
+Each fixture is a JSON file under `data/`; expected verdicts live
+alongside them in `expected_verdicts.json`.  The brute-force decomposition
+oracle that certified them is a test oracle, in the test suite's
+`reference_oracles` module.
 
   split-choice       two one/bot pairs under a tensor; its splitting node
                      admits three component distributions

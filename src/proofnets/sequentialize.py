@@ -10,10 +10,11 @@ peels terminal erasing nodes first, so that the proof of a bottom-restricted
 structure realizes its canonical jumps; `sequentialize_icomll` lets polarity
 (one `arc_polarities` map) choose in the constant-only intuitionistic
 fragment.  Both canonical jump assignments come from one bottom-up pass,
-`_jump_bots`, so their cost is linear in the nesting depth.  A brute-force
-decomposition oracle decides plain sequentiality exactly on small
-structures, and the desequentialization comparisons decide proof
-equivalence and jump rewiring equivalence.
+`_jump_bots`, so their cost is linear in the nesting depth.  The
+desequentialization comparisons decide proof equivalence and jump rewiring
+equivalence.  `split_parts` cuts out the two sub-structures of a split as
+copies; no sequentializer calls it, and the exhaustive decomposition
+oracle that does is a test oracle, outside the package.
 
 The skeleton only reads the structure it is given, through its one
 incidence index.  A part of the recursion is a `_Part`: a set of non-dot
@@ -59,16 +60,15 @@ import functools
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .canonical import canonical_form, iso, isomorphisms
+from .canonical import iso
 from .errors import (FragmentError, SequentializationError, TypeInferenceError)
 from .formulas import (ATOM, BOT as BOT_F, Formula, Fragment, ONE as ONE_F, atom,
                        negate)
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         arc_polarities, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
-                        restrict, strip, topological_order, validate)
+                        restrict, topological_order, validate)
 from .sequent import (SequentProof, ax_rule, bot_rule, check_proof, cut_rule,
                       desequentialize, exchange_to, one_rule, par_rule, tensor_rule)
 from .switching import check
@@ -178,17 +178,7 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
     return typed
 
 
-# -- peeling and splitting ------------------------------------------------------
-
-
-def _peel(ps: ProofStructure, n: int) -> ProofStructure:
-    """ps less the terminal bot or par node n, its conclusion arc and that
-    arc's dot; a par's two premises become the last conclusions, each
-    capped by a fresh dot."""
-    arc = ps.conclusions_of(n)[0]
-    conclusions = tuple(c for c in ps.conclusions if c != arc)
-    return restrict(ps, set(ps.nodes) - {n, ps.head(arc)},
-                    conclusions + ps.premise_order.get(n, ()))
+# -- split parts ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -196,29 +186,6 @@ class SplitAssignment:
     node: int
     left_nodes: frozenset[int]
     right_nodes: frozenset[int]
-
-
-def _raw_split_assignments(ps: ProofStructure, n: int):
-    """Distributions of the components of ps minus n over the two sides,
-    generated one at a time: the first puts every free component right."""
-    prem = ps.premises_of(n)
-    removed = {n}
-    for c in ps.conclusions_of(n):
-        removed.add(ps.head(c))
-    comps = induced_components(ps, (m for m in ps.nodes if m not in removed))
-    left_tail, right_tail = ps.tail(prem[0]), ps.tail(prem[1])
-    base_left = next(c for c in comps if left_tail in c)
-    base_right = next(c for c in comps if right_tail in c)
-    if base_left is base_right:
-        return
-    free = [c for c in comps if c is not base_left and c is not base_right]
-    for k in range(len(free) + 1):
-        for chosen in combinations(range(len(free)), k):
-            left = set(base_left)
-            right = set(base_right)
-            for i, c in enumerate(free):
-                (left if i in chosen else right).update(c)
-            yield SplitAssignment(n, frozenset(left), frozenset(right))
 
 
 def split_parts(ps: ProofStructure, assignment: SplitAssignment
@@ -236,82 +203,6 @@ def split_parts(ps: ProofStructure, assignment: SplitAssignment
     base = ps.without_jumps()
     return (restrict(base, left, inherited[0] + (first,)),
             restrict(base, right, (second,) + inherited[1]))
-
-
-def splitting_candidates(ps: ProofStructure) -> list[SplitAssignment]:
-    """Every way a terminal cut or tensor node splits the structure.
-
-    Free components (touching neither premise) may go to either side;
-    distributions whose two parts coincide up to isomorphism with those of
-    an earlier one are reported once.
-    """
-    ensure_valid(ps)
-    base = strip(ps)
-    out = []
-    for n in base.terminal_nodes():
-        if base.nodes[n] not in (CUT, TENSOR):
-            continue
-        seen_keys = set()
-        for asn in _raw_split_assignments(base, n):
-            left, right = split_parts(base, asn)
-            key = (canonical_form(left), canonical_form(right))
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            out.append(asn)
-    return out
-
-
-# -- the brute-force sequentiality oracle -------------------------------------
-
-
-_MISSING = object()
-
-
-def is_sequential_oracle(ps: ProofStructure) -> tuple[bool, dict | None]:
-    """Exact, exponential decision of the recursive decomposition.
-
-    Tries every terminal node and every component distribution, memoized
-    on canonical forms.  Types, jumps and the conclusion order are
-    irrelevant to the decomposition and are ignored.
-    """
-    ensure_valid(ps)
-    memo: dict[bytes, dict | None] = {}
-
-    def seq(s: ProofStructure):
-        key = canonical_form(s)
-        cached = memo.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        result = None
-        non_dots = [m for m, lab in s.nodes.items() if lab != DOT]
-        if len(non_dots) == 1 and s.nodes[non_dots[0]] in (AX, ONE):
-            result = {"node": non_dots[0], "kind": s.nodes[non_dots[0]]}
-        if result is None:
-            for n in s.terminal_nodes():
-                lab = s.nodes[n]
-                if lab in (BOT, PAR):
-                    sub = seq(_peel(s, n))
-                    if sub is not None:
-                        result = {"node": n, "kind": lab, "parts": [sub]}
-                elif lab in (CUT, TENSOR):
-                    for asn in _raw_split_assignments(s, n):
-                        left, right = split_parts(s, asn)
-                        sub_l = seq(left)
-                        if sub_l is None:
-                            continue
-                        sub_r = seq(right)
-                        if sub_r is not None:
-                            result = {"node": n, "kind": lab,
-                                      "parts": [sub_l, sub_r]}
-                            break
-                if result is not None:
-                    break
-        memo[key] = result
-        return result
-
-    decomposition = seq(strip(ps))
-    return decomposition is not None, decomposition
 
 
 # -- the in-place peel/split skeleton -------------------------------------------
@@ -808,44 +699,3 @@ def rewiring_equivalent(r1: ProofStructure, r2: ProofStructure) -> bool:
         raise SequentializationError("rewiring equivalence needs jump-correct inputs")
     return iso(r1.without_jumps(), r2.without_jumps())
 
-
-def rewiring_reachable(r1: ProofStructure, r2: ProofStructure, *,
-                       max_states: int = 50_000) -> bool:
-    """Breadth-first oracle over single-jump redirections, each intermediate
-    structure re-checked jump-correct.  Exact but exponential; meant for
-    small instances."""
-    if not all(classify_jumps(r).jump_correct for r in (r1, r2)):
-        raise SequentializationError("rewiring oracle needs jump-correct inputs")
-    base1, base2 = r1.without_jumps(), r2.without_jumps()
-    goals = set()
-    for sigma in isomorphisms(base2, base1):
-        goals.add(frozenset((sigma[s], sigma[t]) for s, t in r2.jumps.items()))
-    if not goals:
-        return False
-
-    start = frozenset(r1.jumps.items())
-    if start in goals:
-        return True
-    frontier = deque([start])
-    seen = {start}
-    while frontier:
-        state = frontier.popleft()
-        current = dict(state)
-        for src in current:
-            for tgt in r1.nodes:
-                if tgt in (src, current[src]):
-                    continue
-                new_map = dict(current)
-                new_map[src] = tgt
-                key = frozenset(new_map.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > max_states:
-                    raise SequentializationError("rewiring search exceeded its budget")
-                if not check(r1.with_jumps(new_map), "acc").holds:
-                    continue
-                if key in goals:
-                    return True
-                frontier.append(key)
-    return False

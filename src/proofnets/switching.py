@@ -33,9 +33,9 @@ A census lists the components of one switching graph.  `_components`
 computes it with one walk of the incidence index and of `jump_sources`,
 which leads each unchosen premise to its par's fresh dot.  It serves every
 caller: the census a verdict prints, read only on demand, and the counting
-in cwforall and `output_stats`.  `_reheading` alone numbers the fresh dots,
-for the walk and for `switching_graph`, which lists the nodes and arcs of
-one switching graph for `dot --switching`.
+in cwforall and in cyclic c and cw.  `_reheading` alone numbers the fresh
+dots, for the walk and for `switching_graph`, which lists the nodes and
+arcs of one switching graph for `dot --switching`.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import FragmentError, ProofNetError, SwitchingLimitError
-from .formulas import Fragment
-from .structure import (BOT, DOT, PAR, ProofStructure, arc_polarities, erasing_nodes,
-                        jump_arcs, jump_sources, validate)
+from .structure import (BOT, DOT, ProofStructure, arc_polarities, erasing_nodes,
+                        jump_arcs, jump_sources)
 
 DEFAULT_MAX_PAR = 20
 
@@ -560,121 +559,3 @@ def _cyclic_count_verdict(ps: ProofStructure, criterion: str, first: Switching,
             return CriterionVerdict(criterion, False, sw, [c.census() for c in comps])
     return CriterionVerdict(criterion, True)
 
-
-@dataclass
-class OutputStats:
-    bots: int
-    outputs: int
-    acyclic: bool
-    components_per_switching: list[int]
-
-
-def output_stats(ps: ProofStructure, max_par: int = DEFAULT_MAX_PAR) -> OutputStats:
-    """Bot count, output-conclusion count and per-switching components for
-    a structure typed in the intuitionistic fragment.
-
-    Every switching is enumerated, so past `max_par` par nodes this raises
-    `SwitchingLimitError`.  Acyclicity comes from the contraction; when
-    every switching graph is acyclic, the component count is checked to
-    equal bots + outputs - jumps on each.
-    """
-    report = validate(ps, Fragment.IMLL)
-    if not report.ok:
-        raise FragmentError("output statistics require a valid imll typing")
-    bots = len(ps.bottom_nodes())
-    polarities = arc_polarities(ps)
-    outputs = sum(1 for a in ps.conclusions if polarities[a] == "O")
-    erasing = erasing_nodes(ps)
-    counts = [len(_components(ps, sw, erasing)) for sw in switchings(ps, ALL, max_par)]
-    acyclic = not _has_switching_cycle(ps)
-    if acyclic and any(cc != bots + outputs - len(ps.jumps) for cc in counts):
-        raise AssertionError("component count law violated on an acyclic switching graph")
-    return OutputStats(bots, outputs, acyclic, counts)
-
-
-# -- path enumeration --------------------------------------------------------
-
-SWITCHING_PATH = "switching"
-W_SWITCHING_PATH = "w-switching"
-DIRECTED_PATH = "directed"
-
-
-@dataclass(frozen=True)
-class Path:
-    nodes: tuple[int, ...]
-    arcs: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.arcs)
-
-
-def switching_paths(ps: ProofStructure, src: int, dst: int | None = None,
-                    flavor: str = SWITCHING_PATH) -> list[Path]:
-    """Enumerate simple paths from src (to dst, or to anywhere when dst is
-    None) under a path discipline.
-
-    `switching` paths never use two premises of the same par node;
-    `w-switching` paths additionally avoid any arc that is the unique
-    erasing premise of its par node; `directed` paths follow arc direction.
-    Paths never repeat a node; the empty path is included when src == dst
-    or dst is None.
-    """
-    if flavor not in (SWITCHING_PATH, W_SWITCHING_PATH, DIRECTED_PATH):
-        raise ValueError(f"unknown path flavor {flavor!r}")
-    erasing = erasing_nodes(ps)
-    forbidden = set()
-    if flavor == W_SWITCHING_PATH:
-        for n in ps.par_nodes():
-            prem = ps.premises_of(n)
-            erasing_prem = [a for a in prem if ps.tail(a) in erasing]
-            if len(erasing_prem) == 1:
-                forbidden.add(erasing_prem[0])
-
-    incoming, outgoing = ps.incidence()
-
-    results: list[Path] = []
-    if dst is None or dst == src:
-        results.append(Path((src,), ()))
-
-    def premises_used_ok(arcs_used, candidate):
-        if ps.nodes[ps.head(candidate)] != PAR:
-            return True
-        twin = [a for a in ps.premises_of(ps.head(candidate)) if a != candidate]
-        return not (twin and twin[0] in arcs_used)
-
-    def around(node):
-        return iter(sorted(outgoing[node] if flavor == DIRECTED_PATH
-                           else outgoing[node] + incoming[node]))
-
-    # a depth-first walk with one arc iterator per node of the current path
-    path_nodes, path_arcs = [src], []
-    nodes_seen, arcs_used = {src}, set()
-    walking = [around(src)]
-    while walking:
-        a = next(walking[-1], None)
-        if a is None:
-            walking.pop()
-            if path_arcs:
-                nodes_seen.remove(path_nodes.pop())
-                arcs_used.remove(path_arcs.pop())
-            continue
-        if a in arcs_used or a in forbidden:
-            continue
-        t, h = ps.arcs[a]
-        nxt = h if path_nodes[-1] == t else t
-        if nxt in nodes_seen:
-            continue
-        if flavor != DIRECTED_PATH and not premises_used_ok(arcs_used, a):
-            continue
-        path_nodes.append(nxt)
-        path_arcs.append(a)
-        nodes_seen.add(nxt)
-        arcs_used.add(a)
-        if dst is None or nxt == dst:
-            results.append(Path(tuple(path_nodes), tuple(path_arcs)))
-        if dst is None or nxt != dst:
-            walking.append(around(nxt))
-        else:
-            nodes_seen.remove(path_nodes.pop())
-            arcs_used.remove(path_arcs.pop())
-    return results

@@ -14,15 +14,15 @@ from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import (ax_rule, bot_rule, cut_rule, desequentialize,
                                exchange_to, format_proof, one_rule, par_rule,
                                tensor_rule)
-from proofnets.sequentialize import (SplitAssignment, _peel, _raw_split_assignments,
-                                     canonical_jumps_btenll, canonical_jumps_icomll,
-                                     infer_types, sequentialize_btenll,
-                                     sequentialize_icomll, sequentialize_wten,
-                                     split_parts)
+from proofnets.sequentialize import (SplitAssignment, canonical_jumps_btenll,
+                                     canonical_jumps_icomll, infer_types,
+                                     sequentialize_btenll, sequentialize_icomll,
+                                     sequentialize_wten, split_parts)
 from proofnets.structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                                  ensure_valid, erasing_nodes, induced_components,
                                  is_wten, jump_free)
 from proofnets.switching import check
+from reference_oracles import _peel, _raw_split_assignments
 
 
 def _determined_split(ps, n):

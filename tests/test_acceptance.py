@@ -14,14 +14,13 @@ from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, permute_rules, random_proof, random_ps
 from proofnets.sequent import deseq_relation_holds, desequentialize
 from proofnets.sequentialize import (canonical_jumps_btenll, classify_jumps,
-                                     is_sequential_oracle, proofs_equivalent,
-                                     rewiring_equivalent, rewiring_reachable,
+                                     proofs_equivalent, rewiring_equivalent,
                                      sequentialize_btenll, sequentialize_icomll,
-                                     sequentialize_wten, split_parts,
-                                     splitting_candidates)
+                                     sequentialize_wten, split_parts)
 from proofnets.structure import erasing_nodes, is_wten, validate
-from proofnets.switching import (ALL, W_COMPATIBLE, check, output_stats, switching_graph,
-                                 switchings)
+from proofnets.switching import ALL, W_COMPATIBLE, check, switching_graph, switchings
+from reference_oracles import (is_sequential_oracle, output_stats, rewiring_reachable,
+                               splitting_candidates)
 from reference_switching import SwitchingGraph, cwforall, graph_components
 
 

@@ -22,8 +22,10 @@ from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import (bot_rule, cut_rule, desequentialize, exchange_to, format_proof,
                                one_rule, par_rule, parse_proof, tensor_rule)
+from proofnets.sequentialize import canonical_jumps_btenll, canonical_jumps_icomll
 from proofnets.structure import from_dsl, from_json, to_dsl, to_json
 from proofnets.switching import switchings
+import reference_oracles
 
 
 def run(capsys, *argv):
@@ -63,7 +65,7 @@ def test_check_counterexample_serialized(tmp_path, capsys):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for text in ("{ not json", '{"nodes": ' + "[" * 3000 + "]" * 3000 + "}"):
+    for text in ("{ not json", '{"nodes": ' + "[" * 3000 + "]" * 3000 + "}", "[1]"):
         bad.write_text(text)
         code, out, err = run(capsys, "check", str(bad), "--criterion", "accw")
         assert (code, out) == (2, "") and err.startswith("error: "), text[:20]
@@ -717,12 +719,51 @@ def test_btenll_mode_requires_an_anchor(tmp_path, capsys):
             2, "", "error: --m NODE is required in btenll mode\n")
 
 
+# an ax of type one and bot, and a one/bot cut beside a one: both are typed
+# in icomll, where neither node kind is available
+_UNIT_AX = ("node 0 ax\nnode 1 dot\nnode 2 dot\narc 0 0 1\narc 1 0 2\n"
+            "conclusions 0 1\ntype 0 one\ntype 1 bot\n")
+_UNIT_CUT = ("node 0 one\nnode 1 bot\nnode 2 cut\nnode 3 one\nnode 4 dot\n"
+             "arc 0 0 2\narc 1 1 2\narc 2 3 4\nconclusions 2\n"
+             "type 0 one\ntype 1 bot\ntype 2 one\n")
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_UNIT_AX, ["sequentialize", "IN", "--mode", "icomll"],
+     "ax nodes are not available in icomll"),
+    (_UNIT_AX, ["jumps", "IN", "--mode", "icomll"], "ax nodes are not available in icomll"),
+    (_UNIT_CUT, ["sequentialize", "IN", "--mode", "icomll"],
+     "cut nodes are not available in icomll"),
+    (_UNIT_CUT, ["jumps", "IN", "--mode", "icomll"], "cut nodes are not available in icomll"),
+    (_UNIT_CUT, ["sequentialize", "IN", "--mode", "btenll", "--m", "3"],
+     "cut-free structure expected"),
+    (to_json(canonical_jumps_icomll(fixtures.load("jumps-constants")).ps),
+     ["sequentialize", "IN", "--mode", "icomll"], "expected a jump-free structure"),
+    (to_json(canonical_jumps_btenll(fixtures.load("jumps-units"), 0).ps),
+     ["sequentialize", "IN", "--mode", "btenll", "--m", "0"], "expected a jump-free structure"),
+    (None, ["gen", "--kind", "proof"], "proof generation needs --fragment"),
+    ("node 0 one\nfoo 1\n", ["check", "IN", "--criterion", "ac"],
+     "line 2: unknown directive 'foo'"),
+    ("node 0 one 3\nnode 1 dot\narc 0 0 1\nconclusions 0\n",
+     ["check", "IN", "--criterion", "ac"],
+     "line 1: node takes an id, a label and optionally two premise arcs"),
+])
+def test_precondition_errors_exit_2(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "in"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "IN" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
     for name in ("sequentialize_wten", "sequentialize_btenll", "sequentialize_icomll",
                  "canonical_jumps_btenll", "canonical_jumps_icomll", "classify_jumps",
-                 "rewiring_equivalent", "rewiring_reachable"):
+                 "rewiring_equivalent"):
         assert "max_par" not in inspect.signature(getattr(sequentialize, name)).parameters
-    budget = inspect.signature(sequentialize.rewiring_reachable).parameters["max_states"]
+    reachable = inspect.signature(reference_oracles.rewiring_reachable).parameters
+    assert "max_par" not in reachable
+    budget = reachable["max_states"]
     assert budget.kind is inspect.Parameter.KEYWORD_ONLY
 
     net = tmp_path / "two-par.json"
@@ -886,20 +927,22 @@ def test_accw_refutes_1000_par_chains_within_a_tenth_of_a_second(tmp_path, capsy
     assert second == ([min(chosen, key=int)] if deepest_second else [])
 
 
-@pytest.mark.parametrize("k", [250, 1000])
+@pytest.mark.parametrize("k", [200, 250, 800, 1000])
 @pytest.mark.parametrize("deepest_second", [False, True])
 def test_accw_refutes_joined_chains_in_at_most_5_contractions(tmp_path, capsys, monkeypatch,
                                                               k, deepest_second):
     # the clock gate above, counted: 2 contractions when the first switching
     # is cyclic and 5 when the deepest par takes its second premise, at
-    # every k; a linear search would make one per par
+    # every k; a linear search would make one per par.  The printed census
+    # walks the counterexample's switching graph once
     from proofnets import switching
 
     _, net = _joined_chain(tmp_path, capsys, k, deepest_second)
     calls = _counted(monkeypatch, switching, "_has_switching_cycle", 5)
+    walks = _counted(monkeypatch, switching, "_components", 1)
     code, _, err = run(capsys, "check", net, "--criterion", "accw")
     assert (code, err) == (1, "")
-    assert len(calls) <= 5, len(calls)
+    assert (len(calls), len(walks)) == (5 if deepest_second else 2, 1)
 
 
 def test_cw_on_a_16_par_chain_within_a_tenth_of_a_second(tmp_path, capsys):

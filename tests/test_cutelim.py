@@ -18,9 +18,9 @@ from proofnets.formulas import ATOM, BOT, ONE, PAR, Fragment, atom, negate, par,
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import (ax_rule, bot_rule, cut_rule, desequentialize, exchange_to,
                                one_rule, par_rule, tensor_rule)
-from proofnets.sequentialize import is_sequential_oracle
 from proofnets.structure import ensure_valid, strip, to_json, validate
 from proofnets.switching import check
+from reference_oracles import is_sequential_oracle
 
 
 def unit_cut_ps():
@@ -138,6 +138,13 @@ def test_stale_redex_rejected():
         with pytest.raises(RedexError):
             reduce_step(ps, stale)
     assert len(reduce_step(ps, Redex(2, UNIT_CUT, (0, 1))).nodes) == 2
+    # a recorded step whose cut is gone, or is now another kind of redex
+    for steps, stale in (([(UNIT_CUT, 2), (UNIT_CUT, 2)], "(unit, 2)"),
+                         ([(AXIOM_CUT, 2)], "(axiom, 2)"), ([(UNIT_CUT, 9)], "(unit, 9)")):
+        with pytest.raises(RedexError) as err:
+            replay(ps, steps)
+        assert str(err.value) == f"recorded step {stale} is not available"
+    assert len(replay(ps, [(UNIT_CUT, 2)]).nodes) == 2
 
 
 def test_arc_count_strictly_decreases():

@@ -7,9 +7,10 @@ from proofnets.formulas import BOT, ONE, Fragment, atom, par, polarity, tensor
 from proofnets.generate import (GenParams, permute_rules, random_formula, random_proof,
                                 random_ps)
 from proofnets.sequent import check_proof, desequentialize
-from proofnets.sequentialize import is_sequential_oracle, proofs_equivalent
+from proofnets.sequentialize import proofs_equivalent
 from proofnets.structure import is_wten, validate
 from proofnets.switching import check
+from reference_oracles import is_sequential_oracle
 
 
 def test_random_proof_deterministic():

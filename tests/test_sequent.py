@@ -20,11 +20,12 @@ from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
                                check_proof, cut_rule, deseq_relation_holds,
                                desequentialize, ex_rule, exchange_to,
                                format_proof, one_rule, parse_proof, tensor_rule)
-from proofnets.sequentialize import is_sequential_oracle, sequentialize_wten
+from proofnets.sequentialize import sequentialize_wten
 from proofnets.structure import validate
 from proofnets.switching import check
 
 import reference_proof_parser as reference
+from reference_oracles import is_sequential_oracle
 
 X = atom("X")
 
@@ -187,6 +188,10 @@ def test_exchange_to_realizes_permutations():
     q = exchange_to(p, [3, 1, 0, 2])
     assert q.conclusion == tuple(p.conclusion[i] for i in [3, 1, 0, 2])
     assert check_proof(q).ok
+    for order in ([3, 1, 0], [3, 1, 0, 0], [4, 1, 0, 2]):
+        with pytest.raises(ProofBuildError) as err:
+            exchange_to(p, order)
+        assert str(err.value) == "exchange target is not a permutation", order
 
 
 def test_exchange_to_emits_the_exchanges_of_the_list_search():
@@ -463,6 +468,25 @@ def test_bot_scopes_of_deep_nests_stay_linear():
     outer = max(d.bot_scopes)
     dot = d.ps.head(d.ps.conclusions_of(outer)[0])
     assert {n for n in d.bot_scopes[outer] if n in d.ps.nodes} == set(d.ps.nodes) - {outer, dot}
+
+
+def test_bot_scopes_of_deep_nests_are_ranges_and_grow_linearly():
+    # the clock gate above, without the clock: every scope is a range, and
+    # four times the nesting takes less than five times the memory
+    peaks = []
+    for k in (1200, 4800):
+        proof = one_rule()
+        for _ in range(k):
+            proof = bot_rule(proof)
+        tracemalloc.start()
+        try:
+            d = desequentialize(proof, verify=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(d.bot_scopes) == k
+        assert all(type(scope) is range for scope in d.bot_scopes.values())
+    assert peaks[1] < 5 * peaks[0], peaks
 
 
 def test_validate_accepts_deseq(single_one):

@@ -16,14 +16,14 @@ from proofnets.sequent import (ax_rule, bot_rule, check_proof, deseq_relation_ho
                                desequentialize, ex_rule, format_proof, one_rule,
                                par_rule, tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
-                                     classify_jumps, infer_types,
-                                     is_sequential_oracle, proofs_equivalent,
-                                     rewiring_equivalent, rewiring_reachable,
-                                     sequentialize_btenll, sequentialize_icomll,
-                                     sequentialize_wten, split_parts,
-                                     splitting_candidates)
+                                     classify_jumps, infer_types, proofs_equivalent,
+                                     rewiring_equivalent, sequentialize_btenll,
+                                     sequentialize_icomll, sequentialize_wten,
+                                     split_parts)
 from proofnets.structure import erasing_nodes, is_wten, strip, validate
 from proofnets.switching import check
+from reference_oracles import (is_sequential_oracle, rewiring_reachable,
+                               splitting_candidates)
 
 
 def non_erasing_nodes(ps):

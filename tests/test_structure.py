@@ -91,7 +91,7 @@ def test_erasing_par_one_bot():
 
 
 def test_erasing_monotone_under_peeling():
-    from proofnets.sequentialize import _peel
+    from reference_oracles import _peel
     checked = 0
     for seed in range(250):
         ps = random_ps(GenParams(fragment=None, max_nodes=10, seed=seed))
@@ -170,6 +170,16 @@ def test_descent_chain_matches_precedes(single_bot):
 
 
 # -- serialization ----------------------------------------------------------------
+
+
+def test_unknown_fixture_and_a_document_that_is_no_object_are_rejected():
+    with pytest.raises(KeyError) as err:
+        fixtures.load("nope")
+    assert err.value.args == (f"unknown fixture 'nope'; known: {', '.join(fixtures.NAMES)}",)
+    for text in ("[1]", "1", '"nodes"', "null"):
+        with pytest.raises(ParseError) as err:
+            from_json(text)
+        assert str(err.value) == "malformed structure document: expected a JSON object", text
 
 
 @pytest.mark.parametrize("name", fixtures.NAMES)

@@ -13,10 +13,10 @@ from proofnets.canonical import _parts
 from proofnets.formulas import Fragment, format_formula
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
-from proofnets.sequentialize import (_peel, _raw_split_assignments,
-                                     canonical_jumps_btenll, split_parts)
+from proofnets.sequentialize import canonical_jumps_btenll, split_parts
 from proofnets.structure import (BOT, CUT, DOT, PAR, TENSOR, ProofStructure, erasing_nodes,
                                  restrict, validate)
+from reference_oracles import _peel, _raw_split_assignments
 
 
 def corpus():

@@ -13,10 +13,10 @@ from proofnets.sequent import bot_rule, desequentialize, one_rule, par_rule
 from proofnets.sequentialize import canonical_jumps_btenll, canonical_jumps_icomll
 from proofnets.structure import ProofStructure, erasing_nodes, is_wten, topological_order
 from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE,
-                                 CriterionVerdict, Path, _bridges, _components,
+                                 CriterionVerdict, _bridges, _components,
                                  _first_cyclic_switching, _has_switching_cycle, check,
-                                 expected_components, output_stats, switching_graph,
-                                 switching_paths, switchings)
+                                 expected_components, switching_graph, switchings)
+from reference_oracles import Path, output_stats, switching_paths
 
 
 def two_par_ps():
@@ -146,6 +146,12 @@ def test_ax_reconvergence_is_a_cycle():
 
 
 # -- criteria --------------------------------------------------------------------------
+
+
+def test_unknown_criterion_is_a_value_error():
+    with pytest.raises(ValueError) as err:
+        check(fixtures.load("regnier"), "xyz")
+    assert str(err.value) == "unknown criterion 'xyz'"
 
 
 def test_split_choice_accw():
@@ -302,15 +308,36 @@ def test_contraction_agrees_with_the_enumeration():
     assert len(corpus) // 4 < refuted["accw"] < 3 * len(corpus) // 4
 
 
+def _late_cwforall_refutations():
+    """Untyped random structures, one random jump from each bot, that the
+    enumeration refutes at an erasing-compatible switching past the first:
+    one that takes the second premise of some par."""
+    found = []
+    for seed in range(2500):
+        ps = random_ps(GenParams(fragment=None, max_nodes=10, seed=seed))
+        if not ps.bottom_nodes():
+            continue
+        rng = random.Random(seed)
+        ps = ps.with_jumps({b: rng.choice([n for n in ps.nodes if n != b])
+                            for b in ps.bottom_nodes()})
+        verdict = reference.cwforall(ps)
+        if not verdict.holds and verdict.counterexample != next(switchings(ps, W_COMPATIBLE)):
+            found.append(ps)
+    return found
+
+
 def test_cwforall_agrees_with_the_enumeration():
     # a jump-free structure stops after its first erasing-compatible
-    # switching, a jumped one enumerates them all
+    # switching, a jumped one enumerates them all: the late refutations
+    # fail any check that stops after the first switching on jumped ones
+    late = _late_cwforall_refutations()
     seen = Counter()
-    for i, ps in enumerate(_oracle_corpus()):
+    for i, ps in enumerate(_oracle_corpus() + late):
         expected = reference.cwforall(ps)
         assert check(ps, "cwforall").to_json() == expected.to_json(), i
         seen[bool(ps.jumps), expected.holds] += 1
     assert min(seen[jumped, holds] for jumped in (False, True) for holds in (False, True)) > 10
+    assert len(late) >= 10
 
 
 def test_cwforall_on_a_jumped_wten_structure_tries_every_switching():
