@@ -13,8 +13,8 @@ fragment.  Both canonical jump assignments come from one bottom-up pass,
 `_jump_bots`, so their cost is linear in the nesting depth.  The
 desequentialization comparisons decide proof equivalence and jump rewiring
 equivalence.  `split_parts` cuts out the two sub-structures of a split as
-copies; no sequentializer calls it, and the exhaustive decomposition
-oracle that does is a test oracle, outside the package.
+copies; no sequentializer calls it.  The exhaustive decomposition oracle,
+which does, is a test oracle outside the package.
 
 The skeleton only reads the structure it is given, through its one
 incidence index.  A part of the recursion is a `_Part`: a set of non-dot
