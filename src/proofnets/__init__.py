@@ -18,9 +18,9 @@ from .switching import CriterionVerdict, check, switching_graph, switchings
 from .cutelim import (Redex, ReductionTrace, find_redexes, normalize,
                       reduce_step, replay)
 from .sequent import (DeseqResult, SequentProof, ax_rule, bot_rule, check_proof,
-                      cut_rule, deseq_relation_holds, desequentialize, ex_rule,
-                      exchange_to, format_proof, one_rule, par_rule, parse_proof,
-                      tensor_rule)
+                      cut_rule, deseq_relation_holds, desequentialize,
+                      desequentialize_text, ex_rule, exchange_to, format_proof,
+                      one_rule, par_rule, parse_proof, tensor_rule)
 from .sequentialize import (JumpedStructure, SplitAssignment, canonical_jumps_btenll,
                             canonical_jumps_icomll, classify_jumps, infer_types,
                             proofs_equivalent, rewiring_equivalent,

@@ -17,13 +17,14 @@ import json
 import sys
 
 from . import fixtures
+from .canonical import iso
 from .errors import ParseError, ProofNetError, ValidationError
 from .formulas import Fragment, fragment_from_name
 from .generate import GenParams, random_proof, random_ps
 from .render import export_dot
-from .sequent import check_proof, desequentialize, format_proof, parse_proof
+from .sequent import check_proof, desequentialize_text, format_proof, parse_proof
 from .sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
-                            proofs_equivalent, sequentialize_btenll,
+                            require_btenll, sequentialize_btenll,
                             sequentialize_icomll, sequentialize_wten)
 from .structure import (ProofStructure, decode_json, ensure_valid, is_wten,
                         load_structure, to_dsl, to_json)
@@ -125,19 +126,26 @@ def _cmd_jumps(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    _, p1 = parse_proof(_read(args.proof1))
-    _, p2 = parse_proof(_read(args.proof2))
-    result = proofs_equivalent(p1, p2)
+    # `proofs_equivalent` on the nets the texts read into; a proof tree is
+    # built only to report a proof outside btenll
+    texts, nets = [], []
+    for path in (args.proof1, args.proof2):
+        texts.append(_read(path))
+        nets.append(desequentialize_text(texts[-1], verify=False)[1])
+    for text, net in zip(texts, nets):
+        if not net.in_fragment(Fragment.BTENLL):
+            require_btenll(parse_proof(text)[1])
+    result = iso(nets[0].ps, nets[1].ps)
     print("true" if result else "false")
     return 0 if result else 1
 
 
 def _cmd_deseq(args) -> int:
-    frag, proof = parse_proof(_read(args.proof))
-    report = check_proof(proof, frag)
-    if not report.ok:
-        raise ValidationError(report)
-    result = desequentialize(proof)
+    text = _read(args.proof)
+    frag, result = desequentialize_text(text)
+    if not result.in_fragment(frag):
+        # the proof tree gives check_proof's report, rule by rule
+        raise ValidationError(check_proof(parse_proof(text)[1], frag))
     _emit_ps(result.ps, args.format, args.out)
     return 0
 

@@ -262,7 +262,12 @@ def find_redexes(ps: ProofStructure) -> tuple[list[Redex], list[int]]:
 def _apply(net: _Net, redex: Redex) -> list[int]:
     """Rewrite one current redex in place and return the other cuts whose
     class the step may have changed (see the module docstring).  Raises
-    RedexError, leaving the net as it was, when types forbid the step."""
+    RedexError, leaving the net as it was, when types forbid the step.
+
+    On a net copied from a valid structure types never forbid a step: an
+    ax's two conclusions are dual, and so are a cut's premises and, by the
+    connective typing, a cut tensor's and par's premises side by side.
+    The checks guard a net copied from an invalid structure."""
     types, arcs = net.types, net.arcs
     cut = redex.cut_node
     prem = net._ins[cut]

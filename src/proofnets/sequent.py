@@ -13,17 +13,31 @@ formulas the rules introduce (every formula of a sequent is introduced at
 or above it), and no axiom or cut rules in the constant-only
 intuitionistic fragment.
 
-Desequentialization turns a proof into a typed structure rule by rule,
-premises first: axioms and units become single nodes, tensor and cut join
-the two sub-structures, par and bot extend one, and a run of exchanges only
-reorders the conclusions, as one list of swaps applied in place.  Each new
-arc's type is read from the rule's conclusion, so no formula is built.
+One token loop, `_read_rules`, reads the proof text format and hands each
+rule to a sink when its ')' closes, so premises come first.  It has two
+sinks: `parse_proof` builds a proof tree, and `desequentialize_text`
+feeds the net builder.
+
+One net builder, `_net_builder`, turns rules into a typed structure one
+closed rule at a time: axioms and units become single nodes, tensor and
+cut join the two latest sub-structures, par and bot extend the latest
+one, and an exchange is one swap in place in the open conclusion list.
+Each new arc's type is the formula the rule introduces, so no formula is
+read back from a sequent, and the builder rejects an ill-formed rule with
+the constructor's message, read off its own conclusion lists.  Two walks
+feed it: `desequentialize` walks a proof tree, premises first, and
+`desequentialize_text` runs the token loop, so a proof text becomes a net
+with no tree in between.  The net's arc types are exactly the formulas the
+rules introduce, and its ax and cut nodes its ax and cut rules, so
+`DeseqResult.in_fragment` is `check_proof`'s verdict from one fold over
+the arc types.  A proof tree is then built only to report a proof outside
+its fragment, as the report names each rule.
 Node and arc ids are allocated premises first, so the ids allocated while
-a bot rule's premise sub-proof was built form a range that ends at the bot
-node.  The result records that range as the bot rule's scope: its ids that
-are still nodes are the nodes built from the premise sub-proof.  The
-jump-aware relation between proofs and jump-total structures checks jump
-targets against those scopes.
+a bot rule's premise sub-proof was built form a range that starts at the
+id current at the bot's '(' and ends at the bot node.  The result records
+that range as the bot rule's scope: its ids that are still nodes are the
+nodes built from the premise sub-proof.  The jump-aware relation between
+proofs and jump-total structures checks jump targets against those scopes.
 Reading, checking, printing and desequentializing walk proofs on explicit
 stacks, so their depth is bounded by memory, not by the interpreter.
 """
@@ -244,6 +258,18 @@ def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     return p
 
 
+def _post_order(proof: SequentProof) -> list[SequentProof]:
+    """Every subproof, premises first and left to right."""
+    # the reverse of a pre-order pushing premises in order is a post-order
+    order, stack = [], [proof]
+    while stack:
+        p = stack.pop()
+        order.append(p)
+        stack.extend(p.premises)
+    order.reverse()
+    return order
+
+
 def _introduced(order):
     """The formulas each rule adds to its sequent: every formula of a
     conclusion is introduced at or above it, so these are all of them."""
@@ -260,13 +286,7 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
     """The fragment discipline: every conclusion formula inside `frag`, and
     no axiom or cut rule in icomll.  Rules are reported premises first, a
     formula at every rule whose conclusion holds it."""
-    # the reverse of a pre-order pushing premises in order is a post-order
-    order, stack = [], [proof]
-    while stack:
-        p = stack.pop()
-        order.append(p)
-        stack.extend(p.premises)
-    order.reverse()
+    order = _post_order(proof)
     # one fold decides every distinct formula, sharing the subformulas
     verdicts = in_fragments(_introduced(order), frag)
     # the occurrences of each formula are listed only when one fails
@@ -332,8 +352,11 @@ def _token_text(tok) -> str:
     return repr(("str", tok[1:-1]) if tok and tok[0] == '"' else tok)
 
 
-def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
-    """Read the proof file format: a fragment header then one s-expression."""
+def _read_rules(text: str, add) -> Fragment:
+    """Read the proof file format, a fragment header then one s-expression,
+    calling `add(rule, arg)` for each rule as its ')' closes, so premises
+    come first; returns the header's fragment.  A ProofBuildError from
+    `add` is reported at the rule's name."""
     lines = text.splitlines()
     frag = Fragment.MLLU
     body_start = 0
@@ -361,7 +384,8 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
     tokens.append(None)
 
     # The rules whose premises are still being read wait on an explicit
-    # stack, so nesting is bounded by memory only.
+    # stack, with the number of premises each still lacks, so nesting is
+    # bounded by memory only.
     pending: list[tuple] = []
     i = 0  # the next token
     while True:
@@ -387,11 +411,11 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
                     raise arg
         elif head not in _ARITY:
             raise error(f"unknown rule {_token_text(head)}", at)
-        premises = []
-        # compose each rule whose premises are all read, innermost first
-        while len(premises) == _ARITY[head]:
+        missing = _ARITY[head]
+        # close each rule whose premises are all read, innermost first
+        while not missing:
             try:
-                node = SequentProof(head, premises, arg)
+                add(head, arg)
             except ProofBuildError as exc:
                 raise error(str(exc), at) from None
             if tokens[i] != ")":
@@ -399,15 +423,32 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
             i += 1
             if not pending:
                 break
-            head, at, arg, premises = pending.pop()
-            premises.append(node)
+            head, at, arg, missing = pending.pop()
+            missing -= 1
         else:  # the rule waits for its next premise
-            pending.append((head, at, arg, premises))
+            pending.append((head, at, arg, missing))
             continue
-        break  # the root rule is composed
+        break  # the root rule is closed
     if tokens[i] is not None:
         raise error(f"unexpected {_token_text(tokens[i])}", i)
-    return frag, node
+    return frag
+
+
+def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
+    """Read the proof file format into a proof tree."""
+    built: list[SequentProof] = []  # the finished subproofs, the latest last
+
+    def add(rule, arg):
+        n = _ARITY[rule]
+        if n:
+            premises = built[-n:]
+            del built[-n:]
+        else:
+            premises = ()
+        built.append(SequentProof(rule, premises, arg))
+
+    frag = _read_rules(text, add)
+    return frag, built[0]
 
 
 # -- desequentialization -----------------------------------------------------
@@ -415,34 +456,43 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
 
 @dataclass
 class DeseqResult:
+    """A desequentialized net and the scope of each of its bot nodes."""
+
     ps: ProofStructure
     bot_scopes: dict[int, range] = field(default_factory=dict)
 
+    def in_fragment(self, frag: Fragment) -> bool:
+        """`check_proof(proof, frag).ok` for the proof this net was built
+        from: its arc types are exactly the formulas the rules introduce,
+        and its ax and cut nodes are the proof's ax and cut rules."""
+        ps = self.ps
+        if frag is Fragment.ICOMLL and not {AX, CUT}.isdisjoint(ps.nodes.values()):
+            return False
+        return all(ok for ok, _ in in_fragments(ps.types.values(), frag).values())
 
-def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
-    """Build the typed structure of a proof.
 
-    With `verify`, the result is validated and must pass the acyclicity-
-    plus-component-count criterion; `check_proof` decides its fragment.
+def _net_builder():
+    """The one net builder: `add(rule, arg)` applies one closed rule to the
+    conclusions of the subproofs built so far, premises first, and
+    `finish()` returns the net.
+
+    Axioms and units become single nodes, tensor and cut join the two
+    latest sub-structures, par and bot extend the latest one, and an
+    exchange swaps two of its conclusions in place.  Node and arc ids come
+    from one counter, so the ids allocated for a subproof form a range
+    starting at the first id of its first leaf, which is the id current
+    at the subproof's '('; a bot's scope is that range of its premise.
+    Each new arc's type is the formula the rule introduces, and `add`
+    raises the proof constructor's ProofBuildError on an ill-formed rule.
     """
-    next_id = 0
     nodes: dict[int, str] = {}
     arcs: dict[int, tuple[int, int]] = {}
     premise_order: dict[int, tuple[int, int]] = {}
     types: dict[int, Formula] = {}
     bot_scopes: dict[int, range] = {}
-
-    def fresh():
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    def conclude(node, dot_node, f) -> int:
-        a = fresh()
-        nodes[dot_node] = DOT
-        arcs[a] = (node, dot_node)
-        types[a] = f
-        return a
+    built: list[list[int]] = []  # conclusions of the finished subproofs
+    starts: list[int] = []  # the first id of each of them
+    next_id = 0
 
     def plug(arc, node):
         """Re-head a conclusion arc from its dot onto `node`."""
@@ -450,80 +500,120 @@ def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
         del nodes[dot]
         arcs[arc] = (tail, node)
 
-    # A rule with premises is visited twice on an explicit stack: before
-    # them, to note where a bot rule's scope starts, and after them, to add
-    # its own nodes.  Ids are thus allocated premises first.  A run of
-    # exchanges is one list of swaps, applied in place once the premise of
-    # the run is built.
-    built: list[list[int]] = []  # conclusions of the finished subproofs
-    stack: list = [(proof, None)]  # (p, next_id when p's premises began or None)
-    while stack:
-        top = stack.pop()
-        if type(top) is list:  # the swaps of a run, the innermost last
-            c = built[-1]
-            for i in reversed(top):
-                c[i], c[i + 1] = c[i + 1], c[i]
-            continue
-        p, start = top
-        if p.rule == EX_RULE:
-            swaps = []
-            while p.rule == EX_RULE:
-                swaps.append(p.arg)
-                p = p.premises[0]
-            stack += (swaps, (p, None))
-            continue
-        if start is None and p.premises:
-            stack.append((p, next_id))
-            stack.extend([(q, None) for q in reversed(p.premises)])
-            continue
-        if p.rule == AX_RULE:
-            ax, d1, d2 = fresh(), fresh(), fresh()
-            nodes[ax] = AX
-            built.append([conclude(ax, d1, p.conclusion[0]),
-                          conclude(ax, d2, p.conclusion[1])])
-        elif p.rule == ONE_RULE:
-            one, d = fresh(), fresh()
-            nodes[one] = ONE
-            built.append([conclude(one, d, ONE_F)])
-        elif p.rule == BOT_RULE:
-            b, d = fresh(), fresh()
-            nodes[b] = BOT
-            bot_scopes[b] = range(start, b)
-            built[-1].append(conclude(b, d, BOT_F))
-        elif p.rule == PAR_RULE:
-            c1 = built[-1]
-            right, left = c1.pop(), c1.pop()
-            node, d = fresh(), fresh()
-            for arc in (left, right):
-                plug(arc, node)
-            nodes[node] = PAR
-            premise_order[node] = (left, right)
-            c1.append(conclude(node, d, p.conclusion[-1]))
-        else:  # binary rules joining two structures
-            c2 = built.pop()
-            c1 = built[-1]
-            left, right = c1.pop(), c2[0]
-            node = fresh()
-            for arc in (left, right):
-                plug(arc, node)
-            if p.rule == TENSOR_RULE:
-                d = fresh()
-                nodes[node] = TENSOR
-                premise_order[node] = (left, right)
-                c1.append(conclude(node, d, p.conclusion[p.premises[0].length - 1]))
-            else:
-                nodes[node] = CUT
-            c1 += c2[1:]
+    def conclude(node, dot, arc, f) -> int:
+        nodes[dot] = DOT
+        arcs[arc] = (node, dot)
+        types[arc] = f
+        return arc
 
-    conclusions = tuple(built.pop())
-    ps = ProofStructure._adopt(nodes, arcs, premise_order, conclusions, types, {})
+    def add(rule, arg):
+        nonlocal next_id
+        n = next_id  # the rule's node, then its dots, then its new arcs
+        if rule == EX_RULE:
+            c = built[-1]
+            if not 0 <= arg <= len(c) - 2:
+                raise ProofBuildError(f"exchange position {arg} out of range")
+            c[arg], c[arg + 1] = c[arg + 1], c[arg]
+            return
+        if rule == AX_RULE:
+            nodes[n] = AX
+            built.append([conclude(n, n + 1, n + 3, arg),
+                          conclude(n, n + 2, n + 4, negate(arg))])
+            starts.append(n)
+            next_id = n + 5
+            return
+        if rule == ONE_RULE:
+            nodes[n] = ONE
+            built.append([])
+            starts.append(n)
+            f = ONE_F
+        elif rule == BOT_RULE:
+            nodes[n] = BOT
+            bot_scopes[n] = range(starts[-1], n)
+            f = BOT_F
+        elif rule == PAR_RULE:
+            c = built[-1]
+            if len(c) < 2:
+                raise ProofBuildError("par rule needs two formulas to combine")
+            right, left = c.pop(), c.pop()
+            plug(left, n)
+            plug(right, n)
+            nodes[n] = PAR
+            premise_order[n] = (left, right)
+            f = par_f(types[left], types[right])
+        else:  # tensor and cut join the two latest structures
+            c1, c2 = built[-2:]
+            if rule == TENSOR_RULE:
+                if not c1 or not c2:
+                    raise ProofBuildError("tensor rule needs a formula on each side")
+            else:
+                if not c1 or types[c1[-1]] is not arg:
+                    raise ProofBuildError("cut formula must close the first premise")
+                if not c2 or types[c2[0]] is not negate(arg):
+                    raise ProofBuildError("dual of the cut formula must open the second premise")
+            built.pop()
+            starts.pop()
+            left, right = c1.pop(), c2[0]
+            plug(left, n)
+            plug(right, n)
+            if rule == CUT_RULE:
+                nodes[n] = CUT
+                next_id = n + 1
+            else:
+                nodes[n] = TENSOR
+                premise_order[n] = (left, right)
+                c1.append(conclude(n, n + 1, n + 2, tensor_f(types[left], types[right])))
+                next_id = n + 3
+            c1 += c2[1:]
+            return
+        built[-1].append(conclude(n, n + 1, n + 2, f))
+        next_id = n + 3
+
+    def finish() -> DeseqResult:
+        ps = ProofStructure._adopt(nodes, arcs, premise_order, tuple(built.pop()), types, {})
+        return DeseqResult(ps, bot_scopes)
+
+    return add, finish
+
+
+def _self_check(ps: ProofStructure) -> None:
+    """A desequentialized net is valid and passes accw."""
+    report = validate(ps)
+    if not report.ok:
+        raise AssertionError(f"desequentialization failed validation: {report}")
+    if not check(ps, "accw").holds:
+        raise AssertionError("desequentialization violates the component-count criterion")
+
+
+def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
+    """Build the typed structure of a proof, feeding the net builder from a
+    walk of the tree.
+
+    With `verify`, the result is validated and must pass the acyclicity-
+    plus-component-count criterion; `check_proof` decides its fragment.
+    """
+    add, finish = _net_builder()
+    for p in _post_order(proof):
+        add(p.rule, p.arg)
+    result = finish()
     if verify:
-        report = validate(ps)
-        if not report.ok:
-            raise AssertionError(f"desequentialization failed validation: {report}")
-        if not check(ps, "accw").holds:
-            raise AssertionError("desequentialization violates the component-count criterion")
-    return DeseqResult(ps, bot_scopes)
+        _self_check(result.ps)
+    return result
+
+
+def desequentialize_text(text: str, verify: bool = True) -> tuple[Fragment, DeseqResult]:
+    """The fragment of a proof text and the typed structure of its proof,
+    read straight into the net builder with no proof tree: the same
+    result as `desequentialize(parse_proof(text)[1], verify)`, and the same
+    ParseError on a text `parse_proof` rejects.  `in_fragment` on the
+    result is `check_proof`'s verdict on the proof.
+    """
+    add, finish = _net_builder()
+    frag = _read_rules(text, add)
+    result = finish()
+    if verify:
+        _self_check(result.ps)
+    return frag, result
 
 
 def deseq_relation_holds(proof: SequentProof, ps: ProofStructure) -> bool:

@@ -84,6 +84,12 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
     units determine everything else; cuts impose duality constraints solved
     by unification.  Left-over variables become fresh atoms.  Raises
     TypeInferenceError when no typing exists (clashing cuts, ax loops).
+
+    Every atom the inference makes is a `?` variable, so two atoms that
+    meet in unification are never both concrete, and no pair of distinct
+    atoms needs to be rejected.  A type that would have to equal its own
+    dual arises only on an invalid structure, such as a par whose premise
+    order names one arc twice.
     """
     subst: dict[str, Formula] = {}
 
@@ -122,8 +128,6 @@ def infer_types(ps: ProofStructure) -> ProofStructure:
                 pairs.append((g, f))
             elif f.kind != g.kind:
                 raise TypeInferenceError("incompatible connectives at a cut")
-            elif f.kind == ATOM:
-                raise TypeInferenceError("mismatched atoms at a cut")
             elif f.left is not None:
                 pairs += ((f.right, g.right), (f.left, g.left))
 
@@ -529,7 +533,17 @@ def _jump_bots(ps: ProofStructure, qualifies, target) -> JumpedStructure:
 
 def canonical_jumps_btenll(ps: ProofStructure, m: int) -> JumpedStructure:
     """Jump every bot node under the least non-erasing par above it to that
-    par's non-erasing premise source; jump the others to the given node."""
+    par's non-erasing premise source; jump the others to the given node.
+
+    That par has exactly one non-erasing premise source, as the btenll
+    typing that `_require` checks forces.  Erasing nodes have kind E: a bot
+    has it, and so has a par of two E premises.  Going down from a bot, the
+    first node r that is not erasing is entered by an arc of kind E from
+    an erasing node.  A tensor takes only premises of kind A, and a cut or
+    a dot ends the way down, so the par the bot jumps under, when there is
+    one, is r.  Its premise on the way is erasing and, as r is not, its
+    other premise is not.
+    """
     _require(ps, Fragment.BTENLL)
     erasing = erasing_nodes(ps)
     if m not in ps.nodes or m in erasing or ps.nodes[m] == DOT:
@@ -538,11 +552,7 @@ def canonical_jumps_btenll(ps: ProofStructure, m: int) -> JumpedStructure:
     def source(par):
         if par is None:
             return m
-        sources = [ps.tail(a) for a in ps.premises_of(par) if ps.tail(a) not in erasing]
-        if len(sources) != 1:
-            raise SequentializationError(
-                "a least non-erasing par must have exactly one non-erasing premise")
-        return sources[0]
+        return next(t for t in map(ps.tail, ps.premises_of(par)) if t not in erasing)
 
     return _jump_bots(ps, lambda n: ps.nodes[n] == PAR and n not in erasing, source)
 
@@ -551,7 +561,13 @@ def _output_anchor(ps: ProofStructure, node: int, polarities, anchors) -> int:
     """Climb through output premises of output par nodes up to the unique
     one node or output tensor node that starts the output spine.  Every
     node climbed through is recorded in `anchors` with its anchor, so a
-    later climb stops where an earlier one passed."""
+    later climb stops where an earlier one passed.
+
+    On a valid icomll structure and its `arc_polarities`, both errors are
+    out of reach: an output par has one output and one input premise, and
+    with no ax node, the only nodes with an output conclusion are one
+    nodes, output tensors and output pars.  They guard a call with another
+    polarity map."""
     path = []
     while node not in anchors:
         lab, concl = ps.nodes[node], ps.conclusions_of(node)
@@ -642,7 +658,11 @@ def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStruct
 
 def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | None]):
     """Peel or split at the least terminal input node; with none left,
-    the one conclusion's node is a one, a par to peel or a tensor to split."""
+    the one conclusion's node is a one, a par to peel or a tensor to split.
+
+    An input tensor of a valid icomll structure has one output and one
+    input premise, by `arc_polarities`; the check of that guards a call
+    with another polarity map."""
     outs = ps.incidence()[1]
     heaps = _sorted_terminals(part, lambda m: 0 if polarities[outs[m][0]] == "I" else None)
     n = _least(part, heaps.get(0))
@@ -680,13 +700,19 @@ def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | No
 # -- equivalence decisions --------------------------------------------------------
 
 
+def require_btenll(proof: SequentProof) -> None:
+    """Raise FragmentError, with `check_proof`'s report, for a proof outside
+    the bottom-restricted fragment."""
+    report = check_proof(proof, Fragment.BTENLL)
+    if not report.ok:
+        raise FragmentError(f"proof outside btenll: {report}")
+
+
 def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
     """Permutation equivalence of two proofs in the bottom-restricted
     fragment, decided as equality of desequentializations."""
     for p in (p1, p2):
-        report = check_proof(p, Fragment.BTENLL)
-        if not report.ok:
-            raise FragmentError(f"proof outside btenll: {report}")
+        require_btenll(p)
     a = desequentialize(p1, verify=False).ps
     b = desequentialize(p2, verify=False).ps
     return iso(a, b)

@@ -1,8 +1,14 @@
 import json
+import re
 
 import pytest
 
-from proofnets.formulas import parse_formula
+from proofnets import fixtures
+from proofnets.errors import ProofNetError
+from proofnets.formulas import Fragment, parse_formula
+from proofnets.generate import GenParams, random_proof
+from proofnets.sequent import format_proof
+from proofnets.sequentialize import sequentialize_wten
 from proofnets.structure import ProofStructure, validate
 
 
@@ -76,6 +82,63 @@ def mutated_documents(doc):
                 parent = parent[key]
             parent[where[-1]] = value
             yield where, value, mutant
+
+
+def proof_texts():
+    """Printed proofs: the sequentialized fixtures, and seeded random
+    proofs of every fragment with cuts."""
+    for name in fixtures.NAMES:
+        ps = fixtures.load(name)
+        try:
+            yield format_proof(sequentialize_wten(ps))
+        except ProofNetError:
+            pass
+    for frag in Fragment:
+        for seed in range(30):
+            p = random_proof(GenParams(fragment=frag, max_rules=24, seed=seed,
+                                       cut_probability=0.3))
+            yield format_proof(p, frag)
+
+
+_WORD = re.compile(r'"[^"]*"|[^\s()"]+|[()]')
+_NOISE = ['(', ')', '"', ' ', '\t', '\n', 'x', '1', '^', '\u00a0', '\u2028', '\x1c',
+          '\u3000', 'é', 'ex', 'ax', 'cut', 'par', '"X"', '"X tensor"']
+_BAD_POSITIONS = ["0", "-1", "99", "x", "1_0", "\u0663", "", '"1"', "(", ")"]
+_TRAILING = ["(one)", ")", '"X"', "foo", "(", '"', "ex 1"]
+
+
+def mutations(text, rng):
+    """Seeded damage to one proof text, one change at a time."""
+    for _ in range(3):
+        i = rng.randrange(len(text))
+        yield text[:i] + text[i + 1:]
+        yield text[:i] + rng.choice(_NOISE) + text[i:]
+    words = list(_WORD.finditer(text))
+    for _ in range(3):
+        w = rng.choice(words)
+        yield text[:w.start()] + text[w.end():]
+        at = rng.choice(words).start()
+        yield text[:at] + w[0] + " " + text[at:]
+    quotes = [m.start() for m in re.finditer('"', text)]
+    if quotes:
+        i = rng.choice(quotes)
+        yield text[:i] + text[i + 1:]
+    for m in list(re.finditer(r"\(ex (\d+)", text))[:3]:
+        yield text[:m.start(1)] + rng.choice(_BAD_POSITIONS) + text[m.end(1):]
+        yield text[:m.start(1)] + str(int(m[1]) + rng.randrange(1, 4)) + text[m.end(1):]
+    yield text + rng.choice(_TRAILING)
+    yield text.replace("fragment: ", rng.choice(["fragment: bogus", "", "# c\nfragment: "]), 1)
+    # rules of the wrong shape: a par over one formula, a cut on a formula
+    # its first premise does not end with
+    ones = [m.start() for m in re.finditer(r"\(one\)", text)]
+    if ones:
+        i = rng.choice(ones)
+        yield text[:i] + "(par (one))" + text[i + len("(one)"):]
+    cuts = list(re.finditer(r'\(cut ("[^"]*")', text))
+    if cuts:
+        m = rng.choice(cuts)
+        other = rng.choice(re.findall(r'"[^"]*"', text))
+        yield text[:m.start(1)] + other + text[m.end(1):]
 
 
 @pytest.fixture

@@ -14,15 +14,18 @@ from pathlib import Path
 import pytest
 
 import proofnets
-from conftest import count_search_visits, mutated_documents
-from proofnets import fixtures, sequentialize
+from conftest import count_search_visits, mutated_documents, mutations, proof_texts
+from proofnets import cli, fixtures, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
-from proofnets.formulas import Fragment
+from proofnets.errors import ValidationError
+from proofnets.formulas import Fragment, in_fragment
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import (bot_rule, cut_rule, desequentialize, exchange_to, format_proof,
-                               one_rule, par_rule, parse_proof, tensor_rule)
-from proofnets.sequentialize import canonical_jumps_btenll, canonical_jumps_icomll
+from proofnets.sequent import (SequentProof, bot_rule, check_proof, cut_rule, desequentialize,
+                               exchange_to, format_proof, one_rule, par_rule, parse_proof,
+                               tensor_rule)
+from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
+                                     proofs_equivalent)
 from proofnets.structure import from_dsl, from_json, to_dsl, to_json
 from proofnets.switching import switchings
 import reference_oracles
@@ -592,13 +595,30 @@ def test_equiv_reads_back_the_sequentializer_output(tmp_path, capsys):
     assert run(capsys, "equiv", str(proof), str(back)) == (0, "true\n", "")
 
 
-def test_deep_proofs_parse_check_and_desequentialize(tmp_path, capsys):
+def count_proof_rules(monkeypatch):
+    """From now on, the number of SequentProof rule nodes built, in a
+    one-item list."""
+    built = [0]
+    init = SequentProof.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SequentProof, "__init__", counting)
+    return built
+
+
+def test_deep_proofs_parse_check_and_desequentialize(tmp_path, capsys, monkeypatch):
+    built = count_proof_rules(monkeypatch)
     k = 1200
     proof = tmp_path / "bots.proof"
     proof.write_text("fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k + "\n")
     code, out, _ = run(capsys, "deseq", str(proof))
     assert code == 0
     assert [n["label"] for n in json.loads(out)["nodes"]].count("bot") == k
+    assert run(capsys, "equiv", str(proof), str(proof)) == (0, "true\n", "")
+    assert built == [0]  # read straight into nets
     # proof nesting depth 1250, with 54 par rules
     code, out, _ = run(capsys, "gen", "--kind", "proof", "--fragment", "mllu",
                        "--max-rules", "1500", "--seed", "0")
@@ -608,6 +628,120 @@ def test_deep_proofs_parse_check_and_desequentialize(tmp_path, capsys):
     code, out, err = run(capsys, "deseq", str(generated))
     assert (code, err) == (0, "")
     assert [n["label"] for n in json.loads(out)["nodes"]].count("par") == 54
+
+
+def _composition(rng, parts):
+    """`parts` random btenll proofs tensored together on formulas of kind A,
+    as the roundtrip benchmark composes them."""
+    def draw():
+        return random_proof(GenParams(fragment=Fragment.BTENLL, max_rules=rng.randint(6, 24),
+                                      seed=rng.randrange(2 ** 31)))
+
+    def kind_a(p):
+        return [i for i, x in enumerate(p.conclusion)
+                if in_fragment(x, Fragment.BTENLL)[1] == "A"]
+
+    q = draw()
+    for _ in range(parts - 1):
+        p = draw()
+        left, right = kind_a(q), kind_a(p)
+        if left and right:
+            i, j = rng.choice(left), rng.choice(right)
+            q = exchange_to(q, [x for x in range(q.length) if x != i] + [i])
+            p = exchange_to(p, [j] + [x for x in range(p.length) if x != j])
+            q = tensor_rule(q, p)
+    return q
+
+
+def test_deseq_and_equiv_build_proof_trees_only_to_report(tmp_path, capsys, monkeypatch):
+    composed = _composition(random.Random(3), 11)
+    assert composed.rule_count() > 100
+    path, net, back = tmp_path / "c.proof", tmp_path / "c.json", tmp_path / "back.proof"
+    path.write_text(format_proof(composed, Fragment.BTENLL))
+    built = count_proof_rules(monkeypatch)
+    assert run(capsys, "deseq", str(path), "--out", str(net))[0] == 0
+    assert built == [0]
+    assert run(capsys, "sequentialize", str(net), "--out", str(back))[0] == 0
+    built[0] = 0
+    assert run(capsys, "equiv", str(path), str(back)) == (0, "true\n", "")
+    assert built == [0]
+    # a proof outside its fragment is built once, for the report; equiv
+    # reports the first proof outside btenll
+    outside = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=24, seed=4))
+    assert not check_proof(outside, Fragment.BTENLL).ok
+    bad = tmp_path / "bad.proof"
+    bad.write_text(format_proof(outside, Fragment.BTENLL))
+    for argv in (("deseq", bad), ("equiv", bad, path), ("equiv", path, bad), ("equiv", bad, bad)):
+        built[0] = 0
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert built == [outside.rule_count()], argv
+
+
+def _tree_deseq(args) -> int:
+    """`deseq` through the proof tree: parse, check, desequentialize."""
+    frag, proof = parse_proof(cli._read(args.proof))
+    report = check_proof(proof, frag)
+    if not report.ok:
+        raise ValidationError(report)
+    cli._emit_ps(desequentialize(proof).ps, args.format, args.out)
+    return 0
+
+
+def _tree_equiv(args) -> int:
+    """`equiv` through the proof trees and `proofs_equivalent`."""
+    _, p1 = parse_proof(cli._read(args.proof1))
+    _, p2 = parse_proof(cli._read(args.proof2))
+    result = proofs_equivalent(p1, p2)
+    print("true" if result else "false")
+    return 0 if result else 1
+
+
+@contextlib.contextmanager
+def _tree_path():
+    """`deseq` and `equiv` run through the proof tree."""
+    commands = build_parser().commands
+    saved = {name: commands[name].get_default("func") for name in ("deseq", "equiv")}
+    commands["deseq"].set_defaults(func=_tree_deseq)
+    commands["equiv"].set_defaults(func=_tree_equiv)
+    try:
+        yield
+    finally:
+        for name, func in saved.items():
+            commands[name].set_defaults(func=func)
+
+
+def test_deseq_and_equiv_print_what_the_tree_path_prints(tmp_path, capsys, monkeypatch):
+    # every printed proof and mutation under every fragment header through
+    # deseq, each proof through equiv with itself and with one mutation
+    rng = random.Random(11)
+    headers = [f"fragment: {f.value}" for f in Fragment]
+    texts, pairs = [], []
+    for text in proof_texts():
+        header = text.split("\n", 1)[0]
+        variants = [text, *mutations(text, rng)]
+        texts += dict.fromkeys(v.replace(header, h, 1) for v in variants for h in headers)
+        pairs += [(text, text), (text, rng.choice(variants[1:]))]
+    first, second = tmp_path / "first.proof", tmp_path / "second.proof"
+
+    def outcomes():
+        got = []
+        for text in texts:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            got.append(run(capsys, "deseq", "-"))
+        for text1, text2 in pairs:
+            first.write_text(text1, encoding="utf-8")
+            second.write_text(text2, encoding="utf-8")
+            got.append(run(capsys, "equiv", str(first), str(second)))
+        return got
+
+    by_net = outcomes()
+    with _tree_path():
+        by_tree = outcomes()
+    for argv, got, want in zip(texts + pairs, by_net, by_tree):
+        assert got == want, argv
+    codes = [code for code, _, _ in by_net]
+    assert codes.count(0) > 1500 and codes.count(1) > 0 and codes.count(2) > 10000
 
 
 def test_deep_formulas_normalize(tmp_path, capsys):

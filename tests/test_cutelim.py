@@ -615,3 +615,33 @@ def test_step_functions_reject_invalid_structures():
     for call in (lambda: find_redexes(ps), lambda: reduce_step(ps, redex)):
         with pytest.raises(ValidationError, match="tensor node 2 lacks a premise order"):
             call()
+
+
+def _unchanged(net):
+    return (dict(net.nodes), dict(net.arcs), dict(net.types), dict(net._ins), dict(net._outs))
+
+
+def test_an_axiom_step_never_splices_arcs_of_different_types():
+    # unvalidated: cut 2 joins X from ax 0 with Y^ from ax 3
+    ps = build_ps({0: "ax", 1: "dot", 2: "cut", 3: "ax", 4: "dot"},
+                  {0: (0, 2), 1: (0, 1), 2: (3, 2), 3: (3, 4)}, concl=(1, 3),
+                  types={0: "X", 1: "X^", 2: "Y^", 3: "Y"}, expect_valid=False)
+    net = _Net(ps)
+    before = _unchanged(net)
+    with pytest.raises(RedexError, match="axiom step would splice arcs of different types"):
+        _apply(net, Redex(2, AXIOM_CUT, (0, 3)))
+    assert _unchanged(net) == before
+
+
+def test_a_multiplicative_step_never_cuts_non_dual_premises():
+    # unvalidated: X tensor Y cut against X par Y^, whose left sides are not dual
+    ps = build_ps({0: "ax", 1: "ax", 2: "tensor", 3: "par", 4: "cut"},
+                  {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3), 4: (2, 4), 5: (3, 4)},
+                  prem={2: (0, 2), 3: (1, 3)}, concl=(),
+                  types={0: "X", 1: "X", 2: "Y", 3: "Y^", 4: "X tensor Y", 5: "X par Y^"},
+                  expect_valid=False)
+    net = _Net(ps)
+    before = _unchanged(net)
+    with pytest.raises(RedexError, match="multiplicative step would cut non-dual premises"):
+        _apply(net, Redex(4, MULTIPLICATIVE_CUT, (2, 3)))
+    assert _unchanged(net) == before

@@ -18,13 +18,15 @@ from proofnets.formulas import (BOT, Fragment, ONE, atom, format_formula, in_fra
 from proofnets.generate import GenParams, random_proof
 from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
                                check_proof, cut_rule, deseq_relation_holds,
-                               desequentialize, ex_rule, exchange_to,
-                               format_proof, one_rule, parse_proof, tensor_rule)
-from proofnets.sequentialize import sequentialize_wten
+                               desequentialize, desequentialize_text, ex_rule,
+                               exchange_to, format_proof, one_rule, parse_proof,
+                               tensor_rule)
 from proofnets.structure import validate
 from proofnets.switching import check
 
+import reference_desequentialize
 import reference_proof_parser as reference
+from conftest import mutations, proof_texts
 from reference_oracles import is_sequential_oracle
 
 X = atom("X")
@@ -281,52 +283,6 @@ def read(parse, text):
         return type(exc).__name__, str(exc), getattr(exc, "position", None)
 
 
-def proof_texts():
-    """Printed proofs: the sequentialized fixtures, and seeded random
-    proofs of every fragment with cuts."""
-    for name in fixtures.NAMES:
-        ps = fixtures.load(name)
-        try:
-            yield format_proof(sequentialize_wten(ps))
-        except ProofNetError:
-            pass
-    for frag in Fragment:
-        for seed in range(30):
-            p = random_proof(GenParams(fragment=frag, max_rules=24, seed=seed,
-                                       cut_probability=0.3))
-            yield format_proof(p, frag)
-
-
-_WORD = re.compile(r'"[^"]*"|[^\s()"]+|[()]')
-_NOISE = ['(', ')', '"', ' ', '\t', '\n', 'x', '1', '^', '\u00a0', '\u2028', '\x1c',
-          '\u3000', 'é', 'ex', 'ax', 'cut', 'par', '"X"', '"X tensor"']
-_BAD_POSITIONS = ["0", "-1", "99", "x", "1_0", "\u0663", "", '"1"', "(", ")"]
-_TRAILING = ["(one)", ")", '"X"', "foo", "(", '"', "ex 1"]
-
-
-def mutations(text, rng):
-    """Seeded damage to one proof text, one change at a time."""
-    for _ in range(3):
-        i = rng.randrange(len(text))
-        yield text[:i] + text[i + 1:]
-        yield text[:i] + rng.choice(_NOISE) + text[i:]
-    words = list(_WORD.finditer(text))
-    for _ in range(3):
-        w = rng.choice(words)
-        yield text[:w.start()] + text[w.end():]
-        at = rng.choice(words).start()
-        yield text[:at] + w[0] + " " + text[at:]
-    quotes = [m.start() for m in re.finditer('"', text)]
-    if quotes:
-        i = rng.choice(quotes)
-        yield text[:i] + text[i + 1:]
-    for m in list(re.finditer(r"\(ex (\d+)", text))[:3]:
-        yield text[:m.start(1)] + rng.choice(_BAD_POSITIONS) + text[m.end(1):]
-        yield text[:m.start(1)] + str(int(m[1]) + rng.randrange(1, 4)) + text[m.end(1):]
-    yield text + rng.choice(_TRAILING)
-    yield text.replace("fragment: ", rng.choice(["fragment: bogus", "", "# c\nfragment: "]), 1)
-
-
 def test_the_reader_agrees_with_the_reference_reader():
     rng = random.Random(11)
     outcomes = {"ok": 0, "error": 0}
@@ -335,6 +291,34 @@ def test_the_reader_agrees_with_the_reference_reader():
             got, want = read(parse_proof, variant), read(reference.parse_proof, variant)
             assert got == want, variant
             outcomes["error" if isinstance(want[0], str) else "ok"] += 1
+    assert outcomes["ok"] > 400 and outcomes["error"] > 3000, outcomes
+
+
+def _contents(d):
+    """A desequentialization's net and bot scopes, dict orders included."""
+    ps = d.ps
+    return (list(ps.nodes.items()), list(ps.arcs.items()), list(ps.premise_order.items()),
+            ps.conclusions, list(ps.types.items()), list(d.bot_scopes.items()))
+
+
+def test_the_text_reader_builds_the_net_the_tree_desequentializes():
+    rng = random.Random(11)
+    outcomes = {"ok": 0, "error": 0}
+    for text in proof_texts():
+        for variant in [text, *mutations(text, rng)]:
+            got, want = read(desequentialize_text, variant), read(parse_proof, variant)
+            if isinstance(want[0], str):
+                assert got == want, variant
+                outcomes["error"] += 1
+                continue
+            (frag, result), (want_frag, proof) = got, want
+            assert frag == want_frag
+            net = _contents(reference_desequentialize.desequentialize(proof))
+            assert _contents(result) == net, variant
+            assert _contents(desequentialize(proof)) == net, variant
+            for f in Fragment:
+                assert result.in_fragment(f) == check_proof(proof, f).ok, (f, variant)
+            outcomes["ok"] += 1
     assert outcomes["ok"] > 400 and outcomes["error"] > 3000, outcomes
 
 

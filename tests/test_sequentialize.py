@@ -19,7 +19,7 @@ from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_ico
                                      classify_jumps, infer_types, proofs_equivalent,
                                      rewiring_equivalent, sequentialize_btenll,
                                      sequentialize_icomll, sequentialize_wten,
-                                     split_parts)
+                                     split_parts, _icomll_move, _output_anchor, _Part)
 from proofnets.structure import erasing_nodes, is_wten, strip, validate
 from proofnets.switching import check
 from reference_oracles import (is_sequential_oracle, rewiring_reachable,
@@ -123,6 +123,41 @@ def test_type_inference_rejects_clash():
                   {0: (0, 2), 1: (1, 2)}, concl=())
     with pytest.raises(TypeInferenceError):
         infer_types(ps)
+
+
+def test_type_inference_rejects_a_type_equal_to_its_own_dual():
+    # unvalidated: par 4 names ax 0's first conclusion twice, so its type
+    # ?1 par ?1 meets the dual ?2^ par ?2 of tensor 5's type at cut 6
+    ps = build_ps({0: "ax", 1: "ax", 2: "dot", 3: "dot", 4: "par", 5: "tensor", 6: "cut"},
+                  {0: (0, 4), 1: (0, 2), 2: (1, 5), 3: (1, 5), 4: (4, 6), 5: (5, 6)},
+                  prem={4: (0, 0), 5: (2, 3)}, concl=(1,), expect_valid=False)
+    with pytest.raises(TypeInferenceError, match="its own dual"):
+        infer_types(ps)
+
+
+def test_output_anchors_need_an_output_spine():
+    # unvalidated polarities: par 3's output premise comes from bot 0
+    ps = build_ps({0: "bot", 1: "one", 3: "par", 4: "dot"},
+                  {0: (0, 3), 1: (1, 3), 2: (3, 4)}, prem={3: (0, 1)}, concl=(2,),
+                  expect_valid=False)
+    with pytest.raises(SequentializationError, match="node 0 is not on an output spine"):
+        _output_anchor(ps, 3, {0: "O", 1: "I", 2: "O"}, {})
+    # both premises of output par 3 as outputs
+    with pytest.raises(SequentializationError,
+                       match="an output par has exactly one output premise"):
+        _output_anchor(ps, 3, {0: "O", 1: "O", 2: "O"}, {})
+    assert _output_anchor(ps, 3, {0: "I", 1: "O", 2: "O"}, {}) == 1
+
+
+def test_an_input_tensor_needs_one_output_premise():
+    # unvalidated polarities: tensor 2 an input over two outputs
+    ps = build_ps({0: "one", 1: "one", 2: "tensor", 3: "dot"},
+                  {0: (0, 2), 1: (1, 2), 2: (2, 3)}, prem={2: (0, 1)}, concl=(2,),
+                  expect_valid=False)
+    part = _Part({0, 1, 2}, (2,), {2}, 1, [2])
+    with pytest.raises(SequentializationError,
+                       match="an input tensor has exactly one output premise"):
+        _icomll_move(ps, part, {0: "O", 1: "O", 2: "I"})
 
 
 def _composite_cut():
