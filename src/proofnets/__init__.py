@@ -25,7 +25,7 @@ from .sequentialize import (JumpedStructure, SplitAssignment, canonical_jumps_bt
                             canonical_jumps_icomll, classify_jumps, infer_types,
                             proofs_equivalent, rewiring_equivalent,
                             sequentialize_btenll, sequentialize_icomll,
-                            sequentialize_wten, split_parts)
+                            sequentialize_text, sequentialize_wten, split_parts)
 from .generate import GenParams, permute_rules, random_formula, random_proof, random_ps
 from .render import export_dot
 

@@ -24,8 +24,7 @@ from .generate import GenParams, random_proof, random_ps
 from .render import export_dot
 from .sequent import check_proof, desequentialize_text, format_proof, parse_proof
 from .sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
-                            require_btenll, sequentialize_btenll,
-                            sequentialize_icomll, sequentialize_wten)
+                            require_btenll, sequentialize_text)
 from .structure import (ProofStructure, decode_json, ensure_valid, is_wten,
                         load_structure, to_dsl, to_json)
 from .switching import DEFAULT_MAX_PAR, check
@@ -102,16 +101,14 @@ def _anchor(args) -> int:
 
 def _cmd_sequentialize(args) -> int:
     if args.mode == "wten":
-        # sequentialize_wten validates its input itself, with the same error
-        proof, jumps = sequentialize_wten(load_structure(_read(args.file))), {}
-        frag = Fragment.MLLU
+        # the wten mode validates its input itself, with the same error
+        ps, anchor = load_structure(_read(args.file)), None
     else:
         ps = _load_ps(args.file)
-        proof, jumped = (sequentialize_btenll(ps, _anchor(args)) if args.mode == "btenll"
-                         else sequentialize_icomll(ps))
-        jumps = jumped.ps.jumps
-        frag = fragment_from_name(args.mode)
-    _write(args.out, format_proof(proof, frag))
+        anchor = _anchor(args) if args.mode == "btenll" else None
+    # printed straight from the sequentializer: no proof tree is built
+    text, jumps = sequentialize_text(ps, args.mode, anchor)
+    _write(args.out, text)
     if args.jumps_out:
         _write(args.jumps_out, json.dumps({str(n): m for n, m in sorted(jumps.items())}) + "\n")
     return 0

@@ -18,6 +18,16 @@ rule to a sink when its ')' closes, so premises come first.  It has two
 sinks: `parse_proof` builds a proof tree, and `desequentialize_text`
 feeds the net builder.
 
+One text writer, `text_writer`, prints the format.  It takes rules in
+print order, each rule before its premises, and runs of exchanges at
+once, and closes each rule by its arity as the token loop does.  It has
+two drivers: `format_proof_expr` walks a proof tree, and the
+sequentialization skeleton hands it each move's rules as it makes the
+move, so a structure is printed with no tree in between.  `tree_builder`
+takes the same stream and builds the tree the skeleton's public callers
+return.  Exchanges turn a permutation into adjacent swaps in one place,
+`exchange_positions`, which `exchange_to` and the skeleton share.
+
 One net builder, `_net_builder`, turns rules into a typed structure one
 closed rule at a time: axioms and units become single nodes, tensor and
 cut join the two latest sub-structures, par and bot extend the latest
@@ -128,11 +138,13 @@ class SequentProof:
             conclusion = c[:-2] + (par_f(c[-2], c[-1]),)
         elif rule == TENSOR_RULE:
             c2 = premises[1].conclusion
+            # stand-ins only: no rule but cut ends empty, and cut elimination removes every cut
             if not c or not c2:
                 raise ProofBuildError("tensor rule needs a formula on each side")
             conclusion = c[:-1] + (tensor_f(c[-1], c2[0]),) + c2[1:]
         else:
             c2 = premises[1].conclusion
+            # `not c` and `not c2` hold for stand-ins only, as for tensor
             if not c or c[-1] is not arg:
                 raise ProofBuildError("cut formula must close the first premise")
             if not c2 or c2[0] is not negate(arg):
@@ -240,21 +252,33 @@ def ex_rule(position: int, p: SequentProof) -> SequentProof:
     return SequentProof(EX_RULE, (p,), position)
 
 
+def exchange_positions(current: list, target) -> list[int]:
+    """The positions of the adjacent exchanges, first applied first, that
+    put the items of the list `current` in the order of `target`, a
+    sequence of the same items; `current` is left in that order.  Each
+    target item in turn moves down from where it is to its place."""
+    run: list[int] = []
+    for i, want in enumerate(target):
+        if current[i] != want:
+            j = current.index(want, i)
+            if j == i + 1:  # one exchange, the commonest move
+                run.append(i)
+                current[j] = current[i]
+                current[i] = want
+            else:
+                run += range(j - 1, i - 1, -1)
+                del current[j]
+                current.insert(i, want)
+    return run
+
+
 def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     """Compose adjacent exchanges so the i-th formula of the result is the
     order[i]-th formula of p's conclusion."""
     if sorted(order) != list(range(p.length)):
         raise ProofBuildError("exchange target is not a permutation")
-    current = list(range(p.length))
-    position = list(current)  # position[x] is the index of x in current
-    for i, want in enumerate(order):
-        j = position[want]
-        while j > i:
-            p = ex_rule(j - 1, p)
-            moved = current[j - 1]
-            current[j - 1], current[j] = want, moved
-            position[want], position[moved] = j - 1, j
-            j -= 1
+    for position in exchange_positions(list(range(p.length)), order):
+        p = ex_rule(position, p)
     return p
 
 
@@ -306,40 +330,154 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
 # -- text format -------------------------------------------------------------
 
 
-def format_proof_expr(p: SequentProof) -> str:
-    """The s-expression of a proof, built without recursion so that proofs
-    nested deeper than the interpreter's stack still print."""
+_OPENING = {BOT_RULE: "(bot ", PAR_RULE: "(par ", TENSOR_RULE: "(tensor "}
+
+
+class _ExHeads(dict):
+    """The text "(ex N " that opens an exchange, by its 0-based position,
+    made on first use."""
+
+    def __missing__(self, position):
+        head = self[position] = f"(ex {position + 1} "
+        return head
+
+
+def text_writer():
+    """The one writer of the proof text format: a sink of rules in print
+    order, which is depth-first pre-order, premises left to right.
+
+    `add(rule, arg)` takes each rule but an exchange, and `exchange(run)`
+    a run of nested exchanges, given by their 0-based positions outermost
+    first.  Each rule is closed by its arity, as `_read_rules` closes it:
+    an ax or one rule ends the premises it is the last rule of.  `text()`
+    returns the s-expression.
+
+    The writer checks nothing.  A walk of a proof tree feeds it rules the
+    constructor has checked, and the sequentialization skeleton checks the
+    rules it feeds it as the constructor would, but for the three guards
+    against an empty premise sequent: "tensor rule needs a formula on each
+    side" and the empty halves of the two cut checks.  No proof reaches
+    them.  Only a cut of proofs of |- A and |- A^ could derive the empty
+    sequent, and cut elimination would turn that into a cut-free proof of
+    it, which no rule but cut concludes; and a split side always holds
+    the split node's premise among its conclusions.
+    """
     out: list[str] = []
-    ex_heads: dict[int, str] = {}  # one "(ex N " text per position
-    stack: list = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, str):
-            out.append(q)
-        elif q.rule == AX_RULE:
-            out.append(f'(ax "{format_formula(q.arg)}")')
-        elif q.rule == ONE_RULE:
+    owed = [0]  # per open premise, the ')' of the rules opened in it
+    second: list[bool] = []  # per open binary rule, whether it reads its second premise
+    opening = _OPENING.get
+    ex_head = _ExHeads().__getitem__
+
+    def add(rule, arg):
+        head = opening(rule)
+        if head is not None:
+            out.append(head)
+            owed[-1] += 1
+            if rule == TENSOR_RULE:
+                owed.append(0)
+                second.append(False)
+            return
+        if rule == AX_RULE:
+            out.append(f'(ax "{format_formula(arg)}")')
+        elif rule == ONE_RULE:
             out.append("(one)")
         else:
-            if q.rule == EX_RULE:
-                head = ex_heads.get(q.arg)
-                if head is None:
-                    head = ex_heads[q.arg] = f"(ex {q.arg + 1} "
-                out.append(head)
-            elif q.rule == CUT_RULE:
-                out.append(f'(cut "{format_formula(q.cut_formula)}" ')
+            out.append(f'(cut "{format_formula(arg)}" ')
+            owed[-1] += 1
+            owed.append(0)
+            second.append(False)
+            return
+        while True:
+            n = owed[-1]
+            if n:
+                out.append(")" * n)
+            if not second:
+                return
+            if not second[-1]:  # the first premise ends: the second starts
+                second[-1] = True
+                owed[-1] = 0
+                out.append(" ")
+                return
+            second.pop()
+            owed.pop()
+
+    def exchange(run):
+        out.extend(map(ex_head, run))
+        owed[-1] += len(run)
+
+    def text() -> str:
+        return "".join(out)
+
+    return add, exchange, text
+
+
+def tree_builder():
+    """The text writer's sink interface, building the proof tree instead:
+    `add` and `exchange` take rules in print order, each rule is built by
+    its constructor as soon as its last premise is, and `proof()` returns
+    the root."""
+    built: list[SequentProof] = []  # the root, or the finished first premises
+    pending: list[list] = []  # open rules: [rule, arg, premises still missing]
+
+    def add(rule, arg):
+        if _ARITY[rule]:
+            pending.append([rule, arg, _ARITY[rule]])
+            return
+        p = SequentProof(rule, (), arg)
+        while pending:
+            top = pending[-1]
+            top[2] -= 1
+            if top[2]:
+                break
+            pending.pop()
+            rule, arg = top[0], top[1]
+            if rule == EX_RULE:
+                for position in reversed(arg):
+                    p = SequentProof(EX_RULE, (p,), position)
+            elif _ARITY[rule] == 2:
+                p = SequentProof(rule, (built.pop(), p), arg)
             else:
-                out.append(f"({q.rule} ")
-            stack.append(")")
-            for i, sub in enumerate(reversed(q.premises)):
-                if i:
-                    stack.append(" ")
-                stack.append(sub)
-    return "".join(out)
+                p = SequentProof(rule, (p,), arg)
+        built.append(p)
+
+    def exchange(run):
+        pending.append([EX_RULE, run, 1])
+
+    def proof() -> SequentProof:
+        return built[-1]
+
+    return add, exchange, proof
+
+
+def format_proof_expr(p: SequentProof) -> str:
+    """The s-expression of a proof: the text writer fed by a pre-order walk
+    on an explicit stack, so that proofs nested deeper than the
+    interpreter's stack still print."""
+    add, exchange, text = text_writer()
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        rule = q.rule
+        if rule == EX_RULE:
+            run = []
+            while rule == EX_RULE:
+                run.append(q.arg)
+                q = q.premises[0]
+                rule = q.rule
+            exchange(run)
+        add(rule, q.arg)
+        if q.premises:
+            stack += q.premises[::-1]
+    return text()
+
+
+def proof_file(expr: str, frag: Fragment) -> str:
+    """The proof file format: a fragment header, then one s-expression."""
+    return f"fragment: {frag.value}\n{expr}\n"
 
 
 def format_proof(p: SequentProof, frag: Fragment = Fragment.MLLU) -> str:
-    return f"fragment: {frag.value}\n{format_proof_expr(p)}\n"
+    return proof_file(format_proof_expr(p), frag)
 
 
 # a parenthesis, a quoted string, a quote never closed, or a word; \s is
@@ -544,9 +682,11 @@ def _net_builder():
         else:  # tensor and cut join the two latest structures
             c1, c2 = built[-2:]
             if rule == TENSOR_RULE:
+                # unreachable: no rule but cut ends empty, and cut elimination removes every cut
                 if not c1 or not c2:
                     raise ProofBuildError("tensor rule needs a formula on each side")
             else:
+                # `not c1` and `not c2` are unreachable, as for tensor
                 if not c1 or types[c1[-1]] is not arg:
                     raise ProofBuildError("cut formula must close the first premise")
                 if not c2 or types[c2[0]] is not negate(arg):

@@ -1,9 +1,14 @@
 """Sequentialization: from structures back to sequent proofs.
 
 One skeleton, `_sequentialize`, serves all three entry points.  It peels a
-terminal bot or par node or splits at a terminal cut or tensor node,
-composes the rule and restores the conclusion order with exchange rules;
-each entry point passes the policy that picks the node.
+terminal bot or par node or splits at a terminal cut or tensor node; each
+entry point passes the policy that picks the node.  At each move it hands
+the move's rules to a sink in print order: the exchanges that restore the
+part's conclusion order, outermost first, then the rule at the node, whose
+parts follow.  It has two sinks: the text writer of `sequent`, through
+which `sequentialize_text` (the CLI's path, in all three modes) prints a
+proof file with no proof tree, and the tree builder behind the public
+`sequentialize_*` functions.
 `sequentialize_wten` takes any structure, typed or not, that is erasing-safe
 and passes the acyclicity-plus-count criterion.  `sequentialize_btenll`
 peels terminal erasing nodes first, so that the proof of a bottom-restricted
@@ -64,13 +69,14 @@ from dataclasses import dataclass, field
 from .canonical import iso
 from .errors import (FragmentError, SequentializationError, TypeInferenceError)
 from .formulas import (ATOM, BOT as BOT_F, Formula, Fragment, ONE as ONE_F, atom,
-                       negate)
+                       fragment_from_name, negate)
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         arc_polarities, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
                         restrict, topological_order, validate)
-from .sequent import (SequentProof, ax_rule, bot_rule, check_proof, cut_rule,
-                      desequentialize, exchange_to, one_rule, par_rule, tensor_rule)
+from .sequent import (AX_RULE, BOT_RULE, CUT_RULE, ONE_RULE, PAR_RULE, TENSOR_RULE,
+                      ProofBuildError, SequentProof, check_proof, desequentialize,
+                      exchange_positions, proof_file, text_writer, tree_builder)
 from .switching import check
 
 
@@ -271,9 +277,10 @@ def _add_terminal(ps: ProofStructure, part: _Part, m: int) -> None:
         part.fresh.append(m)
 
 
-def _peel_part(ps: ProofStructure, part: _Part, n: int) -> None:
-    """Peel the terminal bot or par node n off the part, in place; a par's
-    two premises become the last conclusions.
+def _peel_part(ps: ProofStructure, part: _Part, n: int) -> int:
+    """Peel the terminal bot or par node n off the part, in place, and
+    return the index its conclusion had; a par's two premises become the
+    last conclusions.
 
     A terminal bot is a component of its own, so its peel lowers the
     component count by one.  A par's component less the par falls into
@@ -295,6 +302,7 @@ def _peel_part(ps: ProofStructure, part: _Part, n: int) -> None:
     else:
         part.pieces -= 1
     part.conclusions = conclusions
+    return i
 
 
 def _determined_sides(ps: ProofStructure, part: _Part, n: int):
@@ -364,14 +372,15 @@ def _least(part: _Part, heap) -> int | None:
     return heap[0] if heap else None
 
 
-def _base_case(ps: ProofStructure, part: _Part) -> SequentProof:
+def _base_case(ps: ProofStructure, part: _Part) -> tuple[str, Formula | None]:
+    """The ax or one rule of a part that is a single ax or one node."""
     labels = [ps.nodes[n] for n in part.nodes]
     if labels not in ([AX], [ONE]):
         raise SequentializationError(
             "structure is neither splittable nor a single axiom or one node")
     if labels == [ONE]:
-        return one_rule()
-    return ax_rule(ps.types[part.conclusions[0]])
+        return ONE_RULE, None
+    return AX_RULE, ps.types[part.conclusions[0]]
 
 
 def _split_move(ps: ProofStructure, part: _Part, n: int):
@@ -383,64 +392,84 @@ def _split_move(ps: ProofStructure, part: _Part, n: int):
     return n, side
 
 
-def _sequentialize(ps: ProofStructure, choose) -> SequentProof:
+def _check_run(run, length: int) -> None:
+    """The exchange constructor's check of a run, printed outermost first,
+    over a sequent of `length` formulas: the innermost failure is raised."""
+    if min(run) < 0 or max(run) > length - 2:
+        bad = next(i for i in reversed(run) if not 0 <= i <= length - 2)
+        raise ProofBuildError(f"exchange position {bad} out of range")
+
+
+def _sequentialize(ps: ProofStructure, choose, sink):
     """The peel/split skeleton shared by the three sequentializers.
 
     `ps` is typed and jump-free, and is only read.  `choose(ps, part)`
     returns None when the part must be a single ax or one node,
     `(n, None)` to peel the terminal bot or par node n, or `(n, side)` to
     split at the cut or tensor node n into the node set `side`, a component
-    of the part less n, and the rest of the part.  The parts are
-    sequentialized left first, and each rule is composed as soon as its
-    premises are, on an explicit stack, so the work happens in the order of
-    a recursive descent while the depth is bounded by memory only.
+    of the part less n, and the rest of the part.  The parts wait on an
+    explicit stack, left first, so the depth is bounded by memory only.
+
+    Each move hands its rules to the sink `(add, exchange, finish)` of
+    `text_writer` or `tree_builder` in print order, and the result is
+    `finish()`.  All of a move's rules are known when it is made: first
+    the exchanges that move the rule's conclusions into the order of the
+    part, outermost first, then the rule at n; then come the rules of its
+    parts, and a base case's ax or one.  A peeled rule's conclusion moves
+    from the end to the index i it had, by the run i, ..., L - 2 over the
+    part's L conclusions; a split's run comes from the two side tuples
+    that `_split_part` returns, read before the sides are expanded.  The
+    skeleton checks its rules as their constructor does: each exchange
+    position against the part's conclusion count, a par over at least two
+    formulas, and the cut formula against the types of the sides' boundary
+    arcs.
     """
+    add, exchange, finish = sink
     outs = ps.incidence()[1]
     nodes = {m for m, lab in ps.nodes.items() if lab != DOT}
     terminal = set(ps.terminal_nodes())
     root = _Part(nodes, ps.conclusions, terminal, len(induced_components(ps, nodes)),
                  sorted(terminal))
-    proofs: list[SequentProof] = []
-    stack: list = [root]  # parts to expand, (conclusions, n, sides) rules to compose
+    stack = [root]
     while stack:
-        top = stack.pop()
-        if isinstance(top, _Part):
-            move = choose(ps, top)
-            if move is None:
-                proofs.append(_base_case(ps, top))
-                continue
-            n, side = move
-            conclusions = top.conclusions
-            if side is None:
-                _peel_part(ps, top, n)
-                stack += [(conclusions, n, None), top]
-            else:
-                left, right = _split_part(ps, top, n, side)
-                stack += [(conclusions, n, (left.conclusions, right.conclusions)),
-                          right, left]
+        part = stack.pop()
+        move = choose(ps, part)
+        if move is None:
+            add(*_base_case(ps, part))
             continue
-        # compose the rule at n, then exchange its conclusions into the
-        # order of the part it was chosen in
-        conclusions, n, sides = top
-        if sides is None:
-            joined = (bot_rule if ps.nodes[n] == BOT else par_rule)(proofs.pop())
-            i, last = conclusions.index(outs[n][0]), len(conclusions) - 1
-            if i < last:  # the rule's conclusion moves from the end to i
-                joined = exchange_to(joined, [*range(i), last, *range(i, last)])
-        else:
-            left, right = sides
-            proof_right, proof_left = proofs.pop(), proofs.pop()
-            if ps.nodes[n] == TENSOR:
-                joined = tensor_rule(proof_left, proof_right)
-                current = left[:-1] + tuple(outs[n]) + right[1:]
+        n, side = move
+        conclusions = part.conclusions
+        arg = None
+        if side is None:
+            run = range(_peel_part(ps, part, n), len(conclusions) - 1)
+            if ps.nodes[n] == BOT:
+                rule = BOT_RULE
             else:
-                joined = cut_rule(ps.types[ps.premises_of(n)[0]], proof_left, proof_right)
-                current = left[:-1] + right[1:]
-            if current != conclusions:
-                position = {c: i for i, c in enumerate(current)}
-                joined = exchange_to(joined, [position[c] for c in conclusions])
-        proofs.append(joined)
-    return proofs.pop()
+                rule = PAR_RULE
+                if len(part.conclusions) < 2:
+                    raise ProofBuildError("par rule needs two formulas to combine")
+            stack.append(part)
+        else:
+            left, right = _split_part(ps, part, n, side)
+            lc, rc = left.conclusions, right.conclusions
+            if ps.nodes[n] == TENSOR:
+                rule = TENSOR_RULE
+                current = lc[:-1] + tuple(outs[n]) + rc[1:]
+            else:
+                rule, arg = CUT_RULE, ps.types[ps.premises_of(n)[0]]
+                if ps.types[lc[-1]] is not arg:
+                    raise ProofBuildError("cut formula must close the first premise")
+                if ps.types[rc[0]] is not negate(arg):
+                    raise ProofBuildError("dual of the cut formula must open the second premise")
+                current = lc[:-1] + rc[1:]
+            run = () if current == conclusions else (
+                exchange_positions(list(current), conclusions)[::-1])
+            stack += [right, left]
+        if run:
+            _check_run(run, len(conclusions))
+            exchange(run)
+        add(rule, arg)
+    return finish()
 
 
 # -- untyped / general sequentialization ---------------------------------------
@@ -453,6 +482,12 @@ def sequentialize_wten(ps: ProofStructure) -> SequentProof:
     `desequentialize(result)` is isomorphic to the input (ignoring types
     when the input is untyped).
     """
+    return _sequentialize(*_wten_plan(ps), tree_builder())
+
+
+def _wten_plan(ps: ProofStructure):
+    """The checks of `sequentialize_wten`, then the structure and the policy
+    its skeleton runs."""
     ensure_valid(ps)
     ok, witness = is_wten(ps)
     if not ok:
@@ -463,7 +498,7 @@ def sequentialize_wten(ps: ProofStructure) -> SequentProof:
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
     typed = ps if ps.types is not None else infer_types(ps)
-    return _sequentialize(typed.without_jumps(), _general_move)
+    return typed.without_jumps(), _general_move
 
 
 _GENERAL_CLASSES = {BOT: 0, PAR: 0, CUT: 1, TENSOR: 1}
@@ -617,6 +652,13 @@ def sequentialize_btenll(ps: ProofStructure,
                          m: int) -> tuple[SequentProof, JumpedStructure]:
     """Sequentialize a jump-free cut-free structure of the bottom-restricted
     fragment; the proof realizes the canonical jump assignment rooted at m."""
+    ps, choose, jumped = _btenll_plan(ps, m)
+    return _sequentialize(ps, choose, tree_builder()), jumped
+
+
+def _btenll_plan(ps: ProofStructure, m: int):
+    """The checks of `sequentialize_btenll`, then the structure and the
+    policy its skeleton runs, and the canonical jumps."""
     if not jump_free(ps):
         raise SequentializationError("expected a jump-free structure")
     if ps.nodes_with_label(CUT):
@@ -626,8 +668,7 @@ def sequentialize_btenll(ps: ProofStructure,
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
     # a part's erasing nodes are the structure's (see the module docstring)
-    proof = _sequentialize(ps, functools.partial(_bten_move, erasing=erasing_nodes(ps)))
-    return proof, jumped
+    return ps, functools.partial(_bten_move, erasing=erasing_nodes(ps)), jumped
 
 
 _BTEN_CLASSES = {PAR: 1, TENSOR: 2}
@@ -649,11 +690,17 @@ def _bten_move(ps: ProofStructure, part: _Part, erasing: set[int]):
 def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStructure]:
     """Sequentialize a jump-free structure of the constant-only
     intuitionistic fragment; requires exactly one output conclusion."""
+    ps, choose, jumped = _icomll_plan(ps)
+    return _sequentialize(ps, choose, tree_builder()), jumped
+
+
+def _icomll_plan(ps: ProofStructure):
+    """The checks of `sequentialize_icomll`, then the structure and the
+    policy its skeleton runs, and the canonical jumps."""
     if not jump_free(ps):
         raise SequentializationError("expected a jump-free structure")
     jumped = canonical_jumps_icomll(ps)
-    move = functools.partial(_icomll_move, polarities=arc_polarities(ps))
-    return _sequentialize(ps, move), jumped
+    return ps, functools.partial(_icomll_move, polarities=arc_polarities(ps)), jumped
 
 
 def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | None]):
@@ -695,6 +742,28 @@ def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | No
     if ps.nodes[n] == PAR:
         return n, None
     return _split_move(ps, part, n)
+
+
+# -- printed sequentializations ---------------------------------------------------
+
+
+def sequentialize_text(ps: ProofStructure, mode: str,
+                       m: int | None = None) -> tuple[str, dict[int, int]]:
+    """The proof file of `sequentialize_<mode>(ps)` and the jump map of its
+    canonical jumps ({} in wten mode), printed straight from the skeleton
+    with no proof tree: the text is `format_proof` of that proof under the
+    mode's fragment header, mllu in wten mode.  `m` is btenll mode's
+    anchor."""
+    if mode == "wten":
+        (target, choose), jumps = _wten_plan(ps), {}
+    elif mode in ("btenll", "icomll"):
+        target, choose, jumped = (_btenll_plan(ps, m) if mode == "btenll"
+                                  else _icomll_plan(ps))
+        jumps = jumped.ps.jumps
+    else:
+        raise ValueError(f"unknown sequentialization mode {mode!r}")
+    frag = Fragment.MLLU if mode == "wten" else fragment_from_name(mode)
+    return proof_file(_sequentialize(target, choose, text_writer()), frag), jumps
 
 
 # -- equivalence decisions --------------------------------------------------------

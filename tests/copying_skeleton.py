@@ -12,17 +12,18 @@ from proofnets.errors import SequentializationError
 from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import (ax_rule, bot_rule, cut_rule, desequentialize,
-                               exchange_to, format_proof, one_rule, par_rule,
-                               tensor_rule)
+                               exchange_to, one_rule, par_rule, tensor_rule)
 from proofnets.sequentialize import (SplitAssignment, canonical_jumps_btenll,
                                      canonical_jumps_icomll, infer_types,
                                      sequentialize_btenll, sequentialize_icomll,
-                                     sequentialize_wten, split_parts)
+                                     sequentialize_text, sequentialize_wten,
+                                     split_parts)
 from proofnets.structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                                  ensure_valid, erasing_nodes, induced_components,
                                  is_wten, jump_free)
 from proofnets.switching import check
 from reference_oracles import _peel, _raw_split_assignments
+from reference_proof_parser import format_proof_expr
 
 
 def _determined_split(ps, n):
@@ -232,6 +233,16 @@ def run(mode, ps, m):
     return sequentialize_icomll(ps)[0]
 
 
+def run_text(mode, ps, m):
+    """The s-expression of the proof file that the package prints in that
+    mode with no proof tree, once its header is checked."""
+    text = sequentialize_text(ps, mode, m)[0]
+    header = f"fragment: {'mllu' if mode == 'wten' else mode}\n"
+    if not (text.startswith(header) and text.endswith(")\n")):
+        raise AssertionError(f"not a {mode} proof file: {text!r}")
+    return text[len(header):-1]
+
+
 def run_reference(mode, ps, m, observe=None):
     """The reference of `run`."""
     if mode == "wten":
@@ -242,8 +253,11 @@ def run_reference(mode, ps, m, observe=None):
 
 
 def outcome(run):
-    """The printed proof of run(), or the type and message of its error."""
+    """The s-expression of the proof run() returns, by the reference
+    printer, or the one run() prints, or the type and message of its
+    error."""
     try:
-        return format_proof(run())
+        result = run()
     except Exception as exc:  # the reference must fail the same way
         return type(exc).__name__, str(exc)
+    return result if isinstance(result, str) else format_proof_expr(result)

@@ -1,13 +1,42 @@
 """The proof reader as it was before it tokenized with one regular
 expression and read the formulas in one batch, kept as the reference of
 the package's one: both must return the same proof, or raise a ParseError
-with the same message and offset.
+with the same message and offset.  Beside it, the proof printer as it was
+before the package's became a sink of rules in print order.
 """
 
 from proofnets.errors import ParseError
-from proofnets.formulas import Fragment, fragment_from_name, parse_formula
-from proofnets.sequent import (_ARITY, AX_RULE, CUT_RULE, EX_RULE, ProofBuildError,
-                               SequentProof)
+from proofnets.formulas import Fragment, format_formula, fragment_from_name, parse_formula
+from proofnets.sequent import (_ARITY, AX_RULE, CUT_RULE, EX_RULE, ONE_RULE,
+                               ProofBuildError, SequentProof)
+
+
+def format_proof_expr(p: SequentProof) -> str:
+    """The s-expression of a proof, printed from a stack of subproofs and
+    the texts still to write."""
+    out: list[str] = []
+    stack: list = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, str):
+            out.append(q)
+        elif q.rule == AX_RULE:
+            out.append(f'(ax "{format_formula(q.arg)}")')
+        elif q.rule == ONE_RULE:
+            out.append("(one)")
+        else:
+            if q.rule == EX_RULE:
+                out.append(f"(ex {q.arg + 1} ")
+            elif q.rule == CUT_RULE:
+                out.append(f'(cut "{format_formula(q.cut_formula)}" ')
+            else:
+                out.append(f"({q.rule} ")
+            stack.append(")")
+            for i, sub in enumerate(reversed(q.premises)):
+                if i:
+                    stack.append(" ")
+                stack.append(sub)
+    return "".join(out)
 
 
 def _tokenize_expr(text: str):

@@ -19,14 +19,15 @@ from proofnets import cli, fixtures, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
 from proofnets.errors import ValidationError
-from proofnets.formulas import Fragment, in_fragment
+from proofnets.formulas import Fragment, atom, in_fragment
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import (SequentProof, bot_rule, check_proof, cut_rule, desequentialize,
-                               exchange_to, format_proof, one_rule, par_rule, parse_proof,
-                               tensor_rule)
+from proofnets.sequent import (SequentProof, ax_rule, bot_rule, check_proof, cut_rule,
+                               desequentialize, exchange_to, format_proof, one_rule, par_rule,
+                               parse_proof, tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
-                                     proofs_equivalent)
-from proofnets.structure import from_dsl, from_json, to_dsl, to_json
+                                     proofs_equivalent, sequentialize_btenll,
+                                     sequentialize_icomll, sequentialize_wten)
+from proofnets.structure import erasing_nodes, from_dsl, from_json, to_dsl, to_json
 from proofnets.switching import switchings
 import reference_oracles
 
@@ -676,6 +677,62 @@ def test_deseq_and_equiv_build_proof_trees_only_to_report(tmp_path, capsys, monk
         code, out, err = run(capsys, *map(str, argv))
         assert (code, out) == (2, "") and err.startswith("error: ")
         assert built == [outside.rule_count()], argv
+
+
+def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
+    # the command prints straight from the skeleton in every mode; the
+    # public sequentializers build one SequentProof per printed rule
+    k = 1600
+    tensors, ones = ax_rule(atom("X")), one_rule()
+    for _ in range(k):
+        tensors = tensor_rule(tensors, ax_rule(atom("X", dual=True)))
+        ones = tensor_rule(ones, one_rule())
+    tensors, ones, composed = (desequentialize(p, verify=False).ps for p in (
+        tensors, ones, _composition(random.Random(3), 11)))
+    assert len(composed.nodes) > 100
+    ax = tensors.nodes_with_label("ax")[0]
+    anchor = min(n for n, lab in composed.nodes.items()
+                 if lab != "dot" and n not in erasing_nodes(composed))
+    cases = [(tensors, "wten", None), (tensors, "btenll", ax), (ones, "icomll", None),
+             (composed, "wten", None), (composed, "btenll", anchor)]
+    path = tmp_path / "net.json"
+    built = count_proof_rules(monkeypatch)
+    for ps, mode, m in cases:
+        path.write_text(to_json(ps))
+        built[0] = 0
+        code, out, err = run(capsys, "sequentialize", str(path), "--mode", mode,
+                             *(["--m", str(m)] if m is not None else []))
+        assert (code, err, built) == (0, "", [0]), mode
+        proof = (sequentialize_wten(ps) if mode == "wten" else
+                 sequentialize_btenll(ps, m)[0] if mode == "btenll" else
+                 sequentialize_icomll(ps)[0])
+        assert built == [proof.rule_count()], mode
+        assert out == format_proof(proof, Fragment.MLLU if mode == "wten" else Fragment(mode))
+
+
+def test_a_failing_sequentialize_writes_nothing(tmp_path, capsys):
+    # the proof is written only once the skeleton has finished: a failure
+    # leaves stdout empty and creates neither output file
+    accw = tmp_path / "accw.dsl"
+    accw.write_text("node 0 bot\nnode 1 dot\narc 0 0 1\nconclusions 0\n")
+    two_outputs = tmp_path / "outputs.dsl"
+    two_outputs.write_text("node 0 one\nnode 1 one\nnode 2 dot\nnode 3 dot\n"
+                           "arc 0 0 2\narc 1 1 3\nconclusions 0 1\ntype 0 one\ntype 1 one\n")
+    units = write_fixture(tmp_path, "jumps-units")
+    cases = [(accw, [], "error: structure fails the accw criterion\n"),
+             (write_fixture(tmp_path, "regnier"), [], "error: premise "),
+             (units, ["--mode", "btenll", "--m", "4"],
+              "error: node 4 is not a non-erasing node\n"),
+             (units, ["--mode", "btenll", "--m", "99"],
+              "error: node 99 is not a non-erasing node\n"),
+             (two_outputs, ["--mode", "icomll"],
+              "error: structure has 2 output conclusions, expected 1\n")]
+    out, jumps = tmp_path / "out.proof", tmp_path / "jumps.json"
+    for path, argv, message in cases:
+        for extra in ([], ["--out", str(out), "--jumps-out", str(jumps)]):
+            code, stdout, err = run(capsys, "sequentialize", str(path), *argv, *extra)
+            assert (code, stdout) == (2, "") and err.startswith(message), (path, argv)
+            assert not out.exists() and not jumps.exists()
 
 
 def _tree_deseq(args) -> int:

@@ -19,8 +19,8 @@ from proofnets.generate import GenParams, random_proof
 from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
                                check_proof, cut_rule, deseq_relation_holds,
                                desequentialize, desequentialize_text, ex_rule,
-                               exchange_to, format_proof, one_rule, parse_proof,
-                               tensor_rule)
+                               exchange_to, format_proof, format_proof_expr, one_rule,
+                               parse_proof, tensor_rule)
 from proofnets.structure import validate
 from proofnets.switching import check
 
@@ -223,6 +223,23 @@ def test_format_parse_round_trip():
     frag, again = parse_proof(text)
     assert frag is Fragment.MLLU
     assert again == p
+
+
+def test_the_writer_prints_what_the_reference_printer_prints():
+    # the one text writer, fed by a walk of the tree, against the printer
+    # that walked the tree and wrote its text itself
+    proofs = [parse_proof(text)[1] for text in proof_texts()]
+    for frag in Fragment:
+        for seed in range(40):
+            proofs.append(random_proof(GenParams(fragment=frag, max_rules=60, seed=seed,
+                                                 cut_probability=0.3)))
+    deep = ax_rule(X)
+    for _ in range(300):
+        deep = bot_rule(deep)
+    proofs.append(exchange_to(deep, list(range(301, -1, -1))))
+    for p in proofs:
+        assert format_proof_expr(p) == reference.format_proof_expr(p)
+    assert sum(p.rule == "ex" for q in proofs for p in q.subproofs()) > 45000
 
 
 def test_deep_proofs_compare_and_hash_without_recursion():

@@ -1,8 +1,11 @@
 """The in-place peel/split skeleton against the copying one it replaced.
 
 `copying_skeleton` keeps the skeleton that built a `ProofStructure` per
-peel and split; both must print the same proofs and fail with the same
-errors on the seeded corpora of all three sequentializers.
+peel and split.  The in-place skeleton runs with both of its sinks: the
+proof tree it builds and the text it prints with no tree must each equal
+the reference's printed proof, or fail with the same error, on the seeded
+corpora of all three sequentializers, and every printed text must read
+back, through every constructor check, to the same text.
 """
 
 import functools
@@ -14,16 +17,35 @@ from conftest import build_ps
 from proofnets import sequentialize
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_ps
+from proofnets.sequent import parse_proof, text_writer, tree_builder
 from proofnets.structure import DOT, arc_polarities, erasing_nodes
+from reference_proof_parser import format_proof_expr
+
+
+def _reads_back(got):
+    """`got`, after checking that a printed proof parses back to itself."""
+    if isinstance(got, str):
+        assert format_proof_expr(parse_proof(f"fragment: mllu\n{got}\n")[1]) == got
+    return got
+
+
+def _both_sinks(ps, policy):
+    """The outcomes of the bare skeleton under `policy` with the tree sink
+    and with the text sink."""
+    return [_reads_back(reference.outcome(
+                lambda: sequentialize._sequentialize(ps, policy, sink())))
+            for sink in (tree_builder, text_writer)]
 
 
 @pytest.mark.parametrize("mode", reference.MODES)
 def test_in_place_skeleton_matches_the_copying_one(mode):
     proofs = errors = 0
     for ps, m in reference.corpus(mode):
-        got = reference.outcome(lambda: reference.run(mode, ps, m))
-        assert got == reference.outcome(lambda: reference.run_reference(mode, ps, m)), m
-        if isinstance(got, str):
+        want = reference.outcome(lambda: reference.run_reference(mode, ps, m))
+        assert reference.outcome(lambda: reference.run(mode, ps, m)) == want, m
+        printed = reference.outcome(lambda: reference.run_text(mode, ps, m))
+        assert _reads_back(printed) == want, m
+        if isinstance(want, str):
             proofs += 1
         else:
             errors += 1
@@ -47,10 +69,10 @@ def test_bare_skeletons_fail_alike():
         for seed in range(150):
             ps = random_ps(GenParams(fragment=frag, seed=seed, cut_probability=0.3))
             for new, old in _policies(ps)[:1 if frag is Fragment.MLLU else 3]:
-                got = reference.outcome(lambda: sequentialize._sequentialize(ps, new))
-                assert got == reference.outcome(lambda: reference.skeleton(ps, old)), seed
-                if not isinstance(got, str):
-                    failures.add(got[1].split(" node ")[0])
+                want = reference.outcome(lambda: reference.skeleton(ps, old))
+                assert _both_sinks(ps, new) == [want, want], seed
+                if not isinstance(want, str):
+                    failures.add(want[1].split(" node ")[0])
     assert len(failures) >= 4, failures
 
 
@@ -103,17 +125,18 @@ def test_splits_in_parts_of_several_components_fail_alike(monkeypatch):
     monkeypatch.setattr(sequentialize, "_determined_sides", counting_sides)
     monkeypatch.setattr(sequentialize, "_lockstep", counting_lockstep)
     lone = _tensor_beside_an_axiom()
-    assert reference.outcome(lambda: sequentialize._sequentialize(
-        lone, sequentialize._general_move)) == (
-            "SequentializationError", "no splitting cut or tensor node found")
-    assert several == [2]
+    assert _both_sinks(lone, sequentialize._general_move) == [
+        ("SequentializationError", "no splitting cut or tensor node found")] * 2
+    assert several == [2, 2]
     for frag, policy in ((Fragment.MLLU, 0), (Fragment.ICOMLL, 2)):
         for seed in range(150):
             ps = random_ps(GenParams(fragment=frag, seed=seed, cut_probability=0.3))
             new, old = _policies(ps)[policy]
-            got = reference.outcome(lambda: sequentialize._sequentialize(ps, new))
-            assert got == reference.outcome(lambda: reference.skeleton(ps, old)), seed
+            want = reference.outcome(lambda: reference.skeleton(ps, old))
+            assert _both_sinks(ps, new) == [want, want], seed
     for ps, m in reference.corpus("icomll"):
-        assert reference.outcome(lambda: reference.run("icomll", ps, m)) == (
-            reference.outcome(lambda: reference.run_reference("icomll", ps, m)))
-    assert len(several) > 100 and len(fallbacks) > 50, (len(several), len(fallbacks))
+        want = reference.outcome(lambda: reference.run_reference("icomll", ps, m))
+        assert reference.outcome(lambda: reference.run("icomll", ps, m)) == want
+        printed = reference.outcome(lambda: reference.run_text("icomll", ps, m))
+        assert _reads_back(printed) == want
+    assert len(several) > 200 and len(fallbacks) > 100, (len(several), len(fallbacks))
