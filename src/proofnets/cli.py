@@ -22,9 +22,8 @@ from .errors import ParseError, ProofNetError, ValidationError
 from .formulas import Fragment, fragment_from_name
 from .generate import GenParams, random_proof, random_ps
 from .render import export_dot
-from .sequent import check_proof, desequentialize_text, format_proof, parse_proof
-from .sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
-                            require_btenll, sequentialize_text)
+from .sequent import desequentialize_text, format_proof, fragment_report, outside_btenll
+from .sequentialize import canonical_jumps_btenll, canonical_jumps_icomll, sequentialize_text
 from .structure import (ProofStructure, decode_json, ensure_valid, is_wten,
                         load_structure, to_dsl, to_json)
 from .switching import DEFAULT_MAX_PAR, check
@@ -123,15 +122,15 @@ def _cmd_jumps(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    # `proofs_equivalent` on the nets the texts read into; a proof tree is
-    # built only to report a proof outside btenll
+    # `proofs_equivalent` on the nets the texts read into; the text of a
+    # proof outside btenll is read again, only to report it
     texts, nets = [], []
     for path in (args.proof1, args.proof2):
         texts.append(_read(path))
         nets.append(desequentialize_text(texts[-1], verify=False)[1])
     for text, net in zip(texts, nets):
         if not net.in_fragment(Fragment.BTENLL):
-            require_btenll(parse_proof(text)[1])
+            raise outside_btenll(fragment_report(text, net, Fragment.BTENLL))
     result = iso(nets[0].ps, nets[1].ps)
     print("true" if result else "false")
     return 0 if result else 1
@@ -141,8 +140,8 @@ def _cmd_deseq(args) -> int:
     text = _read(args.proof)
     frag, result = desequentialize_text(text)
     if not result.in_fragment(frag):
-        # the proof tree gives check_proof's report, rule by rule
-        raise ValidationError(check_proof(parse_proof(text)[1], frag))
+        # the text is read again, only to report the proof rule by rule
+        raise ValidationError(fragment_report(text, result, frag))
     _emit_ps(result.ps, args.format, args.out)
     return 0
 
@@ -315,9 +314,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ProofNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ValidationError):
-            for rule, subject, message in exc.report.violations:
-                print(f"  [{rule}] {message}", file=sys.stderr)
+        if isinstance(exc, ValidationError):  # one write: stderr is line-buffered
+            sys.stderr.write("".join(f"  [{rule}] {message}\n"
+                                     for rule, _, message in exc.report.violations))
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,16 +7,12 @@ instances, so every proof, built by hand or read from a file, is correct by
 construction.  An exchange only checks its position against the length:
 its conclusion is derived on first read, by applying the swaps of the
 exchanges below it to the nearest conclusion already known, so a run of k
-exchanges costs O(k) to build.  `check_proof` adds only the fragment
-discipline: all formulas inside the fragment, decided by one fold over the
-formulas the rules introduce (every formula of a sequent is introduced at
-or above it), and no axiom or cut rules in the constant-only
-intuitionistic fragment.
+exchanges costs O(k) to build.
 
 One token loop, `_read_rules`, reads the proof text format and hands each
-rule to a sink when its ')' closes, so premises come first.  It has two
-sinks: `parse_proof` builds a proof tree, and `desequentialize_text`
-feeds the net builder.
+rule to a sink when its ')' closes, so premises come first: `parse_proof`
+builds a proof tree, and `desequentialize_text` and `fragment_report`
+feed the net builder.
 
 One text writer, `text_writer`, prints the format.  It takes rules in
 print order, each rule before its premises, and runs of exchanges at
@@ -39,9 +35,10 @@ feed it: `desequentialize` walks a proof tree, premises first, and
 `desequentialize_text` runs the token loop, so a proof text becomes a net
 with no tree in between.  The net's arc types are exactly the formulas the
 rules introduce, and its ax and cut nodes its ax and cut rules, so
-`DeseqResult.in_fragment` is `check_proof`'s verdict from one fold over
-the arc types.  A proof tree is then built only to report a proof outside
-its fragment, as the report names each rule.
+`DeseqResult.in_fragment` decides the fragment discipline (formulas
+inside the fragment, no ax or cut rule in icomll) from one fold over the
+arc types; one report lists the rules breaking it, fed to a net builder
+by a tree walk (`check_proof`) or the token loop (`fragment_report`).
 Node and arc ids are allocated premises first, so the ids allocated while
 a bot rule's premise sub-proof was built form a range that starts at the
 id current at the bot's '(' and ends at the bot node.  The result records
@@ -58,7 +55,7 @@ import re
 from dataclasses import dataclass, field
 
 from .canonical import isomorphisms
-from .errors import ParseError, ProofNetError
+from .errors import FragmentError, ParseError, ProofNetError
 from .formulas import (BOT as BOT_F, Formula, Fragment, format_formula,
                        fragment_from_name, in_fragments, negate, parse_formulas)
 from .formulas import ONE as ONE_F, par as par_f, tensor as tensor_f
@@ -292,39 +289,6 @@ def _post_order(proof: SequentProof) -> list[SequentProof]:
         stack.extend(p.premises)
     order.reverse()
     return order
-
-
-def _introduced(order):
-    """The formulas each rule adds to its sequent: every formula of a
-    conclusion is introduced at or above it, so these are all of them."""
-    for p in order:
-        if p.rule == AX_RULE:
-            yield from p.conclusion
-        elif p.rule == TENSOR_RULE:
-            yield p.conclusion[p.premises[0].length - 1]
-        elif p.rule != EX_RULE and p.rule != CUT_RULE:
-            yield p.conclusion[-1]
-
-
-def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
-    """The fragment discipline: every conclusion formula inside `frag`, and
-    no axiom or cut rule in icomll.  Rules are reported premises first, a
-    formula at every rule whose conclusion holds it."""
-    order = _post_order(proof)
-    # one fold decides every distinct formula, sharing the subformulas
-    verdicts = in_fragments(_introduced(order), frag)
-    # the occurrences of each formula are listed only when one fails
-    outside = not all(ok for ok, _ in verdicts.values())
-    v = []
-    for p in order:
-        if outside:
-            for f in p.conclusion:
-                if not verdicts[f][0]:
-                    v.append(("fragment", p.rule,
-                              f"formula {format_formula(f)} outside {frag.value}"))
-        if frag is Fragment.ICOMLL and p.rule in (AX_RULE, CUT_RULE):
-            v.append(("fragment", p.rule, f"{p.rule} rule is not available in icomll"))
-    return ValidationReport(v)
 
 
 # -- text format -------------------------------------------------------------
@@ -600,9 +564,9 @@ class DeseqResult:
     bot_scopes: dict[int, range] = field(default_factory=dict)
 
     def in_fragment(self, frag: Fragment) -> bool:
-        """`check_proof(proof, frag).ok` for the proof this net was built
-        from: its arc types are exactly the formulas the rules introduce,
-        and its ax and cut nodes are the proof's ax and cut rules."""
+        """`check_proof(proof, frag).ok`, detailed by `fragment_report`, for
+        the proof this net was built from: its arc types are exactly the
+        formulas the rules introduce, and its ax and cut nodes its rules'."""
         ps = self.ps
         if frag is Fragment.ICOMLL and not {AX, CUT}.isdisjoint(ps.nodes.values()):
             return False
@@ -611,8 +575,8 @@ class DeseqResult:
 
 def _net_builder():
     """The one net builder: `add(rule, arg)` applies one closed rule to the
-    conclusions of the subproofs built so far, premises first, and
-    `finish()` returns the net.
+    subproofs built so far, premises first, `finish()` returns the net, and
+    the third function the formulas of the latest rule's conclusion.
 
     Axioms and units become single nodes, tensor and cut join the two
     latest sub-structures, par and bot extend the latest one, and an
@@ -713,7 +677,7 @@ def _net_builder():
         ps = ProofStructure._adopt(nodes, arcs, premise_order, tuple(built.pop()), types, {})
         return DeseqResult(ps, bot_scopes)
 
-    return add, finish
+    return add, finish, lambda: map(types.__getitem__, built[-1])
 
 
 def _self_check(ps: ProofStructure) -> None:
@@ -732,7 +696,7 @@ def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
     With `verify`, the result is validated and must pass the acyclicity-
     plus-component-count criterion; `check_proof` decides its fragment.
     """
-    add, finish = _net_builder()
+    add, finish, _ = _net_builder()
     for p in _post_order(proof):
         add(p.rule, p.arg)
     result = finish()
@@ -746,14 +710,59 @@ def desequentialize_text(text: str, verify: bool = True) -> tuple[Fragment, Dese
     read straight into the net builder with no proof tree: the same
     result as `desequentialize(parse_proof(text)[1], verify)`, and the same
     ParseError on a text `parse_proof` rejects.  `in_fragment` on the
-    result is `check_proof`'s verdict on the proof.
+    result decides the proof's fragment, and `fragment_report` reports it.
     """
-    add, finish = _net_builder()
+    add, finish, _ = _net_builder()
     frag = _read_rules(text, add)
     result = finish()
     if verify:
         _self_check(result.ps)
     return frag, result
+
+
+def _fragment_report(net: DeseqResult, feed, frag: Fragment) -> ValidationReport:
+    """The one fragment report on a proof whose net is `net` and whose
+    rules `feed(add)` hands to `add(rule, arg)`, premises first.  A net
+    builder takes them again: each rule lists the formulas outside `frag`
+    of its open conclusion list, then an ax or cut rule in icomll.  One
+    fold over the net's arc types, the formulas the rules introduce,
+    gives the verdicts, and each failing formula is formatted once."""
+    failing = {f: f"formula {format_formula(f)} outside {frag.value}"
+               for f, (ok, _) in in_fragments(net.ps.types.values(), frag).items() if not ok}
+    add, _, conclusion = _net_builder()
+    v = []
+
+    def see(rule, arg):
+        add(rule, arg)
+        if failing:
+            v.extend(("fragment", rule, failing[f]) for f in conclusion() if f in failing)
+        if frag is Fragment.ICOMLL and rule in (AX_RULE, CUT_RULE):
+            v.append(("fragment", rule, f"{rule} rule is not available in icomll"))
+
+    feed(see)
+    return ValidationReport(v)
+
+
+def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
+    """The fragment discipline: every conclusion formula inside `frag`, and
+    no axiom or cut rule in icomll, reported from a walk of the tree."""
+    def feed(add):
+        for p in _post_order(proof):
+            add(p.rule, p.arg)
+
+    return _fragment_report(desequentialize(proof, verify=False), feed, frag)
+
+
+def fragment_report(text: str, net: DeseqResult, frag: Fragment) -> ValidationReport:
+    """`check_proof(parse_proof(text)[1], frag)` with no proof tree, for
+    the text whose net is `net`: the token loop reads the text again."""
+    return _fragment_report(net, lambda add: _read_rules(text, add), frag)
+
+
+def outside_btenll(report: ValidationReport) -> FragmentError:
+    """The error for a proof outside btenll, where permutation equivalence
+    is decided, with the report of its fragment check."""
+    return FragmentError(f"proof outside btenll: {report!r}")
 
 
 def deseq_relation_holds(proof: SequentProof, ps: ProofStructure) -> bool:

@@ -76,7 +76,7 @@ from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         restrict, topological_order, validate)
 from .sequent import (AX_RULE, BOT_RULE, CUT_RULE, ONE_RULE, PAR_RULE, TENSOR_RULE,
                       ProofBuildError, SequentProof, check_proof, desequentialize,
-                      exchange_positions, proof_file, text_writer, tree_builder)
+                      exchange_positions, outside_btenll, proof_file, text_writer, tree_builder)
 from .switching import check
 
 
@@ -769,22 +769,14 @@ def sequentialize_text(ps: ProofStructure, mode: str,
 # -- equivalence decisions --------------------------------------------------------
 
 
-def require_btenll(proof: SequentProof) -> None:
-    """Raise FragmentError, with `check_proof`'s report, for a proof outside
-    the bottom-restricted fragment."""
-    report = check_proof(proof, Fragment.BTENLL)
-    if not report.ok:
-        raise FragmentError(f"proof outside btenll: {report}")
-
-
 def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
     """Permutation equivalence of two proofs in the bottom-restricted
     fragment, decided as equality of desequentializations."""
-    for p in (p1, p2):
-        require_btenll(p)
-    a = desequentialize(p1, verify=False).ps
-    b = desequentialize(p2, verify=False).ps
-    return iso(a, b)
+    nets = [desequentialize(p, verify=False) for p in (p1, p2)]
+    for p, net in zip((p1, p2), nets):
+        if not net.in_fragment(Fragment.BTENLL):
+            raise outside_btenll(check_proof(p, Fragment.BTENLL))
+    return iso(nets[0].ps, nets[1].ps)
 
 
 def rewiring_equivalent(r1: ProofStructure, r2: ProofStructure) -> bool:

@@ -10,6 +10,11 @@ redirections breadth first.  From `switching`: `output_stats` counts the
 components of every switching graph, and `switching_paths` enumerates the
 simple paths under a path discipline.  Each is exponential in the worst
 case and meant for small structures.
+
+From `sequent`: `check_proof` reports the fragment discipline from a walk
+of the proof tree, reading each rule's conclusion off the tree and folding
+over the formulas each rule introduces, independently of the report that
+the package feeds from its net builder.
 """
 
 from __future__ import annotations
@@ -20,11 +25,14 @@ from itertools import combinations
 
 from proofnets.canonical import canonical_form, isomorphisms
 from proofnets.errors import FragmentError, SequentializationError
-from proofnets.formulas import Fragment
+from proofnets.formulas import Fragment, format_formula, in_fragments
+from proofnets.sequent import (AX_RULE, CUT_RULE, EX_RULE, TENSOR_RULE, SequentProof,
+                               _post_order)
 from proofnets.sequentialize import SplitAssignment, classify_jumps, split_parts
 from proofnets.structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
-                                 arc_polarities, ensure_valid, erasing_nodes,
-                                 induced_components, restrict, strip, validate)
+                                 ValidationReport, arc_polarities, ensure_valid,
+                                 erasing_nodes, induced_components, restrict, strip,
+                                 validate)
 from proofnets.switching import (ALL, DEFAULT_MAX_PAR, _components, _has_switching_cycle,
                                  check, switchings)
 
@@ -309,3 +317,39 @@ def switching_paths(ps: ProofStructure, src: int, dst: int | None = None,
             nodes_seen.remove(path_nodes.pop())
             arcs_used.remove(path_arcs.pop())
     return results
+
+
+# -- the fragment discipline on a proof tree ------------------------------------
+
+
+def _introduced(order):
+    """The formulas each rule adds to its sequent: every formula of a
+    conclusion is introduced at or above it, so these are all of them."""
+    for p in order:
+        if p.rule == AX_RULE:
+            yield from p.conclusion
+        elif p.rule == TENSOR_RULE:
+            yield p.conclusion[p.premises[0].length - 1]
+        elif p.rule != EX_RULE and p.rule != CUT_RULE:
+            yield p.conclusion[-1]
+
+
+def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
+    """The fragment discipline: every conclusion formula inside `frag`, and
+    no axiom or cut rule in icomll.  Rules are reported premises first, a
+    formula at every rule whose conclusion holds it."""
+    order = _post_order(proof)
+    # one fold decides every distinct formula, sharing the subformulas
+    verdicts = in_fragments(_introduced(order), frag)
+    # the occurrences of each formula are listed only when one fails
+    outside = not all(ok for ok, _ in verdicts.values())
+    v = []
+    for p in order:
+        if outside:
+            for f in p.conclusion:
+                if not verdicts[f][0]:
+                    v.append(("fragment", p.rule,
+                              f"formula {format_formula(f)} outside {frag.value}"))
+        if frag is Fragment.ICOMLL and p.rule in (AX_RULE, CUT_RULE):
+            v.append(("fragment", p.rule, f"{p.rule} rule is not available in icomll"))
+    return ValidationReport(v)

@@ -15,18 +15,18 @@ import pytest
 
 import proofnets
 from conftest import count_search_visits, mutated_documents, mutations, proof_texts
-from proofnets import cli, fixtures, sequentialize
+from proofnets import cli, fixtures, sequent, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
-from proofnets.errors import ValidationError
+from proofnets.errors import FragmentError, ValidationError
 from proofnets.formulas import Fragment, atom, in_fragment
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import (SequentProof, ax_rule, bot_rule, check_proof, cut_rule,
-                               desequentialize, exchange_to, format_proof, one_rule, par_rule,
-                               parse_proof, tensor_rule)
+from proofnets.sequent import (SequentProof, ax_rule, bot_rule, cut_rule, desequentialize,
+                               exchange_to, format_proof, one_rule, par_rule, parse_proof,
+                               tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
-                                     proofs_equivalent, sequentialize_btenll,
-                                     sequentialize_icomll, sequentialize_wten)
+                                     sequentialize_btenll, sequentialize_icomll,
+                                     sequentialize_wten)
 from proofnets.structure import erasing_nodes, from_dsl, from_json, to_dsl, to_json
 from proofnets.switching import switchings
 import reference_oracles
@@ -666,17 +666,37 @@ def test_deseq_and_equiv_build_proof_trees_only_to_report(tmp_path, capsys, monk
     built[0] = 0
     assert run(capsys, "equiv", str(path), str(back)) == (0, "true\n", "")
     assert built == [0]
-    # a proof outside its fragment is built once, for the report; equiv
-    # reports the first proof outside btenll
+    # a proof outside its fragment is reported from its text, with no
+    # tree either; equiv reports the first proof outside btenll
     outside = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=24, seed=4))
-    assert not check_proof(outside, Fragment.BTENLL).ok
+    assert not reference_oracles.check_proof(outside, Fragment.BTENLL).ok
     bad = tmp_path / "bad.proof"
     bad.write_text(format_proof(outside, Fragment.BTENLL))
     for argv in (("deseq", bad), ("equiv", bad, path), ("equiv", path, bad), ("equiv", bad, bad)):
         built[0] = 0
         code, out, err = run(capsys, *map(str, argv))
         assert (code, out) == (2, "") and err.startswith("error: ")
-        assert built == [outside.rule_count()], argv
+        assert built == [0], argv
+
+
+def test_deseq_formats_each_failing_formula_once(tmp_path, capsys, monkeypatch):
+    # the report lists a failing formula at every rule whose conclusion
+    # holds it, but prints the text of each distinct one once
+    calls = []
+    fmt = sequent.format_formula
+    monkeypatch.setattr(sequent, "format_formula", lambda f: calls.append(f) or fmt(f))
+    path = tmp_path / "outside.proof"
+    for rules in (400, 1600):
+        proof = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=rules,
+                                       max_nodes=10 ** 6, seed=1, cut_probability=0.3))
+        want = reference_oracles.check_proof(proof, Fragment.BTENLL).violations
+        distinct = {message for _, _, message in want}
+        assert len(want) > 40 * len(distinct) > 0, rules
+        path.write_text(format_proof(proof, Fragment.BTENLL))
+        calls.clear()
+        code, out, err = run(capsys, "deseq", str(path))
+        assert (code, out, err.count("\n")) == (2, "", 1 + len(want)), rules
+        assert len(calls) <= len(distinct), rules
 
 
 def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
@@ -736,9 +756,10 @@ def test_a_failing_sequentialize_writes_nothing(tmp_path, capsys):
 
 
 def _tree_deseq(args) -> int:
-    """`deseq` through the proof tree: parse, check, desequentialize."""
+    """`deseq` through the proof tree: parse, check with the reference
+    check_proof, desequentialize."""
     frag, proof = parse_proof(cli._read(args.proof))
-    report = check_proof(proof, frag)
+    report = reference_oracles.check_proof(proof, frag)
     if not report.ok:
         raise ValidationError(report)
     cli._emit_ps(desequentialize(proof).ps, args.format, args.out)
@@ -746,10 +767,15 @@ def _tree_deseq(args) -> int:
 
 
 def _tree_equiv(args) -> int:
-    """`equiv` through the proof trees and `proofs_equivalent`."""
+    """`equiv` through the proof trees: each checked with the reference
+    check_proof, then their desequentializations compared."""
     _, p1 = parse_proof(cli._read(args.proof1))
     _, p2 = parse_proof(cli._read(args.proof2))
-    result = proofs_equivalent(p1, p2)
+    for p in (p1, p2):
+        report = reference_oracles.check_proof(p, Fragment.BTENLL)
+        if not report.ok:
+            raise FragmentError(f"proof outside btenll: {report}")
+    result = iso(desequentialize(p1, verify=False).ps, desequentialize(p2, verify=False).ps)
     print("true" if result else "false")
     return 0 if result else 1
 

@@ -19,14 +19,15 @@ from proofnets.generate import GenParams, random_proof
 from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
                                check_proof, cut_rule, deseq_relation_holds,
                                desequentialize, desequentialize_text, ex_rule,
-                               exchange_to, format_proof, format_proof_expr, one_rule,
-                               parse_proof, tensor_rule)
+                               exchange_to, format_proof, format_proof_expr,
+                               fragment_report, one_rule, parse_proof, tensor_rule)
 from proofnets.structure import validate
 from proofnets.switching import check
 
 import reference_desequentialize
 import reference_proof_parser as reference
 from conftest import mutations, proof_texts
+import reference_oracles
 from reference_oracles import is_sequential_oracle
 
 X = atom("X")
@@ -333,8 +334,12 @@ def test_the_text_reader_builds_the_net_the_tree_desequentializes():
             net = _contents(reference_desequentialize.desequentialize(proof))
             assert _contents(result) == net, variant
             assert _contents(desequentialize(proof)) == net, variant
+            # both drivers of the fragment report against the tree reference
             for f in Fragment:
-                assert result.in_fragment(f) == check_proof(proof, f).ok, (f, variant)
+                want = reference_oracles.check_proof(proof, f)
+                assert result.in_fragment(f) == want.ok, (f, variant)
+                assert fragment_report(variant, result, f).violations == want.violations
+                assert check_proof(proof, f).violations == want.violations
             outcomes["ok"] += 1
     assert outcomes["ok"] > 400 and outcomes["error"] > 3000, outcomes
 
