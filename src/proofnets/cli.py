@@ -25,7 +25,7 @@ from .render import export_dot
 from .sequent import desequentialize_text, format_proof, fragment_report, outside_btenll
 from .sequentialize import canonical_jumps_btenll, canonical_jumps_icomll, sequentialize_text
 from .structure import (ProofStructure, decode_json, ensure_valid, is_wten,
-                        load_structure, to_dsl, to_json)
+                        load_structure, read_int, to_dsl, to_json)
 from .switching import DEFAULT_MAX_PAR, check
 from .cutelim import normalize
 
@@ -170,7 +170,7 @@ def _load_switching(path: str) -> dict[int, int]:
     if not isinstance(raw, dict):
         raise ParseError("malformed switching: expected a JSON object")
     try:
-        return {int(n): int(a) for n, a in raw.items()}
+        return {read_int(n): read_int(a) for n, a in raw.items()}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed switching: {exc}") from None
 

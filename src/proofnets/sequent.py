@@ -60,7 +60,7 @@ from .formulas import (BOT as BOT_F, Formula, Fragment, format_formula,
                        fragment_from_name, in_fragments, negate, parse_formulas)
 from .formulas import ONE as ONE_F, par as par_f, tensor as tensor_f
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
-                        ValidationReport, jump_total, validate)
+                        ValidationReport, jump_total, read_int, validate)
 from .switching import check
 
 AX_RULE = "ax"
@@ -502,7 +502,7 @@ def _read_rules(text: str, add) -> Fragment:
             i += 1
             if head == EX_RULE:
                 try:
-                    arg = int(tok) - 1
+                    arg = read_int(tok) - 1
                 except (TypeError, ValueError):
                     raise error("ex takes a 1-based position", i - 1) from None
             elif tok is None or tok[0] != '"':

@@ -598,7 +598,7 @@ def from_json_dict(doc: dict) -> ProofStructure:
         raise ParseError("malformed structure document: expected a JSON object")
     try:
         records = doc["nodes"]
-        nodes = {int(rec["id"]): rec["label"] for rec in records}
+        nodes = {read_int(rec["id"]): rec["label"] for rec in records}
         if len(nodes) != len(records):
             raise ParseError("malformed structure document: node id "
                              f"{_first_repeat(rec['id'] for rec in records)} is repeated")
@@ -607,7 +607,8 @@ def from_json_dict(doc: dict) -> ProofStructure:
                 raise ParseError(f"malformed structure document: label of node {n}"
                                  " is not a string")
         records = doc["arcs"]
-        arcs = {int(rec["id"]): (int(rec["tail"]), int(rec["head"])) for rec in records}
+        arcs = {read_int(rec["id"]): (read_int(rec["tail"]), read_int(rec["head"]))
+                for rec in records}
         if len(arcs) != len(records):
             raise ParseError("malformed structure document: arc id "
                              f"{_first_repeat(rec['id'] for rec in records)} is repeated")
@@ -616,8 +617,8 @@ def from_json_dict(doc: dict) -> ProofStructure:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"malformed structure document: premises of node {n}"
                                  " are not a pair of arc ids")
-            premise_order[int(n)] = (int(pair[0]), int(pair[1]))
-        conclusions = tuple(int(a) for a in doc.get("conclusions", []))
+            premise_order[read_int(n)] = (read_int(pair[0]), read_int(pair[1]))
+        conclusions = tuple(map(read_int, doc.get("conclusions", [])))
         types = None
         if "types" in doc:
             types = {}
@@ -631,8 +632,8 @@ def from_json_dict(doc: dict) -> ProofStructure:
                 f = parsed[text]
                 if isinstance(f, ParseError):
                     raise f
-                types[int(a)] = f
-        jumps = {int(n): int(m) for n, m in _json_object(doc, "jumps").items()}
+                types[read_int(a)] = f
+        jumps = {read_int(n): read_int(m) for n, m in _json_object(doc, "jumps").items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed structure document: {exc}") from None
     return ProofStructure._adopt(nodes, arcs, premise_order, conclusions, types, jumps)
@@ -641,10 +642,26 @@ def from_json_dict(doc: dict) -> ProofStructure:
 def _first_repeat(ids) -> int | None:
     """The first id, read as an int, that repeats an earlier one."""
     seen = set()
-    for i in map(int, ids):
+    for i in map(read_int, ids):
         if i in seen:
             return i
         seen.add(i)
+
+
+def read_int(value) -> int:
+    """An id or position as every reader takes it: an int but not a bool,
+    or a string of ASCII digits after an optional sign, as a JSON key or a
+    DSL word writes it.  Any other value, such as 1.5, true, "1_0" or a
+    string of non-ASCII digits, is a ValueError, but a string that `int`
+    rejects keeps `int`'s own error."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        n = int(value)
+        digits = value[1:] if value[:1] in ("-", "+") else value
+        if digits.isdigit() and digits.isascii():
+            return n
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _json_object(doc: dict, key: str) -> dict:
@@ -667,12 +684,20 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+def _no_float(text: str):
+    """The decoder's hook for a fraction, an exponent, NaN or Infinity:
+    every number the package reads is an integer."""
+    raise ParseError(f"{text} is not an integer")
+
+
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=_no_float,
+                                 parse_constant=_no_float)
 
 
 def decode_json(text: str, what: str):
     """The value of a JSON text, read by the package's one decoder: a key
-    repeated in any object is a `ParseError` of a malformed `what`."""
+    repeated in any object, or a number that is not an integer, is a
+    `ParseError` of a malformed `what`."""
     try:
         return _JSON_DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -698,7 +723,9 @@ def to_dsl(ps: ProofStructure) -> str:
         lines.append(f"arc {a} {t} {h}")
     if ps.conclusions:
         lines.append("conclusions " + " ".join(str(a) for a in ps.conclusions))
-    if ps.types is not None:
+    if ps.types == {}:
+        lines.append("types")  # typed, though no arc has a type
+    elif ps.types is not None:
         texts = format_formulas(ps.types.values())
         for a, f in sorted(ps.types.items()):
             lines.append(f"type {a} {texts[f]}")
@@ -720,36 +747,38 @@ def from_dsl(text: str) -> ProofStructure:
         kind = parts[0]
         try:
             if kind == "node":
-                nid, lab = int(parts[1]), parts[2]
+                nid, lab = read_int(parts[1]), parts[2]
                 if nid in nodes:
                     raise ValueError(f"node id {nid} is repeated")
                 nodes[nid] = lab
                 if len(parts) == 5:
-                    premise_order[nid] = (int(parts[3]), int(parts[4]))
+                    premise_order[nid] = (read_int(parts[3]), read_int(parts[4]))
                 elif len(parts) != 3:
                     raise ValueError("node takes an id, a label and optionally two premise arcs")
             elif kind == "arc":
-                aid = int(parts[1])
+                aid = read_int(parts[1])
                 if aid in arcs:
                     raise ValueError(f"arc id {aid} is repeated")
-                arcs[aid] = (int(parts[2]), int(parts[3]))
+                arcs[aid] = (read_int(parts[2]), read_int(parts[3]))
             elif kind == "conclusions":
                 if conclusions_line is not None:
                     raise ValueError(f"conclusions are repeated from line {conclusions_line}")
                 conclusions_line = lineno
-                conclusions = tuple(int(a) for a in parts[1:])
+                conclusions = tuple(map(read_int, parts[1:]))
             elif kind == "type":
                 if types is None:
                     types = {}
-                aid = int(parts[1])
+                aid = read_int(parts[1])
                 if aid in types:
                     raise ValueError(f"type of arc {aid} is repeated")
                 types[aid] = parse_formula(" ".join(parts[2:]))
+            elif kind == "types" and len(parts) == 1:
+                types = {} if types is None else types
             elif kind == "jump":
-                nid = int(parts[1])
+                nid = read_int(parts[1])
                 if nid in jumps:
                     raise ValueError(f"jump of node {nid} is repeated")
-                jumps[nid] = int(parts[2])
+                jumps[nid] = read_int(parts[2])
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:

@@ -5,6 +5,8 @@ with the same message and offset.  Beside it, the proof printer as it was
 before the package's became a sink of rules in print order.
 """
 
+import re
+
 from proofnets.errors import ParseError
 from proofnets.formulas import Fragment, format_formula, fragment_from_name, parse_formula
 from proofnets.sequent import (_ARITY, AX_RULE, CUT_RULE, EX_RULE, ONE_RULE,
@@ -105,10 +107,10 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
             arg = parse_formula(tok[1])
         elif head == EX_RULE:
             tok, at2 = take()
-            try:
-                arg = int(tok) - 1
-            except (TypeError, ValueError):
-                raise ParseError("ex takes a 1-based position", at2) from None
+            # a position is ASCII digits after an optional sign
+            if not (isinstance(tok, str) and re.fullmatch(r"[-+]?[0-9]+", tok)):
+                raise ParseError("ex takes a 1-based position", at2)
+            arg = int(tok) - 1
         elif head not in _ARITY:
             raise ParseError(f"unknown rule {head!r}", at)
         return head, at, arg

@@ -139,6 +139,87 @@ def test_a_label_that_is_no_string_is_a_parse_error(tmp_path, capsys):
                                           "label of node 1 is not a string\n"), (label, cmd)
 
 
+# a JSON literal that is no integer, and how the error names it
+_NOT_INTEGERS = [("1e999", "1e999"), ("-Infinity", "-Infinity"), ("NaN", "NaN"),
+                 ("1.5", "1.5"), ("2.0", "2.0"), ("true", "True"), ("false", "False"),
+                 ('"1_0"', "'1_0'"), ('"\\u0663"', "'\u0663'")]
+# a word or key that int() reads, but no reader does
+_NOT_ASCII_INTEGERS = ["1_0", "\u0663", "+\u0663", "\u0661\u0660", " 3"]
+
+
+def _with_literal(doc, path, literal):
+    """The JSON text of `doc` with the value at `path` written as `literal`."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@"
+    return json.dumps(doc).replace('"@"', literal)
+
+
+def _with_key(doc, field, key, new):
+    """`doc` with the key `key` of its object `field` renamed to `new`."""
+    return {**doc, field: {new if k == key else k: v for k, v in doc[field].items()}}
+
+
+def test_every_reader_takes_integers_only(tmp_path, capsys):
+    # a float, NaN, Infinity, a bool, or a string of digits that are not
+    # ASCII or hold an underscore, in any id or position of any reader, is a
+    # parse error (exit 2); none escapes as a traceback or is truncated
+    doc = {**json.loads(to_json(fixtures.load("jumps-units"))), "jumps": {"4": 0}}
+    path = tmp_path / "doc.json"
+    malformed = "error: malformed structure document: "
+    values = [("nodes", 1, "id"), ("arcs", 1, "id"), ("arcs", 1, "tail"), ("arcs", 1, "head"),
+              ("premises", "2", 0), ("premises", "2", 1), ("conclusions", 0), ("jumps", "4")]
+    for where in values:
+        for literal, shown in _NOT_INTEGERS:
+            path.write_text(_with_literal(doc, where, literal), encoding="utf-8")
+            want = (2, "", f"{malformed}{shown} is not an integer\n")
+            assert run(capsys, "check", str(path), "--criterion", "accw") == want, where
+    for field, key in (("premises", "2"), ("types", "0"), ("jumps", "4")):
+        for bad in _NOT_ASCII_INTEGERS:
+            path.write_text(json.dumps(_with_key(doc, field, key, bad)), encoding="utf-8")
+            want = (2, "", f"{malformed}{bad!r} is not an integer\n")
+            assert run(capsys, "check", str(path), "--criterion", "accw") == want, (field, bad)
+    # the switching file of dot: a value, then a key
+    net, switching = write_fixture(tmp_path, "jumps-units"), tmp_path / "switching.json"
+    good = {"3": 0, "6": 5, "7": 4}
+    texts = [(_with_literal(good, ("7",), literal), shown) for literal, shown in _NOT_INTEGERS]
+    texts += [(json.dumps(_with_key({"_": good}, "_", "7", bad)["_"]), repr(bad))
+              for bad in _NOT_ASCII_INTEGERS]
+    for text, shown in texts:
+        switching.write_text(text, encoding="utf-8")
+        assert run(capsys, "dot", net, "--switching", str(switching)) == (
+            2, "", f"error: malformed switching: {shown} is not an integer\n"), text
+    # each number of each line of the DSL
+    lines = to_dsl(fixtures.load("jumps-units")).splitlines() + ["jump 4 0"]
+    dsl = tmp_path / "doc.psl"
+    for i, line in enumerate(lines):
+        kind, *words = line.split()
+        # every word of arc, conclusions and jump lines; a node's id and
+        # premises; a type's arc
+        numbers = ([0] if kind == "type" else [0, 2, 3][:len(words) - 1] if kind == "node"
+                   else range(len(words)))
+        for j in numbers:
+            for bad in _NOT_ASCII_INTEGERS[:-1]:  # a DSL word holds no space
+                changed = " ".join([kind, *words[:j], bad, *words[j + 1:]])
+                dsl.write_text("\n".join([*lines[:i], changed, *lines[i + 1:]]) + "\n",
+                               encoding="utf-8")
+                assert run(capsys, "check", str(dsl), "--criterion", "accw") == (
+                    2, "", f"error: line {i + 1}: {bad!r} is not an integer\n"), changed
+    # an exchange position, in range once read by int(); a sign or a
+    # leading zero still reads
+    proof = tmp_path / "ex.proof"
+    for position in ("\u0661", "0_1", "+\u0661", "\u0967"):
+        proof.write_text(f'fragment: mllu\n(ex {position} (ax "A"))\n', encoding="utf-8")
+        err = "error: ex takes a 1-based position (at offset 5)\n"
+        assert run(capsys, "deseq", str(proof)) == (2, "", err), position
+        assert run(capsys, "equiv", str(proof), str(proof)) == (2, "", err), position
+    for position in ("1", "+1", "01"):
+        proof.write_text(f'fragment: mllu\n(ex {position} (ax "A"))\n', encoding="utf-8")
+        assert run(capsys, "equiv", str(proof), str(proof)) == (0, "true\n", ""), position
+
+
 def test_normalize_writes_trace_and_normal_form(tmp_path, capsys):
     path = write_fixture(tmp_path, "wten-cut")
     trace_path = tmp_path / "trace.jsonl"

@@ -250,6 +250,7 @@ def test_accepted_documents_read_back_unchanged():
     # arcs, premise orders, conclusions, types and jumps from the other
     # writer, and JSON -> DSL -> JSON gives the JSON text again
     documents = [to_json(ps) for ps in _read_back_corpus()]
+    documents.append('{"nodes": [], "arcs": [], "types": {}}')  # typed, with no arc
     jumped = sum('"jumps"' in text for text in documents)
     # the mutants of the fixtures that the JSON reader accepts
     mutants = 0
