@@ -658,8 +658,7 @@ def read_int(value) -> int:
         return value
     if type(value) is str:
         n = int(value)
-        digits = value[1:] if value[:1] in ("-", "+") else value
-        if digits.isdigit() and digits.isascii():
+        if value.lstrip("+-").isdigit() and value.isascii():
             return n
     raise ValueError(f"{value!r} is not an integer")
 
