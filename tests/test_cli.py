@@ -157,9 +157,9 @@ def _with_literal(doc, path, literal):
     return json.dumps(doc).replace('"@"', literal)
 
 
-def _with_key(doc, field, key, new):
-    """`doc` with the key `key` of its object `field` renamed to `new`."""
-    return {**doc, field: {new if k == key else k: v for k, v in doc[field].items()}}
+def _with_key(obj, key, new):
+    """The object `obj` with its key `key` renamed to `new`."""
+    return {new if k == key else k: v for k, v in obj.items()}
 
 
 def test_every_reader_takes_integers_only(tmp_path, capsys):
@@ -178,15 +178,15 @@ def test_every_reader_takes_integers_only(tmp_path, capsys):
             assert run(capsys, "check", str(path), "--criterion", "accw") == want, where
     for field, key in (("premises", "2"), ("types", "0"), ("jumps", "4")):
         for bad in _NOT_ASCII_INTEGERS:
-            path.write_text(json.dumps(_with_key(doc, field, key, bad)), encoding="utf-8")
+            path.write_text(json.dumps({**doc, field: _with_key(doc[field], key, bad)}),
+                            encoding="utf-8")
             want = (2, "", f"{malformed}{bad!r} is not an integer\n")
             assert run(capsys, "check", str(path), "--criterion", "accw") == want, (field, bad)
     # the switching file of dot: a value, then a key
     net, switching = write_fixture(tmp_path, "jumps-units"), tmp_path / "switching.json"
     good = {"3": 0, "6": 5, "7": 4}
     texts = [(_with_literal(good, ("7",), literal), shown) for literal, shown in _NOT_INTEGERS]
-    texts += [(json.dumps(_with_key({"_": good}, "_", "7", bad)["_"]), repr(bad))
-              for bad in _NOT_ASCII_INTEGERS]
+    texts += [(json.dumps(_with_key(good, "7", bad)), repr(bad)) for bad in _NOT_ASCII_INTEGERS]
     for text, shown in texts:
         switching.write_text(text, encoding="utf-8")
         assert run(capsys, "dot", net, "--switching", str(switching)) == (
