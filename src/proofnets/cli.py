@@ -182,12 +182,18 @@ def _cmd_dot(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """An argparse type: a whole number of at least 0."""
+def _int(text: str) -> int:
+    """An argparse type: a whole number written as every reader takes one
+    (`read_int`), so ASCII digits after an optional sign."""
     try:
-        value = int(text)
+        return read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """An argparse type: a whole number of at least 0."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="run cut elimination to normal form")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int, default=None,
                    help="random strategy seed (default: smallest cut first)")
     p.add_argument("--trace", default=None, help="write the step trace here")
     add_common(p)
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequentialize", help="extract a sequent proof")
     p.add_argument("file")
     p.add_argument("--mode", choices=("wten", "btenll", "icomll"), default="wten")
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_int, default=None,
                    help="non-erasing anchor node (btenll mode)")
     p.add_argument("--jumps-out", default=None, help="write the jump map here")
     add_common(p, fmt=False)
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jumps", help="attach canonical jumps")
     p.add_argument("file")
     p.add_argument("--mode", choices=("btenll", "icomll"), required=True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=_int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_jumps)
 
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate random proofs/structures or fixtures")
     p.add_argument("--kind", choices=("ps", "proof"), default="ps")
     p.add_argument("--fragment", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--max-rules", type=_count, default=12)
     p.add_argument("--max-nodes", type=_count, default=12)
     p.add_argument("--cut-probability", type=_probability, default=0.0)

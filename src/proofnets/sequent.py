@@ -1,5 +1,10 @@
 """Sequent-calculus proof trees, rule checking and desequentialization.
 
+The rules are defined once: each but the exchange is named by the label
+of the node desequentialization makes of it, `_ARITY` gives every rule's
+premise count, and `_check_rule` checks a rule instance for the proof
+constructor, the net builder and the sequentialization skeleton alike.
+
 Proofs are immutable trees; each node records its rule, its premises, the
 rule's argument, the length of its conclusion sequent and its rule count.
 The constructor derives that conclusion itself and rejects ill-formed
@@ -21,19 +26,19 @@ two drivers: `format_proof_expr` walks a proof tree, and the
 sequentialization skeleton hands it each move's rules as it makes the
 move, so a structure is printed with no tree in between.  `tree_builder`
 takes the same stream and builds the tree the skeleton's public callers
-return.  Exchanges turn a permutation into adjacent swaps in one place,
-`exchange_positions`, which `exchange_to` and the skeleton share.
+return, with the stack step of `parse_proof`.  Exchanges turn a
+permutation into adjacent swaps in one place, `exchange_positions`, which
+`exchange_to` and the skeleton share.
 
 One net builder, `_net_builder`, turns rules into a typed structure one
 closed rule at a time: axioms and units become single nodes, tensor and
 cut join the two latest sub-structures, par and bot extend the latest
 one, and an exchange is one swap in place in the open conclusion list.
 Each new arc's type is the formula the rule introduces, so no formula is
-read back from a sequent, and the builder rejects an ill-formed rule with
-the constructor's message, read off its own conclusion lists.  Two walks
-feed it: `desequentialize` walks a proof tree, premises first, and
-`desequentialize_text` runs the token loop, so a proof text becomes a net
-with no tree in between.  The net's arc types are exactly the formulas the
+read back from a sequent, and the builder checks each rule on its own
+conclusion lists.  Two walks feed it: `_walk` walks a proof tree, premises
+first, and `desequentialize_text` runs the token loop, so a proof text
+becomes a net with no tree in between.  The net's arc types are exactly the formulas the
 rules introduce, and its ax and cut nodes its ax and cut rules, so
 `DeseqResult.in_fragment` decides the fragment discipline (formulas
 inside the fragment, no ax or cut rule in icomll) from one fold over the
@@ -63,13 +68,14 @@ from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         ValidationReport, jump_total, read_int, validate)
 from .switching import check
 
-AX_RULE = "ax"
-CUT_RULE = "cut"
-EX_RULE = "ex"
-TENSOR_RULE = "tensor"
-ONE_RULE = "one"
-PAR_RULE = "par"
-BOT_RULE = "bot"
+# a rule is named by the label of the node it becomes in a net
+AX_RULE = AX
+CUT_RULE = CUT
+EX_RULE = "ex"  # an exchange becomes no node
+TENSOR_RULE = TENSOR
+ONE_RULE = ONE
+PAR_RULE = PAR
+BOT_RULE = BOT
 
 _ARITY = {AX_RULE: 0, ONE_RULE: 0, CUT_RULE: 2, TENSOR_RULE: 2,
           EX_RULE: 1, PAR_RULE: 1, BOT_RULE: 1}
@@ -77,6 +83,31 @@ _ARITY = {AX_RULE: 0, ONE_RULE: 0, CUT_RULE: 2, TENSOR_RULE: 2,
 
 class ProofBuildError(ProofNetError):
     """A rule was applied to premises of the wrong shape."""
+
+
+def _check_rule(rule: str, arg, length: int, last=None, first=None) -> None:
+    """The one check of a rule, for the proof constructor, the net builder
+    and the skeleton: raise the ProofBuildError of an ill-formed instance of
+    `rule` with argument `arg`.  `length` counts its first premise's
+    conclusion, `last` closes that conclusion and `first` opens the second
+    premise's, None when it is empty.  No proof reaches the tensor check or
+    the empty-premise halves of the two cut checks: only a cut of proofs of
+    |- A and |- A^ could derive the empty sequent, and cut elimination would
+    turn that into a cut-free proof of it, which no rule but cut concludes."""
+    if rule == EX_RULE:
+        if not 0 <= arg <= length - 2:
+            raise ProofBuildError(f"exchange position {arg} out of range")
+    elif rule == PAR_RULE:
+        if length < 2:
+            raise ProofBuildError("par rule needs two formulas to combine")
+    elif rule == TENSOR_RULE:
+        if last is None or first is None:
+            raise ProofBuildError("tensor rule needs a formula on each side")
+    elif rule == CUT_RULE:
+        if last is not arg:
+            raise ProofBuildError("cut formula must close the first premise")
+        if first is not negate(arg):
+            raise ProofBuildError("dual of the cut formula must open the second premise")
 
 
 class SequentProof:
@@ -105,18 +136,18 @@ class SequentProof:
 
     def __init__(self, rule: str, premises=(), arg=None):
         premises = tuple(premises)
-        if rule not in _ARITY:
+        arity = _ARITY.get(rule)
+        if arity is None:
             raise ProofBuildError(f"unknown rule {rule!r}")
-        if len(premises) != _ARITY[rule]:
+        if len(premises) != arity:
             raise ProofBuildError(f"{rule} rule has {len(premises)} premise(s), "
-                                  f"expected {_ARITY[rule]}")
+                                  f"expected {arity}")
         _set_rule(self, rule)
         _set_premises(self, premises)
         _set_arg(self, arg)
         if rule == EX_RULE:
             p = premises[0]
-            if not 0 <= arg <= p.length - 2:
-                raise ProofBuildError(f"exchange position {arg} out of range")
+            _check_rule(rule, arg, p.length)
             _set_length(self, p.length)
             _set_rule_count(self, p._rule_count + 1)
             _set_hash(self, hash((rule, arg, p._hash)))
@@ -130,23 +161,13 @@ class SequentProof:
         elif rule == BOT_RULE:
             conclusion = c + (BOT_F,)
         elif rule == PAR_RULE:
-            if len(c) < 2:
-                raise ProofBuildError("par rule needs two formulas to combine")
+            _check_rule(rule, arg, len(c))
             conclusion = c[:-2] + (par_f(c[-2], c[-1]),)
-        elif rule == TENSOR_RULE:
-            c2 = premises[1].conclusion
-            # stand-ins only: no rule but cut ends empty, and cut elimination removes every cut
-            if not c or not c2:
-                raise ProofBuildError("tensor rule needs a formula on each side")
-            conclusion = c[:-1] + (tensor_f(c[-1], c2[0]),) + c2[1:]
         else:
             c2 = premises[1].conclusion
-            # `not c` and `not c2` hold for stand-ins only, as for tensor
-            if not c or c[-1] is not arg:
-                raise ProofBuildError("cut formula must close the first premise")
-            if not c2 or c2[0] is not negate(arg):
-                raise ProofBuildError("dual of the cut formula must open the second premise")
-            conclusion = c[:-1] + c2[1:]
+            _check_rule(rule, arg, len(c), c[-1] if c else None, c2[0] if c2 else None)
+            joined = (tensor_f(c[-1], c2[0]),) if rule == TENSOR_RULE else ()
+            conclusion = c[:-1] + joined + c2[1:]
         count, key = 1, (rule, arg)
         for q in premises:
             count += q._rule_count
@@ -291,10 +312,14 @@ def _post_order(proof: SequentProof) -> list[SequentProof]:
     return order
 
 
+def _walk(proof: SequentProof, add) -> None:
+    """Hand each rule of a proof tree to `add(rule, arg)`, premises first:
+    the tree's rule stream, as `_read_rules` hands a text's."""
+    for p in _post_order(proof):
+        add(p.rule, p.arg)
+
+
 # -- text format -------------------------------------------------------------
-
-
-_OPENING = {BOT_RULE: "(bot ", PAR_RULE: "(par ", TENSOR_RULE: "(tensor "}
 
 
 class _ExHeads(dict):
@@ -302,7 +327,7 @@ class _ExHeads(dict):
     made on first use."""
 
     def __missing__(self, position):
-        head = self[position] = f"(ex {position + 1} "
+        head = self[position] = f"({EX_RULE} {position + 1} "
         return head
 
 
@@ -316,40 +341,28 @@ def text_writer():
     an ax or one rule ends the premises it is the last rule of.  `text()`
     returns the s-expression.
 
-    The writer checks nothing.  A walk of a proof tree feeds it rules the
-    constructor has checked, and the sequentialization skeleton checks the
-    rules it feeds it as the constructor would, but for the three guards
-    against an empty premise sequent: "tensor rule needs a formula on each
-    side" and the empty halves of the two cut checks.  No proof reaches
-    them.  Only a cut of proofs of |- A and |- A^ could derive the empty
-    sequent, and cut elimination would turn that into a cut-free proof of
-    it, which no rule but cut concludes; and a split side always holds
-    the split node's premise among its conclusions.
+    The writer checks nothing: its rules come from a proof tree or from the
+    sequentialization skeleton, and `_check_rule` has checked both.
     """
     out: list[str] = []
     owed = [0]  # per open premise, the ')' of the rules opened in it
     second: list[bool] = []  # per open binary rule, whether it reads its second premise
-    opening = _OPENING.get
+    arity = _ARITY.__getitem__
+    # the text of each rule up to its argument or premises, or whole for one
+    head = {rule: f"({rule} " if n else f"({rule})" for rule, n in _ARITY.items()}.__getitem__
     ex_head = _ExHeads().__getitem__
 
     def add(rule, arg):
-        head = opening(rule)
-        if head is not None:
-            out.append(head)
+        n = arity(rule)
+        if arg is None:
+            out.append(head(rule))
+        else:  # an ax or cut formula
+            out.append(f'({rule} "{format_formula(arg)}"{" " if n else ")"}')
+        if n:
             owed[-1] += 1
-            if rule == TENSOR_RULE:
+            if n == 2:
                 owed.append(0)
                 second.append(False)
-            return
-        if rule == AX_RULE:
-            out.append(f'(ax "{format_formula(arg)}")')
-        elif rule == ONE_RULE:
-            out.append("(one)")
-        else:
-            out.append(f'(cut "{format_formula(arg)}" ')
-            owed[-1] += 1
-            owed.append(0)
-            second.append(False)
             return
         while True:
             n = owed[-1]
@@ -375,19 +388,38 @@ def text_writer():
     return add, exchange, text
 
 
+def _proof_stack():
+    """The one stack step of both tree builders: `close(rule, arg)` builds
+    a rule by its constructor over the latest proofs of the list `built`,
+    which are its premises, in their place.  Returns `close` and `built`."""
+    built: list[SequentProof] = []
+
+    def close(rule, arg):
+        n = _ARITY[rule]
+        if n == 2:
+            second = built.pop()
+            built[-1] = SequentProof(rule, (built[-1], second), arg)
+        elif n:
+            built[-1] = SequentProof(rule, (built[-1],), arg)
+        else:
+            built.append(SequentProof(rule, (), arg))
+
+    return close, built
+
+
 def tree_builder():
     """The text writer's sink interface, building the proof tree instead:
     `add` and `exchange` take rules in print order, each rule is built by
     its constructor as soon as its last premise is, and `proof()` returns
     the root."""
-    built: list[SequentProof] = []  # the root, or the finished first premises
+    close, built = _proof_stack()
     pending: list[list] = []  # open rules: [rule, arg, premises still missing]
 
     def add(rule, arg):
         if _ARITY[rule]:
             pending.append([rule, arg, _ARITY[rule]])
             return
-        p = SequentProof(rule, (), arg)
+        close(rule, arg)
         while pending:
             top = pending[-1]
             top[2] -= 1
@@ -395,14 +427,13 @@ def tree_builder():
                 break
             pending.pop()
             rule, arg = top[0], top[1]
-            if rule == EX_RULE:
+            if rule == EX_RULE:  # a run, built innermost first in place
+                p = built[-1]
                 for position in reversed(arg):
                     p = SequentProof(EX_RULE, (p,), position)
-            elif _ARITY[rule] == 2:
-                p = SequentProof(rule, (built.pop(), p), arg)
+                built[-1] = p
             else:
-                p = SequentProof(rule, (p,), arg)
-        built.append(p)
+                close(rule, arg)
 
     def exchange(run):
         pending.append([EX_RULE, run, 1])
@@ -538,18 +569,8 @@ def _read_rules(text: str, add) -> Fragment:
 
 def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
     """Read the proof file format into a proof tree."""
-    built: list[SequentProof] = []  # the finished subproofs, the latest last
-
-    def add(rule, arg):
-        n = _ARITY[rule]
-        if n:
-            premises = built[-n:]
-            del built[-n:]
-        else:
-            premises = ()
-        built.append(SequentProof(rule, premises, arg))
-
-    frag = _read_rules(text, add)
+    close, built = _proof_stack()
+    frag = _read_rules(text, close)
     return frag, built[0]
 
 
@@ -613,58 +634,43 @@ def _net_builder():
         n = next_id  # the rule's node, then its dots, then its new arcs
         if rule == EX_RULE:
             c = built[-1]
-            if not 0 <= arg <= len(c) - 2:
-                raise ProofBuildError(f"exchange position {arg} out of range")
+            _check_rule(rule, arg, len(c))
             c[arg], c[arg + 1] = c[arg + 1], c[arg]
             return
+        nodes[n] = rule
         if rule == AX_RULE:
-            nodes[n] = AX
             built.append([conclude(n, n + 1, n + 3, arg),
                           conclude(n, n + 2, n + 4, negate(arg))])
             starts.append(n)
             next_id = n + 5
             return
         if rule == ONE_RULE:
-            nodes[n] = ONE
             built.append([])
             starts.append(n)
             f = ONE_F
         elif rule == BOT_RULE:
-            nodes[n] = BOT
             bot_scopes[n] = range(starts[-1], n)
             f = BOT_F
         elif rule == PAR_RULE:
             c = built[-1]
-            if len(c) < 2:
-                raise ProofBuildError("par rule needs two formulas to combine")
+            _check_rule(rule, arg, len(c))
             right, left = c.pop(), c.pop()
             plug(left, n)
             plug(right, n)
-            nodes[n] = PAR
             premise_order[n] = (left, right)
             f = par_f(types[left], types[right])
         else:  # tensor and cut join the two latest structures
             c1, c2 = built[-2:]
-            if rule == TENSOR_RULE:
-                # unreachable: no rule but cut ends empty, and cut elimination removes every cut
-                if not c1 or not c2:
-                    raise ProofBuildError("tensor rule needs a formula on each side")
-            else:
-                # `not c1` and `not c2` are unreachable, as for tensor
-                if not c1 or types[c1[-1]] is not arg:
-                    raise ProofBuildError("cut formula must close the first premise")
-                if not c2 or types[c2[0]] is not negate(arg):
-                    raise ProofBuildError("dual of the cut formula must open the second premise")
+            _check_rule(rule, arg, len(c1), types[c1[-1]] if c1 else None,
+                        types[c2[0]] if c2 else None)
             built.pop()
             starts.pop()
             left, right = c1.pop(), c2[0]
             plug(left, n)
             plug(right, n)
             if rule == CUT_RULE:
-                nodes[n] = CUT
                 next_id = n + 1
             else:
-                nodes[n] = TENSOR
                 premise_order[n] = (left, right)
                 c1.append(conclude(n, n + 1, n + 2, tensor_f(types[left], types[right])))
                 next_id = n + 3
@@ -697,8 +703,7 @@ def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
     plus-component-count criterion; `check_proof` decides its fragment.
     """
     add, finish, _ = _net_builder()
-    for p in _post_order(proof):
-        add(p.rule, p.arg)
+    _walk(proof, add)
     result = finish()
     if verify:
         _self_check(result.ps)
@@ -746,11 +751,8 @@ def _fragment_report(net: DeseqResult, feed, frag: Fragment) -> ValidationReport
 def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
     """The fragment discipline: every conclusion formula inside `frag`, and
     no axiom or cut rule in icomll, reported from a walk of the tree."""
-    def feed(add):
-        for p in _post_order(proof):
-            add(p.rule, p.arg)
-
-    return _fragment_report(desequentialize(proof, verify=False), feed, frag)
+    return _fragment_report(desequentialize(proof, verify=False),
+                            lambda add: _walk(proof, add), frag)
 
 
 def fragment_report(text: str, net: DeseqResult, frag: Fragment) -> ValidationReport:

@@ -4,8 +4,9 @@ One skeleton, `_sequentialize`, serves all three entry points.  It peels a
 terminal bot or par node or splits at a terminal cut or tensor node; each
 entry point passes the policy that picks the node.  At each move it hands
 the move's rules to a sink in print order: the exchanges that restore the
-part's conclusion order, outermost first, then the rule at the node, whose
-parts follow.  It has two sinks: the text writer of `sequent`, through
+part's conclusion order, outermost first, then the rule at the node, named
+by its label and checked by `sequent`'s one rule check; the rules of the
+node's parts follow.  It has two sinks: the text writer of `sequent`, through
 which `sequentialize_text` (the CLI's path, in all three modes) prints a
 proof file with no proof tree, and the tree builder behind the public
 `sequentialize_*` functions.
@@ -74,9 +75,9 @@ from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         arc_polarities, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
                         restrict, topological_order, validate)
-from .sequent import (AX_RULE, BOT_RULE, CUT_RULE, ONE_RULE, PAR_RULE, TENSOR_RULE,
-                      ProofBuildError, SequentProof, check_proof, desequentialize,
-                      exchange_positions, outside_btenll, proof_file, text_writer, tree_builder)
+from .sequent import (AX_RULE, EX_RULE, TENSOR_RULE, SequentProof, _check_rule,
+                      check_proof, desequentialize, exchange_positions, outside_btenll,
+                      proof_file, text_writer, tree_builder)
 from .switching import check
 
 
@@ -373,14 +374,14 @@ def _least(part: _Part, heap) -> int | None:
 
 
 def _base_case(ps: ProofStructure, part: _Part) -> tuple[str, Formula | None]:
-    """The ax or one rule of a part that is a single ax or one node."""
+    """The ax or one rule of a part that is a single ax or one node: the
+    rule is the node's label."""
     labels = [ps.nodes[n] for n in part.nodes]
     if labels not in ([AX], [ONE]):
         raise SequentializationError(
             "structure is neither splittable nor a single axiom or one node")
-    if labels == [ONE]:
-        return ONE_RULE, None
-    return AX_RULE, ps.types[part.conclusions[0]]
+    rule = labels[0]
+    return rule, ps.types[part.conclusions[0]] if rule == AX_RULE else None
 
 
 def _split_move(ps: ProofStructure, part: _Part, n: int):
@@ -393,11 +394,11 @@ def _split_move(ps: ProofStructure, part: _Part, n: int):
 
 
 def _check_run(run, length: int) -> None:
-    """The exchange constructor's check of a run, printed outermost first,
-    over a sequent of `length` formulas: the innermost failure is raised."""
+    """Check a run of exchanges, printed outermost first, over a sequent of
+    `length` formulas, innermost first once some position is out of range."""
     if min(run) < 0 or max(run) > length - 2:
-        bad = next(i for i in reversed(run) if not 0 <= i <= length - 2)
-        raise ProofBuildError(f"exchange position {bad} out of range")
+        for position in reversed(run):
+            _check_rule(EX_RULE, position, length)
 
 
 def _sequentialize(ps: ProofStructure, choose, sink):
@@ -418,14 +419,12 @@ def _sequentialize(ps: ProofStructure, choose, sink):
     parts, and a base case's ax or one.  A peeled rule's conclusion moves
     from the end to the index i it had, by the run i, ..., L - 2 over the
     part's L conclusions; a split's run comes from the two side tuples
-    that `_split_part` returns, read before the sides are expanded.  The
-    skeleton checks its rules as their constructor does: each exchange
-    position against the part's conclusion count, a par over at least two
-    formulas, and the cut formula against the types of the sides' boundary
-    arcs.
+    that `_split_part` returns, read before the sides are expanded.  A
+    rule is its node's label, checked by the constructor's own check on the
+    part's conclusions and the types of the sides' boundary arcs.
     """
     add, exchange, finish = sink
-    outs = ps.incidence()[1]
+    outs, types = ps.incidence()[1], ps.types
     nodes = {m for m, lab in ps.nodes.items() if lab != DOT}
     terminal = set(ps.terminal_nodes())
     root = _Part(nodes, ps.conclusions, terminal, len(induced_components(ps, nodes)),
@@ -438,30 +437,20 @@ def _sequentialize(ps: ProofStructure, choose, sink):
             add(*_base_case(ps, part))
             continue
         n, side = move
-        conclusions = part.conclusions
-        arg = None
+        rule, conclusions, arg = ps.nodes[n], part.conclusions, None
         if side is None:
             run = range(_peel_part(ps, part, n), len(conclusions) - 1)
-            if ps.nodes[n] == BOT:
-                rule = BOT_RULE
-            else:
-                rule = PAR_RULE
-                if len(part.conclusions) < 2:
-                    raise ProofBuildError("par rule needs two formulas to combine")
+            _check_rule(rule, arg, len(part.conclusions))
             stack.append(part)
         else:
             left, right = _split_part(ps, part, n, side)
             lc, rc = left.conclusions, right.conclusions
-            if ps.nodes[n] == TENSOR:
-                rule = TENSOR_RULE
+            if rule == TENSOR_RULE:
                 current = lc[:-1] + tuple(outs[n]) + rc[1:]
             else:
-                rule, arg = CUT_RULE, ps.types[ps.premises_of(n)[0]]
-                if ps.types[lc[-1]] is not arg:
-                    raise ProofBuildError("cut formula must close the first premise")
-                if ps.types[rc[0]] is not negate(arg):
-                    raise ProofBuildError("dual of the cut formula must open the second premise")
+                arg = types[ps.premises_of(n)[0]]
                 current = lc[:-1] + rc[1:]
+            _check_rule(rule, arg, len(lc), types[lc[-1]], types[rc[0]])
             run = () if current == conclusions else (
                 exchange_positions(list(current), conclusions)[::-1])
             stack += [right, left]

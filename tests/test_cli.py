@@ -811,6 +811,29 @@ def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
         assert out == format_proof(proof, Fragment.MLLU if mode == "wten" else Fragment(mode))
 
 
+def test_public_sequentializers_build_each_rule_once(monkeypatch):
+    # the tree sink builds each rule by its constructor exactly once: 600
+    # nested bots over an ax come back under 179 700 exchanges, and the
+    # 1 600-tensor chain splits 1 600 times
+    k = 600
+    bots = desequentialize(parse_proof(
+        "fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k)[1], verify=False).ps
+    chain = ax_rule(atom("X"))
+    for _ in range(1600):
+        chain = tensor_rule(chain, ax_rule(atom("X", dual=True)))
+    chain = desequentialize(chain, verify=False).ps
+    ax = chain.nodes_with_label("ax")[0]
+    built = count_proof_rules(monkeypatch)
+    counts = []
+    for sequentialize in (lambda: sequentialize_wten(bots),
+                          lambda: sequentialize_btenll(chain, ax)[0]):
+        built[0] = 0
+        proof = sequentialize()
+        assert built == [proof.rule_count()]
+        counts.append(built[0])
+    assert counts == [k + 1 + k * (k - 1) // 2, 2 * 1600 + 1]
+
+
 def test_a_failing_sequentialize_writes_nothing(tmp_path, capsys):
     # the proof is written only once the skeleton has finished: a failure
     # leaves stdout empty and creates neither output file
@@ -1113,6 +1136,31 @@ def test_out_of_range_options_are_usage_errors(tmp_path, capsys):
         assert run(capsys, *argv)[0] == 0, argv
     assert run(capsys, "check", net, "--criterion", "accw", "--max-parr", "0")[:2] == run(
         capsys, "check", net, "--criterion", "accw")[:2]
+
+
+@pytest.mark.parametrize("argv, option, bad, good", [
+    (["sequentialize", "units", "--mode", "btenll"], "--m", "٠", "0"),
+    (["jumps", "units", "--mode", "btenll"], "--m", "0_0", "0"),
+    (["normalize", "regnier"], "--seed", "١", "1"),
+    (["gen"], "--seed", "١", "1"),
+    (["check", "regnier", "--criterion", "cw"], "--max-parr", "٣", "3"),
+    (["gen"], "--max-rules", " 5", "5"),
+    (["gen"], "--max-nodes", "٥", "5"),
+], ids=["sequentialize-m", "jumps-m", "normalize-seed", "gen-seed", "max-parr",
+        "max-rules", "max-nodes"])
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys, argv, option, bad, good):
+    # an integer option is read as every reader reads an id: `int` would
+    # also take non-ASCII digits, underscores and surrounding blanks
+    files = {"units": write_fixture(tmp_path, "jumps-units"),
+             "regnier": write_fixture(tmp_path, "regnier")}
+    argv = [files.get(word, word) for word in argv]
+    code, _, err = run(capsys, *argv, option, good)
+    assert (code, err) == (0, "")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, bad])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: invalid int value: {bad!r}\n")
 
 
 def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):

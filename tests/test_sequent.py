@@ -319,15 +319,24 @@ def _contents(d):
             ps.conclusions, list(ps.types.items()), list(d.bot_scopes.items()))
 
 
+# the five messages of `sequent._check_rule`, an exchange's without its position
+_RULE_MESSAGES = {"exchange position out of range", "par rule needs two formulas to combine",
+                  "tensor rule needs a formula on each side",
+                  "cut formula must close the first premise",
+                  "dual of the cut formula must open the second premise"}
+
+
 def test_the_text_reader_builds_the_net_the_tree_desequentializes():
     rng = random.Random(11)
     outcomes = {"ok": 0, "error": 0}
+    messages = set()
     for text in proof_texts():
         for variant in [text, *mutations(text, rng)]:
             got, want = read(desequentialize_text, variant), read(parse_proof, variant)
             if isinstance(want[0], str):
                 assert got == want, variant
                 outcomes["error"] += 1
+                messages.add(re.sub(r" -?\d+ | \(at offset \d+\)$", " ", want[1]).strip())
                 continue
             (frag, result), (want_frag, proof) = got, want
             assert frag == want_frag
@@ -342,6 +351,10 @@ def test_the_text_reader_builds_the_net_the_tree_desequentializes():
                 assert check_proof(proof, f).violations == want.violations
             outcomes["ok"] += 1
     assert outcomes["ok"] > 400 and outcomes["error"] > 3000, outcomes
+    # every rule check a text can fail is failed; no proof reaches the tensor
+    # check (see `_check_rule`)
+    assert messages & _RULE_MESSAGES == _RULE_MESSAGES - {
+        "tensor rule needs a formula on each side"}
 
 
 def test_proof_tokens_are_split_at_exactly_the_isspace_characters():
