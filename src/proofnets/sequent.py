@@ -38,12 +38,13 @@ Each new arc's type is the formula the rule introduces, so no formula is
 read back from a sequent, and the builder checks each rule on its own
 conclusion lists.  Two walks feed it: `_walk` walks a proof tree, premises
 first, and `desequentialize_text` runs the token loop, so a proof text
-becomes a net with no tree in between.  The net's arc types are exactly the formulas the
-rules introduce, and its ax and cut nodes its ax and cut rules, so
-`DeseqResult.in_fragment` decides the fragment discipline (formulas
-inside the fragment, no ax or cut rule in icomll) from one fold over the
-arc types; one report lists the rules breaking it, fed to a net builder
-by a tree walk (`check_proof`) or the token loop (`fragment_report`).
+becomes a net with no tree in between.  The net's arc types are exactly
+the formulas the rules introduce, and its ax and cut nodes its ax and cut
+rules, so `DeseqResult.in_fragment` decides the fragment discipline
+(formulas inside the fragment, no ax or cut rule in icomll) from one fold
+over the arc types; one report lists the rules breaking it, fed to a net
+builder by a tree walk (`check_proof`) or the token loop
+(`fragment_report`).
 Node and arc ids are allocated premises first, so the ids allocated while
 a bot rule's premise sub-proof was built form a range that starts at the
 id current at the bot's '(' and ends at the bot node.  The result records
@@ -147,8 +148,9 @@ class SequentProof:
         _set_arg(self, arg)
         if rule == EX_RULE:
             p = premises[0]
-            _check_rule(rule, arg, p.length)
-            _set_length(self, p.length)
+            length = p.length
+            _check_rule(rule, arg, length)
+            _set_length(self, length)
             _set_rule_count(self, p._rule_count + 1)
             _set_hash(self, hash((rule, arg, p._hash)))
             _set_conclusion(self, None)  # until it is first read
@@ -327,7 +329,7 @@ class _ExHeads(dict):
     made on first use."""
 
     def __missing__(self, position):
-        head = self[position] = f"({EX_RULE} {position + 1} "
+        head = self[position] = f"(ex {position + 1} "
         return head
 
 
@@ -347,15 +349,14 @@ def text_writer():
     out: list[str] = []
     owed = [0]  # per open premise, the ')' of the rules opened in it
     second: list[bool] = []  # per open binary rule, whether it reads its second premise
-    arity = _ARITY.__getitem__
-    # the text of each rule up to its argument or premises, or whole for one
-    head = {rule: f"({rule} " if n else f"({rule})" for rule, n in _ARITY.items()}.__getitem__
+    # each rule's arity and its text up to its argument or premises, or whole for one
+    heads = {rule: (n, f"({rule} " if n else f"({rule})") for rule, n in _ARITY.items()}
     ex_head = _ExHeads().__getitem__
 
     def add(rule, arg):
-        n = arity(rule)
+        n, head = heads[rule]
         if arg is None:
-            out.append(head(rule))
+            out.append(head)
         else:  # an ax or cut formula
             out.append(f'({rule} "{format_formula(arg)}"{" " if n else ")"}')
         if n:
@@ -428,9 +429,9 @@ def tree_builder():
             pending.pop()
             rule, arg = top[0], top[1]
             if rule == EX_RULE:  # a run, built innermost first in place
-                p = built[-1]
+                p, make = built[-1], SequentProof
                 for position in reversed(arg):
-                    p = SequentProof(EX_RULE, (p,), position)
+                    p = make(rule, (p,), position)
                 built[-1] = p
             else:
                 close(rule, arg)

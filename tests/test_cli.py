@@ -782,20 +782,23 @@ def test_deseq_formats_each_failing_formula_once(tmp_path, capsys, monkeypatch):
 
 def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
     # the command prints straight from the skeleton in every mode; the
-    # public sequentializers build one SequentProof per printed rule
+    # public sequentializers build one SequentProof per printed rule, as
+    # the tree sink builds each rule once: 600 nested bots over an ax come
+    # back under 179 700 exchanges
     k = 1600
     tensors, ones = ax_rule(atom("X")), one_rule()
     for _ in range(k):
         tensors = tensor_rule(tensors, ax_rule(atom("X", dual=True)))
         ones = tensor_rule(ones, one_rule())
-    tensors, ones, composed = (desequentialize(p, verify=False).ps for p in (
-        tensors, ones, _composition(random.Random(3), 11)))
+    bots = parse_proof("fragment: mllu\n" + "(bot " * 600 + '(ax "A")' + ")" * 600)[1]
+    tensors, ones, bots, composed = (desequentialize(p, verify=False).ps for p in (
+        tensors, ones, bots, _composition(random.Random(3), 11)))
     assert len(composed.nodes) > 100
     ax = tensors.nodes_with_label("ax")[0]
     anchor = min(n for n, lab in composed.nodes.items()
                  if lab != "dot" and n not in erasing_nodes(composed))
     cases = [(tensors, "wten", None), (tensors, "btenll", ax), (ones, "icomll", None),
-             (composed, "wten", None), (composed, "btenll", anchor)]
+             (bots, "wten", None), (composed, "wten", None), (composed, "btenll", anchor)]
     path = tmp_path / "net.json"
     built = count_proof_rules(monkeypatch)
     for ps, mode, m in cases:
@@ -809,29 +812,6 @@ def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
                  sequentialize_icomll(ps)[0])
         assert built == [proof.rule_count()], mode
         assert out == format_proof(proof, Fragment.MLLU if mode == "wten" else Fragment(mode))
-
-
-def test_public_sequentializers_build_each_rule_once(monkeypatch):
-    # the tree sink builds each rule by its constructor exactly once: 600
-    # nested bots over an ax come back under 179 700 exchanges, and the
-    # 1 600-tensor chain splits 1 600 times
-    k = 600
-    bots = desequentialize(parse_proof(
-        "fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k)[1], verify=False).ps
-    chain = ax_rule(atom("X"))
-    for _ in range(1600):
-        chain = tensor_rule(chain, ax_rule(atom("X", dual=True)))
-    chain = desequentialize(chain, verify=False).ps
-    ax = chain.nodes_with_label("ax")[0]
-    built = count_proof_rules(monkeypatch)
-    counts = []
-    for sequentialize in (lambda: sequentialize_wten(bots),
-                          lambda: sequentialize_btenll(chain, ax)[0]):
-        built[0] = 0
-        proof = sequentialize()
-        assert built == [proof.rule_count()]
-        counts.append(built[0])
-    assert counts == [k + 1 + k * (k - 1) // 2, 2 * 1600 + 1]
 
 
 def test_a_failing_sequentialize_writes_nothing(tmp_path, capsys):
