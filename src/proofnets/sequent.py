@@ -302,22 +302,17 @@ def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     return p
 
 
-def _post_order(proof: SequentProof) -> list[SequentProof]:
-    """Every subproof, premises first and left to right."""
+def _walk(proof: SequentProof, add) -> None:
+    """Hand each rule of a proof tree to `add(rule, arg)`, premises first
+    and left to right: the tree's rule stream, as `_read_rules` hands a
+    text's."""
     # the reverse of a pre-order pushing premises in order is a post-order
     order, stack = [], [proof]
     while stack:
         p = stack.pop()
         order.append(p)
         stack.extend(p.premises)
-    order.reverse()
-    return order
-
-
-def _walk(proof: SequentProof, add) -> None:
-    """Hand each rule of a proof tree to `add(rule, arg)`, premises first:
-    the tree's rule stream, as `_read_rules` hands a text's."""
-    for p in _post_order(proof):
+    for p in reversed(order):
         add(p.rule, p.arg)
 
 
@@ -516,6 +511,7 @@ def _read_rules(text: str, add) -> Fragment:
     # every quoted string of a proof is an ax or cut formula
     formulas = parse_formulas([tok[1:-1] for tok in tokens if tok[0] == '"'])
     tokens.append(None)
+    positions: dict = {}  # each distinct ex position token, read once
 
     # The rules whose premises are still being read wait on an explicit
     # stack, with the number of premises each still lacks, so nesting is
@@ -533,10 +529,12 @@ def _read_rules(text: str, add) -> Fragment:
             tok = tokens[i]
             i += 1
             if head == EX_RULE:
-                try:
-                    arg = read_int(tok) - 1
-                except (TypeError, ValueError):
-                    raise error("ex takes a 1-based position", i - 1) from None
+                arg = positions.get(tok)
+                if arg is None:
+                    try:
+                        arg = positions[tok] = read_int(tok) - 1
+                    except (TypeError, ValueError):
+                        raise error("ex takes a 1-based position", i - 1) from None
             elif tok is None or tok[0] != '"':
                 raise error(f"{head} takes a quoted formula", i - 1)
             else:

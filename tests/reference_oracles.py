@@ -11,8 +11,8 @@ components of every switching graph, and `switching_paths` enumerates the
 simple paths under a path discipline.  Each is exponential in the worst
 case and meant for small structures.
 
-From `sequent`: `check_proof` reports the fragment discipline from a walk
-of the proof tree, reading each rule's conclusion off the tree and folding
+From `sequent`: `check_proof` reports the fragment discipline from its own
+walk of the proof tree, reading each rule's conclusion off the tree and folding
 over the formulas each rule introduces, independently of the report that
 the package feeds from its net builder.
 """
@@ -26,8 +26,7 @@ from itertools import combinations
 from proofnets.canonical import canonical_form, isomorphisms
 from proofnets.errors import FragmentError, SequentializationError
 from proofnets.formulas import Fragment, format_formula, in_fragments
-from proofnets.sequent import (AX_RULE, CUT_RULE, EX_RULE, TENSOR_RULE, SequentProof,
-                               _post_order)
+from proofnets.sequent import AX_RULE, CUT_RULE, EX_RULE, TENSOR_RULE, SequentProof
 from proofnets.sequentialize import SplitAssignment, classify_jumps, split_parts
 from proofnets.structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                                  ValidationReport, arc_polarities, ensure_valid,
@@ -320,6 +319,18 @@ def switching_paths(ps: ProofStructure, src: int, dst: int | None = None,
 
 
 # -- the fragment discipline on a proof tree ------------------------------------
+
+
+def _post_order(proof: SequentProof) -> list[SequentProof]:
+    """Every subproof, premises first and left to right."""
+    # the reverse of a pre-order pushing premises in order is a post-order
+    order, stack = [], [proof]
+    while stack:
+        p = stack.pop()
+        order.append(p)
+        stack.extend(p.premises)
+    order.reverse()
+    return order
 
 
 def _introduced(order):
