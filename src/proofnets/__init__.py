@@ -18,15 +18,15 @@ from .switching import CriterionVerdict, check, switching_graph, switchings
 from .cutelim import (Redex, ReductionTrace, find_redexes, normalize,
                       reduce_step, replay)
 from .sequent import (DeseqResult, SequentProof, ax_rule, bot_rule, check_proof,
-                      cut_rule, deseq_relation_holds, desequentialize,
-                      desequentialize_text, ex_rule, exchange_to, format_proof,
-                      one_rule, par_rule, parse_proof, tensor_rule)
+                      cut_rule, desequentialize, desequentialize_text, ex_rule,
+                      exchange_to, format_proof, one_rule, par_rule, parse_proof,
+                      tensor_rule)
 from .sequentialize import (JumpedStructure, SplitAssignment, canonical_jumps_btenll,
                             canonical_jumps_icomll, classify_jumps, infer_types,
                             proofs_equivalent, rewiring_equivalent,
                             sequentialize_btenll, sequentialize_icomll,
                             sequentialize_text, sequentialize_wten, split_parts)
-from .generate import GenParams, permute_rules, random_formula, random_proof, random_ps
+from .generate import GenParams, random_formula, random_proof, random_ps
 from .render import export_dot
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .errors import ParseError, ProofNetError, ValidationError
 from .formulas import Fragment, fragment_from_name
 from .generate import GenParams, random_proof, random_ps
 from .render import export_dot
-from .sequent import desequentialize_text, format_proof, fragment_report, outside_btenll
+from .sequent import desequentialize_text, format_proof, outside_btenll
 from .sequentialize import canonical_jumps_btenll, canonical_jumps_icomll, sequentialize_text
 from .structure import (ProofStructure, decode_json, ensure_valid, is_wten,
                         load_structure, read_int, to_dsl, to_json)
@@ -122,26 +122,26 @@ def _cmd_jumps(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    # `proofs_equivalent` on the nets the texts read into; the text of a
-    # proof outside btenll is read again, only to report it
-    texts, nets = [], []
-    for path in (args.proof1, args.proof2):
-        texts.append(_read(path))
-        nets.append(desequentialize_text(texts[-1], verify=False)[1])
-    for text, net in zip(texts, nets):
-        if not net.in_fragment(Fragment.BTENLL):
-            raise outside_btenll(fragment_report(text, net, Fragment.BTENLL))
+    # `proofs_equivalent` on the nets the texts read into; a proof outside
+    # btenll is reported off its net
+    nets = [desequentialize_text(_read(path), verify=False)[1]
+            for path in (args.proof1, args.proof2)]
+    for net in nets:
+        report = net.report(Fragment.BTENLL)
+        if not report.ok:
+            raise outside_btenll(report)
     result = iso(nets[0].ps, nets[1].ps)
     print("true" if result else "false")
     return 0 if result else 1
 
 
 def _cmd_deseq(args) -> int:
-    text = _read(args.proof)
-    frag, result = desequentialize_text(text)
-    if not result.in_fragment(frag):
-        # the text is read again, only to report the proof rule by rule
-        raise ValidationError(fragment_report(text, result, frag))
+    frag, result = desequentialize_text(_read(args.proof))
+    # a proof outside its fragment is reported off its net, each failing
+    # formula at the rule that introduces it
+    report = result.report(frag)
+    if not report.ok:
+        raise ValidationError(report)
     _emit_ps(result.ps, args.format, args.out)
     return 0
 

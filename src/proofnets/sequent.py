@@ -16,8 +16,7 @@ exchanges costs O(k) to build.
 
 One token loop, `_read_rules`, reads the proof text format and hands each
 rule to a sink when its ')' closes, so premises come first: `parse_proof`
-builds a proof tree, and `desequentialize_text` and `fragment_report`
-feed the net builder.
+builds a proof tree, and `desequentialize_text` feeds the net builder.
 
 One text writer, `text_writer`, prints the format.  It takes rules in
 print order, each rule before its premises, and runs of exchanges at
@@ -39,18 +38,12 @@ read back from a sequent, and the builder checks each rule on its own
 conclusion lists.  Two walks feed it: `_walk` walks a proof tree, premises
 first, and `desequentialize_text` runs the token loop, so a proof text
 becomes a net with no tree in between.  The net's arc types are exactly
-the formulas the rules introduce, and its ax and cut nodes its ax and cut
-rules, so `DeseqResult.in_fragment` decides the fragment discipline
-(formulas inside the fragment, no ax or cut rule in icomll) from one fold
-over the arc types; one report lists the rules breaking it, fed to a net
-builder by a tree walk (`check_proof`) or the token loop
-(`fragment_report`).
-Node and arc ids are allocated premises first, so the ids allocated while
-a bot rule's premise sub-proof was built form a range that starts at the
-id current at the bot's '(' and ends at the bot node.  The result records
-that range as the bot rule's scope: its ids that are still nodes are the
-nodes built from the premise sub-proof.  The jump-aware relation between
-proofs and jump-total structures checks jump targets against those scopes.
+the formulas the rules introduce, each arc's tail is the node of the rule
+that introduces it, and node and arc ids grow in rule order, so
+`DeseqResult.report` reads the fragment discipline (formulas inside the
+fragment, no ax or cut rule in icomll) off the net alone, in id order:
+each failing formula once, at the rule that introduces it.
+`check_proof` is that report on a proof tree's net.
 Reading, checking, printing and desequentializing walk proofs on explicit
 stacks, so their depth is bounded by memory, not by the interpreter.
 """
@@ -58,15 +51,14 @@ stacks, so their depth is bounded by memory, not by the interpreter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .canonical import isomorphisms
 from .errors import FragmentError, ParseError, ProofNetError
 from .formulas import (BOT as BOT_F, Formula, Fragment, format_formula,
                        fragment_from_name, in_fragments, negate, parse_formulas)
 from .formulas import ONE as ONE_F, par as par_f, tensor as tensor_f
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
-                        ValidationReport, jump_total, read_int, validate)
+                        ValidationReport, read_int, validate)
 from .switching import check
 
 # a rule is named by the label of the node it becomes in a net
@@ -578,42 +570,52 @@ def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
 
 @dataclass
 class DeseqResult:
-    """A desequentialized net and the scope of each of its bot nodes."""
+    """A desequentialized net, which reports the fragment discipline of the
+    proof it was built from."""
 
     ps: ProofStructure
-    bot_scopes: dict[int, range] = field(default_factory=dict)
 
-    def in_fragment(self, frag: Fragment) -> bool:
-        """`check_proof(proof, frag).ok`, detailed by `fragment_report`, for
-        the proof this net was built from: its arc types are exactly the
-        formulas the rules introduce, and its ax and cut nodes its rules'."""
+    def report(self, frag: Fragment) -> ValidationReport:
+        """The fragment discipline of the proof this net was built from:
+        every formula inside `frag`, and no ax or cut rule in icomll.
+
+        The arc types are the formulas the rules introduce, each arc's tail
+        is its rule's node, labelled by the rule's name, and node and arc
+        ids grow in rule order.  So the lines sorted by id give each rule's
+        icomll ax or cut line, at its node, then one line per failing
+        formula it introduces, at its arc (an ax's A, then A^).  One fold
+        over the arc types gives the verdicts; each failing formula is
+        formatted once, and a net inside `frag` builds no message."""
         ps = self.ps
-        if frag is Fragment.ICOMLL and not {AX, CUT}.isdisjoint(ps.nodes.values()):
-            return False
-        return all(ok for ok, _ in in_fragments(ps.types.values(), frag).values())
+        failing = {f: f"formula {format_formula(f)} outside {frag.value}"
+                   for f, (ok, _) in in_fragments(ps.types.values(), frag).items() if not ok}
+        nodes, arcs = ps.nodes, ps.arcs
+        lines = [(a, nodes[arcs[a][0]], failing[f])
+                 for a, f in ps.types.items() if f in failing] if failing else []
+        if frag is Fragment.ICOMLL:
+            lines += [(n, rule, f"{rule} rule is not available in icomll")
+                      for n, rule in nodes.items() if rule in (AX, CUT)]
+        return ValidationReport([("fragment", rule, message)
+                                 for _, rule, message in sorted(lines)])
 
 
 def _net_builder():
     """The one net builder: `add(rule, arg)` applies one closed rule to the
-    subproofs built so far, premises first, `finish()` returns the net, and
-    the third function the formulas of the latest rule's conclusion.
+    subproofs built so far, premises first, and `finish()` returns the net.
 
     Axioms and units become single nodes, tensor and cut join the two
     latest sub-structures, par and bot extend the latest one, and an
     exchange swaps two of its conclusions in place.  Node and arc ids come
-    from one counter, so the ids allocated for a subproof form a range
-    starting at the first id of its first leaf, which is the id current
-    at the subproof's '('; a bot's scope is that range of its premise.
-    Each new arc's type is the formula the rule introduces, and `add`
-    raises the proof constructor's ProofBuildError on an ill-formed rule.
+    from one counter: each rule takes its node, then its dots, then its
+    new arcs.  Each new arc's type is the formula the rule introduces, and
+    `add` raises the proof constructor's ProofBuildError on an ill-formed
+    rule.
     """
     nodes: dict[int, str] = {}
     arcs: dict[int, tuple[int, int]] = {}
     premise_order: dict[int, tuple[int, int]] = {}
     types: dict[int, Formula] = {}
-    bot_scopes: dict[int, range] = {}
     built: list[list[int]] = []  # conclusions of the finished subproofs
-    starts: list[int] = []  # the first id of each of them
     next_id = 0
 
     def plug(arc, node):
@@ -640,15 +642,12 @@ def _net_builder():
         if rule == AX_RULE:
             built.append([conclude(n, n + 1, n + 3, arg),
                           conclude(n, n + 2, n + 4, negate(arg))])
-            starts.append(n)
             next_id = n + 5
             return
         if rule == ONE_RULE:
             built.append([])
-            starts.append(n)
             f = ONE_F
         elif rule == BOT_RULE:
-            bot_scopes[n] = range(starts[-1], n)
             f = BOT_F
         elif rule == PAR_RULE:
             c = built[-1]
@@ -663,7 +662,6 @@ def _net_builder():
             _check_rule(rule, arg, len(c1), types[c1[-1]] if c1 else None,
                         types[c2[0]] if c2 else None)
             built.pop()
-            starts.pop()
             left, right = c1.pop(), c2[0]
             plug(left, n)
             plug(right, n)
@@ -680,9 +678,9 @@ def _net_builder():
 
     def finish() -> DeseqResult:
         ps = ProofStructure._adopt(nodes, arcs, premise_order, tuple(built.pop()), types, {})
-        return DeseqResult(ps, bot_scopes)
+        return DeseqResult(ps)
 
-    return add, finish, lambda: map(types.__getitem__, built[-1])
+    return add, finish
 
 
 def _self_check(ps: ProofStructure) -> None:
@@ -699,9 +697,10 @@ def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
     walk of the tree.
 
     With `verify`, the result is validated and must pass the acyclicity-
-    plus-component-count criterion; `check_proof` decides its fragment.
+    plus-component-count criterion; `report` on the result decides its
+    fragment.
     """
-    add, finish, _ = _net_builder()
+    add, finish = _net_builder()
     _walk(proof, add)
     result = finish()
     if verify:
@@ -713,10 +712,10 @@ def desequentialize_text(text: str, verify: bool = True) -> tuple[Fragment, Dese
     """The fragment of a proof text and the typed structure of its proof,
     read straight into the net builder with no proof tree: the same
     result as `desequentialize(parse_proof(text)[1], verify)`, and the same
-    ParseError on a text `parse_proof` rejects.  `in_fragment` on the
-    result decides the proof's fragment, and `fragment_report` reports it.
+    ParseError on a text `parse_proof` rejects.  `report` on the result
+    reports the proof's fragment discipline.
     """
-    add, finish, _ = _net_builder()
+    add, finish = _net_builder()
     frag = _read_rules(text, add)
     result = finish()
     if verify:
@@ -724,58 +723,13 @@ def desequentialize_text(text: str, verify: bool = True) -> tuple[Fragment, Dese
     return frag, result
 
 
-def _fragment_report(net: DeseqResult, feed, frag: Fragment) -> ValidationReport:
-    """The one fragment report on a proof whose net is `net` and whose
-    rules `feed(add)` hands to `add(rule, arg)`, premises first.  A net
-    builder takes them again: each rule lists the formulas outside `frag`
-    of its open conclusion list, then an ax or cut rule in icomll.  One
-    fold over the net's arc types, the formulas the rules introduce,
-    gives the verdicts, and each failing formula is formatted once."""
-    failing = {f: f"formula {format_formula(f)} outside {frag.value}"
-               for f, (ok, _) in in_fragments(net.ps.types.values(), frag).items() if not ok}
-    add, _, conclusion = _net_builder()
-    v = []
-
-    def see(rule, arg):
-        add(rule, arg)
-        if failing:
-            v.extend(("fragment", rule, failing[f]) for f in conclusion() if f in failing)
-        if frag is Fragment.ICOMLL and rule in (AX_RULE, CUT_RULE):
-            v.append(("fragment", rule, f"{rule} rule is not available in icomll"))
-
-    feed(see)
-    return ValidationReport(v)
-
-
 def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
-    """The fragment discipline: every conclusion formula inside `frag`, and
-    no axiom or cut rule in icomll, reported from a walk of the tree."""
-    return _fragment_report(desequentialize(proof, verify=False),
-                            lambda add: _walk(proof, add), frag)
-
-
-def fragment_report(text: str, net: DeseqResult, frag: Fragment) -> ValidationReport:
-    """`check_proof(parse_proof(text)[1], frag)` with no proof tree, for
-    the text whose net is `net`: the token loop reads the text again."""
-    return _fragment_report(net, lambda add: _read_rules(text, add), frag)
+    """The fragment discipline of a proof tree: every formula inside `frag`,
+    and no axiom or cut rule in icomll, reported off its net."""
+    return desequentialize(proof, verify=False).report(frag)
 
 
 def outside_btenll(report: ValidationReport) -> FragmentError:
     """The error for a proof outside btenll, where permutation equivalence
     is decided, with the report of its fragment check."""
     return FragmentError(f"proof outside btenll: {report!r}")
-
-
-def deseq_relation_holds(proof: SequentProof, ps: ProofStructure) -> bool:
-    """Jump-aware correspondence between a proof and a jump-total structure.
-
-    Holds when the jump-stripped structure is isomorphic to the proof's
-    desequentialization and some witnessing isomorphism sends every bot
-    rule's jump into the image of that rule's premise sub-proof.
-    """
-    if not jump_total(ps):
-        raise ProofNetError("relation requires a jump-total structure")
-    d = desequentialize(proof, verify=False)
-    return any(all(ps.jumps[sigma[b]] in {sigma[t] for t in scope if t in sigma}
-                   for b, scope in d.bot_scopes.items())
-               for sigma in isomorphisms(d.ps, ps.without_jumps()))

@@ -76,8 +76,8 @@ from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         induced_components, is_wten, jump_free, jump_total,
                         restrict, topological_order, validate)
 from .sequent import (AX_RULE, EX_RULE, TENSOR_RULE, SequentProof, _check_rule,
-                      check_proof, desequentialize, exchange_positions, outside_btenll,
-                      proof_file, text_writer, tree_builder)
+                      desequentialize, exchange_positions, outside_btenll, proof_file,
+                      text_writer, tree_builder)
 from .switching import check
 
 
@@ -762,9 +762,10 @@ def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
     """Permutation equivalence of two proofs in the bottom-restricted
     fragment, decided as equality of desequentializations."""
     nets = [desequentialize(p, verify=False) for p in (p1, p2)]
-    for p, net in zip((p1, p2), nets):
-        if not net.in_fragment(Fragment.BTENLL):
-            raise outside_btenll(check_proof(p, Fragment.BTENLL))
+    for net in nets:
+        report = net.report(Fragment.BTENLL)
+        if not report.ok:
+            raise outside_btenll(report)
     return iso(nets[0].ps, nets[1].ps)
 
 

@@ -1,18 +1,27 @@
 """Desequentialization as a walk of the proof tree alone, as it was before
 the package built nets through one builder that both the tree walk and the
 text reader feed; kept as the reference of that builder: both must give
-the same net, with the same ids in the same dict orders, and the same bot
-scopes.
+the same net, with the same ids in the same dict orders.
+
+It also gives the scope of each bot rule, which the package does not keep.
+Node and arc ids are allocated premises first, so the ids allocated while
+a bot rule's premise sub-proof was built form a range that starts at the
+id current at the bot's '(' and ends at the bot node: its ids that are
+still nodes are the nodes built from the premise sub-proof.  The
+jump-aware relation between proofs and jump-total structures
+(`proof_permutations.deseq_relation_holds`) checks jump targets against
+those scopes.
 """
 
 from proofnets.formulas import BOT as BOT_F, ONE as ONE_F, Formula
 from proofnets.sequent import (AX_RULE, BOT_RULE, EX_RULE, ONE_RULE, PAR_RULE, TENSOR_RULE,
-                               DeseqResult, SequentProof)
+                               SequentProof)
 from proofnets.structure import AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure
 
 
-def desequentialize(proof: SequentProof) -> DeseqResult:
-    """The typed structure of a proof and the scopes of its bot rules."""
+def desequentialize(proof: SequentProof) -> tuple[ProofStructure, dict[int, range]]:
+    """The typed structure of a proof and the scope of each of its bot
+    rules, by the bot node's id."""
     next_id = 0
     nodes: dict[int, str] = {}
     arcs: dict[int, tuple[int, int]] = {}
@@ -105,4 +114,4 @@ def desequentialize(proof: SequentProof) -> DeseqResult:
 
     conclusions = tuple(built.pop())
     ps = ProofStructure._adopt(nodes, arcs, premise_order, conclusions, types, {})
-    return DeseqResult(ps, bot_scopes)
+    return ps, bot_scopes

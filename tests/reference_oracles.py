@@ -12,9 +12,9 @@ simple paths under a path discipline.  Each is exponential in the worst
 case and meant for small structures.
 
 From `sequent`: `check_proof` reports the fragment discipline from its own
-walk of the proof tree, reading each rule's conclusion off the tree and folding
-over the formulas each rule introduces, independently of the report that
-the package feeds from its net builder.
+walk of the proof tree, reading the formulas each rule introduces off the
+rule's conclusion and listing each failing one at that rule, independently
+of the net the package reads its report off.
 """
 
 from __future__ import annotations
@@ -333,34 +333,32 @@ def _post_order(proof: SequentProof) -> list[SequentProof]:
     return order
 
 
-def _introduced(order):
-    """The formulas each rule adds to its sequent: every formula of a
-    conclusion is introduced at or above it, so these are all of them."""
-    for p in order:
-        if p.rule == AX_RULE:
-            yield from p.conclusion
-        elif p.rule == TENSOR_RULE:
-            yield p.conclusion[p.premises[0].length - 1]
-        elif p.rule != EX_RULE and p.rule != CUT_RULE:
-            yield p.conclusion[-1]
+def _introduced(p: SequentProof) -> tuple:
+    """The formulas a rule adds to its sequent, read off its conclusion: an
+    ax its A and A^, a one or a bot its unit, a par or a tensor the formula
+    it builds, a cut or an exchange none.  Every formula of a conclusion is
+    introduced at or above it."""
+    if p.rule == AX_RULE:
+        return p.conclusion
+    if p.rule == TENSOR_RULE:
+        return (p.conclusion[p.premises[0].length - 1],)
+    if p.rule == EX_RULE or p.rule == CUT_RULE:
+        return ()
+    return (p.conclusion[-1],)
 
 
 def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
-    """The fragment discipline: every conclusion formula inside `frag`, and
-    no axiom or cut rule in icomll.  Rules are reported premises first, a
-    formula at every rule whose conclusion holds it."""
+    """The fragment discipline: every formula inside `frag`, and no axiom or
+    cut rule in icomll.  Rules are reported premises first, each with its
+    icomll ax or cut line, then a line for each formula outside `frag` that
+    it introduces."""
     order = _post_order(proof)
     # one fold decides every distinct formula, sharing the subformulas
-    verdicts = in_fragments(_introduced(order), frag)
-    # the occurrences of each formula are listed only when one fails
-    outside = not all(ok for ok, _ in verdicts.values())
+    verdicts = in_fragments((f for p in order for f in _introduced(p)), frag)
     v = []
     for p in order:
-        if outside:
-            for f in p.conclusion:
-                if not verdicts[f][0]:
-                    v.append(("fragment", p.rule,
-                              f"formula {format_formula(f)} outside {frag.value}"))
         if frag is Fragment.ICOMLL and p.rule in (AX_RULE, CUT_RULE):
             v.append(("fragment", p.rule, f"{p.rule} rule is not available in icomll"))
+        v += [("fragment", p.rule, f"formula {format_formula(f)} outside {frag.value}")
+              for f in _introduced(p) if not verdicts[f][0]]
     return ValidationReport(v)

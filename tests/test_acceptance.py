@@ -11,14 +11,15 @@ from proofnets import fixtures
 from proofnets.canonical import canonical_form, iso
 from proofnets.cutelim import find_redexes, reduce_step
 from proofnets.formulas import Fragment, polarity
-from proofnets.generate import GenParams, permute_rules, random_proof, random_ps
-from proofnets.sequent import deseq_relation_holds, desequentialize
+from proofnets.generate import GenParams, random_proof, random_ps
+from proofnets.sequent import desequentialize
 from proofnets.sequentialize import (canonical_jumps_btenll, classify_jumps,
                                      proofs_equivalent, rewiring_equivalent,
                                      sequentialize_btenll, sequentialize_icomll,
                                      sequentialize_wten, split_parts)
 from proofnets.structure import erasing_nodes, is_wten, validate
 from proofnets.switching import ALL, W_COMPATIBLE, check, switching_graph, switchings
+from proof_permutations import deseq_relation_holds, permute_rules
 from reference_oracles import (is_sequential_oracle, output_stats, rewiring_reachable,
                                splitting_candidates)
 from reference_switching import SwitchingGraph, cwforall, graph_components

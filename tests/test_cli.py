@@ -18,7 +18,7 @@ from conftest import count_search_visits, mutated_documents, mutations, proof_te
 from proofnets import cli, fixtures, sequent, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
-from proofnets.errors import FragmentError, ValidationError
+from proofnets.errors import FragmentError, ParseError, ValidationError
 from proofnets.formulas import Fragment, atom, in_fragment
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import (SequentProof, ax_rule, bot_rule, cut_rule, desequentialize,
@@ -296,8 +296,9 @@ def test_jumps_subcommand_round_trips(tmp_path, capsys):
 
 def test_equiv_true_and_false(tmp_path, capsys):
     from proofnets.formulas import Fragment
-    from proofnets.generate import GenParams, permute_rules, random_proof
+    from proofnets.generate import GenParams, random_proof
     from proofnets.sequent import format_proof
+    from proof_permutations import permute_rules
     p = random_proof(GenParams(fragment=Fragment.BTENLL, max_rules=12, seed=4))
     q = permute_rules(p, seed=5)
     p1 = tmp_path / "p1.proof"
@@ -747,8 +748,8 @@ def test_deseq_and_equiv_build_proof_trees_only_to_report(tmp_path, capsys, monk
     built[0] = 0
     assert run(capsys, "equiv", str(path), str(back)) == (0, "true\n", "")
     assert built == [0]
-    # a proof outside its fragment is reported from its text, with no
-    # tree either; equiv reports the first proof outside btenll
+    # a proof outside its fragment is reported off its net, with no tree
+    # either; equiv reports the first proof outside btenll
     outside = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=24, seed=4))
     assert not reference_oracles.check_proof(outside, Fragment.BTENLL).ok
     bad = tmp_path / "bad.proof"
@@ -761,8 +762,9 @@ def test_deseq_and_equiv_build_proof_trees_only_to_report(tmp_path, capsys, monk
 
 
 def test_deseq_formats_each_failing_formula_once(tmp_path, capsys, monkeypatch):
-    # the report lists a failing formula at every rule whose conclusion
-    # holds it, but prints the text of each distinct one once
+    # the report lists a failing formula at each rule that introduces it,
+    # but prints the text of each distinct one once, and its stderr is
+    # shorter than the proof text
     calls = []
     fmt = sequent.format_formula
     monkeypatch.setattr(sequent, "format_formula", lambda f: calls.append(f) or fmt(f))
@@ -772,12 +774,35 @@ def test_deseq_formats_each_failing_formula_once(tmp_path, capsys, monkeypatch):
                                        max_nodes=10 ** 6, seed=1, cut_probability=0.3))
         want = reference_oracles.check_proof(proof, Fragment.BTENLL).violations
         distinct = {message for _, _, message in want}
-        assert len(want) > 40 * len(distinct) > 0, rules
-        path.write_text(format_proof(proof, Fragment.BTENLL))
+        assert len(want) > len(distinct) > 0, rules
+        text = format_proof(proof, Fragment.BTENLL)
+        path.write_text(text)
         calls.clear()
         code, out, err = run(capsys, "deseq", str(path))
         assert (code, out, err.count("\n")) == (2, "", 1 + len(want)), rules
         assert len(calls) <= len(distinct), rules
+        assert len(err) < len(text), rules
+
+
+def test_a_proof_outside_its_fragment_is_read_once(tmp_path, capsys, monkeypatch):
+    # the report is read off the net the text was read into: deseq reads
+    # the text once, and equiv reads each of its two once
+    reads = []
+    read_rules = sequent._read_rules
+    monkeypatch.setattr(sequent, "_read_rules",
+                        lambda *args: reads.append(1) or read_rules(*args))
+    bad = tmp_path / "bad.proof"
+    for text in ("fragment: btenll\n(tensor (bot (one)) (one))\n",
+                 format_proof(random_proof(GenParams(fragment=Fragment.MLLU, max_rules=400,
+                                                     max_nodes=10 ** 6, seed=1,
+                                                     cut_probability=0.3)),
+                              Fragment.BTENLL)):
+        bad.write_text(text)
+        for argv, count in ((("deseq", bad), 1), (("equiv", bad, bad), 2)):
+            reads.clear()
+            code, out, err = run(capsys, *map(str, argv))
+            assert (code, out, len(reads)) == (2, "", count), (text[:30], argv)
+            assert err.startswith("error: "), (text[:30], argv)
 
 
 def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
@@ -883,11 +908,25 @@ def test_deseq_and_equiv_print_what_the_tree_path_prints(tmp_path, capsys, monke
     # deseq, each proof through equiv with itself and with one mutation
     rng = random.Random(11)
     headers = [f"fragment: {f.value}" for f in Fragment]
+
+    def reads(text):
+        try:
+            parse_proof(text)
+        except ParseError:
+            return False
+        return True
+
     texts, pairs = [], []
     for text in proof_texts():
         header = text.split("\n", 1)[0]
         variants = [text, *mutations(text, rng)]
-        texts += dict.fromkeys(v.replace(header, h, 1) for v in variants for h in headers)
+        # A variant runs under the five other headers only when it reads
+        # under its own.  No case is lost: `_read_rules` reads the header
+        # before the body, all six headers are valid, and nothing that reads
+        # the body depends on the fragment, so a read error is the same
+        # under every header.
+        texts += dict.fromkeys(v.replace(header, h, 1) for v in variants
+                               for h in (headers if reads(v) else [header]))
         pairs += [(text, text), (text, rng.choice(variants[1:]))]
     first, second = tmp_path / "first.proof", tmp_path / "second.proof"
 
@@ -908,7 +947,7 @@ def test_deseq_and_equiv_print_what_the_tree_path_prints(tmp_path, capsys, monke
     for argv, got, want in zip(texts + pairs, by_net, by_tree):
         assert got == want, argv
     codes = [code for code, _, _ in by_net]
-    assert codes.count(0) > 1500 and codes.count(1) > 0 and codes.count(2) > 10000
+    assert codes.count(0) > 1500 and codes.count(1) > 0 and codes.count(2) > 4000
 
 
 def test_deep_formulas_normalize(tmp_path, capsys):

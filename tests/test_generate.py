@@ -4,12 +4,12 @@ import pytest
 
 from proofnets.canonical import canonical_form, iso
 from proofnets.formulas import BOT, ONE, Fragment, atom, par, polarity, tensor
-from proofnets.generate import (GenParams, permute_rules, random_formula, random_proof,
-                                random_ps)
+from proofnets.generate import GenParams, random_formula, random_proof, random_ps
 from proofnets.sequent import check_proof, desequentialize
 from proofnets.sequentialize import proofs_equivalent
 from proofnets.structure import is_wten, validate
 from proofnets.switching import check
+from proof_permutations import permute_rules
 from reference_oracles import is_sequential_oracle
 
 

@@ -11,10 +11,9 @@ from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import (FragmentError, SequentializationError,
                               TypeInferenceError)
 from proofnets.formulas import Fragment, atom
-from proofnets.generate import GenParams, permute_rules, random_proof, random_ps
-from proofnets.sequent import (ax_rule, bot_rule, check_proof, deseq_relation_holds,
-                               desequentialize, ex_rule, format_proof, one_rule,
-                               par_rule, tensor_rule)
+from proofnets.generate import GenParams, random_proof, random_ps
+from proofnets.sequent import (ax_rule, bot_rule, check_proof, desequentialize, ex_rule,
+                               format_proof, one_rule, par_rule, tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                                      classify_jumps, infer_types, proofs_equivalent,
                                      rewiring_equivalent, sequentialize_btenll,
@@ -22,6 +21,7 @@ from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_ico
                                      split_parts, _icomll_move, _output_anchor, _Part)
 from proofnets.structure import erasing_nodes, is_wten, strip, validate
 from proofnets.switching import check
+from proof_permutations import deseq_relation_holds, permute_rules
 from reference_oracles import (is_sequential_oracle, rewiring_reachable,
                                splitting_candidates)
 
