@@ -749,16 +749,22 @@ def test_deseq_and_equiv_build_proof_trees_only_to_report(tmp_path, capsys, monk
     assert run(capsys, "equiv", str(path), str(back)) == (0, "true\n", "")
     assert built == [0]
     # a proof outside its fragment is reported off its net, with no tree
-    # either; equiv reports the first proof outside btenll
+    # either and no second read of its text: each command reads each of its
+    # texts once; equiv reports the first proof outside btenll
+    reads = []
+    read_rules = sequent._read_rules
+    monkeypatch.setattr(sequent, "_read_rules",
+                        lambda *args: reads.append(1) or read_rules(*args))
     outside = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=24, seed=4))
     assert not reference_oracles.check_proof(outside, Fragment.BTENLL).ok
     bad = tmp_path / "bad.proof"
     bad.write_text(format_proof(outside, Fragment.BTENLL))
     for argv in (("deseq", bad), ("equiv", bad, path), ("equiv", path, bad), ("equiv", bad, bad)):
         built[0] = 0
+        reads.clear()
         code, out, err = run(capsys, *map(str, argv))
         assert (code, out) == (2, "") and err.startswith("error: ")
-        assert built == [0], argv
+        assert built == [0] and len(reads) == len(argv) - 1, argv
 
 
 def test_deseq_formats_each_failing_formula_once(tmp_path, capsys, monkeypatch):
@@ -782,27 +788,6 @@ def test_deseq_formats_each_failing_formula_once(tmp_path, capsys, monkeypatch):
         assert (code, out, err.count("\n")) == (2, "", 1 + len(want)), rules
         assert len(calls) <= len(distinct), rules
         assert len(err) < len(text), rules
-
-
-def test_a_proof_outside_its_fragment_is_read_once(tmp_path, capsys, monkeypatch):
-    # the report is read off the net the text was read into: deseq reads
-    # the text once, and equiv reads each of its two once
-    reads = []
-    read_rules = sequent._read_rules
-    monkeypatch.setattr(sequent, "_read_rules",
-                        lambda *args: reads.append(1) or read_rules(*args))
-    bad = tmp_path / "bad.proof"
-    for text in ("fragment: btenll\n(tensor (bot (one)) (one))\n",
-                 format_proof(random_proof(GenParams(fragment=Fragment.MLLU, max_rules=400,
-                                                     max_nodes=10 ** 6, seed=1,
-                                                     cut_probability=0.3)),
-                              Fragment.BTENLL)):
-        bad.write_text(text)
-        for argv, count in ((("deseq", bad), 1), (("equiv", bad, bad), 2)):
-            reads.clear()
-            code, out, err = run(capsys, *map(str, argv))
-            assert (code, out, len(reads)) == (2, "", count), (text[:30], argv)
-            assert err.startswith("error: "), (text[:30], argv)
 
 
 def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
