@@ -21,8 +21,8 @@ from .sequent import (DeseqResult, SequentProof, ax_rule, bot_rule, check_proof,
                       cut_rule, desequentialize, desequentialize_text, ex_rule,
                       exchange_to, format_proof, one_rule, par_rule, parse_proof,
                       tensor_rule)
-from .sequentialize import (JumpedStructure, SplitAssignment, canonical_jumps_btenll,
-                            canonical_jumps_icomll, classify_jumps, infer_types,
+from .sequentialize import (SplitAssignment, canonical_jumps_btenll,
+                            canonical_jumps_icomll, infer_types, jump_correct,
                             proofs_equivalent, rewiring_equivalent,
                             sequentialize_btenll, sequentialize_icomll,
                             sequentialize_text, sequentialize_wten, split_parts)

@@ -2,7 +2,8 @@
 deseq, gen, dot.
 
 Exit codes are stable: 0 for success (criterion holds, proofs equivalent),
-1 when a decided property fails, 2 for malformed or invalid input.
+1 when a decided property fails, 2 for malformed or invalid input.  An
+error's report, when it carries one, follows its line one violation a line.
 
 `main` hands a command line that starts with a command's exact name
 straight to that command's parser (see `_parse`), with the same result as
@@ -17,13 +18,13 @@ import json
 import sys
 
 from . import fixtures
-from .canonical import iso
 from .errors import ParseError, ProofNetError, ValidationError
-from .formulas import Fragment, fragment_from_name
+from .formulas import fragment_from_name
 from .generate import GenParams, random_proof, random_ps
 from .render import export_dot
-from .sequent import desequentialize_text, format_proof, outside_btenll
-from .sequentialize import canonical_jumps_btenll, canonical_jumps_icomll, sequentialize_text
+from .sequent import desequentialize_text, format_proof
+from .sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll, nets_equivalent,
+                            sequentialize_text)
 from .structure import (ProofStructure, decode_json, ensure_valid, is_wten,
                         load_structure, read_int, to_dsl, to_json)
 from .switching import DEFAULT_MAX_PAR, check
@@ -99,12 +100,9 @@ def _anchor(args) -> int:
 
 
 def _cmd_sequentialize(args) -> int:
-    if args.mode == "wten":
-        # the wten mode validates its input itself, with the same error
-        ps, anchor = load_structure(_read(args.file)), None
-    else:
-        ps = _load_ps(args.file)
-        anchor = _anchor(args) if args.mode == "btenll" else None
+    # the wten mode validates its input itself, with the same error
+    ps = load_structure(_read(args.file)) if args.mode == "wten" else _load_ps(args.file)
+    anchor = _anchor(args) if args.mode == "btenll" else None
     # printed straight from the sequentializer: no proof tree is built
     text, jumps = sequentialize_text(ps, args.mode, anchor)
     _write(args.out, text)
@@ -117,20 +115,14 @@ def _cmd_jumps(args) -> int:
     ps = _load_ps(args.file)
     jumped = (canonical_jumps_btenll(ps, _anchor(args)) if args.mode == "btenll"
               else canonical_jumps_icomll(ps))
-    _emit_ps(jumped.ps, args.format, args.out)
+    _emit_ps(jumped, args.format, args.out)
     return 0
 
 
 def _cmd_equiv(args) -> int:
-    # `proofs_equivalent` on the nets the texts read into; a proof outside
-    # btenll is reported off its net
-    nets = [desequentialize_text(_read(path), verify=False)[1]
-            for path in (args.proof1, args.proof2)]
-    for net in nets:
-        report = net.report(Fragment.BTENLL)
-        if not report.ok:
-            raise outside_btenll(report)
-    result = iso(nets[0].ps, nets[1].ps)
+    # `proofs_equivalent` on the nets the texts read into
+    result = nets_equivalent(*(desequentialize_text(_read(path), verify=False)[1]
+                               for path in (args.proof1, args.proof2)))
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -320,7 +312,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ProofNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ValidationError):  # one write: stderr is line-buffered
+        if exc.report is not None:  # one write: stderr is line-buffered
             sys.stderr.write("".join(f"  [{rule}] {message}\n"
                                      for rule, _, message in exc.report.violations))
         return 2

@@ -4,6 +4,8 @@
 class ProofNetError(Exception):
     """Base class for all errors raised by this package."""
 
+    report = None  # the validation report behind an error, when it has one
+
 
 class ParseError(ProofNetError):
     """Malformed surface syntax. `position` is a 1-based offset when known."""
@@ -27,6 +29,10 @@ class ValidationError(ProofNetError):
 
 class FragmentError(ProofNetError):
     """A formula or typing does not belong to the required fragment."""
+
+    def __init__(self, message, report=None):
+        self.report = report
+        super().__init__(message)
 
 
 class SwitchingLimitError(ProofNetError):

@@ -42,8 +42,8 @@ the formulas the rules introduce, each arc's tail is the node of the rule
 that introduces it, and node and arc ids grow in rule order, so
 `DeseqResult.report` reads the fragment discipline (formulas inside the
 fragment, no ax or cut rule in icomll) off the net alone, in id order:
-each failing formula once, at the rule that introduces it.
-`check_proof` is that report on a proof tree's net.
+each failing formula once, at the rule that introduces it.  `check_proof`
+is that report on a tree's net; `sequentialize.nets_equivalent` raises it.
 Reading, checking, printing and desequentializing walk proofs on explicit
 stacks, so their depth is bounded by memory, not by the interpreter.
 """
@@ -53,7 +53,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FragmentError, ParseError, ProofNetError
+from .errors import ParseError, ProofNetError
 from .formulas import (BOT as BOT_F, Formula, Fragment, format_formula,
                        fragment_from_name, in_fragments, negate, parse_formulas)
 from .formulas import ONE as ONE_F, par as par_f, tensor as tensor_f
@@ -727,9 +727,3 @@ def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> Validati
     """The fragment discipline of a proof tree: every formula inside `frag`,
     and no axiom or cut rule in icomll, reported off its net."""
     return desequentialize(proof, verify=False).report(frag)
-
-
-def outside_btenll(report: ValidationReport) -> FragmentError:
-    """The error for a proof outside btenll, where permutation equivalence
-    is decided, with the report of its fragment check."""
-    return FragmentError(f"proof outside btenll: {report!r}")

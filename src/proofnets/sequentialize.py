@@ -1,24 +1,28 @@
 """Sequentialization: from structures back to sequent proofs.
 
-One skeleton, `_sequentialize`, serves all three entry points.  It peels a
-terminal bot or par node or splits at a terminal cut or tensor node; each
-entry point passes the policy that picks the node.  At each move it hands
-the move's rules to a sink in print order: the exchanges that restore the
-part's conclusion order, outermost first, then the rule at the node, named
-by its label and checked by `sequent`'s one rule check; the rules of the
-node's parts follow.  It has two sinks: the text writer of `sequent`, through
-which `sequentialize_text` (the CLI's path, in all three modes) prints a
-proof file with no proof tree, and the tree builder behind the public
-`sequentialize_*` functions.
-`sequentialize_wten` takes any structure, typed or not, that is erasing-safe
-and passes the acyclicity-plus-count criterion.  `sequentialize_btenll`
-peels terminal erasing nodes first, so that the proof of a bottom-restricted
-structure realizes its canonical jumps; `sequentialize_icomll` lets polarity
-(one `arc_polarities` map) choose in the constant-only intuitionistic
-fragment.  Both canonical jump assignments come from one bottom-up pass,
-`_jump_bots`, so their cost is linear in the nesting depth.  The
-desequentialization comparisons decide proof equivalence and jump rewiring
-equivalence.  `split_parts` cuts out the two sub-structures of a split as
+One skeleton, `_sequentialize`, serves all three modes.  It peels a terminal
+bot or par node or splits at a terminal cut or tensor node; each mode's plan
+checks the structure and passes the policy that picks the node.  At each move
+it hands the move's rules to a sink in print order: the exchanges that
+restore the part's conclusion order, outermost first, then the rule at the
+node, named by its label and checked by `sequent`'s one rule check; the
+rules of the node's parts follow.  One table, `_MODES`, gives each mode its
+plan and its proof header, and one runner, `_run`, serves the entry points
+with one of two sinks: the text writer of `sequent`, through which
+`sequentialize_text` (the CLI's path, in all three modes) prints a proof
+file with no proof tree, and the tree builder behind the public
+`sequentialize_*` functions.  `sequentialize_wten` takes any structure, typed
+or not, that is erasing-safe and passes the acyclicity-plus-count
+criterion.  `sequentialize_btenll` peels terminal erasing nodes first, so
+that the proof of a bottom-restricted structure realizes its canonical
+jumps; `sequentialize_icomll` lets polarity (one `arc_polarities` map)
+choose in the constant-only intuitionistic fragment.  Both pass one fragment
+gate, `_require`, and return the proof and the jumped structure, whose
+canonical jumps one bottom-up pass, `_jump_bots`, attaches, so their cost is
+linear in the nesting depth.  `nets_equivalent` decides proof equivalence on
+two desequentialized nets, for `proofs_equivalent` and the CLI alike;
+`rewiring_equivalent` decides jump rewiring equivalence of `jump_correct`
+structures.  `split_parts` cuts out the two sub-structures of a split as
 copies; no sequentializer calls it.  The exhaustive decomposition oracle,
 which does, is a test oracle outside the package.
 
@@ -70,13 +74,13 @@ from dataclasses import dataclass, field
 from .canonical import iso
 from .errors import (FragmentError, SequentializationError, TypeInferenceError)
 from .formulas import (ATOM, BOT as BOT_F, Formula, Fragment, ONE as ONE_F, atom,
-                       fragment_from_name, negate)
+                       negate)
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         arc_polarities, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
                         restrict, topological_order, validate)
-from .sequent import (AX_RULE, EX_RULE, TENSOR_RULE, SequentProof, _check_rule,
-                      desequentialize, exchange_positions, outside_btenll, proof_file,
+from .sequent import (AX_RULE, EX_RULE, TENSOR_RULE, DeseqResult, SequentProof,
+                      _check_rule, desequentialize, exchange_positions, proof_file,
                       text_writer, tree_builder)
 from .switching import check
 
@@ -471,12 +475,12 @@ def sequentialize_wten(ps: ProofStructure) -> SequentProof:
     `desequentialize(result)` is isomorphic to the input (ignoring types
     when the input is untyped).
     """
-    return _sequentialize(*_wten_plan(ps), tree_builder())
+    return _run("wten", ps, None, tree_builder())[0]
 
 
-def _wten_plan(ps: ProofStructure):
+def _wten_plan(ps: ProofStructure, m: int | None):
     """The checks of `sequentialize_wten`, then the structure and the policy
-    its skeleton runs."""
+    its skeleton runs, and that structure again, as it has no jumps."""
     ensure_valid(ps)
     ok, witness = is_wten(ps)
     if not ok:
@@ -486,8 +490,8 @@ def _wten_plan(ps: ProofStructure):
     verdict = check(ps, "accw")
     if not verdict.holds:
         raise SequentializationError("structure fails the accw criterion", verdict)
-    typed = ps if ps.types is not None else infer_types(ps)
-    return typed.without_jumps(), _general_move
+    typed = (ps if ps.types is not None else infer_types(ps)).without_jumps()
+    return typed, _general_move, typed
 
 
 _GENERAL_CLASSES = {BOT: 0, PAR: 0, CUT: 1, TENSOR: 1}
@@ -519,30 +523,24 @@ def _general_move(ps: ProofStructure, part: _Part):
 # -- canonical jumps ------------------------------------------------------------
 
 
-@dataclass
-class JumpedStructure:
-    ps: ProofStructure
-    jump_free: bool
-    jump_total: bool
-
-    @functools.cached_property
-    def jump_correct(self) -> bool:
-        """Jump-total and passing acc; decided on first read, since the
-        commands that attach jumps print only the jumps."""
-        return self.jump_total and check(self.ps, "acc").holds
-
-
-def classify_jumps(ps: ProofStructure) -> JumpedStructure:
-    return JumpedStructure(ps, jump_free(ps), jump_total(ps))
+def jump_correct(ps: ProofStructure) -> bool:
+    """Jump-total and passing acc: the structures rewiring relates.  The
+    commands that attach jumps print only the jumps and never ask."""
+    return jump_total(ps) and check(ps, "acc").holds
 
 
 def _require(ps: ProofStructure, frag: Fragment) -> None:
+    """A valid structure typed in `frag`, and in icomll no ax or cut node."""
     report = validate(ps, frag)
     if not report.ok:
-        raise FragmentError(f"not a valid {frag.value} structure: {report}")
+        raise FragmentError(f"not a valid {frag.value} structure", report)
+    if frag is Fragment.ICOMLL:
+        for lab in (AX, CUT):
+            if ps.nodes_with_label(lab):
+                raise FragmentError(f"{lab} nodes are not available in icomll")
 
 
-def _jump_bots(ps: ProofStructure, qualifies, target) -> JumpedStructure:
+def _jump_bots(ps: ProofStructure, qualifies, target) -> ProofStructure:
     """Jump every bot node, in `bottom_nodes()` order, to `target(q)`, where
     q is the first node below it that `qualifies`, or None.  One bottom-up
     pass finds q for every node with one conclusion arc."""
@@ -552,10 +550,10 @@ def _jump_bots(ps: ProofStructure, qualifies, target) -> JumpedStructure:
         if len(outs[n]) == 1:
             below = ps.arcs[outs[n][0]][1]
             first[n] = below if qualifies(below) else first.get(below)
-    return classify_jumps(ps.with_jumps({n: target(first[n]) for n in ps.bottom_nodes()}))
+    return ps.with_jumps({n: target(first[n]) for n in ps.bottom_nodes()})
 
 
-def canonical_jumps_btenll(ps: ProofStructure, m: int) -> JumpedStructure:
+def canonical_jumps_btenll(ps: ProofStructure, m: int) -> ProofStructure:
     """Jump every bot node under the least non-erasing par above it to that
     par's non-erasing premise source; jump the others to the given node.
 
@@ -610,10 +608,10 @@ def _output_anchor(ps: ProofStructure, node: int, polarities, anchors) -> int:
     return anchors[node]
 
 
-def canonical_jumps_icomll(ps: ProofStructure) -> JumpedStructure:
+def canonical_jumps_icomll(ps: ProofStructure) -> ProofStructure:
     """Jump every bot node to the anchor of the least output par above it,
     or to the anchor of the unique output conclusion when none exists."""
-    _require_icomll(ps)
+    _require(ps, Fragment.ICOMLL)
     polarities = arc_polarities(ps)
     out_arcs = [a for a in ps.conclusions if polarities[a] == "O"]
     if len(out_arcs) != 1:
@@ -627,22 +625,15 @@ def canonical_jumps_icomll(ps: ProofStructure) -> JumpedStructure:
                                    polarities, anchors))
 
 
-def _require_icomll(ps: ProofStructure) -> None:
-    _require(ps, Fragment.ICOMLL)
-    for lab in (AX, CUT):
-        if ps.nodes_with_label(lab):
-            raise FragmentError(f"{lab} nodes are not available in icomll")
-
-
 # -- refined sequentializers -----------------------------------------------------
 
 
 def sequentialize_btenll(ps: ProofStructure,
-                         m: int) -> tuple[SequentProof, JumpedStructure]:
+                         m: int) -> tuple[SequentProof, ProofStructure]:
     """Sequentialize a jump-free cut-free structure of the bottom-restricted
-    fragment; the proof realizes the canonical jump assignment rooted at m."""
-    ps, choose, jumped = _btenll_plan(ps, m)
-    return _sequentialize(ps, choose, tree_builder()), jumped
+    fragment; the proof is returned with the jumped structure it realizes,
+    the canonical jump assignment rooted at m."""
+    return _run("btenll", ps, m, tree_builder())[:2]
 
 
 def _btenll_plan(ps: ProofStructure, m: int):
@@ -676,14 +667,14 @@ def _bten_move(ps: ProofStructure, part: _Part, erasing: set[int]):
     return None if n is None else _split_move(ps, part, n)
 
 
-def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, JumpedStructure]:
+def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, ProofStructure]:
     """Sequentialize a jump-free structure of the constant-only
-    intuitionistic fragment; requires exactly one output conclusion."""
-    ps, choose, jumped = _icomll_plan(ps)
-    return _sequentialize(ps, choose, tree_builder()), jumped
+    intuitionistic fragment, with exactly one output conclusion; the proof
+    is returned with the canonical jumped structure."""
+    return _run("icomll", ps, None, tree_builder())[:2]
 
 
-def _icomll_plan(ps: ProofStructure):
+def _icomll_plan(ps: ProofStructure, m: int | None):
     """The checks of `sequentialize_icomll`, then the structure and the
     policy its skeleton runs, and the canonical jumps."""
     if not jump_free(ps):
@@ -733,7 +724,24 @@ def _icomll_move(ps: ProofStructure, part: _Part, polarities: dict[int, str | No
     return _split_move(ps, part, n)
 
 
-# -- printed sequentializations ---------------------------------------------------
+# -- the mode table ---------------------------------------------------------------
+
+
+# each mode's plan `(ps, m)`, m being btenll's anchor, and its proof header;
+# a plan checks ps and returns what the skeleton runs and the jumped structure
+_MODES = {"wten": (_wten_plan, Fragment.MLLU),
+          "btenll": (_btenll_plan, Fragment.BTENLL),
+          "icomll": (_icomll_plan, Fragment.ICOMLL)}
+
+
+def _run(mode: str, ps: ProofStructure, m: int | None, sink):
+    """The sink's result of the skeleton's run in `mode`, the structure
+    whose jumps the mode prints and the mode's proof header."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown sequentialization mode {mode!r}")
+    plan, header = _MODES[mode]
+    target, choose, jumped = plan(ps, m)
+    return _sequentialize(target, choose, sink), jumped, header
 
 
 def sequentialize_text(ps: ProofStructure, mode: str,
@@ -741,38 +749,35 @@ def sequentialize_text(ps: ProofStructure, mode: str,
     """The proof file of `sequentialize_<mode>(ps)` and the jump map of its
     canonical jumps ({} in wten mode), printed straight from the skeleton
     with no proof tree: the text is `format_proof` of that proof under the
-    mode's fragment header, mllu in wten mode.  `m` is btenll mode's
-    anchor."""
-    if mode == "wten":
-        (target, choose), jumps = _wten_plan(ps), {}
-    elif mode in ("btenll", "icomll"):
-        target, choose, jumped = (_btenll_plan(ps, m) if mode == "btenll"
-                                  else _icomll_plan(ps))
-        jumps = jumped.ps.jumps
-    else:
-        raise ValueError(f"unknown sequentialization mode {mode!r}")
-    frag = Fragment.MLLU if mode == "wten" else fragment_from_name(mode)
-    return proof_file(_sequentialize(target, choose, text_writer()), frag), jumps
+    mode's header, mllu in wten mode.  `m` is btenll mode's anchor."""
+    text, jumped, header = _run(mode, ps, m, text_writer())
+    return proof_file(text, header), jumped.jumps
 
 
 # -- equivalence decisions --------------------------------------------------------
 
 
-def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
-    """Permutation equivalence of two proofs in the bottom-restricted
-    fragment, decided as equality of desequentializations."""
-    nets = [desequentialize(p, verify=False) for p in (p1, p2)]
-    for net in nets:
+def nets_equivalent(n1: DeseqResult, n2: DeseqResult) -> bool:
+    """Permutation equivalence of the proofs two nets were built from,
+    decided as equality of the nets in the bottom-restricted fragment; a
+    proof outside it is an error carrying its fragment report."""
+    for net in (n1, n2):
         report = net.report(Fragment.BTENLL)
         if not report.ok:
-            raise outside_btenll(report)
-    return iso(nets[0].ps, nets[1].ps)
+            raise FragmentError("proof outside btenll", report)
+    return iso(n1.ps, n2.ps)
+
+
+def proofs_equivalent(p1: SequentProof, p2: SequentProof) -> bool:
+    """Permutation equivalence of two proofs in the bottom-restricted
+    fragment, decided on their desequentializations."""
+    return nets_equivalent(*(desequentialize(p, verify=False) for p in (p1, p2)))
 
 
 def rewiring_equivalent(r1: ProofStructure, r2: ProofStructure) -> bool:
     """Equivalence of jump-correct structures under single-jump redirection,
     decided by comparing jump-stripped structures."""
-    if not all(classify_jumps(r).jump_correct for r in (r1, r2)):
+    if not all(map(jump_correct, (r1, r2))):
         raise SequentializationError("rewiring equivalence needs jump-correct inputs")
     return iso(r1.without_jumps(), r2.without_jumps())
 

@@ -27,7 +27,7 @@ from proofnets.canonical import canonical_form, isomorphisms
 from proofnets.errors import FragmentError, SequentializationError
 from proofnets.formulas import Fragment, format_formula, in_fragments
 from proofnets.sequent import AX_RULE, CUT_RULE, EX_RULE, TENSOR_RULE, SequentProof
-from proofnets.sequentialize import SplitAssignment, classify_jumps, split_parts
+from proofnets.sequentialize import SplitAssignment, jump_correct, split_parts
 from proofnets.structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                                  ValidationReport, arc_polarities, ensure_valid,
                                  erasing_nodes, induced_components, restrict, strip,
@@ -159,7 +159,7 @@ def rewiring_reachable(r1: ProofStructure, r2: ProofStructure, *,
     """Breadth-first oracle over single-jump redirections, each intermediate
     structure re-checked jump-correct.  Exact but exponential; meant for
     small instances."""
-    if not all(classify_jumps(r).jump_correct for r in (r1, r2)):
+    if not all(map(jump_correct, (r1, r2))):
         raise SequentializationError("rewiring oracle needs jump-correct inputs")
     base1, base2 = r1.without_jumps(), r2.without_jumps()
     goals = set()

@@ -13,7 +13,7 @@ from proofnets.cutelim import find_redexes, reduce_step
 from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import desequentialize
-from proofnets.sequentialize import (canonical_jumps_btenll, classify_jumps,
+from proofnets.sequentialize import (canonical_jumps_btenll, jump_correct,
                                      proofs_equivalent, rewiring_equivalent,
                                      sequentialize_btenll, sequentialize_icomll,
                                      sequentialize_wten, split_parts)
@@ -239,15 +239,15 @@ def test_criterion_8_refined_sequentialization():
         m = min(n for n, lab in ps.nodes.items()
                 if n not in erasing and lab != "dot")
         proof, jumped = sequentialize_btenll(ps, m)
-        assert jumped.jump_correct, seed
-        assert deseq_relation_holds(proof, jumped.ps), seed
+        assert jump_correct(jumped), seed
+        assert deseq_relation_holds(proof, jumped), seed
     for seed in range(100):
         p = random_proof(GenParams(fragment=Fragment.ICOMLL, max_rules=13,
                                    seed=seed))
         ps = desequentialize(p, verify=False).ps
         proof, jumped = sequentialize_icomll(ps)
-        assert jumped.jump_correct, seed
-        assert deseq_relation_holds(proof, jumped.ps), seed
+        assert jump_correct(jumped), seed
+        assert deseq_relation_holds(proof, jumped), seed
     _report("criterion 8", "100 + 100 refined sequentializations verified")
 
 
@@ -288,7 +288,7 @@ def test_criterion_9_equivalence_decision():
         erasing = erasing_nodes(ps)
         candidates = [n for n, lab in ps.nodes.items()
                       if n not in erasing and lab != "dot"]
-        base = canonical_jumps_btenll(ps, candidates[0]).ps
+        base = canonical_jumps_btenll(ps, candidates[0])
         variants = [base]
         for src in bots:
             for target in candidates[:4]:
@@ -297,7 +297,7 @@ def test_criterion_9_equivalence_decision():
                 cand = base.copy()
                 cand.jumps = dict(base.jumps)
                 cand.jumps[src] = target
-                if classify_jumps(cand).jump_correct:
+                if jump_correct(cand):
                     variants.append(cand)
                     break
         for variant in variants[1:3]:
@@ -309,7 +309,7 @@ def test_criterion_9_equivalence_decision():
     assert checked >= 10
 
     # a negative pair: different underlying structures, both jump-correct
-    left = canonical_jumps_btenll(fixtures.load("jumps-units"), 0).ps
+    left = canonical_jumps_btenll(fixtures.load("jumps-units"), 0)
     small = desequentialize(
         random_proof(GenParams(fragment=Fragment.BTENLL, max_rules=6, seed=11)),
         verify=False).ps
@@ -317,7 +317,7 @@ def test_criterion_9_equivalence_decision():
         erasing = erasing_nodes(small)
         anchor = min(n for n, lab in small.nodes.items()
                      if n not in erasing and lab != "dot")
-        right = canonical_jumps_btenll(small, anchor).ps
+        right = canonical_jumps_btenll(small, anchor)
         assert rewiring_equivalent(left, right) == rewiring_reachable(left, right) == False  # noqa: E712
     _report("criterion 9", f"100 + {distinct} proof pairs, {checked} rewiring "
             "pairs, search agrees with decision")

@@ -59,7 +59,7 @@ def seeded_corpus():
         corpus.append(ps)
         erasing = erasing_nodes(ps)
         anchor = min(n for n, lab in ps.nodes.items() if n not in erasing and lab != DOT)
-        corpus.append(canonical_jumps_btenll(ps, anchor).ps)
+        corpus.append(canonical_jumps_btenll(ps, anchor))
     return corpus + [with_random_jumps(ps, rng) for ps in corpus if ps.bottom_nodes()]
 
 
@@ -201,7 +201,7 @@ def test_a_traversal_searches_the_leftover_components_once(monkeypatch):
         ps = desequentialize(parse_proof(f"fragment: btenll\n{body}\n")[1], verify=False).ps
         erasing = erasing_nodes(ps)
         anchor = min(n for n, lab in ps.nodes.items() if n not in erasing and lab != DOT)
-        jumped = canonical_jumps_btenll(ps, anchor).ps
+        jumped = canonical_jumps_btenll(ps, anchor)
         del searches[:], traversals[:]
         canonical_form(jumped)
         assert len(traversals) == leaves

@@ -27,7 +27,8 @@ from proofnets.sequent import (SequentProof, ax_rule, bot_rule, cut_rule, desequ
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                                      sequentialize_btenll, sequentialize_icomll,
                                      sequentialize_wten)
-from proofnets.structure import erasing_nodes, from_dsl, from_json, to_dsl, to_json
+from proofnets.render import export_dot
+from proofnets.structure import erasing_nodes, from_dsl, from_json, to_dsl, to_json, validate
 from proofnets.switching import switchings
 import reference_oracles
 
@@ -790,6 +791,60 @@ def test_deseq_formats_each_failing_formula_once(tmp_path, capsys, monkeypatch):
         assert len(err) < len(text), rules
 
 
+def _report_lines(report) -> str:
+    return "".join(f"  [{rule}] {message}\n" for rule, _, message in report.violations)
+
+
+def test_fragment_errors_print_their_report_line_by_line(tmp_path, capsys):
+    # equiv of a proof outside btenll, and jumps or sequentialize of a
+    # structure outside its mode's fragment, print the error's first line,
+    # then one line per violation of its report, as deseq does
+    outside = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=24, seed=4))
+    report = reference_oracles.check_proof(outside, Fragment.BTENLL)
+    assert len(report.violations) > 1
+    bad, good = tmp_path / "bad.proof", tmp_path / "good.proof"
+    bad.write_text(format_proof(outside, Fragment.BTENLL))
+    good.write_text('fragment: btenll\n(ax "A")\n')
+    want = (2, "", "error: proof outside btenll\n" + _report_lines(report))
+    for pair in ((bad, bad), (bad, good), (good, bad)):
+        assert run(capsys, "equiv", *map(str, pair)) == want, pair
+    for name, frag, argv in (("jumps-units", Fragment.ICOMLL, ["--mode", "icomll"]),
+                             ("jumps-constants", Fragment.BTENLL, ["--mode", "btenll", "--m", "3"])):
+        report = validate(fixtures.load(name), frag)
+        assert len(report.violations) > 1, name
+        want = (2, "", f"error: not a valid {frag.value} structure\n" + _report_lines(report))
+        path = write_fixture(tmp_path, name)
+        for command in ("jumps", "sequentialize"):
+            assert run(capsys, command, path, *argv) == want, (name, command)
+    with pytest.raises(FragmentError) as exc:
+        canonical_jumps_icomll(fixtures.load("jumps-units"))
+    assert exc.value.report.violations == validate(fixtures.load("jumps-units"),
+                                                   Fragment.ICOMLL).violations
+
+
+@pytest.mark.parametrize("argv", [
+    ["deseq", "PROOF"], ["normalize", "IN:wten-cut"],
+    ["jumps", "IN:jumps-units", "--mode", "btenll", "--m", "0"],
+    ["jumps", "IN:jumps-constants", "--mode", "icomll"],
+    *(["gen", "--fixture", name] for name in fixtures.NAMES),
+], ids=" ".join)
+def test_dot_format_draws_the_json_output(tmp_path, capsys, argv):
+    # --format dot prints, or writes with --out, export_dot of the structure
+    # that --format json prints
+    proof = tmp_path / "in.proof"
+    proof.write_text(format_proof(sequentialize_wten(fixtures.load("wten-cut")), Fragment.MLLU))
+    argv = [str(proof) if a == "PROOF" else write_fixture(tmp_path, a[3:])
+            if a.startswith("IN:") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    want = export_dot(from_json(out))
+    assert run(capsys, *argv, "--format", "dot") == (0, want, "")
+    path = tmp_path / "out.dot"
+    assert run(capsys, *argv, "--format", "dot", "--out", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == want
+    assert ("style=dashed" in want) == (argv[0] == "jumps")
+
+
 def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
     # the command prints straight from the skeleton in every mode; the
     # public sequentializers build one SequentProof per printed rule, as
@@ -868,7 +923,7 @@ def _tree_equiv(args) -> int:
     for p in (p1, p2):
         report = reference_oracles.check_proof(p, Fragment.BTENLL)
         if not report.ok:
-            raise FragmentError(f"proof outside btenll: {report}")
+            raise FragmentError("proof outside btenll", report)
     result = iso(desequentialize(p1, verify=False).ps, desequentialize(p2, verify=False).ps)
     print("true" if result else "false")
     return 0 if result else 1
@@ -1062,9 +1117,9 @@ _UNIT_CUT = ("node 0 one\nnode 1 bot\nnode 2 cut\nnode 3 one\nnode 4 dot\n"
     (_UNIT_CUT, ["jumps", "IN", "--mode", "icomll"], "cut nodes are not available in icomll"),
     (_UNIT_CUT, ["sequentialize", "IN", "--mode", "btenll", "--m", "3"],
      "cut-free structure expected"),
-    (to_json(canonical_jumps_icomll(fixtures.load("jumps-constants")).ps),
+    (to_json(canonical_jumps_icomll(fixtures.load("jumps-constants"))),
      ["sequentialize", "IN", "--mode", "icomll"], "expected a jump-free structure"),
-    (to_json(canonical_jumps_btenll(fixtures.load("jumps-units"), 0).ps),
+    (to_json(canonical_jumps_btenll(fixtures.load("jumps-units"), 0)),
      ["sequentialize", "IN", "--mode", "btenll", "--m", "0"], "expected a jump-free structure"),
     (None, ["gen", "--kind", "proof"], "proof generation needs --fragment"),
     ("node 0 one\nfoo 1\n", ["check", "IN", "--criterion", "ac"],
@@ -1083,7 +1138,7 @@ def test_precondition_errors_exit_2(tmp_path, capsys, text, argv, message):
 
 def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
     for name in ("sequentialize_wten", "sequentialize_btenll", "sequentialize_icomll",
-                 "canonical_jumps_btenll", "canonical_jumps_icomll", "classify_jumps",
+                 "canonical_jumps_btenll", "canonical_jumps_icomll", "jump_correct",
                  "rewiring_equivalent"):
         assert "max_par" not in inspect.signature(getattr(sequentialize, name)).parameters
     reachable = inspect.signature(reference_oracles.rewiring_reachable).parameters

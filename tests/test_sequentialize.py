@@ -15,11 +15,12 @@ from proofnets.generate import GenParams, random_proof, random_ps
 from proofnets.sequent import (ax_rule, bot_rule, check_proof, desequentialize, ex_rule,
                                format_proof, one_rule, par_rule, tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
-                                     classify_jumps, infer_types, proofs_equivalent,
+                                     infer_types, jump_correct, proofs_equivalent,
                                      rewiring_equivalent, sequentialize_btenll,
-                                     sequentialize_icomll, sequentialize_wten,
-                                     split_parts, _icomll_move, _output_anchor, _Part)
-from proofnets.structure import erasing_nodes, is_wten, strip, validate
+                                     sequentialize_icomll, sequentialize_text,
+                                     sequentialize_wten, split_parts, _icomll_move,
+                                     _output_anchor, _Part)
+from proofnets.structure import erasing_nodes, is_wten, jump_total, strip, validate
 from proofnets.switching import check
 from proof_permutations import deseq_relation_holds, permute_rules
 from reference_oracles import (is_sequential_oracle, rewiring_reachable,
@@ -275,8 +276,8 @@ def test_jumps_units_targets():
     jumped = canonical_jumps_btenll(ps, m=0)
     # both bots sit under the outer par whose non-erasing premise comes from
     # the inner par (node 3)
-    assert jumped.ps.jumps == {4: 3, 5: 3}
-    assert jumped.jump_total and jumped.jump_correct
+    assert jumped.jumps == {4: 3, 5: 3}
+    assert jump_total(jumped) and jump_correct(jumped)
 
 
 def test_jump_correctness_is_decided_on_first_read(monkeypatch):
@@ -288,16 +289,17 @@ def test_jump_correctness_is_decided_on_first_read(monkeypatch):
         return check(ps, criterion)
 
     monkeypatch.setattr(sequentialize, "check", counted)
+    # attaching the jumps decides nothing; asking does, once per question
     jumped = canonical_jumps_btenll(fixtures.load("jumps-units"), m=0)
     assert calls == []
-    assert jumped.jump_correct and jumped.jump_correct
+    assert jump_correct(jumped)
     assert calls == ["acc"]
 
 
 def test_jumps_no_bots_is_identity(single_ax):
     jumped = canonical_jumps_btenll(single_ax, m=0)
-    assert jumped.ps.jumps == {}
-    assert iso(jumped.ps, single_ax)
+    assert jumped.jumps == {}
+    assert iso(jumped, single_ax)
 
 
 def test_jumps_terminal_bot_goes_to_anchor():
@@ -305,8 +307,8 @@ def test_jumps_terminal_bot_goes_to_anchor():
                   {0: (0, 2), 1: (1, 3)}, concl=(0, 1),
                   types={0: "bot", 1: "one"})
     jumped = canonical_jumps_btenll(ps, m=1)
-    assert jumped.ps.jumps == {0: 1}
-    assert jumped.jump_correct
+    assert jumped.jumps == {0: 1}
+    assert jump_correct(jumped)
 
 
 def test_jumps_reject_erasing_anchor():
@@ -324,7 +326,7 @@ def test_jumps_require_btenll_typing():
 
 def test_removing_one_jump_preserves_criterion():
     ps = fixtures.load("jumps-units")
-    jumped = canonical_jumps_btenll(ps, m=0).ps
+    jumped = canonical_jumps_btenll(ps, m=0)
     assert check(jumped, "accw").holds
     for n in list(jumped.jumps):
         fewer = jumped.copy()
@@ -337,14 +339,14 @@ def test_sequentialize_btenll_fixture():
     for m in non_erasing_nodes(ps):
         proof, jumped = sequentialize_btenll(ps, m)
         assert check_proof(proof, Fragment.BTENLL).ok
-        assert jumped.jump_correct
-        assert deseq_relation_holds(proof, jumped.ps), m
+        assert jump_correct(jumped)
+        assert deseq_relation_holds(proof, jumped), m
 
 
 def test_sequentialize_btenll_no_bots_matches_plain(single_ax):
     proof, jumped = sequentialize_btenll(single_ax, m=0)
     assert proof == sequentialize_wten(single_ax)
-    assert jumped.ps.jumps == {}
+    assert jumped.jumps == {}
 
 
 def test_sequentialize_btenll_rejects_incorrect():
@@ -357,11 +359,11 @@ def test_sequentialize_btenll_rejects_incorrect():
 def test_relation_rejects_jump_outside_rule_scope():
     ps = fixtures.load("jumps-units")
     proof, jumped = sequentialize_btenll(ps, m=0)
-    assert deseq_relation_holds(proof, jumped.ps)
+    assert deseq_relation_holds(proof, jumped)
     # node 6 (the erasing par) is peeled before the bot rules, so its image
     # is not part of any bot rule's premise sub-proof
-    bad = jumped.ps.copy()
-    bad.jumps = dict(jumped.ps.jumps)
+    bad = jumped.copy()
+    bad.jumps = dict(jumped.jumps)
     bad.jumps[4] = 6
     assert not deseq_relation_holds(proof, bad)
 
@@ -373,8 +375,8 @@ def test_sequentialize_btenll_random():
         ps = desequentialize(p, verify=False).ps
         m = non_erasing_nodes(ps)[0]
         proof, jumped = sequentialize_btenll(ps, m)
-        assert jumped.jump_correct, seed
-        assert deseq_relation_holds(proof, jumped.ps), seed
+        assert jump_correct(jumped), seed
+        assert deseq_relation_holds(proof, jumped), seed
 
 
 # -- canonical jumps, constant-only intuitionistic fragment --------------------------------
@@ -383,13 +385,13 @@ def test_sequentialize_btenll_random():
 def test_jumps_constants_targets():
     jumped = canonical_jumps_icomll(fixtures.load("jumps-constants"))
     # both bots anchor at the one-tensor-one node
-    assert jumped.ps.jumps == {0: 3, 5: 3}
-    assert jumped.jump_correct
+    assert jumped.jumps == {0: 3, 5: 3}
+    assert jump_correct(jumped)
 
 
 def test_jumps_single_one_empty(single_one):
     jumped = canonical_jumps_icomll(single_one)
-    assert jumped.ps.jumps == {}
+    assert jumped.jumps == {}
 
 
 def test_jump_anchor_through_output_par():
@@ -399,8 +401,8 @@ def test_jump_anchor_through_output_par():
                   prem={2: (0, 1)}, concl=(2,),
                   types={0: "bot", 1: "one", 2: "(bot par one)"})
     jumped = canonical_jumps_icomll(ps)
-    assert jumped.ps.jumps == {0: 1}
-    assert jumped.jump_correct
+    assert jumped.jumps == {0: 1}
+    assert jump_correct(jumped)
 
 
 def test_icomll_rejects_multiple_outputs():
@@ -418,21 +420,29 @@ def test_icomll_rejects_atoms():
         canonical_jumps_icomll(fixtures.load("counterexample-io"))
 
 
+def test_an_unknown_mode_is_rejected_before_any_check():
+    # regnier fails every mode's checks, so the mode is read first
+    for mode in ("bogus", "WTEN", "mllu", ""):
+        with pytest.raises(ValueError) as exc:
+            sequentialize_text(fixtures.load("regnier"), mode, 0)
+        assert str(exc.value) == f"unknown sequentialization mode {mode!r}"
+
+
 def test_sequentialize_icomll_bot_one():
     ps = build_ps({0: "bot", 1: "one", 2: "dot", 3: "dot"},
                   {0: (0, 2), 1: (1, 3)}, concl=(0, 1),
                   types={0: "bot", 1: "one"})
     proof, jumped = sequentialize_icomll(ps)
     assert check_proof(proof, Fragment.ICOMLL).ok
-    assert deseq_relation_holds(proof, jumped.ps)
+    assert deseq_relation_holds(proof, jumped)
 
 
 def test_sequentialize_icomll_fixture():
     ps = fixtures.load("jumps-constants")
     proof, jumped = sequentialize_icomll(ps)
     assert check_proof(proof, Fragment.ICOMLL).ok
-    assert jumped.jump_correct
-    assert deseq_relation_holds(proof, jumped.ps)
+    assert jump_correct(jumped)
+    assert deseq_relation_holds(proof, jumped)
     assert iso(desequentialize(proof, verify=False).ps, ps)
 
 
@@ -442,8 +452,8 @@ def test_sequentialize_icomll_random():
                                    seed=seed))
         ps = desequentialize(p, verify=False).ps
         proof, jumped = sequentialize_icomll(ps)
-        assert jumped.jump_correct, seed
-        assert deseq_relation_holds(proof, jumped.ps), seed
+        assert jump_correct(jumped), seed
+        assert deseq_relation_holds(proof, jumped), seed
 
 
 # -- equivalence decisions -------------------------------------------------------------------
@@ -471,30 +481,34 @@ def test_proofs_inequivalent_different_conclusions():
 def test_proofs_equivalent_requires_fragment():
     p = random_proof(GenParams(fragment=Fragment.MLLU, max_rules=8, seed=3))
     bad = bot_rule(tensor_rule(one_rule(), ex_rule(0, bot_rule(one_rule()))))
-    assert not check_proof(bad, Fragment.BTENLL).ok
-    with pytest.raises(FragmentError):
-        proofs_equivalent(bad, bad)
+    report = check_proof(bad, Fragment.BTENLL)
+    assert not report.ok
+    for pair in ((bad, bad), (bad, p), (p, bad)):
+        with pytest.raises(FragmentError) as exc:
+            proofs_equivalent(*pair)
+        assert str(exc.value) == "proof outside btenll"
+        assert exc.value.report.violations == report.violations
 
 
 def test_rewiring_decision_and_oracle():
     ps = fixtures.load("jumps-units")
-    canonical = canonical_jumps_btenll(ps, m=0).ps
+    canonical = canonical_jumps_btenll(ps, m=0)
     # rewire one jump to another target that keeps the criterion
     rewired = canonical.copy()
     rewired.jumps = dict(canonical.jumps)
     rewired.jumps[4] = 0  # jump to the ax node instead
-    assert classify_jumps(rewired).jump_correct
+    assert jump_correct(rewired)
     assert rewiring_equivalent(canonical, rewired)
     assert rewiring_reachable(canonical, rewired)
     assert rewiring_equivalent(canonical, canonical)
 
 
 def test_rewiring_distinguishes_different_bases():
-    a = canonical_jumps_btenll(fixtures.load("jumps-units"), m=0).ps
+    a = canonical_jumps_btenll(fixtures.load("jumps-units"), m=0)
     other = build_ps({0: "bot", 1: "one", 2: "dot", 3: "dot"},
                      {0: (0, 2), 1: (1, 3)}, concl=(0, 1),
                      types={0: "bot", 1: "one"})
-    b = canonical_jumps_btenll(other, m=1).ps
+    b = canonical_jumps_btenll(other, m=1)
     assert not rewiring_equivalent(a, b)
 
 
@@ -506,7 +520,7 @@ def test_rewiring_requires_jump_correct():
 
 def test_rewiring_oracle_agrees_with_decision():
     ps = fixtures.load("jumps-units")
-    base = canonical_jumps_btenll(ps, m=0).ps
+    base = canonical_jumps_btenll(ps, m=0)
     variants = [base]
     for n in base.nodes:
         for src in base.jumps:
@@ -515,7 +529,7 @@ def test_rewiring_oracle_agrees_with_decision():
             cand = base.copy()
             cand.jumps = dict(base.jumps)
             cand.jumps[src] = n
-            if classify_jumps(cand).jump_correct:
+            if jump_correct(cand):
                 variants.append(cand)
     assert len(variants) >= 3
     for cand in variants[:6]:
@@ -537,7 +551,7 @@ def test_canonical_jumps_anchor_free_without_terminal_erasing():
         anchors = non_erasing_nodes(ps)
         if len(anchors) < 2 or not ps.bottom_nodes():
             continue
-        maps = {frozenset(canonical_jumps_btenll(ps, m).ps.jumps.items())
+        maps = {frozenset(canonical_jumps_btenll(ps, m).jumps.items())
                 for m in anchors[:4]}
         assert len(maps) == 1, seed
         checked += 1
@@ -549,12 +563,12 @@ def test_canonical_jumps_depend_on_anchor_with_terminal_bot():
                   {0: (0, 4), 1: (1, 3), 2: (2, 3), 3: (3, 5)},
                   prem={3: (1, 2)}, concl=(0, 3),
                   types={0: "bot", 1: "one", 2: "one", 3: "(one tensor one)"})
-    jumps_by_anchor = {m: canonical_jumps_btenll(ps, m).ps.jumps[0]
+    jumps_by_anchor = {m: canonical_jumps_btenll(ps, m).jumps[0]
                        for m in (1, 2, 3)}
     assert jumps_by_anchor == {1: 1, 2: 2, 3: 3}
     for m in (1, 2, 3):
         jumped = canonical_jumps_btenll(ps, m)
-        assert jumped.jump_correct
+        assert jump_correct(jumped)
 
 
 # -- the peel/split skeleton ---------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_round_trip_preserves_conclusion_order():
 
 def test_to_json_writes_the_text_of_json_dumps():
     structures = [fixtures.load(name) for name in fixtures.NAMES]
-    structures.append(canonical_jumps_btenll(fixtures.load("jumps-units"), 0).ps)
+    structures.append(canonical_jumps_btenll(fixtures.load("jumps-units"), 0))
     for seed in range(40):
         for frag in (Fragment.MLLU, Fragment.BTENLL):
             p = random_proof(GenParams(fragment=frag, max_rules=14, seed=seed,
@@ -240,9 +240,9 @@ def _read_back_corpus():
             if frag is Fragment.BTENLL:
                 anchors = [n for n in sorted(ps.nodes)
                            if n not in erasing_nodes(ps) and ps.nodes[n] != "dot"]
-                yield canonical_jumps_btenll(ps, anchors[0]).ps
+                yield canonical_jumps_btenll(ps, anchors[0])
             elif frag is Fragment.ICOMLL:
-                yield canonical_jumps_icomll(ps).ps
+                yield canonical_jumps_icomll(ps)
 
 
 def test_accepted_documents_read_back_unchanged():

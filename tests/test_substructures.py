@@ -33,7 +33,7 @@ def corpus():
                                                     seed=seed)), verify=False).ps
         erasing = erasing_nodes(ps)
         anchor = min(n for n, lab in ps.nodes.items() if n not in erasing and lab != DOT)
-        out.append(canonical_jumps_btenll(ps, anchor).ps)
+        out.append(canonical_jumps_btenll(ps, anchor))
     for ps in list(out):
         if ps.bottom_nodes():
             jumped = ps.copy()

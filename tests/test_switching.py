@@ -278,7 +278,7 @@ def _oracle_corpus():
         ps = desequentialize(p, verify=False).ps
         erasing = erasing_nodes(ps)
         anchor = min(n for n, lab in ps.nodes.items() if n not in erasing and lab != "dot")
-        corpus.append(canonical_jumps_btenll(ps, anchor).ps)
+        corpus.append(canonical_jumps_btenll(ps, anchor))
     rng = random.Random(0)
     variants = []
     for ps in corpus:
@@ -433,9 +433,9 @@ def _reference_corpus():
         for frag in (Fragment.MLL, Fragment.MLLU, Fragment.BTENLL):
             p = random_proof(GenParams(fragment=frag, max_rules=8 + seed % 12, seed=seed))
             corpus.append(desequentialize(p, verify=False).ps)
-        corpus.append(canonical_jumps_btenll(corpus[-1], _btenll_anchor(corpus[-1])).ps)
+        corpus.append(canonical_jumps_btenll(corpus[-1], _btenll_anchor(corpus[-1])))
         p = random_proof(GenParams(fragment=Fragment.ICOMLL, max_rules=12, seed=seed))
-        corpus.append(canonical_jumps_icomll(desequentialize(p, verify=False).ps).ps)
+        corpus.append(canonical_jumps_icomll(desequentialize(p, verify=False).ps))
     rng = random.Random(5)
     for k in range(21, 31):
         corpus.append(_joined_chain([rng.random() < 0.5 for _ in range(k)]))

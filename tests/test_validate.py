@@ -20,7 +20,7 @@ def base_structures():
     """Fixtures, seeded random structures, desequentializations and normal
     forms: valid structures, typed and untyped, with and without cuts."""
     out = [fixtures.load(name) for name in fixtures.NAMES]
-    out.append(canonical_jumps_btenll(fixtures.load("jumps-units"), 0).ps)
+    out.append(canonical_jumps_btenll(fixtures.load("jumps-units"), 0))
     for seed in range(12):
         out.append(random_ps(GenParams(fragment=None, max_nodes=10, seed=seed,
                                        cut_probability=0.3)))
