@@ -14,7 +14,7 @@ from .structure import (ProofStructure, ValidationReport, erasing_nodes,
                         from_dsl, from_json, is_wten, jump_free, jump_total,
                         load_structure, strip, to_dsl, to_json, validate)
 from .canonical import CanonicalForm, canonical_form, iso, iso_untyped, isomorphisms
-from .switching import CriterionVerdict, check, switching_graph, switchings
+from .switching import CriterionVerdict, check, switching_graph
 from .cutelim import (Redex, ReductionTrace, find_redexes, normalize,
                       reduce_step, replay)
 from .sequent import (DeseqResult, SequentProof, ax_rule, bot_rule, check_proof,

@@ -222,10 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", required=True,
                    choices=("accw", "ac", "cw", "cwforall", "wten"))
     p.add_argument("--max-parr", type=_count, default=DEFAULT_MAX_PAR,
-                   help="cap on the par nodes that cw and cwforall enumerate: for cw, "
-                        "the pars with a premise on a cycle, and only when some "
-                        "switching graph is cyclic; for cwforall, every par. "
-                        "ac, accw and wten run uncapped")
+                   help="cap on the pars a criterion enumerates: for cw, those with "
+                        "a premise on a cycle, when a switching graph is cyclic; for "
+                        "cwforall, those with two erasing-compatible premises, on a "
+                        "structure with jumps. ac, accw and wten run uncapped")
     add_common(p, fmt=False)
     p.set_defaults(func=_cmd_check)
 

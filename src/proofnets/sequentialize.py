@@ -79,7 +79,7 @@ from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         arc_polarities, ensure_valid, erasing_nodes,
                         induced_components, is_wten, jump_free, jump_total,
                         restrict, topological_order, validate)
-from .sequent import (AX_RULE, EX_RULE, TENSOR_RULE, DeseqResult, SequentProof,
+from .sequent import (AX_RULE, TENSOR_RULE, DeseqResult, SequentProof,
                       _check_rule, desequentialize, exchange_positions, proof_file,
                       text_writer, tree_builder)
 from .switching import check
@@ -397,14 +397,6 @@ def _split_move(ps: ProofStructure, part: _Part, n: int):
     return n, side
 
 
-def _check_run(run, length: int) -> None:
-    """Check a run of exchanges, printed outermost first, over a sequent of
-    `length` formulas, innermost first once some position is out of range."""
-    if min(run) < 0 or max(run) > length - 2:
-        for position in reversed(run):
-            _check_rule(EX_RULE, position, length)
-
-
 def _sequentialize(ps: ProofStructure, choose, sink):
     """The peel/split skeleton shared by the three sequentializers.
 
@@ -426,6 +418,13 @@ def _sequentialize(ps: ProofStructure, choose, sink):
     that `_split_part` returns, read before the sides are expanded.  A
     rule is its node's label, checked by the constructor's own check on the
     part's conclusions and the types of the sides' boundary arcs.
+
+    An exchange needs no check: each position lies in [0, L - 2].  A
+    peel's run starts at the index `_peel_part` finds among the L
+    conclusions.  A split's composed order holds the same L conclusions,
+    since `_split_part` cuts the sides out of them, and `exchange_positions`
+    moves the item at j to i with the positions j - 1, ..., i, for
+    i < j < L.
     """
     add, exchange, finish = sink
     outs, types = ps.incidence()[1], ps.types
@@ -459,7 +458,6 @@ def _sequentialize(ps: ProofStructure, choose, sink):
                 exchange_positions(list(current), conclusions)[::-1])
             stack += [right, left]
         if run:
-            _check_run(run, len(conclusions))
             exchange(run)
         add(rule, arg)
     return finish()

@@ -20,14 +20,20 @@ switching graph.  Danos contraction extended with mix
 graph has a cycle.  When none has, every switching graph has as many
 components as it has nodes minus arcs, which is the same number for all of
 them: #nodes + #pars - #arcs - #jumps.  So the count law settles c, cw,
-acc and accw.  When some switching graph has a cycle, only the pars with a
-premise on a cycle of the structure plus its jumps (one that is no bridge
-of it) can change a component count, so c and cw enumerate those pars
-alone, the others on their first premise.  `max_par` caps the pars they
-enumerate.  cwforall enumerates erasing-compatible switchings, and on a
-jump-free structure the first one decides (see `check`).  Before the
-contraction pairs a par's premises, it drops each premise that hangs from
-a bot or a one with no jump: such a premise lies on no cycle.
+acc and accw.  Before the contraction pairs a par's premises, it drops
+each premise that hangs from a bot or a one with no jump: such a premise
+lies on no cycle.
+
+Every enumerated verdict comes from one search, `_first_failure`: from a
+first switching, it enumerates only the pars that can change the verdict,
+the others fixed, so the first switching that fails is the first of the
+full enumeration.  `max_par` caps the pars it enumerates, and nothing
+else.  When some switching graph has a cycle, c and cw enumerate the pars
+with a premise on a cycle of the structure plus its jumps (one that is no
+bridge of it).  cwforall starts from the first erasing-compatible
+switching, which decides on a jump-free structure (the argument is in
+`check`); with jumps it enumerates the pars with two erasing-compatible
+premises.
 
 A census lists the components of one switching graph.  `_components`
 computes it with one walk of the incidence index and of `jump_sources`,
@@ -44,15 +50,10 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import FragmentError, ProofNetError, SwitchingLimitError
-from .structure import (BOT, DOT, ProofStructure, arc_polarities, erasing_nodes,
-                        jump_arcs, jump_sources)
+from .errors import ProofNetError, SwitchingLimitError
+from .structure import BOT, DOT, ProofStructure, erasing_nodes, jump_arcs, jump_sources
 
 DEFAULT_MAX_PAR = 20
-
-ALL = "all"
-W_COMPATIBLE = "w-compatible"
-INTUITIONISTIC = "intuitionistic"
 
 Switching = dict[int, int]  # par node -> chosen premise arc
 
@@ -89,44 +90,6 @@ class UnionFind:
         self.parent[ry] = rx
         self.count -= 1
         return True
-
-
-def _premise_options(ps: ProofStructure, n: int, mode: str, erasing: set[int],
-                     polarities=None) -> list[int]:
-    prem = ps.premises_of(n)
-    if mode == W_COMPATIBLE:
-        non_erasing = [a for a in prem if ps.tail(a) not in erasing]
-        if len(non_erasing) == 1:
-            return non_erasing
-    elif mode == INTUITIONISTIC and polarities[ps.conclusions_of(n)[0]] == "O":
-        outputs = [a for a in prem if polarities[a] == "O"]
-        if len(outputs) != 1:
-            raise FragmentError(
-                f"output par node {n} does not have exactly one output premise")
-        return outputs
-    return prem
-
-
-def switchings(ps: ProofStructure, mode: str = ALL,
-               max_par: int = DEFAULT_MAX_PAR):
-    """Enumerate switchings, deterministically ordered.
-
-    `w-compatible` forces the unique non-erasing premise where one exists;
-    `intuitionistic` (typed structures only) forces the output premise of
-    every output par node.  Raises `SwitchingLimitError` when the structure
-    has more than `max_par` par nodes.
-    """
-    pars = ps.par_nodes()
-    if len(pars) > max_par:
-        raise SwitchingLimitError(
-            f"{len(pars)} par nodes exceed the enumeration cap {max_par}")
-    if mode == INTUITIONISTIC and ps.types is None:
-        raise FragmentError("polarity typing required")
-    erasing = erasing_nodes(ps) if mode == W_COMPATIBLE else set()
-    polarities = arc_polarities(ps) if mode == INTUITIONISTIC else None
-    options = [_premise_options(ps, n, mode, erasing, polarities) for n in pars]
-    for combo in product(*options):
-        yield dict(zip(pars, combo))
 
 
 def _reheading(ps: ProofStructure, switching: Switching
@@ -172,7 +135,9 @@ def _components(ps: ProofStructure, switching: Switching,
     tail to its par's fresh dot, as `_reheading` numbers them, and never to
     the par, so no graph is built.  Bots, erasing nodes and the nodes with
     other than one premise in the switching graph are counted as the walk
-    reaches them.
+    reaches them.  A fresh dot is never one of those: a switching keeps one
+    of its par's two premises, so the fresh dot has exactly one premise,
+    the unchosen one.
     """
     ins, outs = ps.incidence()
     arcs, labels, jumps = ps.arcs, ps.nodes, ps.jumps
@@ -190,8 +155,6 @@ def _components(ps: ProofStructure, switching: Switching,
         for n in comp:  # the list grows as the walk goes
             if n in reheaded:
                 near = reheaded[n]
-                if len(near) != 1:
-                    thread = False
             else:
                 premises = 0
                 for a in ins[n]:
@@ -481,25 +444,32 @@ def check(ps: ProofStructure, criterion: str,
 
     ac, c, cw, acc and accw start from one contraction.  When some
     switching graph has a cycle, ac, acc and accw fail on the first cyclic
-    switching in enumeration order, and c and cw enumerate only the pars
-    with a premise on a cycle, in enumeration order, and raise
-    `SwitchingLimitError` past `max_par` of them.  When none has, the
-    component count is #nodes + #pars - #arcs - #jumps on every switching
-    graph, and a failing count names the first switching.  cwforall
-    enumerates erasing-compatible switchings and raises past `max_par` par
-    nodes, before the first one.  On a valid jump-free structure the first
-    switching decides.  Without wten, a cut or tensor has a premise from an
-    erasing node; that arc is in every switching graph, so its component
-    holds an erasing node and a node with two premises, and every switching
-    fails.  With wten, each neighbour of an erasing node in an
-    erasing-compatible switching graph is an erasing node or a fresh dot,
-    so a component with an erasing node holds only those; each non-bot
-    there has one premise, so the connected component has exactly one bot:
-    it is a thread, and every switching holds.  A jump joins its bot's
-    component to any node, so with jumps every switching is tried.  A
-    verdict carries the census of the counterexample's switching graph, or
-    for a holding acc or accw that of the first switching; it is computed
-    when first read.
+    switching in enumeration order, and c and cw enumerate the pars with a
+    premise on a cycle.  (The component count of a switching graph is its
+    node count minus its arc count plus its cycle rank, which sums over the
+    blocks of the structure plus its jumps; a premise that is a bridge is a
+    block of no cycle, so a par whose premises are both bridges never
+    changes the count.)  When none has, the component count is
+    #nodes + #pars - #arcs - #jumps on every switching graph, and a failing
+    count names the first switching.
+
+    cwforall starts from the first erasing-compatible switching, and with
+    jumps enumerates the pars with two erasing-compatible premises.  Without
+    jumps, on a valid structure, the first switching decides.  Without wten,
+    a cut or tensor has a premise from an erasing node; that arc is in every
+    switching graph, so its component holds an erasing node and a node with
+    two premises, and every switching fails.  With wten, each neighbour of
+    an erasing node in an erasing-compatible switching graph is an erasing
+    node or a fresh dot, so a component with an erasing node holds only
+    those; each non-bot there has one premise, so the connected component
+    has exactly one bot: it is a thread, and every switching holds.  A jump
+    joins its bot's component to any node, so with jumps that argument
+    fails.
+
+    The enumeration raises `SwitchingLimitError` past `max_par` enumerated
+    pars.  A verdict carries the census of the counterexample's switching
+    graph, or for a holding acc or accw that of the first switching; the
+    census of a contraction's verdict is computed when first read.
     """
     criterion = criterion.lower()
     if criterion not in CRITERIA:
@@ -510,20 +480,28 @@ def check(ps: ProofStructure, criterion: str,
 
     if criterion == "cwforall":
         erasing = erasing_nodes(ps)
-        for sw in switchings(ps, W_COMPATIBLE, max_par):
-            comps = _components(ps, sw, erasing)
-            if not all(c.erasing_of_base == 0 or c.thread for c in comps):
-                return CriterionVerdict(criterion, False, sw, [c.census() for c in comps])
-            if not ps.jumps:  # the first switching decides
-                break
-        return CriterionVerdict(criterion, True)
+        first, choices = {}, {}
+        for n in ps.par_nodes():
+            prem = ps.premises_of(n)
+            compatible = [a for a in prem if ps.tail(a) not in erasing]
+            if len(compatible) != 1:
+                compatible = prem
+            first[n] = compatible[0]
+            if ps.jumps and len(compatible) > 1:
+                choices[n] = compatible
+        return _first_failure(
+            ps, criterion, first, choices, erasing, "with two erasing-compatible premises",
+            max_par, lambda comps: any(c.erasing_of_base and not c.thread for c in comps))
 
     pars = ps.par_nodes()
     first = {n: ps.premises_of(n)[0] for n in pars}
     target = 1 if criterion in ("c", "acc") else expected_components(ps)
     if _has_switching_cycle(ps):
         if criterion in ("c", "cw"):
-            return _cyclic_count_verdict(ps, criterion, first, target, max_par)
+            choices = {n: ps.premises_of(n) for n in _open_pars(ps, _bridges(ps))}
+            return _first_failure(ps, criterion, first, choices, erasing_nodes(ps),
+                                  "with a premise on a cycle", max_par,
+                                  lambda comps: len(comps) != target)
         sw = _first_cyclic_switching(ps, first)
         return CriterionVerdict(criterion, False, sw, census(sw))
     if criterion == "ac":
@@ -535,27 +513,24 @@ def check(ps: ProofStructure, criterion: str,
     return CriterionVerdict(criterion, holds, None if holds else first, census(first))
 
 
-def _cyclic_count_verdict(ps: ProofStructure, criterion: str, first: Switching,
-                          target: int, max_par: int) -> CriterionVerdict:
-    """The c or cw verdict of a structure with a cyclic switching graph.
+def _first_failure(ps: ProofStructure, criterion: str, first: Switching,
+                   choices: dict[int, list[int]], erasing: set[int], counted: str,
+                   max_par: int, fails) -> CriterionVerdict:
+    """The verdict of the first switching, in enumeration order, whose
+    components `fails`.
 
-    The component count of a switching graph is its node count minus its
-    arc count plus its cycle rank, which sums over the blocks of the
-    structure plus its jumps.  A premise that is a bridge is a block of no
-    cycle, so a par whose premises are both bridges never changes the
-    count.  Only the other pars are enumerated, in enumeration order, with
-    the rest on their first premise: the first switching that misses the
-    target is then the first one of the full enumeration.
+    The pars in `choices`, those that can change the verdict, take the
+    premises listed there in turn, in par order, and every other par keeps
+    its premise in `first`, so the first failing switching is the first of
+    the full enumeration.  Past `max_par` pars in `choices`, which `counted`
+    describes, it raises `SwitchingLimitError` before the first switching.
     """
-    pars = _open_pars(ps, _bridges(ps))
-    if len(pars) > max_par:
-        raise SwitchingLimitError(f"{len(pars)} par nodes with a premise on a cycle "
+    if len(choices) > max_par:
+        raise SwitchingLimitError(f"{len(choices)} par nodes {counted} "
                                   f"exceed the enumeration cap {max_par}")
-    erasing = erasing_nodes(ps)
-    for combo in product(*(ps.premises_of(n) for n in pars)):
-        sw = {**first, **dict(zip(pars, combo))}
+    for combo in product(*choices.values()):
+        sw = {**first, **dict(zip(choices, combo))}
         comps = _components(ps, sw, erasing)
-        if len(comps) != target:
+        if fails(comps):
             return CriterionVerdict(criterion, False, sw, [c.census() for c in comps])
     return CriterionVerdict(criterion, True)
-

@@ -32,8 +32,8 @@ from proofnets.structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStruc
                                  ValidationReport, arc_polarities, ensure_valid,
                                  erasing_nodes, induced_components, restrict, strip,
                                  validate)
-from proofnets.switching import (ALL, DEFAULT_MAX_PAR, _components, _has_switching_cycle,
-                                 check, switchings)
+from proofnets.switching import DEFAULT_MAX_PAR, _components, _has_switching_cycle, check
+from reference_switching import ALL, switchings
 
 
 # -- peeling and splitting -----------------------------------------------------

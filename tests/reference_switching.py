@@ -14,11 +14,62 @@ whose premises are both free and leaves dead vertices to the set phase.
 `SwitchingGraph` copies the structure and re-heads its arcs in place;
 `components_and_acyclicity` reads any graph's node partition off one
 union-find, and `graph_components` takes the census of a `SwitchingGraph`.
+
+`switchings` is the exhaustive enumerator `check` used before it
+enumerated only the pars that can change a verdict: every switching in
+enumeration order, or the erasing-compatible or intuitionistic ones, capped
+on the number of all pars.
 """
 
-from proofnets.structure import BOT, DOT, erasing_nodes, jump_arcs
-from proofnets.switching import (DEFAULT_MAX_PAR, W_COMPATIBLE, Component, CriterionVerdict,
-                                 UnionFind, _components, switchings)
+from itertools import product
+
+from proofnets.errors import FragmentError, SwitchingLimitError
+from proofnets.structure import (BOT, DOT, ProofStructure, arc_polarities, erasing_nodes,
+                                 jump_arcs)
+from proofnets.switching import (DEFAULT_MAX_PAR, Component, CriterionVerdict, UnionFind,
+                                 _components)
+
+ALL = "all"
+W_COMPATIBLE = "w-compatible"
+INTUITIONISTIC = "intuitionistic"
+
+
+def _premise_options(ps: ProofStructure, n: int, mode: str, erasing: set[int],
+                     polarities=None) -> list[int]:
+    prem = ps.premises_of(n)
+    if mode == W_COMPATIBLE:
+        non_erasing = [a for a in prem if ps.tail(a) not in erasing]
+        if len(non_erasing) == 1:
+            return non_erasing
+    elif mode == INTUITIONISTIC and polarities[ps.conclusions_of(n)[0]] == "O":
+        outputs = [a for a in prem if polarities[a] == "O"]
+        if len(outputs) != 1:
+            raise FragmentError(
+                f"output par node {n} does not have exactly one output premise")
+        return outputs
+    return prem
+
+
+def switchings(ps: ProofStructure, mode: str = ALL,
+               max_par: int = DEFAULT_MAX_PAR):
+    """Enumerate switchings, deterministically ordered.
+
+    `w-compatible` forces the unique non-erasing premise where one exists;
+    `intuitionistic` (typed structures only) forces the output premise of
+    every output par node.  Raises `SwitchingLimitError` when the structure
+    has more than `max_par` par nodes.
+    """
+    pars = ps.par_nodes()
+    if len(pars) > max_par:
+        raise SwitchingLimitError(
+            f"{len(pars)} par nodes exceed the enumeration cap {max_par}")
+    if mode == INTUITIONISTIC and ps.types is None:
+        raise FragmentError("polarity typing required")
+    erasing = erasing_nodes(ps) if mode == W_COMPATIBLE else set()
+    polarities = arc_polarities(ps) if mode == INTUITIONISTIC else None
+    options = [_premise_options(ps, n, mode, erasing, polarities) for n in pars]
+    for combo in product(*options):
+        yield dict(zip(pars, combo))
 
 
 class SwitchingGraph:

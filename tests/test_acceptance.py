@@ -18,11 +18,12 @@ from proofnets.sequentialize import (canonical_jumps_btenll, jump_correct,
                                      sequentialize_btenll, sequentialize_icomll,
                                      sequentialize_wten, split_parts)
 from proofnets.structure import erasing_nodes, is_wten, validate
-from proofnets.switching import ALL, W_COMPATIBLE, check, switching_graph, switchings
+from proofnets.switching import check, switching_graph
 from proof_permutations import deseq_relation_holds, permute_rules
 from reference_oracles import (is_sequential_oracle, output_stats, rewiring_reachable,
                                splitting_candidates)
-from reference_switching import SwitchingGraph, cwforall, graph_components
+from reference_switching import (ALL, W_COMPATIBLE, SwitchingGraph, cwforall, graph_components,
+                                 switchings)
 
 
 def _report(criterion, detail):

@@ -29,8 +29,10 @@ from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_ico
                                      sequentialize_wten)
 from proofnets.render import export_dot
 from proofnets.structure import erasing_nodes, from_dsl, from_json, to_dsl, to_json, validate
-from proofnets.switching import switchings
+from proofnets.switching import CriterionVerdict
 import reference_oracles
+import reference_switching
+from reference_switching import switchings
 
 
 def run(capsys, *argv):
@@ -579,17 +581,62 @@ def test_cwforall_of_a_jump_free_chain_takes_one_census(tmp_path, capsys, monkey
     # switching, so one census is taken, not one for each of the 2^k
     from proofnets import switching
     for k in (14, 20):
-        body = '(ax "A")'
-        for i in range(k):
-            body = f'(par (tensor {body} (ax "B{i}")))'
-        proof, net = tmp_path / f"chain{k}.proof", tmp_path / f"chain{k}.json"
-        proof.write_text(f"fragment: mllu\n(bot {body})\n")
-        assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+        net = _tensor_chain_net(tmp_path, capsys, k)
         calls = _counted(monkeypatch, switching, "_components", 1)
-        assert run(capsys, "check", str(net), "--criterion", "cwforall") == (
+        assert run(capsys, "check", net, "--criterion", "cwforall") == (
             0, '{"criterion": "cwforall", "holds": true, "census": []}\n', "")
         assert len(calls) == 1
         monkeypatch.undo()
+
+
+def _tensor_chain_net(tmp_path, capsys, k, joined=False, jump=False):
+    """The net of k `(par (tensor … (ax "Bi")))` rules over an ax, under
+    one bot; with `joined`, that bot is a premise of a tensor with a one
+    (wten fails), and with `jump`, it jumps to the leaf ax, so that every
+    par has two erasing-compatible premises and a switching graph with
+    jumps."""
+    body = '(ax "A")'
+    for i in range(k):
+        body = f'(par (tensor {body} (ax "B{i}")))'
+    text = f"(tensor (bot {body}) (one))" if joined else f"(bot {body})"
+    doc = _deseq_doc(tmp_path, capsys, f"fragment: mllu\n{text}\n")
+    if jump:
+        labels = {node["id"]: node["label"] for node in doc["nodes"]}
+        (bot,) = [n for n, label in labels.items() if label == "bot"]
+        doc["jumps"] = {str(bot): min(n for n, label in labels.items() if label == "ax")}
+    net = tmp_path / f"chain-{k}-{joined}-{jump}.json"
+    net.write_text(json.dumps(doc))
+    return str(net)
+
+
+def test_cwforall_caps_only_the_pars_it_enumerates(tmp_path, capsys):
+    # jump-free, the first erasing-compatible switching decides under any
+    # cap: the verdict is wten's, and a failing one prints that switching
+    for k in (21, 25, 40):
+        for joined in (False, True):
+            net = _tensor_chain_net(tmp_path, capsys, k, joined)
+            wten = run(capsys, "check", net, "--criterion", "wten")[0]
+            assert wten == joined
+            # the enumeration stops at once on a failing chain only
+            expected = (reference_switching.cwforall(from_json(Path(net).read_text()), max_par=k)
+                        if joined else CriterionVerdict("cwforall", True))
+            for cap in ("0", "20"):
+                assert run(capsys, "check", net, "--criterion", "cwforall", "--max-parr", cap) == (
+                    wten, expected.to_json() + "\n", ""), (k, joined, cap)
+    # with a jump, the 40 pars with two erasing-compatible premises are
+    # enumerated, so the default cap bites; 3 of them under a cap of 3 do not
+    net = _tensor_chain_net(tmp_path, capsys, 40, jump=True)
+    assert run(capsys, "check", net, "--criterion", "cwforall") == (
+        2, "", "error: 40 par nodes with two erasing-compatible premises exceed "
+               "the enumeration cap 20\n")
+    for joined in (False, True):
+        net = _tensor_chain_net(tmp_path, capsys, 3, joined, jump=True)
+        code, out, err = run(capsys, "check", net, "--criterion", "cwforall", "--max-parr", "2")
+        assert (code, out) == (2, ""), joined
+        assert "3 par nodes with two erasing-compatible premises exceed" in err
+        expected = reference_switching.cwforall(from_json(Path(net).read_text()))
+        assert run(capsys, "check", net, "--criterion", "cwforall", "--max-parr", "3") == (
+            1 - expected.holds, expected.to_json() + "\n", ""), joined
 
 
 def test_equiv_of_identical_closed_components(tmp_path, capsys):

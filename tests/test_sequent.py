@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 import re
@@ -503,12 +504,16 @@ def test_bot_scopes_of_deep_nests_stay_linear():
 
 def test_bot_scopes_of_deep_nests_are_ranges_and_grow_linearly():
     # the clock gate above, without the clock: four times the nesting takes
-    # less than five times the memory, and every reference scope is a range
+    # less than five times the memory, and every reference scope is a range.
+    # A full collection first empties the interpreter's free lists, whose
+    # reused objects tracemalloc does not see, so what earlier tests left
+    # there does not move the peaks
     peaks = []
     for k in (1200, 4800):
         proof = one_rule()
         for _ in range(k):
             proof = bot_rule(proof)
+        gc.collect()
         tracemalloc.start()
         try:
             desequentialize(proof, verify=False)

@@ -280,7 +280,7 @@ def test_jumps_units_targets():
     assert jump_total(jumped) and jump_correct(jumped)
 
 
-def test_jump_correctness_is_decided_on_first_read(monkeypatch):
+def test_jumps_attach_without_check_and_jump_correct_runs_one_acc(monkeypatch):
     from proofnets import sequentialize
     calls = []
 

@@ -189,6 +189,15 @@ def test_json_and_dsl_round_trip(name):
     assert iso(ps, from_dsl(to_dsl(ps)))
 
 
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_dsl_skips_blank_lines_and_comments(name):
+    bare = to_dsl(fixtures.load(name))
+    commented = ["# a structure", ""]
+    for i, line in enumerate(bare.splitlines()):
+        commented += [f"{line}  # line {i}", "   ", "\t# between lines"]
+    assert to_json(from_dsl("\n".join(commented))) == to_json(from_dsl(bare))
+
+
 def test_round_trip_preserves_conclusion_order():
     ps = fixtures.load("split-choice")
     again = from_json(to_json(ps))

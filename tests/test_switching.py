@@ -9,14 +9,13 @@ from proofnets import fixtures
 from proofnets.errors import FragmentError, SwitchingLimitError
 from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import bot_rule, desequentialize, one_rule, par_rule
+from proofnets.sequent import bot_rule, desequentialize, desequentialize_text, one_rule, par_rule
 from proofnets.sequentialize import canonical_jumps_btenll, canonical_jumps_icomll
 from proofnets.structure import ProofStructure, erasing_nodes, is_wten, topological_order
-from proofnets.switching import (ALL, INTUITIONISTIC, W_COMPATIBLE,
-                                 CriterionVerdict, _bridges, _components,
-                                 _first_cyclic_switching, _has_switching_cycle, check,
-                                 expected_components, switching_graph, switchings)
+from proofnets.switching import (CriterionVerdict, _bridges, _components, _has_switching_cycle,
+                                 check, expected_components, switching_graph)
 from reference_oracles import Path, output_stats, switching_paths
+from reference_switching import ALL, INTUITIONISTIC, W_COMPATIBLE, switchings
 
 
 def two_par_ps():
@@ -356,6 +355,81 @@ def test_cwforall_on_a_jumped_wten_structure_tries_every_switching():
     assert verdict.to_json_dict()["counterexample"] == {"4": 1}
     assert not verdict.holds
     assert check(ps.without_jumps(), "cwforall").holds
+
+
+def _tensor_chain(k, joined=False):
+    """The k pars of `(par (tensor … (ax "Bi")))` rules over an ax, under
+    one bot; with `joined`, that bot is a premise of a tensor with a one,
+    which fails wten."""
+    body = '(ax "A")'
+    for i in range(k):
+        body = f'(par (tensor {body} (ax "B{i}")))'
+    text = f"(tensor (bot {body}) (one))" if joined else f"(bot {body})"
+    return desequentialize_text(f"fragment: mllu\n{text}\n", verify=False)[1].ps
+
+
+def _jump_to_the_leaf(ps):
+    """The structure with its one bot jumping to its least ax, the leaf of
+    `_tensor_chain`: every par then has two erasing-compatible premises."""
+    (bot,) = ps.bottom_nodes()
+    return ps.with_jumps({bot: min(ps.nodes_with_label("ax"))})
+
+
+def _two_choice_pars(ps):
+    """The pars with two erasing-compatible premises, by the enumerator."""
+    erasing = erasing_nodes(ps)
+    return [n for n in ps.par_nodes()
+            if len(reference._premise_options(ps, n, W_COMPATIBLE, erasing)) == 2]
+
+
+def test_cwforall_of_a_jump_free_chain_is_never_capped():
+    # every par of a tensor chain has two erasing-compatible premises, yet
+    # the first switching decides and no cap applies
+    for k in (21, 25, 40):
+        for joined in (False, True):
+            ps = _tensor_chain(k, joined)
+            assert len(_two_choice_pars(ps)) == k
+            first = next(switchings(ps, W_COMPATIBLE, max_par=k))
+            census = [c.census() for c in _components(ps, first, erasing_nodes(ps))]
+            for max_par in (0, 20):
+                verdict = check(ps, "cwforall", max_par)
+                assert verdict.holds is is_wten(ps)[0], (k, joined, max_par)
+                assert verdict.holds is not joined
+                if not verdict.holds:
+                    assert verdict.counterexample == first
+                    assert verdict.census == census
+    for i, ps in enumerate(_oracle_corpus()):
+        if not ps.jumps:
+            assert check(ps, "cwforall", 0).to_json() == check(ps, "cwforall").to_json(), i
+
+
+def test_cwforall_caps_the_pars_with_two_erasing_compatible_premises():
+    # a jumped structure is capped on those pars alone, and below the cap
+    # its verdict is the full enumeration's
+    corpus = [ps for ps in _reference_corpus() if ps.jumps]
+    corpus += [_jump_to_the_leaf(_tensor_chain(k, joined))
+               for k in (1, 4, 7, 21, 40) for joined in (False, True)]
+    raised = compared = flipped = 0
+    for i, ps in enumerate(corpus):
+        k = len(_two_choice_pars(ps))
+        if k:
+            with pytest.raises(SwitchingLimitError) as err:
+                check(ps, "cwforall", k - 1)
+            assert str(err.value) == (f"{k} par nodes with two erasing-compatible premises "
+                                      f"exceed the enumeration cap {k - 1}"), i
+            raised += 1
+        if k <= 8:
+            expected = reference.cwforall(ps, max_par=len(ps.par_nodes()))
+            assert check(ps, "cwforall", k).to_json() == expected.to_json(), i
+            compared += 1
+            flipped += len(ps.par_nodes()) > 20
+    assert raised > 50 and compared > 100 and flipped >= 10, (raised, compared, flipped)
+    # at the cap itself, a chain whose first switching fails is decided
+    for k in (21, 40):
+        ps = _jump_to_the_leaf(_tensor_chain(k, joined=True))
+        expected = reference.cwforall(ps, max_par=k)
+        assert not expected.holds
+        assert check(ps, "cwforall", k).to_json() == expected.to_json(), k
 
 
 def _per_par_first_cyclic_switching(ps):
