@@ -21,7 +21,9 @@ first and takes a shorter text from the group of a longer one that spells
 it, `format_formulas` copies the text of a wanted subformula it has already
 printed, and `in_fragments` folds each distinct subformula once.
 `parse_formula` and `format_formula` are the one-item cases of the first
-two, and `in_fragment` runs the same fold on one formula.
+two, and `in_fragment` runs the same fold on one formula.  A generator run
+tests formulas one at a time, each built from formulas it tested before,
+so `_fragment_test` keeps one fold table for the whole run.
 
 Surface syntax: atoms are identifiers (`X`), duals carry a trailing caret
 (`X^`), units are written `one` (or `1`) and `bot`, the connectives are the
@@ -202,12 +204,15 @@ def fragment_from_name(name: str) -> Fragment:
 _A, _AD, _E, _ED = "A", "A*", "E", "E*"
 
 
-def _fold(fs, leaf, join) -> dict:
+def _fold(fs, leaf, join, values=None) -> dict:
     """Fold formulas bottom-up without recursion: `leaf(g)` at each leaf and
     `join(g, left value, right value)` at each connective.  The formulas
     share one table of values, so each distinct subformula is folded once,
-    however many of them contain it; the table is returned."""
-    values = {}
+    however many of them contain it; the table is returned.  A table given
+    as `values`, from earlier folds with the same leaf and join, is read
+    and extended in place."""
+    if values is None:
+        values = {}
     for f in fs:
         stack = [f]
         while stack:
@@ -300,6 +305,28 @@ def in_fragment(f: Formula, frag: Fragment) -> tuple[bool, str | None]:
     leaf, join = _KIND_FOLDS[frag]
     # most types are leaves: skip the walk
     return _verdict(frag, leaf(f) if f.left is None else _fold((f,), leaf, join)[f])
+
+
+def _fragment_test(frag: Fragment):
+    """A membership test for the many formulas of one run, such as one
+    draw of a generator: `test(f)` is `in_fragment(f, frag)[0]`.
+
+    Every call reads and extends one fold table, which holds its formulas
+    for as long as the test lives.  A formula whose two sides are already
+    in the table is decided by one join, so a run that builds each tested
+    connective from formulas it has seen folds in time linear in the
+    number of formulas it tests, where a fresh fold per formula would
+    re-fold every side.  The mllu test answers at once, with no fold.
+    """
+    if frag is Fragment.MLLU:
+        return lambda f: True
+    leaf, join = _KIND_FOLDS[frag]
+    values: dict = {}
+
+    def test(f: Formula) -> bool:
+        return _verdict(frag, _fold((f,), leaf, join, values)[f])[0]
+
+    return test
 
 
 def polarity(f: Formula) -> str | None:

@@ -7,15 +7,32 @@ proofs bottom-up and combines them with rules whose principal formula stays
 inside the requested fragment.  Structure generation grows a frontier of
 open conclusions and caps them with dots, so it produces valid structures
 that need not satisfy any correctness criterion.
+
+Both generators run in time linear in the size they draw.  Each run keeps
+one fragment fold table (`formulas._fragment_test`) that every membership
+test of the run reads and extends.  Every conclusion of a pooled proof and
+every open arc's type is a leaf or a connective the run has tested, so a
+new connective is built from two sides already in the table, and one fold
+step decides it, where folding each tested formula afresh made a run
+quadratic.  A cut also tests negations of conclusions; the subformulas of
+those are negations of subformulas in the table, each folded once per run,
+so they at most double the steps.  A cut finds its dual pairs through an
+index of the second proof's conclusions, not by negating every pair.  A
+structure's cut test negates the type of an open arc; the run holds each
+negation it makes, so `negate` stops at the negations of the type's sides
+and negates each subformula once, where a negation dropped after its test
+was redone over the whole type.  The open arcs, whose ids grow, stay
+sorted, so closing one is a bisection.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .formulas import (BOT as BOT_F, Formula, Fragment, ONE as ONE_F, atom,
-                       in_fragment, negate, par as par_f, tensor as tensor_f)
+from .formulas import (BOT as BOT_F, Formula, Fragment, ONE as ONE_F, _fragment_test,
+                       atom, negate, par as par_f, tensor as tensor_f)
 from .sequent import (SequentProof, ax_rule, bot_rule, cut_rule, ex_rule, one_rule,
                       par_rule, tensor_rule)
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
@@ -71,9 +88,7 @@ def random_proof(params: GenParams) -> SequentProof:
     rng = random.Random(params.seed)
     pool = [_leaf(rng, frag)]
     rules = pool[0].rule_count()
-
-    def fragment_ok(f: Formula) -> bool:
-        return in_fragment(f, frag)[0]
+    fragment_ok = _fragment_test(frag)
 
     while rules < params.max_rules:
         action = rng.random()
@@ -158,10 +173,13 @@ def _try_tensor(rng, p1, p2, fragment_ok):
 
 def _try_cut(rng, p1, p2, fragment_ok):
     if p2 is not None:
+        positions: dict[Formula, list[int]] = {}  # where each formula concludes p2
+        for j, b in enumerate(p2.conclusion):
+            positions.setdefault(b, []).append(j)
         pairs = [(i, j)
                  for i, a in enumerate(p1.conclusion)
-                 for j, b in enumerate(p2.conclusion)
-                 if b == negate(a) and fragment_ok(a) and fragment_ok(b)]
+                 for j in positions.get(negate(a), ())
+                 if fragment_ok(a) and fragment_ok(p2.conclusion[j])]
         if pairs:
             i, j = rng.choice(pairs)
             a = p1.conclusion[i]
@@ -225,10 +243,17 @@ def random_ps(params: GenParams) -> ProofStructure:
 
     def close(arc, head):
         arcs[arc] = (arcs[arc][0], head)
-        open_arcs.remove(arc)
+        # arc ids grow, so open_arcs stays sorted
+        del open_arcs[bisect_left(open_arcs, arc)]
 
-    def connective_ok(f):
-        return frag is None or in_fragment(f, frag)[0]
+    connective_ok = _fragment_test(frag or Fragment.MLLU)
+    negations: dict[Formula, Formula] = {}
+
+    def dual(f):
+        # held for the run, so negate finds the negations of f's sides and
+        # negates each subformula once
+        neg = negations[f] = negate(f)
+        return neg
 
     leaf_budget = max(1, params.max_nodes // 3)
     for _ in range(rng.randint(1, leaf_budget)):
@@ -247,7 +272,7 @@ def random_ps(params: GenParams) -> ProofStructure:
             continue
         a, b = rng.sample(open_arcs, 2)
         if rng.random() < params.cut_probability:
-            if types is None or types[a] == negate(types[b]):
+            if types is None or types[a] == dual(types[b]):
                 n = new_node(CUT)
                 close(a, n)
                 close(b, n)

@@ -1293,20 +1293,22 @@ def test_accw_on_200_pars_contracts_once_and_walks_one_census(tmp_path, capsys, 
     assert (len(contractions), len(walks)) == (1, 1)
 
 
-def _joined_chain(tmp_path, capsys, k, deepest_second=False):
+def _joined_chain(tmp_path, capsys, k, second=None):
     """The two conclusions of a k-par chain over an axiom, joined under a
     tensor: each switching graph has one arc more than the chain's, on as
-    many nodes, so it has a cycle or too few components.  With
-    `deepest_second`, the deepest par lists its premises the other way
-    round, so the only cycle takes that par's second premise."""
+    many nodes, so it has a cycle or too few components.  With `second`
+    "deepest" or "outermost", that par, the first or the last in
+    enumeration order, lists its premises the other way round, so the only
+    cycle takes that par's second premise."""
     doc = _deseq_doc(tmp_path, capsys, _chain_proof(k, '(ax "A")'))
     del doc["types"]
     a, b = doc["conclusions"]
     dots = {arc["head"] for arc in doc["arcs"] if arc["id"] in (a, b)}
     tensor = max(node["id"] for node in doc["nodes"]) + 1
     joined = max(arc["id"] for arc in doc["arcs"]) + 1
-    if deepest_second:
-        doc["premises"][min(doc["premises"], key=int)].reverse()
+    if second is not None:
+        pick = min if second == "deepest" else max
+        doc["premises"][pick(doc["premises"], key=int)].reverse()
     doc["nodes"] = [node for node in doc["nodes"] if node["id"] not in dots]
     doc["nodes"] += [{"id": tensor, "label": "tensor"},
                      {"id": tensor + 1, "label": "dot"}]
@@ -1369,7 +1371,7 @@ def test_accw_refutes_1000_par_chains_within_a_tenth_of_a_second(tmp_path, capsy
                                                                 deepest_second):
     # the first switching is cyclic, or else one cycle needs the second
     # premise of the deepest par: either way a handful of contractions
-    doc, net = _joined_chain(tmp_path, capsys, 1000, deepest_second)
+    doc, net = _joined_chain(tmp_path, capsys, 1000, "deepest" if deepest_second else None)
     code, out, err, took = _timed_run(capsys, "check", net, "--criterion", "accw")
     assert (code, err) == (1, "")
     assert hashlib.sha256(out.encode()).hexdigest() == JOINED_1000_ACCW
@@ -1389,12 +1391,29 @@ def test_accw_refutes_joined_chains_in_at_most_5_contractions(tmp_path, capsys, 
     # walks the counterexample's switching graph once
     from proofnets import switching
 
-    _, net = _joined_chain(tmp_path, capsys, k, deepest_second)
+    _, net = _joined_chain(tmp_path, capsys, k, "deepest" if deepest_second else None)
     calls = _counted(monkeypatch, switching, "_has_switching_cycle", 5)
     walks = _counted(monkeypatch, switching, "_components", 1)
     code, _, err = run(capsys, "check", net, "--criterion", "accw")
     assert (code, err) == (1, "")
     assert (len(calls), len(walks)) == (5 if deepest_second else 2, 1)
+
+
+@pytest.mark.parametrize("k", [200, 800])
+def test_accw_refutes_an_outermost_second_premise_in_log_contractions(tmp_path, capsys,
+                                                                      monkeypatch, k):
+    # the only cycle takes the second premise of the last par in enumeration
+    # order: the galloping search reaches it in about 2 log2 k contractions,
+    # where fixing one par per contraction would make k of them
+    from proofnets import switching
+
+    doc, net = _joined_chain(tmp_path, capsys, k, "outermost")
+    calls = _counted(monkeypatch, switching, "_has_switching_cycle", 2 * k.bit_length() + 4)
+    code, out, err = run(capsys, "check", net, "--criterion", "accw")
+    assert (code, err) == (1, "")
+    chosen = json.loads(out)["counterexample"]
+    second = [n for n, a in chosen.items() if a != doc["premises"][n][0]]
+    assert second == [max(chosen, key=int)], len(calls)
 
 
 def test_cw_on_a_16_par_chain_within_a_tenth_of_a_second(tmp_path, capsys):
