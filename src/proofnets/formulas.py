@@ -94,7 +94,16 @@ class Formula:
         raise AttributeError(f"Formula is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return Formula, (self.kind, self.name, self.dual, self.left, self.right)
+        # flat, as its distinct subformulas bottom-up, each row naming its
+        # sides by row, so a deep formula pickles without recursion
+        rows: list[tuple] = []
+
+        def row(g, *sides) -> int:
+            rows.append((g.kind, g.name, g.dual, *sides))
+            return len(rows) - 1
+
+        _fold((self,), row, row)
+        return _from_rows, (rows,)
 
     def __copy__(self):
         return self
@@ -113,6 +122,14 @@ _set_kind, _set_name, _set_dual, _set_left, _set_right, _set_neg = (
 
 ONE = Formula(ONE_KIND)
 BOT = Formula(BOT_KIND)
+
+
+def _from_rows(rows) -> Formula:
+    """The one formula that `Formula.__reduce__` wrote as rows."""
+    made: list[Formula] = []
+    for kind, name, dual, *sides in rows:
+        made.append(Formula(kind, name, dual, *(made[i] for i in sides)))
+    return made[-1]
 
 
 def atom(name: str, dual: bool = False) -> Formula:

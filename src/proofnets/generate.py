@@ -18,11 +18,11 @@ quadratic.  A cut also tests negations of conclusions; the subformulas of
 those are negations of subformulas in the table, each folded once per run,
 so they at most double the steps.  A cut finds its dual pairs through an
 index of the second proof's conclusions, not by negating every pair.  A
-structure's cut test negates the type of an open arc; the run holds each
-negation it makes, so `negate` stops at the negations of the type's sides
-and negates each subformula once, where a negation dropped after its test
-was redone over the whole type.  The open arcs, whose ids grow, stay
-sorted, so closing one is a bisection.
+proof's cut tests negate conclusions and a structure's the type of an open
+arc; the run holds each negation it makes, so `negate` stops at the
+negations known and negates each subformula once, where a negation dropped
+after its test was redone.  The open arcs, whose ids grow, stay sorted, so
+closing one is a bisection.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 from .formulas import (BOT as BOT_F, Formula, Fragment, ONE as ONE_F, _fragment_test,
                        atom, negate, par as par_f, tensor as tensor_f)
-from .sequent import (SequentProof, ax_rule, bot_rule, cut_rule, ex_rule, one_rule,
-                      par_rule, tensor_rule)
+from .sequent import EX_RULE, SequentProof, _append, _Buffer, _view
 from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         ensure_valid)
 
@@ -69,17 +68,24 @@ def random_formula(rng: random.Random, depth: int = 2) -> Formula:
     return values[0]
 
 
-def _leaf(rng: random.Random, frag: Fragment) -> SequentProof:
+def _entry(rule: str, arg=None) -> _Buffer:
+    """A pool entry of one ax or one rule."""
+    p = _Buffer()
+    p.add(rule, arg)
+    return p
+
+
+def _leaf(rng: random.Random, frag: Fragment) -> _Buffer:
     if frag is Fragment.ICOMLL:
-        return one_rule()
+        return _entry(ONE)
     if frag is Fragment.MLL:
-        return ax_rule(atom(rng.choice(_ATOM_NAMES), dual=rng.random() < 0.5))
+        return _entry(AX, atom(rng.choice(_ATOM_NAMES), dual=rng.random() < 0.5))
     roll = rng.random()
     if roll < 0.45:
-        return one_rule()
+        return _entry(ONE)
     if roll < 0.9 or frag in (Fragment.IMLL,):
-        return ax_rule(atom(rng.choice(_ATOM_NAMES), dual=rng.random() < 0.5))
-    return ax_rule(ONE_F)  # the 1/bot axiom pair
+        return _entry(AX, atom(rng.choice(_ATOM_NAMES), dual=rng.random() < 0.5))
+    return _entry(AX, ONE_F)  # the 1/bot axiom pair
 
 
 def random_proof(params: GenParams) -> SequentProof:
@@ -87,8 +93,12 @@ def random_proof(params: GenParams) -> SequentProof:
     frag = params.fragment or Fragment.MLLU
     rng = random.Random(params.seed)
     pool = [_leaf(rng, frag)]
-    rules = pool[0].rule_count()
+    rules = len(pool[0].rules)
     fragment_ok = _fragment_test(frag)
+    negations: dict[Formula, Formula] = {}
+
+    def dual(f):  # held for the run, so the cut tests negate each conclusion once
+        return negations.get(f) or negations.setdefault(f, negate(f))
 
     while rules < params.max_rules:
         action = rng.random()
@@ -97,21 +107,16 @@ def random_proof(params: GenParams) -> SequentProof:
             grown = _leaf(rng, frag)
             pool.append(grown)
         elif action < 0.35 and frag is not Fragment.MLL:
-            target = rng.randrange(len(pool))
-            grown = bot_rule(pool[target])
-            pool[target] = grown
+            grown = pool[rng.randrange(len(pool))]
+            grown.add(BOT, None)
         elif action < 0.60:
-            target = rng.randrange(len(pool))
-            p = pool[target]
-            if p.length >= 2:
+            p = pool[rng.randrange(len(pool))]
+            if len(p.built[-1]) >= 2:
                 grown = _try_par(rng, p, fragment_ok)
-                if grown is not None:
-                    pool[target] = grown
         elif action < 0.85 and len(pool) >= 2:
             i, j = rng.sample(range(len(pool)), 2)
             grown = _try_tensor(rng, pool[i], pool[j], fragment_ok)
             if grown is not None:
-                pool[i] = grown
                 pool.pop(j)
         elif rng.random() < params.cut_probability and frag is not Fragment.ICOMLL:
             if len(pool) >= 2:
@@ -120,77 +125,66 @@ def random_proof(params: GenParams) -> SequentProof:
                 i, j = 0, None
             grown, consumed = _try_cut(rng, pool[i],
                                        pool[j] if j is not None else None,
-                                       fragment_ok)
-            if grown is not None:
-                pool[i] = grown
-                if consumed:
-                    pool.pop(j)
-        elif len(pool) and pool[-1].length >= 2:
-            p = pool[-1]
-            position = rng.randrange(p.length - 1)
-            grown = ex_rule(position, p)
-            pool[-1] = grown
+                                       fragment_ok, dual)
+            if consumed:
+                pool.pop(j)
+        elif len(pool) and len(pool[-1].built[-1]) >= 2:
+            grown = pool[-1]
+            grown.add(EX_RULE, rng.randrange(len(grown.built[-1]) - 1))
         if grown is None:
             rules += 1  # no applicable move this round; spend budget anyway
         else:
-            rules = max(rules + 1, sum(p.rule_count() for p in pool))
-    return max(pool, key=lambda q: q.rule_count())
+            rules = max(rules + 1, sum([len(p.rules) for p in pool]))
+    best = max(pool, key=lambda q: len(q.rules))
+    return _view(best, len(best.rules))
 
 
-def _bring_last(p: SequentProof, index: int) -> SequentProof:
-    for i in range(index, p.length - 1):
-        p = ex_rule(i, p)
-    return p
-
-
-def _bring_first(p: SequentProof, index: int) -> SequentProof:
-    for i in range(index, 0, -1):
-        p = ex_rule(i - 1, p)
-    return p
+def _join(rule: str, arg, p1: _Buffer, i: int, p2: _Buffer, j: int) -> _Buffer:
+    """p1, its formula at i moved last, joined in place to p2's at j."""
+    p1.exchange(range(i, len(p1.built[-1]) - 1))
+    p2.exchange(range(j - 1, -1, -1))
+    _append(p1, p2, len(p2.rules))
+    p1.add(rule, arg)
+    return p1
 
 
 def _try_par(rng, p, fragment_ok):
-    k = p.length
+    c = p.built[-1]
+    k = len(c)
     i, j = rng.randrange(k), rng.randrange(k)
-    if i == j:
+    if i == j or not fragment_ok(par_f(c[i], c[j])):
         return None
-    a, b = p.conclusion[i], p.conclusion[j]
-    if not fragment_ok(par_f(a, b)):
-        return None
-    p = _bring_last(p, i)
-    p = _bring_last(p, j - 1 if j > i else j)
-    return par_rule(p)
+    p.exchange(range(i, k - 1))
+    p.exchange(range(j - 1 if j > i else j, k - 1))
+    p.add(PAR, None)
+    return p
 
 
 def _try_tensor(rng, p1, p2, fragment_ok):
-    i = rng.randrange(p1.length)
-    j = rng.randrange(p2.length)
-    a, b = p1.conclusion[i], p2.conclusion[j]
-    if not fragment_ok(tensor_f(a, b)):
+    c1, c2 = p1.built[-1], p2.built[-1]
+    i, j = rng.randrange(len(c1)), rng.randrange(len(c2))
+    if not fragment_ok(tensor_f(c1[i], c2[j])):
         return None
-    return tensor_rule(_bring_last(p1, i), _bring_first(p2, j))
+    return _join(TENSOR, None, p1, i, p2, j)
 
 
-def _try_cut(rng, p1, p2, fragment_ok):
+def _try_cut(rng, p1, p2, fragment_ok, dual):
+    c1 = p1.built[-1]
     if p2 is not None:
         positions: dict[Formula, list[int]] = {}  # where each formula concludes p2
-        for j, b in enumerate(p2.conclusion):
+        for j, b in enumerate(p2.built[-1]):
             positions.setdefault(b, []).append(j)
-        pairs = [(i, j)
-                 for i, a in enumerate(p1.conclusion)
-                 for j in positions.get(negate(a), ())
-                 if fragment_ok(a) and fragment_ok(p2.conclusion[j])]
+        # every pooled conclusion is inside the fragment, so each pair is
+        pairs = [(i, j) for i, a in enumerate(c1) for j in positions.get(dual(a), ())]
         if pairs:
             i, j = rng.choice(pairs)
-            a = p1.conclusion[i]
-            return cut_rule(a, _bring_last(p1, i), _bring_first(p2, j)), True
+            return _join(CUT, c1[i], p1, i, p2, j), True
     # no dual pair available: cut against a fresh axiom instead
-    candidates = [i for i, a in enumerate(p1.conclusion) if fragment_ok(negate(a))]
+    candidates = [i for i, a in enumerate(c1) if fragment_ok(dual(a))]
     if not candidates:
         return None, False
     i = rng.choice(candidates)
-    a = p1.conclusion[i]
-    return cut_rule(a, _bring_last(p1, i), ax_rule(negate(a))), False
+    return _join(CUT, c1[i], p1, i, _entry(AX, dual(c1[i])), 0), False
 
 
 # -- random structures --------------------------------------------------------

@@ -1,33 +1,31 @@
-"""Sequent-calculus proof trees, rule checking and desequentialization.
+"""Sequent-calculus proof streams, rule checking and desequentialization.
 
 The rules are defined once: each but the exchange is named by the label
 of the node desequentialization makes of it, `_ARITY` gives every rule's
 premise count, and `_check_rule` checks a rule instance for the proof
-constructor, the net builder and the sequentialization skeleton alike.
+buffers, the net builder and the sequentialization skeleton alike.
 
-Proofs are immutable trees; each node records its rule, its premises, the
-rule's argument, the length of its conclusion sequent and its rule count.
-The constructor derives that conclusion itself and rejects ill-formed
-instances, so every proof, built by hand or read from a file, is correct by
-construction.  An exchange only checks its position against the length:
-its conclusion is derived on first read, by applying the swaps of the
-exchanges below it to the nearest conclusion already known, so a run of k
-exchanges costs O(k) to build.
+A proof is its rule stream, premises first.  A `_Buffer` keeps streams as
+parallel arrays of rule labels, args and subtree sizes, so a sub-proof is
+the slice that ends at its rule (J. I. Munro and V. Raman, SIAM J.
+Comput. 31(3), 2001), and checks and applies each rule it appends on the
+conclusion lists it keeps, so every proof, built by hand, read from a file
+or generated, is correct by construction.  A `SequentProof` is an
+immutable view of one slice.
 
 One token loop, `_read_rules`, reads the proof text format and hands each
 rule to a sink when its ')' closes, so premises come first: `parse_proof`
-builds a proof tree, and `desequentialize_text` feeds the net builder.
+fills one buffer, and `desequentialize_text` feeds the net builder.
 
 One text writer, `text_writer`, prints the format.  It takes rules in
 print order, each rule before its premises, and runs of exchanges at
 once, and closes each rule by its arity as the token loop does.  It has
-two drivers: `format_proof_expr` walks a proof tree, and the
+two drivers: `format_proof` scans a proof's arrays, and the
 sequentialization skeleton hands it each move's rules as it makes the
-move, so a structure is printed with no tree in between.  `tree_builder`
-takes the same stream and builds the tree the skeleton's public callers
-return, with the stack step of `parse_proof`.  Exchanges turn a
-permutation into adjacent swaps in one place, `exchange_positions`, which
-`exchange_to` and the skeleton share.
+move, so a structure is printed with no proof in between.  `_proof_sink`
+takes the same stream into a buffer for the skeleton's public callers.
+Exchanges turn a permutation into adjacent swaps in one place,
+`exchange_positions`, which `exchange_to` and the skeleton share.
 
 One net builder, `_net_builder`, turns rules into a typed structure one
 closed rule at a time: axioms and units become single nodes, tensor and
@@ -35,15 +33,15 @@ cut join the two latest sub-structures, par and bot extend the latest
 one, and an exchange is one swap in place in the open conclusion list.
 Each new arc's type is the formula the rule introduces, so no formula is
 read back from a sequent, and the builder checks each rule on its own
-conclusion lists.  Two walks feed it: `_walk` walks a proof tree, premises
-first, and `desequentialize_text` runs the token loop, so a proof text
-becomes a net with no tree in between.  The net's arc types are exactly
+conclusion lists.  Two streams feed it: `desequentialize` scans a proof's
+arrays, and `desequentialize_text` runs the token loop, so a proof text
+becomes a net with no proof in between.  The net's arc types are exactly
 the formulas the rules introduce, each arc's tail is the node of the rule
 that introduces it, and node and arc ids grow in rule order, so
 `DeseqResult.report` reads the fragment discipline (formulas inside the
 fragment, no ax or cut rule in icomll) off the net alone, in id order:
 each failing formula once, at the rule that introduces it.  `check_proof`
-is that report on a tree's net; `sequentialize.nets_equivalent` raises it.
+is that report on a proof's net; `sequentialize.nets_equivalent` raises it.
 Reading, checking, printing and desequentializing walk proofs on explicit
 stacks, so their depth is bounded by memory, not by the interpreter.
 """
@@ -103,73 +101,106 @@ def _check_rule(rule: str, arg, length: int, last=None, first=None) -> None:
             raise ProofBuildError("dual of the cut formula must open the second premise")
 
 
+class _Buffer:
+    """Post-order arrays of rule labels, args and subtree sizes, the proof
+    ending at e being the slice [e - sizes[e - 1], e), and `built`, the
+    conclusion lists of the latest complete proofs, on which `add` checks
+    and applies a rule; `exchange` appends a run, first applied first,
+    unchecked."""
+
+    __slots__ = ("rules", "args", "sizes", "built")
+
+    def __init__(self):
+        self.rules, self.args, self.sizes, self.built = [], [], [], []
+
+    def add(self, rule, arg) -> None:
+        built, sizes = self.built, self.sizes
+        if rule == AX_RULE or rule == ONE_RULE:
+            built.append([arg, negate(arg)] if rule == AX_RULE else [ONE_F])
+            size = 1
+        elif _ARITY[rule] == 1:
+            c = built[-1]
+            _check_rule(rule, arg, len(c))
+            if rule == EX_RULE:
+                c[arg], c[arg + 1] = c[arg + 1], c[arg]
+            elif rule == PAR_RULE:
+                c[-2:] = [par_f(c[-2], c[-1])]
+            else:
+                c.append(BOT_F)
+            size = sizes[-1] + 1
+        else:  # tensor and cut join the two latest proofs
+            c1, c2 = built[-2:]
+            _check_rule(rule, arg, len(c1), c1[-1] if c1 else None, c2[0] if c2 else None)
+            built.pop()
+            if rule == TENSOR_RULE:
+                c1[-1] = tensor_f(c1[-1], c2[0])
+            else:
+                c1.pop()
+            c1 += c2[1:]
+            size = sizes[-1 - sizes[-1]] + sizes[-1] + 1  # both premises' and its own
+        self.rules.append(rule)
+        self.args.append(arg)
+        sizes.append(size)
+
+    def exchange(self, run) -> None:
+        if not run:  # the generator's moves often need no exchange
+            return
+        c, base = self.built[-1], self.sizes[-1]
+        for i in run:
+            c[i], c[i + 1] = c[i + 1], c[i]
+        self.rules.extend([EX_RULE] * len(run))
+        self.args.extend(run)
+        self.sizes.extend(range(base + 1, base + 1 + len(run)))
+
+
+def _append(buf: _Buffer, src: _Buffer, end: int) -> None:
+    """Copy the proof that ends `src` at `end` onto `buf`, in bulk."""
+    start = end - src.sizes[end - 1]
+    buf.rules.extend(src.rules[start:end])
+    buf.args.extend(src.args[start:end])
+    buf.sizes.extend(src.sizes[start:end])
+    buf.built.append(list(src.built[-1]))
+
+
+def _premise_ends(buf: _Buffer, end: int) -> tuple[int, ...]:
+    """The ends of the premises of the rule at `end - 1`, left to right."""
+    top = end - 1
+    n = _ARITY[buf.rules[top]]
+    return (top - buf.sizes[top - 1], top) if n == 2 else (top,) * n
+
+
 class SequentProof:
-    """A rule instance over the sub-proofs of its premises.
+    """A rule instance over the sub-proofs of its premises: the slice of a
+    buffer that ends at its rule.  `arg` is the axiom or cut formula or the
+    0-based exchange position, and None for the other rules.
 
-    `arg` is the axiom or cut formula or the 0-based exchange position, and
-    None for the other rules.  The constructor derives the conclusion (so it
-    takes no part in equality) and raises ProofBuildError on an unknown
-    rule, a wrong premise count or an ill-formed instance.  Every node
-    stores `length`, the size of its conclusion, and its rule count.  An
-    exchange stores no conclusion: it is derived on first read and cached.
-    Two proofs are equal when their rules, arguments and premises are; the
-    hash is computed once, from the stored hashes of the premises, and
-    equality walks an explicit stack, so neither recurses with the depth of
-    the proof.
-    """
+    The constructor raises ProofBuildError on an unknown rule, a wrong
+    premise count or an ill-formed instance.  It appends in place when the
+    first premise ends its buffer, and copies that premise otherwise, and a
+    second premise always.  The conclusion is the buffer's when the proof
+    ends it, and is otherwise derived in time linear in the rule count.
+    Equality, the hash and pickling read the slice, so none recurses."""
 
-    __slots__ = ("rule", "premises", "arg", "length", "_rule_count", "_hash",
-                 "_conclusion")
+    __slots__ = ("_buf", "_end")
 
-    rule: str
-    premises: tuple[SequentProof, ...]
-    arg: Formula | int | None
+    rule = property(lambda p: p._buf.rules[p._end - 1])
+    arg = property(lambda p: p._buf.args[p._end - 1])
     cut_formula = property(lambda p: p.arg if p.rule == CUT_RULE else None)
     position = property(lambda p: p.arg if p.rule == EX_RULE else None)
 
-    def __init__(self, rule: str, premises=(), arg=None):
-        premises = tuple(premises)
+    def __new__(cls, rule: str, premises=(), arg=None):
+        premises = [p._ending() for p in premises]
         arity = _ARITY.get(rule)
         if arity is None:
             raise ProofBuildError(f"unknown rule {rule!r}")
         if len(premises) != arity:
             raise ProofBuildError(f"{rule} rule has {len(premises)} premise(s), "
                                   f"expected {arity}")
-        _set_rule(self, rule)
-        _set_premises(self, premises)
-        _set_arg(self, arg)
-        if rule == EX_RULE:
-            p = premises[0]
-            length = p.length
-            _check_rule(rule, arg, length)
-            _set_length(self, length)
-            _set_rule_count(self, p._rule_count + 1)
-            _set_hash(self, hash((rule, arg, p._hash)))
-            _set_conclusion(self, None)  # until it is first read
-            return
-        c = premises[0].conclusion if premises else ()
-        if rule == AX_RULE:
-            conclusion = (arg, negate(arg))
-        elif rule == ONE_RULE:
-            conclusion = (ONE_F,)
-        elif rule == BOT_RULE:
-            conclusion = c + (BOT_F,)
-        elif rule == PAR_RULE:
-            _check_rule(rule, arg, len(c))
-            conclusion = c[:-2] + (par_f(c[-2], c[-1]),)
-        else:
-            c2 = premises[1].conclusion
-            _check_rule(rule, arg, len(c), c[-1] if c else None, c2[0] if c2 else None)
-            joined = (tensor_f(c[-1], c2[0]),) if rule == TENSOR_RULE else ()
-            conclusion = c[:-1] + joined + c2[1:]
-        count, key = 1, (rule, arg)
-        for q in premises:
-            count += q._rule_count
-            key += (q._hash,)
-        _set_length(self, len(conclusion))
-        _set_rule_count(self, count)
-        _set_hash(self, hash(key))
-        _set_conclusion(self, conclusion)
+        buf = premises[0]._buf if premises else _Buffer()
+        if arity == 2:  # a rejected rule leaves the copy unused past premises[0]
+            _append(buf, premises[1]._buf, premises[1]._end)
+        buf.add(rule, arg)
+        return _view(buf, len(buf.rules))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SequentProof is immutable: cannot set {name!r}")
@@ -177,47 +208,34 @@ class SequentProof:
     def __delattr__(self, name):
         raise AttributeError(f"SequentProof is immutable: cannot delete {name!r}")
 
-    @property
-    def conclusion(self) -> tuple[Formula, ...]:
-        """The sequent the rule derives.  An exchange derives it on first
-        read, applying the swaps of the exchanges down to the nearest
-        conclusion known to one list, and keeps it."""
-        c = self._conclusion
-        if c is None:
-            swaps, p = [], self
-            while p._conclusion is None:
-                swaps.append(p.arg)
-                p = p.premises[0]
-            c = list(p._conclusion)
-            for i in reversed(swaps):
-                c[i], c[i + 1] = c[i + 1], c[i]
-            c = tuple(c)
-            _set_conclusion(self, c)
-        return c
+    def _stream(self) -> tuple[list, list]:
+        """The proof's rule labels and args, in post-order."""
+        buf, end = self._buf, self._end
+        start = end - buf.sizes[end - 1]
+        return buf.rules[start:end], buf.args[start:end]
+
+    def _ending(self) -> SequentProof:
+        """This proof if it ends its buffer, else a copy that ends a new one."""
+        return self if self._end == len(self._buf.rules) else _replayed(*self._stream())
+
+    conclusion = property(lambda p: tuple(p._ending()._buf.built[-1]))
+    length = property(lambda p: len(p._ending()._buf.built[-1]))
+    premises = property(lambda p: tuple(_view(p._buf, e) for e in _premise_ends(p._buf, p._end)))
 
     def __eq__(self, other):
         if not isinstance(other, SequentProof):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            p, q = stack.pop()
-            if p is q:
-                continue
-            if (p._hash != q._hash or p.rule != q.rule or p.arg != q.arg
-                    or len(p.premises) != len(q.premises)):
-                return False
-            stack.extend(zip(p.premises, q.premises))
-        return True
+        return self.rule_count() == other.rule_count() and self._stream() == other._stream()
 
     def __hash__(self):
-        return self._hash
+        return hash(tuple(map(tuple, self._stream())))
 
     def __reduce__(self):
-        # rebuilt through the constructor, so the hash is this process's
-        return SequentProof, (self.rule, self.premises, self.arg)
+        # its rule stream, each rule checked again when it is unpickled
+        return _replayed, self._stream()
 
     def rule_count(self) -> int:
-        return self._rule_count
+        return self._buf.sizes[self._end - 1]
 
     def subproofs(self):
         """Every subproof, this one first, in depth-first pre-order."""
@@ -228,12 +246,27 @@ class SequentProof:
             stack.extend(reversed(p.premises))
 
     def __repr__(self):
-        return f"SequentProof({format_proof_expr(self)})"
+        return f"SequentProof({_expression(self)})"
 
 
 # the slot setters, which bypass the immutable __setattr__
-(_set_rule, _set_premises, _set_arg, _set_length, _set_rule_count, _set_hash,
- _set_conclusion) = (SequentProof.__dict__[slot].__set__ for slot in SequentProof.__slots__)
+_set_buf, _set_end = (SequentProof.__dict__[slot].__set__ for slot in SequentProof.__slots__)
+
+
+def _view(buf: _Buffer, end: int) -> SequentProof:
+    """The proof that ends at `end` in `buf`."""
+    p = object.__new__(SequentProof)
+    _set_buf(p, buf)
+    _set_end(p, end)
+    return p
+
+
+def _replayed(rules, args) -> SequentProof:
+    """The proof of a post-order rule stream, in a buffer of its own."""
+    buf = _Buffer()
+    for rule, arg in zip(rules, args):
+        buf.add(rule, arg)
+    return _view(buf, len(buf.rules))
 
 
 def ax_rule(a: Formula) -> SequentProof:
@@ -294,20 +327,6 @@ def exchange_to(p: SequentProof, order: list[int]) -> SequentProof:
     return p
 
 
-def _walk(proof: SequentProof, add) -> None:
-    """Hand each rule of a proof tree to `add(rule, arg)`, premises first
-    and left to right: the tree's rule stream, as `_read_rules` hands a
-    text's."""
-    # the reverse of a pre-order pushing premises in order is a post-order
-    order, stack = [], [proof]
-    while stack:
-        p = stack.pop()
-        order.append(p)
-        stack.extend(p.premises)
-    for p in reversed(order):
-        add(p.rule, p.arg)
-
-
 # -- text format -------------------------------------------------------------
 
 
@@ -330,7 +349,7 @@ def text_writer():
     an ax or one rule ends the premises it is the last rule of.  `text()`
     returns the s-expression.
 
-    The writer checks nothing: its rules come from a proof tree or from the
+    The writer checks nothing: its rules come from a proof or from the
     sequentialization skeleton, and `_check_rule` has checked both.
     """
     out: list[str] = []
@@ -376,81 +395,49 @@ def text_writer():
     return add, exchange, text
 
 
-def _proof_stack():
-    """The one stack step of both tree builders: `close(rule, arg)` builds
-    a rule by its constructor over the latest proofs of the list `built`,
-    which are its premises, in their place.  Returns `close` and `built`."""
-    built: list[SequentProof] = []
-
-    def close(rule, arg):
-        n = _ARITY[rule]
-        if n == 2:
-            second = built.pop()
-            built[-1] = SequentProof(rule, (built[-1], second), arg)
-        elif n:
-            built[-1] = SequentProof(rule, (built[-1],), arg)
-        else:
-            built.append(SequentProof(rule, (), arg))
-
-    return close, built
-
-
-def tree_builder():
-    """The text writer's sink interface, building the proof tree instead:
-    `add` and `exchange` take rules in print order, each rule is built by
-    its constructor as soon as its last premise is, and `proof()` returns
-    the root."""
-    close, built = _proof_stack()
+def _proof_sink():
+    """The text writer's sink interface, appending each rule to one buffer
+    once its last premise is, a run of exchanges at once; `finish()` views it."""
+    buf = _Buffer()
     pending: list[list] = []  # open rules: [rule, arg, premises still missing]
 
     def add(rule, arg):
         if _ARITY[rule]:
             pending.append([rule, arg, _ARITY[rule]])
             return
-        close(rule, arg)
+        buf.add(rule, arg)
         while pending:
             top = pending[-1]
             top[2] -= 1
             if top[2]:
                 break
             pending.pop()
-            rule, arg = top[0], top[1]
-            if rule == EX_RULE:  # a run, built innermost first in place
-                p, make = built[-1], SequentProof
-                for position in reversed(arg):
-                    p = make(rule, (p,), position)
-                built[-1] = p
+            if top[0] == EX_RULE:  # a run, given outermost first
+                buf.exchange(top[1][::-1])
             else:
-                close(rule, arg)
+                buf.add(top[0], top[1])
 
     def exchange(run):
         pending.append([EX_RULE, run, 1])
 
-    def proof() -> SequentProof:
-        return built[-1]
-
-    return add, exchange, proof
+    return add, exchange, lambda: _view(buf, len(buf.rules))
 
 
-def format_proof_expr(p: SequentProof) -> str:
-    """The s-expression of a proof: the text writer fed by a pre-order walk
-    on an explicit stack, so that proofs nested deeper than the
-    interpreter's stack still print."""
+def _expression(p: SequentProof) -> str:
+    """The s-expression of a proof: its arrays scanned into the text writer
+    in print order, on an explicit stack of premise ends."""
     add, exchange, text = text_writer()
-    stack = [p]
+    buf, stack = p._buf, [p._end]
+    rules, args = buf.rules, buf.args
     while stack:
-        q = stack.pop()
-        rule = q.rule
-        if rule == EX_RULE:
-            run = []
-            while rule == EX_RULE:
-                run.append(q.arg)
-                q = q.premises[0]
-                rule = q.rule
-            exchange(run)
-        add(rule, q.arg)
-        if q.premises:
-            stack += q.premises[::-1]
+        top = stack.pop() - 1
+        run = []
+        while rules[top] == EX_RULE:
+            run.append(args[top])
+            top -= 1
+        exchange(run)
+        add(rules[top], args[top])
+        stack += reversed(_premise_ends(buf, top + 1))
     return text()
 
 
@@ -460,7 +447,7 @@ def proof_file(expr: str, frag: Fragment) -> str:
 
 
 def format_proof(p: SequentProof, frag: Fragment = Fragment.MLLU) -> str:
-    return proof_file(format_proof_expr(p), frag)
+    return proof_file(_expression(p), frag)
 
 
 # a parenthesis, a quoted string, a quote never closed, or a word; \s is
@@ -559,10 +546,10 @@ def _read_rules(text: str, add) -> Fragment:
 
 
 def parse_proof(text: str) -> tuple[Fragment, SequentProof]:
-    """Read the proof file format into a proof tree."""
-    close, built = _proof_stack()
-    frag = _read_rules(text, close)
-    return frag, built[0]
+    """Read the proof file format into one buffer."""
+    buf = _Buffer()
+    frag = _read_rules(text, buf.add)
+    return frag, _view(buf, len(buf.rules))
 
 
 # -- desequentialization -----------------------------------------------------
@@ -693,15 +680,16 @@ def _self_check(ps: ProofStructure) -> None:
 
 
 def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
-    """Build the typed structure of a proof, feeding the net builder from a
-    walk of the tree.
+    """Build the typed structure of a proof, feeding the net builder its
+    rule stream.
 
     With `verify`, the result is validated and must pass the acyclicity-
     plus-component-count criterion; `report` on the result decides its
     fragment.
     """
     add, finish = _net_builder()
-    _walk(proof, add)
+    for rule, arg in zip(*proof._stream()):
+        add(rule, arg)
     result = finish()
     if verify:
         _self_check(result.ps)
@@ -710,7 +698,7 @@ def desequentialize(proof: SequentProof, verify: bool = True) -> DeseqResult:
 
 def desequentialize_text(text: str, verify: bool = True) -> tuple[Fragment, DeseqResult]:
     """The fragment of a proof text and the typed structure of its proof,
-    read straight into the net builder with no proof tree: the same
+    read straight into the net builder with no proof: the same
     result as `desequentialize(parse_proof(text)[1], verify)`, and the same
     ParseError on a text `parse_proof` rejects.  `report` on the result
     reports the proof's fragment discipline.
@@ -724,6 +712,6 @@ def desequentialize_text(text: str, verify: bool = True) -> tuple[Fragment, Dese
 
 
 def check_proof(proof: SequentProof, frag: Fragment = Fragment.MLLU) -> ValidationReport:
-    """The fragment discipline of a proof tree: every formula inside `frag`,
+    """The fragment discipline of a proof: every formula inside `frag`,
     and no axiom or cut rule in icomll, reported off its net."""
     return desequentialize(proof, verify=False).report(frag)

@@ -10,7 +10,7 @@ rules of the node's parts follow.  One table, `_MODES`, gives each mode its
 plan and its proof header, and one runner, `_run`, serves the entry points
 with one of two sinks: the text writer of `sequent`, through which
 `sequentialize_text` (the CLI's path, in all three modes) prints a proof
-file with no proof tree, and the tree builder behind the public
+file with no proof tree, and the proof sink behind the public
 `sequentialize_*` functions.  `sequentialize_wten` takes any structure, typed
 or not, that is erasing-safe and passes the acyclicity-plus-count
 criterion.  `sequentialize_btenll` peels terminal erasing nodes first, so
@@ -80,8 +80,8 @@ from .structure import (AX, BOT, CUT, DOT, ONE, PAR, TENSOR, ProofStructure,
                         induced_components, is_wten, jump_free, jump_total,
                         restrict, topological_order, validate)
 from .sequent import (AX_RULE, TENSOR_RULE, DeseqResult, SequentProof,
-                      _check_rule, desequentialize, exchange_positions, proof_file,
-                      text_writer, tree_builder)
+                      _check_rule, _proof_sink, desequentialize, exchange_positions,
+                      proof_file, text_writer)
 from .switching import check
 
 
@@ -408,7 +408,7 @@ def _sequentialize(ps: ProofStructure, choose, sink):
     explicit stack, left first, so the depth is bounded by memory only.
 
     Each move hands its rules to the sink `(add, exchange, finish)` of
-    `text_writer` or `tree_builder` in print order, and the result is
+    `text_writer` or `_proof_sink` in print order, and the result is
     `finish()`.  All of a move's rules are known when it is made: first
     the exchanges that move the rule's conclusions into the order of the
     part, outermost first, then the rule at n; then come the rules of its
@@ -473,7 +473,7 @@ def sequentialize_wten(ps: ProofStructure) -> SequentProof:
     `desequentialize(result)` is isomorphic to the input (ignoring types
     when the input is untyped).
     """
-    return _run("wten", ps, None, tree_builder())[0]
+    return _run("wten", ps, None, _proof_sink())[0]
 
 
 def _wten_plan(ps: ProofStructure, m: int | None):
@@ -631,7 +631,7 @@ def sequentialize_btenll(ps: ProofStructure,
     """Sequentialize a jump-free cut-free structure of the bottom-restricted
     fragment; the proof is returned with the jumped structure it realizes,
     the canonical jump assignment rooted at m."""
-    return _run("btenll", ps, m, tree_builder())[:2]
+    return _run("btenll", ps, m, _proof_sink())[:2]
 
 
 def _btenll_plan(ps: ProofStructure, m: int):
@@ -669,7 +669,7 @@ def sequentialize_icomll(ps: ProofStructure) -> tuple[SequentProof, ProofStructu
     """Sequentialize a jump-free structure of the constant-only
     intuitionistic fragment, with exactly one output conclusion; the proof
     is returned with the canonical jumped structure."""
-    return _run("icomll", ps, None, tree_builder())[:2]
+    return _run("icomll", ps, None, _proof_sink())[:2]
 
 
 def _icomll_plan(ps: ProofStructure, m: int | None):

@@ -39,6 +39,21 @@ def relabel(ps, rng):
     return out
 
 
+def count_proof_objects(monkeypatch):
+    """From now on, the number of SequentProof objects made, in a one-item
+    list: `sequent._view` makes every one, the constructors' included."""
+    from proofnets import sequent
+    made = [0]
+    view = sequent._view
+
+    def counted_view(buf, end):
+        made[0] += 1
+        return view(buf, end)
+
+    monkeypatch.setattr(sequent, "_view", counted_view)
+    return made
+
+
 def count_search_visits(monkeypatch):
     """From now on, the nodes each component search of the sequentializers
     reaches, one count per search, in a list: the lockstep searches and

@@ -76,13 +76,36 @@ MUTANTS = (
     ),
     Mutant(
         "exchange-run-outermost-first",
-        "the tree builder applies a run of nested exchanges outermost first, "
+        "the proof sink appends a run of nested exchanges outermost first, "
         "so the proofs the sequentializers return permute their conclusions",
         "proofnets/sequent.py",
-        "for position in reversed(arg):",
-        "for position in arg:",
+        "buf.exchange(top[1][::-1])",
+        "buf.exchange(top[1])",
         ("tests/test_sequentialize.py::test_sequentializer_output_is_pinned",
          "tests/test_skeleton.py::test_in_place_skeleton_matches_the_copying_one"),
+    ),
+    Mutant(
+        "constructor-copies-first-premise",
+        "a rule constructor copies its first premise into a new buffer even "
+        "when that premise ends its buffer, so building a proof bottom-up "
+        "copies O(n^2) entries; the copy-count gate fails",
+        "proofnets/sequent.py",
+        "buf = premises[0]._buf if premises else _Buffer()",
+        "buf = _Buffer()\n"
+        "        if premises:\n"
+        "            _append(buf, premises[0]._buf, premises[0]._end)",
+        ("tests/test_sequentialize.py::test_constructors_copy_entries_in_linear_time",),
+    ),
+    Mutant(
+        "premises-misread-subtree-size",
+        "the first premise of a binary rule is taken to end one entry late, "
+        "inside the second premise, so premises, printing and subproofs "
+        "read the wrong slices",
+        "proofnets/sequent.py",
+        "(top - buf.sizes[top - 1], top)",
+        "(top - buf.sizes[top - 1] + 1, top)",
+        ("tests/test_sequent.py::test_random_round_trip",
+         "tests/test_sequent.py::test_lazy_conclusions_match_an_eager_derivation"),
     ),
     Mutant(
         "per-par-contraction",

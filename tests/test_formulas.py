@@ -196,7 +196,9 @@ def test_text_round_trip_returns_the_same_object():
 
 
 def test_copies_and_pickles_return_the_same_object():
-    for f in seeded_formulas(300):
+    # atoms whose names the text syntax would misread come back too
+    odd = [atom("one"), atom("A B", dual=True), tensor(atom("par"), ONE)]
+    for f in seeded_formulas(300) + odd:
         assert copy.copy(f) is f
         assert copy.deepcopy(f) is f
         assert pickle.loads(pickle.dumps(f)) is f

@@ -7,7 +7,6 @@ import sys
 import time
 import tracemalloc
 from itertools import permutations
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,16 +16,18 @@ from proofnets.errors import ParseError, ProofNetError
 from proofnets.formulas import (BOT, Fragment, ONE, atom, format_formula, in_fragment,
                                 negate, par, tensor)
 from proofnets.generate import GenParams, random_proof
-from proofnets.sequent import (ProofBuildError, SequentProof, ax_rule, bot_rule,
-                               check_proof, cut_rule, desequentialize,
+from proofnets import sequent
+from proofnets.sequent import (ProofBuildError, SequentProof, _check_rule, ax_rule,
+                               bot_rule, check_proof, cut_rule, desequentialize,
                                desequentialize_text, ex_rule, exchange_to, format_proof,
-                               format_proof_expr, one_rule, parse_proof, tensor_rule)
+                               one_rule, par_rule, parse_proof, proof_file, tensor_rule)
+from proofnets.sequentialize import sequentialize_wten
 from proofnets.structure import validate
 from proofnets.switching import check
 
 import reference_desequentialize
 import reference_proof_parser as reference
-from conftest import mutations, proof_texts
+from conftest import count_proof_objects, mutations, proof_texts
 import reference_oracles
 from proof_permutations import deseq_relation_holds
 from reference_oracles import is_sequential_oracle
@@ -51,8 +52,6 @@ def test_axiom_instance():
 
 
 def test_construction_rejects_ill_formed_rules():
-    # no rule derives the empty sequent, so a stand-in premise supplies it
-    empty = SimpleNamespace(conclusion=())
     one, ax = one_rule(), ax_rule(X)
     cases = [
         (("contraction", (one,)), "unknown rule 'contraction'"),
@@ -61,8 +60,6 @@ def test_construction_rejects_ill_formed_rules():
         (("ex", (ax,), 1), "exchange position 1 out of range"),
         (("ex", (ax,), -1), "exchange position -1 out of range"),
         (("par", (one,)), "par rule needs two formulas to combine"),
-        (("tensor", (empty, one)), "tensor rule needs a formula on each side"),
-        (("tensor", (one, empty)), "tensor rule needs a formula on each side"),
         (("cut", (ax, one), ONE), "cut formula must close the first premise"),
         (("cut", (one, one), ONE),
          "dual of the cut formula must open the second premise"),
@@ -71,6 +68,18 @@ def test_construction_rejects_ill_formed_rules():
         with pytest.raises(ProofBuildError) as err:
             SequentProof(*args)
         assert str(err.value) == message, args
+    # no rule derives the empty sequent, so the tensor check is reached
+    # only by the one rule check itself
+    for length, last, first in ((0, None, ONE), (1, ONE, None)):
+        with pytest.raises(ProofBuildError) as err:
+            _check_rule("tensor", None, length, last, first)
+        assert str(err.value) == "tensor rule needs a formula on each side"
+    # a rejected rule leaves its premises as they were
+    p = bot_rule(ax)
+    for bad in (lambda: ex_rule(2, p), lambda: cut_rule(ONE, p, one)):
+        with pytest.raises(ProofBuildError):
+            bad()
+        assert bot_rule(p) == bot_rule(bot_rule(ax_rule(X)))
 
 
 def eager_conclusion(p):
@@ -94,8 +103,8 @@ def eager_conclusion(p):
 
 
 def test_lazy_conclusions_match_an_eager_derivation():
-    # exchanges derive their conclusion on first read and cache it; reading
-    # in shuffled order reaches runs whose lower part is cached already
+    # a proof that ends its buffer reads the buffer's conclusion list, and
+    # any other replays its rules; subproofs are read in shuffled order
     rng = random.Random(7)
     reversal = exchange_to(bot_rule(bot_rule(bot_rule(ax_rule(X)))), [4, 3, 2, 1, 0])
     proofs = [reversal, ex_rule(0, reversal)]
@@ -109,7 +118,6 @@ def test_lazy_conclusions_match_an_eager_derivation():
         rng.shuffle(subs)
         for q in subs:
             assert q.conclusion == eager_conclusion(q)
-            assert q.conclusion is q.conclusion  # read once, then cached
             assert q.length == len(q.conclusion)
             assert q.rule_count() == sum(1 for _ in q.subproofs())
             exchanges += q.rule == "ex"
@@ -242,8 +250,8 @@ def test_format_parse_round_trip():
 
 
 def test_the_writer_prints_what_the_reference_printer_prints():
-    # the one text writer, fed by a walk of the tree, against the printer
-    # that walked the tree and wrote its text itself
+    # the one text writer, fed by a scan of the arrays, against the printer
+    # that walks the premises and writes its text itself
     proofs = [parse_proof(text)[1] for text in proof_texts()]
     for frag in Fragment:
         for seed in range(40):
@@ -254,7 +262,7 @@ def test_the_writer_prints_what_the_reference_printer_prints():
         deep = bot_rule(deep)
     proofs.append(exchange_to(deep, list(range(301, -1, -1))))
     for p in proofs:
-        assert format_proof_expr(p) == reference.format_proof_expr(p)
+        assert format_proof(p) == proof_file(reference.format_proof_expr(p), Fragment.MLLU)
     assert sum(p.rule == "ex" for q in proofs for p in q.subproofs()) > 45000
 
 
@@ -270,10 +278,13 @@ def test_deep_proofs_compare_and_hash_without_recursion():
     assert p != other and not p == other
     assert other != parse_proof(text.replace("(one)", '(ax "Y")'))[1]
     assert (p == "p") is False and p != "p"
-    # the stored hash is rebuilt in a copy or an unpickled proof
+    # a copy or an unpickled proof, at every protocol, equals the original
     small = parse_proof("fragment: mllu\n(tensor (one) (ex 1 (bot (one))))")[1]
-    for copied in (copy.deepcopy(small), pickle.loads(pickle.dumps(small))):
-        assert copied == small and hash(copied) == hash(small)
+    for q in (small, small.premises[1]):  # a proof that ends its buffer, and one that does not
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(q, proto)) == q, proto
+        for copied in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert copied == q and hash(copied) == hash(q) and copied.conclusion == q.conclusion
 
 
 def test_proofs_are_immutable():
@@ -282,16 +293,57 @@ def test_proofs_are_immutable():
     assert not hasattr(p, "__dict__")
     for node in (p, ex):
         for name, value in (("rule", "par"), ("arg", 1), ("length", 0),
-                            ("_conclusion", ()), ("other", 1)):
+                            ("_end", 0), ("other", 1)):
             with pytest.raises(AttributeError):
                 setattr(node, name, value)
         with pytest.raises(AttributeError):
             del node.premises
-    # an exchange derives its conclusion on first read, past __setattr__
-    ex = ex_rule(1, bot_rule(ax_rule(X)))
-    assert ex._conclusion is None
-    assert ex.conclusion == (atom("X"), BOT, atom("X", dual=True))
-    assert ex._conclusion is ex.conclusion
+    # a rule appended to its premise's buffer in place leaves that premise
+    # as it was, and a second rule over the same premise copies it
+    base = bot_rule(ax_rule(X))
+    ex, joined = ex_rule(1, base), par_rule(base)
+    assert base.conclusion == (X, negate(X), BOT)
+    assert ex.conclusion == (X, BOT, negate(X))
+    assert joined.conclusion == (X, par(negate(X), BOT))
+    assert ex.premises[0] == base == joined.premises[0] and base.rule_count() == 2
+    assert format_proof(ex) == 'fragment: mllu\n(ex 2 (bot (ax "X")))\n'
+
+
+def test_deep_proofs_and_formulas_survive_copy_and_pickle():
+    # 5 000 nested bot rules over the axiom of a formula 5 000 pars deep:
+    # copying and pickling either recursed once per level
+    k = 5000
+    f = X
+    for _ in range(k):
+        f = par(f, X)
+    p = ax_rule(f)
+    for _ in range(k):
+        p = bot_rule(p)
+    for copied in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p and hash(copied) == hash(p) and copied.rule_count() == k + 1
+        assert copied.conclusion[0] is f  # the one interned formula
+    assert pickle.loads(pickle.dumps(f)) is f and copy.deepcopy(f) is f
+
+
+def test_deep_proofs_are_read_written_and_desequentialized_with_one_object(monkeypatch):
+    # a proof is one buffer of post-order arrays: reading 600 and 1 200
+    # nested bots, sequentializing their net and desequentializing the proof
+    # make one SequentProof object each, or none, where a tree made one per
+    # rule (180 301 and 720 601)
+    made = count_proof_objects(monkeypatch)
+    for k in (600, 1200):
+        text = "fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k + "\n"
+        ps = desequentialize_text(text, verify=False)[1].ps
+        made[0] = 0
+        proof = sequentialize_wten(ps)
+        assert (made, proof.rule_count()) == ([1], k * (k - 1) // 2 + k + 1)
+        printed = format_proof(proof)
+        made[0] = 0
+        parsed = parse_proof(printed)[1]
+        assert made == [1] and parsed == proof
+        made[0] = 0
+        net = desequentialize(parsed, verify=False).ps
+        assert made == [0] and list(net.nodes.values()).count("bot") == k
 
 
 def test_parse_example_from_docs():

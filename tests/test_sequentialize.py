@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import build_ps, count_search_visits
-from proofnets import fixtures, formulas
+from proofnets import fixtures, formulas, sequent
 from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import (FragmentError, SequentializationError,
                               TypeInferenceError)
@@ -649,6 +649,39 @@ def _one_chain(k):
     for _ in range(k):
         p = tensor_rule(p, one_rule())
     return desequentialize(p, verify=False).ps
+
+
+def test_constructors_copy_entries_in_linear_time(monkeypatch):
+    # a rule over a proof that ends its buffer is appended in place, so k
+    # nested bots copy no entry and the k tensors of `_tensor_chain` copy
+    # each second premise, one axiom; copying every first premise copied
+    # O(k^2) entries; a copy is a bulk append or a replay
+    copied = [0]
+    append, replayed = sequent._append, sequent._replayed
+
+    def counted_append(buf, src, end):
+        copied[0] += src.sizes[end - 1]
+        return append(buf, src, end)
+
+    def counted_replayed(rules, args):
+        copied[0] += len(rules)
+        return replayed(rules, args)
+
+    monkeypatch.setattr(sequent, "_append", counted_append)
+    monkeypatch.setattr(sequent, "_replayed", counted_replayed)
+    counts = {"tensors": [], "bots": []}
+    for k in (3200, 12800):
+        copied[0] = 0
+        _tensor_chain(k)
+        counts["tensors"].append(copied[0])
+        copied[0] = 0
+        p = one_rule()
+        for _ in range(k):
+            p = bot_rule(p)
+        counts["bots"].append(copied[0])
+        assert p.rule_count() == k + 1
+    for small, large in counts.values():
+        assert large <= 4.5 * small and small <= 3200, counts
 
 
 @pytest.mark.parametrize("mode", ["wten", "btenll", "icomll"])

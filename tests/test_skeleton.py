@@ -2,7 +2,7 @@
 
 `copying_skeleton` keeps the skeleton that built a `ProofStructure` per
 peel and split.  The in-place skeleton runs with both of its sinks: the
-proof tree it builds and the text it prints with no tree must each equal
+proof it builds and the text it prints with no tree must each equal
 the reference's printed proof, or fail with the same error, on the seeded
 corpora of all three sequentializers, and every printed text must read
 back, through every constructor check, to the same text.
@@ -17,7 +17,7 @@ from conftest import build_ps
 from proofnets import sequentialize
 from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_ps
-from proofnets.sequent import parse_proof, text_writer, tree_builder
+from proofnets.sequent import _proof_sink, parse_proof, text_writer
 from proofnets.structure import DOT, arc_polarities, erasing_nodes
 from reference_proof_parser import format_proof_expr
 
@@ -34,7 +34,7 @@ def _both_sinks(ps, policy):
     and with the text sink."""
     return [_reads_back(reference.outcome(
                 lambda: sequentialize._sequentialize(ps, policy, sink())))
-            for sink in (tree_builder, text_writer)]
+            for sink in (_proof_sink, text_writer)]
 
 
 @pytest.mark.parametrize("mode", reference.MODES)
