@@ -6,12 +6,12 @@ premise count, and `_check_rule` checks a rule instance for the proof
 buffers, the net builder and the sequentialization skeleton alike.
 
 A proof is its rule stream, premises first.  A `_Buffer` keeps streams as
-parallel arrays of rule labels, args and subtree sizes, so a sub-proof is
-the slice that ends at its rule (J. I. Munro and V. Raman, SIAM J.
-Comput. 31(3), 2001), and checks and applies each rule it appends on the
-conclusion lists it keeps, so every proof, built by hand, read from a file
-or generated, is correct by construction.  A `SequentProof` is an
-immutable view of one slice.
+parallel arrays of rule labels, args, subtree sizes and conclusion
+lengths, so a sub-proof is the slice that ends at its rule (J. I. Munro
+and V. Raman, SIAM J. Comput. 31(3), 2001), and checks and applies each
+rule it appends on the conclusion lists it keeps, so every proof, built by
+hand, read from a file or generated, is correct by construction.  A
+`SequentProof` is an immutable view of one slice.
 
 One token loop, `_read_rules`, reads the proof text format and hands each
 rule to a sink when its ')' closes, so premises come first: `parse_proof`
@@ -102,21 +102,22 @@ def _check_rule(rule: str, arg, length: int, last=None, first=None) -> None:
 
 
 class _Buffer:
-    """Post-order arrays of rule labels, args and subtree sizes, the proof
-    ending at e being the slice [e - sizes[e - 1], e), and `built`, the
-    conclusion lists of the latest complete proofs, on which `add` checks
-    and applies a rule; `exchange` appends a run, first applied first,
-    unchecked."""
+    """Post-order arrays of rule labels, args, subtree sizes and conclusion
+    lengths, the proof ending at e being the slice [e - sizes[e - 1], e),
+    and `built`, the conclusion lists of the latest complete proofs, on
+    which `add` checks and applies a rule; `exchange` appends a run, first
+    applied first, unchecked."""
 
-    __slots__ = ("rules", "args", "sizes", "built")
+    __slots__ = ("rules", "args", "sizes", "lengths", "built")
 
     def __init__(self):
-        self.rules, self.args, self.sizes, self.built = [], [], [], []
+        self.rules, self.args, self.sizes, self.lengths, self.built = [], [], [], [], []
 
     def add(self, rule, arg) -> None:
         built, sizes = self.built, self.sizes
         if rule == AX_RULE or rule == ONE_RULE:
-            built.append([arg, negate(arg)] if rule == AX_RULE else [ONE_F])
+            c = [arg, negate(arg)] if rule == AX_RULE else [ONE_F]
+            built.append(c)
             size = 1
         elif _ARITY[rule] == 1:
             c = built[-1]
@@ -129,18 +130,19 @@ class _Buffer:
                 c.append(BOT_F)
             size = sizes[-1] + 1
         else:  # tensor and cut join the two latest proofs
-            c1, c2 = built[-2:]
-            _check_rule(rule, arg, len(c1), c1[-1] if c1 else None, c2[0] if c2 else None)
+            c, c2 = built[-2:]
+            _check_rule(rule, arg, len(c), c[-1] if c else None, c2[0] if c2 else None)
             built.pop()
             if rule == TENSOR_RULE:
-                c1[-1] = tensor_f(c1[-1], c2[0])
+                c[-1] = tensor_f(c[-1], c2[0])
             else:
-                c1.pop()
-            c1 += c2[1:]
+                c.pop()
+            c += c2[1:]
             size = sizes[-1 - sizes[-1]] + sizes[-1] + 1  # both premises' and its own
         self.rules.append(rule)
         self.args.append(arg)
         sizes.append(size)
+        self.lengths.append(len(c))
 
     def exchange(self, run) -> None:
         if not run:  # the generator's moves often need no exchange
@@ -151,6 +153,7 @@ class _Buffer:
         self.rules.extend([EX_RULE] * len(run))
         self.args.extend(run)
         self.sizes.extend(range(base + 1, base + 1 + len(run)))
+        self.lengths.extend([len(c)] * len(run))
 
 
 def _append(buf: _Buffer, src: _Buffer, end: int) -> None:
@@ -159,6 +162,7 @@ def _append(buf: _Buffer, src: _Buffer, end: int) -> None:
     buf.rules.extend(src.rules[start:end])
     buf.args.extend(src.args[start:end])
     buf.sizes.extend(src.sizes[start:end])
+    buf.lengths.extend(src.lengths[start:end])
     buf.built.append(list(src.built[-1]))
 
 
@@ -177,9 +181,9 @@ class SequentProof:
     The constructor raises ProofBuildError on an unknown rule, a wrong
     premise count or an ill-formed instance.  It appends in place when the
     first premise ends its buffer, and copies that premise otherwise, and a
-    second premise always.  The conclusion is the buffer's when the proof
-    ends it, and is otherwise derived in time linear in the rule count.
-    Equality, the hash and pickling read the slice, so none recurses."""
+    second premise always; a rejected rule leaves the first premise's
+    buffer as it was.  `length` reads one array entry.  Equality, the hash
+    and pickling read the slice, so none recurses."""
 
     __slots__ = ("_buf", "_end")
 
@@ -197,9 +201,19 @@ class SequentProof:
             raise ProofBuildError(f"{rule} rule has {len(premises)} premise(s), "
                                   f"expected {arity}")
         buf = premises[0]._buf if premises else _Buffer()
-        if arity == 2:  # a rejected rule leaves the copy unused past premises[0]
+        if arity == 2:
+            end = len(buf.rules)
             _append(buf, premises[1]._buf, premises[1]._end)
-        buf.add(rule, arg)
+            try:
+                buf.add(rule, arg)
+            except ProofBuildError:
+                # drop the copy, so that the first premise still ends the buffer
+                for entries in (buf.rules, buf.args, buf.sizes, buf.lengths):
+                    del entries[end:]
+                buf.built.pop()
+                raise
+        else:
+            buf.add(rule, arg)
         return _view(buf, len(buf.rules))
 
     def __setattr__(self, name, value):
@@ -218,8 +232,11 @@ class SequentProof:
         """This proof if it ends its buffer, else a copy that ends a new one."""
         return self if self._end == len(self._buf.rules) else _replayed(*self._stream())
 
-    conclusion = property(lambda p: tuple(p._ending()._buf.built[-1]))
-    length = property(lambda p: len(p._ending()._buf.built[-1]))
+    conclusion = property(lambda p: tuple(p._ending()._buf.built[-1]),
+                          doc="The buffer's conclusion list when the proof ends its "
+                              "buffer; otherwise the slice is replayed, in time "
+                              "linear in the rule count.")
+    length = property(lambda p: p._buf.lengths[p._end - 1])
     premises = property(lambda p: tuple(_view(p._buf, e) for e in _premise_ends(p._buf, p._end)))
 
     def __eq__(self, other):

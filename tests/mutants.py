@@ -126,6 +126,81 @@ MUTANTS = (
         "neg = negate(f)",
         ("tests/test_generate.py::test_structures_with_cuts_negate_in_linear_time",),
     ),
+    Mutant(
+        "rejected-rule-keeps-its-copy",
+        "a rejected binary rule leaves its copy of the second premise in the "
+        "first premise's buffer, so the next rule over that premise replays it",
+        "proofnets/sequent.py",
+        "                for entries in (buf.rules, buf.args, buf.sizes, buf.lengths):\n"
+        "                    del entries[end:]\n"
+        "                buf.built.pop()\n",
+        "",
+        ("tests/test_sequent.py::"
+         "test_a_rejected_rule_leaves_its_first_premise_ending_its_buffer",),
+    ),
+    Mutant(
+        "length-replays-the-slice",
+        "a proof that does not end its buffer replays its slice for its "
+        "length, so reading every subproof's length is quadratic",
+        "proofnets/sequent.py",
+        "length = property(lambda p: p._buf.lengths[p._end - 1])",
+        "length = property(lambda p: len(p._ending()._buf.built[-1]))",
+        ("tests/test_sequent.py::test_every_subproof_length_reads_one_entry",),
+    ),
+    Mutant(
+        "writer-exchange-heads-innermost-first",
+        "the text writer prints a run of nested exchanges innermost first, "
+        "so printed proofs permute their conclusions",
+        "proofnets/sequent.py",
+        "out.extend(map(ex_head, run))",
+        "out.extend(map(ex_head, run[::-1]))",
+        ("tests/test_sequent.py::test_the_writer_prints_what_the_reference_printer_prints",
+         "tests/test_skeleton.py::test_in_place_skeleton_matches_the_copying_one"),
+    ),
+    Mutant(
+        "arc-list-appends-for-insort",
+        "cut elimination appends a node's new arc at the end of its arc list "
+        "instead of in arc order, so the index the normal form adopts is wrong",
+        "proofnets/cutelim.py",
+        "bisect.insort(arcs, new)",
+        "arcs.append(new)",
+        ("tests/test_cutelim.py::test_the_normal_form_adopts_a_true_index",),
+    ),
+    Mutant(
+        "axiom-test-reads-only-the-next-node",
+        "the axiom test compares the node below the ax's other conclusion "
+        "with the cut instead of the end of its descent chain",
+        "proofnets/cutelim.py",
+        "if _chain_end(arcs, outs, below) != cut:",
+        "if below != cut:",
+        ("tests/test_cutelim.py::test_classify_matches_the_reference",),
+    ),
+    Mutant(
+        "unit-participants-swapped",
+        "a one-against-bot unit redex names its participants bot first",
+        "proofnets/cutelim.py",
+        "return Redex(cut, UNIT_CUT, (m, n))",
+        "return Redex(cut, UNIT_CUT, (n, m))",
+        ("tests/test_cutelim.py::test_classify_matches_the_reference",),
+    ),
+    Mutant(
+        "no-choice-between-tied-ax-twins",
+        "a traversal never tries the second order of an ax's two conclusions "
+        "when their colours tie, so it misses isomorphisms",
+        "proofnets/canonical.py",
+        "if far_key(todo[0], n) == far_key(todo[1], n) and choices.pick(2):",
+        "if lab == CUT and far_key(todo[0], n) == far_key(todo[1], n) and choices.pick(2):",
+        ("tests/test_structure.py::test_isomorphisms_agree_with_brute_force",),
+    ),
+    Mutant(
+        "report-formats-each-occurrence",
+        "the fragment report formats a failing formula at each rule that "
+        "introduces it, not once per distinct formula",
+        "proofnets/sequent.py",
+        "        lines = [(a, nodes[arcs[a][0]], failing[f])\n",
+        "        lines = [(a, nodes[arcs[a][0]], f\"formula {format_formula(f)} outside {frag.value}\")\n",
+        ("tests/test_cli.py::test_deseq_formats_each_failing_formula_once",),
+    ),
 )
 
 BY_NAME = {m.name: m for m in MUTANTS}

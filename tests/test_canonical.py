@@ -7,11 +7,12 @@ import random
 
 import reference_canonical as ref
 from conftest import relabel
+from families import jumped_closed_cuts
 from proofnets.cli import main
 from proofnets.canonical import canonical_form, iso, isomorphisms
 from proofnets.formulas import ONE, Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import desequentialize, format_proof, parse_proof
+from proofnets.sequent import desequentialize, format_proof
 from proofnets.sequentialize import canonical_jumps_btenll
 from proofnets.structure import CUT, DOT, ONE as ONE_NODE, ProofStructure, erasing_nodes, strip
 
@@ -195,13 +196,7 @@ def test_a_traversal_searches_the_leftover_components_once(monkeypatch):
 
     searches, traversals = counted("induced_components"), counted("_traverse")
     for k, leaves in ((4, 41), (5, 206)):
-        body = '(ax "A")'
-        for _ in range(k):
-            body = f'(cut "bot" (bot {body}) (one))'
-        ps = desequentialize(parse_proof(f"fragment: btenll\n{body}\n")[1], verify=False).ps
-        erasing = erasing_nodes(ps)
-        anchor = min(n for n, lab in ps.nodes.items() if n not in erasing and lab != DOT)
-        jumped = canonical_jumps_btenll(ps, anchor)
+        jumped = jumped_closed_cuts(k)
         del searches[:], traversals[:]
         canonical_form(jumped)
         assert len(traversals) == leaves

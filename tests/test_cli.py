@@ -16,15 +16,16 @@ import pytest
 import proofnets
 from conftest import (count_proof_objects, count_search_visits, mutated_documents, mutations,
                       proof_texts)
+from families import (closed_cuts, joined_chain, leaf_jumped_chain, nested_bots, one_chain,
+                      par_bot_chain, par_tensor_chain, tensor_chain)
 from proofnets import cli, fixtures, sequent, sequentialize
 from proofnets.canonical import iso
 from proofnets.cli import _parse, build_parser, main
 from proofnets.errors import FragmentError, ParseError, ValidationError
 from proofnets.formulas import Fragment, atom, in_fragment
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import (ax_rule, bot_rule, cut_rule, desequentialize,
-                               exchange_to, format_proof, one_rule, par_rule, parse_proof,
-                               tensor_rule)
+from proofnets.sequent import (ax_rule, cut_rule, desequentialize, exchange_to, format_proof,
+                               one_rule, par_rule, parse_proof, tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                                      sequentialize_btenll, sequentialize_icomll,
                                      sequentialize_wten)
@@ -45,6 +46,18 @@ def run(capsys, *argv):
 def write_fixture(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(to_json(fixtures.load(name)))
+    return str(path)
+
+
+def _write_net(tmp_path, ps):
+    path = tmp_path / "family.json"
+    path.write_text(to_json(ps))
+    return str(path)
+
+
+def _write_proof(tmp_path, proof, frag=Fragment.MLLU):
+    path = tmp_path / "in.proof"
+    path.write_text(format_proof(proof, frag))
     return str(path)
 
 
@@ -533,9 +546,7 @@ def test_canonical_budget_exits_2(tmp_path, capsys, monkeypatch):
     # one closed component: a cut between a balanced par tree of 8 bots and
     # the dual tensor tree of ones.  Colours cannot tell the 8 bots apart,
     # so the traversal tries each as its start.
-    p = one_rule()
-    for _ in range(8):
-        p = bot_rule(p)
+    p = nested_bots(8)
     while len(p.conclusion) > 2:
         # pair the last two conclusions and move their par next to the one
         p = par_rule(p)
@@ -549,17 +560,6 @@ def test_canonical_budget_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("proofnets.canonical._CHOICE_BUDGET", 5)
     code, out, err = run(capsys, "equiv", str(path), str(path))
     assert code == 2 and out == "" and "symmetric alternatives" in err
-
-
-def _closed_cuts(tmp_path, k):
-    """A proof file of k nested cuts of a bot against a one, which leave k
-    identical closed components."""
-    body = "(one)"
-    for _ in range(k):
-        body = f'(cut "bot" (bot {body}) (one))'
-    path = tmp_path / f"closed{k}.proof"
-    path.write_text(f"fragment: btenll\n{body}\n")
-    return str(path)
 
 
 def _counted(monkeypatch, module, name, most):
@@ -582,7 +582,7 @@ def test_cwforall_of_a_jump_free_chain_takes_one_census(tmp_path, capsys, monkey
     # switching, so one census is taken, not one for each of the 2^k
     from proofnets import switching
     for k in (14, 20):
-        net = _tensor_chain_net(tmp_path, capsys, k)
+        net = _write_net(tmp_path, par_tensor_chain(k))
         calls = _counted(monkeypatch, switching, "_components", 1)
         assert run(capsys, "check", net, "--criterion", "cwforall") == (
             0, '{"criterion": "cwforall", "holds": true, "census": []}\n', "")
@@ -590,32 +590,12 @@ def test_cwforall_of_a_jump_free_chain_takes_one_census(tmp_path, capsys, monkey
         monkeypatch.undo()
 
 
-def _tensor_chain_net(tmp_path, capsys, k, joined=False, jump=False):
-    """The net of k `(par (tensor … (ax "Bi")))` rules over an ax, under
-    one bot; with `joined`, that bot is a premise of a tensor with a one
-    (wten fails), and with `jump`, it jumps to the leaf ax, so that every
-    par has two erasing-compatible premises and a switching graph with
-    jumps."""
-    body = '(ax "A")'
-    for i in range(k):
-        body = f'(par (tensor {body} (ax "B{i}")))'
-    text = f"(tensor (bot {body}) (one))" if joined else f"(bot {body})"
-    doc = _deseq_doc(tmp_path, capsys, f"fragment: mllu\n{text}\n")
-    if jump:
-        labels = {node["id"]: node["label"] for node in doc["nodes"]}
-        (bot,) = [n for n, label in labels.items() if label == "bot"]
-        doc["jumps"] = {str(bot): min(n for n, label in labels.items() if label == "ax")}
-    net = tmp_path / f"chain-{k}-{joined}-{jump}.json"
-    net.write_text(json.dumps(doc))
-    return str(net)
-
-
 def test_cwforall_caps_only_the_pars_it_enumerates(tmp_path, capsys):
     # jump-free, the first erasing-compatible switching decides under any
     # cap: the verdict is wten's, and a failing one prints that switching
     for k in (21, 25, 40):
         for joined in (False, True):
-            net = _tensor_chain_net(tmp_path, capsys, k, joined)
+            net = _write_net(tmp_path, par_tensor_chain(k, joined))
             wten = run(capsys, "check", net, "--criterion", "wten")[0]
             assert wten == joined
             # the enumeration stops at once on a failing chain only
@@ -626,12 +606,12 @@ def test_cwforall_caps_only_the_pars_it_enumerates(tmp_path, capsys):
                     wten, expected.to_json() + "\n", ""), (k, joined, cap)
     # with a jump, the 40 pars with two erasing-compatible premises are
     # enumerated, so the default cap bites; 3 of them under a cap of 3 do not
-    net = _tensor_chain_net(tmp_path, capsys, 40, jump=True)
+    net = _write_net(tmp_path, leaf_jumped_chain(40))
     assert run(capsys, "check", net, "--criterion", "cwforall") == (
         2, "", "error: 40 par nodes with two erasing-compatible premises exceed "
                "the enumeration cap 20\n")
     for joined in (False, True):
-        net = _tensor_chain_net(tmp_path, capsys, 3, joined, jump=True)
+        net = _write_net(tmp_path, leaf_jumped_chain(3, joined))
         code, out, err = run(capsys, "check", net, "--criterion", "cwforall", "--max-parr", "2")
         assert (code, out) == (2, ""), joined
         assert "3 par nodes with two erasing-compatible premises exceed" in err
@@ -643,7 +623,7 @@ def test_cwforall_caps_only_the_pars_it_enumerates(tmp_path, capsys):
 def test_equiv_of_identical_closed_components(tmp_path, capsys):
     # the closed components are canonicalized apart instead of permuted
     for k in (9, 200):
-        path = _closed_cuts(tmp_path, k)
+        path = _write_proof(tmp_path, closed_cuts(k), Fragment.BTENLL)
         start = time.perf_counter()
         code, out, _ = run(capsys, "equiv", path, path)
         assert (code, out) == (0, "true\n")
@@ -658,7 +638,7 @@ def test_equiv_of_identical_closed_components_traverses_each_once(tmp_path, caps
     # components would take k! traversals
     from proofnets import canonical
 
-    path = _closed_cuts(tmp_path, k)
+    path = _write_proof(tmp_path, closed_cuts(k), Fragment.BTENLL)
     calls = _counted(monkeypatch, canonical, "_traverse", 2 * k + 2)
     assert run(capsys, "equiv", path, path) == (0, "true\n", "")
     assert len(calls) == 2 * k + 2, len(calls)
@@ -667,10 +647,9 @@ def test_equiv_of_identical_closed_components_traverses_each_once(tmp_path, caps
 def test_sequentialize_prints_deeply_nested_proofs(tmp_path, capsys):
     # k nested bot rules come back with k(k-1)/2 nested exchanges
     for k in (20, 45):
-        proof = tmp_path / f"bots{k}.proof"
-        proof.write_text("fragment: mllu\n" + "(bot " * k + "(one)" + ")" * k + "\n")
+        proof = _write_proof(tmp_path, nested_bots(k))
         net = tmp_path / f"bots{k}.json"
-        assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+        assert run(capsys, "deseq", proof, "--out", str(net))[0] == 0
         code, out, _ = run(capsys, "sequentialize", str(net))
         assert code == 0
         assert out.count("(bot ") == k and out.count("(ex ") == k * (k - 1) // 2
@@ -685,10 +664,8 @@ def test_sequentialize_of_400_nested_bots_stays_small(tmp_path):
     # conclusion.  The command runs in a fresh process and reads the peak
     # resident size of its own memory map: ru_maxrss would also count the
     # parent's, which a vfork child holds until its exec.
-    k = 400
-    text = "fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k + "\n"
     net = tmp_path / "bots.json"
-    net.write_text(to_json(desequentialize(parse_proof(text)[1]).ps))
+    net.write_text(to_json(desequentialize(nested_bots(400, ax_rule(atom("A")))).ps))
     child = ("import contextlib, hashlib, io, re, sys\n"
              "from pathlib import Path\n"
              "from proofnets.cli import main\n"
@@ -718,24 +695,21 @@ def test_dot_rejects_bad_switching_files(tmp_path, capsys):
 
 def test_equiv_reads_back_the_sequentializer_output(tmp_path, capsys):
     # 45 nested bot rules come back under 990 nested exchanges
-    k = 45
-    proof = tmp_path / "bots.proof"
-    proof.write_text("fragment: mllu\n" + "(bot " * k + "(one)" + ")" * k + "\n")
+    proof = _write_proof(tmp_path, nested_bots(45))
     net, back = tmp_path / "bots.json", tmp_path / "back.proof"
-    assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
+    assert run(capsys, "deseq", proof, "--out", str(net))[0] == 0
     assert run(capsys, "sequentialize", str(net), "--out", str(back))[0] == 0
-    assert run(capsys, "equiv", str(proof), str(back)) == (0, "true\n", "")
+    assert run(capsys, "equiv", proof, str(back)) == (0, "true\n", "")
 
 
 def test_deep_proofs_parse_check_and_desequentialize(tmp_path, capsys, monkeypatch):
-    built = count_proof_objects(monkeypatch)
     k = 1200
-    proof = tmp_path / "bots.proof"
-    proof.write_text("fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k + "\n")
-    code, out, _ = run(capsys, "deseq", str(proof))
+    proof = _write_proof(tmp_path, nested_bots(k, ax_rule(atom("A"))))
+    built = count_proof_objects(monkeypatch)
+    code, out, _ = run(capsys, "deseq", proof)
     assert code == 0
     assert [n["label"] for n in json.loads(out)["nodes"]].count("bot") == k
-    assert run(capsys, "equiv", str(proof), str(proof)) == (0, "true\n", "")
+    assert run(capsys, "equiv", proof, proof) == (0, "true\n", "")
     assert built == [0]  # read straight into nets
     # proof nesting depth 1250, with 54 par rules
     code, out, _ = run(capsys, "gen", "--kind", "proof", "--fragment", "mllu",
@@ -884,14 +858,9 @@ def test_sequentialize_prints_with_no_proof_tree(tmp_path, capsys, monkeypatch):
     # public sequentializers append every rule to one buffer and make one
     # SequentProof object: 600 nested bots over an ax come back under
     # 179 700 exchanges
-    k = 1600
-    tensors, ones = ax_rule(atom("X")), one_rule()
-    for _ in range(k):
-        tensors = tensor_rule(tensors, ax_rule(atom("X", dual=True)))
-        ones = tensor_rule(ones, one_rule())
-    bots = parse_proof("fragment: mllu\n" + "(bot " * 600 + '(ax "A")' + ")" * 600)[1]
-    tensors, ones, bots, composed = (desequentialize(p, verify=False).ps for p in (
-        tensors, ones, bots, _composition(random.Random(3), 11)))
+    tensors, ones = tensor_chain(1600), one_chain(1600)
+    bots, composed = (desequentialize(p, verify=False).ps for p in (
+        nested_bots(600, ax_rule(atom("A"))), _composition(random.Random(3), 11)))
     assert len(composed.nodes) > 100
     ax = tensors.nodes_with_label("ax")[0]
     anchor = min(n for n, lab in composed.nodes.items()
@@ -1044,28 +1013,21 @@ def test_deep_formulas_normalize(tmp_path, capsys):
     assert json.loads(out)["holds"] is True
 
 
-def _chain_proof(k, leaf="(one)"):
-    """The proof text of k times bot then par over a leaf rule."""
-    return "fragment: mllu\n" + "(par (bot " * k + leaf + "))" * k + "\n"
-
-
-def _deseq_doc(tmp_path, capsys, text):
-    proof = tmp_path / "in.proof"
-    proof.write_text(text)
-    code, out, err = run(capsys, "deseq", str(proof))
+def _deseq_doc(tmp_path, capsys, proof):
+    code, out, err = run(capsys, "deseq", _write_proof(tmp_path, proof))
     assert (code, err) == (0, "")
     return json.loads(out)
 
 
 def test_deseq_has_no_par_cap(tmp_path, capsys):
-    doc = _deseq_doc(tmp_path, capsys, _chain_proof(22))
+    doc = _deseq_doc(tmp_path, capsys, par_bot_chain(22))
     assert [n["label"] for n in doc["nodes"]].count("par") == 22
 
 
 def test_deseq_of_1200_nested_pars_is_pinned(tmp_path, capsys):
     # the text printed when each par type was built anew from its premises
     proof = tmp_path / "chain.proof"
-    proof.write_text(_chain_proof(1200).replace("mllu", "btenll"))
+    proof.write_text(format_proof(par_bot_chain(1200), Fragment.BTENLL))
     code, out, err = run(capsys, "deseq", str(proof))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -1089,7 +1051,7 @@ def test_deseq_of_1200_nested_pars_is_pinned(tmp_path, capsys):
 def test_jumps_and_refined_sequentializers_are_linear_in_depth(tmp_path, capsys,
                                                                frag, k, digests):
     proof, net = tmp_path / "chain.proof", tmp_path / "chain.json"
-    proof.write_text(_chain_proof(k).replace("mllu", frag))
+    proof.write_text(format_proof(par_bot_chain(k), Fragment(frag)))
     assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
     anchor = []
     if frag == "btenll":  # anchored at the one node
@@ -1113,7 +1075,7 @@ def test_refined_sequentializers_move_and_search_linearly_in_depth(tmp_path, cap
     # par below it, so they reach 8k - 5 nodes, where one whole-part search
     # per par would reach k^2
     proof, net = tmp_path / "chain.proof", tmp_path / "chain.json"
-    proof.write_text(_chain_proof(k).replace("mllu", frag))
+    proof.write_text(format_proof(par_bot_chain(k), Fragment(frag)))
     assert run(capsys, "deseq", str(proof), "--out", str(net))[0] == 0
     anchor = []
     if frag == "btenll":
@@ -1181,7 +1143,7 @@ def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
     assert budget.kind is inspect.Parameter.KEYWORD_ONLY
 
     net = tmp_path / "two-par.json"
-    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(2))))
+    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, par_bot_chain(2))))
     proof = tmp_path / "in.proof"  # the 2-par proof, written by _deseq_doc
     for argv in (["normalize", str(net)], ["sequentialize", str(net)],
                  ["jumps", str(net), "--mode", "icomll"], ["deseq", str(proof)],
@@ -1197,7 +1159,7 @@ def test_par_cap_is_an_option_of_check_alone(tmp_path, capsys):
                            "--max-parr", "0")
         assert (code, json.loads(out)["holds"]) == (0, True), criterion
     # both pars of the joined 2-par chain have a premise on its cycle
-    _, joined = _joined_chain(tmp_path, capsys, 2)
+    joined = _write_net(tmp_path, joined_chain(2))
     code, out, err = run(capsys, "check", joined, "--criterion", "cw", "--max-parr", "1")
     assert (code, out) == (2, "")
     assert "2 par nodes with a premise on a cycle exceed the enumeration cap 1" in err
@@ -1257,10 +1219,9 @@ def test_integer_options_take_ascii_digits_only(tmp_path, capsys, argv, option, 
 
 
 def test_accw_on_200_pars_takes_under_a_second(tmp_path, capsys):
-    net = tmp_path / "chain.json"
-    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(200))))
+    net = _write_net(tmp_path, desequentialize(par_bot_chain(200)).ps)
     start = time.perf_counter()
-    code, out, _ = run(capsys, "check", str(net), "--criterion", "accw")
+    code, out, _ = run(capsys, "check", net, "--criterion", "accw")
     took = time.perf_counter() - start
     assert (code, json.loads(out)["holds"]) == (0, True)
     assert took < 1.0, took
@@ -1271,43 +1232,12 @@ def test_accw_on_200_pars_contracts_once_and_walks_one_census(tmp_path, capsys, 
     # count law decides, and the printed census walks the first switching
     from proofnets import switching
 
-    net = tmp_path / "chain.json"
-    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(200))))
+    net = _write_net(tmp_path, desequentialize(par_bot_chain(200)).ps)
     contractions = _counted(monkeypatch, switching, "_has_switching_cycle", 1)
     walks = _counted(monkeypatch, switching, "_components", 1)
-    code, out, err = run(capsys, "check", str(net), "--criterion", "accw")
+    code, out, err = run(capsys, "check", net, "--criterion", "accw")
     assert (code, json.loads(out)["holds"], err) == (0, True, "")
     assert (len(contractions), len(walks)) == (1, 1)
-
-
-def _joined_chain(tmp_path, capsys, k, second=None):
-    """The two conclusions of a k-par chain over an axiom, joined under a
-    tensor: each switching graph has one arc more than the chain's, on as
-    many nodes, so it has a cycle or too few components.  With `second`
-    "deepest" or "outermost", that par, the first or the last in
-    enumeration order, lists its premises the other way round, so the only
-    cycle takes that par's second premise."""
-    doc = _deseq_doc(tmp_path, capsys, _chain_proof(k, '(ax "A")'))
-    del doc["types"]
-    a, b = doc["conclusions"]
-    dots = {arc["head"] for arc in doc["arcs"] if arc["id"] in (a, b)}
-    tensor = max(node["id"] for node in doc["nodes"]) + 1
-    joined = max(arc["id"] for arc in doc["arcs"]) + 1
-    if second is not None:
-        pick = min if second == "deepest" else max
-        doc["premises"][pick(doc["premises"], key=int)].reverse()
-    doc["nodes"] = [node for node in doc["nodes"] if node["id"] not in dots]
-    doc["nodes"] += [{"id": tensor, "label": "tensor"},
-                     {"id": tensor + 1, "label": "dot"}]
-    for arc in doc["arcs"]:
-        if arc["id"] in (a, b):
-            arc["head"] = tensor
-    doc["arcs"].append({"id": joined, "tail": tensor, "head": tensor + 1})
-    doc["premises"][str(tensor)] = [a, b]
-    doc["conclusions"] = [joined]
-    net = tmp_path / f"joined-{k}.json"
-    net.write_text(json.dumps(doc))
-    return doc, str(net)
 
 
 def _timed_run(capsys, *argv):
@@ -1317,14 +1247,15 @@ def _timed_run(capsys, *argv):
 
 
 def test_accw_counterexample_on_200_pars_takes_under_a_second(tmp_path, capsys):
-    doc, net = _joined_chain(tmp_path, capsys, 200)
-    code, out, _, took = _timed_run(capsys, "check", net, "--criterion", "accw")
+    ps = joined_chain(200)
+    code, out, _, took = _timed_run(capsys, "check", _write_net(tmp_path, ps), "--criterion",
+                                    "accw")
     verdict = json.loads(out)
     assert (code, verdict["holds"]) == (1, False)
     assert took < 1.0, took
 
-    labels = {node["id"]: node["label"] for node in doc["nodes"]}
-    pars = {int(n) for n, lab in labels.items() if lab == "par"}
+    labels = ps.nodes
+    pars = set(ps.par_nodes())
     chosen = {int(n): a for n, a in verdict["counterexample"].items()}
     assert set(chosen) == pars and len(pars) == 200
     parent = {n: n for n in labels}
@@ -1335,10 +1266,10 @@ def test_accw_counterexample_on_200_pars_takes_under_a_second(tmp_path, capsys):
         return n
 
     cyclic, components = False, len(labels)
-    for arc in doc["arcs"]:
-        if arc["head"] in pars and chosen[arc["head"]] != arc["id"]:
+    for a, (tail, head) in sorted(ps.arcs.items()):
+        if head in pars and chosen[head] != a:
             continue  # re-headed to a fresh dot: a pendant arc
-        rt, rh = root(arc["tail"]), root(arc["head"])
+        rt, rh = root(tail), root(head)
         if rt == rh:
             cyclic = True
         else:
@@ -1358,13 +1289,14 @@ def test_accw_refutes_1000_par_chains_within_a_tenth_of_a_second(tmp_path, capsy
                                                                 deepest_second):
     # the first switching is cyclic, or else one cycle needs the second
     # premise of the deepest par: either way a handful of contractions
-    doc, net = _joined_chain(tmp_path, capsys, 1000, "deepest" if deepest_second else None)
-    code, out, err, took = _timed_run(capsys, "check", net, "--criterion", "accw")
+    ps = joined_chain(1000, [0] if deepest_second else ())
+    code, out, err, took = _timed_run(capsys, "check", _write_net(tmp_path, ps), "--criterion",
+                                      "accw")
     assert (code, err) == (1, "")
     assert hashlib.sha256(out.encode()).hexdigest() == JOINED_1000_ACCW
     assert took < 0.1, took
     chosen = json.loads(out)["counterexample"]
-    second = [n for n, a in chosen.items() if a != doc["premises"][n][0]]
+    second = [n for n, a in chosen.items() if a != ps.premise_order[int(n)][0]]
     assert second == ([min(chosen, key=int)] if deepest_second else [])
 
 
@@ -1378,7 +1310,7 @@ def test_accw_refutes_joined_chains_in_at_most_5_contractions(tmp_path, capsys, 
     # walks the counterexample's switching graph once
     from proofnets import switching
 
-    _, net = _joined_chain(tmp_path, capsys, k, "deepest" if deepest_second else None)
+    net = _write_net(tmp_path, joined_chain(k, [0] if deepest_second else ()))
     calls = _counted(monkeypatch, switching, "_has_switching_cycle", 5)
     walks = _counted(monkeypatch, switching, "_components", 1)
     code, _, err = run(capsys, "check", net, "--criterion", "accw")
@@ -1394,21 +1326,21 @@ def test_accw_refutes_an_outermost_second_premise_in_log_contractions(tmp_path, 
     # where fixing one par per contraction would make k of them
     from proofnets import switching
 
-    doc, net = _joined_chain(tmp_path, capsys, k, "outermost")
+    ps = joined_chain(k, [k - 1])
+    net = _write_net(tmp_path, ps)
     calls = _counted(monkeypatch, switching, "_has_switching_cycle", 2 * k.bit_length() + 4)
     code, out, err = run(capsys, "check", net, "--criterion", "accw")
     assert (code, err) == (1, "")
     chosen = json.loads(out)["counterexample"]
-    second = [n for n, a in chosen.items() if a != doc["premises"][n][0]]
+    second = [n for n, a in chosen.items() if a != ps.premise_order[int(n)][0]]
     assert second == [max(chosen, key=int)], len(calls)
 
 
 def test_cw_on_a_16_par_chain_within_a_tenth_of_a_second(tmp_path, capsys):
     # an acyclic structure: the count law decides it, with no enumeration
     # and no cap (the enumeration took 3.5 s here)
-    net = tmp_path / "chain.json"
-    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(16))))
-    code, out, err, took = _timed_run(capsys, "check", str(net), "--criterion", "cw")
+    net = _write_net(tmp_path, desequentialize(par_bot_chain(16)).ps)
+    code, out, err, took = _timed_run(capsys, "check", net, "--criterion", "cw")
     assert (code, out, err) == (0, '{"criterion": "cw", "holds": true, "census": []}\n', "")
     assert took < 0.1, took
 
@@ -1420,11 +1352,10 @@ def test_cw_on_par_chains_contracts_once_and_walks_no_switching(tmp_path, capsys
     # no switching enumerated and no census taken
     from proofnets import switching
 
-    net = tmp_path / "chain.json"
-    net.write_text(json.dumps(_deseq_doc(tmp_path, capsys, _chain_proof(k))))
+    net = _write_net(tmp_path, desequentialize(par_bot_chain(k)).ps)
     contractions = _counted(monkeypatch, switching, "_has_switching_cycle", 1)
     walks = _counted(monkeypatch, switching, "_components", 0)
-    assert run(capsys, "check", str(net), "--criterion", "cw") == (
+    assert run(capsys, "check", net, "--criterion", "cw") == (
         0, '{"criterion": "cw", "holds": true, "census": []}\n', "")
     assert (len(contractions), len(walks)) == (1, 0)
 
@@ -1580,8 +1511,8 @@ def test_deep_untyped_nets_get_types(tmp_path, capsys):
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
-    for leaf in ('(ax "X")', "(one)"):
-        doc = _deseq_doc(tmp_path, capsys, _chain_proof(300, leaf))
+    for leaf in (ax_rule(atom("X")), one_rule()):
+        doc = _deseq_doc(tmp_path, capsys, par_bot_chain(300, leaf))
         del doc["types"]
         net = tmp_path / "untyped.json"
         net.write_text(json.dumps(doc))

@@ -11,6 +11,7 @@ from proofnets.sequent import check_proof, desequentialize, format_proof
 from proofnets.sequentialize import proofs_equivalent
 from proofnets.structure import is_wten, to_json, validate
 from proofnets.switching import check
+from families import nested_bots
 from proof_permutations import permute_rules
 from reference_oracles import is_sequential_oracle
 
@@ -171,10 +172,7 @@ def test_permute_actually_changes_proofs():
 def test_permute_rules_on_deep_proofs():
     # 1 200 nested bot rules over a one: the first round inserts a
     # cancelling pair of exchanges, the second cancels it again
-    from proofnets.sequent import bot_rule, one_rule
-    p = one_rule()
-    for _ in range(1200):
-        p = bot_rule(p)
+    p = nested_bots(1200)
     assert permute_rules(p, seed=0, rounds=1) != p
     assert permute_rules(p, seed=0, rounds=2) == p
 

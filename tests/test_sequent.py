@@ -28,6 +28,7 @@ from proofnets.switching import check
 import reference_desequentialize
 import reference_proof_parser as reference
 from conftest import count_proof_objects, mutations, proof_texts
+from families import nested_bots
 import reference_oracles
 from proof_permutations import deseq_relation_holds
 from reference_oracles import is_sequential_oracle
@@ -122,6 +123,37 @@ def test_lazy_conclusions_match_an_eager_derivation():
             assert q.rule_count() == sum(1 for _ in q.subproofs())
             exchanges += q.rule == "ex"
     assert exchanges > 1000
+
+
+def _no_replay(rules, args):
+    raise AssertionError(f"replayed {len(rules)} rules")
+
+
+def test_every_subproof_length_reads_one_entry(monkeypatch):
+    # each entry keeps the length of its proof's conclusion, so reading the
+    # lengths of all k + 1 subproofs of k nested bots replays nothing, where
+    # replaying each subproof that does not end its buffer took O(k^2)
+    monkeypatch.setattr(sequent, "_replayed", _no_replay)
+    for k in (1000, 4000):
+        p = nested_bots(k)
+        assert sum(q.length for q in p.subproofs()) == (k + 1) * (k + 2) // 2
+
+
+def test_a_rejected_rule_leaves_its_first_premise_ending_its_buffer(monkeypatch):
+    # a rejected cut drops its copy of the second premise, so the next rule
+    # over the first premise still appends in place instead of replaying it
+    p = nested_bots(1000)
+    buf = p._buf
+    for a, second, message in ((ONE, one_rule(), "cut formula must close the first premise"),
+                               (BOT, ax_rule(X), "dual of the cut formula must open")):
+        with pytest.raises(ProofBuildError, match=message):
+            cut_rule(a, p, second)
+        assert [len(buf.rules), len(buf.args), len(buf.sizes)] == [1001] * 3
+        assert len(buf.built) == 1 and buf.built[0] == list(p.conclusion)
+    monkeypatch.setattr(sequent, "_replayed", _no_replay)
+    q = bot_rule(p)
+    assert q._buf is buf and q.premises[0] == p
+    assert q.rule_count() == q.length == len(q.conclusion) == 1002
 
 
 def test_tensor_instance():
@@ -257,9 +289,7 @@ def test_the_writer_prints_what_the_reference_printer_prints():
         for seed in range(40):
             proofs.append(random_proof(GenParams(fragment=frag, max_rules=60, seed=seed,
                                                  cut_probability=0.3)))
-    deep = ax_rule(X)
-    for _ in range(300):
-        deep = bot_rule(deep)
+    deep = nested_bots(300, ax_rule(X))
     proofs.append(exchange_to(deep, list(range(301, -1, -1))))
     for p in proofs:
         assert format_proof(p) == proof_file(reference.format_proof_expr(p), Fragment.MLLU)
@@ -269,8 +299,7 @@ def test_the_writer_prints_what_the_reference_printer_prints():
 def test_deep_proofs_compare_and_hash_without_recursion():
     # two parsed copies of 1 200 nested bot rules: the generated dataclass
     # methods recursed once per premise level
-    k = 1200
-    text = "fragment: mllu\n" + "(bot " * k + "(one)" + ")" * k + "\n"
+    text = format_proof(nested_bots(1200))
     p, q = parse_proof(text)[1], parse_proof(text)[1]
     assert p is not q
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
@@ -316,9 +345,7 @@ def test_deep_proofs_and_formulas_survive_copy_and_pickle():
     f = X
     for _ in range(k):
         f = par(f, X)
-    p = ax_rule(f)
-    for _ in range(k):
-        p = bot_rule(p)
+    p = nested_bots(k, ax_rule(f))
     for copied in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert copied == p and hash(copied) == hash(p) and copied.rule_count() == k + 1
         assert copied.conclusion[0] is f  # the one interned formula
@@ -332,7 +359,7 @@ def test_deep_proofs_are_read_written_and_desequentialized_with_one_object(monke
     # rule (180 301 and 720 601)
     made = count_proof_objects(monkeypatch)
     for k in (600, 1200):
-        text = "fragment: mllu\n" + "(bot " * k + '(ax "A")' + ")" * k + "\n"
+        text = format_proof(nested_bots(k, ax_rule(atom("A"))))
         ps = desequentialize_text(text, verify=False)[1].ps
         made[0] = 0
         proof = sequentialize_wten(ps)
@@ -535,9 +562,7 @@ def test_bot_scopes_of_deep_nests_stay_linear():
     # 1 200 nested bots desequentialize in linear time and memory; the
     # reference gives the same net, and each bot's scope is an id range
     # holding the nodes of its premise sub-proof
-    proof = one_rule()
-    for _ in range(1200):
-        proof = bot_rule(proof)
+    proof = nested_bots(1200)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -562,9 +587,7 @@ def test_bot_scopes_of_deep_nests_are_ranges_and_grow_linearly():
     # there does not move the peaks
     peaks = []
     for k in (1200, 4800):
-        proof = one_rule()
-        for _ in range(k):
-            proof = bot_rule(proof)
+        proof = nested_bots(k)
         gc.collect()
         tracemalloc.start()
         try:

@@ -6,14 +6,15 @@ import sys
 import pytest
 
 from conftest import build_ps, count_search_visits
+from families import bot_chain, nested_bots, one_chain, par_bot_chain, tensor_chain
 from proofnets import fixtures, formulas, sequent
 from proofnets.canonical import iso, iso_untyped
 from proofnets.errors import (FragmentError, SequentializationError,
                               TypeInferenceError)
-from proofnets.formulas import Fragment, atom
+from proofnets.formulas import Fragment
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import (ax_rule, bot_rule, check_proof, desequentialize, ex_rule,
-                               format_proof, one_rule, par_rule, tensor_rule)
+from proofnets.sequent import (bot_rule, check_proof, desequentialize, ex_rule, format_proof,
+                               one_rule, tensor_rule)
 from proofnets.sequentialize import (canonical_jumps_btenll, canonical_jumps_icomll,
                                      infer_types, jump_correct, proofs_equivalent,
                                      rewiring_equivalent, sequentialize_btenll,
@@ -625,35 +626,9 @@ def test_btenll_proof_does_not_depend_on_the_anchor():
         assert len(proofs) == 1
 
 
-def _bot_chain(k):
-    """A one node and k terminal bots, the least bot last: k nested bot
-    rules, each peeled without an exchange."""
-    nodes = {0: "one", **{b: "bot" for b in range(1, k + 1)}}
-    arcs = {n: (n, k + 1 + n) for n in nodes}
-    nodes.update({k + 1 + n: "dot" for n in range(k + 1)})
-    return build_ps(nodes, arcs, concl=(0, *range(k, 0, -1)),
-                    types={0: "one", **{b: "bot" for b in range(1, k + 1)}})
-
-
-def _tensor_chain(k):
-    """k tensors, each joining the last axiom to a new one: k nested splits."""
-    p = ax_rule(atom("X"))
-    for _ in range(k):
-        p = tensor_rule(p, ax_rule(atom("X", dual=True)))
-    return desequentialize(p, verify=False).ps
-
-
-def _one_chain(k):
-    """k nested tensors over one nodes, the icomll form of `_tensor_chain`."""
-    p = one_rule()
-    for _ in range(k):
-        p = tensor_rule(p, one_rule())
-    return desequentialize(p, verify=False).ps
-
-
 def test_constructors_copy_entries_in_linear_time(monkeypatch):
     # a rule over a proof that ends its buffer is appended in place, so k
-    # nested bots copy no entry and the k tensors of `_tensor_chain` copy
+    # nested bots copy no entry and the k tensors of `tensor_chain` copy
     # each second premise, one axiom; copying every first premise copied
     # O(k^2) entries; a copy is a bulk append or a replay
     copied = [0]
@@ -672,12 +647,10 @@ def test_constructors_copy_entries_in_linear_time(monkeypatch):
     counts = {"tensors": [], "bots": []}
     for k in (3200, 12800):
         copied[0] = 0
-        _tensor_chain(k)
+        tensor_chain(k)
         counts["tensors"].append(copied[0])
         copied[0] = 0
-        p = one_rule()
-        for _ in range(k):
-            p = bot_rule(p)
+        p = nested_bots(k)
         counts["bots"].append(copied[0])
         assert p.rule_count() == k + 1
     for small, large in counts.values():
@@ -692,7 +665,7 @@ def test_split_searches_visit_n_log_n_nodes(mode, monkeypatch):
     visits = count_search_visits(monkeypatch)
     totals = []
     for k in (200, 800, 3200):
-        ps = _one_chain(k) if mode == "icomll" else _tensor_chain(k)
+        ps = one_chain(k) if mode == "icomll" else tensor_chain(k)
         visits.clear()
         if mode == "wten":
             sequentialize_wten(ps)
@@ -709,7 +682,7 @@ def test_split_searches_visit_n_log_n_nodes(mode, monkeypatch):
 def test_sequentializers_do_not_recurse_per_step():
     limit = len(inspect.stack(0)) + 100
     k = limit + 20
-    bots, tensors = _bot_chain(k), _tensor_chain(k)
+    bots, tensors = bot_chain(k), tensor_chain(k)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
@@ -731,10 +704,7 @@ def test_icomll_jump_layer_folds_a_fixed_number_of_times(monkeypatch):
     monkeypatch.setattr(formulas, "_fold", lambda *args: calls.append(1) or fold(*args))
     counts = []
     for k in (10, 1200):
-        p = one_rule()
-        for _ in range(k):
-            p = par_rule(bot_rule(p))
-        ps = desequentialize(p, verify=False).ps
+        ps = desequentialize(par_bot_chain(k), verify=False).ps
         for run in (canonical_jumps_icomll, sequentialize_icomll):
             calls.clear()
             run(ps)

@@ -5,11 +5,12 @@ import pytest
 
 import reference_switching as reference
 from conftest import build_ps
+from families import joined_chain, leaf_jumped_chain, par_bot_chain, par_tensor_chain
 from proofnets import fixtures
 from proofnets.errors import FragmentError, SwitchingLimitError
 from proofnets.formulas import Fragment, polarity
 from proofnets.generate import GenParams, random_proof, random_ps
-from proofnets.sequent import bot_rule, desequentialize, desequentialize_text, one_rule, par_rule
+from proofnets.sequent import desequentialize
 from proofnets.sequentialize import canonical_jumps_btenll, canonical_jumps_icomll
 from proofnets.structure import ProofStructure, erasing_nodes, is_wten, topological_order
 from proofnets.switching import (CriterionVerdict, _bridges, _components, _has_switching_cycle,
@@ -357,24 +358,6 @@ def test_cwforall_on_a_jumped_wten_structure_tries_every_switching():
     assert check(ps.without_jumps(), "cwforall").holds
 
 
-def _tensor_chain(k, joined=False):
-    """The k pars of `(par (tensor … (ax "Bi")))` rules over an ax, under
-    one bot; with `joined`, that bot is a premise of a tensor with a one,
-    which fails wten."""
-    body = '(ax "A")'
-    for i in range(k):
-        body = f'(par (tensor {body} (ax "B{i}")))'
-    text = f"(tensor (bot {body}) (one))" if joined else f"(bot {body})"
-    return desequentialize_text(f"fragment: mllu\n{text}\n", verify=False)[1].ps
-
-
-def _jump_to_the_leaf(ps):
-    """The structure with its one bot jumping to its least ax, the leaf of
-    `_tensor_chain`: every par then has two erasing-compatible premises."""
-    (bot,) = ps.bottom_nodes()
-    return ps.with_jumps({bot: min(ps.nodes_with_label("ax"))})
-
-
 def _two_choice_pars(ps):
     """The pars with two erasing-compatible premises, by the enumerator."""
     erasing = erasing_nodes(ps)
@@ -387,7 +370,7 @@ def test_cwforall_of_a_jump_free_chain_is_never_capped():
     # the first switching decides and no cap applies
     for k in (21, 25, 40):
         for joined in (False, True):
-            ps = _tensor_chain(k, joined)
+            ps = par_tensor_chain(k, joined)
             assert len(_two_choice_pars(ps)) == k
             first = next(switchings(ps, W_COMPATIBLE, max_par=k))
             census = [c.census() for c in _components(ps, first, erasing_nodes(ps))]
@@ -407,8 +390,7 @@ def test_cwforall_caps_the_pars_with_two_erasing_compatible_premises():
     # a jumped structure is capped on those pars alone, and below the cap
     # its verdict is the full enumeration's
     corpus = [ps for ps in _reference_corpus() if ps.jumps]
-    corpus += [_jump_to_the_leaf(_tensor_chain(k, joined))
-               for k in (1, 4, 7, 21, 40) for joined in (False, True)]
+    corpus += [leaf_jumped_chain(k, joined) for k in (1, 4, 7, 21, 40) for joined in (False, True)]
     raised = compared = flipped = 0
     for i, ps in enumerate(corpus):
         k = len(_two_choice_pars(ps))
@@ -426,7 +408,7 @@ def test_cwforall_caps_the_pars_with_two_erasing_compatible_premises():
     assert raised > 50 and compared > 100 and flipped >= 10, (raised, compared, flipped)
     # at the cap itself, a chain whose first switching fails is decided
     for k in (21, 40):
-        ps = _jump_to_the_leaf(_tensor_chain(k, joined=True))
+        ps = leaf_jumped_chain(k, joined=True)
         expected = reference.cwforall(ps, max_par=k)
         assert not expected.holds
         assert check(ps, "cwforall", k).to_json() == expected.to_json(), k
@@ -444,26 +426,6 @@ def _per_par_first_cyclic_switching(ps):
     return forced
 
 
-def _joined_chain(flips):
-    """An axiom whose two conclusions meet under a tensor, one of them
-    through a chain of pars, each over a bot; par i lists its chain premise
-    second when flips[i], so the one cycle takes that premise."""
-    nodes = {0: "ax", 1: "tensor", 2: "dot"}
-    arcs = {0: (0, 1), 1: (1, 2)}
-    order = {}
-    above = 0  # the node whose conclusion the next par takes
-    for flip in flips:
-        bot, par = len(nodes), len(nodes) + 1
-        nodes[bot], nodes[par] = "bot", "par"
-        chain, side = len(arcs), len(arcs) + 1
-        arcs[chain], arcs[side] = (above, par), (bot, par)
-        order[par] = (side, chain) if flip else (chain, side)
-        above = par
-    arcs[len(arcs)] = (above, 1)
-    order[1] = (0, len(arcs) - 1)
-    return ProofStructure(nodes, arcs, order, (1,))
-
-
 def test_galloping_finds_the_first_cyclic_switching():
     rng = random.Random(3)
     corpus = []
@@ -475,7 +437,8 @@ def test_galloping_finds_the_first_cyclic_switching():
                         for b in ps.bottom_nodes()}
         corpus += [ps, _swap_heads(ps, rng), _swap_heads(ps, rng), jumped]
     for _ in range(150):
-        chain = _joined_chain([rng.random() < 0.5 for _ in range(rng.randint(1, 24))])
+        k = rng.randint(1, 24)
+        chain = joined_chain(k, [i for i in range(k) if rng.random() < 0.5])
         corpus += [chain, _swap_heads(chain, rng)]
     checked, seconds = 0, Counter()
     for i, ps in enumerate(corpus):
@@ -512,11 +475,8 @@ def _reference_corpus():
         corpus.append(canonical_jumps_icomll(desequentialize(p, verify=False).ps))
     rng = random.Random(5)
     for k in range(21, 31):
-        corpus.append(_joined_chain([rng.random() < 0.5 for _ in range(k)]))
-        proof = one_rule()
-        for _ in range(k):
-            proof = par_rule(bot_rule(proof))
-        corpus.append(desequentialize(proof).ps)
+        corpus.append(joined_chain(k, [i for i in range(k) if rng.random() < 0.5]))
+        corpus.append(desequentialize(par_bot_chain(k)).ps)
     variants = []
     for ps in corpus:
         if len(ps.arcs) >= 2:
@@ -833,10 +793,7 @@ def test_switching_paths_keep_the_recursive_order():
 
 def test_switching_paths_on_deep_nets():
     # 1 200 nested par(bot) rules over a one: one switching path of 1 201 arcs
-    proof = one_rule()
-    for _ in range(1200):
-        proof = par_rule(bot_rule(proof))
-    ps = desequentialize(proof, verify=False).ps
+    ps = desequentialize(par_bot_chain(1200), verify=False).ps
     one = ps.nodes_with_label("one")[0]
     dot = ps.head(ps.conclusions[0])
     paths = switching_paths(ps, one, dot, "switching")
